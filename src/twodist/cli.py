@@ -64,11 +64,6 @@ def _emit(report: CommandReport, as_json: bool) -> None:
         print(report.to_text(), end="")
 
 
-def ingest_design(path: str) -> designs.IncidenceDesign:
-    """Load and validate a design JSON file; schema errors carry field paths."""
-    return designs.load_design(path)
-
-
 # ----- verify ---------------------------------------------------------------
 
 GOLDEN_GRAM = {
@@ -122,8 +117,8 @@ def _verify_lisonek(report: CommandReport) -> bool:
            and gate.passed)
 
     cc = coherent.from_design(design)
-    axioms = coherent.verify_axioms(cc)
     result = coherent.projector_and_gram(cc)
+    axioms = result.axioms
     gram_ok = axioms.ok and all(
         result.gram[k] == parse_scalar(v) for k, v in GOLDEN_GRAM.items())
     expect("projector", [
@@ -188,7 +183,7 @@ def cmd_params(args) -> tuple[int, CommandReport]:
 
 
 def cmd_embed(args) -> tuple[int, CommandReport]:
-    design = ingest_design(args.design)
+    design = designs.load_design(args.design)
     cc = coherent.from_design(design)
     result = coherent.projector_and_gram(cc)
     p = cc.params

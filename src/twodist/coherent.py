@@ -9,6 +9,7 @@ table of the Euclidean embedding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -21,7 +22,7 @@ from .designs import (
     derive_parameters,
     intersection_numbers,
 )
-from .exactnum import QuadExt, _sf_product, sqrt_adjoin
+from .exactnum import QuadExt, _radicand_closure, _sf_product, sqrt_adjoin
 
 
 class StructureError(ValueError):
@@ -150,11 +151,11 @@ def verify_axioms(cc: CoherentConfig) -> AxiomReport:
                     continue
                 first = values[0]
                 if not (values == first).all():
-                    bad = np.argwhere((prod != first) & supports[k])[0]
+                    bad = tuple(int(v) for v in np.argwhere((prod != first) & supports[k])[0])
                     return AxiomReport(
                         False, None,
-                        f"p_{i+1}{j+1}^{k+1} not constant: pair {tuple(bad)} gives "
-                        f"{prod[tuple(bad)]}, expected {first}")
+                        f"p_{i+1}{j+1}^{k+1} not constant: pair {bad} gives "
+                        f"{int(prod[bad])}, expected {int(first)}")
                 p[i, j, k] = first
     return AxiomReport(True, p)
 
@@ -278,9 +279,11 @@ class ProjectorResult:
     coefficients: tuple        # E as a coefficient vector over A1..A9
     gram: GramTable
     matrix: Optional[list]     # dense QuadExt rows when assembled
+    axioms: AxiomReport        # the verified axiom check the projector rests on
 
 
-# 45 points and 45 + 36 = 81-sized complements stay comfortably below this
+# Lisonek's configuration and its complement (9 + 36 = 45 vertices each) get the
+# dense check; the 276-vertex Witt configuration relies on the p_ij^k table.
 FULL_MATRIX_LIMIT = 128
 
 
@@ -289,9 +292,15 @@ def projector_and_gram(cc: CoherentConfig, full_matrix_check: Optional[bool] = N
 
     Checks E = E^T, E^2 = E, trace(E) = m - 1, that E annihilates both fiber
     indicator vectors, and that every entry agrees with its pair-class value.
-    The multiplication check runs entrywise on the dense matrix for small
-    configurations and through the verified intersection-number table above
-    the size limit.
+    The multiplication check runs through the verified intersection-number
+    table at every size, and also densely for configurations of at most
+    FULL_MATRIX_LIMIT vertices.  The dense check writes E exactly as
+    sum_r sqrt(r) N_r / D: D is the lcm of the coefficient denominators and
+    N_r is one integer matrix per radicand r in {1, d1, d2, d1 d2}.  E^2 = E
+    then takes one integer matmul per radicand pair.  The matrices are int64
+    only when size * max|N|^2 * (sum of the gcds g in sqrt(r) sqrt(s) =
+    g sqrt(d)) and D * max|N| are both below 2^63, so no product can
+    overflow; otherwise they hold Python integers.
     """
     report = verify_axioms(cc)
     if not report.ok:
@@ -335,8 +344,8 @@ def projector_and_gram(cc: CoherentConfig, full_matrix_check: Optional[bool] = N
         full_matrix_check = cc.size <= FULL_MATRIX_LIMIT
     if full_matrix_check:
         matrix = assemble_matrix(cc, coeffs)
-        _dense_checks(cc, matrix, gram)
-    return ProjectorResult(cc, idem, coeffs, gram, matrix)
+        _dense_checks(cc, _integer_form(coeffs, cc.relation_index_matrix() - 1), gram)
+    return ProjectorResult(cc, idem, coeffs, gram, matrix, report)
 
 
 def assemble_matrix(cc: CoherentConfig, coeffs) -> list:
@@ -344,33 +353,77 @@ def assemble_matrix(cc: CoherentConfig, coeffs) -> list:
     return [[coeffs[ridx[a, b] - 1] for b in range(cc.size)] for a in range(cc.size)]
 
 
-def _dense_checks(cc: CoherentConfig, e: list, gram: GramTable) -> None:
-    size = cc.size
-    ridx = cc.relation_index_matrix()
-    # E^T = E and class agreement, entry by entry
-    for a in range(size):
-        row = e[a]
-        for b in range(size):
-            if row[b] != e[b][a]:
-                raise InternalConsistencyError(f"E[{a}][{b}] != E[{b}][{a}]")
-            if row[b] != gram.classes[GRAM_CLASS_OF_RELATION[int(ridx[a, b])]]:
-                raise InternalConsistencyError(f"entry ({a},{b}) is off its class value")
-    # E^2 = E with raw term accumulation (fractions only, no object churn)
-    cols = [[e[t][b] for t in range(size)] for b in range(size)]
-    for a in range(size):
-        row = e[a]
-        for b in range(size):
-            col = cols[b]
-            acc: dict = {}
-            for t in range(size):
-                for r1, c1 in row[t].terms:
-                    for r2, c2 in col[t].terms:
-                        g, d = _sf_product(r1, r2)
-                        acc[d] = acc.get(d, Fraction(0)) + c1 * c2 * g
-            if QuadExt(acc) != row[b]:
-                raise InternalConsistencyError(f"(E^2)[{a}][{b}] != E[{a}][{b}]")
-    trace = QuadExt(0)
-    for a in range(size):
-        trace = trace + e[a][a]
+# ----- the dense check on the integer form -----------------------------------
+
+
+@dataclass(frozen=True)
+class _IntegerForm:
+    """The matrix sum_r sqrt(r) * parts[r] / denominator, parts[r] integer."""
+
+    denominator: int
+    parts: dict  # radicand -> square integer ndarray, int64 or object dtype
+
+
+def _integer_form(values, index: np.ndarray) -> _IntegerForm:
+    """Integer form of the matrix whose entry (a, b) is values[index[a, b]].
+
+    The parts are int64 under the overflow bound stated in
+    projector_and_gram and object (Python integers) otherwise.
+    """
+    radicands = sorted({r for v in values for r, _ in v.terms})
+    _radicand_closure(radicands)  # at most two independent radicands
+    denominator = math.lcm(*(c.denominator for v in values for _, c in v.terms))
+    tables = {r: [0] * len(values) for r in radicands}
+    for i, v in enumerate(values):
+        for r, c in v.terms:
+            tables[r][i] = c.numerator * (denominator // c.denominator)
+    biggest = max((abs(n) for t in tables.values() for n in t), default=0)
+    g_sum = sum(_sf_product(r, s)[0] for r in radicands for s in radicands)
+    fits = (index.shape[0] * biggest ** 2 * g_sum < 2 ** 63
+            and denominator * biggest < 2 ** 63)
+    dtype = np.int64 if fits else object
+    return _IntegerForm(
+        denominator, {r: np.array(t, dtype=dtype)[index] for r, t in tables.items()})
+
+
+def _integer_square(form: _IntegerForm) -> dict:
+    """Numerators of the square over denominator^2, keyed by radicand."""
+    out: dict = {}
+    for r, a in form.parts.items():
+        for s, b in form.parts.items():
+            g, d = _sf_product(r, s)
+            term = g * (a @ b)
+            out[d] = out[d] + term if d in out else term
+    return out
+
+
+def _require_equal(lhs: np.ndarray, rhs: np.ndarray, what: str) -> None:
+    if not np.array_equal(lhs, rhs):
+        a, b = (int(i) for i in np.argwhere(lhs != rhs)[0])
+        raise InternalConsistencyError(f"{what} at entry ({a},{b})")
+
+
+def _dense_checks(cc: CoherentConfig, form: _IntegerForm, gram: GramTable) -> None:
+    """E = E^T, class agreement, E^2 = E and trace(E) = m - 1, entry by entry."""
+    ridx = cc.relation_index_matrix() - 1
+    zero = np.zeros(ridx.shape, dtype=np.int64)
+    for r, part in form.parts.items():
+        _require_equal(part, part.T, f"E is not symmetric in its sqrt({r}) part")
+    # every entry equals the Gram value of its relation's class
+    classes = [dict(gram[GRAM_CLASS_OF_RELATION[k]].terms) for k in range(1, 10)]
+    for r in form.parts.keys() | {r for terms in classes for r in terms}:
+        scaled = [terms.get(r, 0) * form.denominator for terms in classes]
+        if any(Fraction(v).denominator != 1 for v in scaled):
+            raise InternalConsistencyError(
+                f"a Gram class needs a denominator beyond {form.denominator}")
+        expected = np.array([int(v) for v in scaled], dtype=object)[ridx]
+        _require_equal(form.parts.get(r, zero), expected,
+                       f"E is off its class value in the sqrt({r}) part")
+    square = _integer_square(form)
+    for d in square.keys() | form.parts.keys():
+        _require_equal(square.get(d, zero), form.denominator * form.parts.get(d, zero),
+                       f"E^2 != E in the sqrt({d}) part")
+    trace = QuadExt({r: Fraction(int(np.trace(part)), form.denominator)
+                     for r, part in form.parts.items()})
     if trace != QuadExt(cc.m - 1):
-        raise InternalConsistencyError("dense trace differs from m - 1")
+        raise InternalConsistencyError(f"dense trace {trace} differs from m - 1")

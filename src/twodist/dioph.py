@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterator, Optional, Sequence
 
 from .designs import DesignError, derive_parameters, integrality_gate
@@ -173,7 +173,6 @@ _FAMILY_I_SUBS = {
 
 # ----- identity verification --------------------------------------------
 
-LAMBDA_NUM = Poly(P_VARS, {})  # filled below
 _S, _M, _XV, _YV = Poly.gens(P_VARS)
 LAMBDA_NUM = _S * (_S - 1) * (_S - _XV) * (_S - _YV)
 LAMBDA_DEN = (
@@ -422,14 +421,8 @@ def _int_coeffs(p: UniPoly) -> Optional[list[int]]:
 def _scaled_int_coeffs(p: UniPoly) -> list[int]:
     scale = 1
     for c in p.coeffs:
-        scale = scale * c.denominator // _gcd(scale, c.denominator)
+        scale = scale * c.denominator // gcd(scale, c.denominator)
     return [int(c * scale) for c in p.coeffs]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _horner(coeffs: Sequence[int], x: int) -> int:

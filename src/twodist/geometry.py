@@ -13,6 +13,7 @@ rescaled by sqrt(2), so d(V,V) = sqrt(2)).  Conversions are explicit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -87,29 +88,40 @@ def centroid(points: Sequence) -> tuple:
 
 
 def configuration_distance_classes(config: PointConfiguration) -> dict:
-    """Squared distances per pair class, each asserted to be a single value."""
+    """Squared distances per pair class, each asserted to be a single value.
+
+    Distances are taken between integer coordinates, scaled by the common
+    denominator of all coordinates, and divided by its square once per class.
+    """
+    scale = math.lcm(*(Fraction(c).denominator for p in config.all_points for c in p))
+
+    def scaled(points) -> list:
+        return [[int(Fraction(c) * scale) for c in p] for p in points]
+
+    def dist_sq(p, q) -> int:
+        return sum((a - b) * (a - b) for a, b in zip(p, q))
+
     out: dict[str, set] = {
         "V_V": set(), "B_B_alpha": set(), "B_B_beta": set(),
         "V_B_in": set(), "V_B_out": set(),
     }
-    simplex = config.simplex_points
-    blocks = config.blocks
-    pts = config.block_points
+    simplex = scaled(config.simplex_points)
+    pts = scaled(config.block_points)
+    blocks = [set(b) for b in config.blocks]
     for i, j in combinations(range(len(simplex)), 2):
-        out["V_V"].add(squared_distance(simplex[i], simplex[j]))
+        out["V_V"].add(dist_sq(simplex[i], simplex[j]))
     for i, j in combinations(range(len(pts)), 2):
-        shared = len(set(blocks[i]) & set(blocks[j]))
-        key = "B_B_alpha" if shared == 1 else "B_B_beta"
-        out[key].add(squared_distance(pts[i], pts[j]))
+        key = "B_B_alpha" if len(blocks[i] & blocks[j]) == 1 else "B_B_beta"
+        out[key].add(dist_sq(pts[i], pts[j]))
     for v in range(len(simplex)):
         for b in range(len(pts)):
             key = "V_B_in" if v in blocks[b] else "V_B_out"
-            out[key].add(squared_distance(simplex[v], pts[b]))
+            out[key].add(dist_sq(simplex[v], pts[b]))
     classes = {}
     for key, values in out.items():
         if len(values) != 1:
             raise InternalConsistencyError(f"pair class {key} is not a single distance")
-        classes[key] = QuadExt(values.pop())
+        classes[key] = QuadExt(Fraction(values.pop(), scale * scale))
     return classes
 
 

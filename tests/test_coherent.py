@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -164,3 +165,15 @@ def test_degenerate_representation_guard():
                      Fraction(0), p.n, p.k, p.r, p.s)
     with pytest.raises(DegenerateRepresentationError):
         idempotent_basis(broken)
+
+
+def test_axiom_violation_reports_plain_integers(lisonek_cc):
+    # move one symmetric block pair from R4 to R5: the R4 degree breaks
+    rel = [mat.copy() for mat in lisonek_cc.relations]
+    m = lisonek_cc.m
+    u, v = (int(i) + m for i in np.argwhere(rel[3][m:, m:])[0])
+    for a, b in ((u, v), (v, u)):
+        rel[3][a, b], rel[4][a, b] = 0, 1
+    report = verify_axioms(dataclasses.replace(lisonek_cc, relations=tuple(rel)))
+    assert not report.ok
+    assert report.violation == "p_44^2 not constant: pair (11, 11) gives 14, expected 13"
