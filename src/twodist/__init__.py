@@ -13,10 +13,8 @@ from .exactnum import (
     UnsupportedExtensionError,
     format_scalar,
     parse_scalar,
-    quadext_arith,
     quadext_sign,
     quadext_sqrt,
-    rational_arith,
     sqrt_adjoin,
 )
 from .designs import (

@@ -2,10 +2,11 @@
 
 The three quartic conditions p1, p2, p3 in (S, m, x, y) are carried as exact
 polynomials.  A two-variable parametrization (x, z) rewrites every design
-parameter as a rational function; auxiliary integer-valued functions g1, g2
-are then certified to stay inside open unit-length (or short) intervals on
-large lattice boxes, which is the desk-scale stand-in for the unbounded real
-certificates.  A brute-force solver, the parametrized solution families, the
+parameter, and each auxiliary integer-valued function g1, g2, as one integer
+fraction N(x, z) / D(x, z); lattice rows, fixed-x fibers and the strip are
+all evaluated by substitution into that pair.  g1 and g2 are certified to
+stay inside open unit-length (or short) intervals on large lattice boxes,
+which is the desk-scale stand-in for the unbounded real certificates.  A brute-force solver, the parametrized solution families, the
 quadratic S-range exclusions, and the final classification over the family
 curve complete the pipeline.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt, lcm
 from typing import Iterator, Optional, Sequence
 
 from .designs import DesignError, derive_parameters, integrality_gate
@@ -245,70 +246,15 @@ def _g2_expr(par, x, y, z):
             - 13 * par["T"] * z + 13 * x * z - 33 * z * z + 13 * z * z * z)
 
 
-@lru_cache(maxsize=None)
-def _fiber_params_in_z(x0: int, branch: str) -> dict:
-    """All parameters as reduced rational functions of z along fixed x = x0."""
-    if x0 == 0:
-        raise DesignError("the parametrization needs x != 0")
-    z = RatFunc.poly(UniPoly([0, 1]))
-    S = RatFunc.poly(UniPoly([x0, 0, 1]))
-    root = UniPoly([x0, 1, 1])
-    m = RatFunc(root * root, UniPoly([x0]))
-    if branch == "y1":
-        y = RatFunc.poly(UniPoly([x0, -1]))
-    elif branch == "y2":
-        y2num = UniPoly([
-            x0**3, x0**2, 2 * x0**2 + 3 * x0, 2 * x0 + 1, x0 + 2, 1,
-        ])
-        y = RatFunc(y2num, root * root)
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
-    par = _prop_params(S, m, x0, y)
-    par["z"] = z
-    return par
-
-
-def param_value(name: str, x: int, z: int, branch: str = "y1") -> Fraction:
-    """Exact value of a block-graph parameter along the parametrized surface.
-
-    Removable singularities are resolved by GCD reduction along the fixed-x
-    fiber; a genuine pole raises ZeroDivisionError.
-    """
-    par = _fiber_params_in_z(x, branch)
-    return par[name].eval(Fraction(z))
-
-
-@lru_cache(maxsize=None)
-def _aux_g_in_z(which: str, x0: int) -> RatFunc:
-    if which == "g1":
-        par = _fiber_params_in_z(x0, "y1")
-        return _g1_expr(par, x0, par["z"])
-    if which == "g2":
-        par = _fiber_params_in_z(x0, "y2")
-        return _g2_expr(par, x0, par["y"], par["z"])
-    raise ValueError(f"unknown auxiliary polynomial {which!r}")
-
-
-def aux_g(which: str, x: int, z: int) -> Fraction:
-    """Exact value of the auxiliary function g1 (y1 branch) or g2 (y2 branch).
-
-    x must be a nonzero integer; removable singularities are evaluated after
-    reduction along the fixed-x fiber.
-    """
-    if x < 1:
-        raise DesignError("aux_g needs x >= 1")
-    return _aux_g_in_z(which, x).eval(Fraction(z))
-
-
-# ----- bivariate scan machinery -----------------------------------------
+# ----- one form per function on the (x, z) surface -------------------------
 
 
 class PolyFrac:
     """Bivariate fraction with a factored, never-expanded denominator.
 
-    Keeping denominator factors separate avoids GCD computations entirely;
-    rows of the lattice scan substitute z and evaluate numerator and factors
-    independently.
+    The builder of the surface forms: evaluating a parameter formula over
+    PolyFrac keeps the denominator factors apart, so no GCD is computed, and
+    `_surface` expands them once into a single denominator.
     """
 
     __slots__ = ("num", "den")
@@ -392,37 +338,97 @@ def _den_product(common: dict, mine: dict) -> Poly:
     return out
 
 
+_AUX_BRANCH = {"g1": "y1", "g2": "y2"}   # each auxiliary function lives on one y branch
+
+
 @lru_cache(maxsize=None)
-def _g_bivariate(which: str) -> PolyFrac:
+def _branch_fracs(branch: str) -> dict[str, PolyFrac]:
+    """Every `_prop_params` entry of one y branch, plus its auxiliary function."""
     S = PolyFrac(S_XZ)
     m = PolyFrac(MSQ_XZ, {_X: 1})
     x = PolyFrac(_X)
     z = PolyFrac(_Z)
-    if which == "g1":
-        y = PolyFrac(Y1_XZ)
-        par = _prop_params(S, m, x, y)
-        return _g1_expr(par, x, z)
-    if which == "g2":
+    if branch == "y1":
+        par = _prop_params(S, m, x, PolyFrac(Y1_XZ))
+        par["g1"] = _g1_expr(par, x, z)
+    elif branch == "y2":
         y = PolyFrac(Y2NUM_XZ, {MSQ_XZ: 1})
         par = _prop_params(S, m, x, y)
-        return _g2_expr(par, x, y, z)
-    raise ValueError(f"unknown auxiliary polynomial {which!r}")
+        par["g2"] = _g2_expr(par, x, y, z)
+    else:
+        raise ValueError(f"unknown branch {branch!r}")
+    return par
 
 
-def _int_coeffs(p: UniPoly) -> Optional[list[int]]:
-    out = []
-    for c in p.coeffs:
-        if c.denominator != 1:
-            return None
-        out.append(c.numerator)
-    return out
+@lru_cache(maxsize=None)
+def _surface(name: str, branch: str) -> tuple[Poly, Poly]:
+    """One function on the surface as N(x, z) / D(x, z), with integer coefficients.
+
+    D is the expanded product of the formula's denominator factors and the
+    common power of z is cancelled from N and D.  Rows z = z0, fibers x = x0
+    and the strip all come from substitution into this one pair.
+    """
+    f = _branch_fracs(branch)[name]
+    num, den = f.num, _den_product(f.den, {})
+    k = min(ez for _, ez in (*num.terms, *den.terms))
+    scale = lcm(*(c.denominator for p in (num, den) for c in p.terms.values()))
+
+    def shifted(p: Poly) -> Poly:
+        return Poly(XZ, {(ex, ez - k): c * scale for (ex, ez), c in p.terms.items()})
+
+    return shifted(num), shifted(den)
 
 
-def _scaled_int_coeffs(p: UniPoly) -> list[int]:
-    scale = 1
-    for c in p.coeffs:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    return [int(c * scale) for c in p.coeffs]
+def _value_at(surface: tuple[Poly, Poly], x: int, z: int) -> Fraction:
+    """N(x, z) / D(x, z); where D vanishes, the value of the reduced x-fiber.
+
+    The fiber N(x, .) / D(x, .) is reduced by one univariate GCD, so a
+    removable singularity gets its value and a genuine pole raises
+    ZeroDivisionError.
+    """
+    num, den = surface
+    point = {"x": x, "z": z}
+    d = den.eval(point)
+    if d:
+        return num.eval(point) / d
+    fiber = RatFunc(UniPoly.from_poly(num.subst_univariate("x", x)),
+                    UniPoly.from_poly(den.subst_univariate("x", x)))
+    return fiber.eval(Fraction(z))
+
+
+def param_value(name: str, x: int, z: int, branch: str = "y1") -> Fraction:
+    """Exact value of a block-graph parameter along the parametrized surface.
+
+    Removable singularities are resolved by GCD reduction along the fixed-x
+    fiber; a genuine pole raises ZeroDivisionError.
+    """
+    if x == 0:
+        raise DesignError("the parametrization needs x != 0")
+    return _value_at(_surface(name, branch), x, z)
+
+
+def aux_g(which: str, x: int, z: int) -> Fraction:
+    """Exact value of the auxiliary function g1 (y1 branch) or g2 (y2 branch).
+
+    x must be a positive integer; removable singularities are evaluated after
+    reduction along the fixed-x fiber.
+    """
+    if x < 1:
+        raise DesignError("aux_g needs x >= 1")
+    if which not in _AUX_BRANCH:
+        raise ValueError(f"unknown auxiliary polynomial {which!r}")
+    return _value_at(_surface(which, _AUX_BRANCH[which]), x, z)
+
+
+# ----- lattice scan ------------------------------------------------------------
+
+
+def _row_coeffs(p: Poly, z0: int) -> list[int]:
+    """Coefficients of the integer polynomial p(x, z0), lowest degree first."""
+    coeffs = UniPoly.from_poly(p.subst_univariate("z", z0)).coeffs
+    if any(c.denominator != 1 for c in coeffs):
+        raise IdentityFailureError(f"row z = {z0} has non-integer coefficients")
+    return [c.numerator for c in coeffs]
 
 
 def _horner(coeffs: Sequence[int], x: int) -> int:
@@ -480,57 +486,15 @@ class RegionScanReport:
         return not self.violations
 
 
-def _split_z_power(p: Poly) -> tuple[Poly, int]:
-    """Write p = z^k * q with q not divisible by z; returns (q, k)."""
-    if p.is_zero():
-        return p, 0
-    zi = p.vars.index("z")
-    k = min(e[zi] for e in p.terms)
-    if k == 0:
-        return p, 0
-    terms = {e[:zi] + (e[zi] - k,) + e[zi + 1 :]: c for e, c in p.terms.items()}
-    return Poly(p.vars, terms), k
-
-
 class _RowEvaluator:
-    """Per-row (fixed z) exact evaluation of g = num / prod(factors).
-
-    Powers of z are factored out of the numerator and of every denominator
-    factor first, so rows on which the raw fraction degenerates (notably
-    z = 0, where the whole parameter surface collapses onto S = m) still
-    evaluate to the value of the reduced function.
-    """
+    """Exact values of g = N / D along the row z = z0, by finite differences."""
 
     def __init__(self, which: str, z0: int):
         self.which = which
         self.z0 = z0
-        self.identically_zero = False
-        self.pole_row = False
-        g = _g_bivariate(which)
-        num_poly, net = _split_z_power(g.num)
-        factors: list[Poly] = []
-        for f, e in g.den.items():
-            fz, k = _split_z_power(f)
-            net -= k * e
-            factors.extend([fz] * e)
-        num = UniPoly.from_poly(num_poly.subst_univariate("z", z0))
-        facs = [UniPoly.from_poly(f.subst_univariate("z", z0)) for f in factors]
-        if num.is_zero() or any(f.is_zero() for f in facs):
-            raise IdentityFailureError(
-                f"z-cleared factor vanishes identically on row z = {z0}")
-        den_scale = 1
-        if z0 == 0:
-            if net > 0:
-                self.identically_zero = True
-            elif net < 0:
-                self.pole_row = True
-        elif net >= 0:
-            num = num.scale(z0**net)
-        else:
-            den_scale = z0 ** (-net)
-        self.num = _scaled_int_coeffs(num)
-        self.fac = [_scaled_int_coeffs(f) for f in facs]
-        self.den_scale = den_scale
+        num, den = _surface(which, _AUX_BRANCH[which])
+        self.num = _row_coeffs(num, z0)
+        self.den = _row_coeffs(den, z0)
 
     def check_range(self, lo: int, hi: int, x_start: int, x_stop: int,
                     region: str, report: RegionScanReport) -> None:
@@ -539,21 +503,8 @@ class _RowEvaluator:
         if count <= 0:
             return
         report.points_checked[region] = report.points_checked.get(region, 0) + count
-        if self.identically_zero:
-            if not (lo < 0 < hi):
-                report.violations.append(RegionViolation(region, x_start, self.z0, "0"))
-            return
-        if self.pole_row:
-            report.violations.append(RegionViolation(region, x_start, self.z0, "pole"))
-            return
-        streams = [_fd_stream(self.num, x_start, count)]
-        streams += [_fd_stream(f, x_start, count) for f in self.fac]
-        for i in range(count):
-            nv = next(streams[0])
-            dv = self.den_scale
-            for s in streams[1:]:
-                dv *= next(s)
-            x0 = x_start + i
+        values = zip(_fd_stream(self.num, x_start, count), _fd_stream(self.den, x_start, count))
+        for x0, (nv, dv) in enumerate(values, x_start):
             if dv == 0:
                 self._check_point_fallback(x0, lo, hi, region, report)
                 continue
@@ -591,9 +542,14 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
     x in {1,2} and |z| large, g in (-1,38) for x >= 3, plus the small-box
     enumeration of integral g2 values.  Bounded lattice boxes stand in for
     unbounded-region certificates; violations are reported, never raised.
+    A box that holds no lattice point to check raises DesignError.
     """
     if which not in ("g1", "g2"):
         raise ValueError(f"unknown auxiliary polynomial {which!r}")
+    if zmin > zmax:
+        raise DesignError(f"empty z range [{zmin}, {zmax}]")
+    if xmax < 1:
+        raise DesignError(f"region_scan needs xmax >= 1, got {xmax}")
     report = RegionScanReport(which, zmin, zmax, xmax)
     if which == "g1":
         for z0 in range(zmin, zmax + 1):
@@ -612,7 +568,6 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
             if hi_x >= 1:
                 row = row or _RowEvaluator("g1", z0)
                 row.check_range(0, 1, 1, hi_x, "region3", report)
-        report.notes["strip_equation"] = solve_strip_equation()
     else:
         for z0 in range(zmin, zmax + 1):
             if z0 <= -15 or z0 >= 10:
@@ -625,6 +580,13 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
             if xmax >= 3:
                 row = _RowEvaluator("g2", z0)
                 row.check_range(-1, 38, 3, xmax, "x_ge_3", report)
+    if not report.points_checked:
+        raise DesignError(
+            f"the box z in [{zmin}, {zmax}], x <= {xmax} holds no lattice point "
+            f"on which {which} is checked")
+    if which == "g1":
+        report.notes["strip_equation"] = solve_strip_equation()
+    else:
         report.notes["integer_values"] = g2_integer_values()
     return report
 
@@ -654,17 +616,14 @@ class StripEquationResult:
 def solve_strip_equation() -> StripEquationResult:
     """Solve g1 = 1 exactly along x = z(z+1)/2 - 1.
 
-    The difference num - den of the reduced fiber function must vanish at
-    z = (-1 +- sqrt(41)) / 2 and at no integer.
+    g1 = N / D restricted to the strip is reduced once; the difference
+    num - den of the result must vanish at z = (-1 +- sqrt(41)) / 2 and at
+    no integer.
     """
-    z = RatFunc.poly(UniPoly([0, 1]))
-    x = RatFunc.poly(UniPoly([-1, Fraction(1, 2), Fraction(1, 2)]))
-    S = x + z * z
-    root = x + z * z + z
-    m = root * root / x
-    y = x - z
-    par = _prop_params(S, m, x, y)
-    g = _g1_expr(par, x, z)
+    one = Poly.constant(_FAM_Z, 1)
+    subs = {"x": (Poly(_FAM_Z, {(2,): Fraction(1, 2), (1,): Fraction(1, 2), (0,): -1}), one),
+            "z": (Poly.variable("z", _FAM_Z), one)}
+    g = RatFunc(*(UniPoly.from_poly(compose_cleared(p, subs)) for p in _surface("g1", "y1")))
     q = g.num - g.den
     target = UniPoly([-10, 1, 1])
     quotient, remainder = q.divmod(target)
@@ -682,6 +641,11 @@ def solve_strip_equation() -> StripEquationResult:
             raise IdentityFailureError(f"strip root {r} fails exact verification")
     integer_roots = tuple(sorted(_integer_roots(q)))
     return StripEquationResult((1, 1, -10), disc, roots, integer_roots, q.degree)
+
+
+def _scaled_int_coeffs(p: UniPoly) -> list[int]:
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    return [int(c * scale) for c in p.coeffs]
 
 
 def _integer_roots(p: UniPoly) -> list[int]:
@@ -954,9 +918,7 @@ def y2_curve_search(xmin: int = 3, xmax: int = 10_000,
     hits: list[tuple[int, int]] = []
     count = xmax - xmin + 1
     for z0 in range(zmin, zmax + 1):
-        rowpoly = cleared.subst_univariate("z", z0)
-        coeffs = _int_coeffs(UniPoly.from_poly(rowpoly))
-        assert coeffs is not None
+        coeffs = _row_coeffs(cleared, z0)
         if not coeffs:
             hits.extend((x0, z0) for x0 in range(xmin, xmax + 1))
             continue

@@ -33,44 +33,6 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"not a rational value: {value!r}")
 
 
-def rational_arith(a, b, op: str):
-    """Exact rational arithmetic; ``op`` is add/sub/mul/div/cmp.
-
-    ``cmp`` returns -1, 0 or +1 (a total order); ``div`` raises
-    ``ZeroDivisionError`` on a zero divisor.
-    """
-    a = as_rational(a)
-    b = as_rational(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return a / b
-    if op == "cmp":
-        return (a > b) - (a < b)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def quadext_arith(a: ScalarLike, b: ScalarLike, op: str) -> "QuadExt":
-    """Exact field arithmetic on quadratic-extension values."""
-    a = QuadExt(a)
-    b = QuadExt(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write ``n = s*s*d`` with ``d`` square-free; returns ``(s, d)``.
 

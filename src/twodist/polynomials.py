@@ -3,9 +3,11 @@
 Polynomials carry Fraction coefficients keyed by exponent vectors over a
 fixed, ordered variable tuple; canonical form (no zero coefficients) makes
 equality structural, so "this residue is the zero polynomial" is a direct
-comparison.  A small univariate rational-function layer (with Euclidean GCD
-reduction) supports evaluating parameter formulas at points where the raw
-numerator and denominator both vanish.
+comparison.  The univariate layer is what evaluation along one line needs:
+:class:`UniPoly` with Euclidean division, and :class:`RatFunc`, which is
+only a reduced-fraction evaluator: its constructor cancels the GCD of
+numerator and denominator, so a removable singularity evaluates to its
+value and only a genuine pole raises.
 """
 
 from __future__ import annotations
@@ -235,12 +237,6 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __add__(self, other: "UniPoly") -> "UniPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -255,17 +251,6 @@ class UniPoly:
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero() or other.is_zero():
-            return UniPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
 
     def scale(self, c: Coeff) -> "UniPoly":
         c = Fraction(c)
@@ -311,7 +296,7 @@ class UniPoly:
 
 
 class RatFunc:
-    """Univariate rational function, kept reduced via Euclidean GCD."""
+    """Univariate fraction num / den, reduced by Euclidean GCD, for exact evaluation."""
 
     __slots__ = ("num", "den")
 
@@ -330,62 +315,6 @@ class RatFunc:
             den = den.scale(1 / lead)
         self.num = num
         self.den = den
-
-    @staticmethod
-    def const(c: Coeff) -> "RatFunc":
-        return RatFunc(UniPoly([c]), UniPoly([1]))
-
-    @staticmethod
-    def poly(p: UniPoly) -> "RatFunc":
-        return RatFunc(p, UniPoly([1]))
-
-    def _coerce(self, other) -> "RatFunc":
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, UniPoly):
-            return RatFunc.poly(other)
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.const(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
 
     def eval(self, x) -> Fraction:
         """Exact value at x; raises on a genuine (non-removable) pole."""

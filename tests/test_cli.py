@@ -162,6 +162,17 @@ def test_usage_errors(capsys):
     assert dispatch(["regions"])[0] == 2  # --which is required
 
 
+@pytest.mark.parametrize("box", [
+    ["--which", "g1", "--zmin", "5", "--zmax", "-5"],
+    ["--which", "g2", "--xmax", "0"],
+    ["--which", "g1", "--zmin", "-1", "--zmax", "0"],
+])
+def test_regions_vacuous_box_exits_two(box, capsys):
+    code, report, out = run(["regions", *box], capsys)
+    assert code == 2
+    assert report is None and out == ""
+
+
 def test_math_failure_exits_one(monkeypatch, capsys):
     # a violated bound must flip the report to failure and exit 1
     from twodist import cli, dioph

@@ -2,12 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from twodist.designs import DesignError, derive_parameters
 from twodist.dioph import (
     P1,
     P2,
     P3,
+    _g1_expr,
+    _g2_expr,
+    _prop_params,
     aux_g,
     brute_solver,
     classify,
@@ -131,6 +136,49 @@ def test_region_scan_small_boxes():
     g2 = region_scan("g2", zmin=-20, zmax=12, xmax=150)
     assert g2.ok
     assert g2.points_checked["x_ge_3"] > 0
+
+
+@pytest.mark.parametrize("which, zmin, zmax, xmax", [
+    ("g1", 5, -5, 100),      # inverted z range
+    ("g2", -20, 20, 0),      # no x in the box
+    ("g1", -1, 0, 100),      # g1 is checked on no point of the rows z = -1, 0
+])
+def test_region_scan_rejects_vacuous_boxes(which, zmin, zmax, xmax):
+    with pytest.raises(DesignError):
+        region_scan(which, zmin, zmax, xmax)
+
+
+def test_g2_row_z_zero_evaluates_to_zero():
+    report = region_scan("g2", 0, 0, 60)
+    assert report.ok
+    assert report.points_checked == {"x_ge_3": 58}
+    assert all(aux_g("g2", x, 0) == 0 for x in range(3, 61))
+
+
+PARAM_NAMES = ("Lambda", "T", "N", "P", "r", "k", "n", "s", "S", "m", "y")
+
+
+def surface_oracle(x: int, z: int, branch: str) -> tuple[dict, Fraction]:
+    """The parameters and the branch's auxiliary function, by Fraction arithmetic at one point."""
+    point = z_parametrization(x, z)
+    xf, zf = Fraction(x), Fraction(z)
+    y = Fraction(point.y1) if branch == "y1" else point.y2
+    par = _prop_params(Fraction(point.S), point.m, xf, y)
+    g = _g1_expr(par, xf, zf) if branch == "y1" else _g2_expr(par, xf, y, zf)
+    return par, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.integers(1, 10**4), z=st.integers(-10**3, 10**3),
+       branch=st.sampled_from(["y1", "y2"]))
+def test_surface_matches_pointwise_oracle(x, z, branch):
+    try:
+        par, g = surface_oracle(x, z, branch)
+    except ZeroDivisionError:
+        reject()
+    assert aux_g("g1" if branch == "y1" else "g2", x, z) == g
+    for name in PARAM_NAMES:
+        assert param_value(name, x, z, branch) == par[name], name
 
 
 def test_strip_equation():

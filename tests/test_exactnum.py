@@ -10,38 +10,22 @@ from twodist.exactnum import (
     UnsupportedExtensionError,
     format_scalar,
     parse_scalar,
-    quadext_arith,
     quadext_sign,
     quadext_sqrt,
-    rational_arith,
     sqrt_adjoin,
     squarefree_decompose,
 )
 
 
-def test_rational_arith_examples():
-    # f(9) - f(7) and the two Gram entries 5/126 vs 1/9
-    assert rational_arith(Fraction(8, 9), Fraction(6, 7), "sub") == Fraction(2, 63)
-    assert rational_arith(Fraction(1, 2), Fraction(-1, 2), "add") == 0
-    assert rational_arith(Fraction(5, 126), Fraction(1, 9), "cmp") == -1
-    assert rational_arith(Fraction(2, 3), Fraction(3, 4), "mul") == Fraction(1, 2)
-    assert rational_arith(1, 3, "div") == Fraction(1, 3)
-
-
-def test_rational_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        rational_arith(1, 0, "div")
-
-
 def test_quadext_arith_examples():
     sq7_18 = QuadExt({7: Fraction(1, 18)})
-    assert quadext_arith(sq7_18, sq7_18, "mul") == QuadExt(Fraction(7, 324))
+    assert sq7_18 * sq7_18 == QuadExt(Fraction(7, 324))
     one_plus = QuadExt({1: 1, 2: 1})
     one_minus = QuadExt({1: 1, 2: -1})
-    assert quadext_arith(one_plus, one_minus, "mul") == QuadExt(-1)
+    assert one_plus * one_minus == QuadExt(-1)
     a = QuadExt({14: Fraction(2, 7)})
     b = QuadExt({14: Fraction(1, 21)})
-    assert quadext_arith(a, b, "add") == QuadExt({14: Fraction(1, 3)})
+    assert a + b == QuadExt({14: Fraction(1, 3)})
 
 
 def test_sqrt_adjoin_examples():
@@ -73,18 +57,18 @@ def test_division_and_inverse():
     v = QuadExt({6: 1, 10: 1, 15: 1})
     assert v * v.inverse() == QuadExt(1)
     w = QuadExt({1: Fraction(3, 7), 2: Fraction(-1, 2), 7: Fraction(5, 3), 14: Fraction(2, 9)})
-    assert quadext_arith(w, w, "div") == QuadExt(1)
+    assert w / w == QuadExt(1)
     with pytest.raises(ZeroDivisionError):
-        quadext_arith(w, QuadExt(0), "div")
+        w / QuadExt(0)
 
 
 def test_extension_rank_cap():
     with pytest.raises(UnsupportedExtensionError):
         QuadExt({2: 1, 3: 1, 5: 1})
     with pytest.raises(UnsupportedExtensionError):
-        quadext_arith(QuadExt({2: 1, 3: 1}), QuadExt({1: 1, 5: 1}), "mul")
+        QuadExt({2: 1, 3: 1}) * QuadExt({1: 1, 5: 1})
     # (sqrt(2) + sqrt(3)) * sqrt(5) lands in the rank-2 field Q(sqrt(10), sqrt(15))
-    ok = quadext_arith(QuadExt({2: 1, 3: 1}), QuadExt({5: 1}), "mul")
+    ok = QuadExt({2: 1, 3: 1}) * QuadExt({5: 1})
     assert ok == QuadExt({10: 1, 15: 1})
     # three radicands inside one rank-2 extension are fine
     QuadExt({2: 1, 3: 1, 6: 1})
