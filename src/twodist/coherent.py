@@ -287,7 +287,7 @@ class ProjectorResult:
 FULL_MATRIX_LIMIT = 128
 
 
-def projector_and_gram(cc: CoherentConfig, full_matrix_check: Optional[bool] = None) -> ProjectorResult:
+def projector_and_gram(cc: CoherentConfig) -> ProjectorResult:
     """Assemble E = (eps11 + eps12 + eps21 + eps22)/2 and verify it exactly.
 
     Checks E = E^T, E^2 = E, trace(E) = m - 1, that E annihilates both fiber
@@ -340,9 +340,7 @@ def projector_and_gram(cc: CoherentConfig, full_matrix_check: Optional[bool] = N
         if rel not in (8, 9)
     })
     matrix = None
-    if full_matrix_check is None:
-        full_matrix_check = cc.size <= FULL_MATRIX_LIMIT
-    if full_matrix_check:
+    if cc.size <= FULL_MATRIX_LIMIT:
         matrix = assemble_matrix(cc, coeffs)
         _dense_checks(cc, _integer_form(coeffs, cc.relation_index_matrix() - 1), gram)
     return ProjectorResult(cc, idem, coeffs, gram, matrix, report)

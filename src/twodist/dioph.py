@@ -16,12 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from itertools import zip_longest
+from math import isqrt
 from typing import Iterator, Optional, Sequence
 
 from .designs import DesignError, derive_parameters, integrality_gate
 from .exactnum import QuadExt, format_scalar, sqrt_adjoin, squarefree_decompose
-from .polynomials import Poly, RatFunc, UniPoly, compose_cleared
+from .polynomials import Poly, compose_cleared, dense_coeffs, dense_divmod, dense_gcd
 
 
 class IdentityFailureError(AssertionError):
@@ -164,11 +165,12 @@ def family_points(family: str, z: int) -> tuple[int, int, int, int]:
 
 
 _FAM_Z = ("z",)
-_FAMILY_I_SUBS = {
-    "S": (Poly(_FAM_Z, {(2,): Fraction(3, 2), (1,): Fraction(1, 2)}), Poly.constant(_FAM_Z, 1)),
-    "m": (Poly(_FAM_Z, {(2,): Fraction(9, 2), (1,): Fraction(9, 2)}), Poly.constant(_FAM_Z, 1)),
-    "x": (Poly(_FAM_Z, {(2,): Fraction(1, 2), (1,): Fraction(1, 2)}), Poly.constant(_FAM_Z, 1)),
-    "y": (Poly(_FAM_Z, {(2,): Fraction(1, 2), (1,): Fraction(-1, 2)}), Poly.constant(_FAM_Z, 1)),
+_TWO_Z = Poly.constant(_FAM_Z, 2)
+_FAMILY_I_SUBS = {                    # each coordinate is (integer polynomial) / 2
+    "S": (Poly(_FAM_Z, {(2,): 3, (1,): 1}), _TWO_Z),
+    "m": (Poly(_FAM_Z, {(2,): 9, (1,): 9}), _TWO_Z),
+    "x": (Poly(_FAM_Z, {(2,): 1, (1,): 1}), _TWO_Z),
+    "y": (Poly(_FAM_Z, {(2,): 1, (1,): -1}), _TWO_Z),
 }
 
 
@@ -181,6 +183,8 @@ LAMBDA_DEN = (
     - ((_XV + _YV - 1) * (_M - 1) - 1) * _S**2
     + _XV * _YV * _M * (_M - 1)
 )
+# n = C(m, 2) with n = S (S - 1) / Lambda and Lambda = LAMBDA_NUM / LAMBDA_DEN
+BLOCK_COUNT = 2 * LAMBDA_NUM - _S * (_S - 1) * LAMBDA_DEN
 
 
 @dataclass(frozen=True)
@@ -204,11 +208,8 @@ def verify_identities() -> IdentityReport:
     checks.append(("p2 on the y2 branch", compose_cleared(P2, {**base, "y": (Y2NUM_XZ, MSQ_XZ)})))
     for name, poly in (("p1", P1), ("p2", P2), ("p3", P3)):
         checks.append((f"{name} on family (i)", compose_cleared(poly, _FAMILY_I_SUBS)))
-    lam_num_i = compose_cleared(LAMBDA_NUM, _FAMILY_I_SUBS)
-    lam_den_i = compose_cleared(LAMBDA_DEN, _FAMILY_I_SUBS)
-    s_i = _FAMILY_I_SUBS["S"][0]
-    block_count = 2 * lam_num_i - s_i * (s_i - 1) * lam_den_i
-    checks.append(("block count n = C(m,2) on family (i)", block_count))
+    checks.append(("block count n = C(m,2) on family (i)",
+                   compose_cleared(BLOCK_COUNT, _FAMILY_I_SUBS)))
     for name, residue in checks:
         if not residue.is_zero():
             raise IdentityFailureError(f"nonzero residue for {name}: {residue!r}")
@@ -270,7 +271,7 @@ class PolyFrac:
     def _coerce(self, other) -> "PolyFrac":
         if isinstance(other, PolyFrac):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return PolyFrac.const(other)
         if isinstance(other, Poly):
             return PolyFrac(other)
@@ -362,7 +363,7 @@ def _branch_fracs(branch: str) -> dict[str, PolyFrac]:
 
 @lru_cache(maxsize=None)
 def _surface(name: str, branch: str) -> tuple[Poly, Poly]:
-    """One function on the surface as N(x, z) / D(x, z), with integer coefficients.
+    """One function on the surface as N(x, z) / D(x, z).
 
     D is the expanded product of the formula's denominator factors and the
     common power of z is cancelled from N and D.  Rows z = z0, fibers x = x0
@@ -371,10 +372,9 @@ def _surface(name: str, branch: str) -> tuple[Poly, Poly]:
     f = _branch_fracs(branch)[name]
     num, den = f.num, _den_product(f.den, {})
     k = min(ez for _, ez in (*num.terms, *den.terms))
-    scale = lcm(*(c.denominator for p in (num, den) for c in p.terms.values()))
 
     def shifted(p: Poly) -> Poly:
-        return Poly(XZ, {(ex, ez - k): c * scale for (ex, ez), c in p.terms.items()})
+        return Poly(XZ, {(ex, ez - k): c for (ex, ez), c in p.terms.items()})
 
     return shifted(num), shifted(den)
 
@@ -390,10 +390,14 @@ def _value_at(surface: tuple[Poly, Poly], x: int, z: int) -> Fraction:
     point = {"x": x, "z": z}
     d = den.eval(point)
     if d:
-        return num.eval(point) / d
-    fiber = RatFunc(UniPoly.from_poly(num.subst_univariate("x", x)),
-                    UniPoly.from_poly(den.subst_univariate("x", x)))
-    return fiber.eval(Fraction(z))
+        return Fraction(num.eval(point), d)
+    fiber = [dense_coeffs(p.subst_univariate("x", x)) for p in surface]
+    common = dense_gcd(*fiber)
+    fiber_num, fiber_den = (dense_divmod(f, common)[0] for f in fiber)
+    d = _horner(fiber_den, z)
+    if d == 0:
+        raise ZeroDivisionError(f"pole at (x, z) = ({x}, {z})")
+    return Fraction(_horner(fiber_num, z), d)
 
 
 def param_value(name: str, x: int, z: int, branch: str = "y1") -> Fraction:
@@ -424,11 +428,8 @@ def aux_g(which: str, x: int, z: int) -> Fraction:
 
 
 def _row_coeffs(p: Poly, z0: int) -> list[int]:
-    """Coefficients of the integer polynomial p(x, z0), lowest degree first."""
-    coeffs = UniPoly.from_poly(p.subst_univariate("z", z0)).coeffs
-    if any(c.denominator != 1 for c in coeffs):
-        raise IdentityFailureError(f"row z = {z0} has non-integer coefficients")
-    return [c.numerator for c in coeffs]
+    """Coefficients of p(x, z0), lowest degree first."""
+    return dense_coeffs(p.subst_univariate("z", z0))
 
 
 def _horner(coeffs: Sequence[int], x: int) -> int:
@@ -571,7 +572,7 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
     else:
         for z0 in range(zmin, zmax + 1):
             if z0 <= -15 or z0 >= 10:
-                for x0 in (1, 2):
+                for x0 in range(1, min(2, xmax) + 1):
                     value = aux_g("g2", x0, z0)
                     report.points_checked["large_z"] = report.points_checked.get("large_z", 0) + 1
                     if not (31 < value < 33):
@@ -620,14 +621,20 @@ def solve_strip_equation() -> StripEquationResult:
     num - den of the result must vanish at z = (-1 +- sqrt(41)) / 2 and at
     no integer.
     """
-    one = Poly.constant(_FAM_Z, 1)
-    subs = {"x": (Poly(_FAM_Z, {(2,): Fraction(1, 2), (1,): Fraction(1, 2), (0,): -1}), one),
-            "z": (Poly.variable("z", _FAM_Z), one)}
-    g = RatFunc(*(UniPoly.from_poly(compose_cleared(p, subs)) for p in _surface("g1", "y1")))
-    q = g.num - g.den
-    target = UniPoly([-10, 1, 1])
-    quotient, remainder = q.divmod(target)
-    if not remainder.is_zero():
+    subs = {"x": (Poly(_FAM_Z, {(2,): 1, (1,): 1, (0,): -2}), _TWO_Z),
+            "z": (Poly.variable("z", _FAM_Z), Poly.constant(_FAM_Z, 1))}
+    surface = _surface("g1", "y1")
+    # compose_cleared scales by 2^deg_x; bring N and D to the same power of 2
+    top = max(p.degree("x") for p in surface)
+    cleared = [dense_coeffs(compose_cleared(p, subs) * 2 ** (top - p.degree("x")))
+               for p in surface]
+    common = dense_gcd(*cleared)
+    num, den = (dense_divmod(p, common)[0] for p in cleared)
+    q = [a - b for a, b in zip_longest(num, den, fillvalue=0)]
+    while q and q[-1] == 0:
+        q.pop()
+    _, remainder = dense_divmod(q, [-10, 1, 1])
+    if remainder:
         raise IdentityFailureError(
             f"strip residue not divisible by z^2 + z - 10: remainder {remainder!r}")
     disc = 41
@@ -637,31 +644,26 @@ def solve_strip_equation() -> StripEquationResult:
         (QuadExt(Fraction(-1)) - sqrt_disc) * Fraction(1, 2),
     )
     for r in roots:
-        if not q.eval(r).is_zero() or g.den.eval(r).is_zero():
+        if not _horner(q, r).is_zero() or _horner(den, r).is_zero():
             raise IdentityFailureError(f"strip root {r} fails exact verification")
     integer_roots = tuple(sorted(_integer_roots(q)))
-    return StripEquationResult((1, 1, -10), disc, roots, integer_roots, q.degree)
+    return StripEquationResult((1, 1, -10), disc, roots, integer_roots, len(q) - 1)
 
 
-def _scaled_int_coeffs(p: UniPoly) -> list[int]:
-    scale = lcm(*(c.denominator for c in p.coeffs))
-    return [int(c * scale) for c in p.coeffs]
-
-
-def _integer_roots(p: UniPoly) -> list[int]:
-    coeffs = _scaled_int_coeffs(p)
+def _integer_roots(p: list[int]) -> list[int]:
+    coeffs = p
     while coeffs and coeffs[0] == 0:
         coeffs = coeffs[1:]  # factor out z; z = 0 handled below
     if not coeffs:
         return []
-    candidates = {0} if len(coeffs) != len(p.coeffs) else set()
+    candidates = {0} if len(coeffs) != len(p) else set()
     c0 = abs(coeffs[0])
     d = 1
     while d * d <= c0:
         if c0 % d == 0:
             candidates.update({d, -d, c0 // d, -(c0 // d)})
         d += 1
-    return [c for c in sorted(candidates) if p.eval(c) == 0]
+    return [c for c in sorted(candidates) if _horner(p, c) == 0]
 
 
 # ----- solution certificates, brute force, classification -----------------
@@ -913,7 +915,10 @@ def y2_curve_search(xmin: int = 3, xmax: int = 10_000,
 
     The line z = 0 (where S = m, outside the feasible ordering) belongs to
     the curve; any hit off that line would contradict the classification.
+    An inverted or empty box raises DesignError.
     """
+    if xmin > xmax or zmin > zmax:
+        raise DesignError(f"empty search box x in [{xmin}, {xmax}], z in [{zmin}, {zmax}]")
     cleared = _p3_on_y2_cleared()
     hits: list[tuple[int, int]] = []
     count = xmax - xmin + 1

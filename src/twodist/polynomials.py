@@ -1,33 +1,37 @@
-"""Exact multivariate and univariate polynomial arithmetic.
+"""Exact polynomial arithmetic over the integers.
 
-Polynomials carry Fraction coefficients keyed by exponent vectors over a
-fixed, ordered variable tuple; canonical form (no zero coefficients) makes
-equality structural, so "this residue is the zero polynomial" is a direct
-comparison.  The univariate layer is what evaluation along one line needs:
-:class:`UniPoly` with Euclidean division, and :class:`RatFunc`, which is
-only a reduced-fraction evaluator: its constructor cancels the GCD of
-numerator and denominator, so a removable singularity evaluates to its
-value and only a genuine pole raises.
+:class:`Poly` is the one polynomial type: Python ``int`` coefficients keyed
+by exponent vectors over a fixed, ordered variable tuple.  Its constructor
+rejects any other coefficient, so integrality is a property of the type.
+Canonical form (no zero coefficients) makes equality structural, so "this
+residue is the zero polynomial" is a direct comparison.  Rational
+substitutions enter only through :func:`compose_cleared`, which takes each
+substitution as a (numerator, denominator) pair and clears the denominators.
+
+Work along one line (a row, a fiber, a strip) runs on dense coefficient
+lists, lowest degree first: :func:`dense_coeffs` reads them off a
+univariate Poly, :func:`dense_divmod` is the exact division and
+:func:`dense_gcd` the primitive-remainder GCD of such lists.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Mapping, Sequence, Union
-
-Coeff = Union[int, Fraction]
+from functools import reduce
+from math import gcd
+from typing import Mapping, Sequence
 
 
 class Poly:
-    """Multivariate polynomial over named variables with exact coefficients."""
+    """Multivariate polynomial over named variables with integer coefficients."""
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], Coeff] = ()):
+    def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], int] = ()):
         self.vars = tuple(variables)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int] = {}
         for expo, coeff in dict(terms).items():
-            coeff = Fraction(coeff)
+            if not isinstance(coeff, int):
+                raise TypeError(f"Poly coefficients are int, got {coeff!r} ({type(coeff).__name__})")
             if coeff == 0:
                 continue
             if len(expo) != len(self.vars):
@@ -38,7 +42,7 @@ class Poly:
     # ----- constructors -------------------------------------------------
 
     @staticmethod
-    def constant(variables: Sequence[str], value: Coeff) -> "Poly":
+    def constant(variables: Sequence[str], value: int) -> "Poly":
         zero = (0,) * len(tuple(variables))
         return Poly(variables, {zero: value})
 
@@ -62,7 +66,7 @@ class Poly:
             if other.vars != self.vars:
                 raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Poly.constant(self.vars, other)
         return NotImplemented  # type: ignore[return-value]
 
@@ -72,7 +76,7 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
+            terms[e] = terms.get(e, 0) + c
         return Poly(self.vars, terms)
 
     __radd__ = __add__
@@ -93,11 +97,11 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+                terms[e] = terms.get(e, 0) + c1 * c2
         return Poly(self.vars, terms)
 
     __rmul__ = __mul__
@@ -115,7 +119,7 @@ class Poly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = Poly.constant(self.vars, other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -134,32 +138,32 @@ class Poly:
         return max((e[idx] for e in self.terms), default=0)
 
     def eval(self, values: Mapping[str, object]):
-        """Evaluate with exact scalars (int, Fraction, QuadExt, ...)."""
+        """Evaluate with exact scalars (int, Fraction, QuadExt, ...).
+
+        At an integer point the value is an int.
+        """
         point = [values[v] for v in self.vars]
-        total = None
+        total = 0
         for expo, coeff in self.terms.items():
             term = coeff
             for base, e in zip(point, expo):
                 if e:
                     term = term * base**e
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0)
+            total = total + term
         return total
 
-    def subst_univariate(self, name: str, value: Coeff) -> "Poly":
-        """Fix one variable to an exact constant; result drops that variable."""
+    def subst_univariate(self, name: str, value: int) -> "Poly":
+        """Fix one variable to an integer; the result drops that variable."""
         idx = self.vars.index(name)
         rest = self.vars[:idx] + self.vars[idx + 1 :]
-        value = Fraction(value)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        powers: dict[int, Fraction] = {0: Fraction(1)}
+        terms: dict[tuple[int, ...], int] = {}
+        powers: dict[int, int] = {0: 1}
         for expo, coeff in self.terms.items():
             e = expo[idx]
             if e not in powers:
                 powers[e] = value**e
             new = expo[:idx] + expo[idx + 1 :]
-            terms[new] = terms.get(new, Fraction(0)) + coeff * powers[e]
+            terms[new] = terms.get(new, 0) + coeff * powers[e]
         return Poly(rest, terms)
 
     def __repr__(self):
@@ -204,124 +208,68 @@ def compose_cleared(p: Poly, subs: Mapping[str, tuple[Poly, Poly]]) -> Poly:
     return result
 
 
-# ----- univariate layer -------------------------------------------------
+# ----- dense univariate lists -------------------------------------------
 
 
-class UniPoly:
-    """Dense univariate polynomial over Fraction, lowest degree first."""
+def dense_coeffs(p: Poly) -> list[int]:
+    """Coefficients of a univariate Poly, lowest degree first; [] for zero."""
+    if len(p.vars) != 1:
+        raise ValueError(f"not univariate: variables {p.vars}")
+    out = [0] * (p.degree(p.vars[0]) + 1) if p.terms else []
+    for (e,), c in p.terms.items():
+        out[e] = c
+    return out
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence[Coeff]):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+def _trim(a: Sequence[int]) -> list[int]:
+    out = list(a)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
-    @staticmethod
-    def from_poly(p: Poly) -> "UniPoly":
-        if len(p.vars) != 1:
-            raise ValueError(f"not univariate: variables {p.vars}")
-        if not p.terms:
-            return UniPoly(())
-        deg = max(e[0] for e in p.terms)
-        cs = [Fraction(0)] * (deg + 1)
-        for (e,), c in p.terms.items():
-            cs[e] = c
-        return UniPoly(cs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+def dense_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Integer quotient and remainder of a by b.
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+    Every quotient coefficient must be an integer: this holds when b's leading
+    coefficient is +-1 and when b divides a with a primitive b (Gauss's lemma).
+    Otherwise ArithmeticError is raised.
+    """
+    b = _trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = _trim(a)
+    q = [0] * max(0, len(rem) - len(b) + 1)
+    while len(rem) >= len(b):
+        factor, left = divmod(rem[-1], b[-1])
+        if left:
+            raise ArithmeticError(f"{rem[-1]} is not divisible by the leading coefficient {b[-1]}")
+        shift = len(rem) - len(b)
+        q[shift] = factor
         for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def scale(self, c: Coeff) -> "UniPoly":
-        c = Fraction(c)
-        return UniPoly([a * c for a in self.coeffs])
-
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        dlead = other.coeffs[-1]
-        dn = len(other.coeffs)
-        while len(rem) >= dn and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < dn:
-                break
-            factor = rem[-1] / dlead
-            shift = len(rem) - dn
-            q[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return UniPoly(q), UniPoly(rem)
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, other
-        while not b.is_zero():
-            _, r = a.divmod(b)
-            a, b = b, r
-        if a.is_zero():
-            return a
-        return a.scale(1 / a.coeffs[-1])  # monic
-
-    def eval(self, x):
-        total = Fraction(0) if not self.coeffs else self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            total = total * x + c
-        return total
-
-    def __repr__(self):
-        return f"UniPoly({list(self.coeffs)})"
+            rem[shift + i] -= factor * c
+        rem = _trim(rem)
+    return q, rem
 
 
-class RatFunc:
-    """Univariate fraction num / den, reduced by Euclidean GCD, for exact evaluation."""
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, with a positive leading coefficient."""
+    c = reduce(gcd, a, 0)
+    if a[-1] < 0:
+        c = -c
+    return [x // c for x in a]
 
-    __slots__ = ("num", "den")
 
-    def __init__(self, num: UniPoly, den: UniPoly):
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = UniPoly(()), UniPoly((1,))
-        else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
-            lead = den.coeffs[-1]
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
-        self.num = num
-        self.den = den
+def dense_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Primitive GCD of two integer polynomials, positive leading coefficient.
 
-    def eval(self, x) -> Fraction:
-        """Exact value at x; raises on a genuine (non-removable) pole."""
-        d = self.den.eval(x)
-        if d == 0:
-            raise ZeroDivisionError(f"pole of rational function at {x}")
-        return self.num.eval(x) / d
-
-    def __repr__(self):
-        return f"RatFunc({self.num!r} / {self.den!r})"
+    Euclid on pseudo-remainders, each made primitive, so every coefficient
+    stays an integer: lead(b)^(deg a - deg b + 1) * a divides by b exactly.
+    gcd(0, 0) is the zero polynomial [].
+    """
+    a, b = _trim(a), _trim(b)
+    while b:
+        b = _primitive(b)
+        scale = b[-1] ** max(0, len(a) - len(b) + 1)
+        a, b = b, dense_divmod([scale * c for c in a], b)[1]
+    return _primitive(a) if a else []

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,11 @@ from twodist.coherent import from_design, projector_and_gram
 from twodist.designs import complement_design, lisonek_design, load_design
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# pytest's `pythonpath` setting reaches only this process; tests that start
+# `python -m twodist.cli` need src on the child's path as well.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

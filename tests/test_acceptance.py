@@ -40,7 +40,7 @@ def test_criterion_1_lisonek_golden(capsys):
 
 def test_criterion_2_gram_table(lisonek_cc, capsys):
     t0 = time.monotonic()
-    result = coherent.projector_and_gram(lisonek_cc, full_matrix_check=True)
+    result = coherent.projector_and_gram(lisonek_cc)
     golden = {
         "V_diag": "4/9", "V_off": "-1/18", "VB_in": "-1/18*sqrt(7)",
         "VB_out": "1/63*sqrt(7)", "B_diag": "1/9", "B_alpha": "5/126",

@@ -13,6 +13,7 @@ from twodist.dioph import (
     _g1_expr,
     _g2_expr,
     _prop_params,
+    _surface,
     aux_g,
     brute_solver,
     classify,
@@ -146,6 +147,29 @@ def test_region_scan_small_boxes():
 def test_region_scan_rejects_vacuous_boxes(which, zmin, zmax, xmax):
     with pytest.raises(DesignError):
         region_scan(which, zmin, zmax, xmax)
+
+
+@pytest.mark.parametrize("xmax, count", [(1, 17), (2, 34)])
+def test_g2_large_z_points_stay_inside_the_box(xmax, count):
+    report = region_scan("g2", -20, 20, xmax)
+    assert report.ok
+    assert report.points_checked == {"large_z": count}
+
+
+@pytest.mark.parametrize("box", [(3, 2, -5, 5), (3, 100, 5, -5)])
+def test_y2_curve_search_rejects_empty_boxes(box):
+    with pytest.raises(DesignError):
+        y2_curve_search(*box)
+
+
+def test_pole_path():
+    # D(x, z) = 0 at each point: one genuine pole, two removable singularities
+    for name, x, z, branch in (("y", -2, 1, "y2"), ("N", 1, 0, "y1"), ("g1", 1, 0, "y1")):
+        assert _surface(name, branch)[1].eval({"x": x, "z": z}) == 0
+    with pytest.raises(ZeroDivisionError):
+        param_value("y", -2, 1, "y2")
+    assert param_value("N", 1, 0, "y1") == -1
+    assert aux_g("g1", 1, 0) == 0
 
 
 def test_g2_row_z_zero_evaluates_to_zero():

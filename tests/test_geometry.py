@@ -119,7 +119,7 @@ def test_both_branches_realized_from_gram(lisonek_projector, witt_design):
     from twodist.coherent import from_design, projector_and_gram
 
     cases = [(lisonek_projector.gram, (2, 9, 1, 0))]
-    witt_result = projector_and_gram(from_design(witt_design), full_matrix_check=False)
+    witt_result = projector_and_gram(from_design(witt_design))
     cases.append((witt_result.gram, (7, 23, 3, 1)))
     for gram, (S, m, alpha, beta) in cases:
         for branch, orientation in (("gt2", 1), ("lt2", -1)):
