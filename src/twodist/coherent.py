@@ -20,6 +20,7 @@ from .designs import (
     DesignParameters,
     IncidenceDesign,
     derive_parameters,
+    incidence_matrix,
     intersection_numbers,
 )
 from .exactnum import QuadExt, _radicand_closure, _sf_product, sqrt_adjoin
@@ -87,9 +88,7 @@ def from_design(d: IncidenceDesign) -> CoherentConfig:
     params = derive_parameters(d.m, d.block_size, alpha, beta)
     m, n = d.m, d.block_count
     big = m + n
-    inc = np.zeros((m, n), dtype=np.int8)
-    for j, block in enumerate(d.blocks):
-        inc[list(block), j] = 1
+    inc = incidence_matrix(d)
     inter = inc.T.astype(np.int32) @ inc.astype(np.int32)
     offdiag = ~np.eye(n, dtype=bool)
     mats = []
@@ -125,37 +124,75 @@ class AxiomReport:
 def verify_axioms(cc: CoherentConfig) -> AxiomReport:
     """Exhaustively check the coherent-configuration axioms.
 
-    (1) the relations partition all ordered pairs, (2) each relation's
-    transpose is again a relation, (3) the diagonal is a union of relations,
-    (4) |{w : (u,w) in R_i, (w,v) in R_j}| is constant over (u,v) in R_k.
-    Returns the full table of constants, or the first violation found.
+    (1) the relations are 0/1 matrices that partition all ordered pairs,
+    (2) each relation's transpose is again a relation, (3) R1 + R2 is the
+    diagonal, (4) |{w : (u,w) in R_i, (w,v) in R_j}| is constant over
+    (u,v) in R_k.  Returns the full table of constants, or the first
+    violation found in (i, j, k) order.
+
+    (4) runs on fiber blocks.  The diagonals of R1 and R2 give the fibers
+    X_1 and X_2; every nonempty relation must lie in one block X_a x X_b
+    (else "R{i} meets more than one fiber pair"), since p_{Δa,R}^R = [u in
+    X_a] must be constant on R.  A_i A_j is then zero unless R_i's column
+    fiber is R_j's row fiber, and otherwise lives in one block (a, c); only
+    the R_k in that block are tested.  R1 and R2 are the identity on their
+    fiber, so a product with one of them is the other block, no matmul.
+    Fiber indices are sorted, so a block's row-major order is the global one
+    and a violation names the same pair as a full-matrix check would.
     """
-    mats = [m.astype(np.int32) for m in cc.relations]
-    total = sum(mats)
-    if not (total == 1).all():
+    rels = cc.relations
+    total = np.zeros(rels[0].shape, dtype=np.int8)
+    for r in rels:
+        total += r
+    if not all(((r == 0) | (r == 1)).all() for r in rels) or not (total == 1).all():
         return AxiomReport(False, None, "relations do not partition the pair set")
     for i, expect in TRANSPOSE_PAIRS.items():
-        if not (cc.relations[i - 1].T == cc.relations[expect - 1]).all():
+        if not (rels[i - 1].T == rels[expect - 1]).all():
             return AxiomReport(False, None, f"transpose of R{i} is not R{expect}")
-    diag = cc.relations[0] + cc.relations[1]
+    diag = rels[0] + rels[1]
     if not (np.diag(np.diag(diag)) == diag).all() or not (np.diag(diag) == 1).all():
         return AxiomReport(False, None, "R1 + R2 is not the diagonal")
-    supports = [m.astype(bool) for m in cc.relations]
+    fibers = [np.flatnonzero(np.diag(rels[0])), np.flatnonzero(np.diag(rels[1]))]
+    fiber_of = np.diag(rels[1]).astype(np.intp)  # fiber index: 0 on X_1, 1 on X_2
+    pairs: list = []   # (a, b) per relation, None when empty
+    blocks: list = []  # int32 block on X_a x X_b
+    for i, r in enumerate(rels):
+        row_fibers = set(fiber_of[r.any(axis=1)].tolist())
+        col_fibers = set(fiber_of[r.any(axis=0)].tolist())
+        if not row_fibers:
+            pairs.append(None)
+            blocks.append(None)
+            continue
+        if len(row_fibers) > 1 or len(col_fibers) > 1:
+            return AxiomReport(False, None, f"R{i+1} meets more than one fiber pair")
+        (a,), (b,) = row_fibers, col_fibers
+        pairs.append((a, b))
+        blocks.append(r[np.ix_(fibers[a], fibers[b])].astype(np.int32))
+    supports = [None if blk is None else blk.astype(bool) for blk in blocks]
     p = np.zeros((9, 9, 9), dtype=np.int32)
     for i in range(9):
         for j in range(9):
-            prod = mats[i] @ mats[j]
+            if pairs[i] is None or pairs[j] is None or pairs[i][1] != pairs[j][0]:
+                continue  # A_i A_j = 0, so every p_ij^k is 0
+            block = (pairs[i][0], pairs[j][1])
+            if i < 2:
+                prod = blocks[j]
+            elif j < 2:
+                prod = blocks[i]
+            else:
+                prod = blocks[i] @ blocks[j]
             for k in range(9):
-                values = prod[supports[k]]
-                if values.size == 0:
+                if pairs[k] != block:
                     continue
+                values = prod[supports[k]]
                 first = values[0]
                 if not (values == first).all():
-                    bad = tuple(int(v) for v in np.argwhere((prod != first) & supports[k])[0])
+                    r, c = np.argwhere((prod != first) & supports[k])[0]
+                    bad = (int(fibers[block[0]][r]), int(fibers[block[1]][c]))
                     return AxiomReport(
                         False, None,
                         f"p_{i+1}{j+1}^{k+1} not constant: pair {bad} gives "
-                        f"{int(prod[bad])}, expected {int(first)}")
+                        f"{int(prod[r, c])}, expected {int(first)}")
                 p[i, j, k] = first
     return AxiomReport(True, p)
 

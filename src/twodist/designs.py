@@ -16,6 +16,8 @@ from itertools import combinations
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .exactnum import format_scalar
 
 
@@ -224,21 +226,26 @@ class IntersectionProfile:
     beta: Optional[int] = None
 
 
+def incidence_matrix(d: IncidenceDesign) -> np.ndarray:
+    """The m x n 0/1 matrix (int8) with entry (p, j) = 1 when point p lies in block j."""
+    inc = np.zeros((d.m, d.block_count), dtype=np.int8)
+    for j, block in enumerate(d.blocks):
+        inc[list(block), j] = 1
+    return inc
+
+
 def intersection_numbers(d: IncidenceDesign) -> IntersectionProfile:
     """Collect |b & b'| over all distinct block pairs.
 
+    The values are the off-diagonal entries of the integer product inc^T inc.
     The design is quasi-symmetric when exactly two values occur; then alpha
     is the larger and beta the smaller.
     """
     if d.block_count < 2:
         raise DesignError("need at least two blocks to intersect")
-    sets = [frozenset(b) for b in d.blocks]
-    seen: set[int] = set()
-    for i in range(len(sets)):
-        si = sets[i]
-        for j in range(i + 1, len(sets)):
-            seen.add(len(si & sets[j]))
-    values = tuple(sorted(seen))
+    inc = incidence_matrix(d).astype(np.int32)
+    inter = inc.T @ inc
+    values = tuple(sorted(set(inter[np.triu_indices(d.block_count, 1)].tolist())))
     if len(values) == 2:
         return IntersectionProfile(values, True, alpha=values[1], beta=values[0])
     return IntersectionProfile(values, False)

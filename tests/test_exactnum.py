@@ -1,9 +1,11 @@
 import math
 import random
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twodist.exactnum import (
     QuadExt,
@@ -173,3 +175,72 @@ def test_format_examples():
     assert format_scalar(QuadExt({7: Fraction(-1, 18)})) == "-1/18*sqrt(7)"
     assert format_scalar(QuadExt({1: Fraction(5, 9), 7: Fraction(1, 9)})) == "5/9 + 1/9*sqrt(7)"
     assert parse_scalar("sqrt(7)") == QuadExt({7: 1})
+
+
+# ----- Hypothesis properties ---------------------------------------------------
+
+fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+SQRT2_SQRT3 = (1, 2, 3, 6)  # the basis of Q(sqrt(2), sqrt(3))
+
+
+def quadexts(radicands=SQRT2_SQRT3):
+    return st.dictionaries(st.sampled_from(radicands), fractions, max_size=4).map(QuadExt)
+
+
+any_field = st.sampled_from(FIELD_PAIRS).flatmap(
+    lambda pair: quadexts((1, *pair, pair[0] * pair[1] // math.gcd(*pair) ** 2)))
+# (sqrt(2) - 1)^a (2 - sqrt(3))^b is tiny, so these products sit close to 0
+small_units = st.tuples(st.integers(0, 30), st.integers(0, 20)).map(
+    lambda ab: QuadExt({2: 1, 1: -1}) ** ab[0] * QuadExt({1: 2, 3: -1}) ** ab[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=quadexts(), b=quadexts(), c=quadexts())
+def test_field_axioms_over_sqrt2_sqrt3(a, b, c):
+    zero, one = QuadExt(0), QuadExt(1)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and (a * zero).is_zero()
+    assert (a + (-a)).is_zero() and a - b == a + (-b)
+    if not a.is_zero():
+        assert a * a.inverse() == one
+        assert (b / a) * a == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=any_field)
+def test_format_parse_round_trip_property(v):
+    text = format_scalar(v)
+    assert parse_scalar(text) == v
+    assert format_scalar(parse_scalar(text)) == text
+
+
+def decimal_sign(v: QuadExt) -> int:
+    """Sign of v from a Decimal sum precise enough to be certain.
+
+    y = q v = sum a_r sqrt(r) with integer a_r is a nonzero algebraic integer
+    when v != 0, so its norm over Q(sqrt(2), sqrt(3)) is a nonzero integer.
+    Each of the four conjugates of y is at most B = sum |a_r| (isqrt(r) + 1)
+    in absolute value, hence |y| >= 1 / B^3.  The sum below rounds at most
+    12 times (a root, a product and a sum per term), each time by at most
+    10^(1 - prec) times a value below B, so its error is under
+    12 B 10^(1 - prec) < 1 / (2 B^3): prec = 4 digits(B) + 3 makes
+    10^(prec - 1) >= 100 B^4.
+    """
+    q = math.lcm(*(c.denominator for _, c in v.terms))
+    ints = [(r, int(c * q)) for r, c in v.terms]
+    bound = sum(abs(a) * (math.isqrt(r) + 1) for r, a in ints)
+    with localcontext() as ctx:
+        ctx.prec = 4 * len(str(bound)) + 3
+        y = sum((Decimal(a) * Decimal(r).sqrt() for r, a in ints), Decimal(0))
+    return (y > 0) - (y < 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=quadexts(), unit=small_units)
+def test_sign_matches_certified_decimal_oracle(v, unit):
+    for value in (v, v * unit):
+        expected = decimal_sign(value) if not value.is_zero() else 0
+        assert quadext_sign(value) == expected
