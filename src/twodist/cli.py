@@ -221,6 +221,11 @@ def cmd_embed(args) -> tuple[int, CommandReport]:
 # ----- solve / classify / regions / identities ---------------------------------
 
 
+def _certificate_rows(cert: dioph.SolutionCertificate) -> list:
+    rows = [(g.name, f"{'pass' if g.passed else 'fail'}: {g.witness}") for g in cert.gates]
+    return rows + [("verdict", cert.verdict)]
+
+
 def cmd_solve(args) -> tuple[int, CommandReport]:
     certs = dioph.brute_solver(args.smax, args.mmax, enforce_gate=not args.no_gate)
     report = CommandReport(f"solve --smax {args.smax} --mmax {args.mmax}")
@@ -231,11 +236,7 @@ def cmd_solve(args) -> tuple[int, CommandReport]:
         ("gate", "off" if args.no_gate else "on"),
     ])
     for cert in certs:
-        title = "certificate (S,m,x,y,z) = {}".format(cert.candidate)
-        rows = [(g.name, f"{'pass' if g.passed else 'fail'}: {g.witness}")
-                for g in cert.gates]
-        rows.append(("verdict", cert.verdict))
-        report.add(title, rows)
+        report.add(f"certificate (S,m,x,y,z) = {cert.candidate}", _certificate_rows(cert))
     return EXIT_OK, report
 
 
@@ -248,10 +249,7 @@ def cmd_classify(args) -> tuple[int, CommandReport]:
         *[("note", n) for n in result.family_notes],
     ])
     for cert in result.certificates:
-        rows = [(g.name, f"{'pass' if g.passed else 'fail'}: {g.witness}")
-                for g in cert.gates]
-        rows.append(("verdict", cert.verdict))
-        report.add(f"z = {cert.candidate[4]}: (S,m,x,y) = {cert.smxy}", rows)
+        report.add(f"z = {cert.candidate[4]}: (S,m,x,y) = {cert.smxy}", _certificate_rows(cert))
     expected = len(result.accepted) == 1 and result.accepted[0].candidate[4] == 1
     if not expected:
         report.fail()

@@ -213,9 +213,6 @@ class IdempotentCoefficients:
     eps21: tuple
     eps22: tuple
 
-    def all_vectors(self) -> tuple:
-        return (self.eps11, self.eps12, self.eps21, self.eps22)
-
 
 def idempotent_basis(p: DesignParameters) -> IdempotentCoefficients:
     """Exact coefficients of eps_11, eps_12, eps_21, eps_22 over A1..A9.

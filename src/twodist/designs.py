@@ -2,9 +2,10 @@
 
 Incidence structures, t-design verification, block intersection numbers, and
 the exact parameter calculus that expresses the block-graph quantities
-(Lambda, T, N, P, n, k, r, s) in terms of (m, S, alpha, beta).  Integrality
-of those derived values is checked by a separate gate so callers can see
-exactly which condition fails.
+(Lambda, T, N, P, n, k, r, s) in terms of (m, S, alpha, beta).  The calculus
+is written once over any ring: `derive_parameters` evaluates it on Fractions,
+`dioph` on polynomials.  Integrality of the derived values is checked by a
+separate gate so callers can see exactly which condition fails.
 """
 
 from __future__ import annotations
@@ -77,37 +78,48 @@ class DesignParameters:
         }
 
 
+def lambda_parts(S, m, alpha, beta):
+    """Lambda = num / den as the pair (num, den), over any ring."""
+    S2 = S * S
+    num = S * (S - 1) * (S - alpha) * (S - beta)
+    den = (S2 * S2 - 2 * S2 * S - ((alpha + beta - 1) * (m - 1) - 1) * S2
+           + alpha * beta * m * (m - 1))
+    return num, den
+
+
+def block_graph_formulas(S, m, alpha, beta) -> dict:
+    """Lambda, T, N, P, r, k, n, s as expressions over any exact field."""
+    num, den = lambda_parts(S, m, alpha, beta)
+    lam = num / den
+    t = (m - 1) * lam / (S - 1)
+    excess = S * (S - 1) - beta * (m - 1)
+    big_n = alpha * (m - S) * excess * lam / (S * (alpha - beta) * (S - alpha) * (S - 1))
+    big_p = excess * lam / ((alpha - beta) * (S - 1))
+    r = ((m - S) * lam / (S - 1) - (S - beta)) / (alpha - beta)
+    k = (m - S) * excess * lam / ((alpha - beta) * (S - alpha) * (S - 1))
+    n = m * t / S
+    s = (beta - S) / (alpha - beta)
+    return {"Lambda": lam, "T": t, "N": big_n, "P": big_p, "r": r, "k": k, "n": n, "s": s}
+
+
 def derive_parameters(m: int, S: int, alpha: int, beta: int) -> DesignParameters:
     """Derive (Lambda, T, N, P, n, k, r, s) exactly from (m, S, alpha, beta).
 
     Requires the feasibility ordering 0 <= beta < alpha < S < m; raises
-    DegenerateParametersError when a formula denominator vanishes.
+    DegenerateParametersError when the Lambda denominator vanishes (the
+    ordering keeps every other denominator nonzero).
     """
     if not (0 <= beta < alpha < S < m):
         raise DesignError(
             f"parameters must satisfy 0 <= beta < alpha < S < m, got "
             f"(m={m}, S={S}, alpha={alpha}, beta={beta})"
         )
-    lam_den = (
-        S**4
-        - 2 * S**3
-        - ((alpha + beta - 1) * (m - 1) - 1) * S**2
-        + alpha * beta * m * (m - 1)
-    )
-    if lam_den == 0 or S == alpha or S == 1:
+    if lambda_parts(S, m, alpha, beta)[1] == 0:
         raise DegenerateParametersError(
             f"degenerate parameters (m={m}, S={S}, alpha={alpha}, beta={beta})"
         )
-    Lambda = Fraction(S * (S - 1) * (S - alpha) * (S - beta), lam_den)
-    T = (m - 1) * Lambda / (S - 1)
-    block_excess = S * (S - 1) - beta * (m - 1)
-    N = alpha * (m - S) * block_excess * Lambda / (S * (alpha - beta) * (S - alpha) * (S - 1))
-    P = block_excess * Lambda / ((alpha - beta) * (S - 1))
-    r = ((m - S) * Lambda / (S - 1) - (S - beta)) / (alpha - beta)
-    k = (m - S) * block_excess * Lambda / ((alpha - beta) * (S - alpha) * (S - 1))
-    n = m * T / S
-    s = Fraction(beta - S, alpha - beta)
-    return DesignParameters(m, S, alpha, beta, Lambda, T, N, P, n, k, r, s)
+    values = block_graph_formulas(Fraction(S), Fraction(m), Fraction(alpha), Fraction(beta))
+    return DesignParameters(m, S, alpha, beta, **values)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,14 @@ parameter, and each auxiliary integer-valued function g1, g2, as one integer
 fraction N(x, z) / D(x, z); lattice rows, fixed-x fibers and the strip are
 all evaluated by substitution into that pair.  g1 and g2 are certified to
 stay inside open unit-length (or short) intervals on large lattice boxes,
-which is the desk-scale stand-in for the unbounded real certificates.  A brute-force solver, the parametrized solution families, the
-quadratic S-range exclusions, and the final classification over the family
-curve complete the pipeline.
+which is the desk-scale stand-in for the unbounded real certificates.  A
+brute-force solver, the parametrized solution families, the quadratic S-range
+exclusions, and the final classification over the family curve complete the
+pipeline.
+
+Each formula is written once, as a function of plain ring operations: the
+integer and Fraction paths call it directly, and the module-level `Poly`
+constants are the same function evaluated on the polynomial generators.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from itertools import zip_longest
 from math import isqrt
 from typing import Iterator, Optional, Sequence
 
-from .designs import DesignError, derive_parameters, integrality_gate
+from .designs import (DesignError, block_graph_formulas, derive_parameters, integrality_gate,
+                      lambda_parts)
 from .exactnum import QuadExt, format_scalar, sqrt_adjoin, squarefree_decompose
 from .polynomials import Poly, compose_cleared, dense_coeffs, dense_divmod, dense_gcd
 
@@ -36,49 +42,17 @@ class IdentityFailureError(AssertionError):
 
 P_VARS = ("S", "m", "x", "y")
 
-P1 = Poly(P_VARS, {
-    (4, 0, 0, 0): 1, (2, 1, 1, 0): -2, (0, 2, 2, 0): 1, (3, 0, 0, 0): -2,
-    (2, 0, 1, 0): 2, (1, 1, 1, 0): -2, (0, 1, 2, 0): 2, (2, 0, 0, 0): 1,
-    (1, 0, 1, 0): -2, (0, 0, 2, 0): 1,
-})
-
-P2 = Poly(P_VARS, {
-    (4, 0, 0, 0): 1, (2, 1, 1, 0): 2, (2, 1, 0, 1): -4, (0, 2, 2, 0): 1,
-    (0, 2, 1, 1): -4, (0, 2, 0, 2): 4, (3, 0, 0, 0): -2, (2, 0, 1, 0): 2,
-    (2, 1, 0, 0): 8, (1, 1, 1, 0): -6, (0, 1, 2, 0): -2, (1, 1, 0, 1): -4,
-    (0, 1, 1, 1): 4, (1, 2, 0, 0): -4, (0, 2, 1, 0): 4, (2, 0, 0, 0): 1,
-    (1, 0, 1, 0): -2, (0, 0, 2, 0): 1,
-})
-
-P3 = Poly(P_VARS, {
-    (2, 0, 2, 0): 1, (1, 1, 2, 0): -1, (2, 0, 1, 1): -2, (1, 1, 1, 1): 2,
-    (2, 0, 0, 2): 1, (1, 1, 0, 2): -1, (2, 1, 0, 0): 1, (2, 0, 1, 0): 2,
-    (1, 1, 1, 0): -2, (1, 0, 2, 0): -2, (0, 1, 2, 0): 1, (2, 0, 0, 1): -2,
-    (1, 0, 1, 1): 2, (2, 0, 0, 0): 1, (1, 0, 1, 0): -2, (0, 0, 2, 0): 1,
-})
-
-POLYNOMIALS = {"p1": P1, "p2": P2, "p3": P3}
+_S, _M, _XV, _YV = Poly.gens(P_VARS)
 
 
-def eval_p(which: str, S: int, m: int, x: int, y: int) -> int:
-    """Exact integer evaluation of p1, p2 or p3."""
-    if which == "p1":
-        return _p1_int(S, m, x)
-    if which == "p2":
-        return _p2_int(S, m, x, y)
-    if which == "p3":
-        return _p3_int(S, m, x, y)
-    raise ValueError(f"unknown polynomial {which!r}")
-
-
-def _p1_int(S: int, m: int, x: int) -> int:
+def _p1(S, m, x, y):
     # p1 = (S^2 - x m)^2 - 2 (S - x)(S^2 + x m) + (S - x)^2; p1 has no y term
     t = S * S - x * m
     u = S - x
     return t * t - 2 * u * (S * S + x * m) + u * u
 
 
-def _p2_int(S: int, m: int, x: int, y: int) -> int:
+def _p2(S, m, x, y):
     S2 = S * S
     m2 = m * m
     return (
@@ -89,7 +63,7 @@ def _p2_int(S: int, m: int, x: int, y: int) -> int:
     )
 
 
-def _p3_int(S: int, m: int, x: int, y: int) -> int:
+def _p3(S, m, x, y):
     S2 = S * S
     return (
         S2 * x * x - S * m * x * x - 2 * S2 * x * y + 2 * S * m * x * y
@@ -99,20 +73,38 @@ def _p3_int(S: int, m: int, x: int, y: int) -> int:
     )
 
 
+_P_FUNCS = {"p1": _p1, "p2": _p2, "p3": _p3}
+P1, P2, P3 = (f(_S, _M, _XV, _YV) for f in _P_FUNCS.values())
+
+
+def eval_p(which: str, S: int, m: int, x: int, y: int) -> int:
+    """Exact integer evaluation of p1, p2 or p3."""
+    if which not in _P_FUNCS:
+        raise ValueError(f"unknown polynomial {which!r}")
+    return _P_FUNCS[which](S, m, x, y)
+
+
 # ----- the (x, z) parametrization ---------------------------------------
 
 XZ = ("x", "z")
 _X, _Z = Poly.gens(XZ)
 ONE_XZ = Poly.constant(XZ, 1)
 
-S_XZ = _X + _Z * _Z                                  # S = x + z^2
-MROOT_XZ = _X + _Z * _Z + _Z                         # x + z^2 + z
-MSQ_XZ = MROOT_XZ * MROOT_XZ                         # m = MSQ / x
-Y1_XZ = _X - _Z                                      # first branch for y
-Y2NUM_XZ = Poly(XZ, {                                # second branch: Y2NUM / MSQ
-    (3, 0): 1, (2, 2): 2, (2, 1): 1, (1, 4): 1, (1, 3): 2, (1, 2): 3,
-    (0, 5): 1, (0, 4): 2, (0, 3): 1,
-})
+
+def _xz_coords(x, z):
+    """S, the root of m = root^2 / x, y1, and the numerator of y2 = y2num / root^2."""
+    S = x + z * z
+    root = x + z * z + z
+    y2num = (
+        x**3 + 2 * x**2 * z**2 + x**2 * z + x * z**4 + 2 * x * z**3
+        + 3 * x * z**2 + z**5 + 2 * z**4 + z**3
+    )
+    return S, root, x - z, y2num
+
+
+S_XZ, MROOT_XZ, Y1_XZ, Y2NUM_XZ = _xz_coords(_X, _Z)
+MSQ_XZ = MROOT_XZ * MROOT_XZ                         # m = MSQ / x, y2 = Y2NUM / MSQ
+_XZ_SUBS = {"S": (S_XZ, ONE_XZ), "m": (MSQ_XZ, _X), "x": (_X, ONE_XZ)}
 
 
 def z_of(S: int, m: int, x: int) -> Fraction:
@@ -138,14 +130,8 @@ def z_parametrization(x: int, z: int) -> ZPoint:
     """Evaluate S = x + z^2, m = (x + z^2 + z)^2 / x and both y branches."""
     if x == 0:
         raise DesignError("the parametrization needs x != 0")
-    S = x + z * z
-    root = x + z * z + z
+    S, root, y1, y2num = _xz_coords(x, z)
     m = Fraction(root * root, x)
-    y1 = x - z
-    y2num = (
-        x**3 + 2 * x**2 * z**2 + x**2 * z + x * z**4 + 2 * x * z**3
-        + 3 * x * z**2 + z**5 + 2 * z**4 + z**3
-    )
     if root == 0:
         raise DesignError(f"degenerate parametrization at (x, z) = ({x}, {z})")
     y2 = Fraction(y2num, root * root)
@@ -155,8 +141,7 @@ def z_parametrization(x: int, z: int) -> ZPoint:
 def family_points(family: str, z: int) -> tuple[int, int, int, int]:
     """A point (S, m, x, y) on one of the three solution curves."""
     if family == "i":
-        return (z * (3 * z + 1) // 2, 9 * z * (z + 1) // 2,
-                z * (z + 1) // 2, z * (z - 1) // 2)
+        return tuple(c // 2 for c in _family_i_doubled(z))
     if family == "ii":
         return (z, z, z, z)
     if family == "iii":
@@ -164,25 +149,20 @@ def family_points(family: str, z: int) -> tuple[int, int, int, int]:
     raise ValueError(f"unknown family {family!r}")
 
 
+def _family_i_doubled(z):
+    """Twice (S, m, x, y) on family (i); each entry is even at integer z."""
+    return z * (3 * z + 1), 9 * z * (z + 1), z * (z + 1), z * (z - 1)
+
+
 _FAM_Z = ("z",)
 _TWO_Z = Poly.constant(_FAM_Z, 2)
-_FAMILY_I_SUBS = {                    # each coordinate is (integer polynomial) / 2
-    "S": (Poly(_FAM_Z, {(2,): 3, (1,): 1}), _TWO_Z),
-    "m": (Poly(_FAM_Z, {(2,): 9, (1,): 9}), _TWO_Z),
-    "x": (Poly(_FAM_Z, {(2,): 1, (1,): 1}), _TWO_Z),
-    "y": (Poly(_FAM_Z, {(2,): 1, (1,): -1}), _TWO_Z),
-}
+_FAMILY_I_SUBS = {name: (double, _TWO_Z)
+                  for name, double in zip(P_VARS, _family_i_doubled(Poly.variable("z", _FAM_Z)))}
 
 
 # ----- identity verification --------------------------------------------
 
-_S, _M, _XV, _YV = Poly.gens(P_VARS)
-LAMBDA_NUM = _S * (_S - 1) * (_S - _XV) * (_S - _YV)
-LAMBDA_DEN = (
-    _S**4 - 2 * _S**3
-    - ((_XV + _YV - 1) * (_M - 1) - 1) * _S**2
-    + _XV * _YV * _M * (_M - 1)
-)
+LAMBDA_NUM, LAMBDA_DEN = lambda_parts(_S, _M, _XV, _YV)
 # n = C(m, 2) with n = S (S - 1) / Lambda and Lambda = LAMBDA_NUM / LAMBDA_DEN
 BLOCK_COUNT = 2 * LAMBDA_NUM - _S * (_S - 1) * LAMBDA_DEN
 
@@ -202,10 +182,10 @@ def verify_identities() -> IdentityReport:
     identities, so a failure can only mean a transcription bug.
     """
     checks: list[tuple[str, Poly]] = []
-    base = {"S": (S_XZ, ONE_XZ), "m": (MSQ_XZ, _X), "x": (_X, ONE_XZ)}
-    checks.append(("p1 on the y1 branch", compose_cleared(P1, {**base, "y": (Y1_XZ, ONE_XZ)})))
-    checks.append(("p2 on the y1 branch", compose_cleared(P2, {**base, "y": (Y1_XZ, ONE_XZ)})))
-    checks.append(("p2 on the y2 branch", compose_cleared(P2, {**base, "y": (Y2NUM_XZ, MSQ_XZ)})))
+    y1, y2 = {**_XZ_SUBS, "y": (Y1_XZ, ONE_XZ)}, {**_XZ_SUBS, "y": (Y2NUM_XZ, MSQ_XZ)}
+    checks.append(("p1 on the y1 branch", compose_cleared(P1, y1)))
+    checks.append(("p2 on the y1 branch", compose_cleared(P2, y1)))
+    checks.append(("p2 on the y2 branch", compose_cleared(P2, y2)))
     for name, poly in (("p1", P1), ("p2", P2), ("p3", P3)):
         checks.append((f"{name} on family (i)", compose_cleared(poly, _FAMILY_I_SUBS)))
     checks.append(("block count n = C(m,2) on family (i)",
@@ -220,20 +200,8 @@ def verify_identities() -> IdentityReport:
 
 
 def _prop_params(S, m, x, y) -> dict:
-    """Block-graph parameters as expressions over any exact field elements."""
-    S2 = S * S
-    lam_den = S2 * S2 - 2 * S2 * S - ((x + y - 1) * (m - 1) - 1) * S2 + x * y * m * (m - 1)
-    lam = S * (S - 1) * (S - x) * (S - y) / lam_den
-    t = (m - 1) * lam / (S - 1)
-    excess = S * (S - 1) - y * (m - 1)
-    big_n = x * (m - S) * excess * lam / (S * (x - y) * (S - x) * (S - 1))
-    big_p = excess * lam / ((x - y) * (S - 1))
-    r = ((m - S) * lam / (S - 1) - (S - y)) / (x - y)
-    k = (m - S) * excess * lam / ((x - y) * (S - x) * (S - 1))
-    n = m * t / S
-    s = (y - S) / (x - y)
-    return {"Lambda": lam, "T": t, "N": big_n, "P": big_p, "r": r, "k": k,
-            "n": n, "s": s, "S": S, "m": m, "y": y}
+    """Block-graph parameters plus S, m and y, over any exact field."""
+    return {**block_graph_formulas(S, m, x, y), "S": S, "m": m, "y": y}
 
 
 def _g1_expr(par, x, z):
@@ -552,35 +520,19 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
     if xmax < 1:
         raise DesignError(f"region_scan needs xmax >= 1, got {xmax}")
     report = RegionScanReport(which, zmin, zmax, xmax)
-    if which == "g1":
-        for z0 in range(zmin, zmax + 1):
+    for z0 in range(zmin, zmax + 1):
+        row = _RowEvaluator(which, z0)
+        if which == "g1":
             t = _strip_offset(z0)
-            row = None
             if z0 <= -2 or z0 >= 1:
-                lo_x = max(1, t + 1)
-                if lo_x <= xmax:
-                    row = _RowEvaluator("g1", z0)
-                    row.check_range(0, 1, lo_x, xmax, "region1", report)
-            strip_x = t - 1
-            if 1 <= strip_x <= xmax:
-                row = row or _RowEvaluator("g1", z0)
-                row.check_range(0, 2, strip_x, strip_x, "region2", report)
-            hi_x = min(xmax, t - 2)
-            if hi_x >= 1:
-                row = row or _RowEvaluator("g1", z0)
-                row.check_range(0, 1, 1, hi_x, "region3", report)
-    else:
-        for z0 in range(zmin, zmax + 1):
+                row.check_range(0, 1, max(1, t + 1), xmax, "region1", report)
+            if 1 <= t - 1 <= xmax:
+                row.check_range(0, 2, t - 1, t - 1, "region2", report)
+            row.check_range(0, 1, 1, min(xmax, t - 2), "region3", report)
+        else:
             if z0 <= -15 or z0 >= 10:
-                for x0 in range(1, min(2, xmax) + 1):
-                    value = aux_g("g2", x0, z0)
-                    report.points_checked["large_z"] = report.points_checked.get("large_z", 0) + 1
-                    if not (31 < value < 33):
-                        report.violations.append(RegionViolation(
-                            "large_z", x0, z0, format_scalar(value)))
-            if xmax >= 3:
-                row = _RowEvaluator("g2", z0)
-                row.check_range(-1, 38, 3, xmax, "x_ge_3", report)
+                row.check_range(31, 33, 1, min(2, xmax), "large_z", report)
+            row.check_range(-1, 38, 3, xmax, "x_ge_3", report)
     if not report.points_checked:
         raise DesignError(
             f"the box z in [{zmin}, {zmax}], x <= {xmax} holds no lattice point "
@@ -621,6 +573,7 @@ def solve_strip_equation() -> StripEquationResult:
     num - den of the result must vanish at z = (-1 +- sqrt(41)) / 2 and at
     no integer.
     """
+    quadratic = (1, 1, -10)                          # z^2 + z - 10
     subs = {"x": (Poly(_FAM_Z, {(2,): 1, (1,): 1, (0,): -2}), _TWO_Z),
             "z": (Poly.variable("z", _FAM_Z), Poly.constant(_FAM_Z, 1))}
     surface = _surface("g1", "y1")
@@ -633,21 +586,16 @@ def solve_strip_equation() -> StripEquationResult:
     q = [a - b for a, b in zip_longest(num, den, fillvalue=0)]
     while q and q[-1] == 0:
         q.pop()
-    _, remainder = dense_divmod(q, [-10, 1, 1])
+    _, remainder = dense_divmod(q, quadratic[::-1])
     if remainder:
         raise IdentityFailureError(
             f"strip residue not divisible by z^2 + z - 10: remainder {remainder!r}")
-    disc = 41
-    sqrt_disc = sqrt_adjoin(disc)
-    roots = (
-        (QuadExt(Fraction(-1)) + sqrt_disc) * Fraction(1, 2),
-        (QuadExt(Fraction(-1)) - sqrt_disc) * Fraction(1, 2),
-    )
+    roots = _solve_quadratic(*quadratic)
     for r in roots:
         if not _horner(q, r).is_zero() or _horner(den, r).is_zero():
             raise IdentityFailureError(f"strip root {r} fails exact verification")
     integer_roots = tuple(sorted(_integer_roots(q)))
-    return StripEquationResult((1, 1, -10), disc, roots, integer_roots, len(q) - 1)
+    return StripEquationResult(quadratic, 41, roots, integer_roots, len(q) - 1)
 
 
 def _integer_roots(p: list[int]) -> list[int]:
@@ -754,10 +702,10 @@ def brute_solver(smax: int, mmax: int, enforce_gate: bool = True) -> list[Soluti
     for S in range(2, smax + 1):
         for m in range(S + 1, mmax + 1):
             for x in range(1, S):
-                if _p1_int(S, m, x):
+                if _p1(S, m, x, 0):       # p1 has no y term
                     continue
                 for y in range(x):
-                    if _p2_int(S, m, x, y) or _p3_int(S, m, x, y):
+                    if _p2(S, m, x, y) or _p3(S, m, x, y):
                         continue
                     gates = [GateResult("p-system", True, "p1 = p2 = p3 = 0")]
                     gates += _integrality_gates(S, m, x, y)
@@ -903,10 +851,7 @@ def quadratic_exclusions() -> ExclusionReport:
 
 @lru_cache(maxsize=None)
 def _p3_on_y2_cleared() -> Poly:
-    return compose_cleared(P3, {
-        "S": (S_XZ, ONE_XZ), "m": (MSQ_XZ, _X), "x": (_X, ONE_XZ),
-        "y": (Y2NUM_XZ, MSQ_XZ),
-    })
+    return compose_cleared(P3, {**_XZ_SUBS, "y": (Y2NUM_XZ, MSQ_XZ)})
 
 
 def y2_curve_search(xmin: int = 3, xmax: int = 10_000,
