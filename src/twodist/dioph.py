@@ -28,7 +28,8 @@ from typing import Iterator, Optional, Sequence
 from .designs import (DesignError, block_graph_formulas, derive_parameters, integrality_gate,
                       lambda_parts)
 from .exactnum import QuadExt, format_scalar, sqrt_adjoin, squarefree_decompose
-from .polynomials import Poly, compose_cleared, dense_coeffs, dense_divmod, dense_gcd
+from .polynomials import (Poly, _primitive, compose_cleared, dense_coeffs, dense_divmod,
+                          dense_gcd)
 
 
 class IdentityFailureError(AssertionError):
@@ -154,10 +155,16 @@ def _family_i_doubled(z):
     return z * (3 * z + 1), 9 * z * (z + 1), z * (z + 1), z * (z - 1)
 
 
+def _strip_doubled(z):
+    """Twice the g1 strip x = z(z+1)/2 - 1; even at integer z."""
+    return z * (z + 1) - 2
+
+
 _FAM_Z = ("z",)
+_FAM_Z_VAR = Poly.variable("z", _FAM_Z)
 _TWO_Z = Poly.constant(_FAM_Z, 2)
-_FAMILY_I_SUBS = {name: (double, _TWO_Z)
-                  for name, double in zip(P_VARS, _family_i_doubled(Poly.variable("z", _FAM_Z)))}
+_FAMILY_I_DOUBLED = _family_i_doubled(_FAM_Z_VAR)
+_FAMILY_I_SUBS = {name: (double, _TWO_Z) for name, double in zip(P_VARS, _FAMILY_I_DOUBLED)}
 
 
 # ----- identity verification --------------------------------------------
@@ -497,8 +504,9 @@ class _RowEvaluator:
                 region, x0, self.z0, format_scalar(value)))
 
 
-def _strip_offset(z: int) -> int:
-    return z * (z + 1) // 2
+# g2's small-z window: x in {1, 2} gets its integral values listed on it and
+# the large_z bound (31, 33) outside it
+G2_SMALL_Z = (-14, 9)
 
 
 def region_scan(which: str, zmin: int = -100, zmax: int = 100,
@@ -508,8 +516,8 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
     For g1 (y1 branch): g in (0,1) off the half-integer strip, (0,2) on the
     strip x = z(z+1)/2 - 1, plus the exact strip-equation roots
     z = (-1 +- sqrt(41)) / 2.  For g2 (y2 branch): g in (31,33) for
-    x in {1,2} and |z| large, g in (-1,38) for x >= 3, plus the small-box
-    enumeration of integral g2 values.  Bounded lattice boxes stand in for
+    x in {1,2} and z outside G2_SMALL_Z, g in (-1,38) for x >= 3, plus the
+    enumeration of integral g2 values for x in {1,2} on G2_SMALL_Z.  Bounded lattice boxes stand in for
     unbounded-region certificates; violations are reported, never raised.
     A box that holds no lattice point to check raises DesignError.
     """
@@ -520,17 +528,18 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
     if xmax < 1:
         raise DesignError(f"region_scan needs xmax >= 1, got {xmax}")
     report = RegionScanReport(which, zmin, zmax, xmax)
+    small_lo, small_hi = G2_SMALL_Z
     for z0 in range(zmin, zmax + 1):
         row = _RowEvaluator(which, z0)
         if which == "g1":
-            t = _strip_offset(z0)
+            strip = _strip_doubled(z0) // 2
             if z0 <= -2 or z0 >= 1:
-                row.check_range(0, 1, max(1, t + 1), xmax, "region1", report)
-            if 1 <= t - 1 <= xmax:
-                row.check_range(0, 2, t - 1, t - 1, "region2", report)
-            row.check_range(0, 1, 1, min(xmax, t - 2), "region3", report)
+                row.check_range(0, 1, max(1, strip + 2), xmax, "region1", report)
+            if 1 <= strip <= xmax:
+                row.check_range(0, 2, strip, strip, "region2", report)
+            row.check_range(0, 1, 1, min(xmax, strip - 1), "region3", report)
         else:
-            if z0 <= -15 or z0 >= 10:
+            if not small_lo <= z0 <= small_hi:
                 row.check_range(31, 33, 1, min(2, xmax), "large_z", report)
             row.check_range(-1, 38, 3, xmax, "x_ge_3", report)
     if not report.points_checked:
@@ -544,7 +553,8 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
     return report
 
 
-def g2_integer_values(zmin: int = -14, zmax: int = 9) -> dict[tuple[int, int], int]:
+def g2_integer_values(zmin: int = G2_SMALL_Z[0],
+                      zmax: int = G2_SMALL_Z[1]) -> dict[tuple[int, int], int]:
     """Integral values of g2 for x in {1, 2} on the finite strip of z."""
     out: dict[tuple[int, int], int] = {}
     for x0 in (1, 2):
@@ -559,8 +569,8 @@ def g2_integer_values(zmin: int = -14, zmax: int = 9) -> dict[tuple[int, int], i
 class StripEquationResult:
     """Exact solution data for g1 = 1 on the strip x = z(z+1)/2 - 1."""
 
-    quadratic: tuple[int, int, int]      # z^2 + z - 10
-    discriminant: int                    # 41
+    quadratic: tuple[int, int, int]      # (a, b, c) of a z^2 + b z + c
+    discriminant: int                    # b^2 - 4ac
     roots: tuple[QuadExt, QuadExt]
     integer_roots: tuple[int, ...]
     residue_degree: int
@@ -573,9 +583,9 @@ def solve_strip_equation() -> StripEquationResult:
     num - den of the result must vanish at z = (-1 +- sqrt(41)) / 2 and at
     no integer.
     """
-    quadratic = (1, 1, -10)                          # z^2 + z - 10
-    subs = {"x": (Poly(_FAM_Z, {(2,): 1, (1,): 1, (0,): -2}), _TWO_Z),
-            "z": (Poly.variable("z", _FAM_Z), Poly.constant(_FAM_Z, 1))}
+    quadratic = (1, 1, -10)
+    subs = {"x": (_strip_doubled(_FAM_Z_VAR), _TWO_Z),
+            "z": (_FAM_Z_VAR, Poly.constant(_FAM_Z, 1))}
     surface = _surface("g1", "y1")
     # compose_cleared scales by 2^deg_x; bring N and D to the same power of 2
     top = max(p.degree("x") for p in surface)
@@ -589,13 +599,15 @@ def solve_strip_equation() -> StripEquationResult:
     _, remainder = dense_divmod(q, quadratic[::-1])
     if remainder:
         raise IdentityFailureError(
-            f"strip residue not divisible by z^2 + z - 10: remainder {remainder!r}")
+            f"strip residue not divisible by {format_quadratic(quadratic)}: "
+            f"remainder {remainder!r}")
     roots = _solve_quadratic(*quadratic)
     for r in roots:
         if not _horner(q, r).is_zero() or _horner(den, r).is_zero():
             raise IdentityFailureError(f"strip root {r} fails exact verification")
     integer_roots = tuple(sorted(_integer_roots(q)))
-    return StripEquationResult(quadratic, 41, roots, integer_roots, len(q) - 1)
+    return StripEquationResult(quadratic, _discriminant(*quadratic), roots, integer_roots,
+                               len(q) - 1)
 
 
 def _integer_roots(p: list[int]) -> list[int]:
@@ -751,7 +763,8 @@ def classify(zmax: int) -> ClassifyReport:
             if S < 4:
                 gates.append(GateResult(
                     "small-S branch", True,
-                    f"S = {S} <= 3: z = {z} is the integer root of 3z^2 + z - {2 * S}"))
+                    f"S = {S} <= 3: z = {z} is the integer root of "
+                    f"{format_quadratic(_family_i_quadratic('S', S))}"))
             else:
                 if not (4 <= S <= m - 4):
                     raise IdentityFailureError(
@@ -795,8 +808,12 @@ class ExclusionReport:
         return tuple((e.label, r) for e in self.entries for r in e.integer_roots)
 
 
+def _discriminant(a: int, b: int, c: int) -> int:
+    return b * b - 4 * a * c
+
+
 def _solve_quadratic(a: int, b: int, c: int) -> tuple[QuadExt, QuadExt]:
-    disc = b * b - 4 * a * c
+    disc = _discriminant(a, b, c)
     if disc < 0:
         raise ValueError("complex roots")
     sq = sqrt_adjoin(disc)
@@ -804,22 +821,44 @@ def _solve_quadratic(a: int, b: int, c: int) -> tuple[QuadExt, QuadExt]:
     return ((QuadExt(-b) + sq) * inv, (QuadExt(-b) - sq) * inv)
 
 
+def format_quadratic(q: tuple[int, int, int]) -> str:
+    """a z^2 + b z + c as text, unit coefficients dropped: "3z^2 + z - 4"."""
+    text = ""
+    for coeff, mono in zip(q, ("z^2", "z", "")):
+        if not coeff:
+            continue
+        body = mono if abs(coeff) == 1 and mono else f"{abs(coeff)}{mono}"
+        if text:
+            text += f" {'-' if coeff < 0 else '+'} {body}"
+        else:
+            text = f"-{body}" if coeff < 0 else body
+    return text or "0"
+
+
+def _family_i_quadratic(side: str, value: int) -> tuple[int, ...]:
+    """(a, b, c): the primitive quadratic in z setting S or m - S to value on family (i)."""
+    S2, m2 = _FAMILY_I_DOUBLED[:2]
+    doubled = (S2 if side == "S" else m2 - S2) - 2 * value
+    return tuple(_primitive(dense_coeffs(doubled))[::-1])
+
+
 def quadratic_exclusions() -> ExclusionReport:
     """Reproduce the S-range checks of the classification as exact quadratics.
 
-    On family (i), fixing S or m - S to a small value forces a quadratic in
-    z; every branch except S = 2 has an irrational root pair (non-square
+    On family (i), fixing S or m - S to a small value c forces a quadratic in
+    z, the primitive part of 2S - 2c or 2(m - S) - 2c on `_family_i_doubled`;
+    every branch except S = 2 has an irrational root pair (non-square
     discriminant), and S = 2 gives exactly z in {1, -4/3}.  The strip
-    discriminant 41 joins the non-square list.
+    quadratic of `solve_strip_equation` joins the list.
     """
     cases = [
-        ("S = 2", (3, 1, -4), ""),
-        ("S = 3", (3, 1, -6), ""),
-        ("S = 7 (tight range)", (3, 1, -14),
+        ("S = 2", _family_i_quadratic("S", 2), ""),
+        ("S = 3", _family_i_quadratic("S", 3), ""),
+        ("S = 7 (tight range)", _family_i_quadratic("S", 7),
          "integer root z = 2 is excluded by the tight-design filter (m = 27 != 23)"),
-        ("S = m - 3", (3, 4, -3), ""),
-        ("S = m - 2", (3, 4, -2), ""),
-        ("S = m - 1", (3, 4, -1), ""),
+        *((f"S = m - {c}", _family_i_quadratic("m - S", c), "") for c in (3, 2, 1)),
+        ("strip g1 = 1", solve_strip_equation().quadratic,
+         "from Region 2 of the g1 certificate"),
     ]
     entries = []
     for label, (a, b, c), note in cases:
@@ -828,17 +867,13 @@ def quadratic_exclusions() -> ExclusionReport:
             residue = QuadExt(a) * r * r + QuadExt(b) * r + QuadExt(c)
             if not residue.is_zero():
                 raise IdentityFailureError(f"root of {label} fails substitution")
-        disc = b * b - 4 * a * c
+        disc = _discriminant(a, b, c)
         _, sf = squarefree_decompose(disc)
         int_roots = tuple(
             int(r.rational_value()) for r in roots
             if r.is_rational() and r.rational_value().denominator == 1
         )
         entries.append(QuadraticExclusion(label, (a, b, c), disc, sf, roots, int_roots, note))
-    strip = QuadraticExclusion(
-        "strip g1 = 1", (1, 1, -10), 41, 41,
-        _solve_quadratic(1, 1, -10), (), "from Region 2 of the g1 certificate")
-    entries.append(strip)
     nonsquare = tuple(sorted({e.squarefree_part for e in entries if e.squarefree_part != 1}))
     for d in nonsquare:
         if isqrt(d) ** 2 == d:

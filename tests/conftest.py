@@ -2,6 +2,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from twodist.coherent import from_design, projector_and_gram
@@ -45,3 +46,22 @@ def lisonek_design_file(tmp_path, lisonek):
     path = tmp_path / "lisonek.json"
     path.write_text(json.dumps(lisonek.to_json_dict()))
     return path
+
+
+def _relation_rows(cc, coefficients) -> list:
+    """Dense rows of sum_k coefficients[k] A_{k+1}, filled relation by relation.
+
+    Built from the 0/1 matrices in cc.relations alone, so it stays independent
+    of the relation label matrix the library indexes E with.
+    """
+    rows = [[None] * cc.size for _ in range(cc.size)]
+    for value, relation in zip(coefficients, cc.relations):
+        for a, b in zip(*np.nonzero(relation)):
+            rows[a][b] = value
+    assert all(v is not None for row in rows for v in row)
+    return rows
+
+
+@pytest.fixture(scope="session")
+def relation_rows():
+    return _relation_rows

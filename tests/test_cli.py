@@ -115,6 +115,31 @@ def test_embed_witt_design(capsys):
     assert params["Lambda"] == "21" and params["n"] == "253"
 
 
+def test_embed_witt_gram_dump(witt_design, capsys):
+    """Every entry of the 276 x 276 dump is the Gram value of its pair's relation."""
+    from twodist.coherent import GRAM_CLASS_OF_RELATION, from_design, projector_and_gram
+    from twodist.exactnum import parse_scalar
+
+    code, _, out = run(
+        ["embed", str(DATA_DIR / "witt_4_23_7_1.json"), "--dump-gram", "--json"], capsys)
+    assert code == 0
+    sections = {s["title"]: s["rows"] for s in json.loads(out)["sections"]}
+    dump = [row["value"].split(" | ") for row in sections["projector matrix"]]
+    assert [row["name"] for row in sections["projector matrix"]] == [
+        f"row {i}" for i in range(276)]
+    assert all(len(row) == 276 for row in dump)
+    cc = from_design(witt_design)
+    gram = projector_and_gram(cc).gram
+    values = {text: parse_scalar(text) for row in dump for text in set(row)}
+    seen = 0
+    for k, relation in enumerate(cc.relations, 1):
+        expected = gram[GRAM_CLASS_OF_RELATION[k]]
+        for a, b in zip(*relation.nonzero()):
+            assert values[dump[a][b]] == expected, (a, b, k)
+            seen += 1
+    assert seen == 276 * 276
+
+
 def test_solve_command(capsys):
     code, report, _ = run(["solve", "--smax", "8", "--mmax", "50"], capsys)
     assert code == 0

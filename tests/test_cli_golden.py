@@ -11,13 +11,15 @@ and review the diff.
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from twodist.cli import dispatch
 
-GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
 
 COMMANDS = [
     ["identities"],
@@ -31,6 +33,10 @@ COMMANDS = [
     ["regions", "--which", "g1", "--zmin=-20", "--zmax=12", "--xmax=40"],
     ["regions", "--which", "g2", "--zmin=-20", "--zmax=12", "--xmax=40"],
     ["regions", "--which", "g2", "--xmax=1"],
+    ["verify", "lisonek"],
+    ["embed", "tests/data/lisonek_design.json"],
+    ["embed", "tests/data/witt_4_23_7_1.json"],
+    ["embed", "tests/data/lisonek_complement.json", "--dump-gram"],
 ]
 CASES = [argv + flag for argv in COMMANDS for flag in ([], ["--json"])]
 
@@ -47,7 +53,8 @@ def _golden() -> dict:
 
 
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
-def test_cli_output_matches_golden(argv):
+def test_cli_output_matches_golden(argv, monkeypatch):
+    monkeypatch.chdir(ROOT)  # embed reports name the design path as given
     assert _run(argv) == _golden()[" ".join(argv)]
 
 
@@ -56,4 +63,5 @@ def test_golden_file_covers_exactly_the_cases():
 
 
 if __name__ == "__main__":
+    os.chdir(ROOT)
     GOLDEN.write_text(json.dumps([_run(argv) for argv in CASES], indent=1) + "\n")

@@ -107,9 +107,8 @@ def test_gram_table_golden(lisonek_projector):
         assert gram[key] == parse_scalar(value), key
 
 
-def test_projector_trace_and_symmetry(lisonek_projector):
-    e = lisonek_projector.matrix
-    assert e is not None
+def test_projector_trace_and_symmetry(lisonek_cc, lisonek_projector, relation_rows):
+    e = relation_rows(lisonek_cc, lisonek_projector.coefficients)
     trace = QuadExt(0)
     for i in range(len(e)):
         trace = trace + e[i][i]
@@ -117,8 +116,8 @@ def test_projector_trace_and_symmetry(lisonek_projector):
     assert e[0][9] == e[9][0]
 
 
-def test_projector_annihilates_fiber_indicators(lisonek_projector):
-    e = lisonek_projector.matrix
+def test_projector_annihilates_fiber_indicators(lisonek_cc, lisonek_projector, relation_rows):
+    e = relation_rows(lisonek_cc, lisonek_projector.coefficients)
     m = 9
     for row in e:
         v_sum = QuadExt(0)
@@ -148,6 +147,25 @@ def test_witt_configuration_algebra(witt_design):
     result = projector_and_gram(cc)
     assert result.matrix is None
     assert result.gram["V_diag"] == QuadExt(Fraction(22, 46))
+
+
+def test_projector_matrix_is_the_verified_integer_form(
+        lisonek_projector, complement_projector, witt_design, relation_rows):
+    from twodist.coherent import _dense_checks, _IntegerForm, projector_and_gram
+
+    for result in (lisonek_projector, complement_projector):
+        form = result.matrix
+        assert isinstance(form, _IntegerForm) and form.denominator == 126
+        _dense_checks(result.cc, form, result.gram)
+        # every entry of sum_r sqrt(r) N_r / D is the coefficient of its relation
+        rows = relation_rows(result.cc, result.coefficients)
+        for a in range(result.cc.size):
+            for b in range(result.cc.size):
+                entry = QuadExt({r: Fraction(int(part[a, b]), form.denominator)
+                                 for r, part in form.parts.items()})
+                assert entry == rows[a][b], (a, b)
+    # above FULL_MATRIX_LIMIT no dense form is built
+    assert projector_and_gram(from_design(witt_design)).matrix is None
 
 
 def test_row_sum_identity_behind_fiber_annihilation():

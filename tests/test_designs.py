@@ -125,6 +125,16 @@ def test_double_counting(lisonek, witt_design):
         assert p.n == design.block_count and p.T.denominator == 1
 
 
+def test_parameters_from_a_given_intersection_matrix(lisonek, witt_design):
+    from twodist.designs import StructureError, incidence_matrix
+
+    for design in (lisonek, complement_design(lisonek), witt_design):
+        inc = incidence_matrix(design).astype(int)
+        assert parameters_from_design(design, inc.T @ inc) == parameters_from_design(design)
+    with pytest.raises(StructureError, match="not quasi-symmetric"):
+        parameters_from_design(IncidenceDesign(4, ((0, 1), (2, 3))))
+
+
 def test_witt_design(witt_design):
     assert witt_design.m == 23
     assert witt_design.block_count == 253

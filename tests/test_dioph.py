@@ -277,6 +277,36 @@ def test_quadratic_exclusions():
     assert outside == [1]
 
 
+def test_quadratic_exclusions_come_from_family_i():
+    """Each S-range quadratic is its labelled residual on family (i), up to a constant."""
+    import re
+
+    for entry in quadratic_exclusions().entries:
+        if entry.label.startswith("strip"):
+            assert entry.quadratic == solve_strip_equation().quadratic
+            continue
+        side, c = re.fullmatch(r"S = (m - )?(\d+)( \(tight range\))?", entry.label).group(1, 2)
+        a, b, q0 = entry.quadratic
+        pairs = []
+        for z in (0, 1, 2):
+            S, m, _, _ = family_points("i", z)
+            residual = (m - S if side else S) - int(c)
+            pairs.append((a * z * z + b * z + q0, residual))
+        # proportional at three points, so equal as quadratics up to the factor
+        assert all(q1 * r2 == q2 * r1 for q1, r1 in pairs for q2, r2 in pairs), entry.label
+        assert any(r for _, r in pairs) and all(q * r >= 0 for q, r in pairs), entry.label
+
+
+def test_format_quadratic():
+    from twodist.dioph import format_quadratic
+
+    assert format_quadratic((1, 1, -10)) == "z^2 + z - 10"
+    assert format_quadratic((3, 1, -4)) == "3z^2 + z - 4"
+    assert format_quadratic((-1, 0, 5)) == "-z^2 + 5"
+    assert format_quadratic((0, -2, 0)) == "-2z"
+    assert format_quadratic((0, 0, 0)) == "0"
+
+
 def test_finite_difference_stream_matches_direct_evaluation():
     from twodist.dioph import _fd_stream, _horner
 
