@@ -99,9 +99,12 @@ def field_matrices(draw, bits: int) -> list:
         for _ in range(n * n)
     ]
     if bits > 6:
-        # one numerator of about 2^bits pushes the form past the int64 bound;
-        # at 34 bits the entries still fit in int64 but their products do not
-        entries[0] = entries[0] + draw(st.integers(2 ** (bits - 1), 2 ** bits))
+        # one rational part of at least 2^(bits - 1) pushes the form past the
+        # int64 bound (its square alone exceeds 2^63); at 34 bits the entries
+        # still fit in int64 but their products do not.  It replaces the drawn
+        # part rather than adding to it, which could cancel it down to int64.
+        big = Fraction(draw(st.integers(2 ** (bits - 1), 2 ** bits)))
+        entries[0] = QuadExt({**dict(entries[0].terms), 1: big})
     return [entries[i * n:(i + 1) * n] for i in range(n)]
 
 
