@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import accumulate, compress, islice, repeat, zip_longest
 from math import isqrt
+from operator import mul, not_
 from typing import Iterator, Optional, Sequence
 
 from .designs import (DesignError, block_graph_formulas, derive_parameters, integrality_gate,
@@ -415,28 +416,25 @@ def _horner(coeffs: Sequence[int], x: int) -> int:
 
 
 def _fd_stream(coeffs: Sequence[int], start: int, count: int) -> Iterator[int]:
-    """Values of an integer polynomial on start, start+1, ... via differences."""
-    if count <= 0:
-        return
+    """Values of an integer polynomial on start, start+1, ... via differences.
+
+    The leading entries of the difference table seed d nested running sums
+    over the constant d-th difference, so each value costs d additions inside
+    `accumulate` and no Python bytecode.
+    """
+    count = max(count, 0)
     if not coeffs:
-        for _ in range(count):
-            yield 0
-        return
+        return repeat(0, count)
     d = len(coeffs) - 1
-    if count <= d + 1:
-        for i in range(count):
-            yield _horner(coeffs, start + i)
-        return
-    table = [_horner(coeffs, start + i) for i in range(d + 1)]
+    level = [_horner(coeffs, start + i) for i in range(d + 1)]
     deltas = []
-    level = table
     for _ in range(d + 1):
         deltas.append(level[0])
-        level = [level[i + 1] - level[i] for i in range(len(level) - 1)]
-    for _ in range(count):
-        yield deltas[0]
-        for j in range(d):
-            deltas[j] += deltas[j + 1]
+        level = [b - a for a, b in zip(level, level[1:])]
+    stream = repeat(deltas[d])
+    for delta in reversed(deltas[:d]):
+        stream = accumulate(stream, initial=delta)
+    return islice(stream, count)
 
 
 @dataclass(frozen=True)
@@ -474,23 +472,29 @@ class _RowEvaluator:
 
     def check_range(self, lo: int, hi: int, x_start: int, x_stop: int,
                     region: str, report: RegionScanReport) -> None:
-        """Assert lo < g(x, z0) < hi for x in [x_start, x_stop]."""
+        """Assert lo < g(x, z0) < hi for x in [x_start, x_stop].
+
+        With A = N - lo D and B = hi D - N, A B > 0 holds exactly when D != 0
+        and lo < N / D < hi, so only the points where A B <= 0 are visited;
+        the ones with D = 0 go to the reduced-fiber value.
+        """
+        if lo > hi:
+            raise ValueError(f"empty interval ({lo}, {hi})")
         count = x_stop - x_start + 1
         if count <= 0:
             return
         report.points_checked[region] = report.points_checked.get(region, 0) + count
-        values = zip(_fd_stream(self.num, x_start, count), _fd_stream(self.den, x_start, count))
-        for x0, (nv, dv) in enumerate(values, x_start):
+        pairs = list(zip_longest(self.num, self.den, fillvalue=0))
+        above_lo = _fd_stream([n - lo * d for n, d in pairs], x_start, count)
+        below_hi = _fd_stream([hi * d - n for n, d in pairs], x_start, count)
+        failing = map((0).__ge__, map(mul, above_lo, below_hi))
+        for x0 in compress(range(x_start, x_stop + 1), failing):
+            dv = _horner(self.den, x0)
             if dv == 0:
                 self._check_point_fallback(x0, lo, hi, region, report)
                 continue
-            if dv > 0:
-                ok = lo * dv < nv < hi * dv
-            else:
-                ok = hi * dv < nv < lo * dv
-            if not ok:
-                report.violations.append(RegionViolation(
-                    region, x0, self.z0, format_scalar(Fraction(nv, dv))))
+            report.violations.append(RegionViolation(
+                region, x0, self.z0, format_scalar(Fraction(_horner(self.num, x0), dv))))
 
     def _check_point_fallback(self, x0: int, lo: int, hi: int,
                               region: str, report: RegionScanReport) -> None:
@@ -903,11 +907,6 @@ def y2_curve_search(xmin: int = 3, xmax: int = 10_000,
     hits: list[tuple[int, int]] = []
     count = xmax - xmin + 1
     for z0 in range(zmin, zmax + 1):
-        coeffs = _row_coeffs(cleared, z0)
-        if not coeffs:
-            hits.extend((x0, z0) for x0 in range(xmin, xmax + 1))
-            continue
-        for i, value in enumerate(_fd_stream(coeffs, xmin, count)):
-            if value == 0:
-                hits.append((xmin + i, z0))
+        values = _fd_stream(_row_coeffs(cleared, z0), xmin, count)
+        hits.extend(zip(compress(range(xmin, xmax + 1), map(not_, values)), repeat(z0)))
     return hits

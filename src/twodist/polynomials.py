@@ -196,16 +196,26 @@ def compose_cleared(p: Poly, subs: Mapping[str, tuple[Poly, Poly]]) -> Poly:
     for v in p.vars:
         if v not in subs and degs[v] > 0:
             raise ValueError(f"no substitution given for {v!r}")
-    result = Poly(out_vars)
+    # factors[v][e] = num_v^e * den_v^(deg_v - e), each formed once
+    factors: dict[str, list[Poly]] = {}
+    for v, d in degs.items():
+        if d == 0:
+            continue
+        num, den = subs[v]
+        num_pows, den_pows = [Poly.constant(out_vars, 1)], [Poly.constant(out_vars, 1)]
+        for _ in range(d):
+            num_pows.append(num_pows[-1] * num)
+            den_pows.append(den_pows[-1] * den)
+        factors[v] = [num_pows[e] * den_pows[d - e] for e in range(d + 1)]
+    total: dict[tuple[int, ...], int] = {}
     for expo, coeff in p.terms.items():
         term = Poly.constant(out_vars, coeff)
         for v, e in zip(p.vars, expo):
-            if degs[v] == 0:
-                continue
-            num, den = subs[v]
-            term = term * num**e * den ** (degs[v] - e)
-        result = result + term
-    return result
+            if v in factors:
+                term = term * factors[v][e]
+        for e, c in term.terms.items():
+            total[e] = total.get(e, 0) + c
+    return Poly(out_vars, total)
 
 
 # ----- dense univariate lists -------------------------------------------

@@ -30,6 +30,7 @@ from twodist.dioph import (
     z_parametrization,
 )
 from twodist.exactnum import QuadExt, parse_scalar
+from twodist.polynomials import Poly
 
 
 def test_eval_p_examples():
@@ -319,6 +320,78 @@ def test_finite_difference_stream_matches_direct_evaluation():
         got = list(_fd_stream(coeffs, start, count))
         assert got == [_horner(coeffs, start + i) for i in range(count)]
     assert list(_fd_stream([], 5, 3)) == [0, 0, 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), deg=st.integers(0, 14), start=st.integers(-10**6, 10**6),
+       zero=st.booleans())
+def test_finite_difference_stream_matches_horner(data, deg, start, zero):
+    from twodist.dioph import _fd_stream, _horner
+
+    big = 2**120
+    coeffs = [] if zero else data.draw(
+        st.lists(st.integers(-big, big), min_size=deg + 1, max_size=deg + 1))
+    count = data.draw(st.sampled_from([0, 1, deg, deg + 1, deg + 2, 300]))
+    got = list(_fd_stream(coeffs, start, count))
+    assert got == [_horner(coeffs, start + i) for i in range(count)]
+
+
+def _check_range_oracle(which, z0, lo, hi, x_start, x_stop, region):
+    """The per-point check of lo < g(x, z0) < hi on aux_g and Fractions."""
+    from twodist.dioph import RegionViolation
+    from twodist.exactnum import format_scalar
+
+    violations = []
+    for x0 in range(x_start, x_stop + 1):
+        try:
+            value = aux_g(which, x0, z0)
+        except ZeroDivisionError:
+            violations.append(RegionViolation(region, x0, z0, "pole"))
+            continue
+        if not lo < value < hi:
+            violations.append(RegionViolation(region, x0, z0, format_scalar(value)))
+    count = x_stop - x_start + 1
+    return ({region: count} if count > 0 else {}), violations
+
+
+@pytest.mark.parametrize("which", ["g1", "g2"])
+@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (1, 2), (-1, 38), (31, 33), (-5, 3)])
+def test_row_check_range_matches_pointwise_oracle(which, lo, hi):
+    """Every row z in [-12, 12] from x = 1, so the D = 0 point (1, 0) is included."""
+    from twodist.dioph import RegionScanReport, _RowEvaluator
+
+    for z0 in range(-12, 13):
+        row = _RowEvaluator(which, z0)
+        for x_start, x_stop in ((1, 40), (1, 1), (2, 3), (7, 29), (5, 4)):
+            report = RegionScanReport(which, z0, z0, x_stop)
+            row.check_range(lo, hi, x_start, x_stop, "r", report)
+            points, violations = _check_range_oracle(which, z0, lo, hi, x_start, x_stop, "r")
+            assert report.points_checked == points, (z0, x_start, x_stop)
+            assert report.violations == violations, (z0, x_start, x_stop)
+
+
+def test_row_check_range_rejects_an_inverted_interval():
+    from twodist.dioph import RegionScanReport, _RowEvaluator
+
+    report = RegionScanReport("g1", 3, 3, 10)
+    with pytest.raises(ValueError):
+        _RowEvaluator("g1", 3).check_range(1, 0, 1, 10, "r", report)
+    assert not report.points_checked
+
+
+def test_y2_curve_search_finds_every_off_line_zero(monkeypatch):
+    """A stand-in curve with known lattice zeros off z = 0, against a brute-force scan."""
+    from twodist import dioph
+
+    x, z = Poly.gens(("x", "z"))
+    curve = (x - 5) * (z - 2) * (x - z * z - 3) * (x + z + 40)
+    monkeypatch.setattr(dioph, "_p3_on_y2_cleared", lambda: curve)
+    box = (-45, 60, -9, 8)
+    expected = [(x0, z0) for z0 in range(box[2], box[3] + 1)
+                for x0 in range(box[0], box[1] + 1)
+                if curve.eval({"x": x0, "z": z0}) == 0]
+    assert any(z0 not in (0, 2) and x0 not in (5, -z0 - 40) for x0, z0 in expected)
+    assert y2_curve_search(*box) == expected
 
 
 def test_y2_curve_search_small_box():
