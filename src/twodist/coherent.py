@@ -246,39 +246,59 @@ def idempotent_basis(p: DesignParameters) -> IdempotentCoefficients:
         tuple(eps11), tuple(eps12), tuple(eps21), tuple(eps22))
 
 
-def algebra_product(p_table: np.ndarray, u, v) -> tuple:
-    """Product of two adjacency-algebra elements given by coefficient vectors.
+def structure_constants(p_table: np.ndarray) -> tuple:
+    """The nonzero p_ij^k as (i, j, ((k, p_ij^k), ...)), 0-based, in (i, j) order."""
+    table = p_table.tolist()
+    groups: dict = {}
+    for i, j, k in np.argwhere(p_table).tolist():
+        groups.setdefault((i, j), []).append((k, table[i][j][k]))
+    return tuple((i, j, tuple(ks)) for (i, j), ks in groups.items())
 
-    (sum_i u_i A_i)(sum_j v_j A_j) = sum_k (sum_{ij} u_i v_j p_ij^k) A_k.
+
+def algebra_product(constants: tuple, u: dict, v: dict) -> dict:
+    """Product of two adjacency-algebra elements on integer numerators.
+
+    u and v are the numerators {r: N_r} of `_integer_vector`; returns the
+    product's numerators over D_u D_v, by (sum_i u_i A_i)(sum_j v_j A_j) =
+    sum_k (sum_ij u_i v_j p_ij^k) A_k and sqrt(r) sqrt(s) = g sqrt(d).
     """
-    out = [QuadExt(0)] * 9
-    for i in range(9):
-        if u[i].is_zero():
-            continue
-        for j in range(9):
-            if v[j].is_zero():
-                continue
-            uv = u[i] * v[j]
-            for k in range(9):
-                c = int(p_table[i, j, k])
-                if c:
-                    out[k] = out[k] + uv * c
-    return tuple(out)
+    out: dict = {}
+    for r, a in u.items():
+        for s, b in v.items():
+            g, d = _sf_product(r, s)
+            acc = out.setdefault(d, [0] * 9)
+            for i, j, ks in constants:
+                x = a[i] * b[j]
+                if x:
+                    for k, c in ks:
+                        acc[k] += g * c * x
+    return out
 
 
-def verify_epsilon_identities(p_table: np.ndarray, idem: IdempotentCoefficients) -> None:
+def _require_product(constants: tuple, u: tuple, v: tuple, expect: tuple, what: str) -> None:
+    """u v == expect in the algebra, each given as (D, numerators) by `_integer_vector`."""
+    (du, nu), (dv, nv), (de, ne) = u, v, expect
+    prod = algebra_product(constants, nu, nv)
+    zero = [0] * 9
+    for d in sorted(prod.keys() | ne.keys()):
+        got, want = prod.get(d, zero), ne.get(d, zero)
+        for k in range(9):
+            if got[k] * de != want[k] * du * dv:
+                raise InternalConsistencyError(f"{what} in the sqrt({d}) part at R{k + 1}")
+
+
+def verify_epsilon_identities(constants: tuple, idem: IdempotentCoefficients) -> None:
     """Check eps_ij eps_kl = delta_jk eps_il exactly in the algebra."""
     eps = {
         (1, 1): idem.eps11, (1, 2): idem.eps12,
         (2, 1): idem.eps21, (2, 2): idem.eps22,
     }
-    for (i, j), u in eps.items():
-        for (k, l), v in eps.items():
-            prod = algebra_product(p_table, u, v)
-            expect = eps[(i, l)] if j == k else (QuadExt(0),) * 9
-            if tuple(prod) != tuple(expect):
-                raise InternalConsistencyError(
-                    f"eps_{i}{j} eps_{k}{l} != delta * eps_{i}{l}")
+    forms = {key: _integer_vector(vec) for key, vec in eps.items()}
+    for (i, j), u in forms.items():
+        for (k, l), v in forms.items():
+            expect = forms[(i, l)] if j == k else (1, {})
+            _require_product(constants, u, v, expect,
+                             f"eps_{i}{j} eps_{k}{l} != delta * eps_{i}{l}")
 
 
 @dataclass(frozen=True)
@@ -317,12 +337,12 @@ def projector_and_gram(cc: CoherentConfig) -> ProjectorResult:
 
     Checks E = E^T, E^2 = E, trace(E) = m - 1, that E annihilates both fiber
     indicator vectors, and that every entry agrees with its pair-class value.
-    The multiplication check runs through the verified intersection-number
-    table at every size, and also densely for configurations of at most
-    FULL_MATRIX_LIMIT vertices.  The dense check writes E exactly as
-    sum_r sqrt(r) N_r / D: D is the lcm of the coefficient denominators and
-    N_r is one integer matrix per radicand r in {1, d1, d2, d1 d2}.  E^2 = E
-    then takes one integer matmul per radicand pair.  The matrices are int64
+    Every value is written exactly as sum_r sqrt(r) N_r / D: D is the lcm of
+    the coefficient denominators and N_r holds integers, one array per
+    radicand r in {1, d1, d2, d1 d2}.  The eps identities and E^2 = E run on
+    these numerators through the nonzero p_ij^k at every size, and E^2 = E
+    also densely for configurations of at most FULL_MATRIX_LIMIT vertices,
+    one integer matmul per radicand pair.  The dense matrices are int64
     only when size * max|N|^2 * (sum of the gcds g in sqrt(r) sqrt(s) =
     g sqrt(d)) and D * max|N| are both below 2^63, so no product can
     overflow; otherwise they hold Python integers.  The verified form is the
@@ -332,7 +352,8 @@ def projector_and_gram(cc: CoherentConfig) -> ProjectorResult:
     if not report.ok:
         raise StructureError(f"axioms fail: {report.violation}")
     idem = idempotent_basis(cc.params)
-    verify_epsilon_identities(report.p, idem)
+    constants = structure_constants(report.p)
+    verify_epsilon_identities(constants, idem)
     half = Fraction(1, 2)
     coeffs = tuple(
         (a + b + c + d) * half
@@ -345,9 +366,8 @@ def projector_and_gram(cc: CoherentConfig) -> ProjectorResult:
     if trace != QuadExt(cc.m - 1):
         raise InternalConsistencyError(f"trace(E) = {trace} != m - 1")
     # idempotency in the algebra (valid for any size; the p table is verified)
-    square = algebra_product(report.p, coeffs, coeffs)
-    if tuple(square) != tuple(coeffs):
-        raise InternalConsistencyError("E^2 != E in the adjacency algebra")
+    form = _integer_vector(coeffs)
+    _require_product(constants, form, form, form, "E^2 != E in the adjacency algebra")
     # fiber annihilation: row sums against both indicator vectors
     p = cc.params
     v_sums = (
@@ -383,12 +403,8 @@ class _IntegerForm:
     parts: dict  # radicand -> square integer ndarray, int64 or object dtype
 
 
-def _integer_form(values, index: np.ndarray) -> _IntegerForm:
-    """Integer form of the matrix whose entry (a, b) is values[index[a, b]].
-
-    The parts are int64 under the overflow bound stated in
-    projector_and_gram and object (Python integers) otherwise.
-    """
+def _integer_vector(values) -> tuple:
+    """(D, {r: N_r}) with values[i] = sum_r sqrt(r) N_r[i] / D, D the lcm of the denominators."""
     radicands = sorted({r for v in values for r, _ in v.terms})
     _radicand_closure(radicands)  # at most two independent radicands
     denominator = math.lcm(*(c.denominator for v in values for _, c in v.terms))
@@ -396,8 +412,18 @@ def _integer_form(values, index: np.ndarray) -> _IntegerForm:
     for i, v in enumerate(values):
         for r, c in v.terms:
             tables[r][i] = c.numerator * (denominator // c.denominator)
+    return denominator, tables
+
+
+def _integer_form(values, index: np.ndarray) -> _IntegerForm:
+    """Integer form of the matrix whose entry (a, b) is values[index[a, b]].
+
+    The parts are int64 under the overflow bound stated in
+    projector_and_gram and object (Python integers) otherwise.
+    """
+    denominator, tables = _integer_vector(values)
     biggest = max((abs(n) for t in tables.values() for n in t), default=0)
-    g_sum = sum(_sf_product(r, s)[0] for r in radicands for s in radicands)
+    g_sum = sum(_sf_product(r, s)[0] for r in tables for s in tables)
     fits = (index.shape[0] * biggest ** 2 * g_sum < 2 ** 63
             and denominator * biggest < 2 ** 63)
     dtype = np.int64 if fits else object

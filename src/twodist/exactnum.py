@@ -107,9 +107,19 @@ class QuadExt:
                 raise ValueError(f"radicand must be >= 1, got {rad}")
             s, d = squarefree_decompose(rad)
             terms[d] = terms.get(d, Fraction(0)) + coeff * s
+        self._terms = QuadExt._trusted(terms)._terms
+
+    @classmethod
+    def _trusted(cls, terms: dict) -> "QuadExt":
+        """Canonical value of terms whose radicands are already square-free.
+
+        Drops zero coefficients, checks the rank and sorts by radicand.
+        """
         terms = {r: c for r, c in terms.items() if c}
         _radicand_closure(terms)
-        self._terms = tuple(sorted(terms.items()))
+        out = cls.__new__(cls)
+        out._terms = tuple(sorted(terms.items()))
+        return out
 
     @property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
@@ -150,7 +160,7 @@ class QuadExt:
         terms = dict(self._terms)
         for r, c in other._terms:
             terms[r] = terms.get(r, Fraction(0)) + c
-        return QuadExt(terms)
+        return QuadExt._trusted(terms)
 
     __radd__ = __add__
 
@@ -177,7 +187,7 @@ class QuadExt:
             for r2, c2 in other._terms:
                 g, d = _sf_product(r1, r2)
                 terms[d] = terms.get(d, Fraction(0)) + c1 * c2 * g
-        return QuadExt(terms)
+        return QuadExt._trusted(terms)
 
     __rmul__ = __mul__
 
@@ -202,11 +212,11 @@ class QuadExt:
             else:
                 g, rd = _sf_product(r, d)
                 v_terms[rd] = c * g * Fraction(1, d)
-        u = QuadExt(u_terms)
-        v = QuadExt(v_terms)
+        u = QuadExt._trusted(u_terms)
+        v = QuadExt._trusted(v_terms)
         denom = u * u - v * v * d
         inv_denom = denom.inverse()
-        return (u - v * QuadExt({d: Fraction(1)})) * inv_denom
+        return (u - v * QuadExt._trusted({d: Fraction(1)})) * inv_denom
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -176,8 +176,8 @@ def test_criterion_9_property_suites(lisonek_cc, lisonek_projector, relation_row
         assert quadext_sign(v) == (1 if approx > 0 else -1)
         checked += 1
     # matrix-unit identities for the idempotent basis
-    table = coherent.verify_axioms(lisonek_cc).p
-    coherent.verify_epsilon_identities(table, lisonek_projector.idem)
+    constants = coherent.structure_constants(coherent.verify_axioms(lisonek_cc).p)
+    coherent.verify_epsilon_identities(constants, lisonek_projector.idem)
     # E annihilates both fiber indicators
     for row in relation_rows(lisonek_cc, lisonek_projector.coefficients):
         v_sum, b_sum = QuadExt(0), QuadExt(0)

@@ -3,17 +3,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twodist import coherent
 from twodist.coherent import (
     DegenerateRepresentationError,
+    InternalConsistencyError,
     StructureError,
+    _integer_vector,
+    _require_product,
     algebra_product,
     from_design,
     idempotent_basis,
+    structure_constants,
     verify_axioms,
     verify_epsilon_identities,
 )
-from twodist.designs import IncidenceDesign, derive_parameters
+from twodist.designs import IncidenceDesign, complement_design, derive_parameters
 from twodist.exactnum import QuadExt, parse_scalar
 
 GOLDEN_GRAM = {
@@ -89,16 +96,135 @@ def test_idempotent_coefficients(lisonek_cc):
     assert idem.eps22[4] == QuadExt(Fraction(-4, 63))
 
 
+def quadext_algebra_product(p_table: np.ndarray, u, v) -> tuple:
+    """Product of two adjacency-algebra elements given by QuadExt coefficient vectors.
+
+    (sum_i u_i A_i)(sum_j v_j A_j) = sum_k (sum_{ij} u_i v_j p_ij^k) A_k.
+    The algebra checks ran on this loop before the integer product; it stays
+    here as the independent oracle for ``algebra_product``.
+    """
+    out = [QuadExt(0)] * 9
+    for i in range(9):
+        if u[i].is_zero():
+            continue
+        for j in range(9):
+            if v[j].is_zero():
+                continue
+            uv = u[i] * v[j]
+            for k in range(9):
+                c = int(p_table[i, j, k])
+                if c:
+                    out[k] = out[k] + uv * c
+    return tuple(out)
+
+
+def integer_product(constants: tuple, u, v) -> tuple:
+    """algebra_product on the integer forms of u and v, read back as QuadExt values."""
+    (du, nu), (dv, nv) = _integer_vector(u), _integer_vector(v)
+    prod = algebra_product(constants, nu, nv)
+    return tuple(QuadExt({d: Fraction(n[k], du * dv) for d, n in prod.items()})
+                 for k in range(9))
+
+
 def test_epsilon_matrix_unit_identities(lisonek_cc, lisonek_projector):
     report = verify_axioms(lisonek_cc)
-    verify_epsilon_identities(report.p, lisonek_projector.idem)
+    verify_epsilon_identities(structure_constants(report.p), lisonek_projector.idem)
 
 
 def test_algebra_product_matches_matrices(lisonek_cc, lisonek_projector):
     report = verify_axioms(lisonek_cc)
     coeffs = lisonek_projector.coefficients
-    square = algebra_product(report.p, coeffs, coeffs)
+    square = quadext_algebra_product(report.p, coeffs, coeffs)
     assert tuple(square) == tuple(coeffs)
+    assert integer_product(structure_constants(report.p), coeffs, coeffs) == square
+
+
+def test_structure_constants_are_the_nonzero_table(lisonek_cc):
+    p = verify_axioms(lisonek_cc).p
+    rebuilt = np.zeros_like(p)
+    for i, j, ks in structure_constants(p):
+        assert ks and all(c for _, c in ks)
+        for k, c in ks:
+            rebuilt[i, j, k] = c
+    assert (rebuilt == p).all()
+
+
+@pytest.fixture(scope="session")
+def p_tables(lisonek_cc, lisonek, witt_design):
+    configs = (lisonek_cc, from_design(complement_design(lisonek)), from_design(witt_design))
+    return [verify_axioms(cc).p for cc in configs]
+
+
+# Q(sqrt(d1), sqrt(d2)) as its basis {1, d1, d2, d1 d2 / gcd^2}; the gcds make
+# sqrt(r) sqrt(s) = g sqrt(d) with g > 1 (sqrt(6) sqrt(10) = 2 sqrt(15))
+ALGEBRA_FIELDS = ((1, 7), (1, 2, 3, 6), (1, 6, 10, 15), (1, 5, 14, 70))
+coefficients = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
+
+
+@st.composite
+def algebra_vectors(draw, radicands) -> tuple:
+    entry = st.dictionaries(st.sampled_from(radicands), coefficients, max_size=len(radicands))
+    return tuple(QuadExt(draw(entry)) if draw(st.booleans()) else QuadExt(0)
+                 for _ in range(9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_algebra_product_matches_quadext_oracle(p_tables, data):
+    radicands = data.draw(st.sampled_from(ALGEBRA_FIELDS))
+    u = data.draw(algebra_vectors(radicands))
+    v = data.draw(algebra_vectors(radicands))
+    for table in p_tables:
+        expected = quadext_algebra_product(table, u, v)
+        assert integer_product(structure_constants(table), u, v) == expected
+
+
+def test_epsilon_failure_names_product_relation_and_radicand(lisonek_cc, lisonek_projector):
+    # eps_22's B_alpha (A4) coefficient off by 1/63: eps_11 eps_22 = 0 still
+    # holds (the point and block fibers do not meet), eps_12 eps_22 is first
+    idem = lisonek_projector.idem
+    eps22 = list(idem.eps22)
+    eps22[3] = eps22[3] + Fraction(1, 63)
+    broken = dataclasses.replace(idem, eps22=tuple(eps22))
+    constants = structure_constants(verify_axioms(lisonek_cc).p)
+    with pytest.raises(InternalConsistencyError) as err:
+        verify_epsilon_identities(constants, broken)
+    assert str(err.value) == "eps_12 eps_22 != delta * eps_12 in the sqrt(7) part at R6"
+
+
+@pytest.mark.parametrize("pair", [(a, b) for a in ("11", "12", "21", "22")
+                                  for b in ("11", "12", "21", "22")])
+def test_every_epsilon_product_is_checked(lisonek_cc, lisonek_projector, monkeypatch, pair):
+    # a product that comes back one off in its rational R1 part must fail, and
+    # must be the one named
+    idem = lisonek_projector.idem
+    forms = {key: _integer_vector(getattr(idem, f"eps{key}"))[1] for key in ("11", "12", "21", "22")}
+    exact = coherent.algebra_product
+
+    def off_by_one(constants, u, v):
+        prod = exact(constants, u, v)
+        if (u, v) == (forms[pair[0]], forms[pair[1]]):
+            prod.setdefault(1, [0] * 9)[0] += 1
+        return prod
+
+    monkeypatch.setattr(coherent, "algebra_product", off_by_one)
+    constants = structure_constants(verify_axioms(lisonek_cc).p)
+    with pytest.raises(InternalConsistencyError) as err:
+        verify_epsilon_identities(constants, idem)
+    assert str(err.value).startswith(f"eps_{pair[0]} eps_{pair[1]} != ")
+    assert str(err.value).endswith(" in the sqrt(1) part at R1")
+
+
+def test_projector_square_failure_names_relation_and_radicand(lisonek_cc, lisonek_projector):
+    constants = structure_constants(verify_axioms(lisonek_cc).p)
+    coeffs = list(lisonek_projector.coefficients)
+    form = _integer_vector(coeffs)
+    _require_product(constants, form, form, form, "E^2 != E")
+    coeffs[6] = coeffs[6] + QuadExt({7: Fraction(1, 126)})
+    form = _integer_vector(coeffs)
+    with pytest.raises(InternalConsistencyError) as err:
+        _require_product(constants, form, form, form, "E^2 != E")
+    assert str(err.value) == "E^2 != E in the sqrt(1) part at R1"
 
 
 def test_gram_table_golden(lisonek_projector):
