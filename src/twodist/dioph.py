@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, compress, islice, repeat, zip_longest
 from math import isqrt
 from operator import mul, not_
@@ -30,7 +30,7 @@ from .designs import (DesignError, block_graph_formulas, derive_parameters, inte
                       lambda_parts)
 from .exactnum import QuadExt, format_scalar, sqrt_adjoin, squarefree_decompose
 from .polynomials import (Poly, _primitive, compose_cleared, dense_coeffs, dense_divmod,
-                          dense_gcd)
+                          dense_gcd, root_free)
 
 
 class IdentityFailureError(AssertionError):
@@ -454,14 +454,53 @@ class RegionScanReport:
     points_checked: dict[str, int] = field(default_factory=dict)
     violations: list[RegionViolation] = field(default_factory=list)
     notes: dict[str, object] = field(default_factory=dict)
+    # how the checked points were covered: proved by root exclusion, or
+    # visited one by one by the row kernel; per region, the two sum to
+    # points_checked
+    points_proved: dict[str, int] = field(default_factory=dict)
+    points_enumerated: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
+# Intervals of at most this many points that root exclusion cannot close are
+# enumerated rather than split further.  Measured on g1/g2 rows (x-degree
+# 10-12, 2 vCPUs, Python 3.11): one `root_free` test takes about 17 us, and
+# a leaf of L points about 45 + 0.7 L us.  Around an isolated root each
+# level of bisection costs about 60 us (the failing half and its proved
+# sibling), so a root costs about 60 log2(n / L) + 45 + 0.7 L us, which is
+# flat between L = 64 and 256.  On 120 rows with a bound placed inside the
+# row's range of values (5,000-point intervals, 94k violations), L = 64,
+# 128 and 256 took 0.66, 0.58 and 0.55 s, and L = 16 1.09 s.  From L = 96
+# up, the default g1 box starts to enumerate intervals that one more
+# halving proves (78 points each on the rows z = -8 and z = 6); 64 is the
+# largest size tried that keeps both default boxes wholly proved.
+LEAF_POINTS = 64
+
+
+def _unproved_leaves(proves, start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """The pieces of [start, stop] that `proves(a, b)` leaves open, ascending.
+
+    An interval that `proves` closes is dropped, one of at most LEAF_POINTS
+    points is yielded, and any other is split into [a, mid] and [mid + 1, b].
+    Leaves have bounded size, so this ends whatever `proves` answers.
+    """
+    stack = [(start, stop)]
+    while stack:
+        a, b = stack.pop()
+        if proves(a, b):
+            continue
+        if b - a < LEAF_POINTS:
+            yield a, b
+            continue
+        mid = (a + b) // 2
+        stack += ((mid + 1, b), (a, mid))
+
+
 class _RowEvaluator:
-    """Exact values of g = N / D along the row z = z0, by finite differences."""
+    """Exact values of g = N / D along the row z = z0."""
 
     def __init__(self, which: str, z0: int):
         self.which = which
@@ -475,8 +514,12 @@ class _RowEvaluator:
         """Assert lo < g(x, z0) < hi for x in [x_start, x_stop].
 
         With A = N - lo D and B = hi D - N, A B > 0 holds exactly when D != 0
-        and lo < N / D < hi, so only the points where A B <= 0 are visited;
-        the ones with D = 0 go to the reduced-fiber value.
+        and lo < N / D < hi.  An x-interval [a, b] is proved whole when
+        A(a) B(a) > 0 and neither A nor B has a real root on it
+        (`root_free`); the rest is bisected down to leaves, on which the
+        finite-difference kernel visits only the points with A B <= 0.  A
+        point with D = 0 has A B <= 0, so it always lands in a leaf and gets
+        the reduced-fiber value.
         """
         if lo > hi:
             raise ValueError(f"empty interval ({lo}, {hi})")
@@ -485,16 +528,28 @@ class _RowEvaluator:
             return
         report.points_checked[region] = report.points_checked.get(region, 0) + count
         pairs = list(zip_longest(self.num, self.den, fillvalue=0))
-        above_lo = _fd_stream([n - lo * d for n, d in pairs], x_start, count)
-        below_hi = _fd_stream([hi * d - n for n, d in pairs], x_start, count)
-        failing = map((0).__ge__, map(mul, above_lo, below_hi))
-        for x0 in compress(range(x_start, x_stop + 1), failing):
-            dv = _horner(self.den, x0)
-            if dv == 0:
-                self._check_point_fallback(x0, lo, hi, region, report)
-                continue
-            report.violations.append(RegionViolation(
-                region, x0, self.z0, format_scalar(Fraction(_horner(self.num, x0), dv))))
+        above_lo = [n - lo * d for n, d in pairs]
+        below_hi = [hi * d - n for n, d in pairs]
+
+        def proves(a: int, b: int) -> bool:
+            return (_horner(above_lo, a) * _horner(below_hi, a) > 0
+                    and root_free(above_lo, a, b) and root_free(below_hi, a, b))
+
+        enumerated = 0
+        for a, b in _unproved_leaves(proves, x_start, x_stop):
+            size = b - a + 1
+            enumerated += size
+            failing = map((0).__ge__, map(mul, _fd_stream(above_lo, a, size),
+                                          _fd_stream(below_hi, a, size)))
+            for x0 in compress(range(a, b + 1), failing):
+                dv = _horner(self.den, x0)
+                if dv == 0:
+                    self._check_point_fallback(x0, lo, hi, region, report)
+                    continue
+                report.violations.append(RegionViolation(
+                    region, x0, self.z0, format_scalar(Fraction(_horner(self.num, x0), dv))))
+        report.points_enumerated[region] = report.points_enumerated.get(region, 0) + enumerated
+        report.points_proved[region] = report.points_proved.get(region, 0) + count - enumerated
 
     def _check_point_fallback(self, x0: int, lo: int, hi: int,
                               region: str, report: RegionScanReport) -> None:
@@ -521,9 +576,15 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
     strip x = z(z+1)/2 - 1, plus the exact strip-equation roots
     z = (-1 +- sqrt(41)) / 2.  For g2 (y2 branch): g in (31,33) for
     x in {1,2} and z outside G2_SMALL_Z, g in (-1,38) for x >= 3, plus the
-    enumeration of integral g2 values for x in {1,2} on G2_SMALL_Z.  Bounded lattice boxes stand in for
-    unbounded-region certificates; violations are reported, never raised.
-    A box that holds no lattice point to check raises DesignError.
+    enumeration of integral g2 values for x in {1,2} on G2_SMALL_Z.
+    Each row's x-range is bisected: an interval on which neither bound
+    polynomial has a real root (`root_free`) is proved whole, and only
+    intervals of at most LEAF_POINTS points near a root are enumerated;
+    `points_proved` and `points_enumerated` say how each region was covered.
+    The claim is still about the box's lattice points only.  Bounded lattice
+    boxes stand in for unbounded-region certificates; violations are
+    reported, never raised.  A box that holds no lattice point to check
+    raises DesignError.
     """
     if which not in ("g1", "g2"):
         raise ValueError(f"unknown auxiliary polynomial {which!r}")
@@ -899,14 +960,21 @@ def y2_curve_search(xmin: int = 3, xmax: int = 10_000,
 
     The line z = 0 (where S = m, outside the feasible ordering) belongs to
     the curve; any hit off that line would contradict the classification.
-    An inverted or empty box raises DesignError.
+    Each other row drops the x-intervals on which `root_free` excludes a
+    root and looks for zeros only on the leaves left over; a row that
+    vanishes identically is listed whole.  An inverted or empty box raises
+    DesignError.
     """
     if xmin > xmax or zmin > zmax:
         raise DesignError(f"empty search box x in [{xmin}, {xmax}], z in [{zmin}, {zmax}]")
     cleared = _p3_on_y2_cleared()
     hits: list[tuple[int, int]] = []
-    count = xmax - xmin + 1
     for z0 in range(zmin, zmax + 1):
-        values = _fd_stream(_row_coeffs(cleared, z0), xmin, count)
-        hits.extend(zip(compress(range(xmin, xmax + 1), map(not_, values)), repeat(z0)))
+        row = _row_coeffs(cleared, z0)
+        if not row:
+            hits.extend(zip(range(xmin, xmax + 1), repeat(z0)))
+            continue
+        for a, b in _unproved_leaves(partial(root_free, row), xmin, xmax):
+            values = _fd_stream(row, a, b - a + 1)
+            hits.extend(zip(compress(range(a, b + 1), map(not_, values)), repeat(z0)))
     return hits

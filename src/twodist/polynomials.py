@@ -12,12 +12,16 @@ Work along one line (a row, a fiber, a strip) runs on dense coefficient
 lists, lowest degree first: :func:`dense_coeffs` reads them off a
 univariate Poly, :func:`dense_divmod` is the exact division and
 :func:`dense_gcd` the primitive-remainder GCD of such lists.
+:func:`root_free` proves that such a list has no real root on a closed
+integer interval (Descartes' rule after a Moebius map, built from
+:func:`taylor_shift` and :func:`sign_variations`), in integers only.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from math import gcd
+from operator import ne
 from typing import Mapping, Sequence
 
 
@@ -283,3 +287,39 @@ def dense_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
         scale = b[-1] ** max(0, len(a) - len(b) + 1)
         a, b = b, dense_divmod([scale * c for c in a], b)[1]
     return _primitive(a) if a else []
+
+
+# ----- root exclusion -----------------------------------------------------
+
+
+def taylor_shift(c: Sequence[int], a: int) -> list[int]:
+    """Coefficients of c(x + a), lowest degree first (synthetic division)."""
+    out = list(c)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += a * out[j + 1]
+    return out
+
+
+def sign_variations(c: Sequence[int]) -> int:
+    """Sign changes along the coefficient list, zeros skipped."""
+    signs = [x > 0 for x in c if x]
+    return sum(map(ne, signs, signs[1:]))
+
+
+def root_free(c: Sequence[int], a: int, b: int) -> bool:
+    """True only if c has no real root in the closed interval [a, b].
+
+    Descartes' rule on the Moebius image (1 + t)^d c((a + b t) / (1 + t)),
+    whose positive roots are the roots of c in (a, b): no sign variation
+    means none.  The image's constant and leading coefficients are c(a) and
+    c(b), which must be nonzero.  A True answer is a proof; False only means
+    the test could not exclude a root (Descartes over-counts complex pairs
+    near the interval).  The zero list is never root-free.
+    """
+    c = _trim(c)
+    shifted = taylor_shift(c, a)
+    scale = b - a
+    scaled = [x * scale**k for k, x in enumerate(shifted)]
+    image = taylor_shift(scaled[::-1], 1)      # reversed image; same variations
+    return bool(image) and image[0] != 0 and image[-1] != 0 and sign_variations(image) == 0

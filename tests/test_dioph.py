@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import compress, repeat, zip_longest
+from operator import mul, not_
+from unittest import mock
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from twodist.designs import DesignError, derive_parameters
@@ -336,6 +339,47 @@ def test_finite_difference_stream_matches_horner(data, deg, start, zero):
     assert got == [_horner(coeffs, start + i) for i in range(count)]
 
 
+def enumerate_check_range(row, lo, hi, x_start, x_stop, region, report):
+    """Oracle: `check_range` without root exclusion.
+
+    A B is streamed over every point of [x_start, x_stop], and Python code
+    runs only where A B <= 0.
+    """
+    from twodist.dioph import RegionViolation, _fd_stream, _horner
+    from twodist.exactnum import format_scalar
+
+    if lo > hi:
+        raise ValueError(f"empty interval ({lo}, {hi})")
+    count = x_stop - x_start + 1
+    if count <= 0:
+        return
+    report.points_checked[region] = report.points_checked.get(region, 0) + count
+    pairs = list(zip_longest(row.num, row.den, fillvalue=0))
+    above_lo = _fd_stream([n - lo * d for n, d in pairs], x_start, count)
+    below_hi = _fd_stream([hi * d - n for n, d in pairs], x_start, count)
+    failing = map((0).__ge__, map(mul, above_lo, below_hi))
+    for x0 in compress(range(x_start, x_stop + 1), failing):
+        dv = _horner(row.den, x0)
+        if dv == 0:
+            row._check_point_fallback(x0, lo, hi, region, report)
+            continue
+        report.violations.append(RegionViolation(
+            region, x0, row.z0, format_scalar(Fraction(_horner(row.num, x0), dv))))
+
+
+def enumerate_curve_search(xmin, xmax, zmin, zmax):
+    """Oracle: `y2_curve_search`'s rows with every x visited, no root exclusion."""
+    from twodist.dioph import _fd_stream, _p3_on_y2_cleared, _row_coeffs
+
+    cleared = _p3_on_y2_cleared()
+    hits = []
+    count = xmax - xmin + 1
+    for z0 in range(zmin, zmax + 1):
+        values = _fd_stream(_row_coeffs(cleared, z0), xmin, count)
+        hits.extend(zip(compress(range(xmin, xmax + 1), map(not_, values)), repeat(z0)))
+    return hits
+
+
 def _check_range_oracle(which, z0, lo, hi, x_start, x_stop, region):
     """The per-point check of lo < g(x, z0) < hi on aux_g and Fractions."""
     from twodist.dioph import RegionViolation
@@ -414,3 +458,116 @@ def test_y2_paper_intersection_points():
     assert cleared.eval({"x": 0, "z": 1}) == 0
     assert cleared.eval({"x": -9, "z": 3}) == 0
     assert all(x <= 0 for x in (0, -9))
+
+
+@st.composite
+def tight_row_cases(draw):
+    """A g1 or g2 row, an x-interval of up to ~5,000 points and bounds near g's values.
+
+    lo and hi sit at or next to the floor of g at a point of the interval,
+    so most cases have violations, and many have stretches where A B < 0
+    with neither A nor B vanishing.
+    """
+    which = draw(st.sampled_from(["g1", "g2"]))
+    z0 = draw(st.integers(-200, 200))
+    x_start = draw(st.integers(1, 6000))
+    x_stop = x_start + draw(st.integers(-1, 5000))
+    probe = draw(st.integers(x_start, max(x_start, x_stop)))
+    try:
+        anchor = aux_g(which, probe, z0)
+    except ZeroDivisionError:
+        anchor = Fraction(0)
+    lo = anchor.numerator // anchor.denominator - draw(st.integers(0, 1))
+    hi = lo + draw(st.integers(0, 2))
+    return which, z0, lo, hi, x_start, x_stop
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tight_row_cases())
+@example(case=("g2", 0, -1, 38, 1, 400))      # D = 0 at (1, 0); g2 = 0 on the row
+@example(case=("g2", 0, 0, 1, 1, 3000))       # every point of the row fails
+@example(case=("g1", 0, -1, 1, 1, 200))       # D = 0 at (1, 0); g1 = 0 on the row
+@example(case=("g1", 0, 0, 0, 1, 1))
+def test_row_check_range_matches_enumeration_oracle(case):
+    from twodist.dioph import RegionScanReport, _RowEvaluator
+
+    which, z0, lo, hi, x_start, x_stop = case
+    row = _RowEvaluator(which, z0)
+    got = RegionScanReport(which, z0, z0, x_stop)
+    want = RegionScanReport(which, z0, z0, x_stop)
+    row.check_range(lo, hi, x_start, x_stop, "r", got)
+    enumerate_check_range(row, lo, hi, x_start, x_stop, "r", want)
+    assert got.points_checked == want.points_checked
+    assert got.violations == want.violations
+    for region, count in got.points_checked.items():
+        assert got.points_proved[region] + got.points_enumerated[region] == count
+
+
+@pytest.mark.parametrize("z0, lo, hi", [
+    (37, -1, 32),     # g2 rises through hi = 32 near x = 100 and falls back
+    (5, 1, 38),       # g2 falls through lo = 1 near x = 500
+])
+def test_a_crossing_row_is_partly_proved_and_partly_enumerated(z0, lo, hi):
+    """g2 starts inside (lo, hi) and later leaves it, with the other bound never reached.
+
+    The interval's left end passes A(a) B(a) > 0 and one of A, B is
+    root-free on the whole row, so only the root test of the other one
+    keeps the violations from being proved away.
+    """
+    from twodist.dioph import LEAF_POINTS, RegionScanReport, _RowEvaluator
+
+    row = _RowEvaluator("g2", z0)
+    assert lo < aux_g("g2", 3, z0) < hi
+    report = RegionScanReport("g2", z0, z0, 5000)
+    row.check_range(lo, hi, 3, 5000, "r", report)
+    want = RegionScanReport("g2", z0, z0, 5000)
+    enumerate_check_range(row, lo, hi, 3, 5000, "r", want)
+    assert report.violations == want.violations and report.violations
+    assert report.points_proved["r"] > LEAF_POINTS
+    assert LEAF_POINTS <= report.points_enumerated["r"] < 4998
+
+
+def test_default_boxes_need_no_enumeration():
+    """Root exclusion closes every row of the default boxes, so no point is enumerated."""
+    for which in ("g1", "g2"):
+        report = region_scan(which)
+        assert report.ok
+        assert report.points_proved == report.points_checked
+        assert set(report.points_enumerated.values()) == {0}
+
+
+@st.composite
+def stand_in_curves(draw):
+    """A curve in (x, z) with double roots, roots at both box ends and zero rows.
+
+    Factors in x alone put roots (some doubled) at xmin, xmax or inside the
+    box; (x - c)^2 + 1 has no real root yet defeats one Descartes test over
+    a wide interval; x - z^2 - c and z - z1 move roots from row to row or
+    zero a whole row.
+    """
+    x, z = Poly.gens(("x", "z"))
+    xmin = draw(st.integers(-60, 60))
+    xmax = xmin + draw(st.integers(0, 900))
+    zmin = draw(st.integers(-6, 6))
+    zmax = zmin + draw(st.integers(0, 5))
+    curve = Poly.constant(("x", "z"), draw(st.sampled_from([1, -2, 3])))
+    x_root = st.one_of(st.sampled_from([xmin, xmax]), st.integers(xmin - 5, xmax + 5))
+    for r in draw(st.lists(x_root, max_size=3)):
+        curve = curve * (x - r) ** draw(st.integers(1, 2))
+    for c in draw(st.lists(st.integers(xmin, xmax), max_size=1)):
+        curve = curve * ((x - c) ** 2 + 1)
+    for c in draw(st.lists(st.integers(xmin - 40, xmax), max_size=1)):
+        curve = curve * (x - z * z - c)
+    for z1 in draw(st.lists(st.integers(zmin, zmax), max_size=1)):
+        curve = curve * (z - z1)
+    return curve, (xmin, xmax, zmin, zmax)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=stand_in_curves())
+def test_y2_curve_search_matches_enumeration_oracle(case):
+    from twodist import dioph
+
+    curve, box = case
+    with mock.patch.object(dioph, "_p3_on_y2_cleared", lambda: curve):
+        assert y2_curve_search(*box) == enumerate_curve_search(*box)

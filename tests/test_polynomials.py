@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twodist.polynomials import Poly, compose_cleared, dense_coeffs, dense_divmod, dense_gcd
+from twodist.polynomials import (Poly, compose_cleared, dense_coeffs, dense_divmod, dense_gcd,
+                                 root_free, sign_variations, taylor_shift)
 
 XZ = ("x", "z")
 T = ("t",)
@@ -132,3 +133,86 @@ def test_gcd_divides_both_and_matches_oracle(common, u, v):
     assert dense_divmod(a, g)[1] == [] and dense_divmod(b, g)[1] == []
     assert [Fraction(x, g[-1]) for x in g] == expected
     assert len(g) >= len(common)
+
+
+# ----- root exclusion, against sympy's real-root counts ---------------------
+
+
+def sympy_poly(c):
+    import sympy
+
+    x = sympy.Symbol("x")
+    return sympy.Poly(sum(v * x**k for k, v in enumerate(c)), x)
+
+
+def real_rooted(lead, roots):
+    """Dense coefficients of lead * prod(q x - p) over roots p/q, lowest degree first."""
+    c = [lead]
+    for p, q in roots:
+        c = [b * q - a * p for a, b in zip(c + [0], [0] + c)]
+    return c
+
+
+@st.composite
+def real_rooted_cases(draw):
+    """A real-rooted polynomial whose roots may sit at, between or past a and b.
+
+    Roots are p/q with q in {1, 2, 3}; the endpoints a, b (a == b allowed)
+    are drawn first so that roots at them, double roots and roots just
+    outside are all common.
+    """
+    a = draw(st.integers(-15, 15))
+    b = a + draw(st.sampled_from([0, 0, 1, 2, 3, 7, 20]))
+    root = st.one_of(
+        st.tuples(st.sampled_from([a, b, a - 1, b + 1]), st.just(1)),
+        st.tuples(st.integers(-60, 60), st.sampled_from([1, 2, 3])))
+    roots = []
+    for r in draw(st.lists(root, max_size=6)):
+        roots += [r] * draw(st.integers(1, 3))
+    lead = draw(st.sampled_from([1, -1, 2, -5]))
+    return real_rooted(lead, roots), a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=real_rooted_cases())
+def test_root_free_is_exact_on_real_rooted_polynomials(case):
+    """With every root real, Descartes after the Moebius map counts exactly."""
+    c, a, b = case
+    assert root_free(c, a, b) == (sympy_poly(c).count_roots(a, b) == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.lists(st.integers(-20, 20), max_size=9), a=st.integers(-10, 10),
+       width=st.integers(0, 12))
+def test_root_free_is_sound(c, a, width):
+    """A True answer is a proof: no real root on [a, b], endpoints included."""
+    b = a + width
+    if root_free(c, a, b):
+        assert any(c) and sympy_poly(c).count_roots(a, b) == 0
+
+
+def test_root_free_edge_cases():
+    assert not root_free([], 0, 5) and not root_free([0, 0], 0, 5)
+    assert root_free([7], -3, 3) and root_free([-2, 0, 0], -3, 3)
+    assert not root_free([-2, 1], 2, 2) and root_free([-2, 1], 3, 3)
+    assert not root_free([-2, 1], 0, 2) and not root_free([-2, 1], 2, 9)
+    assert root_free([-10, 1], 0, 9)             # the root 10 lies past b
+    assert not root_free([1, 0, 1], -9, 9)       # x^2 + 1: the pair +-i defeats one test
+    assert root_free([1, 0, 1], 1, 9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.lists(st.integers(-10**6, 10**6), max_size=12), a=st.integers(-10**4, 10**4))
+def test_taylor_shift_matches_sympy(c, a):
+    shifted = taylor_shift(c, a)
+    assert len(shifted) == len(c)
+    if any(c):
+        assert sympy_poly(shifted) == sympy_poly(c).shift(a)
+    else:
+        assert not any(shifted)
+
+
+def test_sign_variations():
+    assert sign_variations([]) == 0 and sign_variations([0, 0]) == 0
+    assert sign_variations([1, 0, -1, 2]) == 2
+    assert sign_variations([-3, -1, 0, -2]) == 0
