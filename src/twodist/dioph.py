@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, compress, islice, repeat, zip_longest
+from itertools import repeat, zip_longest
 from math import isqrt
-from operator import mul, not_
 from typing import Iterator, Optional, Sequence
 
 from .designs import (DesignError, block_graph_formulas, derive_parameters, integrality_gate,
@@ -415,28 +414,6 @@ def _horner(coeffs: Sequence[int], x: int) -> int:
     return total
 
 
-def _fd_stream(coeffs: Sequence[int], start: int, count: int) -> Iterator[int]:
-    """Values of an integer polynomial on start, start+1, ... via differences.
-
-    The leading entries of the difference table seed d nested running sums
-    over the constant d-th difference, so each value costs d additions inside
-    `accumulate` and no Python bytecode.
-    """
-    count = max(count, 0)
-    if not coeffs:
-        return repeat(0, count)
-    d = len(coeffs) - 1
-    level = [_horner(coeffs, start + i) for i in range(d + 1)]
-    deltas = []
-    for _ in range(d + 1):
-        deltas.append(level[0])
-        level = [b - a for a, b in zip(level, level[1:])]
-    stream = repeat(deltas[d])
-    for delta in reversed(deltas[:d]):
-        stream = accumulate(stream, initial=delta)
-    return islice(stream, count)
-
-
 @dataclass(frozen=True)
 class RegionViolation:
     region: str
@@ -455,8 +432,8 @@ class RegionScanReport:
     violations: list[RegionViolation] = field(default_factory=list)
     notes: dict[str, object] = field(default_factory=dict)
     # how the checked points were covered: proved by root exclusion, or
-    # visited one by one by the row kernel; per region, the two sum to
-    # points_checked
+    # left over with A B <= 0 and checked one by one (a violation or a point
+    # where D = 0); per region, the two sum to points_checked
     points_proved: dict[str, int] = field(default_factory=dict)
     points_enumerated: dict[str, int] = field(default_factory=dict)
 
@@ -465,35 +442,19 @@ class RegionScanReport:
         return not self.violations
 
 
-# Intervals of at most this many points that root exclusion cannot close are
-# enumerated rather than split further.  Measured on g1/g2 rows (x-degree
-# 10-12, 2 vCPUs, Python 3.11): one `root_free` test takes about 17 us, and
-# a leaf of L points about 45 + 0.7 L us.  Around an isolated root each
-# level of bisection costs about 60 us (the failing half and its proved
-# sibling), so a root costs about 60 log2(n / L) + 45 + 0.7 L us, which is
-# flat between L = 64 and 256.  On 120 rows with a bound placed inside the
-# row's range of values (5,000-point intervals, 94k violations), L = 64,
-# 128 and 256 took 0.66, 0.58 and 0.55 s, and L = 16 1.09 s.  From L = 96
-# up, the default g1 box starts to enumerate intervals that one more
-# halving proves (78 points each on the rows z = -8 and z = 6); 64 is the
-# largest size tried that keeps both default boxes wholly proved.
-LEAF_POINTS = 64
+def _unproved_points(proves, start: int, stop: int) -> Iterator[int]:
+    """The points of [start, stop] that `proves(a, b)` leaves open, ascending.
 
-
-def _unproved_leaves(proves, start: int, stop: int) -> Iterator[tuple[int, int]]:
-    """The pieces of [start, stop] that `proves(a, b)` leaves open, ascending.
-
-    An interval that `proves` closes is dropped, one of at most LEAF_POINTS
-    points is yielded, and any other is split into [a, mid] and [mid + 1, b].
-    Leaves have bounded size, so this ends whatever `proves` answers.
+    An interval that `proves` closes is dropped; any other is split into
+    [a, mid] and [mid + 1, b] until it is a single point, which is yielded.
     """
     stack = [(start, stop)]
     while stack:
         a, b = stack.pop()
         if proves(a, b):
             continue
-        if b - a < LEAF_POINTS:
-            yield a, b
+        if a == b:
+            yield a
             continue
         mid = (a + b) // 2
         stack += ((mid + 1, b), (a, mid))
@@ -516,10 +477,10 @@ class _RowEvaluator:
         With A = N - lo D and B = hi D - N, A B > 0 holds exactly when D != 0
         and lo < N / D < hi.  An x-interval [a, b] is proved whole when
         A(a) B(a) > 0 and neither A nor B has a real root on it
-        (`root_free`); the rest is bisected down to leaves, on which the
-        finite-difference kernel visits only the points with A B <= 0.  A
-        point with D = 0 has A B <= 0, so it always lands in a leaf and gets
-        the reduced-fiber value.
+        (`root_free`); the rest is bisected down to single points.  On a
+        single point the test reduces to A(a) B(a) > 0, so the points left
+        over are exactly those with A B <= 0: the violations, and the points
+        with D = 0, which get the reduced-fiber value.
         """
         if lo > hi:
             raise ValueError(f"empty interval ({lo}, {hi})")
@@ -536,18 +497,14 @@ class _RowEvaluator:
                     and root_free(above_lo, a, b) and root_free(below_hi, a, b))
 
         enumerated = 0
-        for a, b in _unproved_leaves(proves, x_start, x_stop):
-            size = b - a + 1
-            enumerated += size
-            failing = map((0).__ge__, map(mul, _fd_stream(above_lo, a, size),
-                                          _fd_stream(below_hi, a, size)))
-            for x0 in compress(range(a, b + 1), failing):
-                dv = _horner(self.den, x0)
-                if dv == 0:
-                    self._check_point_fallback(x0, lo, hi, region, report)
-                    continue
-                report.violations.append(RegionViolation(
-                    region, x0, self.z0, format_scalar(Fraction(_horner(self.num, x0), dv))))
+        for x0 in _unproved_points(proves, x_start, x_stop):
+            enumerated += 1
+            dv = _horner(self.den, x0)
+            if dv == 0:
+                self._check_point_fallback(x0, lo, hi, region, report)
+                continue
+            report.violations.append(RegionViolation(
+                region, x0, self.z0, format_scalar(Fraction(_horner(self.num, x0), dv))))
         report.points_enumerated[region] = report.points_enumerated.get(region, 0) + enumerated
         report.points_proved[region] = report.points_proved.get(region, 0) + count - enumerated
 
@@ -578,9 +535,9 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
     x in {1,2} and z outside G2_SMALL_Z, g in (-1,38) for x >= 3, plus the
     enumeration of integral g2 values for x in {1,2} on G2_SMALL_Z.
     Each row's x-range is bisected: an interval on which neither bound
-    polynomial has a real root (`root_free`) is proved whole, and only
-    intervals of at most LEAF_POINTS points near a root are enumerated;
-    `points_proved` and `points_enumerated` say how each region was covered.
+    polynomial has a real root (`root_free`) is proved whole, and the rest
+    is split down to single points; `points_enumerated` counts the points
+    left over, those with A B <= 0, and `points_proved` the others.
     The claim is still about the box's lattice points only.  Bounded lattice
     boxes stand in for unbounded-region certificates; violations are
     reported, never raised.  A box that holds no lattice point to check
@@ -961,9 +918,10 @@ def y2_curve_search(xmin: int = 3, xmax: int = 10_000,
     The line z = 0 (where S = m, outside the feasible ordering) belongs to
     the curve; any hit off that line would contradict the classification.
     Each other row drops the x-intervals on which `root_free` excludes a
-    root and looks for zeros only on the leaves left over; a row that
-    vanishes identically is listed whole.  An inverted or empty box raises
-    DesignError.
+    root and splits the rest down to single points, which are exactly the
+    row's zeros; a row that vanishes identically is listed whole, without
+    the 2 (xmax - xmin) tests that splitting it would take.  An inverted or
+    empty box raises DesignError.
     """
     if xmin > xmax or zmin > zmax:
         raise DesignError(f"empty search box x in [{xmin}, {xmax}], z in [{zmin}, {zmax}]")
@@ -971,10 +929,6 @@ def y2_curve_search(xmin: int = 3, xmax: int = 10_000,
     hits: list[tuple[int, int]] = []
     for z0 in range(zmin, zmax + 1):
         row = _row_coeffs(cleared, z0)
-        if not row:
-            hits.extend(zip(range(xmin, xmax + 1), repeat(z0)))
-            continue
-        for a, b in _unproved_leaves(partial(root_free, row), xmin, xmax):
-            values = _fd_stream(row, a, b - a + 1)
-            hits.extend(zip(compress(range(a, b + 1), map(not_, values)), repeat(z0)))
+        xs = _unproved_points(partial(root_free, row), xmin, xmax) if row else range(xmin, xmax + 1)
+        hits.extend(zip(xs, repeat(z0)))
     return hits

@@ -463,7 +463,10 @@ def parse_scalar(text: str) -> QuadExt:
             rad = int(m.group("lrad"))
             coeff = Fraction(1)
         else:
-            coeff = Fraction(m.group("coeff"))
+            try:
+                coeff = Fraction(m.group("coeff"))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {m.group(0).strip()!r}") from None
             rad = int(m.group("rad")) if m.group("rad") else 1
         terms[rad] = terms.get(rad, Fraction(0)) + sign * coeff
         sign = 1

@@ -101,6 +101,13 @@ def test_embed_missing_file(capsys):
     assert code == 2
 
 
+def test_embed_rejects_a_zero_denominator_radius(lisonek_design_file, capsys):
+    code, report = dispatch(["embed", str(lisonek_design_file), "--r2", "1/0"])
+    captured = capsys.readouterr()
+    assert code == 2 and report is None and captured.out == ""
+    assert captured.err == "error: zero denominator in '1/0'\n"
+
+
 def test_embed_rejects_invalid_schema(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"m": 4, "blocks": [[1, 0]]}))

@@ -1,7 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import compress, repeat, zip_longest
-from operator import mul, not_
 from unittest import mock
 
 import pytest
@@ -311,41 +309,13 @@ def test_format_quadratic():
     assert format_quadratic((0, 0, 0)) == "0"
 
 
-def test_finite_difference_stream_matches_direct_evaluation():
-    from twodist.dioph import _fd_stream, _horner
-
-    rng = random.Random(31337)
-    for _ in range(200):
-        deg = rng.randint(0, 9)
-        coeffs = [rng.randint(-50, 50) for _ in range(deg + 1)]
-        start = rng.randint(-40, 40)
-        count = rng.randint(0, 30)
-        got = list(_fd_stream(coeffs, start, count))
-        assert got == [_horner(coeffs, start + i) for i in range(count)]
-    assert list(_fd_stream([], 5, 3)) == [0, 0, 0]
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), deg=st.integers(0, 14), start=st.integers(-10**6, 10**6),
-       zero=st.booleans())
-def test_finite_difference_stream_matches_horner(data, deg, start, zero):
-    from twodist.dioph import _fd_stream, _horner
-
-    big = 2**120
-    coeffs = [] if zero else data.draw(
-        st.lists(st.integers(-big, big), min_size=deg + 1, max_size=deg + 1))
-    count = data.draw(st.sampled_from([0, 1, deg, deg + 1, deg + 2, 300]))
-    got = list(_fd_stream(coeffs, start, count))
-    assert got == [_horner(coeffs, start + i) for i in range(count)]
-
-
 def enumerate_check_range(row, lo, hi, x_start, x_stop, region, report):
     """Oracle: `check_range` without root exclusion.
 
-    A B is streamed over every point of [x_start, x_stop], and Python code
-    runs only where A B <= 0.
+    A and B are evaluated by Horner's rule at every point of [x_start, x_stop];
+    the points with A B <= 0 are counted in `points_enumerated`.
     """
-    from twodist.dioph import RegionViolation, _fd_stream, _horner
+    from twodist.dioph import RegionViolation, _horner
     from twodist.exactnum import format_scalar
 
     if lo > hi:
@@ -354,29 +324,28 @@ def enumerate_check_range(row, lo, hi, x_start, x_stop, region, report):
     if count <= 0:
         return
     report.points_checked[region] = report.points_checked.get(region, 0) + count
-    pairs = list(zip_longest(row.num, row.den, fillvalue=0))
-    above_lo = _fd_stream([n - lo * d for n, d in pairs], x_start, count)
-    below_hi = _fd_stream([hi * d - n for n, d in pairs], x_start, count)
-    failing = map((0).__ge__, map(mul, above_lo, below_hi))
-    for x0 in compress(range(x_start, x_stop + 1), failing):
-        dv = _horner(row.den, x0)
-        if dv == 0:
+    failing = 0
+    for x0 in range(x_start, x_stop + 1):
+        n, d = _horner(row.num, x0), _horner(row.den, x0)
+        if (n - lo * d) * (hi * d - n) > 0:
+            continue
+        failing += 1
+        if d == 0:
             row._check_point_fallback(x0, lo, hi, region, report)
             continue
-        report.violations.append(RegionViolation(
-            region, x0, row.z0, format_scalar(Fraction(_horner(row.num, x0), dv))))
+        report.violations.append(RegionViolation(region, x0, row.z0, format_scalar(Fraction(n, d))))
+    report.points_enumerated[region] = report.points_enumerated.get(region, 0) + failing
 
 
 def enumerate_curve_search(xmin, xmax, zmin, zmax):
-    """Oracle: `y2_curve_search`'s rows with every x visited, no root exclusion."""
-    from twodist.dioph import _fd_stream, _p3_on_y2_cleared, _row_coeffs
+    """Oracle: `y2_curve_search`'s rows with every x evaluated by Horner's rule."""
+    from twodist.dioph import _horner, _p3_on_y2_cleared, _row_coeffs
 
     cleared = _p3_on_y2_cleared()
     hits = []
-    count = xmax - xmin + 1
     for z0 in range(zmin, zmax + 1):
-        values = _fd_stream(_row_coeffs(cleared, z0), xmin, count)
-        hits.extend(zip(compress(range(xmin, xmax + 1), map(not_, values)), repeat(z0)))
+        row = _row_coeffs(cleared, z0)
+        hits.extend((x0, z0) for x0 in range(xmin, xmax + 1) if _horner(row, x0) == 0)
     return hits
 
 
@@ -499,6 +468,7 @@ def test_row_check_range_matches_enumeration_oracle(case):
     enumerate_check_range(row, lo, hi, x_start, x_stop, "r", want)
     assert got.points_checked == want.points_checked
     assert got.violations == want.violations
+    assert got.points_enumerated == want.points_enumerated
     for region, count in got.points_checked.items():
         assert got.points_proved[region] + got.points_enumerated[region] == count
 
@@ -514,7 +484,7 @@ def test_a_crossing_row_is_partly_proved_and_partly_enumerated(z0, lo, hi):
     root-free on the whole row, so only the root test of the other one
     keeps the violations from being proved away.
     """
-    from twodist.dioph import LEAF_POINTS, RegionScanReport, _RowEvaluator
+    from twodist.dioph import RegionScanReport, _RowEvaluator
 
     row = _RowEvaluator("g2", z0)
     assert lo < aux_g("g2", 3, z0) < hi
@@ -523,8 +493,9 @@ def test_a_crossing_row_is_partly_proved_and_partly_enumerated(z0, lo, hi):
     want = RegionScanReport("g2", z0, z0, 5000)
     enumerate_check_range(row, lo, hi, 3, 5000, "r", want)
     assert report.violations == want.violations and report.violations
-    assert report.points_proved["r"] > LEAF_POINTS
-    assert LEAF_POINTS <= report.points_enumerated["r"] < 4998
+    assert report.points_proved["r"] > 0
+    # no point of these rows has D = 0, so the points left over are the violations
+    assert report.points_enumerated["r"] == len(report.violations)
 
 
 def test_default_boxes_need_no_enumeration():

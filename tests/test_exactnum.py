@@ -167,7 +167,7 @@ def test_format_parse_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "1 +", "sqrt()", "2**sqrt(2)", "1/(2)"):
+    for bad in ("", "1 +", "sqrt()", "2**sqrt(2)", "1/(2)", "1/0", "3/0*sqrt(2)"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
 

@@ -191,6 +191,21 @@ def test_root_free_is_sound(c, a, width):
         assert any(c) and sympy_poly(c).count_roots(a, b) == 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(c=st.lists(st.integers(-10**9, 10**9), max_size=13), a=st.integers(-10**5, 10**5),
+       vanish=st.booleans())
+def test_root_free_on_one_point_is_nonvanishing(c, a, vanish):
+    """On [a, a] the test is exact: root_free(c, a, a) holds iff c(a) != 0.
+
+    Row kernels bisect lattice rows down to single points, so an unproved
+    point is exactly a zero of the row.  With `vanish`, the constant term is
+    moved so that c(a) = 0.
+    """
+    if vanish and c:
+        c = [c[0] - sum(ck * a**k for k, ck in enumerate(c))] + c[1:]
+    assert root_free(c, a, a) == (sum(ck * a**k for k, ck in enumerate(c)) != 0)
+
+
 def test_root_free_edge_cases():
     assert not root_free([], 0, 5) and not root_free([0, 0], 0, 5)
     assert root_free([7], -3, 3) and root_free([-2, 0, 0], -3, 3)
