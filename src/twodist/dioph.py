@@ -6,8 +6,8 @@ parameter, and each auxiliary integer-valued function g1, g2, as one integer
 fraction N(x, z) / D(x, z); lattice rows, fixed-x fibers and the strip are
 all evaluated by substitution into that pair.  g1 and g2 are certified to
 stay inside open unit-length (or short) intervals on large lattice boxes,
-which is the desk-scale stand-in for the unbounded real certificates.  A
-brute-force solver, the parametrized solution families, the quadratic S-range
+which is the desk-scale stand-in for the unbounded real certificates.  An
+exact-root solver, the parametrized solution families, the quadratic S-range
 exclusions, and the final classification over the family curve complete the
 pipeline.
 
@@ -239,15 +239,11 @@ class PolyFrac:
         self.num = num
         self.den = dict(den or {})
 
-    @staticmethod
-    def const(c) -> "PolyFrac":
-        return PolyFrac(Poly.constant(XZ, c))
-
     def _coerce(self, other) -> "PolyFrac":
         if isinstance(other, PolyFrac):
             return other
         if isinstance(other, int):
-            return PolyFrac.const(other)
+            return PolyFrac(Poly.constant(XZ, other))
         if isinstance(other, Poly):
             return PolyFrac(other)
         return NotImplemented  # type: ignore[return-value]
@@ -268,13 +264,7 @@ class PolyFrac:
         return PolyFrac(-self.num, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -299,10 +289,6 @@ class PolyFrac:
         den = dict(self.den)
         den[other.num] = den.get(other.num, 0) + 1
         return PolyFrac(num, den)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        return other / self
 
 
 def _den_product(common: dict, mine: dict) -> Poly:
@@ -618,34 +604,37 @@ def solve_strip_equation() -> StripEquationResult:
     q = [a - b for a, b in zip_longest(num, den, fillvalue=0)]
     while q and q[-1] == 0:
         q.pop()
-    _, remainder = dense_divmod(q, quadratic[::-1])
-    if remainder:
+    if dense_divmod(q, quadratic[::-1])[1] or len(q) != 3:
         raise IdentityFailureError(
-            f"strip residue not divisible by {format_quadratic(quadratic)}: "
-            f"remainder {remainder!r}")
+            f"strip residue {q} is not a nonzero multiple of {format_quadratic(quadratic)}")
     roots = _solve_quadratic(*quadratic)
     for r in roots:
         if not _horner(q, r).is_zero() or _horner(den, r).is_zero():
             raise IdentityFailureError(f"strip root {r} fails exact verification")
-    integer_roots = tuple(sorted(_integer_roots(q)))
-    return StripEquationResult(quadratic, _discriminant(*quadratic), roots, integer_roots,
-                               len(q) - 1)
+    bound = max(map(abs, q))   # an integer root divides q[0], or is 0 or -q[1] / q[2]
+    integer_roots = tuple(_integer_roots_between(partial(_horner, q), -bound, bound))
+    return StripEquationResult(quadratic, _discriminant(*quadratic), roots, integer_roots, 2)
 
 
-def _integer_roots(p: list[int]) -> list[int]:
-    coeffs = p
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]  # factor out z; z = 0 handled below
-    if not coeffs:
-        return []
-    candidates = {0} if len(coeffs) != len(p) else set()
-    c0 = abs(coeffs[0])
-    d = 1
-    while d * d <= c0:
-        if c0 % d == 0:
-            candidates.update({d, -d, c0 // d, -(c0 // d)})
-        d += 1
-    return [c for c in sorted(candidates) if _horner(p, c) == 0]
+def _integer_roots_between(f, lo: int, hi: int) -> Sequence[int]:
+    """The integer roots of f in [lo, hi], ascending, for f of degree <= 2.
+
+    f = a t^2 + b t + c is read off f(0) and f(+-1).  A root of a quadratic
+    needs a square discriminant and 2a dividing -b +- its root; with a = 0 the
+    linear root is taken, and an f that vanishes identically keeps the range.
+    """
+    c, f1, fm1 = f(0), f(1), f(-1)
+    a, b = (f1 + fm1) // 2 - c, (f1 - fm1) // 2
+    if a:
+        disc = b * b - 4 * a * c
+        r = isqrt(max(disc, 0))
+        roots = [q for q, rem in (divmod(-b - r, 2 * a), divmod(-b + r, 2 * a))
+                 if not rem] if r * r == disc else []
+    elif b:
+        roots = [] if c % b else [-c // b]
+    else:
+        return [] if c else range(lo, hi + 1)
+    return sorted({t for t in roots if lo <= t <= hi})
 
 
 # ----- solution certificates, brute force, classification -----------------
@@ -723,32 +712,39 @@ def _family_i_gate(S: int, m: int, x: int, y: int) -> GateResult:
 
 
 def brute_solver(smax: int, mmax: int, enforce_gate: bool = True) -> list[SolutionCertificate]:
-    """Enumerate all integer solutions of p1 = p2 = p3 = 0 in the box.
+    """All integer solutions of p1 = p2 = p3 = 0 in the box, found as exact roots.
 
-    The box is 0 <= y < x < S <= smax, S < m <= mmax.  With the gate on, the
-    integrality of every derived parameter is required and each survivor is
-    cross-checked to lie on family (i) with integral z.  Output is ordered
-    lexicographically in (S, m, x, y).
+    The box is 0 <= y < x < S <= smax, S < m <= mmax.  p1 has no y term and
+    is quadratic in m with leading coefficient x^2, and p2 is quadratic in y
+    with leading coefficient 4 m^2, so each (S, x) gives its m, and each
+    (S, m, x) its y, as the integer roots of one quadratic; on p1 these are
+    m = (S +- t)^2 / x with S - x = t^2, the (x, z) parametrization.  The
+    work is O(smax^2) quadratics, not the O(smax^2 mmax) values of a scan
+    over m.  Every survivor is checked again on p1, p2 and p3 exactly.  With
+    the gate on, the integrality of every derived parameter is required and
+    each survivor is cross-checked to lie on family (i) with integral z.
+    Output is ordered lexicographically in (S, m, x, y).  A box that holds
+    no pair 2 <= S < m raises DesignError.
     """
     if smax < 2 or mmax < 2:
         raise DesignError("brute_solver needs bounds >= 2")
+    if mmax < 3:
+        raise DesignError(f"the box S <= {smax}, m <= {mmax} holds no pair 2 <= S < m")
+    if P1.degree("m") > 2 or P2.degree("y") > 2:
+        raise IdentityFailureError("p1 in m or p2 in y has degree > 2; roots would be missed")
+    points = sorted(
+        (S, m, x, y) for S in range(2, smax + 1) for x in range(1, S)
+        for m in _integer_roots_between(lambda t: _p1(S, t, x, 0), S + 1, mmax)
+        for y in _integer_roots_between(lambda t: _p2(S, m, x, t), 0, x - 1)
+        if not (_p1(S, m, x, y) or _p2(S, m, x, y) or _p3(S, m, x, y)))
     out: list[SolutionCertificate] = []
-    for S in range(2, smax + 1):
-        for m in range(S + 1, mmax + 1):
-            for x in range(1, S):
-                if _p1(S, m, x, 0):       # p1 has no y term
-                    continue
-                for y in range(x):
-                    if _p2(S, m, x, y) or _p3(S, m, x, y):
-                        continue
-                    gates = [GateResult("p-system", True, "p1 = p2 = p3 = 0")]
-                    gates += _integrality_gates(S, m, x, y)
-                    if enforce_gate:
-                        if all(g.passed for g in gates):
-                            gates.append(_family_i_gate(S, m, x, y))
-                        out.append(_finish_certificate(S, m, x, y, gates))
-                    else:
-                        out.append(_finish_certificate(S, m, x, y, gates[:2]))
+    for S, m, x, y in points:
+        gates = [GateResult("p-system", True, "p1 = p2 = p3 = 0"), *_integrality_gates(S, m, x, y)]
+        if not enforce_gate:
+            gates = gates[:2]
+        elif all(g.passed for g in gates):
+            gates.append(_family_i_gate(S, m, x, y))
+        out.append(_finish_certificate(S, m, x, y, gates))
     return out
 
 

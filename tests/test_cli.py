@@ -205,6 +205,12 @@ def test_regions_vacuous_box_exits_two(box, capsys):
     assert report is None and out == ""
 
 
+def test_solve_box_without_an_s_m_pair_exits_two(capsys):
+    code, report, out = run(["solve", "--mmax", "2"], capsys)
+    assert code == 2
+    assert report is None and out == ""
+
+
 def test_math_failure_exits_one(monkeypatch, capsys):
     # a violated bound must flip the report to failure and exit 1
     from twodist import cli, dioph

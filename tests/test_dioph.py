@@ -13,6 +13,8 @@ from twodist.dioph import (
     P3,
     _g1_expr,
     _g2_expr,
+    _integer_roots_between,
+    _p1,
     _prop_params,
     _surface,
     aux_g,
@@ -239,6 +241,127 @@ def test_brute_solver_gate_off_is_exploratory():
 def test_brute_solver_bounds_validation():
     with pytest.raises(DesignError):
         brute_solver(1, 50)
+    # 2 <= S < m <= 2 is empty: an empty list would read as "no solutions"
+    for smax in (2, 30):
+        with pytest.raises(DesignError, match=f"S <= {smax}, m <= 2"):
+            brute_solver(smax, 2)
+    assert brute_solver(2, 3) == []
+
+
+def enumerate_p_system(smax, mmax, enforce_gate=True):
+    """Oracle: `brute_solver` as a scan of every (S, m, x, y) in the box."""
+    from twodist.dioph import (GateResult, _family_i_gate, _finish_certificate,
+                               _integrality_gates)
+
+    out = []
+    for S in range(2, smax + 1):
+        for m in range(S + 1, mmax + 1):
+            for x in range(1, S):
+                if eval_p("p1", S, m, x, 0):
+                    continue
+                for y in range(x):
+                    if eval_p("p2", S, m, x, y) or eval_p("p3", S, m, x, y):
+                        continue
+                    gates = [GateResult("p-system", True, "p1 = p2 = p3 = 0")]
+                    gates += _integrality_gates(S, m, x, y)
+                    if not enforce_gate:
+                        gates = gates[:2]
+                    elif all(g.passed for g in gates):
+                        gates.append(_family_i_gate(S, m, x, y))
+                    out.append(_finish_certificate(S, m, x, y, gates))
+    return out
+
+
+@pytest.mark.parametrize("enforce_gate", [True, False])
+@pytest.mark.parametrize("box", [(8, 50), (12, 150), (30, 400)])
+def test_brute_solver_matches_enumeration(box, enforce_gate):
+    assert brute_solver(*box, enforce_gate) == enumerate_p_system(*box, enforce_gate)
+
+
+@settings(max_examples=25, deadline=None)
+@given(smax=st.integers(2, 20), mmax=st.integers(3, 300), enforce_gate=st.booleans())
+def test_brute_solver_matches_enumeration_on_random_boxes(smax, mmax, enforce_gate):
+    assert brute_solver(smax, mmax, enforce_gate) == enumerate_p_system(smax, mmax, enforce_gate)
+
+
+def test_p_system_degrees():
+    # brute_solver reads p1 in m and p2 in y as quadratics; a third degree
+    # would make its three-value interpolation miss roots
+    assert P1.degree("m") == 2 and P1.degree("y") == 0
+    assert P2.degree("y") == 2
+
+
+@pytest.mark.parametrize("name", ["P1", "P2"])
+def test_brute_solver_refuses_a_cubic(name, monkeypatch):
+    from twodist import dioph
+
+    var = "m" if name == "P1" else "y"
+    monkeypatch.setattr(dioph, name, getattr(dioph, name) * Poly.variable(var, P1.vars))
+    with pytest.raises(dioph.IdentityFailureError):
+        brute_solver(8, 50)
+
+
+def _roots_by_scan(a, b, c, lo, hi):
+    return [t for t in range(lo, hi + 1) if a * t * t + b * t + c == 0]
+
+
+def _roots_between(a, b, c, lo, hi):
+    return list(_integer_roots_between(lambda t: a * t * t + b * t + c, lo, hi))
+
+
+def test_integer_roots_keep_both_roots():
+    assert _roots_between(1, -7, 10, -20, 20) == [2, 5]
+    assert _roots_between(-3, 9, 84, -20, 20) == [-4, 7]
+    assert _roots_between(2, -1, -1, -20, 20) == [1]          # the other root is -1/2
+    # p1 at (S, x) = (5, 1): m = (5 +- 2)^2, both above S
+    assert list(_integer_roots_between(lambda m: _p1(5, m, 1, 0), 6, 400)) == [9, 49]
+
+
+def test_integer_roots_need_a_square_discriminant():
+    # isqrt(8) = 2 would give t = +-1 and isqrt(-4) read as 0 would give t = 0
+    assert _roots_between(1, 0, -2, -20, 20) == []
+    assert _roots_between(1, 0, 1, -20, 20) == []
+    assert _roots_between(1, 0, -4, -20, 20) == [-2, 2]
+
+
+def test_integer_roots_of_a_degenerate_quadratic():
+    assert _roots_between(0, 3, -12, -20, 20) == [4]
+    assert _roots_between(0, 3, -13, -20, 20) == []
+    assert _roots_between(0, 0, 5, -20, 20) == []
+    assert _roots_between(0, 0, 0, -2, 3) == [-2, -1, 0, 1, 2, 3]
+    assert _roots_between(1, -7, 10, 3, 4) == []              # roots outside the range
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(-4, 4), r1=st.integers(-30, 30), r2=st.integers(-30, 30),
+       noise=st.integers(-3, 3), lo=st.integers(-40, 40), width=st.integers(0, 80))
+def test_integer_roots_match_a_scan(k, r1, r2, noise, lo, width):
+    # k (t - r1)(t - r2), moved off its roots by noise
+    a, b, c = k, -k * (r1 + r2), k * r1 * r2 + noise
+    assert _roots_between(a, b, c, lo, lo + width) == _roots_by_scan(a, b, c, lo, lo + width)
+
+
+def test_brute_solver_rechecks_every_survivor(monkeypatch):
+    # a root finder that returns its whole range turns brute_solver into a
+    # scan; the exact check of p1, p2 and p3 must still keep only solutions
+    from twodist import dioph
+
+    monkeypatch.setattr(dioph, "_integer_roots_between", lambda f, lo, hi: range(lo, hi + 1))
+    assert brute_solver(8, 50) == enumerate_p_system(8, 50)
+
+
+def test_brute_solver_large_box():
+    certs = brute_solver(100, 100_000)
+    for cert in certs:
+        assert [eval_p(w, *cert.smxy) for w in ("p1", "p2", "p3")] == [0, 0, 0]
+    accepted = [c for c in certs if c.accepted]
+    assert [c.candidate[4] for c in accepted] == [1, 2, 4, 5, 6, 8]
+    assert [c.smxy for c in accepted] == [family_points("i", z) for z in (1, 2, 4, 5, 6, 8)]
+    on_family = {c.candidate[4]: c for c in classify(8).certificates}
+    for cert in accepted:
+        family_cert = on_family[cert.candidate[4]]
+        assert family_cert.smxy == cert.smxy
+        assert [g.passed for g in family_cert.gates if g.name == "integrality"] == [True]
 
 
 def test_classify_unique_acceptance_for_every_bound():
