@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import coherent, designs, dioph, geometry
-from .designs import DesignError
+from .errors import DegeneracyError, DesignError, InternalConsistencyError
 from .exactnum import QuadExt, format_scalar, parse_scalar
 
 EXIT_OK = 0
@@ -152,8 +152,6 @@ def _verify_lisonek(report: CommandReport) -> bool:
 
 
 def cmd_verify(args) -> tuple[int, CommandReport]:
-    if args.target != "lisonek":
-        raise DesignError(f"unknown verification target {args.target!r}")
     report = CommandReport("verify lisonek")
     if not _verify_lisonek(report):
         report.fail()
@@ -206,7 +204,7 @@ def cmd_embed(args) -> tuple[int, CommandReport]:
                 ("case", verdict.case.letter),
                 ("complement case", verdict.case.complement_letter),
             ]
-    except geometry.DegeneracyError as exc:
+    except DegeneracyError as exc:
         rows = [("two-distance", f"degenerate: {exc}")]
     report.add("classification", rows)
     if args.dump_gram:
@@ -292,7 +290,7 @@ def cmd_identities(args) -> tuple[int, CommandReport]:
     report = CommandReport("identities")
     try:
         result = dioph.verify_identities()
-    except dioph.IdentityFailureError as exc:
+    except InternalConsistencyError as exc:
         report.add("identities", [("failure", str(exc))])
         report.fail()
         return EXIT_MATH, report
@@ -354,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: Sequence[str]) -> tuple[int, Optional[CommandReport]]:
-    """Route a command line; returns (exit code, report)."""
+    """Route a command line; returns (exit code, report); errors exit as `twodist.errors` says."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -362,10 +360,10 @@ def dispatch(argv: Sequence[str]) -> tuple[int, Optional[CommandReport]]:
         return (int(exc.code) if exc.code else EXIT_OK), None
     try:
         code, report = args.func(args)
-    except (DesignError, ValueError, OSError) as exc:
+    except (DesignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE, None
-    except AssertionError as exc:
+    except InternalConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_MATH, None
     _emit(report, args.json)

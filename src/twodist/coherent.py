@@ -16,22 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .designs import (
-    DesignParameters,
-    IncidenceDesign,
-    StructureError,
-    incidence_matrix,
-    parameters_from_design,
-)
+from .designs import DesignParameters, IncidenceDesign, incidence_matrix, parameters_from_design
+from .errors import DesignError, InternalConsistencyError
 from .exactnum import QuadExt, _radicand_closure, _sf_product, sqrt_adjoin
-
-
-class DegenerateRepresentationError(ValueError):
-    """A representation coefficient hits a vanishing denominator."""
-
-
-class InternalConsistencyError(AssertionError):
-    """An exact identity that must hold failed; indicates a bug upstream."""
 
 
 RELATION_NAMES = ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9")
@@ -211,11 +198,11 @@ def idempotent_basis(p: DesignParameters) -> IdempotentCoefficients:
     determinant alpha1 beta2 - alpha2 beta1 vanishes.
     """
     if p.P == 0:
-        raise DegenerateRepresentationError("P = 0 leaves alpha2 undefined")
+        raise DesignError("P = 0 leaves alpha2 undefined")
     st = Fraction(p.S) * p.T
     tl = p.T - p.Lambda
     if st < 0 or tl < 0:
-        raise DegenerateRepresentationError(
+        raise DesignError(
             f"negative radicand: S*T = {st}, T - Lambda = {tl}")
     alpha1 = sqrt_adjoin(st)
     alpha2 = (p.k - p.N) / p.P * alpha1
@@ -224,7 +211,7 @@ def idempotent_basis(p: DesignParameters) -> IdempotentCoefficients:
     disc = alpha1 * beta2 - alpha2 * beta1
     nrs = p.n * (p.r - p.s)
     if disc.is_zero() or nrs == 0:
-        raise DegenerateRepresentationError(
+        raise DesignError(
             f"degenerate representation: disc = {disc}, n(r - s) = {nrs}")
     zero = QuadExt(0)
     m = p.m
@@ -350,7 +337,7 @@ def projector_and_gram(cc: CoherentConfig) -> ProjectorResult:
     """
     report = verify_axioms(cc)
     if not report.ok:
-        raise StructureError(f"axioms fail: {report.violation}")
+        raise DesignError(f"axioms fail: {report.violation}")
     idem = idempotent_basis(cc.params)
     constants = structure_constants(report.p)
     verify_epsilon_identities(constants, idem)

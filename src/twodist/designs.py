@@ -11,6 +11,7 @@ separate gate so callers can see exactly which condition fails.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -19,19 +20,8 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import DegenerateParametersError, DesignError
 from .exactnum import format_scalar
-
-
-class DesignError(ValueError):
-    """Invalid design data or parameters."""
-
-
-class StructureError(DesignError):
-    """The input lacks the structure this construction needs."""
-
-
-class DegenerateParametersError(DesignError):
-    """A parameter formula hits a zero denominator."""
 
 
 # ----- parameter calculus ----------------------------------------------
@@ -106,18 +96,21 @@ def block_graph_formulas(S, m, alpha, beta) -> dict:
     return {"Lambda": lam, "T": t, "N": big_n, "P": big_p, "r": r, "k": k, "n": n, "s": s}
 
 
+def require_ordering(m: int, S: int, alpha: int, beta: int) -> None:
+    """Raise DesignError unless 0 <= beta < alpha < S < m."""
+    if not (0 <= beta < alpha < S < m):
+        raise DesignError(f"parameters must satisfy 0 <= beta < alpha < S < m, got "
+                          f"(m={m}, S={S}, alpha={alpha}, beta={beta})")
+
+
 def derive_parameters(m: int, S: int, alpha: int, beta: int) -> DesignParameters:
     """Derive (Lambda, T, N, P, n, k, r, s) exactly from (m, S, alpha, beta).
 
-    Requires the feasibility ordering 0 <= beta < alpha < S < m; raises
+    Requires the feasibility ordering (`require_ordering`); raises
     DegenerateParametersError when the Lambda denominator vanishes (the
     ordering keeps every other denominator nonzero).
     """
-    if not (0 <= beta < alpha < S < m):
-        raise DesignError(
-            f"parameters must satisfy 0 <= beta < alpha < S < m, got "
-            f"(m={m}, S={S}, alpha={alpha}, beta={beta})"
-        )
+    require_ordering(m, S, alpha, beta)
     if lambda_parts(S, m, alpha, beta)[1] == 0:
         raise DegenerateParametersError(
             f"degenerate parameters (m={m}, S={S}, alpha={alpha}, beta={beta})"
@@ -152,15 +145,15 @@ def integrality_gate(p: DesignParameters) -> GateReport:
             f"(m={p.m}, S={p.S}, alpha={p.alpha}, beta={p.beta})"
         )
     if p.Lambda.denominator != 1 or p.Lambda < 1:
-        violations.append(f"Lambda = {p.Lambda} is not a positive integer")
+        violations.append(f"Lambda = {format_scalar(p.Lambda)} is not a positive integer")
     for name in ("T", "N", "P", "k", "n"):
         value: Fraction = getattr(p, name)
         if value.denominator != 1 or value < 0:
-            violations.append(f"{name} = {value} is not a nonnegative integer")
+            violations.append(f"{name} = {format_scalar(value)} is not a nonnegative integer")
     for name in ("r", "s"):
         value = getattr(p, name)
         if value.denominator != 1:
-            violations.append(f"{name} = {value} is not an integer")
+            violations.append(f"{name} = {format_scalar(value)} is not an integer")
     return GateReport(p, tuple(violations))
 
 
@@ -244,6 +237,8 @@ class IntersectionProfile:
 
 def incidence_matrix(d: IncidenceDesign) -> np.ndarray:
     """The m x n 0/1 matrix (int8) with entry (p, j) = 1 when point p lies in block j."""
+    if d.m * d.block_count > sys.maxsize:
+        raise DesignError(f"{d.m} points x {d.block_count} blocks exceed numpy's array size")
     inc = np.zeros((d.m, d.block_count), dtype=np.int8)
     for j, block in enumerate(d.blocks):
         inc[list(block), j] = 1
@@ -318,6 +313,8 @@ def load_design(path) -> IncidenceDesign:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DesignError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # bytes that do not decode, an integer over the digit limit
+        raise DesignError(f"{path}: {exc}") from exc
     return design_from_json(data, source=str(path))
 
 
@@ -330,11 +327,11 @@ def parameters_from_design(d: IncidenceDesign, inter: Optional[np.ndarray] = Non
     """Read (m, S, alpha, beta) off an actual design and derive the rest.
 
     `inter` is the block intersection matrix inc^T inc when the caller has
-    it; a design that is not quasi-symmetric raises StructureError.
+    it; a design that is not quasi-symmetric raises DesignError.
     """
     profile = intersection_numbers(d, inter)
     if not profile.quasi_symmetric:
-        raise StructureError(
+        raise DesignError(
             f"design is not quasi-symmetric: intersection values {profile.values}"
         )
     assert profile.alpha is not None and profile.beta is not None

@@ -25,18 +25,11 @@ from itertools import repeat, zip_longest
 from math import isqrt
 from typing import Iterator, Optional, Sequence
 
-from .designs import (DesignError, block_graph_formulas, derive_parameters, integrality_gate,
-                      lambda_parts)
+from .designs import block_graph_formulas, derive_parameters, integrality_gate, lambda_parts
+from .errors import DesignError, InternalConsistencyError
 from .exactnum import QuadExt, format_scalar, sqrt_adjoin, squarefree_decompose
 from .polynomials import (Poly, _primitive, compose_cleared, dense_coeffs, dense_divmod,
                           dense_gcd, root_free)
-
-
-class IdentityFailureError(AssertionError):
-    """A residue that must be the zero polynomial is not.
-
-    This signals an implementation bug, never a property of the inputs.
-    """
 
 
 # ----- the polynomial system --------------------------------------------
@@ -185,7 +178,7 @@ class IdentityReport:
 def verify_identities() -> IdentityReport:
     """Check the parametrization and family identities as zero polynomials.
 
-    Any nonzero residue raises IdentityFailureError: these are algebraic
+    Any nonzero residue raises InternalConsistencyError: these are algebraic
     identities, so a failure can only mean a transcription bug.
     """
     checks: list[tuple[str, Poly]] = []
@@ -199,7 +192,7 @@ def verify_identities() -> IdentityReport:
                    compose_cleared(BLOCK_COUNT, _FAMILY_I_SUBS)))
     for name, residue in checks:
         if not residue.is_zero():
-            raise IdentityFailureError(f"nonzero residue for {name}: {residue!r}")
+            raise InternalConsistencyError(f"nonzero residue for {name}: {residue!r}")
     return IdentityReport(tuple(name for name, _ in checks))
 
 
@@ -605,12 +598,12 @@ def solve_strip_equation() -> StripEquationResult:
     while q and q[-1] == 0:
         q.pop()
     if dense_divmod(q, quadratic[::-1])[1] or len(q) != 3:
-        raise IdentityFailureError(
+        raise InternalConsistencyError(
             f"strip residue {q} is not a nonzero multiple of {format_quadratic(quadratic)}")
     roots = _solve_quadratic(*quadratic)
     for r in roots:
         if not _horner(q, r).is_zero() or _horner(den, r).is_zero():
-            raise IdentityFailureError(f"strip root {r} fails exact verification")
+            raise InternalConsistencyError(f"strip root {r} fails exact verification")
     bound = max(map(abs, q))   # an integer root divides q[0], or is 0 or -q[1] / q[2]
     integer_roots = tuple(_integer_roots_between(partial(_horner, q), -bound, bound))
     return StripEquationResult(quadratic, _discriminant(*quadratic), roots, integer_roots, 2)
@@ -731,7 +724,7 @@ def brute_solver(smax: int, mmax: int, enforce_gate: bool = True) -> list[Soluti
     if mmax < 3:
         raise DesignError(f"the box S <= {smax}, m <= {mmax} holds no pair 2 <= S < m")
     if P1.degree("m") > 2 or P2.degree("y") > 2:
-        raise IdentityFailureError("p1 in m or p2 in y has degree > 2; roots would be missed")
+        raise InternalConsistencyError("p1 in m or p2 in y has degree > 2; roots would be missed")
     points = sorted(
         (S, m, x, y) for S in range(2, smax + 1) for x in range(1, S)
         for m in _integer_roots_between(lambda t: _p1(S, t, x, 0), S + 1, mmax)
@@ -785,7 +778,7 @@ def classify(zmax: int) -> ClassifyReport:
                     f"{format_quadratic(_family_i_quadratic('S', S))}"))
             else:
                 if not (4 <= S <= m - 4):
-                    raise IdentityFailureError(
+                    raise InternalConsistencyError(
                         f"family (i) point at z={z} leaves the tight-filter range")
                 n = m * (m - 1) // 2
                 ok = (m, S) == TIGHT_DESIGN[:2]
@@ -884,7 +877,7 @@ def quadratic_exclusions() -> ExclusionReport:
         for r in roots:
             residue = QuadExt(a) * r * r + QuadExt(b) * r + QuadExt(c)
             if not residue.is_zero():
-                raise IdentityFailureError(f"root of {label} fails substitution")
+                raise InternalConsistencyError(f"root of {label} fails substitution")
         disc = _discriminant(a, b, c)
         _, sf = squarefree_decompose(disc)
         int_roots = tuple(
@@ -895,7 +888,7 @@ def quadratic_exclusions() -> ExclusionReport:
     nonsquare = tuple(sorted({e.squarefree_part for e in entries if e.squarefree_part != 1}))
     for d in nonsquare:
         if isqrt(d) ** 2 == d:
-            raise IdentityFailureError(f"discriminant {d} is a perfect square")
+            raise InternalConsistencyError(f"discriminant {d} is a perfect square")
     return ExclusionReport(tuple(entries), nonsquare)
 
 

@@ -14,13 +14,11 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
+from .errors import DesignError
+
 Rational = Fraction
 
 ScalarLike = Union[int, Fraction, "QuadExt"]
-
-
-class UnsupportedExtensionError(ValueError):
-    """Raised when a value would need more than two independent radicands."""
 
 
 def as_rational(value) -> Fraction:
@@ -73,7 +71,7 @@ def _radicand_closure(radicands: Iterable[int]) -> set[int]:
         group |= new
         # rank <= 2 means the group {1, u, v, uv} has at most 4 elements
         if len(group) > 4:
-            raise UnsupportedExtensionError(
+            raise DesignError(
                 "value leaves every extension generated by two radicands: "
                 f"radicands {sorted(group - {1})}"
             )
@@ -423,34 +421,41 @@ _TOKEN = re.compile(
 
 
 def format_scalar(value: ScalarLike) -> str:
-    if isinstance(value, (int, Fraction)):
-        return str(Fraction(value))
-    value = QuadExt(value)
-    if not value.terms:
-        return "0"
-    parts: list[str] = []
-    for r, c in value.terms:
-        mag = str(abs(c)) if r == 1 else f"{abs(c)}*sqrt({r})"
-        if not parts:
-            parts.append(mag if c > 0 else f"-{mag}")
-        else:
-            parts.append(f"+ {mag}" if c > 0 else f"- {mag}")
-    return " ".join(parts)
+    """The value in the scalar grammar; DesignError past the int/str digit limit."""
+    try:
+        if isinstance(value, (int, Fraction)):
+            return str(Fraction(value))
+        value = QuadExt(value)
+        if not value.terms:
+            return "0"
+        parts: list[str] = []
+        for r, c in value.terms:
+            mag = str(abs(c)) if r == 1 else f"{abs(c)}*sqrt({r})"
+            if not parts:
+                parts.append(mag if c > 0 else f"-{mag}")
+            else:
+                parts.append(f"+ {mag}" if c > 0 else f"- {mag}")
+        return " ".join(parts)
+    except ValueError as exc:
+        raise DesignError(str(exc)) from None
 
 
 def parse_scalar(text: str) -> QuadExt:
-    """Parse the textual scalar grammar back into a QuadExt."""
+    """Parse the textual scalar grammar back into a QuadExt.
+
+    Text outside the grammar, a zero denominator or radicand, or an integer
+    over Python's int/str digit limit raises DesignError."""
     terms: dict[int, Fraction] = {}
     pos = 0
     sign = 1
     expect_term = True
     text = text.strip()
     if not text:
-        raise ValueError("empty scalar")
+        raise DesignError("empty scalar")
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos:
-            raise ValueError(f"bad scalar syntax at {text[pos:]!r}")
+            raise DesignError(f"bad scalar syntax at {text[pos:]!r}")
         pos = m.end()
         if m.group("sign"):
             if m.group("sign") == "-":
@@ -458,19 +463,19 @@ def parse_scalar(text: str) -> QuadExt:
             expect_term = True
             continue
         if not expect_term:
-            raise ValueError(f"missing operator before {text[m.start():]!r}")
-        if m.group("lone"):
-            rad = int(m.group("lrad"))
-            coeff = Fraction(1)
-        else:
-            try:
-                coeff = Fraction(m.group("coeff"))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {m.group(0).strip()!r}") from None
-            rad = int(m.group("rad")) if m.group("rad") else 1
+            raise DesignError(f"missing operator before {text[m.start():]!r}")
+        try:
+            coeff = Fraction(m.group("coeff") or 1)
+            rad = int(m.group("rad") or m.group("lrad") or 1)
+        except ZeroDivisionError:
+            raise DesignError(f"zero denominator in {m.group(0).strip()!r}") from None
+        except ValueError as exc:
+            raise DesignError(str(exc)) from None
         terms[rad] = terms.get(rad, Fraction(0)) + sign * coeff
         sign = 1
         expect_term = False
     if expect_term:
-        raise ValueError(f"dangling operator in {text!r}")
+        raise DesignError(f"dangling operator in {text!r}")
+    if terms.get(0):
+        raise DesignError("radicand must be >= 1, got 0")
     return QuadExt(terms)

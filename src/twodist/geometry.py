@@ -19,14 +19,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .coherent import GramTable, InternalConsistencyError
-from .designs import DesignError
+from .coherent import GramTable
+from .designs import require_ordering
 from .dioph import eval_p
+from .errors import DegeneracyError, DesignError, InternalConsistencyError
 from .exactnum import QuadExt, quadext_sqrt, sqrt_adjoin
-
-
-class DegeneracyError(ValueError):
-    """The candidate second distance collapses onto sqrt(2)."""
 
 
 def f_ratio(t) -> Fraction:
@@ -175,9 +172,7 @@ def theoretical_spectrum(S: int, m: int, alpha: int, beta: int,
     gamma > 2 (+) or gamma < 2 (-).  All values are exact; radicals never
     nest because products of paired square roots are expanded first.
     """
-    if not (0 <= beta < alpha < S < m):
-        raise DesignError(
-            f"need 0 <= beta < alpha < S < m, got ({S}, {m}, {alpha}, {beta})")
+    require_ordering(m, S, alpha, beta)
     if branch not in ("gt2", "lt2"):
         raise ValueError(f"branch must be 'gt2' or 'lt2', got {branch!r}")
     fm = f_ratio(m)
@@ -366,9 +361,7 @@ class PResiduals:
 
 
 def p_residuals(S: int, m: int, alpha: int, beta: int) -> PResiduals:
-    if not (0 <= beta < alpha < S < m):
-        raise DesignError(
-            f"need 0 <= beta < alpha < S < m, got ({S}, {m}, {alpha}, {beta})")
+    require_ordering(m, S, alpha, beta)
     gt2 = tuple(eval_p(w, S, m, alpha, beta) for w in ("p1", "p2", "p3"))
     lt2 = tuple(eval_p(w, S, m, beta, alpha) for w in ("p1", "p2", "p3"))
     return PResiduals(gt2, lt2)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from twodist.cli import dispatch
+from twodist.errors import DesignError, InternalConsistencyError
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -227,6 +228,97 @@ def test_math_failure_exits_one(monkeypatch, capsys):
         capsys)
     assert code == 1
     assert report.status == "failure"
+
+
+# ----- exit-code contract ---------------------------------------------------
+
+LISONEK_FILE = str(DATA_DIR / "lisonek_design.json")
+OVER_DIGIT_LIMIT = "7" * 5000   # Python converts at most 4,300 digits between int and str
+# written into the test's tmp directory, which "{tmp}" in an argv names
+CONTRACT_FILES = {
+    "latin1.json": b'{"m": 3, "blocks": [[0, 1], [1, 2]], "name": "\xe9"}',
+    "big_int.json": b'{"m": ' + OVER_DIGIT_LIMIT.encode() + b', "blocks": [[0, 1]]}',
+    "not_qs.json": b'{"m": 4, "blocks": [[0, 1], [2, 3]]}',
+    "axioms_fail.json": b'{"m": 4, "blocks": [[0, 1], [2, 3], [0, 2]]}',
+    "huge_m.json": b'{"m": 1' + b"0" * 200 + b', "blocks": [[0, 1], [0, 2], [1, 3]]}',
+}
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("argv, code, injected", [
+    pytest.param(["verify", "lisonek"], 0, None, id="verify"),
+    pytest.param(["params", "9", "2", "1", "0"], 1,
+                 InternalConsistencyError("injected"), id="consistency-failure"),
+    pytest.param(["params", "5", "2", "3", "0"], 2, None, id="params-ordering"),
+    pytest.param(["params", "5", "3", "2", "0"], 2, None, id="params-degenerate"),
+    pytest.param(["params", "1" + "0" * 1500, "1" + "0" * 1400, "2", "1"], 2, None,
+                 id="params-output-over-digit-limit"),
+    pytest.param(["embed", LISONEK_FILE, "--r2", "-1"], 2, None, id="r2-negative"),
+    pytest.param(["embed", LISONEK_FILE, "--r2", "1/0"], 2, None, id="r2-zero-denominator"),
+    pytest.param(["embed", LISONEK_FILE, "--r2", "sqrt(2)+sqrt(3)+sqrt(5)"], 2, None,
+                 id="r2-three-radicands"),
+    pytest.param(["embed", LISONEK_FILE, "--r2", "sqrt(0)"], 2, None, id="r2-zero-radicand"),
+    pytest.param(["embed", LISONEK_FILE, "--r2", "1 2"], 2, None, id="r2-syntax"),
+    pytest.param(["embed", LISONEK_FILE, "--r2", OVER_DIGIT_LIMIT], 2, None,
+                 id="r2-coefficient-over-digit-limit"),
+    pytest.param(["embed", LISONEK_FILE, "--r2", f"sqrt({OVER_DIGIT_LIMIT})"], 2, None,
+                 id="r2-radicand-over-digit-limit"),
+    pytest.param(["embed", LISONEK_FILE, "--r2", "7" * 3000], 2, None,
+                 id="r2-output-over-digit-limit"),
+    pytest.param(["embed", "{tmp}/missing.json"], 2, None, id="design-missing"),
+    pytest.param(["embed", "{tmp}"], 2, None, id="design-directory"),
+    pytest.param(["embed", "{tmp}/latin1.json"], 2, None, id="design-not-utf8"),
+    pytest.param(["embed", "{tmp}/big_int.json"], 2, None, id="design-int-over-digit-limit"),
+    pytest.param(["embed", "{tmp}/not_qs.json"], 2, None, id="design-not-quasi-symmetric"),
+    pytest.param(["embed", "{tmp}/axioms_fail.json"], 2, None, id="design-axioms-fail"),
+    pytest.param(["embed", "{tmp}/huge_m.json"], 2, None, id="design-too-large-for-numpy"),
+])
+def test_exit_code_contract(argv, code, injected, tmp_path, monkeypatch, capsys):
+    from twodist import cli
+
+    for name, content in CONTRACT_FILES.items():
+        (tmp_path / name).write_bytes(content)
+    if injected is not None:
+        monkeypatch.setattr(cli.designs, "derive_parameters", _raise(injected))
+    got, report = dispatch([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    captured = capsys.readouterr()
+    assert got == code
+    if code == 0:
+        assert report is not None and report.status == "ok" and captured.err == ""
+    else:
+        assert report is None and captured.out == ""
+        prefix = "error: " if code == 2 else "consistency failure: "
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [ValueError("a bug"), KeyError("a bug"), AssertionError("a bug")])
+def test_other_exceptions_propagate(exc, monkeypatch, capsys):
+    # only the classes in twodist.errors (and OSError) map to an exit code
+    from twodist import cli
+
+    monkeypatch.setattr(cli.designs, "derive_parameters", _raise(exc))
+    with pytest.raises(type(exc)):
+        dispatch(["params", "9", "2", "1", "0"])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name, prefix", [
+    ("latin1.json", "'utf-8' codec can't decode"),
+    ("big_int.json", "Exceeds the limit (4300 digits)"),
+])
+def test_load_design_names_the_file(name, prefix, tmp_path):
+    from twodist.designs import load_design
+
+    path = tmp_path / name
+    path.write_bytes(CONTRACT_FILES[name])
+    with pytest.raises(DesignError) as err:
+        load_design(path)
+    assert str(err.value).startswith(f"{path}: {prefix}")
 
 
 def test_console_entry_point():

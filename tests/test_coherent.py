@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 
 from twodist import coherent
 from twodist.coherent import (
-    DegenerateRepresentationError,
-    InternalConsistencyError,
-    StructureError,
     _integer_vector,
     _require_product,
     algebra_product,
@@ -21,6 +18,7 @@ from twodist.coherent import (
     verify_epsilon_identities,
 )
 from twodist.designs import IncidenceDesign, complement_design, derive_parameters
+from twodist.errors import DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, parse_scalar
 
 GOLDEN_GRAM = {
@@ -58,7 +56,7 @@ def test_complement_r4_uses_larger_intersection(lisonek):
 
 
 def test_not_quasi_symmetric_rejected():
-    with pytest.raises(StructureError):
+    with pytest.raises(DesignError, match="design is not quasi-symmetric"):
         from_design(IncidenceDesign(4, ((0, 1), (2, 3))))
 
 
@@ -307,7 +305,7 @@ def test_degenerate_representation_guard():
     p = derive_parameters(9, 2, 1, 0)
     broken = type(p)(p.m, p.S, p.alpha, p.beta, p.Lambda, p.T, p.N,
                      Fraction(0), p.n, p.k, p.r, p.s)
-    with pytest.raises(DegenerateRepresentationError):
+    with pytest.raises(DesignError, match="P = 0 leaves alpha2 undefined"):
         idempotent_basis(broken)
 
 

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from twodist.coherent import (
     GramTable,
-    InternalConsistencyError,
     _dense_checks,
     _integer_form,
     _integer_square,
 )
+from twodist.errors import InternalConsistencyError
 from twodist.exactnum import QuadExt, _sf_product
 
 

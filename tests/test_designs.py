@@ -3,8 +3,6 @@ from fractions import Fraction
 import pytest
 
 from twodist.designs import (
-    DegenerateParametersError,
-    DesignError,
     IncidenceDesign,
     complement_design,
     derive_parameters,
@@ -16,6 +14,7 @@ from twodist.designs import (
     save_design,
     verify_t_design,
 )
+from twodist.errors import DegenerateParametersError, DesignError
 
 
 @pytest.mark.parametrize("args,expected", [
@@ -126,12 +125,12 @@ def test_double_counting(lisonek, witt_design):
 
 
 def test_parameters_from_a_given_intersection_matrix(lisonek, witt_design):
-    from twodist.designs import StructureError, incidence_matrix
+    from twodist.designs import incidence_matrix
 
     for design in (lisonek, complement_design(lisonek), witt_design):
         inc = incidence_matrix(design).astype(int)
         assert parameters_from_design(design, inc.T @ inc) == parameters_from_design(design)
-    with pytest.raises(StructureError, match="not quasi-symmetric"):
+    with pytest.raises(DesignError, match="not quasi-symmetric"):
         parameters_from_design(IncidenceDesign(4, ((0, 1), (2, 3))))
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from twodist.designs import DesignError, derive_parameters
+from twodist.designs import derive_parameters
 from twodist.dioph import (
     P1,
     P2,
@@ -32,6 +32,7 @@ from twodist.dioph import (
     z_of,
     z_parametrization,
 )
+from twodist.errors import DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, parse_scalar
 from twodist.polynomials import Poly
 
@@ -297,7 +298,7 @@ def test_brute_solver_refuses_a_cubic(name, monkeypatch):
 
     var = "m" if name == "P1" else "y"
     monkeypatch.setattr(dioph, name, getattr(dioph, name) * Poly.variable(var, P1.vars))
-    with pytest.raises(dioph.IdentityFailureError):
+    with pytest.raises(InternalConsistencyError, match="p1 in m or p2 in y has degree > 2"):
         brute_solver(8, 50)
 
 

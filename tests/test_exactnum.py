@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twodist.errors import DesignError
 from twodist.exactnum import (
     QuadExt,
-    UnsupportedExtensionError,
     format_scalar,
     parse_scalar,
     quadext_sign,
@@ -65,11 +65,12 @@ def test_division_and_inverse():
 
 
 def test_extension_rank_cap():
-    with pytest.raises(UnsupportedExtensionError):
+    beyond_two = "value leaves every extension generated by two radicands"
+    with pytest.raises(DesignError, match=beyond_two):
         QuadExt({2: 1, 3: 1, 5: 1})
-    with pytest.raises(UnsupportedExtensionError):
+    with pytest.raises(DesignError, match=beyond_two):
         QuadExt({2: 1, 3: 1}) * QuadExt({1: 1, 5: 1})
-    with pytest.raises(UnsupportedExtensionError):
+    with pytest.raises(DesignError, match=beyond_two):
         QuadExt({2: 1, 3: 1}) + QuadExt({5: 1})
     # (sqrt(2) + sqrt(3)) * sqrt(5) lands in the rank-2 field Q(sqrt(10), sqrt(15))
     ok = QuadExt({2: 1, 3: 1}) * QuadExt({5: 1})
@@ -167,9 +168,20 @@ def test_format_parse_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "1 +", "sqrt()", "2**sqrt(2)", "1/(2)", "1/0", "3/0*sqrt(2)"):
-        with pytest.raises(ValueError):
+    over_limit = "7" * 5000   # Python converts at most 4,300 digits between int and str
+    for bad in ("", "1 +", "sqrt()", "2**sqrt(2)", "1/(2)", "1/0", "3/0*sqrt(2)", "sqrt(0)",
+                "2*sqrt(0) + 1", over_limit, f"1/{over_limit}", f"sqrt({over_limit})"):
+        with pytest.raises(DesignError):
             parse_scalar(bad)
+    assert parse_scalar("0*sqrt(0) + 1") == QuadExt(1)
+
+
+def test_format_past_the_digit_limit():
+    assert format_scalar(10 ** 4299) == "1" + "0" * 4299
+    with pytest.raises(DesignError, match="Exceeds the limit"):
+        format_scalar(Fraction(1, 10 ** 4300))
+    with pytest.raises(DesignError, match="Exceeds the limit"):
+        format_scalar(QuadExt({3: 10 ** 4300}))
 
 
 def test_format_examples():

@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from twodist.designs import DesignError
+from twodist.errors import DegeneracyError, DesignError
 from twodist.exactnum import QuadExt, parse_scalar, sqrt_adjoin
 from twodist.geometry import (
-    DegeneracyError,
     centroid,
     configuration_distance_classes,
     f_ratio,

@@ -18,7 +18,8 @@ Quasi-symmetric designs, 1991):
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from twodist.designs import DegenerateParametersError, derive_parameters
+from twodist.designs import derive_parameters
+from twodist.errors import DegenerateParametersError
 
 
 @st.composite
