@@ -81,7 +81,7 @@ def test_theoretical_spectrum_lisonek():
 
 
 def test_theoretical_spectrum_errors():
-    with pytest.raises(DesignError):
+    with pytest.raises(DesignError, match=r"alpha < S < m, got \(m=9, S=9, alpha=1, beta=0\)"):
         theoretical_spectrum(9, 9, 1, 0, "gt2")
     with pytest.raises(ValueError):
         theoretical_spectrum(2, 9, 1, 0, "between")
@@ -187,6 +187,8 @@ def test_p_residuals():
     lt2 = p_residuals(2, 9, 1, 0).lt2
     assert lt2[0] == 4 and lt2 != (0, 0, 0)
     assert p_residuals(2, 9, 1, 0).feasible_branches == ("gt2",)
+    with pytest.raises(DesignError, match=r"alpha < S < m, got \(m=9, S=3, alpha=1, beta=2\)"):
+        p_residuals(3, 9, 1, 2)
 
 
 def test_geometric_route_agrees_with_polynomials():
