@@ -21,7 +21,6 @@ from .errors import DesignError, InternalConsistencyError
 from .exactnum import QuadExt, _radicand_closure, _sf_product, sqrt_adjoin
 
 
-RELATION_NAMES = ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9")
 TRANSPOSE_PAIRS = {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 8, 7: 9, 8: 6, 9: 7}
 
 GRAM_CLASS_OF_RELATION = {

@@ -236,7 +236,14 @@ class IntersectionProfile:
 
 
 def incidence_matrix(d: IncidenceDesign) -> np.ndarray:
-    """The m x n 0/1 matrix (int8) with entry (p, j) = 1 when point p lies in block j."""
+    """The m x n 0/1 matrix (int8) with entry (p, j) = 1 when point p lies in block j.
+
+    A point in no block raises DesignError before anything is allocated.
+    """
+    covered = {p for block in d.blocks for p in block}
+    if len(covered) < d.m:
+        missing = next(p for p in range(d.m) if p not in covered)
+        raise DesignError(f"point {missing} lies in no block")
     if d.m * d.block_count > sys.maxsize:
         raise DesignError(f"{d.m} points x {d.block_count} blocks exceed numpy's array size")
     inc = np.zeros((d.m, d.block_count), dtype=np.int8)

@@ -345,13 +345,17 @@ def _value_at(surface: tuple[Poly, Poly], x: int, z: int) -> Fraction:
     d = den.eval(point)
     if d:
         return Fraction(num.eval(point), d)
-    fiber = [dense_coeffs(p.subst_univariate("x", x)) for p in surface]
-    common = dense_gcd(*fiber)
-    fiber_num, fiber_den = (dense_divmod(f, common)[0] for f in fiber)
+    fiber_num, fiber_den = _reduced(*(dense_coeffs(p.subst_univariate("x", x)) for p in surface))
     d = _horner(fiber_den, z)
     if d == 0:
         raise ZeroDivisionError(f"pole at (x, z) = ({x}, {z})")
     return Fraction(_horner(fiber_num, z), d)
+
+
+def _reduced(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """num / den along one line, both divided by their `dense_gcd`."""
+    common = dense_gcd(num, den)
+    return dense_divmod(num, common)[0], dense_divmod(den, common)[0]
 
 
 def param_value(name: str, x: int, z: int, branch: str = "y1") -> Fraction:
@@ -566,23 +570,12 @@ def g2_integer_values(zmin: int = G2_SMALL_Z[0],
     return out
 
 
-@dataclass(frozen=True)
-class StripEquationResult:
-    """Exact solution data for g1 = 1 on the strip x = z(z+1)/2 - 1."""
-
-    quadratic: tuple[int, int, int]      # (a, b, c) of a z^2 + b z + c
-    discriminant: int                    # b^2 - 4ac
-    roots: tuple[QuadExt, QuadExt]
-    integer_roots: tuple[int, ...]
-    residue_degree: int
-
-
-def solve_strip_equation() -> StripEquationResult:
+def solve_strip_equation() -> Quadratic:
     """Solve g1 = 1 exactly along x = z(z+1)/2 - 1.
 
     g1 = N / D restricted to the strip is reduced once; the difference
-    num - den of the result must vanish at z = (-1 +- sqrt(41)) / 2 and at
-    no integer.
+    num - den of the result must be a nonzero multiple of z^2 + z - 10, and
+    neither root z = (-1 +- sqrt(41)) / 2 may be a pole of the reduced g1.
     """
     quadratic = (1, 1, -10)
     subs = {"x": (_strip_doubled(_FAM_Z_VAR), _TWO_Z),
@@ -590,44 +583,49 @@ def solve_strip_equation() -> StripEquationResult:
     surface = _surface("g1", "y1")
     # compose_cleared scales by 2^deg_x; bring N and D to the same power of 2
     top = max(p.degree("x") for p in surface)
-    cleared = [dense_coeffs(compose_cleared(p, subs) * 2 ** (top - p.degree("x")))
-               for p in surface]
-    common = dense_gcd(*cleared)
-    num, den = (dense_divmod(p, common)[0] for p in cleared)
+    num, den = _reduced(*(dense_coeffs(compose_cleared(p, subs) * 2 ** (top - p.degree("x")))
+                          for p in surface))
     q = [a - b for a, b in zip_longest(num, den, fillvalue=0)]
     while q and q[-1] == 0:
         q.pop()
     if dense_divmod(q, quadratic[::-1])[1] or len(q) != 3:
         raise InternalConsistencyError(
             f"strip residue {q} is not a nonzero multiple of {format_quadratic(quadratic)}")
-    roots = _solve_quadratic(*quadratic)
-    for r in roots:
-        if not _horner(q, r).is_zero() or _horner(den, r).is_zero():
-            raise InternalConsistencyError(f"strip root {r} fails exact verification")
-    bound = max(map(abs, q))   # an integer root divides q[0], or is 0 or -q[1] / q[2]
-    integer_roots = tuple(_integer_roots_between(partial(_horner, q), -bound, bound))
-    return StripEquationResult(quadratic, _discriminant(*quadratic), roots, integer_roots, 2)
+    strip = solve_quadratic("strip g1 = 1", *quadratic, note="from Region 2 of the g1 certificate")
+    for r in strip.roots:
+        if _horner(den, r).is_zero():
+            raise InternalConsistencyError(f"strip root {r} is a pole of the reduced g1")
+    return strip
+
+
+def _integer_roots(a: int, b: int, c: int) -> list[int]:
+    """The distinct integer roots of a t^2 + b t + c with a != 0, ascending.
+
+    A root needs a square discriminant and 2a dividing -b +- its root.
+    """
+    disc = b * b - 4 * a * c
+    r = isqrt(max(disc, 0))
+    if r * r != disc:
+        return []
+    return sorted({q for q, rem in (divmod(-b - r, 2 * a), divmod(-b + r, 2 * a)) if not rem})
 
 
 def _integer_roots_between(f, lo: int, hi: int) -> Sequence[int]:
     """The integer roots of f in [lo, hi], ascending, for f of degree <= 2.
 
-    f = a t^2 + b t + c is read off f(0) and f(+-1).  A root of a quadratic
-    needs a square discriminant and 2a dividing -b +- its root; with a = 0 the
-    linear root is taken, and an f that vanishes identically keeps the range.
+    f = a t^2 + b t + c is read off f(0) and f(+-1).  A quadratic goes to
+    `_integer_roots`; with a = 0 the linear root is taken, and an f that
+    vanishes identically keeps the range.
     """
     c, f1, fm1 = f(0), f(1), f(-1)
     a, b = (f1 + fm1) // 2 - c, (f1 - fm1) // 2
     if a:
-        disc = b * b - 4 * a * c
-        r = isqrt(max(disc, 0))
-        roots = [q for q, rem in (divmod(-b - r, 2 * a), divmod(-b + r, 2 * a))
-                 if not rem] if r * r == disc else []
+        roots = _integer_roots(a, b, c)
     elif b:
         roots = [] if c % b else [-c // b]
     else:
         return [] if c else range(lo, hi + 1)
-    return sorted({t for t in roots if lo <= t <= hi})
+    return [t for t in roots if lo <= t <= hi]
 
 
 # ----- solution certificates, brute force, classification -----------------
@@ -653,14 +651,6 @@ class SolutionCertificate:
     @property
     def smxy(self) -> tuple[int, int, int, int]:
         return self.candidate[:4]
-
-    def as_dict(self) -> dict:
-        return {
-            "candidate": {k: v for k, v in zip("Smxyz", self.candidate)},
-            "gates": [{"name": g.name, "passed": g.passed, "witness": g.witness}
-                      for g in self.gates],
-            "verdict": self.verdict,
-        }
 
 
 def _finish_certificate(S: int, m: int, x: int, y: int,
@@ -795,41 +785,41 @@ def classify(zmax: int) -> ClassifyReport:
     return ClassifyReport(zmax, certificates, notes)
 
 
-# ----- quadratic exclusions ----------------------------------------------
+# ----- quadratics in z ----------------------------------------------------
 
 
 @dataclass(frozen=True)
-class QuadraticExclusion:
+class Quadratic:
+    """a z^2 + b z + c = 0 with its exact roots, each checked by substitution."""
+
     label: str
-    quadratic: tuple[int, int, int]          # a z^2 + b z + c = 0
-    discriminant: int
+    quadratic: tuple[int, int, int]          # (a, b, c)
+    discriminant: int                        # b^2 - 4ac
     squarefree_part: int
-    roots: tuple[QuadExt, QuadExt]
-    integer_roots: tuple[int, ...]
+    roots: tuple[QuadExt, QuadExt]           # (-b + sqrt(disc)) / 2a, then (-b - sqrt(disc)) / 2a
+    integer_roots: tuple[int, ...]           # distinct, ascending
     note: str = ""
+
+
+def solve_quadratic(label: str, a: int, b: int, c: int, note: str = "") -> Quadratic:
+    """Solve a z^2 + b z + c = 0 exactly; a != 0 and the roots must be real.
+
+    A root that fails substitution raises InternalConsistencyError.
+    """
+    disc = b * b - 4 * a * c
+    sq, inv = sqrt_adjoin(disc), Fraction(1, 2 * a)
+    roots = ((QuadExt(-b) + sq) * inv, (QuadExt(-b) - sq) * inv)
+    for r in roots:
+        if not _horner((c, b, a), r).is_zero():
+            raise InternalConsistencyError(f"root {r} of {label} fails substitution")
+    return Quadratic(label, (a, b, c), disc, squarefree_decompose(disc)[1], roots,
+                     tuple(_integer_roots(a, b, c)), note)
 
 
 @dataclass(frozen=True)
 class ExclusionReport:
-    entries: tuple[QuadraticExclusion, ...]
+    entries: tuple[Quadratic, ...]
     nonsquare_discriminants: tuple[int, ...]
-
-    @property
-    def integer_roots(self) -> tuple[tuple[str, int], ...]:
-        return tuple((e.label, r) for e in self.entries for r in e.integer_roots)
-
-
-def _discriminant(a: int, b: int, c: int) -> int:
-    return b * b - 4 * a * c
-
-
-def _solve_quadratic(a: int, b: int, c: int) -> tuple[QuadExt, QuadExt]:
-    disc = _discriminant(a, b, c)
-    if disc < 0:
-        raise ValueError("complex roots")
-    sq = sqrt_adjoin(disc)
-    inv = Fraction(1, 2 * a)
-    return ((QuadExt(-b) + sq) * inv, (QuadExt(-b) - sq) * inv)
 
 
 def format_quadratic(q: tuple[int, int, int]) -> str:
@@ -862,34 +852,19 @@ def quadratic_exclusions() -> ExclusionReport:
     discriminant), and S = 2 gives exactly z in {1, -4/3}.  The strip
     quadratic of `solve_strip_equation` joins the list.
     """
-    cases = [
-        ("S = 2", _family_i_quadratic("S", 2), ""),
-        ("S = 3", _family_i_quadratic("S", 3), ""),
-        ("S = 7 (tight range)", _family_i_quadratic("S", 7),
-         "integer root z = 2 is excluded by the tight-design filter (m = 27 != 23)"),
-        *((f"S = m - {c}", _family_i_quadratic("m - S", c), "") for c in (3, 2, 1)),
-        ("strip g1 = 1", solve_strip_equation().quadratic,
-         "from Region 2 of the g1 certificate"),
-    ]
-    entries = []
-    for label, (a, b, c), note in cases:
-        roots = _solve_quadratic(a, b, c)
-        for r in roots:
-            residue = QuadExt(a) * r * r + QuadExt(b) * r + QuadExt(c)
-            if not residue.is_zero():
-                raise InternalConsistencyError(f"root of {label} fails substitution")
-        disc = _discriminant(a, b, c)
-        _, sf = squarefree_decompose(disc)
-        int_roots = tuple(
-            int(r.rational_value()) for r in roots
-            if r.is_rational() and r.rational_value().denominator == 1
-        )
-        entries.append(QuadraticExclusion(label, (a, b, c), disc, sf, roots, int_roots, note))
+    entries = (
+        solve_quadratic("S = 2", *_family_i_quadratic("S", 2)),
+        solve_quadratic("S = 3", *_family_i_quadratic("S", 3)),
+        solve_quadratic("S = 7 (tight range)", *_family_i_quadratic("S", 7), note=(
+            "integer root z = 2 is excluded by the tight-design filter (m = 27 != 23)")),
+        *(solve_quadratic(f"S = m - {c}", *_family_i_quadratic("m - S", c)) for c in (3, 2, 1)),
+        solve_strip_equation(),
+    )
     nonsquare = tuple(sorted({e.squarefree_part for e in entries if e.squarefree_part != 1}))
     for d in nonsquare:
         if isqrt(d) ** 2 == d:
             raise InternalConsistencyError(f"discriminant {d} is a perfect square")
-    return ExclusionReport(tuple(entries), nonsquare)
+    return ExclusionReport(entries, nonsquare)
 
 
 # ----- bounded search on the y2 branch ------------------------------------

@@ -16,9 +16,11 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .errors import DesignError
 
-Rational = Fraction
-
 ScalarLike = Union[int, Fraction, "QuadExt"]
+
+# parse_scalar refuses radicands from here up: squarefree_decompose factors by
+# trial division, which takes about 0.1 s on the prime 999999999989
+RADICAND_LIMIT = 10**12
 
 
 def as_rational(value) -> Fraction:
@@ -443,8 +445,9 @@ def format_scalar(value: ScalarLike) -> str:
 def parse_scalar(text: str) -> QuadExt:
     """Parse the textual scalar grammar back into a QuadExt.
 
-    Text outside the grammar, a zero denominator or radicand, or an integer
-    over Python's int/str digit limit raises DesignError."""
+    Text outside the grammar, a zero denominator or radicand, a radicand of
+    RADICAND_LIMIT or more, or an integer over Python's int/str digit limit
+    raises DesignError."""
     terms: dict[int, Fraction] = {}
     pos = 0
     sign = 1
@@ -471,6 +474,8 @@ def parse_scalar(text: str) -> QuadExt:
             raise DesignError(f"zero denominator in {m.group(0).strip()!r}") from None
         except ValueError as exc:
             raise DesignError(str(exc)) from None
+        if rad >= RADICAND_LIMIT:
+            raise DesignError(f"radicand must be below 10^12, got {rad}")
         terms[rad] = terms.get(rad, Fraction(0)) + sign * coeff
         sign = 1
         expect_term = False

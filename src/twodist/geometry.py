@@ -125,9 +125,6 @@ def configuration_distance_classes(config: PointConfiguration) -> dict:
 # ----- distance spectra ----------------------------------------------------
 
 
-CLASS_KEYS = ("V_V", "B_B_alpha", "B_B_beta", "V_B_in", "V_B_out")
-
-
 @dataclass(frozen=True)
 class DistanceSpectrum:
     """Exact squared distances of an embedding, by index and by pair class.

@@ -123,6 +123,21 @@ def test_embed_witt_design(capsys):
     assert params["Lambda"] == "21" and params["n"] == "253"
 
 
+@pytest.mark.parametrize("name", [
+    "lisonek_design.json", "lisonek_complement.json", "witt_4_23_7_1.json"])
+def test_embed_lt2_spectrum_is_the_closed_form(name, capsys):
+    """--branch lt2 takes the lt2 radius and the antipodal orientation together."""
+    from twodist.geometry import theoretical_spectrum
+
+    code, report, _ = run(["embed", str(DATA_DIR / name), "--branch", "lt2"], capsys)
+    assert code == 0
+    sections = dict(report.sections)
+    params = dict(sections["parameters"])
+    closed = theoretical_spectrum(*(int(params[k]) for k in ("S", "m", "alpha", "beta")), "lt2")
+    assert dict(sections["spectrum"]) == closed.as_strings()
+    assert dict(sections["classification"]) == {"two-distance": "False"}
+
+
 def test_embed_witt_gram_dump(witt_design, capsys):
     """Every entry of the 276 x 276 dump is the Gram value of its pair's relation."""
     from twodist.coherent import GRAM_CLASS_OF_RELATION, from_design, projector_and_gram
@@ -241,6 +256,8 @@ CONTRACT_FILES = {
     "not_qs.json": b'{"m": 4, "blocks": [[0, 1], [2, 3]]}',
     "axioms_fail.json": b'{"m": 4, "blocks": [[0, 1], [2, 3], [0, 2]]}',
     "huge_m.json": b'{"m": 1' + b"0" * 200 + b', "blocks": [[0, 1], [0, 2], [1, 3]]}',
+    # 10^10 points would take 28 GiB as an incidence matrix; point 3 lies in no block
+    "uncovered.json": b'{"m": 10000000000, "blocks": [[0, 1], [1, 2], [0, 2]]}',
 }
 
 
@@ -270,6 +287,8 @@ def _raise(exc):
                  id="r2-radicand-over-digit-limit"),
     pytest.param(["embed", LISONEK_FILE, "--r2", "7" * 3000], 2, None,
                  id="r2-output-over-digit-limit"),
+    pytest.param(["embed", LISONEK_FILE, "--r2", "sqrt(1000000000000000003)"], 2, None,
+                 id="r2-radicand-too-large-to-factor"),
     pytest.param(["embed", "{tmp}/missing.json"], 2, None, id="design-missing"),
     pytest.param(["embed", "{tmp}"], 2, None, id="design-directory"),
     pytest.param(["embed", "{tmp}/latin1.json"], 2, None, id="design-not-utf8"),
@@ -277,6 +296,7 @@ def _raise(exc):
     pytest.param(["embed", "{tmp}/not_qs.json"], 2, None, id="design-not-quasi-symmetric"),
     pytest.param(["embed", "{tmp}/axioms_fail.json"], 2, None, id="design-axioms-fail"),
     pytest.param(["embed", "{tmp}/huge_m.json"], 2, None, id="design-too-large-for-numpy"),
+    pytest.param(["embed", "{tmp}/uncovered.json"], 2, None, id="design-point-in-no-block"),
 ])
 def test_exit_code_contract(argv, code, injected, tmp_path, monkeypatch, capsys):
     from twodist import cli

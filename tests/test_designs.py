@@ -134,6 +134,16 @@ def test_parameters_from_a_given_intersection_matrix(lisonek, witt_design):
         parameters_from_design(IncidenceDesign(4, ((0, 1), (2, 3))))
 
 
+def test_incidence_matrix_names_a_point_in_no_block():
+    from twodist.designs import incidence_matrix
+
+    # 10^10 points: the check must come before the 28 GiB array
+    with pytest.raises(DesignError, match="^point 3 lies in no block$"):
+        incidence_matrix(IncidenceDesign(10**10, ((0, 1), (1, 2), (0, 2))))
+    with pytest.raises(DesignError, match="^point 2 lies in no block$"):
+        incidence_matrix(IncidenceDesign(5, ((0, 1), (3, 4))))
+
+
 def test_witt_design(witt_design):
     assert witt_design.m == 23
     assert witt_design.block_count == 253

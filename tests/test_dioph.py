@@ -26,6 +26,7 @@ from twodist.dioph import (
     param_value,
     quadratic_exclusions,
     region_scan,
+    solve_quadratic,
     solve_strip_equation,
     verify_identities,
     y2_curve_search,
@@ -214,7 +215,6 @@ def test_strip_equation():
     strip = solve_strip_equation()
     assert strip.quadratic == (1, 1, -10)
     assert strip.discriminant == 41
-    assert strip.residue_degree == 2
     assert strip.integer_roots == ()
     expected = {parse_scalar("-1/2 + 1/2*sqrt(41)"), parse_scalar("-1/2 - 1/2*sqrt(41)")}
     assert set(strip.roots) == expected
@@ -340,6 +340,33 @@ def test_integer_roots_match_a_scan(k, r1, r2, noise, lo, width):
     # k (t - r1)(t - r2), moved off its roots by noise
     a, b, c = k, -k * (r1 + r2), k * r1 * r2 + noise
     assert _roots_between(a, b, c, lo, lo + width) == _roots_by_scan(a, b, c, lo, lo + width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.integers(-30, 30).filter(bool), b=st.integers(-60, 60), c=st.integers(-400, 400))
+@example(a=1, b=-4, c=4)                                   # a double integer root
+@example(a=-3, b=9, c=84)                                  # a < 0 with two integer roots
+def test_solve_quadratic_integer_roots(a, b, c):
+    if b * b - 4 * a * c < 0:
+        reject()
+    q = solve_quadratic("random", a, b, c)
+    # the roots tested for rationality, the route the single solver replaced
+    members = sorted({int(r.rational_value()) for r in q.roots
+                      if r.is_rational() and r.rational_value().denominator == 1})
+    # an integer root t has |t| <= |b| + |c|, so this range holds all of them
+    bound = abs(b) + abs(c)
+    assert list(q.integer_roots) == members == _roots_by_scan(a, b, c, -bound, bound)
+
+
+def test_solve_quadratic_checks_every_root(monkeypatch):
+    from twodist import dioph
+
+    assert solve_quadratic("S = 2", 3, 1, -4).roots == (QuadExt(1), QuadExt(Fraction(-4, 3)))
+    monkeypatch.setattr(dioph, "sqrt_adjoin", lambda r: parse_scalar("sqrt(2)"))
+    with pytest.raises(InternalConsistencyError, match="root .* of S = 2 fails substitution"):
+        solve_quadratic("S = 2", 3, 1, -4)
+    with pytest.raises(InternalConsistencyError):
+        solve_strip_equation()
 
 
 def test_brute_solver_rechecks_every_survivor(monkeypatch):

@@ -170,10 +170,13 @@ def test_format_parse_round_trip():
 def test_parse_rejects_garbage():
     over_limit = "7" * 5000   # Python converts at most 4,300 digits between int and str
     for bad in ("", "1 +", "sqrt()", "2**sqrt(2)", "1/(2)", "1/0", "3/0*sqrt(2)", "sqrt(0)",
-                "2*sqrt(0) + 1", over_limit, f"1/{over_limit}", f"sqrt({over_limit})"):
+                "2*sqrt(0) + 1", over_limit, f"1/{over_limit}", f"sqrt({over_limit})",
+                "sqrt(1000000000000)", "2*sqrt(1000000000000000003) + 1"):
         with pytest.raises(DesignError):
             parse_scalar(bad)
     assert parse_scalar("0*sqrt(0) + 1") == QuadExt(1)
+    # the largest prime below the radicand bound, the costliest radicand accepted
+    assert parse_scalar("sqrt(999999999989)") == QuadExt({999999999989: 1})
 
 
 def test_format_past_the_digit_limit():
