@@ -11,7 +11,6 @@ separate gate so callers can see exactly which condition fails.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -239,17 +238,39 @@ def incidence_matrix(d: IncidenceDesign) -> np.ndarray:
     """The m x n 0/1 matrix (int8) with entry (p, j) = 1 when point p lies in block j.
 
     A point in no block raises DesignError before anything is allocated.
+    Past that check m and the block count are each at most the number of
+    incidences the design holds, so the array has at most its square entries.
     """
     covered = {p for block in d.blocks for p in block}
     if len(covered) < d.m:
         missing = next(p for p in range(d.m) if p not in covered)
         raise DesignError(f"point {missing} lies in no block")
-    if d.m * d.block_count > sys.maxsize:
-        raise DesignError(f"{d.m} points x {d.block_count} blocks exceed numpy's array size")
     inc = np.zeros((d.m, d.block_count), dtype=np.int8)
     for j, block in enumerate(d.blocks):
         inc[list(block), j] = 1
     return inc
+
+
+def count_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The exact integer product a @ b of two integer matrices, as int32.
+
+    numpy multiplies integer matrices in a plain loop but float32 ones in
+    BLAS, so the product is taken in float32.  It is exact: every partial
+    sum is an integer of absolute value at most inner * max|a| * max|b|,
+    and float32 holds every integer up to 2^24 exactly, whatever the
+    summation order, blocking, FMA or thread count.  That bound is checked
+    before anything is converted; a DesignError is raised when it reaches
+    2^24.  Only the int32 result leaves this function.
+    """
+    if a.dtype.kind not in "biu" or b.dtype.kind not in "biu":
+        raise TypeError(f"count_product needs integer matrices, got {a.dtype} and {b.dtype}")
+    if a.size and b.size:
+        bound = a.shape[1] * max(int(a.max()), -int(a.min())) * max(int(b.max()), -int(b.min()))
+        if bound >= 2 ** 24:
+            raise DesignError(
+                f"a {a.shape} x {b.shape} count product may reach {bound}, "
+                f"past float32's exact integers (2^24)")
+    return (a.astype(np.float32) @ b.astype(np.float32)).astype(np.int32)
 
 
 def intersection_numbers(d: IncidenceDesign, inter: Optional[np.ndarray] = None
@@ -257,15 +278,15 @@ def intersection_numbers(d: IncidenceDesign, inter: Optional[np.ndarray] = None
     """Collect |b & b'| over all distinct block pairs.
 
     The values are the off-diagonal entries of the integer product
-    inter = inc^T inc, formed here unless the caller passes it.  The design
-    is quasi-symmetric when exactly two values occur; then alpha is the
-    larger and beta the smaller.
+    inter = inc^T inc (`count_product`), formed here unless the caller
+    passes it.  The design is quasi-symmetric when exactly two values occur;
+    then alpha is the larger and beta the smaller.
     """
     if d.block_count < 2:
         raise DesignError("need at least two blocks to intersect")
     if inter is None:
-        inc = incidence_matrix(d).astype(np.int32)
-        inter = inc.T @ inc
+        inc = incidence_matrix(d)
+        inter = count_product(inc.T, inc)
     values = tuple(sorted(set(inter[np.triu_indices(d.block_count, 1)].tolist())))
     if len(values) == 2:
         return IntersectionProfile(values, True, alpha=values[1], beta=values[0])

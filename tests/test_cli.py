@@ -295,7 +295,8 @@ def _raise(exc):
     pytest.param(["embed", "{tmp}/big_int.json"], 2, None, id="design-int-over-digit-limit"),
     pytest.param(["embed", "{tmp}/not_qs.json"], 2, None, id="design-not-quasi-symmetric"),
     pytest.param(["embed", "{tmp}/axioms_fail.json"], 2, None, id="design-axioms-fail"),
-    pytest.param(["embed", "{tmp}/huge_m.json"], 2, None, id="design-too-large-for-numpy"),
+    pytest.param(["embed", "{tmp}/huge_m.json"], 2, None,
+                 id="design-huge-m-point-in-no-block"),
     pytest.param(["embed", "{tmp}/uncovered.json"], 2, None, id="design-point-in-no-block"),
 ])
 def test_exit_code_contract(argv, code, injected, tmp_path, monkeypatch, capsys):

@@ -1,10 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from twodist.designs import (
     IncidenceDesign,
     complement_design,
+    count_product,
     derive_parameters,
     design_from_json,
     integrality_gate,
@@ -142,6 +147,45 @@ def test_incidence_matrix_names_a_point_in_no_block():
         incidence_matrix(IncidenceDesign(10**10, ((0, 1), (1, 2), (0, 2))))
     with pytest.raises(DesignError, match="^point 2 lies in no block$"):
         incidence_matrix(IncidenceDesign(5, ((0, 1), (3, 4))))
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two integer matrices a (rows x inner) and b (inner x cols), inner may be 0."""
+    rows, inner, cols = (draw(st.integers(0, 12)) for _ in range(3))
+    dtype = draw(st.sampled_from([np.int8, np.int32, np.int64]))
+    entries = draw(st.sampled_from([st.integers(0, 1), st.integers(-100, 100)]))
+    return (draw(hnp.arrays(dtype, (rows, inner), elements=entries)),
+            draw(hnp.arrays(dtype, (inner, cols), elements=entries)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=factor_pairs())
+def test_count_product_matches_int64(pair):
+    a, b = pair
+    got = count_product(a, b)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, a.astype(np.int64) @ b.astype(np.int64))
+
+
+def test_count_product_at_the_float32_bound():
+    # inner * max|a| * max|b| = 2 * 2^12 * 2^11 reaches 2^24 and is refused
+    a = np.full((3, 2), 2 ** 12, dtype=np.int32)
+    with pytest.raises(DesignError, match="2\\^24"):
+        count_product(a, np.full((2, 4), 2 ** 11, dtype=np.int32))
+    with pytest.raises(DesignError):
+        count_product(a, np.full((2, 4), -2 ** 11, dtype=np.int32))
+    b = np.full((2, 4), 2 ** 11 - 1, dtype=np.int32)
+    b[1, 2] = -(2 ** 11 - 1)
+    got = count_product(a, b)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, a.astype(np.int64) @ b.astype(np.int64))
+    assert got[0, 0] == 2 ** 24 - 2 ** 13
+
+
+def test_count_product_refuses_floats():
+    with pytest.raises(TypeError):
+        count_product(np.ones((2, 2)), np.ones((2, 2), dtype=np.int8))
 
 
 def test_witt_design(witt_design):
