@@ -1,31 +1,36 @@
 """Exact Diophantine engine for the two-distance feasibility system.
 
 The three quartic conditions p1, p2, p3 in (S, m, x, y) are carried as exact
-polynomials.  A two-variable parametrization (x, z) rewrites every design
-parameter, and each auxiliary integer-valued function g1, g2, as one integer
-fraction N(x, z) / D(x, z); lattice rows, fixed-x fibers and the strip are
-all evaluated by substitution into that pair.  g1 and g2 are certified to
-stay inside open unit-length (or short) intervals on large lattice boxes,
-which is the desk-scale stand-in for the unbounded real certificates.  An
-exact-root solver, the parametrized solution families, the quadratic S-range
-exclusions, and the final classification over the family curve complete the
-pipeline.
+polynomials.  A two-variable parametrization (x, z) rewrites the design
+parameters, and each auxiliary integer-valued function g1, g2 is shipped as
+one integer fraction N(x, z) / D(x, z) in lowest terms, a pair of
+coefficient tables; lattice rows, fixed-x fibers and the strip are all
+evaluated by substitution into that pair.  g1 and g2 are certified to stay
+inside open unit-length (or short) intervals on large lattice boxes, which
+is the desk-scale stand-in for the unbounded real certificates.  An
+exact-root solver, the parametrized solution families, the quadratic
+S-range exclusions, and the final classification over the family curve
+complete the pipeline.
 
-Each formula is written once, as a function of plain ring operations: the
-integer and Fraction paths call it directly, and the module-level `Poly`
-constants are the same function evaluated on the polynomial generators.
+The quartics, the parametrization and family (i) are each written once, as
+a function of plain ring operations: the integer and Fraction paths call it
+directly, and the module-level `Poly` constants are the same function
+evaluated on the polynomial generators.  The g1 and g2 tables are derived
+from the parameter formulas (`designs.block_graph_formulas`) outside this
+module, by the test-side oracle tests/surface_oracle.py, which also proves
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import repeat, zip_longest
+from functools import lru_cache
+from itertools import zip_longest
 from math import isqrt
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
-from .designs import block_graph_formulas, derive_parameters, integrality_gate, lambda_parts
+from .designs import derive_parameters, integrality_gate, lambda_parts
 from .errors import DesignError, InternalConsistencyError
 from .exactnum import QuadExt, format_scalar, sqrt_adjoin, squarefree_decompose
 from .polynomials import (Poly, _primitive, compose_cleared, dense_coeffs, dense_divmod,
@@ -196,141 +201,67 @@ def verify_identities() -> IdentityReport:
     return IdentityReport(tuple(name for name, _ in checks))
 
 
-# ----- parameter calculus over any exact field -----------------------------
+# ----- g1 and g2 on the (x, z) surface, in lowest terms ---------------------
+
+# Each auxiliary function as one pair of integer tables (numerator,
+# denominator): row k holds the coefficients of x^k, as a polynomial in z,
+# lowest power first.  The denominator is primitive, with a positive
+# coefficient on its top power of x.  tests/surface_oracle.py derives both
+# pairs from the parameter formulas and proves them; regenerate a table
+# there, never edit one by hand.
+#
+#   g1 = 8xz(z + 1)(x - t) / (2x^3 + 3x^2 z^2 + 3x^2 z + 2x^2 + xz^2 + xz - z^3 (z + 1)^3),
+#        t = z(z + 1)/2; the derived N and D also share x^3 (x + z^2)(x + z^2 - 1)^3
+#   g2 = 4z P(x, z) / ((x + z^2 + z)^2 Q(x, z)), P and Q of degree 6 and 5 in x;
+#        the derived N and D also share x^3 (x + z^2)(x + z^2 - 1)
+#
+# The cancelled factors are nonzero at every integer point with x >= 1 except
+# (1, 0), where the derived D vanishes and its fiber reduction gives the
+# value these tables give, 0.
+_LOWEST_TERMS = {
+    "g1": (
+        ((), (0, 0, -4, -8, -4), (0, 8, 8)),
+        ((0, 0, 0, -1, -3, -3, -1), (0, 1, 1), (2, 3, 3), (2,)),
+    ),
+    "g2": (
+        (
+            (0, 0, 0, 0, 0, 0, 0, 0, 96, 576, 1440, 1920, 1440, 576, 96),
+            (0, 0, 0, 0, 0, 0, -44, 532, 3256, 6824, 6916, 3460, 688),
+            (0, 0, 0, 0, 0, -224, 1552, 7972, 12204, 7820, 1812),
+            (0, 0, 0, 0, -304, 3132, 9656, 8380, 2288),
+            (0, 0, 0, 64, 3164, 4180, 1432),
+            (0, 0, 236, 656, 384),
+            (0, -80, 20),
+        ),
+        (
+            (0, 0, 0, 0, 0, 0, 0, 1, 9, 33, 65, 75, 51, 19, 3),
+            (0, 0, 0, 0, 0, -1, 5, 64, 206, 319, 265, 114, 20),
+            (0, 0, 0, 0, -6, 19, 209, 508, 552, 285, 57),
+            (0, 0, 0, -12, 60, 360, 578, 380, 90),
+            (0, 0, -8, 97, 307, 285, 85),
+            (0, 1, 69, 114, 48),
+            (2, 19, 15),
+            (2,),
+        ),
+    ),
+}
 
 
-def _prop_params(S, m, x, y) -> dict:
-    """Block-graph parameters plus S, m and y, over any exact field."""
-    return {**block_graph_formulas(S, m, x, y), "S": S, "m": m, "y": y}
+def _xz_table(rows: Sequence[Sequence[int]]) -> Poly:
+    """The Poly sum_k x^k rows[k](z)."""
+    return Poly(XZ, {(k, j): c for k, row in enumerate(rows) for j, c in enumerate(row)})
 
 
-def _g1_expr(par, x, z):
-    return (3 + x + 19 * z + 16 * z * z + 3 * par["k"] + 3 * par["Lambda"]
-            - par["m"] - 4 * par["n"] - 18 * par["P"] + 21 * z * par["r"])
+_SURFACES = {name: (_xz_table(num), _xz_table(den)) for name, (num, den) in _LOWEST_TERMS.items()}
 
 
-def _g2_expr(par, x, y, z):
-    return (-72 * par["Lambda"] + 13 * par["m"] + 13 * par["n"] + 99 * par["T"]
-            - 45 * x + 32 * y - 14 * z - 13 * par["m"] * z + 39 * par["n"] * z
-            - 13 * par["T"] * z + 13 * x * z - 33 * z * z + 13 * z * z * z)
+def _surface(which: str) -> tuple[Poly, Poly]:
+    """g1 or g2 on the surface as N(x, z) / D(x, z), in lowest terms.
 
-
-# ----- one form per function on the (x, z) surface -------------------------
-
-
-class PolyFrac:
-    """Bivariate fraction with a factored, never-expanded denominator.
-
-    The builder of the surface forms: evaluating a parameter formula over
-    PolyFrac keeps the denominator factors apart, so no GCD is computed, and
-    `_surface` expands them once into a single denominator.
+    Rows z = z0, fibers x = x0 and the strip all come from substitution into
+    this one pair, read from `_LOWEST_TERMS`.
     """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Optional[dict] = None):
-        self.num = num
-        self.den = dict(den or {})
-
-    def _coerce(self, other) -> "PolyFrac":
-        if isinstance(other, PolyFrac):
-            return other
-        if isinstance(other, int):
-            return PolyFrac(Poly.constant(XZ, other))
-        if isinstance(other, Poly):
-            return PolyFrac(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        common: dict = dict(self.den)
-        for f, e in other.den.items():
-            common[f] = max(common.get(f, 0), e)
-        num = self.num * _den_product(common, self.den) + other.num * _den_product(common, other.den)
-        return PolyFrac(num, common)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyFrac(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        den = dict(self.den)
-        for f, e in other.den.items():
-            den[f] = den.get(f, 0) + e
-        return PolyFrac(self.num * other.num, den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("PolyFrac division by zero")
-        num = self.num
-        for f, e in other.den.items():
-            num = num * f**e
-        den = dict(self.den)
-        den[other.num] = den.get(other.num, 0) + 1
-        return PolyFrac(num, den)
-
-
-def _den_product(common: dict, mine: dict) -> Poly:
-    out = ONE_XZ
-    for f, e in common.items():
-        missing = e - mine.get(f, 0)
-        if missing:
-            out = out * f**missing
-    return out
-
-
-_AUX_BRANCH = {"g1": "y1", "g2": "y2"}   # each auxiliary function lives on one y branch
-
-
-@lru_cache(maxsize=None)
-def _branch_fracs(branch: str) -> dict[str, PolyFrac]:
-    """Every `_prop_params` entry of one y branch, plus its auxiliary function."""
-    S = PolyFrac(S_XZ)
-    m = PolyFrac(MSQ_XZ, {_X: 1})
-    x = PolyFrac(_X)
-    z = PolyFrac(_Z)
-    if branch == "y1":
-        par = _prop_params(S, m, x, PolyFrac(Y1_XZ))
-        par["g1"] = _g1_expr(par, x, z)
-    elif branch == "y2":
-        y = PolyFrac(Y2NUM_XZ, {MSQ_XZ: 1})
-        par = _prop_params(S, m, x, y)
-        par["g2"] = _g2_expr(par, x, y, z)
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
-    return par
-
-
-@lru_cache(maxsize=None)
-def _surface(name: str, branch: str) -> tuple[Poly, Poly]:
-    """One function on the surface as N(x, z) / D(x, z).
-
-    D is the expanded product of the formula's denominator factors and the
-    common power of z is cancelled from N and D.  Rows z = z0, fibers x = x0
-    and the strip all come from substitution into this one pair.
-    """
-    f = _branch_fracs(branch)[name]
-    num, den = f.num, _den_product(f.den, {})
-    k = min(ez for _, ez in (*num.terms, *den.terms))
-
-    def shifted(p: Poly) -> Poly:
-        return Poly(XZ, {(ex, ez - k): c for (ex, ez), c in p.terms.items()})
-
-    return shifted(num), shifted(den)
+    return _SURFACES[which]
 
 
 def _value_at(surface: tuple[Poly, Poly], x: int, z: int) -> Fraction:
@@ -358,17 +289,6 @@ def _reduced(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     return dense_divmod(num, common)[0], dense_divmod(den, common)[0]
 
 
-def param_value(name: str, x: int, z: int, branch: str = "y1") -> Fraction:
-    """Exact value of a block-graph parameter along the parametrized surface.
-
-    Removable singularities are resolved by GCD reduction along the fixed-x
-    fiber; a genuine pole raises ZeroDivisionError.
-    """
-    if x == 0:
-        raise DesignError("the parametrization needs x != 0")
-    return _value_at(_surface(name, branch), x, z)
-
-
 def aux_g(which: str, x: int, z: int) -> Fraction:
     """Exact value of the auxiliary function g1 (y1 branch) or g2 (y2 branch).
 
@@ -377,9 +297,9 @@ def aux_g(which: str, x: int, z: int) -> Fraction:
     """
     if x < 1:
         raise DesignError("aux_g needs x >= 1")
-    if which not in _AUX_BRANCH:
+    if which not in _SURFACES:
         raise ValueError(f"unknown auxiliary polynomial {which!r}")
-    return _value_at(_surface(which, _AUX_BRANCH[which]), x, z)
+    return _value_at(_surface(which), x, z)
 
 
 # ----- lattice scan ------------------------------------------------------------
@@ -425,31 +345,37 @@ class RegionScanReport:
         return not self.violations
 
 
-def _unproved_points(proves, start: int, stop: int) -> Iterator[int]:
-    """The points of [start, stop] that `proves(a, b)` leaves open, ascending.
+def _root_free_pieces(polys: Sequence[Sequence[int]], start: int,
+                      stop: int) -> Iterator[tuple[int, int, bool]]:
+    """Cover [start, stop] by pieces (a, b, closed), in ascending order.
 
-    An interval that `proves` closes is dropped; any other is split into
-    [a, mid] and [mid + 1, b] until it is a single point, which is yielded.
+    On a closed piece every list of `polys` is `root_free`, so each keeps
+    one sign there.  A piece that is not closed is a single point where one
+    of them vanishes, or the whole range when one is the zero polynomial.
+    Any other interval is split into [a, mid] and [mid + 1, b], and only
+    the polynomials not yet proved root-free on it are tested on its halves.
     """
-    stack = [(start, stop)]
+    if not all(map(any, polys)):
+        yield start, stop, False
+        return
+    stack = [(start, stop, polys)]
     while stack:
-        a, b = stack.pop()
-        if proves(a, b):
-            continue
-        if a == b:
-            yield a
+        a, b, still_open = stack.pop()
+        still_open = [p for p in still_open if not root_free(p, a, b)]
+        if not still_open or a == b:
+            yield a, b, not still_open
             continue
         mid = (a + b) // 2
-        stack += ((mid + 1, b), (a, mid))
+        stack += ((mid + 1, b, still_open), (a, mid, still_open))
 
 
 class _RowEvaluator:
-    """Exact values of g = N / D along the row z = z0."""
+    """Exact values of g = N / D along the row z = z0, from the lowest-terms pair."""
 
     def __init__(self, which: str, z0: int):
         self.which = which
         self.z0 = z0
-        num, den = _surface(which, _AUX_BRANCH[which])
+        num, den = _surface(which)
         self.num = _row_coeffs(num, z0)
         self.den = _row_coeffs(den, z0)
 
@@ -458,12 +384,13 @@ class _RowEvaluator:
         """Assert lo < g(x, z0) < hi for x in [x_start, x_stop].
 
         With A = N - lo D and B = hi D - N, A B > 0 holds exactly when D != 0
-        and lo < N / D < hi.  An x-interval [a, b] is proved whole when
-        A(a) B(a) > 0 and neither A nor B has a real root on it
-        (`root_free`); the rest is bisected down to single points.  On a
-        single point the test reduces to A(a) B(a) > 0, so the points left
-        over are exactly those with A B <= 0: the violations, and the points
-        with D = 0, which get the reduced-fiber value.
+        and lo < N / D < hi.  `_root_free_pieces` splits the range into
+        pieces on which A and B are both root-free, so a bound proved on an
+        interval is not proved again on its halves; one sign test A(a) B(a)
+        at a piece's left end then decides all its points: all proved, or
+        all left over.  The points left over are exactly those with
+        A B <= 0: the violations, and the points with D = 0, which get the
+        reduced-fiber value.
         """
         if lo > hi:
             raise ValueError(f"empty interval ({lo}, {hi})")
@@ -474,20 +401,18 @@ class _RowEvaluator:
         pairs = list(zip_longest(self.num, self.den, fillvalue=0))
         above_lo = [n - lo * d for n, d in pairs]
         below_hi = [hi * d - n for n, d in pairs]
-
-        def proves(a: int, b: int) -> bool:
-            return (_horner(above_lo, a) * _horner(below_hi, a) > 0
-                    and root_free(above_lo, a, b) and root_free(below_hi, a, b))
-
         enumerated = 0
-        for x0 in _unproved_points(proves, x_start, x_stop):
-            enumerated += 1
-            dv = _horner(self.den, x0)
-            if dv == 0:
-                self._check_point_fallback(x0, lo, hi, region, report)
+        for a, b, closed in _root_free_pieces((above_lo, below_hi), x_start, x_stop):
+            if closed and _horner(above_lo, a) * _horner(below_hi, a) > 0:
                 continue
-            report.violations.append(RegionViolation(
-                region, x0, self.z0, format_scalar(Fraction(_horner(self.num, x0), dv))))
+            enumerated += b - a + 1
+            for x0 in range(a, b + 1):
+                dv = _horner(self.den, x0)
+                if dv == 0:
+                    self._check_point_fallback(x0, lo, hi, region, report)
+                    continue
+                report.violations.append(RegionViolation(
+                    region, x0, self.z0, format_scalar(Fraction(_horner(self.num, x0), dv))))
         report.points_enumerated[region] = report.points_enumerated.get(region, 0) + enumerated
         report.points_proved[region] = report.points_proved.get(region, 0) + count - enumerated
 
@@ -517,10 +442,12 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
     z = (-1 +- sqrt(41)) / 2.  For g2 (y2 branch): g in (31,33) for
     x in {1,2} and z outside G2_SMALL_Z, g in (-1,38) for x >= 3, plus the
     enumeration of integral g2 values for x in {1,2} on G2_SMALL_Z.
-    Each row's x-range is bisected: an interval on which neither bound
-    polynomial has a real root (`root_free`) is proved whole, and the rest
-    is split down to single points; `points_enumerated` counts the points
-    left over, those with A B <= 0, and `points_proved` the others.
+    Each row z = z0 substitutes into the lowest-terms pair of `_surface`
+    (x-degree 3 for g1 and 7 for g2), and its x-range is bisected until both
+    bound polynomials are root-free on each piece (`root_free`), a bound
+    proved on a piece being carried to its halves; `points_enumerated`
+    counts the points left over, those with A B <= 0, and `points_proved`
+    the others.
     The claim is still about the box's lattice points only.  Bounded lattice
     boxes stand in for unbounded-region certificates; violations are
     reported, never raised.  A box that holds no lattice point to check
@@ -580,7 +507,7 @@ def solve_strip_equation() -> Quadratic:
     quadratic = (1, 1, -10)
     subs = {"x": (_strip_doubled(_FAM_Z_VAR), _TWO_Z),
             "z": (_FAM_Z_VAR, Poly.constant(_FAM_Z, 1))}
-    surface = _surface("g1", "y1")
+    surface = _surface("g1")
     # compose_cleared scales by 2^deg_x; bring N and D to the same power of 2
     top = max(p.degree("x") for p in surface)
     num, den = _reduced(*(dense_coeffs(compose_cleared(p, subs) * 2 ** (top - p.degree("x")))
@@ -881,10 +808,10 @@ def y2_curve_search(xmin: int = 3, xmax: int = 10_000,
 
     The line z = 0 (where S = m, outside the feasible ordering) belongs to
     the curve; any hit off that line would contradict the classification.
-    Each other row drops the x-intervals on which `root_free` excludes a
-    root and splits the rest down to single points, which are exactly the
-    row's zeros; a row that vanishes identically is listed whole, without
-    the 2 (xmax - xmin) tests that splitting it would take.  An inverted or
+    `_root_free_pieces` drops the x-intervals of a row on which `root_free`
+    excludes a root, and the points it leaves are exactly the row's zeros;
+    a row that vanishes identically is listed whole, without the
+    2 (xmax - xmin) tests that splitting it would take.  An inverted or
     empty box raises DesignError.
     """
     if xmin > xmax or zmin > zmax:
@@ -892,7 +819,6 @@ def y2_curve_search(xmin: int = 3, xmax: int = 10_000,
     cleared = _p3_on_y2_cleared()
     hits: list[tuple[int, int]] = []
     for z0 in range(zmin, zmax + 1):
-        row = _row_coeffs(cleared, z0)
-        xs = _unproved_points(partial(root_free, row), xmin, xmax) if row else range(xmin, xmax + 1)
-        hits.extend(zip(xs, repeat(z0)))
+        pieces = _root_free_pieces((_row_coeffs(cleared, z0),), xmin, xmax)
+        hits.extend((x0, z0) for a, b, closed in pieces if not closed for x0 in range(a, b + 1))
     return hits

@@ -11,11 +11,8 @@ from twodist.dioph import (
     P1,
     P2,
     P3,
-    _g1_expr,
-    _g2_expr,
     _integer_roots_between,
     _p1,
-    _prop_params,
     _surface,
     aux_g,
     brute_solver,
@@ -23,7 +20,6 @@ from twodist.dioph import (
     eval_p,
     family_points,
     g2_integer_values,
-    param_value,
     quadratic_exclusions,
     region_scan,
     solve_quadratic,
@@ -36,6 +32,8 @@ from twodist.dioph import (
 from twodist.errors import DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, parse_scalar
 from twodist.polynomials import Poly
+
+from surface_oracle import g1_expr, g2_expr, param_value, prop_params, surface
 
 
 def test_eval_p_examples():
@@ -169,12 +167,15 @@ def test_y2_curve_search_rejects_empty_boxes(box):
 
 
 def test_pole_path():
-    # D(x, z) = 0 at each point: one genuine pole, two removable singularities
+    # the derived, unreduced D(x, z) = 0 at each point: one genuine pole and
+    # two removable singularities
     for name, x, z, branch in (("y", -2, 1, "y2"), ("N", 1, 0, "y1"), ("g1", 1, 0, "y1")):
-        assert _surface(name, branch)[1].eval({"x": x, "z": z}) == 0
+        assert surface(name, branch)[1].eval({"x": x, "z": z}) == 0
     with pytest.raises(ZeroDivisionError):
         param_value("y", -2, 1, "y2")
     assert param_value("N", 1, 0, "y1") == -1
+    # the shipped g1 is in lowest terms: its denominator does not vanish there
+    assert _surface("g1")[1].eval({"x": 1, "z": 0}) == 4
     assert aux_g("g1", 1, 0) == 0
 
 
@@ -193,8 +194,8 @@ def surface_oracle(x: int, z: int, branch: str) -> tuple[dict, Fraction]:
     point = z_parametrization(x, z)
     xf, zf = Fraction(x), Fraction(z)
     y = Fraction(point.y1) if branch == "y1" else point.y2
-    par = _prop_params(Fraction(point.S), point.m, xf, y)
-    g = _g1_expr(par, xf, zf) if branch == "y1" else _g2_expr(par, xf, y, zf)
+    par = prop_params(Fraction(point.S), point.m, xf, y)
+    g = g1_expr(par, xf, zf) if branch == "y1" else g2_expr(par, xf, y, zf)
     return par, g
 
 
@@ -521,7 +522,7 @@ def _check_range_oracle(which, z0, lo, hi, x_start, x_stop, region):
 @pytest.mark.parametrize("which", ["g1", "g2"])
 @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (1, 2), (-1, 38), (31, 33), (-5, 3)])
 def test_row_check_range_matches_pointwise_oracle(which, lo, hi):
-    """Every row z in [-12, 12] from x = 1, so the D = 0 point (1, 0) is included."""
+    """Every row z in [-12, 12] from x = 1, so (1, 0), a zero of the derived D, is included."""
     from twodist.dioph import RegionScanReport, _RowEvaluator
 
     for z0 in range(-12, 13):
@@ -604,9 +605,9 @@ def tight_row_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(case=tight_row_cases())
-@example(case=("g2", 0, -1, 38, 1, 400))      # D = 0 at (1, 0); g2 = 0 on the row
+@example(case=("g2", 0, -1, 38, 1, 400))      # (1, 0) zeroes the derived D; g2 = 0 on the row
 @example(case=("g2", 0, 0, 1, 1, 3000))       # every point of the row fails
-@example(case=("g1", 0, -1, 1, 1, 200))       # D = 0 at (1, 0); g1 = 0 on the row
+@example(case=("g1", 0, -1, 1, 1, 200))       # (1, 0) zeroes the derived D; g1 = 0 on the row
 @example(case=("g1", 0, 0, 0, 1, 1))
 def test_row_check_range_matches_enumeration_oracle(case):
     from twodist.dioph import RegionScanReport, _RowEvaluator
