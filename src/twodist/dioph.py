@@ -4,10 +4,11 @@ The three quartic conditions p1, p2, p3 in (S, m, x, y) are carried as exact
 polynomials.  A two-variable parametrization (x, z) rewrites the design
 parameters, and each auxiliary integer-valued function g1, g2 is shipped as
 one integer fraction N(x, z) / D(x, z) in lowest terms, a pair of
-coefficient tables; lattice rows, fixed-x fibers and the strip are all
-evaluated by substitution into that pair.  g1 and g2 are certified to stay
-inside open unit-length (or short) intervals on large lattice boxes, which
-is the desk-scale stand-in for the unbounded real certificates.  An
+coefficient tables, and is never held in another form: a lattice row, a
+fixed-x fiber and the strip are read off that pair by Horner's rule.  g1
+and g2 are certified to stay inside open unit-length (or short) intervals
+on large lattice boxes, which is the desk-scale stand-in for the unbounded
+real certificates.  An
 exact-root solver, the parametrized solution families, the quadratic
 S-range exclusions, and the final classification over the family curve
 complete the pipeline.
@@ -33,8 +34,8 @@ from typing import Iterator, Sequence
 from .designs import derive_parameters, integrality_gate, lambda_parts
 from .errors import DesignError, InternalConsistencyError
 from .exactnum import QuadExt, format_scalar, sqrt_adjoin, squarefree_decompose
-from .polynomials import (Poly, _primitive, compose_cleared, dense_coeffs, dense_divmod,
-                          dense_gcd, root_free)
+from .polynomials import (Poly, _horner, _primitive, _table_fiber, _table_row, _trim,
+                          compose_cleared, dense_coeffs, dense_divmod, dense_gcd, root_free)
 
 
 # ----- the polynomial system --------------------------------------------
@@ -247,40 +248,30 @@ _LOWEST_TERMS = {
 }
 
 
-def _xz_table(rows: Sequence[Sequence[int]]) -> Poly:
-    """The Poly sum_k x^k rows[k](z)."""
-    return Poly(XZ, {(k, j): c for k, row in enumerate(rows) for j, c in enumerate(row)})
+def _xz_rows(p: Poly) -> list[list[int]]:
+    """The table of a Poly in (x, z): row k lists its x^k coefficients, in z."""
+    return [[p.terms.get((k, j), 0) for j in range(p.degree("z") + 1)]
+            for k in range(p.degree("x") + 1)]
 
 
-_SURFACES = {name: (_xz_table(num), _xz_table(den)) for name, (num, den) in _LOWEST_TERMS.items()}
+def _surface(which: str) -> Sequence[Sequence[Sequence[int]]]:
+    """g1 or g2 as its table pair N / D in lowest terms, which rows, fibers and the strip read."""
+    return _LOWEST_TERMS[which]
 
 
-def _surface(which: str) -> tuple[Poly, Poly]:
-    """g1 or g2 on the surface as N(x, z) / D(x, z), in lowest terms.
+def _value_at(surface: Sequence[Sequence[Sequence[int]]], x: int, z: int) -> Fraction:
+    """N(x, z) / D(x, z), read off the fibers x of the table pair.
 
-    Rows z = z0, fibers x = x0 and the strip all come from substitution into
-    this one pair, read from `_LOWEST_TERMS`.
+    Where D vanishes, the fiber N(x, .) / D(x, .) is reduced by one
+    univariate GCD, so a removable singularity gets its value and a genuine
+    pole raises ZeroDivisionError.
     """
-    return _SURFACES[which]
-
-
-def _value_at(surface: tuple[Poly, Poly], x: int, z: int) -> Fraction:
-    """N(x, z) / D(x, z); where D vanishes, the value of the reduced x-fiber.
-
-    The fiber N(x, .) / D(x, .) is reduced by one univariate GCD, so a
-    removable singularity gets its value and a genuine pole raises
-    ZeroDivisionError.
-    """
-    num, den = surface
-    point = {"x": x, "z": z}
-    d = den.eval(point)
-    if d:
-        return Fraction(num.eval(point), d)
-    fiber_num, fiber_den = _reduced(*(dense_coeffs(p.subst_univariate("x", x)) for p in surface))
-    d = _horner(fiber_den, z)
-    if d == 0:
-        raise ZeroDivisionError(f"pole at (x, z) = ({x}, {z})")
-    return Fraction(_horner(fiber_num, z), d)
+    num, den = (_table_fiber(rows, x) for rows in surface)
+    if _horner(den, z) == 0:
+        num, den = _reduced(num, den)
+        if _horner(den, z) == 0:
+            raise ZeroDivisionError(f"pole at (x, z) = ({x}, {z})")
+    return Fraction(_horner(num, z), _horner(den, z))
 
 
 def _reduced(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -297,24 +288,12 @@ def aux_g(which: str, x: int, z: int) -> Fraction:
     """
     if x < 1:
         raise DesignError("aux_g needs x >= 1")
-    if which not in _SURFACES:
+    if which not in _LOWEST_TERMS:
         raise ValueError(f"unknown auxiliary polynomial {which!r}")
     return _value_at(_surface(which), x, z)
 
 
 # ----- lattice scan ------------------------------------------------------------
-
-
-def _row_coeffs(p: Poly, z0: int) -> list[int]:
-    """Coefficients of p(x, z0), lowest degree first."""
-    return dense_coeffs(p.subst_univariate("z", z0))
-
-
-def _horner(coeffs: Sequence[int], x: int) -> int:
-    total = 0
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
 
 
 @dataclass(frozen=True)
@@ -373,11 +352,9 @@ class _RowEvaluator:
     """Exact values of g = N / D along the row z = z0, from the lowest-terms pair."""
 
     def __init__(self, which: str, z0: int):
-        self.which = which
         self.z0 = z0
-        num, den = _surface(which)
-        self.num = _row_coeffs(num, z0)
-        self.den = _row_coeffs(den, z0)
+        self.surface = _surface(which)
+        self.num, self.den = (_table_row(rows, z0) for rows in self.surface)
 
     def check_range(self, lo: int, hi: int, x_start: int, x_stop: int,
                     region: str, report: RegionScanReport) -> None:
@@ -419,7 +396,7 @@ class _RowEvaluator:
     def _check_point_fallback(self, x0: int, lo: int, hi: int,
                               region: str, report: RegionScanReport) -> None:
         try:
-            value = aux_g(self.which, x0, self.z0)
+            value = _value_at(self.surface, x0, self.z0)
         except ZeroDivisionError:
             report.violations.append(RegionViolation(region, x0, self.z0, "pole"))
             return
@@ -442,12 +419,17 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
     z = (-1 +- sqrt(41)) / 2.  For g2 (y2 branch): g in (31,33) for
     x in {1,2} and z outside G2_SMALL_Z, g in (-1,38) for x >= 3, plus the
     enumeration of integral g2 values for x in {1,2} on G2_SMALL_Z.
-    Each row z = z0 substitutes into the lowest-terms pair of `_surface`
+    Each row z = z0 is read off the lowest-terms table pair of `_surface`
     (x-degree 3 for g1 and 7 for g2), and its x-range is bisected until both
     bound polynomials are root-free on each piece (`root_free`), a bound
     proved on a piece being carried to its halves; `points_enumerated`
     counts the points left over, those with A B <= 0, and `points_proved`
     the others.
+    g1 = 8xz(z+1)(x - t) / D with t = z(z+1)/2 is checked on no point of
+    the rows z in {-1, 0}, where g1 vanishes identically, nor at x = t on
+    any other row, where g1 = 0.  Its lowest-terms D changes sign between
+    x = t - 1 and x = t (D(t - 1) = -14t^2 + 6t < 0 < 4t^2 = D(t)), so g1
+    has a real pole in (t - 1, t), between lattice points.
     The claim is still about the box's lattice points only.  Bounded lattice
     boxes stand in for unbounded-region certificates; violations are
     reported, never raised.  A box that holds no lattice point to check
@@ -487,7 +469,9 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
 
 def g2_integer_values(zmin: int = G2_SMALL_Z[0],
                       zmax: int = G2_SMALL_Z[1]) -> dict[tuple[int, int], int]:
-    """Integral values of g2 for x in {1, 2} on the finite strip of z."""
+    """Integral values of g2 for x in {1, 2} on z in [zmin, zmax], which must not be inverted."""
+    if zmin > zmax:
+        raise DesignError(f"empty z range [{zmin}, {zmax}]")
     out: dict[tuple[int, int], int] = {}
     for x0 in (1, 2):
         for z0 in range(zmin, zmax + 1):
@@ -505,16 +489,15 @@ def solve_strip_equation() -> Quadratic:
     neither root z = (-1 +- sqrt(41)) / 2 may be a pole of the reduced g1.
     """
     quadratic = (1, 1, -10)
-    subs = {"x": (_strip_doubled(_FAM_Z_VAR), _TWO_Z),
-            "z": (_FAM_Z_VAR, Poly.constant(_FAM_Z, 1))}
-    surface = _surface("g1")
-    # compose_cleared scales by 2^deg_x; bring N and D to the same power of 2
-    top = max(p.degree("x") for p in surface)
-    num, den = _reduced(*(dense_coeffs(compose_cleared(p, subs) * 2 ** (top - p.degree("x")))
-                          for p in surface))
-    q = [a - b for a, b in zip_longest(num, den, fillvalue=0)]
-    while q and q[-1] == 0:
-        q.pop()
+    z, surface = _FAM_Z_VAR, _surface("g1")
+    top = max(map(len, surface)) - 1
+    # 2^top N and 2^top D at 2x = _strip_doubled(z): Horner's rule in x on the
+    # rows, row k scaled by 2^(top - k)
+    num, den = _reduced(*(
+        dense_coeffs(_horner([2 ** (top - k) * _horner(row, z) for k, row in enumerate(rows)],
+                             _strip_doubled(z)))
+        for rows in surface))
+    q = _trim(a - b for a, b in zip_longest(num, den, fillvalue=0))
     if dense_divmod(q, quadratic[::-1])[1] or len(q) != 3:
         raise InternalConsistencyError(
             f"strip residue {q} is not a nonzero multiple of {format_quadratic(quadratic)}")
@@ -808,6 +791,7 @@ def y2_curve_search(xmin: int = 3, xmax: int = 10_000,
 
     The line z = 0 (where S = m, outside the feasible ordering) belongs to
     the curve; any hit off that line would contradict the classification.
+    Each row is read off the curve's table with `_table_row`.
     `_root_free_pieces` drops the x-intervals of a row on which `root_free`
     excludes a root, and the points it leaves are exactly the row's zeros;
     a row that vanishes identically is listed whole, without the
@@ -816,9 +800,9 @@ def y2_curve_search(xmin: int = 3, xmax: int = 10_000,
     """
     if xmin > xmax or zmin > zmax:
         raise DesignError(f"empty search box x in [{xmin}, {xmax}], z in [{zmin}, {zmax}]")
-    cleared = _p3_on_y2_cleared()
+    cleared = _xz_rows(_p3_on_y2_cleared())
     hits: list[tuple[int, int]] = []
     for z0 in range(zmin, zmax + 1):
-        pieces = _root_free_pieces((_row_coeffs(cleared, z0),), xmin, xmax)
+        pieces = _root_free_pieces((_table_row(cleared, z0),), xmin, xmax)
         hits.extend((x0, z0) for a, b, closed in pieces if not closed for x0 in range(a, b + 1))
     return hits

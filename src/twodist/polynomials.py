@@ -11,7 +11,10 @@ substitution as a (numerator, denominator) pair and clears the denominators.
 Work along one line (a row, a fiber, a strip) runs on dense coefficient
 lists, lowest degree first: :func:`dense_coeffs` reads them off a
 univariate Poly, :func:`dense_divmod` is the exact division and
-:func:`dense_gcd` the primitive-remainder GCD of such lists.
+:func:`dense_gcd` the primitive-remainder GCD of such lists.  A bivariate
+polynomial sum_k x^k rows[k](z) can also be held as a table of such lists;
+``_table_row`` reads its row z = z0 off it as a dense list in x, and
+``_table_fiber`` its fiber x = x0 as a dense list in z, by Horner's rule.
 :func:`root_free` proves that such a list has no real root on a closed
 integer interval (Descartes' rule after a Moebius map, built from
 :func:`taylor_shift` and :func:`sign_variations`), in integers only.
@@ -20,6 +23,7 @@ integer interval (Descartes' rule after a Moebius map, built from
 from __future__ import annotations
 
 from functools import reduce
+from itertools import zip_longest
 from math import gcd
 from operator import ne
 from typing import Mapping, Sequence
@@ -156,20 +160,6 @@ class Poly:
             total = total + term
         return total
 
-    def subst_univariate(self, name: str, value: int) -> "Poly":
-        """Fix one variable to an integer; the result drops that variable."""
-        idx = self.vars.index(name)
-        rest = self.vars[:idx] + self.vars[idx + 1 :]
-        terms: dict[tuple[int, ...], int] = {}
-        powers: dict[int, int] = {0: 1}
-        for expo, coeff in self.terms.items():
-            e = expo[idx]
-            if e not in powers:
-                powers[e] = value**e
-            new = expo[:idx] + expo[idx + 1 :]
-            terms[new] = terms.get(new, 0) + coeff * powers[e]
-        return Poly(rest, terms)
-
     def __repr__(self):
         if not self.terms:
             return "Poly(0)"
@@ -232,6 +222,27 @@ def dense_coeffs(p: Poly) -> list[int]:
     out = [0] * (p.degree(p.vars[0]) + 1) if p.terms else []
     for (e,), c in p.terms.items():
         out[e] = c
+    return out
+
+
+def _horner(coeffs: Sequence, x):
+    """The dense list coeffs at x, by Horner's rule, in whatever ring x and coeffs lie."""
+    total = 0
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
+def _table_row(rows: Sequence[Sequence[int]], z0: int) -> list[int]:
+    """The row z = z0 of the table sum_k x^k rows[k](z), a dense list in x."""
+    return [_horner(row, z0) for row in rows]
+
+
+def _table_fiber(rows: Sequence[Sequence[int]], x0: int) -> list[int]:
+    """The fiber x = x0 of the table sum_k x^k rows[k](z), a dense list in z."""
+    out: list[int] = []
+    for row in reversed(rows):
+        out = [x0 * a + c for a, c in zip_longest(out, row, fillvalue=0)]
     return out
 
 

@@ -6,8 +6,10 @@ formulas: the block-graph parameters of `designs.block_graph_formulas` and
 the two auxiliary functions are evaluated over `PolyFrac`, a fraction of
 `Poly`s whose denominator stays factored, and each is expanded once into an
 unreduced pair N(x, z) / D(x, z) (`surface`).  The tests prove the shipped
-tables against these pairs (`table_holds`), and `param_value` reads any
-parameter off them, removable singularities included, through
+tables against these pairs (`table_holds`, with `table_poly` turning a table
+back into a `Poly`).  `derived_pair` and `param_value` hand the pairs to
+`dioph` as tables, in the form `dioph._surface` gives, and `param_value`
+reads any parameter off them, removable singularities included, through
 `dioph._value_at`.
 
 Regenerate the tables after a change to a formula with
@@ -25,8 +27,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from twodist.designs import block_graph_formulas
-from twodist.dioph import (MSQ_XZ, ONE_XZ, S_XZ, XZ, Y1_XZ, Y2NUM_XZ, _value_at,
-                           _X, _xz_table, _Z)
+from twodist.dioph import MSQ_XZ, ONE_XZ, S_XZ, XZ, Y1_XZ, Y2NUM_XZ, _value_at, _X, _Z
 from twodist.errors import DesignError
 from twodist.polynomials import Poly
 
@@ -161,9 +162,15 @@ def surface(name: str, branch: str) -> tuple[Poly, Poly]:
     return shifted(num), shifted(den)
 
 
-def derived_pair(which: str) -> tuple[Poly, Poly]:
-    """The unreduced N / D of g1 or g2; a drop-in for `dioph._surface`."""
-    return surface(which, AUX_BRANCH[which])
+@lru_cache(maxsize=None)
+def surface_tables(name: str, branch: str) -> tuple[tuple, tuple]:
+    """`surface` as a pair of tables: row k lists the x^k coefficients, in z."""
+    return tuple(_rows(p.terms.items()) for p in surface(name, branch))
+
+
+def derived_pair(which: str) -> tuple[tuple, tuple]:
+    """The unreduced N / D of g1 or g2 as tables; a drop-in for `dioph._surface`."""
+    return surface_tables(which, AUX_BRANCH[which])
 
 
 def param_value(name: str, x: int, z: int, branch: str = "y1") -> Fraction:
@@ -174,25 +181,32 @@ def param_value(name: str, x: int, z: int, branch: str = "y1") -> Fraction:
     """
     if x == 0:
         raise DesignError("the parametrization needs x != 0")
-    return _value_at(surface(name, branch), x, z)
+    return _value_at(surface_tables(name, branch), x, z)
 
 
 # ----- the shipped tables ---------------------------------------------------
 
 
+def table_poly(rows: Sequence[Sequence[int]]) -> Poly:
+    """The Poly sum_k x^k rows[k](z) of a table."""
+    return Poly(XZ, {(k, j): c for k, row in enumerate(rows) for j, c in enumerate(row)})
+
+
 def table_holds(which: str, num_rows: Sequence[Sequence[int]],
                 den_rows: Sequence[Sequence[int]]) -> bool:
     """True when num / den equals the derived N / D: num D == N den as Polys."""
-    num, den = _xz_table(num_rows), _xz_table(den_rows)
-    N, D = derived_pair(which)
+    num, den = table_poly(num_rows), table_poly(den_rows)
+    N, D = surface(which, AUX_BRANCH[which])
     return num * D == N * den
 
 
-def _rows(p) -> tuple[tuple[int, ...], ...]:
-    """A sympy Poly in (x, z) as table rows: row k is the x^k coefficient in z."""
-    rows = [[0] * (p.degree(1) + 1) for _ in range(p.degree(0) + 1)]
-    for (ex, ez), c in p.terms():
-        rows[ex][ez] = int(c)
+def _rows(terms) -> tuple[tuple[int, ...], ...]:
+    """Terms ((ex, ez), c) in (x, z) as table rows: row k is the x^k coefficient in z."""
+    terms = [(e, int(c)) for e, c in terms]
+    width = 1 + max((ez for (_, ez), _ in terms), default=0)
+    rows = [[0] * width for _ in range(1 + max((ex for (ex, _), _ in terms), default=0))]
+    for (ex, ez), c in terms:
+        rows[ex][ez] = c
     for row in rows:
         while row and row[-1] == 0:
             row.pop()
@@ -209,12 +223,12 @@ def lowest_terms(which: str) -> tuple[tuple, tuple]:
     import sympy
 
     x, z = sympy.symbols("x z")
-    num, den = (sympy.Poly.from_dict(p.terms, x, z) for p in derived_pair(which))
+    num, den = (sympy.Poly.from_dict(p.terms, x, z) for p in surface(which, AUX_BRANCH[which]))
     common = sympy.gcd(num, den)
     num, den = num.exquo(common), den.exquo(common)
-    if _rows(den)[-1][-1] < 0:
+    if _rows(den.terms())[-1][-1] < 0:
         num, den = -num, -den
-    return _rows(num), _rows(den)
+    return _rows(num.terms()), _rows(den.terms())
 
 
 def table_literal(which: str) -> str:

@@ -33,7 +33,7 @@ from twodist.errors import DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, parse_scalar
 from twodist.polynomials import Poly
 
-from surface_oracle import g1_expr, g2_expr, param_value, prop_params, surface
+from surface_oracle import g1_expr, g2_expr, param_value, prop_params, surface, table_poly
 
 
 def test_eval_p_examples():
@@ -133,6 +133,25 @@ def test_g2_integer_enumeration():
     assert g2_integer_values() == {(1, -1): 136, (1, 0): 0, (2, 0): 0}
 
 
+def test_g2_integer_values_rejects_an_inverted_window():
+    assert g2_integer_values(0, 0) == {(1, 0): 0, (2, 0): 0}
+    with pytest.raises(DesignError):
+        g2_integer_values(1, 0)
+
+
+def test_g1_pole_between_the_strip_and_its_zero():
+    """The shipped g1 denominator changes sign on (t - 1, t), t = z(z+1)/2.
+
+    region_scan skips x = t, where g1 = 0, and the rows z = -1, 0; between
+    region 2 at x = t - 1 and that skipped point g1 has a real pole.
+    """
+    den = table_poly(_surface("g1")[1])
+    for z in [z for z in range(-50, 51) if z not in (-1, 0)]:
+        t = z * (z + 1) // 2
+        assert den.eval({"x": t - 1, "z": z}) == -14 * t * t + 6 * t < 0
+        assert den.eval({"x": t, "z": z}) == 4 * t * t > 0
+
+
 def test_region_scan_small_boxes():
     g1 = region_scan("g1", zmin=-12, zmax=12, xmax=150)
     assert g1.ok
@@ -175,8 +194,41 @@ def test_pole_path():
         param_value("y", -2, 1, "y2")
     assert param_value("N", 1, 0, "y1") == -1
     # the shipped g1 is in lowest terms: its denominator does not vanish there
-    assert _surface("g1")[1].eval({"x": 1, "z": 0}) == 4
+    assert table_poly(_surface("g1")[1]).eval({"x": 1, "z": 0}) == 4
     assert aux_g("g1", 1, 0) == 0
+
+
+def _reader_table(name):
+    from twodist import dioph
+
+    if name == "y2 curve":
+        return dioph._xz_rows(dioph._p3_on_y2_cleared())
+    which, side = name.split()
+    return _surface(which)[side == "D"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["g1 N", "g1 D", "g2 N", "g2 D", "y2 curve"]),
+       x=st.integers(-10**4, 10**4),
+       z=st.one_of(st.sampled_from([-1, 0]), st.integers(-10**3, 10**3)))
+@example(name="g1 N", x=5, z=-1)                # a zero row of g1
+@example(name="g1 N", x=5, z=0)
+@example(name="g2 N", x=0, z=3)
+def test_table_readers_match_poly_eval(name, x, z):
+    """Row z and fiber x read off a table agree with `Poly.eval` of the same table."""
+    from twodist.polynomials import _horner, _table_fiber, _table_row
+
+    rows = _reader_table(name)
+    want = table_poly(rows).eval({"x": x, "z": z})
+    assert _horner(_table_row(rows, z), x) == want
+    assert _horner(_table_fiber(rows, x), z) == want
+
+
+def test_y2_curve_table_is_the_cleared_curve():
+    from twodist.dioph import _p3_on_y2_cleared, _xz_rows
+
+    cleared = _p3_on_y2_cleared()
+    assert table_poly(_xz_rows(cleared)) == cleared
 
 
 def test_g2_row_z_zero_evaluates_to_zero():
@@ -490,15 +542,12 @@ def enumerate_check_range(row, lo, hi, x_start, x_stop, region, report):
 
 
 def enumerate_curve_search(xmin, xmax, zmin, zmax):
-    """Oracle: `y2_curve_search`'s rows with every x evaluated by Horner's rule."""
-    from twodist.dioph import _horner, _p3_on_y2_cleared, _row_coeffs
+    """Oracle: `y2_curve_search` with every point of the box evaluated by `Poly.eval`."""
+    from twodist.dioph import _p3_on_y2_cleared
 
     cleared = _p3_on_y2_cleared()
-    hits = []
-    for z0 in range(zmin, zmax + 1):
-        row = _row_coeffs(cleared, z0)
-        hits.extend((x0, z0) for x0 in range(xmin, xmax + 1) if _horner(row, x0) == 0)
-    return hits
+    return [(x0, z0) for z0 in range(zmin, zmax + 1) for x0 in range(xmin, xmax + 1)
+            if cleared.eval({"x": x0, "z": z0}) == 0]
 
 
 def _check_range_oracle(which, z0, lo, hi, x_start, x_stop, region):

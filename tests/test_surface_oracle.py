@@ -9,7 +9,7 @@ from twodist import dioph
 from twodist.dioph import RegionScanReport, _RowEvaluator, region_scan, solve_strip_equation
 from twodist.errors import DesignError
 
-from surface_oracle import derived_pair, lowest_terms, table_holds, table_literal
+from surface_oracle import derived_pair, lowest_terms, table_holds, table_literal, table_poly
 
 WHICH = ["g1", "g2"]
 
@@ -29,9 +29,10 @@ def test_tables_are_in_lowest_terms(which):
     import sympy
 
     x, z = sympy.symbols("x z")
-    num, den = (sympy.Poly.from_dict(p.terms, x, z) for p in dioph._surface(which))
+    num, den = (sympy.Poly.from_dict(table_poly(rows).terms, x, z)
+                for rows in dioph._surface(which))
     assert sympy.gcd(num, den).total_degree() == 0          # coprime over Q[x, z]
-    assert reduce(gcd, dioph._surface(which)[1].terms.values()) == 1
+    assert reduce(gcd, table_poly(dioph._surface(which)[1]).terms.values()) == 1
     assert dioph._LOWEST_TERMS[which][1][-1][-1] > 0
     assert lowest_terms(which) == dioph._LOWEST_TERMS[which]
 
