@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -24,11 +23,11 @@ EXIT_MATH = 1
 EXIT_USAGE = 2
 
 
-@dataclass
 class CommandReport:
-    command: str
-    status: str = "ok"
-    sections: list = field(default_factory=list)
+    __slots__ = ("command", "status", "sections")
+
+    def __init__(self, command: str):
+        self.command, self.status, self.sections = command, "ok", []
 
     def add(self, title: str, rows) -> None:
         self.sections.append((title, [(str(k), str(v)) for k, v in rows]))
@@ -198,7 +197,8 @@ def cmd_embed(args) -> tuple[int, CommandReport]:
         verdict = geometry.two_distance_classify(spec)
         rows = [("two-distance", verdict.is_two_distance)]
         if verdict.is_two_distance:
-            assert verdict.case is not None
+            if verdict.case is None:
+                raise InternalConsistencyError("a two-distance verdict without a case label")
             rows += [
                 ("gamma (squared distance)", format_scalar(verdict.gamma_sq)),
                 ("case", verdict.case.letter),
@@ -301,61 +301,77 @@ def cmd_identities(args) -> tuple[int, CommandReport]:
 # ----- dispatch ------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("verify", "params", "embed", "solve", "classify", "regions", "identities")
+
+
+def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The twodist parser, with every subcommand or with the one named `only`.
+
+    Help and usage text are the same either way: with `only`, the command
+    metavar lists every name in COMMANDS.  An unknown command's error still
+    names `argument command` only in the full parser, which `dispatch` builds
+    for any argv that does not start with a command name.
+    """
     parser = argparse.ArgumentParser(
         prog="twodist",
         description="Exact two-distance embeddings of quasi-symmetric designs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if only is None else "{" + ",".join(COMMANDS) + "}")
 
-    p = sub.add_parser("verify", help="run the 45-point golden verification")
-    p.add_argument("target", choices=["lisonek"])
-    p.set_defaults(func=cmd_verify)
+    def command(name, summary, func):
+        if only not in (None, name):
+            return None
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("params", help="derived design parameters for (m, S, alpha, beta)")
-    p.add_argument("m", type=int)
-    p.add_argument("S", type=int)
-    p.add_argument("alpha", type=int)
-    p.add_argument("beta", type=int)
-    p.set_defaults(func=cmd_params)
+    if p := command("verify", "run the 45-point golden verification", cmd_verify):
+        p.add_argument("target", choices=["lisonek"])
 
-    p = sub.add_parser("embed", help="embed a design file and report its spectrum")
-    p.add_argument("design")
-    p.add_argument("--r2", help="second radius in the exact scalar grammar")
-    p.add_argument("--branch", choices=["gt2", "lt2"], default="gt2")
-    p.add_argument("--dump-gram", action="store_true")
-    p.set_defaults(func=cmd_embed)
+    if p := command("params", "derived design parameters for (m, S, alpha, beta)", cmd_params):
+        p.add_argument("m", type=int)
+        p.add_argument("S", type=int)
+        p.add_argument("alpha", type=int)
+        p.add_argument("beta", type=int)
 
-    p = sub.add_parser("solve", help="brute-force the polynomial system on a box")
-    p.add_argument("--smax", type=int, default=30)
-    p.add_argument("--mmax", type=int, default=400)
-    p.add_argument("--no-gate", action="store_true")
-    p.set_defaults(func=cmd_solve)
+    if p := command("embed", "embed a design file and report its spectrum", cmd_embed):
+        p.add_argument("design")
+        p.add_argument("--r2", help="second radius in the exact scalar grammar")
+        p.add_argument("--branch", choices=["gt2", "lt2"], default="gt2")
+        p.add_argument("--dump-gram", action="store_true")
 
-    p = sub.add_parser("classify", help="walk the solution family and apply all gates")
-    p.add_argument("--zmax", type=int, default=10)
-    p.set_defaults(func=cmd_classify)
+    if p := command("solve", "brute-force the polynomial system on a box", cmd_solve):
+        p.add_argument("--smax", type=int, default=30)
+        p.add_argument("--mmax", type=int, default=400)
+        p.add_argument("--no-gate", action="store_true")
 
-    p = sub.add_parser("regions", help="certify auxiliary-function bounds on a box")
-    p.add_argument("--which", choices=["g1", "g2"], required=True)
-    p.add_argument("--zmin", type=int, default=-100)
-    p.add_argument("--zmax", type=int, default=100)
-    p.add_argument("--xmax", type=int, default=10_000)
-    p.set_defaults(func=cmd_regions)
+    if p := command("classify", "walk the solution family and apply all gates", cmd_classify):
+        p.add_argument("--zmax", type=int, default=10)
 
-    p = sub.add_parser("identities", help="verify the parametrization identities")
-    p.set_defaults(func=cmd_identities)
+    if p := command("regions", "certify auxiliary-function bounds on a box", cmd_regions):
+        p.add_argument("--which", choices=["g1", "g2"], required=True)
+        p.add_argument("--zmin", type=int, default=-100)
+        p.add_argument("--zmax", type=int, default=100)
+        p.add_argument("--xmax", type=int, default=10_000)
+
+    command("identities", "verify the parametrization identities", cmd_identities)
 
     for sp in sub.choices.values():
         sp.add_argument("--json", action="store_true", help="emit the JSON report")
     return parser
 
 
+def _parser_for(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """Only the named subcommand's parser when argv starts with one, else the full parser."""
+    return _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+
+
 def dispatch(argv: Sequence[str]) -> tuple[int, Optional[CommandReport]]:
     """Route a command line; returns (exit code, report); errors exit as `twodist.errors` says."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser_for(argv).parse_args(argv)
     except SystemExit as exc:
         return (int(exc.code) if exc.code else EXIT_OK), None
     try:

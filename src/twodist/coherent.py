@@ -10,9 +10,8 @@ table of the Euclidean embedding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,8 +29,7 @@ GRAM_CLASS_OF_RELATION = {
 }
 
 
-@dataclass(frozen=True)
-class CoherentConfig:
+class CoherentConfig(NamedTuple):
     """Nine 0/1 relation matrices over V + B plus the derived parameters."""
 
     design: IncidenceDesign
@@ -85,15 +83,16 @@ def from_design(d: IncidenceDesign) -> CoherentConfig:
 # ----- axiom verification -------------------------------------------------
 
 
-@dataclass
 class AxiomReport:
-    ok: bool
-    p: Optional[np.ndarray]        # p[i-1, j-1, k-1] = p_{ij}^k
-    violation: Optional[str] = None
+    __slots__ = ("ok", "p", "violation")
+
+    def __init__(self, ok: bool, p: Optional[np.ndarray], violation: Optional[str] = None):
+        self.ok, self.p, self.violation = ok, p, violation  # p[i-1, j-1, k-1] = p_{ij}^k
 
     def p_constant(self, i: int, j: int, k: int) -> int:
         """Intersection number p_{ij}^k with 1-based relation labels."""
-        assert self.p is not None
+        if self.p is None:
+            raise ValueError(f"no p table: the axiom check failed ({self.violation})")
         return int(self.p[i - 1, j - 1, k - 1])
 
 
@@ -182,8 +181,7 @@ def verify_axioms(cc: CoherentConfig) -> AxiomReport:
 # ----- the idempotent basis and the projector ------------------------------
 
 
-@dataclass(frozen=True)
-class IdempotentCoefficients:
+class IdempotentCoefficients(NamedTuple):
     """Coefficient vectors (over A1..A9) of the second-block matrix units."""
 
     alpha1: QuadExt
@@ -294,12 +292,13 @@ def verify_epsilon_identities(constants: tuple, idem: IdempotentCoefficients) ->
                              f"eps_{i}{j} eps_{k}{l} != delta * eps_{i}{l}")
 
 
-@dataclass(frozen=True)
 class GramTable:
     """The seven exact Gram classes of the projector embedding."""
 
-    params: DesignParameters
-    classes: dict  # class name -> QuadExt
+    __slots__ = ("params", "classes")
+
+    def __init__(self, params: DesignParameters, classes: dict):
+        self.params, self.classes = params, classes  # class name -> QuadExt
 
     def __getitem__(self, key: str) -> QuadExt:
         return self.classes[key]
@@ -308,14 +307,19 @@ class GramTable:
         return {k: str(v) for k, v in self.classes.items()}
 
 
-@dataclass
 class ProjectorResult:
-    cc: CoherentConfig
-    idem: IdempotentCoefficients
-    coefficients: tuple        # E as a coefficient vector over A1..A9
-    gram: GramTable
-    matrix: Optional[_IntegerForm]  # E densely verified; None above FULL_MATRIX_LIMIT
-    axioms: AxiomReport        # the verified axiom check the projector rests on
+    """The projector E of a coherent configuration, verified exactly.
+
+    `coefficients` is E over A1..A9; `matrix` its densely verified integer
+    form, None above FULL_MATRIX_LIMIT; `axioms` the axiom check E rests on.
+    """
+
+    __slots__ = ("cc", "idem", "coefficients", "gram", "matrix", "axioms")
+
+    def __init__(self, cc: CoherentConfig, idem: IdempotentCoefficients, coefficients: tuple,
+                 gram: GramTable, matrix: Optional[_IntegerForm], axioms: AxiomReport):
+        self.cc, self.idem, self.coefficients = cc, idem, coefficients
+        self.gram, self.matrix, self.axioms = gram, matrix, axioms
 
 
 # Lisonek's configuration and its complement (9 + 36 = 45 vertices each) get the
@@ -389,8 +393,7 @@ def projector_and_gram(cc: CoherentConfig) -> ProjectorResult:
 # ----- the dense check on the integer form -----------------------------------
 
 
-@dataclass(frozen=True)
-class _IntegerForm:
+class _IntegerForm(NamedTuple):
     """The matrix sum_r sqrt(r) * parts[r] / denominator, parts[r] integer."""
 
     denominator: int

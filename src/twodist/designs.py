@@ -11,23 +11,21 @@ separate gate so callers can see exactly which condition fails.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateParametersError, DesignError
+from .errors import DegenerateParametersError, DesignError, InternalConsistencyError
 from .exactnum import format_scalar
 
 
 # ----- parameter calculus ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class DesignParameters:
+class DesignParameters(NamedTuple):
     """Design parameters (m, S, alpha, beta) and the derived block-graph data.
 
     Derived fields are exact rationals; nothing here enforces integrality.
@@ -118,8 +116,7 @@ def derive_parameters(m: int, S: int, alpha: int, beta: int) -> DesignParameters
     return DesignParameters(m, S, alpha, beta, **values)
 
 
-@dataclass(frozen=True)
-class GateReport:
+class GateReport(NamedTuple):
     """Outcome of the integrality gate, with one entry per violated condition."""
 
     params: DesignParameters
@@ -159,26 +156,46 @@ def integrality_gate(p: DesignParameters) -> GateReport:
 # ----- incidence structures --------------------------------------------
 
 
-@dataclass(frozen=True)
 class IncidenceDesign:
-    """Points 0..m-1 and equally sized blocks given as ascending point tuples."""
+    """Points 0..m-1 and equally sized blocks given as ascending point tuples.
 
-    m: int
-    blocks: tuple[tuple[int, ...], ...]
+    Checked at construction and immutable after it; equal when m and the
+    blocks are.
+    """
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise DesignError(f"point count must be positive, got {self.m}")
-        if not self.blocks:
+    __slots__ = ("m", "blocks")
+
+    def __init__(self, m: int, blocks: tuple[tuple[int, ...], ...]):
+        if m < 1:
+            raise DesignError(f"point count must be positive, got {m}")
+        if not blocks:
             raise DesignError("design needs at least one block")
-        size = len(self.blocks[0])
-        for i, b in enumerate(self.blocks):
+        size = len(blocks[0])
+        for i, b in enumerate(blocks):
             if len(b) != size:
                 raise DesignError(f"block {i} has size {len(b)}, expected {size}")
-            if any(not (0 <= v < self.m) for v in b):
-                raise DesignError(f"block {i} has an entry outside [0, {self.m})")
+            if any(not (0 <= v < m) for v in b):
+                raise DesignError(f"block {i} has an entry outside [0, {m})")
             if any(b[j] >= b[j + 1] for j in range(len(b) - 1)):
                 raise DesignError(f"block {i} is not strictly ascending: {b}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"IncidenceDesign is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not IncidenceDesign:
+            return NotImplemented
+        return (self.m, self.blocks) == (other.m, other.blocks)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.blocks))
+
+    def __repr__(self) -> str:
+        return f"IncidenceDesign(m={self.m!r}, blocks={self.blocks!r})"
 
     @property
     def block_size(self) -> int:
@@ -192,8 +209,7 @@ class IncidenceDesign:
         return {"m": self.m, "blocks": [list(b) for b in self.blocks]}
 
 
-@dataclass(frozen=True)
-class TDesignResult:
+class TDesignResult(NamedTuple):
     is_t_design: bool
     Lambda: Optional[int]
     witness: Optional[str] = None
@@ -211,23 +227,20 @@ def verify_t_design(d: IncidenceDesign, t: int) -> TDesignResult:
     for b in d.blocks:
         for sub in combinations(b, t):
             counts[sub] = counts.get(sub, 0) + 1
-    first = None
-    for sub in combinations(range(d.m), t):
+    subsets = combinations(range(d.m), t)
+    first = next(subsets, None)
+    if first is None:  # t <= block size <= m leaves at least one t-subset
+        raise InternalConsistencyError(f"no {t}-subset of {d.m} points to count")
+    want = counts.get(first, 0)
+    for sub in subsets:
         c = counts.get(sub, 0)
-        if first is None:
-            first = (sub, c)
-            continue
-        if c != first[1]:
+        if c != want:
             return TDesignResult(
-                False, None,
-                f"{first[0]} lies in {first[1]} blocks but {sub} lies in {c}",
-            )
-    assert first is not None
-    return TDesignResult(True, first[1])
+                False, None, f"{first} lies in {want} blocks but {sub} lies in {c}")
+    return TDesignResult(True, want)
 
 
-@dataclass(frozen=True)
-class IntersectionProfile:
+class IntersectionProfile(NamedTuple):
     values: tuple[int, ...]
     quasi_symmetric: bool
     alpha: Optional[int] = None
@@ -362,5 +375,6 @@ def parameters_from_design(d: IncidenceDesign, inter: Optional[np.ndarray] = Non
         raise DesignError(
             f"design is not quasi-symmetric: intersection values {profile.values}"
         )
-    assert profile.alpha is not None and profile.beta is not None
+    if profile.alpha is None or profile.beta is None:
+        raise InternalConsistencyError(f"quasi-symmetric profile {profile} lacks alpha or beta")
     return derive_parameters(d.m, d.block_size, profile.alpha, profile.beta)

@@ -24,12 +24,11 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .designs import derive_parameters, integrality_gate, lambda_parts
 from .errors import DesignError, InternalConsistencyError
@@ -114,8 +113,7 @@ def z_of(S: int, m: int, x: int) -> Fraction:
     return Fraction(x * (m + 1) - S * (S + 1), 2 * S)
 
 
-@dataclass(frozen=True)
-class ZPoint:
+class ZPoint(NamedTuple):
     """Values of (S, m, y1, y2) on the parametrized surface at integer (x, z)."""
 
     x: int
@@ -173,9 +171,11 @@ LAMBDA_NUM, LAMBDA_DEN = lambda_parts(_S, _M, _XV, _YV)
 BLOCK_COUNT = 2 * LAMBDA_NUM - _S * (_S - 1) * LAMBDA_DEN
 
 
-@dataclass(frozen=True)
 class IdentityReport:
-    names: tuple[str, ...]
+    __slots__ = ("names",)
+
+    def __init__(self, names: tuple[str, ...]):
+        self.names = names
 
     def __len__(self) -> int:
         return len(self.names)
@@ -296,28 +296,27 @@ def aux_g(which: str, x: int, z: int) -> Fraction:
 # ----- lattice scan ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegionViolation:
+class RegionViolation(NamedTuple):
     region: str
     x: int
     z: int
     value: str
 
 
-@dataclass
 class RegionScanReport:
-    which: str
-    zmin: int
-    zmax: int
-    xmax: int
-    points_checked: dict[str, int] = field(default_factory=dict)
-    violations: list[RegionViolation] = field(default_factory=list)
-    notes: dict[str, object] = field(default_factory=dict)
-    # how the checked points were covered: proved by root exclusion, or
-    # left over with A B <= 0 and checked one by one (a violation or a point
-    # where D = 0); per region, the two sum to points_checked
-    points_proved: dict[str, int] = field(default_factory=dict)
-    points_enumerated: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("which", "zmin", "zmax", "xmax", "points_checked", "violations", "notes",
+                 "points_proved", "points_enumerated")
+
+    def __init__(self, which: str, zmin: int, zmax: int, xmax: int):
+        self.which, self.zmin, self.zmax, self.xmax = which, zmin, zmax, xmax
+        self.points_checked: dict[str, int] = {}
+        self.violations: list[RegionViolation] = []
+        self.notes: dict[str, object] = {}
+        # how the checked points were covered: proved by root exclusion, or
+        # left over with A B <= 0 and checked one by one (a violation or a point
+        # where D = 0); per region, the two sum to points_checked
+        self.points_proved: dict[str, int] = {}
+        self.points_enumerated: dict[str, int] = {}
 
     @property
     def ok(self) -> bool:
@@ -541,15 +540,13 @@ def _integer_roots_between(f, lo: int, hi: int) -> Sequence[int]:
 # ----- solution certificates, brute force, classification -----------------
 
 
-@dataclass(frozen=True)
-class GateResult:
+class GateResult(NamedTuple):
     name: str
     passed: bool
     witness: str
 
 
-@dataclass(frozen=True)
-class SolutionCertificate:
+class SolutionCertificate(NamedTuple):
     candidate: tuple[int, int, int, int, int]  # (S, m, x, y, z)
     gates: tuple[GateResult, ...]
     verdict: str                               # "accepted" or "rejected: <gate>"
@@ -644,11 +641,12 @@ def brute_solver(smax: int, mmax: int, enforce_gate: bool = True) -> list[Soluti
 TIGHT_DESIGN = (23, 7, 1)  # the unique tight 4-design parameters, used as a filter
 
 
-@dataclass
 class ClassifyReport:
-    zmax: int
-    certificates: list[SolutionCertificate]
-    family_notes: tuple[str, ...]
+    __slots__ = ("zmax", "certificates", "family_notes")
+
+    def __init__(self, zmax: int, certificates: list[SolutionCertificate],
+                 family_notes: tuple[str, ...]):
+        self.zmax, self.certificates, self.family_notes = zmax, certificates, family_notes
 
     @property
     def accepted(self) -> list[SolutionCertificate]:
@@ -698,8 +696,7 @@ def classify(zmax: int) -> ClassifyReport:
 # ----- quadratics in z ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Quadratic:
+class Quadratic(NamedTuple):
     """a z^2 + b z + c = 0 with its exact roots, each checked by substitution."""
 
     label: str
@@ -726,8 +723,7 @@ def solve_quadratic(label: str, a: int, b: int, c: int, note: str = "") -> Quadr
                      tuple(_integer_roots(a, b, c)), note)
 
 
-@dataclass(frozen=True)
-class ExclusionReport:
+class ExclusionReport(NamedTuple):
     entries: tuple[Quadratic, ...]
     nonsquare_discriminants: tuple[int, ...]
 

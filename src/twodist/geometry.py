@@ -14,10 +14,9 @@ rescaled by sqrt(2), so d(V,V) = sqrt(2)).  Conversions are explicit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .coherent import GramTable
 from .designs import require_ordering
@@ -37,8 +36,7 @@ def f_ratio(t) -> Fraction:
 # ----- the 45-point configuration ----------------------------------------
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
+class PointConfiguration(NamedTuple):
     """Exact rational coordinates: a simplex part and a block part."""
 
     simplex_points: tuple            # 9 points, one per design point
@@ -125,8 +123,7 @@ def configuration_distance_classes(config: PointConfiguration) -> dict:
 # ----- distance spectra ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistanceSpectrum:
+class DistanceSpectrum(NamedTuple):
     """Exact squared distances of an embedding, by index and by pair class.
 
     d_sq holds (d1^2, ..., d5^2) with d2 < d3 the block-block distances and
@@ -279,16 +276,14 @@ CASE_TABLE = {("gt2", 1): "A", ("gt2", 2): "B", ("gt2", 3): "C", ("gt2", 4): "D"
 COMPLEMENT_TWIN = {1: 2, 2: 1, 3: 4, 4: 3}
 
 
-@dataclass(frozen=True)
-class CaseLabel:
+class CaseLabel(NamedTuple):
     iota: int
     branch: str
     letter: str
     complement_letter: str
 
 
-@dataclass(frozen=True)
-class TwoDistanceResult:
+class TwoDistanceResult(NamedTuple):
     is_two_distance: bool
     gamma_sq: Optional[QuadExt]
     case: Optional[CaseLabel]
@@ -335,8 +330,7 @@ def two_distance_classify(spec: DistanceSpectrum) -> TwoDistanceResult:
 # ----- polynomial residuals -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PResiduals:
+class PResiduals(NamedTuple):
     """Values of (p1, p2, p3) on both branch substitutions.
 
     The gamma > 2 branch evaluates at (S, m, alpha, beta); the gamma < 2
@@ -388,8 +382,7 @@ def geometric_residuals(S: int, m: int, alpha: int, beta: int) -> tuple:
 # ----- side conditions -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RemarkChecks:
+class RemarkChecks(NamedTuple):
     """Exact comparison that keeps a block point off the outer centroid."""
 
     S: int

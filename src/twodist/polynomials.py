@@ -177,15 +177,14 @@ def compose_cleared(p: Poly, subs: Mapping[str, tuple[Poly, Poly]]) -> Poly:
 
     Returns ``p(subs) * prod(den_v ** deg_v(p))``, a genuine polynomial in the
     substitution variables.  Every substituted polynomial must share one
-    output variable tuple; unsubstituted variables must not occur.
+    output variable tuple; unsubstituted variables must not occur, and at
+    least one substitution must be given, since it names the output variables.
     """
-    out_vars = None
-    for num, den in subs.values():
-        if out_vars is None:
-            out_vars = num.vars
-        if num.vars != out_vars or den.vars != out_vars:
-            raise ValueError("all substitution polynomials must share variables")
-    assert out_vars is not None
+    if not subs:
+        raise ValueError("compose_cleared needs at least one substitution")
+    out_vars = next(iter(subs.values()))[0].vars
+    if any(num.vars != out_vars or den.vars != out_vars for num, den in subs.values()):
+        raise ValueError("all substitution polynomials must share variables")
     degs = {v: p.degree(v) for v in p.vars}
     for v in p.vars:
         if v not in subs and degs[v] > 0:

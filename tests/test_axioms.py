@@ -1,7 +1,5 @@
 """The fiber-block axiom check against the full-matrix triple loop."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,7 +62,7 @@ def assert_same_report(cc):
 
 
 def with_relations(cc, rel):
-    return dataclasses.replace(cc, relations=tuple(rel))
+    return cc._replace(relations=tuple(rel))
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +142,8 @@ def test_relation_meeting_two_fiber_pairs(lisonek_cc):
     report = verify_axioms(with_relations(lisonek_cc, rel))
     assert not report.ok and report.p is None
     assert report.violation == "R3 meets more than one fiber pair"
+    with pytest.raises(ValueError, match="the axiom check failed"):
+        report.p_constant(1, 1, 1)
 
 
 def fano_configuration():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from twodist.cli import dispatch
+from twodist.cli import COMMANDS, dispatch
 from twodist.errors import DesignError, InternalConsistencyError
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -317,6 +317,18 @@ def test_exit_code_contract(argv, code, injected, tmp_path, monkeypatch, capsys)
         assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
 
 
+def test_two_distance_verdict_without_a_case_exits_one(monkeypatch, capsys):
+    # an invariant of the classifier, checked with a raise that -O keeps
+    from twodist import cli
+    from twodist.exactnum import QuadExt
+
+    monkeypatch.setattr(cli.geometry, "two_distance_classify",
+                        lambda spec: cli.geometry.TwoDistanceResult(True, QuadExt(4), None))
+    assert dispatch(["embed", LISONEK_FILE]) == (1, None)
+    assert capsys.readouterr().err == (
+        "consistency failure: a two-distance verdict without a case label\n")
+
+
 @pytest.mark.parametrize("exc", [ValueError("a bug"), KeyError("a bug"), AssertionError("a bug")])
 def test_other_exceptions_propagate(exc, monkeypatch, capsys):
     # only the classes in twodist.errors (and OSError) map to an exit code
@@ -348,3 +360,44 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "Lambda" in result.stdout
+
+
+# ----- parser: only the invoked subcommand is built ----------------------------
+
+PARSER_CASES = [
+    ["--help"], [], ["--json"], ["bogus"],
+    *([name, "--help"] for name in COMMANDS),
+    ["params", "1", "2"], ["params", "1", "2", "3", "4", "--bogus"],
+    ["verify", "other"], ["regions"], ["regions", "--which", "g3"],
+    ["classify", "--zm", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "<none>")
+def test_narrowed_parser_matches_the_full_parser(argv, capsys):
+    """stdout, stderr and exit code (or the parsed arguments) equal the full parser's."""
+    from twodist import cli
+
+    def parse(parser):
+        try:
+            outcome = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            outcome = exc.code
+        captured = capsys.readouterr()
+        return outcome, captured.out, captured.err
+
+    assert parse(cli._parser_for(argv)) == parse(cli._build_parser())
+
+
+def test_dispatch_builds_only_the_named_subcommand(monkeypatch, capsys):
+    from twodist import cli
+
+    built = []
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda only=None: built.append(only) or full(only))
+    dispatch(["params", "9", "2", "1", "0"])
+    dispatch(["bogus"])
+    assert built == ["params", None]
+    assert "argument command: invalid choice: 'bogus'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):  # the params-only parser knows no other command
+        full("params").parse_args(["verify", "lisonek"])

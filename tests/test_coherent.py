@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -183,7 +182,7 @@ def test_epsilon_failure_names_product_relation_and_radicand(lisonek_cc, lisonek
     idem = lisonek_projector.idem
     eps22 = list(idem.eps22)
     eps22[3] = eps22[3] + Fraction(1, 63)
-    broken = dataclasses.replace(idem, eps22=tuple(eps22))
+    broken = idem._replace(eps22=tuple(eps22))
     constants = structure_constants(verify_axioms(lisonek_cc).p)
     with pytest.raises(InternalConsistencyError) as err:
         verify_epsilon_identities(constants, broken)
@@ -316,6 +315,6 @@ def test_axiom_violation_reports_plain_integers(lisonek_cc):
     u, v = (int(i) + m for i in np.argwhere(rel[3][m:, m:])[0])
     for a, b in ((u, v), (v, u)):
         rel[3][a, b], rel[4][a, b] = 0, 1
-    report = verify_axioms(dataclasses.replace(lisonek_cc, relations=tuple(rel)))
+    report = verify_axioms(lisonek_cc._replace(relations=tuple(rel)))
     assert not report.ok
     assert report.violation == "p_44^2 not constant: pair (11, 11) gives 14, expected 13"

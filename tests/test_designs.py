@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from twodist.designs import (
     save_design,
     verify_t_design,
 )
-from twodist.errors import DegenerateParametersError, DesignError
+from twodist import designs
+from twodist.errors import DegenerateParametersError, DesignError, InternalConsistencyError
 
 
 @pytest.mark.parametrize("args,expected", [
@@ -95,6 +97,20 @@ def test_verify_t_design_negative():
     assert not res.is_t_design
     assert res.Lambda is None
     assert res.witness
+
+
+def test_verify_t_design_without_a_t_subset_is_an_internal_error():
+    # a checked design has t <= block size <= m; this stand-in skips the check
+    unchecked = SimpleNamespace(m=1, blocks=((0, 1),), block_size=2)
+    with pytest.raises(InternalConsistencyError, match="no 2-subset of 1 points"):
+        verify_t_design(unchecked, 2)
+
+
+def test_quasi_symmetric_profile_without_alpha_is_an_internal_error(lisonek, monkeypatch):
+    monkeypatch.setattr(designs, "intersection_numbers",
+                        lambda d, inter=None: designs.IntersectionProfile((0, 1), True))
+    with pytest.raises(InternalConsistencyError, match="lacks alpha or beta"):
+        parameters_from_design(lisonek)
 
 
 def test_intersection_numbers(lisonek):

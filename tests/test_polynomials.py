@@ -82,6 +82,14 @@ def test_compose_cleared_matches_pointwise_substitution(p, nx, dx, nz, dz, t):
     assert cleared.eval(at) == value * scale
 
 
+@pytest.mark.parametrize("p", [Poly.variable("x", XZ) + 1, Poly.constant(XZ, 3)],
+                         ids=["non-constant", "constant"])
+def test_compose_cleared_needs_a_substitution(p):
+    # the substitutions name the output variables, so there is no answer without one
+    with pytest.raises(ValueError, match="at least one substitution"):
+        compose_cleared(p, {})
+
+
 def test_poly_rejects_non_integer_coefficients():
     with pytest.raises(TypeError):
         Poly(("z",), {(1,): Fraction(1, 2)})
