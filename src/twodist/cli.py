@@ -4,15 +4,20 @@ Exit codes: 0 when every expectation of the command holds, 1 when a
 mathematical expectation fails, 2 for usage or input errors.  Every scalar in
 a report is rendered through the exact textual grammar; the JSON form carries
 exactly the same strings as the text form.
+
+One table, `COMMANDS`, declares every command's arguments; `_parse` reads
+argv by it, without argparse, and builds the help and usage text from it.
+Options are spelled in full: prefix matching (`--zm` for `--zmax`) would make
+every new option a breaking change for the abbreviations it makes ambiguous.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import NoReturn, Optional, Sequence
 
 from . import coherent, designs, dioph, geometry
 from .errors import DegeneracyError, DesignError, InternalConsistencyError
@@ -298,82 +303,119 @@ def cmd_identities(args) -> tuple[int, CommandReport]:
     return EXIT_OK, report
 
 
-# ----- dispatch ------------------------------------------------------------------
+# ----- command line -------------------------------------------------------------
+
+# name -> (summary, handler, positionals, options).  A positional is
+# (name, type, choices); an option is (flag, type, default, choices, required),
+# with type None for a flag that stores True.  Every command also takes --json.
+COMMANDS = {
+    "verify": ("run the 45-point golden verification", cmd_verify,
+               [("target", str, ("lisonek",))], []),
+    "params": ("derived design parameters for (m, S, alpha, beta)", cmd_params,
+               [("m", int, None), ("S", int, None), ("alpha", int, None), ("beta", int, None)], []),
+    "embed": ("embed a design file and report its spectrum; R2 in the exact scalar grammar",
+              cmd_embed, [("design", str, None)],
+              [("--r2", str, None, None, False), ("--branch", str, "gt2", ("gt2", "lt2"), False),
+               ("--dump-gram", None, False, None, False)]),
+    "solve": ("brute-force the polynomial system on a box", cmd_solve, [],
+              [("--smax", int, 30, None, False), ("--mmax", int, 400, None, False),
+               ("--no-gate", None, False, None, False)]),
+    "classify": ("walk the solution family and apply all gates", cmd_classify, [],
+                 [("--zmax", int, 10, None, False)]),
+    "regions": ("certify auxiliary-function bounds on a box", cmd_regions, [],
+                [("--which", str, None, ("g1", "g2"), True), ("--zmin", int, -100, None, False),
+                 ("--zmax", int, 100, None, False), ("--xmax", int, 10_000, None, False)]),
+    "identities": ("verify the parametrization identities", cmd_identities, [], []),
+}
+JSON_OPTION = ("--json", None, False, None, False)
+HELP_FLAGS = ("-h", "--help")
+TOP_USAGE = "twodist {" + ",".join(COMMANDS) + "} ..."
 
 
-COMMANDS = ("verify", "params", "embed", "solve", "classify", "regions", "identities")
+def _usage(name: str) -> str:
+    """One command's usage line, built from its row of COMMANDS."""
+    _, _, positionals, options = COMMANDS[name]
+    words = ["twodist", name]
+    words += ["|".join(choices) if choices else pos.upper() for pos, _, choices in positionals]
+    for flag, kind, default, choices, required in options + [JSON_OPTION]:
+        if kind is not None:
+            flag += " " + ("|".join(choices) if choices
+                           else flag[2:].upper() if default is None else str(default))
+        words.append(flag if required else f"[{flag}]")
+    return " ".join(words)
 
 
-def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The twodist parser, with every subcommand or with the one named `only`.
-
-    Help and usage text are the same either way: with `only`, the command
-    metavar lists every name in COMMANDS.  An unknown command's error still
-    names `argument command` only in the full parser, which `dispatch` builds
-    for any argv that does not start with a command name.
-    """
-    parser = argparse.ArgumentParser(
-        prog="twodist",
-        description="Exact two-distance embeddings of quasi-symmetric designs.",
-    )
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if only is None else "{" + ",".join(COMMANDS) + "}")
-
-    def command(name, summary, func):
-        if only not in (None, name):
-            return None
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func)
-        return p
-
-    if p := command("verify", "run the 45-point golden verification", cmd_verify):
-        p.add_argument("target", choices=["lisonek"])
-
-    if p := command("params", "derived design parameters for (m, S, alpha, beta)", cmd_params):
-        p.add_argument("m", type=int)
-        p.add_argument("S", type=int)
-        p.add_argument("alpha", type=int)
-        p.add_argument("beta", type=int)
-
-    if p := command("embed", "embed a design file and report its spectrum", cmd_embed):
-        p.add_argument("design")
-        p.add_argument("--r2", help="second radius in the exact scalar grammar")
-        p.add_argument("--branch", choices=["gt2", "lt2"], default="gt2")
-        p.add_argument("--dump-gram", action="store_true")
-
-    if p := command("solve", "brute-force the polynomial system on a box", cmd_solve):
-        p.add_argument("--smax", type=int, default=30)
-        p.add_argument("--mmax", type=int, default=400)
-        p.add_argument("--no-gate", action="store_true")
-
-    if p := command("classify", "walk the solution family and apply all gates", cmd_classify):
-        p.add_argument("--zmax", type=int, default=10)
-
-    if p := command("regions", "certify auxiliary-function bounds on a box", cmd_regions):
-        p.add_argument("--which", choices=["g1", "g2"], required=True)
-        p.add_argument("--zmin", type=int, default=-100)
-        p.add_argument("--zmax", type=int, default=100)
-        p.add_argument("--xmax", type=int, default=10_000)
-
-    command("identities", "verify the parametrization identities", cmd_identities)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--json", action="store_true", help="emit the JSON report")
-    return parser
+def _usage_error(name: Optional[str], message: str) -> NoReturn:
+    usage, prog = (TOP_USAGE, "twodist") if name is None else (_usage(name), f"twodist {name}")
+    sys.stderr.write(f"usage: {usage}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
 
 
-def _parser_for(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """Only the named subcommand's parser when argv starts with one, else the full parser."""
-    return _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+def _value(name: Optional[str], label: str, kind, choices, text: str):
+    try:
+        value = kind(text)
+    except ValueError:
+        _usage_error(name, f"argument {label}: invalid {kind.__name__} value: {text!r}")
+    if choices and value not in choices:
+        _usage_error(name, f"argument {label}: invalid choice: {value!r} "
+                           f"(choose from {', '.join(map(repr, choices))})")
+    return value
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
+    """argv's handler and arguments; help and usage errors raise SystemExit(0) and (2)."""
+    if argv and argv[0] in HELP_FLAGS:
+        listing = "\n".join(f"{_usage(name)}\n    {row[0]}" for name, row in COMMANDS.items())
+        print(f"usage: {TOP_USAGE}\n\nExact two-distance embeddings of quasi-symmetric designs.\n"
+              f"Options are spelled in full; `twodist COMMAND --help` shows one command.\n\n{listing}")
+        raise SystemExit(EXIT_OK)
+    if not argv or argv[0].startswith("-"):
+        _usage_error(None, "the following arguments are required: command")
+    name = _value(None, "command", str, tuple(COMMANDS), argv[0])
+    summary, func, positionals, options = COMMANDS[name]
+    flags = {spec[0]: spec for spec in options + [JSON_OPTION]}
+    given = {flag: spec[2] for flag, spec in flags.items()}
+    values, extras, tokens = [], [], iter(argv[1:])
+    for token in tokens:
+        if token in HELP_FLAGS:
+            print(f"usage: {_usage(name)}\n\n{summary}")
+            raise SystemExit(EXIT_OK)
+        if token[:1] != "-" or token == "-" or token[1:].isdecimal():
+            if len(values) < len(positionals):
+                pos, kind, choices = positionals[len(values)]
+                values.append(_value(name, pos, kind, choices, token))
+            else:
+                extras.append(token)
+            continue
+        flag, eq, text = token.partition("=")
+        if flag not in flags or eq and flags[flag][1] is None:
+            extras.append(token)
+            continue
+        _, kind, _, choices, _ = flags[flag]
+        if kind is None:
+            given[flag] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                _usage_error(name, f"argument {flag}: expected one argument")
+        given[flag] = _value(name, flag, kind, choices, text)
+    missing = [pos for pos, _, _ in positionals[len(values):]]
+    missing += [flag for flag, *_, required in options if required and given[flag] is None]
+    if missing:
+        _usage_error(name, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _usage_error(name, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(func=func, **{pos: v for (pos, _, _), v in zip(positionals, values)},
+                           **{flag[2:].replace("-", "_"): v for flag, v in given.items()})
 
 
 def dispatch(argv: Sequence[str]) -> tuple[int, Optional[CommandReport]]:
     """Route a command line; returns (exit code, report); errors exit as `twodist.errors` says."""
     try:
-        args = _parser_for(argv).parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
-        return (int(exc.code) if exc.code else EXIT_OK), None
+        return exc.code, None
     try:
         code, report = args.func(args)
     except (DesignError, OSError) as exc:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 from twodist.cli import COMMANDS, dispatch
 from twodist.errors import DesignError, InternalConsistencyError
 
-DATA_DIR = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
+DATA_DIR = ROOT / "tests" / "data"
 
 
 def run(argv, capsys):
@@ -272,6 +274,8 @@ def _raise(exc):
     pytest.param(["params", "9", "2", "1", "0"], 1,
                  InternalConsistencyError("injected"), id="consistency-failure"),
     pytest.param(["params", "5", "2", "3", "0"], 2, None, id="params-ordering"),
+    # a negative integer is a positional, so the ordering check, not the parser, rejects it
+    pytest.param(["params", "-9", "2", "1", "0"], 2, None, id="params-negative-m"),
     pytest.param(["params", "5", "3", "2", "0"], 2, None, id="params-degenerate"),
     pytest.param(["params", "1" + "0" * 1500, "1" + "0" * 1400, "2", "1"], 2, None,
                  id="params-output-over-digit-limit"),
@@ -362,42 +366,76 @@ def test_console_entry_point():
     assert "Lambda" in result.stdout
 
 
-# ----- parser: only the invoked subcommand is built ----------------------------
+# ----- command line: the usage contract ---------------------------------------
 
-PARSER_CASES = [
-    ["--help"], [], ["--json"], ["bogus"],
-    *([name, "--help"] for name in COMMANDS),
-    ["params", "1", "2"], ["params", "1", "2", "3", "4", "--bogus"],
-    ["verify", "other"], ["regions"], ["regions", "--which", "g3"],
-    ["classify", "--zm", "3"],
+USAGE_ERRORS = [
+    ([], "command"),
+    (["--json"], "command"),
+    (["bogus"], "'bogus'"),
+    (["params", "1", "2"], "alpha, beta"),
+    (["params", "1", "2", "3", "4", "--bogus"], "--bogus"),
+    (["verify", "other"], "'other'"),
+    (["regions"], "--which"),
+    (["regions", "--which", "g3"], "'g3'"),
+    (["regions", "--which", "g1", "--zmin"], "--zmin"),
+    (["classify", "--zmax", "x"], "'x'"),
+    (["classify", "--zm", "3"], "--zm"),  # no prefix matching
+    (["embed"], "design"),
+    (["solve", "-x"], "-x"),
+    (["solve", "--no-gate=1"], "--no-gate=1"),  # a flag takes no value
 ]
 
 
-@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "<none>")
-def test_narrowed_parser_matches_the_full_parser(argv, capsys):
-    """stdout, stderr and exit code (or the parsed arguments) equal the full parser's."""
-    from twodist import cli
-
-    def parse(parser):
-        try:
-            outcome = vars(parser.parse_args(argv))
-        except SystemExit as exc:
-            outcome = exc.code
-        captured = capsys.readouterr()
-        return outcome, captured.out, captured.err
-
-    assert parse(cli._parser_for(argv)) == parse(cli._build_parser())
+@pytest.mark.parametrize("argv, offending", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "<none>" for argv, _ in USAGE_ERRORS])
+def test_usage_error_contract(argv, offending, capsys):
+    """Exit 2 with no report, a usage line and one error line naming the argument."""
+    assert dispatch(argv) == (2, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: twodist ")
+    assert error.startswith("twodist") and ": error: " in error and offending in error
 
 
-def test_dispatch_builds_only_the_named_subcommand(monkeypatch, capsys):
-    from twodist import cli
+@pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in COMMANDS)],
+                         ids=" ".join)
+def test_help_names_every_option(argv, capsys):
+    from twodist.cli import JSON_OPTION
 
-    built = []
-    full = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda only=None: built.append(only) or full(only))
-    dispatch(["params", "9", "2", "1", "0"])
-    dispatch(["bogus"])
-    assert built == ["params", None]
-    assert "argument command: invalid choice: 'bogus'" in capsys.readouterr().err
-    with pytest.raises(SystemExit):  # the params-only parser knows no other command
-        full("params").parse_args(["verify", "lisonek"])
+    assert dispatch(argv) == (0, None)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    for name in COMMANDS if argv == ["--help"] else argv[:1]:
+        assert f"twodist {name}" in captured.out
+        for flag, *_ in COMMANDS[name][3] + [JSON_OPTION]:
+            assert f"[{flag}" in captured.out or f" {flag} " in captured.out, flag
+
+
+@pytest.mark.parametrize("first, second", [
+    (["regions", "--which", "g1", "--zmin=-5", "--zmax", "8", "--xmax", "40"],
+     ["regions", "--which", "g1", "--zmin", "-5", "--zmax", "8", "--xmax", "40"]),
+    (["params", "9", "2", "1", "0", "--json"], ["params", "--json", "9", "2", "1", "0"]),
+])
+def test_spellings_give_the_same_report(first, second, capsys):
+    code, _, out = run(first, capsys)
+    code2, _, out2 = run(second, capsys)
+    assert code == code2 == 0 and out == out2
+
+
+def test_dispatch_imports_no_argparse():
+    probe = ("import sys; from twodist.cli import dispatch; "
+             "dispatch(['params', '9', '2', '1', '0']); dispatch(['identities']); "
+             "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_readme_lists_the_commands_as_help_does(capsys):
+    """README's "Command line" block is the command listing `twodist --help` prints."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    dispatch(["--help"])
+    assert capsys.readouterr().out.split("\n\n")[-1] == block
