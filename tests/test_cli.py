@@ -439,3 +439,81 @@ def test_readme_lists_the_commands_as_help_does(capsys):
     block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
     dispatch(["--help"])
     assert capsys.readouterr().out.split("\n\n")[-1] == block
+
+
+# ----- command line: the table parser against an argparse reference -------------
+
+PARSER_CASES = [
+    ["--help"], [], ["--json"], ["bogus"],
+    *([name, "--help"] for name in COMMANDS),
+    ["params", "1", "2"], ["params", "1", "2", "3", "4", "--bogus"],
+    ["verify", "other"], ["regions"], ["regions", "--which", "g3"],
+    ["classify", "--zm", "3"],
+]
+
+
+def _argparse_reference():
+    """An argparse parser holding every command of COMMANDS, without prefix matching."""
+    import argparse
+
+    from twodist.cli import JSON_OPTION
+
+    parser = argparse.ArgumentParser(prog="twodist")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, func, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(func=func)
+        for pos, kind, choices in positionals:
+            p.add_argument(pos, type=kind, choices=choices)
+        for flag, kind, default, choices, required in options + [JSON_OPTION]:
+            if kind is None:
+                p.add_argument(flag, action="store_true")
+            else:
+                p.add_argument(flag, type=kind, default=default, choices=choices,
+                               required=required)
+    return parser
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "<none>")
+def test_narrowed_parser_matches_the_full_parser(argv, capsys):
+    """The table parser, which reads only the named command's row, ends as argparse does.
+
+    Exit code and error message (or the parsed arguments) equal those of an
+    argparse parser holding every command.  The program named before the message
+    may differ: argparse reports unrecognized arguments as `twodist`, the table
+    parser as `twodist <cmd>`.  Help text is built from the table, so only its
+    exit code and an empty stderr are compared.
+    """
+    from twodist import cli
+
+    def parse(parser):
+        try:
+            outcome = vars(parser(argv))
+            outcome.pop("command", None)
+        except SystemExit as exc:
+            outcome = exc.code
+        captured = capsys.readouterr()
+        return outcome, bool(captured.out), [
+            line.partition(": error: ")[2] for line in captured.err.splitlines()[-1:]]
+
+    assert parse(cli._parse) == parse(_argparse_reference().parse_args)
+
+
+def test_dispatch_builds_only_the_named_subcommand(monkeypatch, capsys):
+    """dispatch reads the row of the command it runs and no other."""
+    from twodist import cli
+
+    read = []
+
+    class Recording(dict):
+        def __getitem__(self, name):
+            read.append(name)
+            return super().__getitem__(name)
+
+    monkeypatch.setattr(cli, "COMMANDS", Recording(COMMANDS))
+    assert dispatch(["params", "9", "2", "1", "0"])[0] == 0
+    assert set(read) == {"params"}
+    read.clear()
+    assert dispatch(["bogus"]) == (2, None)
+    assert read == []
+    assert "argument command: invalid choice: 'bogus'" in capsys.readouterr().err
