@@ -217,7 +217,7 @@ def cmd_embed(args) -> tuple[int, CommandReport]:
         values = [str(v) for v in result.coefficients]
         report.add("projector matrix", [
             (f"row {i}", " | ".join(values[k] for k in row))
-            for i, row in enumerate((cc.relation_index_matrix() - 1).tolist())
+            for i, row in enumerate((cc.labels - 1).tolist())
         ])
     return EXIT_OK, report
 

@@ -1,10 +1,11 @@
 """Coherent configurations of a quasi-symmetric design.
 
-The nine relations on the ordered set V + B (points first, then blocks), the
-exhaustive axiom check with the full intersection-number table, the
-matrix-unit basis of the second irreducible block of the adjacency algebra,
-and the symmetric idempotent projector E whose entries form the exact Gram
-table of the Euclidean embedding.
+The configuration as one label matrix over the ordered set V + B (points
+first, then blocks): each ordered pair carries the i of the one relation R_i
+of the nine that holds it.  Then the exhaustive axiom check with the full
+intersection-number table, the matrix-unit basis of the second irreducible
+block of the adjacency algebra, and the symmetric idempotent projector E
+whose entries form the exact Gram table of the Euclidean embedding.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ GRAM_CLASS_OF_RELATION = {
 
 
 class CoherentConfig(NamedTuple):
-    """Nine 0/1 relation matrices over V + B plus the derived parameters."""
+    """A design's parameters and the relation label of every pair of V + B.
+
+    labels[u, v] is the i of the relation R_i that holds (u, v), as int8.
+    """
 
     design: IncidenceDesign
     params: DesignParameters
-    alpha: int
-    beta: int
-    relations: tuple  # nine int8 arrays, index i <-> R_{i+1}
+    labels: np.ndarray
 
     @property
     def m(self) -> int:
@@ -50,34 +52,22 @@ class CoherentConfig(NamedTuple):
     def size(self) -> int:
         return self.m + self.n_blocks
 
-    def relation_index_matrix(self) -> np.ndarray:
-        """N x N matrix whose entries are the relation numbers 1..9."""
-        out = np.zeros((self.size, self.size), dtype=np.int8)
-        for i, mat in enumerate(self.relations):
-            out += (i + 1) * mat
-        return out
-
 
 def from_design(d: IncidenceDesign) -> CoherentConfig:
-    """Build the nine relations; R4 holds the larger intersection number."""
+    """Label the pairs of V + B; R4 holds the larger intersection number."""
     inc = incidence_matrix(d)
     inter = count_product(inc.T, inc)
     params = parameters_from_design(d, inter)
-    alpha, beta = params.alpha, params.beta
-    m, n = d.m, d.block_count
-    big = m + n
-    offdiag = ~np.eye(n, dtype=bool)
-    mats = [np.zeros((big, big), dtype=np.int8) for _ in range(9)]
-    mats[0][:m, :m] = np.eye(m, dtype=np.int8)
-    mats[1][m:, m:] = np.eye(n, dtype=np.int8)
-    mats[2][:m, :m] = 1 - np.eye(m, dtype=np.int8)
-    mats[3][m:, m:] = ((inter == alpha) & offdiag).astype(np.int8)
-    mats[4][m:, m:] = ((inter == beta) & offdiag).astype(np.int8)
-    mats[5][:m, m:] = inc
-    mats[6][:m, m:] = 1 - inc
-    mats[7][m:, :m] = inc.T
-    mats[8][m:, :m] = (1 - inc).T
-    return CoherentConfig(d, params, alpha, beta, tuple(mats))
+    m = d.m
+    labels = np.empty((m + d.block_count,) * 2, dtype=np.int8)
+    labels[:m, :m] = 3
+    labels[m:, m:] = 5
+    labels[m:, m:][inter == params.alpha] = 4
+    labels[:m, m:] = 7 - inc
+    labels[m:, :m] = 9 - inc.T
+    np.fill_diagonal(labels[:m, :m], 1)
+    np.fill_diagonal(labels[m:, m:], 2)
+    return CoherentConfig(d, params, labels)
 
 
 # ----- axiom verification -------------------------------------------------
@@ -99,11 +89,11 @@ class AxiomReport:
 def verify_axioms(cc: CoherentConfig) -> AxiomReport:
     """Exhaustively check the coherent-configuration axioms.
 
-    (1) the relations are 0/1 matrices that partition all ordered pairs,
-    (2) each relation's transpose is again a relation, (3) R1 + R2 is the
-    diagonal, (4) |{w : (u,w) in R_i, (w,v) in R_j}| is constant over
-    (u,v) in R_k.  Returns the full table of constants, or the first
-    violation found in (i, j, k) order.
+    (1) every label lies in 1..9, so the relations R_i = (labels == i)
+    partition all ordered pairs, (2) each relation's transpose is again a
+    relation, (3) R1 + R2 is the diagonal, (4) |{w : (u,w) in R_i, (w,v) in
+    R_j}| is constant over (u,v) in R_k.  Returns the full table of
+    constants, or the first violation found in (i, j, k) order.
 
     (4) runs on fiber blocks.  The diagonals of R1 and R2 give the fibers
     X_1 and X_2; every nonempty relation must lie in one block X_a x X_b
@@ -119,12 +109,10 @@ def verify_axioms(cc: CoherentConfig) -> AxiomReport:
     row-major order is the global one and a violation names the same pair
     as a full-matrix check would.
     """
-    rels = cc.relations
-    total = np.zeros(rels[0].shape, dtype=np.int8)
-    for r in rels:
-        total += r
-    if not all(((r == 0) | (r == 1)).all() for r in rels) or not (total == 1).all():
+    labels = cc.labels
+    if not ((labels >= 1) & (labels <= 9)).all():
         return AxiomReport(False, None, "relations do not partition the pair set")
+    rels = [(labels == i).astype(np.int8) for i in range(1, 10)]
     for i, expect in TRANSPOSE_PAIRS.items():
         if not (rels[i - 1].T == rels[expect - 1]).all():
             return AxiomReport(False, None, f"transpose of R{i} is not R{expect}")
@@ -295,10 +283,10 @@ def verify_epsilon_identities(constants: tuple, idem: IdempotentCoefficients) ->
 class GramTable:
     """The seven exact Gram classes of the projector embedding."""
 
-    __slots__ = ("params", "classes")
+    __slots__ = ("classes",)
 
-    def __init__(self, params: DesignParameters, classes: dict):
-        self.params, self.classes = params, classes  # class name -> QuadExt
+    def __init__(self, classes: dict):
+        self.classes = classes  # class name -> QuadExt
 
     def __getitem__(self, key: str) -> QuadExt:
         return self.classes[key]
@@ -379,13 +367,13 @@ def projector_and_gram(cc: CoherentConfig) -> ProjectorResult:
     for value in (*v_sums, *b_sums):
         if not QuadExt(value).is_zero():
             raise InternalConsistencyError("E does not annihilate a fiber indicator")
-    gram = GramTable(cc.params, {
+    gram = GramTable({
         name: coeffs[rel - 1] for rel, name in GRAM_CLASS_OF_RELATION.items()
         if rel not in (8, 9)
     })
     matrix = None
     if cc.size <= FULL_MATRIX_LIMIT:
-        matrix = _integer_form(coeffs, cc.relation_index_matrix() - 1)
+        matrix = _integer_form(form, cc.labels - 1)
         _dense_checks(cc, matrix, gram)
     return ProjectorResult(cc, idem, coeffs, gram, matrix, report)
 
@@ -412,13 +400,14 @@ def _integer_vector(values) -> tuple:
     return denominator, tables
 
 
-def _integer_form(values, index: np.ndarray) -> _IntegerForm:
+def _integer_form(vector: tuple, index: np.ndarray) -> _IntegerForm:
     """Integer form of the matrix whose entry (a, b) is values[index[a, b]].
 
-    The parts are int64 under the overflow bound stated in
-    projector_and_gram and object (Python integers) otherwise.
+    `vector` is `_integer_vector(values)`.  The parts are int64 under the
+    overflow bound stated in projector_and_gram and object (Python
+    integers) otherwise.
     """
-    denominator, tables = _integer_vector(values)
+    denominator, tables = vector
     biggest = max((abs(n) for t in tables.values() for n in t), default=0)
     g_sum = sum(_sf_product(r, s)[0] for r in tables for s in tables)
     fits = (index.shape[0] * biggest ** 2 * g_sum < 2 ** 63
@@ -447,7 +436,7 @@ def _require_equal(lhs: np.ndarray, rhs: np.ndarray, what: str) -> None:
 
 def _dense_checks(cc: CoherentConfig, form: _IntegerForm, gram: GramTable) -> None:
     """E = E^T, class agreement, E^2 = E and trace(E) = m - 1, entry by entry."""
-    ridx = cc.relation_index_matrix() - 1
+    ridx = cc.labels - 1
     zero = np.zeros(ridx.shape, dtype=np.int64)
     for r, part in form.parts.items():
         _require_equal(part, part.T, f"E is not symmetric in its sqrt({r}) part")

@@ -339,8 +339,6 @@ def design_from_json(data, source: str = "<data>") -> IncidenceDesign:
             isinstance(v, int) and not isinstance(v, bool) for v in b
         ):
             raise DesignError(f"{source}: blocks[{i}] must be a list of integers")
-        if any(b[j] >= b[j + 1] for j in range(len(b) - 1)):
-            raise DesignError(f"{source}: blocks[{i}] must be sorted ascending: {b}")
         parsed.append(tuple(b))
     try:
         return IncidenceDesign(m, tuple(parsed))

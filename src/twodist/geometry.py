@@ -180,29 +180,19 @@ def theoretical_spectrum(S: int, m: int, alpha: int, beta: int,
     r1 = sqrt_adjoin(fm)
     c_alpha = Fraction(2 * (S - alpha) * m, (m - S) * S)
     c_beta = Fraction(2 * (S - beta) * m, (m - S) * S)
-    if branch == "gt2":
-        r2 = sq_a + sq_b
-        r2_sq = QuadExt(a_val + b_val) + 2 * sq_ab
-        matched = QuadExt(a_val - b_val + fm)           # R2^2 - 2 R2 sqrt(B) + f(m)
-        crossed = QuadExt(a_val + b_val + fm) + 2 * (sq_ab + sq_ac + sq_bc)
-        d4_sq, d5_sq = matched, crossed
-        in_sq, out_sq = d5_sq, d4_sq
-        iota = 1
-    else:
-        r2 = sq_a - sq_b
-        r2_sq = QuadExt(a_val + b_val) - 2 * sq_ab
-        matched = QuadExt(a_val - b_val + fm)           # R2^2 + 2 R2 sqrt(B) + f(m)
-        crossed = QuadExt(a_val + b_val + fm) - 2 * (sq_ab + sq_ac - sq_bc)
-        d4_sq, d5_sq = crossed, matched
-        in_sq, out_sq = d4_sq, d5_sq
-        iota = 3
+    e = 1 if branch == "gt2" else -1
+    r2 = sq_a + e * sq_b
+    r2_sq = QuadExt(a_val + b_val) + 2 * e * sq_ab
+    matched = QuadExt(a_val - b_val + fm)           # R2^2 - 2e R2 sqrt(B) + f(m)
+    crossed = QuadExt(a_val + b_val + fm) + 2 * e * (sq_ab + sq_ac) + 2 * sq_bc
     if matched != QuadExt(2):
         raise InternalConsistencyError("the branch radius must pin d^2 = 2")
+    d4_sq, d5_sq, iota = (matched, crossed, 1) if e == 1 else (crossed, matched, 3)
     d2_sq = r2_sq * c_alpha
     d3_sq = r2_sq * c_beta
     classes = {
         "V_V": QuadExt(2), "B_B_alpha": d2_sq, "B_B_beta": d3_sq,
-        "V_B_in": in_sq, "V_B_out": out_sq,
+        "V_B_in": crossed, "V_B_out": matched,
     }
     return DistanceSpectrum(r1, r2, (QuadExt(2), d2_sq, d3_sq, d4_sq, d5_sq),
                             classes, branch, iota)

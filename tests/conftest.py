@@ -2,7 +2,6 @@ import json
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from twodist.coherent import from_design, projector_and_gram
@@ -49,17 +48,15 @@ def lisonek_design_file(tmp_path, lisonek):
 
 
 def _relation_rows(cc, coefficients) -> list:
-    """Dense rows of sum_k coefficients[k] A_{k+1}, filled relation by relation.
+    """Dense rows of sum_k coefficients[k] A_{k+1}: entry (a, b) is the
+    coefficient of the relation labelled at (a, b).
 
-    Built from the 0/1 matrices in cc.relations alone, so it stays independent
-    of the relation label matrix the library indexes E with.
+    Filled by plain Python lookups, not by the numpy indexing that builds
+    the library's integer form of E.
     """
-    rows = [[None] * cc.size for _ in range(cc.size)]
-    for value, relation in zip(coefficients, cc.relations):
-        for a, b in zip(*np.nonzero(relation)):
-            rows[a][b] = value
-    assert all(v is not None for row in rows for v in row)
-    return rows
+    labels = cc.labels.tolist()
+    assert {k for row in labels for k in row} <= set(range(1, 10))
+    return [[coefficients[k - 1] for k in row] for row in labels]
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,8 @@
 """The fiber-block axiom check against the full-matrix triple loop."""
 
+from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,16 @@ from twodist.coherent import (
     from_design,
     verify_axioms,
 )
-from twodist.designs import IncidenceDesign, complement_design, derive_parameters, incidence_matrix
+from twodist.designs import (
+    IncidenceDesign,
+    complement_design,
+    derive_parameters,
+    incidence_matrix,
+    lisonek_design,
+    load_design,
+)
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def dense_axioms_oracle(cc) -> AxiomReport:
@@ -21,16 +33,16 @@ def dense_axioms_oracle(cc) -> AxiomReport:
     The independent oracle for verify_axioms: it knows nothing of fibers, so
     its p table and its first violation in (i, j, k) order are the reference.
     """
-    mats = [m.astype(np.int32) for m in cc.relations]
-    if not (sum(mats) == 1).all():
+    if not np.isin(cc.labels, range(1, 10)).all():
         return AxiomReport(False, None, "relations do not partition the pair set")
+    supports = [cc.labels == k for k in range(1, 10)]
+    mats = [m.astype(np.int32) for m in supports]
     for i, expect in TRANSPOSE_PAIRS.items():
-        if not (cc.relations[i - 1].T == cc.relations[expect - 1]).all():
+        if not (supports[i - 1].T == supports[expect - 1]).all():
             return AxiomReport(False, None, f"transpose of R{i} is not R{expect}")
-    diag = cc.relations[0] + cc.relations[1]
+    diag = mats[0] + mats[1]
     if not (np.diag(np.diag(diag)) == diag).all() or not (np.diag(diag) == 1).all():
         return AxiomReport(False, None, "R1 + R2 is not the diagonal")
-    supports = [m.astype(bool) for m in cc.relations]
     p = np.zeros((9, 9, 9), dtype=np.int32)
     for i in range(9):
         for j in range(9):
@@ -61,10 +73,6 @@ def assert_same_report(cc):
     return got
 
 
-def with_relations(cc, rel):
-    return cc._replace(relations=tuple(rel))
-
-
 @pytest.fixture(scope="module")
 def witt_cc(witt_design):
     return from_design(witt_design)
@@ -83,6 +91,69 @@ def test_witt_constants_from_parameters(witt_cc):
     assert report.p_constant(6, 8, 3) == params.Lambda   # blocks through two points
 
 
+# ----- the labels against a set-based derivation ---------------------------
+
+
+def pairs_design(m):
+    """2-(m,2,1): every 2-subset of m points is a block."""
+    return IncidenceDesign(m, tuple(combinations(range(m), 2)))
+
+
+def affine_plane_3():
+    """AG(2,3) as STS(9): point 3x + y, the lines y = ax + b and x = c over Z_3."""
+    lines = [{3 * x + (a * x + b) % 3 for x in range(3)} for a in range(3) for b in range(3)]
+    lines += [{3 * c + y for y in range(3)} for c in range(3)]
+    return IncidenceDesign(9, tuple(tuple(sorted(line)) for line in lines))
+
+
+SMALL_DESIGNS = {
+    **{f"pairs-{m}": (lambda m=m: pairs_design(m)) for m in range(4, 9)},
+    "AG(2,3)": affine_plane_3,
+}
+DESIGNS = {
+    "lisonek": lisonek_design,
+    "lisonek-complement": lambda: complement_design(lisonek_design()),
+    "witt": lambda: load_design(DATA_DIR / "witt_4_23_7_1.json"),
+    **SMALL_DESIGNS,
+}
+
+
+def set_labels(design) -> list:
+    """Each pair's relation label, read off the blocks as plain Python sets.
+
+    1/3 point-point, 2/4/5 block-block by |b & b'| (4 for the larger value),
+    6/7 point in / not in block, 8/9 their transposes.
+    """
+    m, blocks = design.m, [set(b) for b in design.blocks]
+    alpha = max(len(a & b) for i, a in enumerate(blocks) for b in blocks[:i])
+
+    def label(u, v):
+        if u < m and v < m:
+            return 1 if u == v else 3
+        if u >= m and v >= m:
+            if u == v:
+                return 2
+            return 4 if len(blocks[u - m] & blocks[v - m]) == alpha else 5
+        if u < m:
+            return 6 if u in blocks[v - m] else 7
+        return 8 if v in blocks[u - m] else 9
+
+    size = m + len(blocks)
+    return [[label(u, v) for v in range(size)] for u in range(size)]
+
+
+@pytest.mark.parametrize("name", DESIGNS)
+def test_labels_match_set_derivation(name):
+    design = DESIGNS[name]()
+    assert from_design(design).labels.tolist() == set_labels(design)
+
+
+@pytest.mark.parametrize("name", SMALL_DESIGNS)
+def test_matches_oracle_on_small_designs(name):
+    # the oracle runs on the other three in test_matches_oracle_on_lisonek_complement_and_witt
+    assert assert_same_report(from_design(SMALL_DESIGNS[name]())).ok
+
+
 # ----- corruptions of Lisonek's configuration ------------------------------
 
 # Lisonek: 9 points, 36 blocks; every corruption keeps the partition, the
@@ -90,25 +161,21 @@ def test_witt_constants_from_parameters(witt_cc):
 M, N = 9, 36
 
 
-def swap_block_pair(rel, u, v):
+def swap_block_pair(labels, u, v):
     """Move one symmetric block pair from R4 to R5 or back."""
     a, b = M + u, M + v
-    src, dst = (3, 4) if rel[3][a, b] else (4, 3)
-    for x, y in ((a, b), (b, a)):
-        rel[src][x, y], rel[dst][x, y] = 0, 1
+    labels[a, b] = labels[b, a] = 9 - labels[a, b]
 
 
-def flip_incidence(rel, point, block):
+def flip_incidence(labels, point, block):
     """Toggle (point, block) between R6 and R7, its transpose between R8 and R9."""
     col = M + block
-    src, dst = (5, 6) if rel[5][point, col] else (6, 5)
-    rel[src][point, col], rel[dst][point, col] = 0, 1
-    rel[src + 2][col, point], rel[dst + 2][col, point] = 0, 1
+    labels[point, col] = 13 - labels[point, col]
+    labels[col, point] = 17 - labels[col, point]
 
 
-def merge_r5_into_r4(rel):
-    rel[3] = rel[3] + rel[4]
-    rel[4] = np.zeros_like(rel[4])
+def merge_r5_into_r4(labels):
+    labels[labels == 5] = 4
 
 
 block_pairs = st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)).filter(
@@ -124,10 +191,10 @@ corruptions = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(steps=st.lists(corruptions, min_size=1, max_size=3))
 def test_corruptions_match_oracle(lisonek_cc, steps):
-    rel = [mat.copy() for mat in lisonek_cc.relations]
+    labels = lisonek_cc.labels.copy()
     for corrupt, args in steps:
-        corrupt(rel, *args)
-    assert_same_report(with_relations(lisonek_cc, rel))
+        corrupt(labels, *args)
+    assert_same_report(lisonek_cc._replace(labels=labels))
 
 
 # ----- the two edge cases ---------------------------------------------------
@@ -135,11 +202,9 @@ def test_corruptions_match_oracle(lisonek_cc, steps):
 
 def test_relation_meeting_two_fiber_pairs(lisonek_cc):
     # fold R6 and R8 into R3: partition, transposes and diagonal still hold
-    rel = [mat.copy() for mat in lisonek_cc.relations]
-    rel[2] = rel[2] + rel[5] + rel[7]
-    rel[5] = np.zeros_like(rel[5])
-    rel[7] = np.zeros_like(rel[7])
-    report = verify_axioms(with_relations(lisonek_cc, rel))
+    labels = lisonek_cc.labels.copy()
+    labels[(labels == 6) | (labels == 8)] = 3
+    report = verify_axioms(lisonek_cc._replace(labels=labels))
     assert not report.ok and report.p is None
     assert report.violation == "R3 meets more than one fiber pair"
     with pytest.raises(ValueError, match="the axiom check failed"):
@@ -151,15 +216,10 @@ def fano_configuration():
     design = IncidenceDesign(7, ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
                                  (2, 3, 6), (2, 4, 5)))
     inc = incidence_matrix(design)
-    eye, ones, zero = np.eye(7, dtype=np.int8), np.ones((7, 7), np.int8), np.zeros((7, 7), np.int8)
-    pieces = [
-        (eye, zero, zero, zero), (zero, zero, zero, eye), (ones - eye, zero, zero, zero),
-        (zero, zero, zero, ones - eye), (zero, zero, zero, zero),
-        (zero, inc, zero, zero), (zero, 1 - inc, zero, zero),
-        (zero, zero, inc.T, zero), (zero, zero, (1 - inc).T, zero),
-    ]
-    rel = tuple(np.block([[vv, vb], [bv, bb]]) for vv, vb, bv, bb in pieces)
-    return CoherentConfig(design, derive_parameters(7, 3, 1, 0), 1, 0, rel)
+    eye = np.eye(7, dtype=np.int8)
+    # points: R1 on the diagonal, R3 off it; lines: R2 and R4; incidence R6/R7, R8/R9
+    labels = np.block([[3 - 2 * eye, 7 - inc], [9 - inc.T, 4 - 2 * eye]])
+    return CoherentConfig(design, derive_parameters(7, 3, 1, 0), labels)
 
 
 def test_empty_relation_is_skipped():

@@ -32,25 +32,30 @@ GOLDEN_GRAM = {
 
 
 def test_relation_sizes(lisonek_cc):
-    sizes = [int(m.sum()) for m in lisonek_cc.relations]
+    sizes = [int((lisonek_cc.labels == k).sum()) for k in range(1, 10)]
     # |R3| = m(m-1), |R4| = n k, |R6| = n S
     assert sizes == [9, 36, 72, 504, 756, 72, 252, 72, 252]
 
 
 def test_relations_partition(lisonek_cc):
-    total = sum(m.astype(int) for m in lisonek_cc.relations)
-    assert (total == 1).all()
+    # a label outside 1..9 leaves its pair in no relation
+    for bad in (0, 10, -1):
+        labels = lisonek_cc.labels.copy()
+        labels[3, 20] = bad
+        report = verify_axioms(lisonek_cc._replace(labels=labels))
+        assert not report.ok and report.p is None
+        assert report.violation == "relations do not partition the pair set"
 
 
 def test_complement_r4_uses_larger_intersection(lisonek):
     from twodist.designs import complement_design
 
     cc = from_design(complement_design(lisonek))
-    assert cc.alpha == 6 and cc.beta == 5
+    assert cc.params.alpha == 6 and cc.params.beta == 5
     inter = np.array([
         [len(set(a) & set(b)) for b in cc.design.blocks] for a in cc.design.blocks
     ])
-    r4 = cc.relations[3][9:, 9:].astype(bool)
+    r4 = cc.labels[9:, 9:] == 4
     assert (inter[r4] == 6).all()
 
 
@@ -72,7 +77,7 @@ def test_axioms_and_intersection_constants(lisonek_cc):
 def test_axiom_table_consistency(lisonek_cc):
     # A_i A_j = sum_k p_ij^k A_k reassembles exactly
     report = verify_axioms(lisonek_cc)
-    mats = [m.astype(np.int64) for m in lisonek_cc.relations]
+    mats = [(lisonek_cc.labels == k).astype(np.int64) for k in range(1, 10)]
     for i in (0, 2, 3, 5, 8):
         for j in (1, 3, 4, 6, 7):
             expect = sum(int(report.p[i, j, k]) * mats[k] for k in range(9))
@@ -310,11 +315,10 @@ def test_degenerate_representation_guard():
 
 def test_axiom_violation_reports_plain_integers(lisonek_cc):
     # move one symmetric block pair from R4 to R5: the R4 degree breaks
-    rel = [mat.copy() for mat in lisonek_cc.relations]
+    labels = lisonek_cc.labels.copy()
     m = lisonek_cc.m
-    u, v = (int(i) + m for i in np.argwhere(rel[3][m:, m:])[0])
-    for a, b in ((u, v), (v, u)):
-        rel[3][a, b], rel[4][a, b] = 0, 1
-    report = verify_axioms(lisonek_cc._replace(relations=tuple(rel)))
+    u, v = (int(i) + m for i in np.argwhere(labels[m:, m:] == 4)[0])
+    labels[u, v] = labels[v, u] = 5
+    report = verify_axioms(lisonek_cc._replace(labels=labels))
     assert not report.ok
     assert report.violation == "p_44^2 not constant: pair (11, 11) gives 14, expected 13"

@@ -12,6 +12,7 @@ from twodist.coherent import (
     _dense_checks,
     _integer_form,
     _integer_square,
+    _integer_vector,
 )
 from twodist.errors import InternalConsistencyError
 from twodist.exactnum import QuadExt, _sf_product
@@ -41,7 +42,7 @@ def quadext_matmul(a: list, b: list) -> list:
 
 def projector_form(result, coeffs=None):
     coeffs = result.coefficients if coeffs is None else coeffs
-    return _integer_form(coeffs, result.cc.relation_index_matrix() - 1)
+    return _integer_form(_integer_vector(coeffs), result.cc.labels - 1)
 
 
 def with_part(form, radicand, part):
@@ -69,7 +70,7 @@ def test_dense_check_catches_symmetric_off_class_entry(lisonek_projector, radica
 
 def test_dense_check_catches_class_value_off_gram_table(lisonek_projector):
     gram = lisonek_projector.gram
-    wrong = GramTable(gram.params, {**gram.classes, "B_beta": QuadExt(Fraction(-1, 63))})
+    wrong = GramTable({**gram.classes, "B_beta": QuadExt(Fraction(-1, 63))})
     with pytest.raises(InternalConsistencyError, match="off its class value"):
         _dense_checks(lisonek_projector.cc, projector_form(lisonek_projector), wrong)
 
@@ -79,8 +80,7 @@ def test_dense_check_catches_non_idempotent_consistent_projector(lisonek_project
     # table moves with it, so only the E^2 = E product can see the change
     coeffs = list(lisonek_projector.coefficients)
     coeffs[2] = coeffs[2] + Fraction(1, 126)
-    gram = GramTable(lisonek_projector.gram.params,
-                     {**lisonek_projector.gram.classes, "V_off": coeffs[2]})
+    gram = GramTable({**lisonek_projector.gram.classes, "V_off": coeffs[2]})
     with pytest.raises(InternalConsistencyError, match=r"E\^2 != E"):
         _dense_checks(lisonek_projector.cc, projector_form(lisonek_projector, coeffs), gram)
 
@@ -114,7 +114,8 @@ def field_matrices(draw, bits: int) -> list:
 def test_integer_square_matches_quadext_oracle(bits, dtype, data):
     rows = data.draw(field_matrices(bits))
     n = len(rows)
-    form = _integer_form([v for row in rows for v in row], np.arange(n * n).reshape(n, n))
+    form = _integer_form(_integer_vector([v for row in rows for v in row]),
+                         np.arange(n * n).reshape(n, n))
     assert all(part.dtype == dtype for part in form.parts.values())
     square = _integer_square(form)
     den = form.denominator ** 2

@@ -44,7 +44,7 @@ def test_immutable_records_refuse_assignment(lisonek, lisonek_cc):
         (dioph.z_parametrization(1, 1), "x"),
         (dioph.solve_quadratic("z^2 - 1", 1, 0, -1), "roots"),
         (geometry.p_residuals(2, 9, 1, 0), "gt2"),
-        (lisonek_cc, "relations"),
+        (lisonek_cc, "labels"),
         (lisonek, "m"),
         (lisonek, "blocks"),
     ]
