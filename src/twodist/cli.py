@@ -189,7 +189,7 @@ def cmd_embed(args) -> tuple[int, CommandReport]:
     cc = coherent.from_design(design)
     result = coherent.projector_and_gram(cc)
     p = cc.params
-    if args.r2:
+    if args.r2 is not None:
         r2 = parse_scalar(args.r2)
     else:
         r2 = geometry.theoretical_spectrum(p.S, p.m, p.alpha, p.beta, args.branch).r2
@@ -294,12 +294,12 @@ def cmd_regions(args) -> tuple[int, CommandReport]:
 def cmd_identities(args) -> tuple[int, CommandReport]:
     report = CommandReport("identities")
     try:
-        result = dioph.verify_identities()
+        names = dioph.verify_identities()
     except InternalConsistencyError as exc:
         report.add("identities", [("failure", str(exc))])
         report.fail()
         return EXIT_MATH, report
-    report.add("identities", [(name, "zero polynomial") for name in result.names])
+    report.add("identities", [(name, "zero polynomial") for name in names])
     return EXIT_OK, report
 
 

@@ -205,9 +205,6 @@ class IncidenceDesign:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def to_json_dict(self) -> dict:
-        return {"m": self.m, "blocks": [list(b) for b in self.blocks]}
-
 
 class TDesignResult(NamedTuple):
     is_t_design: bool
@@ -314,13 +311,6 @@ def lisonek_design() -> IncidenceDesign:
     return IncidenceDesign(9, tuple(combinations(range(9), 2)))
 
 
-def complement_design(d: IncidenceDesign) -> IncidenceDesign:
-    """Replace every block by its complement in the point set."""
-    full = set(range(d.m))
-    blocks = tuple(tuple(sorted(full - set(b))) for b in d.blocks)
-    return IncidenceDesign(d.m, blocks)
-
-
 def design_from_json(data, source: str = "<data>") -> IncidenceDesign:
     """Validate the design JSON schema {"m": int, "blocks": [[int, ...], ...]}."""
     if not isinstance(data, dict):
@@ -355,10 +345,6 @@ def load_design(path) -> IncidenceDesign:
     except ValueError as exc:  # bytes that do not decode, an integer over the digit limit
         raise DesignError(f"{path}: {exc}") from exc
     return design_from_json(data, source=str(path))
-
-
-def save_design(d: IncidenceDesign, path) -> None:
-    Path(path).write_text(json.dumps(d.to_json_dict()) + "\n")
 
 
 def parameters_from_design(d: IncidenceDesign, inter: Optional[np.ndarray] = None

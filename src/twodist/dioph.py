@@ -113,29 +113,6 @@ def z_of(S: int, m: int, x: int) -> Fraction:
     return Fraction(x * (m + 1) - S * (S + 1), 2 * S)
 
 
-class ZPoint(NamedTuple):
-    """Values of (S, m, y1, y2) on the parametrized surface at integer (x, z)."""
-
-    x: int
-    z: int
-    S: int
-    m: Fraction
-    y1: int
-    y2: Fraction
-
-
-def z_parametrization(x: int, z: int) -> ZPoint:
-    """Evaluate S = x + z^2, m = (x + z^2 + z)^2 / x and both y branches."""
-    if x == 0:
-        raise DesignError("the parametrization needs x != 0")
-    S, root, y1, y2num = _xz_coords(x, z)
-    m = Fraction(root * root, x)
-    if root == 0:
-        raise DesignError(f"degenerate parametrization at (x, z) = ({x}, {z})")
-    y2 = Fraction(y2num, root * root)
-    return ZPoint(x, z, S, m, y1, y2)
-
-
 def family_points(family: str, z: int) -> tuple[int, int, int, int]:
     """A point (S, m, x, y) on one of the three solution curves."""
     if family == "i":
@@ -171,21 +148,12 @@ LAMBDA_NUM, LAMBDA_DEN = lambda_parts(_S, _M, _XV, _YV)
 BLOCK_COUNT = 2 * LAMBDA_NUM - _S * (_S - 1) * LAMBDA_DEN
 
 
-class IdentityReport:
-    __slots__ = ("names",)
-
-    def __init__(self, names: tuple[str, ...]):
-        self.names = names
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-
-def verify_identities() -> IdentityReport:
+def verify_identities() -> tuple[str, ...]:
     """Check the parametrization and family identities as zero polynomials.
 
-    Any nonzero residue raises InternalConsistencyError: these are algebraic
-    identities, so a failure can only mean a transcription bug.
+    Returns the names of the identities, in the order checked.  Any nonzero
+    residue raises InternalConsistencyError: these are algebraic identities,
+    so a failure can only mean a transcription bug.
     """
     checks: list[tuple[str, Poly]] = []
     y1, y2 = {**_XZ_SUBS, "y": (Y1_XZ, ONE_XZ)}, {**_XZ_SUBS, "y": (Y2NUM_XZ, MSQ_XZ)}
@@ -199,7 +167,7 @@ def verify_identities() -> IdentityReport:
     for name, residue in checks:
         if not residue.is_zero():
             raise InternalConsistencyError(f"nonzero residue for {name}: {residue!r}")
-    return IdentityReport(tuple(name for name, _ in checks))
+    return tuple(name for name, _ in checks)
 
 
 # ----- g1 and g2 on the (x, z) surface, in lowest terms ---------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import DesignError
 
@@ -175,9 +175,6 @@ class QuadExt:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -224,23 +221,6 @@ class QuadExt:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = QuadExt(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # ----- comparisons ------------------------------------------------
 
     def __eq__(self, other):
@@ -254,27 +234,6 @@ class QuadExt:
 
     def sign(self) -> int:
         return quadext_sign(self)
-
-    def _cmp(self, other) -> int:
-        return (self - other).sign()
-
-    def __lt__(self, other):
-        return self._cmp(self._coerce(other)) < 0
-
-    def __le__(self, other):
-        return self._cmp(self._coerce(other)) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(self._coerce(other)) > 0
-
-    def __ge__(self, other):
-        return self._cmp(self._coerce(other)) >= 0
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
-
-    def __float__(self):
-        return sum(float(c) * math.sqrt(r) for r, c in self._terms)
 
     def __repr__(self):
         return f"QuadExt({format_scalar(self)!r})"
@@ -303,58 +262,6 @@ def sqrt_adjoin(r) -> QuadExt:
     n = r.numerator * r.denominator
     s, d = squarefree_decompose(n)
     return QuadExt({d: Fraction(s, r.denominator)})
-
-
-def quadext_sqrt(a: ScalarLike) -> Optional[QuadExt]:
-    """Exact square root of ``a`` inside a quadratic extension, if one exists.
-
-    Handles rational inputs and inputs of the form ``p + q*sqrt(w)`` whose
-    root decomposes as ``sqrt(x) +/- sqrt(y)`` with rational x, y.  Returns
-    None when the root has degree > 4 over Q (no QuadExt representation).
-    """
-    a = QuadExt(a)
-    sgn = a.sign()
-    if sgn < 0:
-        raise ValueError(f"square root of negative value {a}")
-    if sgn == 0:
-        return QuadExt(0)
-    if a.is_rational():
-        return sqrt_adjoin(a.rational_value())
-    rads = a.radicands()
-    if len(rads) != 1:
-        return None
-    w = rads[0]
-    p = Fraction(0)
-    q = Fraction(0)
-    for r, c in a.terms:
-        if r == 1:
-            p = c
-        else:
-            q = c
-    # (sqrt(x) + sqrt(y))^2 = (x + y) + 2 sqrt(x y): need x+y = p, 4xy = q^2 w
-    disc = p * p - q * q * w
-    if disc < 0:
-        return None
-    root = _rational_sqrt(disc)
-    if root is None:
-        return None
-    x = (p + root) / 2
-    y = (p - root) / 2
-    if x < 0 or y < 0:
-        return None
-    sx = sqrt_adjoin(x)
-    sy = sqrt_adjoin(y)
-    return sx + sy if q > 0 else sx - sy
-
-
-def _rational_sqrt(r: Fraction) -> Optional[Fraction]:
-    if r < 0:
-        return None
-    a = math.isqrt(r.numerator)
-    b = math.isqrt(r.denominator)
-    if a * a == r.numerator and b * b == r.denominator:
-        return Fraction(a, b)
-    return None
 
 
 # ----- exact sign determination ---------------------------------------

@@ -22,7 +22,7 @@ from .coherent import GramTable
 from .designs import require_ordering
 from .dioph import eval_p
 from .errors import DegeneracyError, DesignError, InternalConsistencyError
-from .exactnum import QuadExt, quadext_sqrt, sqrt_adjoin
+from .exactnum import QuadExt, sqrt_adjoin
 
 
 def f_ratio(t) -> Fraction:
@@ -127,9 +127,9 @@ class DistanceSpectrum(NamedTuple):
     """Exact squared distances of an embedding, by index and by pair class.
 
     d_sq holds (d1^2, ..., d5^2) with d2 < d3 the block-block distances and
-    d4 < d5 the point-block distances.  Distances themselves are exposed when
-    they exist in a quadratic extension (they always do on the two-distance
-    locus); squared values are the primary, always-exact representation.
+    d4 < d5 the point-block distances.  Only squared values are held: they
+    are always exact, and comparing them decides everything the
+    classification asks of the distances.
     """
 
     r1: QuadExt
@@ -145,10 +145,6 @@ class DistanceSpectrum(NamedTuple):
             if all(v != w for w in seen):
                 seen.append(v)
         return tuple(seen)
-
-    def distance(self, index: int) -> Optional[QuadExt]:
-        """d_index as an exact QuadExt, or None when it has degree > 4."""
-        return quadext_sqrt(self.d_sq[index - 1])
 
     def as_strings(self) -> dict:
         data = {f"d{i}^2": str(v) for i, v in enumerate(self.d_sq, start=1)}
@@ -278,9 +274,6 @@ class TwoDistanceResult(NamedTuple):
     gamma_sq: Optional[QuadExt]
     case: Optional[CaseLabel]
 
-    def gamma(self) -> Optional[QuadExt]:
-        return None if self.gamma_sq is None else quadext_sqrt(self.gamma_sq)
-
 
 def two_distance_classify(spec: DistanceSpectrum) -> TwoDistanceResult:
     """Decide whether a spectrum is {sqrt(2), sqrt(gamma)} and label its case.
@@ -331,68 +324,9 @@ class PResiduals(NamedTuple):
     gt2: tuple
     lt2: tuple
 
-    @property
-    def feasible_branches(self) -> tuple:
-        out = []
-        if self.gt2 == (0, 0, 0):
-            out.append("gt2")
-        if self.lt2 == (0, 0, 0):
-            out.append("lt2")
-        return tuple(out)
-
 
 def p_residuals(S: int, m: int, alpha: int, beta: int) -> PResiduals:
     require_ordering(m, S, alpha, beta)
     gt2 = tuple(eval_p(w, S, m, alpha, beta) for w in ("p1", "p2", "p3"))
     lt2 = tuple(eval_p(w, S, m, beta, alpha) for w in ("p1", "p2", "p3"))
     return PResiduals(gt2, lt2)
-
-
-def geometric_residuals(S: int, m: int, alpha: int, beta: int) -> tuple:
-    """The three two-distance conditions computed geometrically (gamma > 2).
-
-    Imposes d2^2 = 2 to fix R2, then returns (d4^2 - 2, d5^2 - d3^2,
-    2 (S - beta) - d3^2 (S - alpha)) as exact values; all three vanish
-    exactly when the closed-form embedding is a two-distance set.
-    """
-    fm = f_ratio(m)
-    b_val = fm - f_ratio(m - S)
-    c_val = fm - f_ratio(S)
-    r2_sq = Fraction((m - S) * S, (S - alpha) * m)
-    r2 = sqrt_adjoin(r2_sq)
-    d4_sq = QuadExt(r2_sq + fm) - 2 * (r2 * sqrt_adjoin(b_val))
-    d5_sq = QuadExt(r2_sq + fm) + 2 * (r2 * sqrt_adjoin(c_val))
-    d3_sq = QuadExt(r2_sq * Fraction(2 * (S - beta) * m, (m - S) * S))
-    res1 = d4_sq - 2
-    res2 = d5_sq - d3_sq
-    res3 = QuadExt(2 * (S - beta)) - d3_sq * (S - alpha)
-    return (res1, res2, res3)
-
-
-# ----- side conditions -------------------------------------------------------
-
-
-class RemarkChecks(NamedTuple):
-    """Exact comparison that keeps a block point off the outer centroid."""
-
-    S: int
-    m: int
-    d2_out_sq: Fraction        # f(m - S), block point to the outer centroid
-    d3_out_sq: Fraction        # (m - S + 1)/(m - S), vertex to the outer centroid
-    gap: Fraction              # d3^2 - d2^2 = 2/(m - S)
-
-    @property
-    def ok(self) -> bool:
-        return self.d3_out_sq > 1 and self.gap > 0
-
-
-def remark_checks(S: int, m: int) -> RemarkChecks:
-    if not (1 <= S < m):
-        raise DesignError(f"need 1 <= S < m, got S={S}, m={m}")
-    d2 = f_ratio(m - S)
-    d3 = Fraction(m - S + 1, m - S)
-    gap = d3 - d2
-    checks = RemarkChecks(S, m, d2, d3, gap)
-    if not checks.ok or gap != Fraction(2, m - S):
-        raise InternalConsistencyError("outer-centroid comparison failed")
-    return checks

@@ -98,9 +98,6 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -144,21 +141,6 @@ class Poly:
     def degree(self, name: str) -> int:
         idx = self.vars.index(name)
         return max((e[idx] for e in self.terms), default=0)
-
-    def eval(self, values: Mapping[str, object]):
-        """Evaluate with exact scalars (int, Fraction, QuadExt, ...).
-
-        At an integer point the value is an int.
-        """
-        point = [values[v] for v in self.vars]
-        total = 0
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for base, e in zip(point, expo):
-                if e:
-                    term = term * base**e
-            total = total + term
-        return total
 
     def __repr__(self):
         if not self.terms:

@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 from twodist.coherent import from_design, projector_and_gram
-from twodist.designs import complement_design, lisonek_design, load_design
+from twodist.designs import lisonek_design, load_design
+
+from oracles import complement_design
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -43,7 +45,7 @@ def witt_design():
 @pytest.fixture()
 def lisonek_design_file(tmp_path, lisonek):
     path = tmp_path / "lisonek.json"
-    path.write_text(json.dumps(lisonek.to_json_dict()))
+    path.write_text(json.dumps({"m": lisonek.m, "blocks": lisonek.blocks}))
     return path
 
 

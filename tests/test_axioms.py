@@ -1,4 +1,5 @@
-"""The fiber-block axiom check against the full-matrix triple loop."""
+"""The fiber-block axiom check against the full-matrix triple loop, and the
+embedding pipeline on the same designs."""
 
 from itertools import combinations
 from pathlib import Path
@@ -13,16 +14,24 @@ from twodist.coherent import (
     AxiomReport,
     CoherentConfig,
     from_design,
+    projector_and_gram,
     verify_axioms,
 )
 from twodist.designs import (
     IncidenceDesign,
-    complement_design,
     derive_parameters,
     incidence_matrix,
     lisonek_design,
     load_design,
 )
+from twodist.geometry import (
+    p_residuals,
+    spectrum_from_gram,
+    theoretical_spectrum,
+    two_distance_classify,
+)
+
+from oracles import complement_design
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -152,6 +161,28 @@ def test_labels_match_set_derivation(name):
 def test_matches_oracle_on_small_designs(name):
     # the oracle runs on the other three in test_matches_oracle_on_lisonek_complement_and_witt
     assert assert_same_report(from_design(SMALL_DESIGNS[name]())).ok
+
+
+# ----- the embedding pipeline -----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def projectors(witt_cc):
+    return {name: projector_and_gram(witt_cc if name == "witt" else from_design(make()))
+            for name, make in DESIGNS.items()}
+
+
+@pytest.mark.parametrize("branch", ["gt2", "lt2"])
+@pytest.mark.parametrize("name", DESIGNS)
+def test_two_distance_exactly_where_the_residuals_vanish(name, branch, projectors):
+    """embed's pipeline: two-distance iff (p1, p2, p3) = 0 on the branch iff Lisonek, gamma > 2."""
+    result = projectors[name]
+    p = result.cc.params
+    r2 = theoretical_spectrum(p.S, p.m, p.alpha, p.beta, branch).r2
+    spec = spectrum_from_gram(result.gram, r2, 1 if branch == "gt2" else -1)
+    two_distance = two_distance_classify(spec).is_two_distance
+    residuals = getattr(p_residuals(p.S, p.m, p.alpha, p.beta), branch)
+    assert two_distance == (residuals == (0, 0, 0)) == ((p.S, p.m, branch) == (2, 9, "gt2"))
 
 
 # ----- corruptions of Lisonek's configuration ------------------------------

@@ -266,7 +266,8 @@ def _raise(exc):
     return fail
 
 
-@pytest.mark.parametrize("argv, code, injected", [
+# (argv, exit code, exception injected into derive_parameters or None)
+EXIT_CODE_CONTRACT = [
     pytest.param(["verify", "lisonek"], 0, None, id="verify"),
     pytest.param(["params", "9", "2", "1", "0"], 1,
                  InternalConsistencyError("injected"), id="consistency-failure"),
@@ -277,6 +278,7 @@ def _raise(exc):
     pytest.param(["params", "1" + "0" * 1500, "1" + "0" * 1400, "2", "1"], 2, None,
                  id="params-output-over-digit-limit"),
     pytest.param(["embed", LISONEK_FILE, "--r2", "-1"], 2, None, id="r2-negative"),
+    pytest.param(["embed", LISONEK_FILE, "--r2="], 2, None, id="r2-empty"),
     pytest.param(["embed", LISONEK_FILE, "--r2", "1/0"], 2, None, id="r2-zero-denominator"),
     pytest.param(["embed", LISONEK_FILE, "--r2", "sqrt(2)+sqrt(3)+sqrt(5)"], 2, None,
                  id="r2-three-radicands"),
@@ -299,12 +301,19 @@ def _raise(exc):
     pytest.param(["embed", "{tmp}/huge_m.json"], 2, None,
                  id="design-huge-m-point-in-no-block"),
     pytest.param(["embed", "{tmp}/uncovered.json"], 2, None, id="design-point-in-no-block"),
-])
+]
+
+
+def write_contract_files(directory: Path) -> None:
+    for name, content in CONTRACT_FILES.items():
+        (directory / name).write_bytes(content)
+
+
+@pytest.mark.parametrize("argv, code, injected", EXIT_CODE_CONTRACT)
 def test_exit_code_contract(argv, code, injected, tmp_path, monkeypatch, capsys):
     from twodist import cli
 
-    for name, content in CONTRACT_FILES.items():
-        (tmp_path / name).write_bytes(content)
+    write_contract_files(tmp_path)
     if injected is not None:
         monkeypatch.setattr(cli.designs, "derive_parameters", _raise(injected))
     got, report = dispatch([a.replace("{tmp}", str(tmp_path)) for a in argv])

@@ -16,9 +16,11 @@ from twodist.coherent import (
     verify_axioms,
     verify_epsilon_identities,
 )
-from twodist.designs import IncidenceDesign, complement_design, derive_parameters
+from twodist.designs import IncidenceDesign, derive_parameters
 from twodist.errors import DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, parse_scalar
+
+from oracles import complement_design
 
 GOLDEN_GRAM = {
     "V_diag": "4/9",
@@ -48,8 +50,6 @@ def test_relations_partition(lisonek_cc):
 
 
 def test_complement_r4_uses_larger_intersection(lisonek):
-    from twodist.designs import complement_design
-
     cc = from_design(complement_design(lisonek))
     assert cc.params.alpha == 6 and cc.params.beta == 5
     inter = np.array([

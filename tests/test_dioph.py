@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -14,6 +15,7 @@ from twodist.dioph import (
     _integer_roots_between,
     _p1,
     _surface,
+    _xz_coords,
     aux_g,
     brute_solver,
     classify,
@@ -27,13 +29,36 @@ from twodist.dioph import (
     verify_identities,
     y2_curve_search,
     z_of,
-    z_parametrization,
 )
 from twodist.errors import DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, parse_scalar
 from twodist.polynomials import Poly
 
+from oracles import poly_eval
 from surface_oracle import g1_expr, g2_expr, param_value, prop_params, surface, table_poly
+
+
+class ZPoint(NamedTuple):
+    """Values of (S, m, y1, y2) on the parametrized surface at integer (x, z)."""
+
+    x: int
+    z: int
+    S: int
+    m: Fraction
+    y1: int
+    y2: Fraction
+
+
+def z_parametrization(x: int, z: int) -> ZPoint:
+    """Evaluate S = x + z^2, m = (x + z^2 + z)^2 / x and both y branches."""
+    if x == 0:
+        raise DesignError("the parametrization needs x != 0")
+    S, root, y1, y2num = _xz_coords(x, z)
+    m = Fraction(root * root, x)
+    if root == 0:
+        raise DesignError(f"degenerate parametrization at (x, z) = ({x}, {z})")
+    y2 = Fraction(y2num, root * root)
+    return ZPoint(x, z, S, m, y1, y2)
 
 
 def test_eval_p_examples():
@@ -53,7 +78,7 @@ def test_eval_p_x_zero_properties():
     # p3(1, 2/(y+1), 0, y) = (y - 1)(y - 3): check by clearing denominators
     for y in (0, 2, 4, 5):
         m = Fraction(2, y + 1)
-        value = P3.eval({"S": 1, "m": m, "x": 0, "y": y})
+        value = poly_eval(P3, {"S": 1, "m": m, "x": 0, "y": y})
         assert value == (y - 1) * (y - 3)
 
 
@@ -62,9 +87,9 @@ def test_fast_evaluators_match_polynomials():
     for _ in range(300):
         point = {v: rng.randint(-9, 9) for v in ("S", "m", "x", "y")}
         args = (point["S"], point["m"], point["x"], point["y"])
-        assert P1.eval(point) == eval_p("p1", *args)
-        assert P2.eval(point) == eval_p("p2", *args)
-        assert P3.eval(point) == eval_p("p3", *args)
+        assert poly_eval(P1, point) == eval_p("p1", *args)
+        assert poly_eval(P2, point) == eval_p("p2", *args)
+        assert poly_eval(P3, point) == eval_p("p3", *args)
 
 
 def test_z_parametrization():
@@ -85,19 +110,19 @@ def test_parametrization_solves_system():
             continue
         point = z_parametrization(x, z)
         vals = {"S": point.S, "m": point.m, "x": x}
-        assert P1.eval({**vals, "y": 0}) == 0
+        assert poly_eval(P1, {**vals, "y": 0}) == 0
         for y in (point.y1, point.y2):
-            assert P2.eval({**vals, "y": y}) == 0
+            assert poly_eval(P2, {**vals, "y": y}) == 0
     # p3 vanishing is the extra condition; it holds on family (i) only
     S, m, x, y = family_points("i", 3)
-    assert P3.eval({"S": S, "m": m, "x": x, "y": y}) == 0
+    assert poly_eval(P3, {"S": S, "m": m, "x": x, "y": y}) == 0
 
 
 def test_verify_identities():
-    report = verify_identities()
-    assert len(report) == 7
-    assert "p2 on the y2 branch" in report.names
-    assert "block count n = C(m,2) on family (i)" in report.names
+    names = verify_identities()
+    assert len(names) == 7
+    assert "p2 on the y2 branch" in names
+    assert "block count n = C(m,2) on family (i)" in names
 
 
 def test_family_points():
@@ -148,8 +173,8 @@ def test_g1_pole_between_the_strip_and_its_zero():
     den = table_poly(_surface("g1")[1])
     for z in [z for z in range(-50, 51) if z not in (-1, 0)]:
         t = z * (z + 1) // 2
-        assert den.eval({"x": t - 1, "z": z}) == -14 * t * t + 6 * t < 0
-        assert den.eval({"x": t, "z": z}) == 4 * t * t > 0
+        assert poly_eval(den, {"x": t - 1, "z": z}) == -14 * t * t + 6 * t < 0
+        assert poly_eval(den, {"x": t, "z": z}) == 4 * t * t > 0
 
 
 def test_region_scan_small_boxes():
@@ -189,12 +214,12 @@ def test_pole_path():
     # the derived, unreduced D(x, z) = 0 at each point: one genuine pole and
     # two removable singularities
     for name, x, z, branch in (("y", -2, 1, "y2"), ("N", 1, 0, "y1"), ("g1", 1, 0, "y1")):
-        assert surface(name, branch)[1].eval({"x": x, "z": z}) == 0
+        assert poly_eval(surface(name, branch)[1], {"x": x, "z": z}) == 0
     with pytest.raises(ZeroDivisionError):
         param_value("y", -2, 1, "y2")
     assert param_value("N", 1, 0, "y1") == -1
     # the shipped g1 is in lowest terms: its denominator does not vanish there
-    assert table_poly(_surface("g1")[1]).eval({"x": 1, "z": 0}) == 4
+    assert poly_eval(table_poly(_surface("g1")[1]), {"x": 1, "z": 0}) == 4
     assert aux_g("g1", 1, 0) == 0
 
 
@@ -215,11 +240,11 @@ def _reader_table(name):
 @example(name="g1 N", x=5, z=0)
 @example(name="g2 N", x=0, z=3)
 def test_table_readers_match_poly_eval(name, x, z):
-    """Row z and fiber x read off a table agree with `Poly.eval` of the same table."""
+    """Row z and fiber x read off a table agree with `poly_eval` of the same table."""
     from twodist.polynomials import _horner, _table_fiber, _table_row
 
     rows = _reader_table(name)
-    want = table_poly(rows).eval({"x": x, "z": z})
+    want = poly_eval(table_poly(rows), {"x": x, "z": z})
     assert _horner(_table_row(rows, z), x) == want
     assert _horner(_table_fiber(rows, x), z) == want
 
@@ -542,12 +567,12 @@ def enumerate_check_range(row, lo, hi, x_start, x_stop, region, report):
 
 
 def enumerate_curve_search(xmin, xmax, zmin, zmax):
-    """Oracle: `y2_curve_search` with every point of the box evaluated by `Poly.eval`."""
+    """Oracle: `y2_curve_search` with every point of the box evaluated by `poly_eval`."""
     from twodist.dioph import _p3_on_y2_cleared
 
     cleared = _p3_on_y2_cleared()
     return [(x0, z0) for z0 in range(zmin, zmax + 1) for x0 in range(xmin, xmax + 1)
-            if cleared.eval({"x": x0, "z": z0}) == 0]
+            if poly_eval(cleared, {"x": x0, "z": z0}) == 0]
 
 
 def _check_range_oracle(which, z0, lo, hi, x_start, x_stop, region):
@@ -603,7 +628,7 @@ def test_y2_curve_search_finds_every_off_line_zero(monkeypatch):
     box = (-45, 60, -9, 8)
     expected = [(x0, z0) for z0 in range(box[2], box[3] + 1)
                 for x0 in range(box[0], box[1] + 1)
-                if curve.eval({"x": x0, "z": z0}) == 0]
+                if poly_eval(curve, {"x": x0, "z": z0}) == 0]
     assert any(z0 not in (0, 2) and x0 not in (5, -z0 - 40) for x0, z0 in expected)
     assert y2_curve_search(*box) == expected
 
@@ -625,8 +650,8 @@ def test_y2_paper_intersection_points():
     from twodist.dioph import _p3_on_y2_cleared
 
     cleared = _p3_on_y2_cleared()
-    assert cleared.eval({"x": 0, "z": 1}) == 0
-    assert cleared.eval({"x": -9, "z": 3}) == 0
+    assert poly_eval(cleared, {"x": 0, "z": 1}) == 0
+    assert poly_eval(cleared, {"x": -9, "z": 3}) == 0
     assert all(x <= 0 for x in (0, -9))
 
 

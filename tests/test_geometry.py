@@ -8,13 +8,11 @@ from twodist.geometry import (
     centroid,
     configuration_distance_classes,
     f_ratio,
-    geometric_residuals,
     lisonek_coordinates,
     native_block_radius,
     native_gram_distances,
     origin_norm_sq,
     p_residuals,
-    remark_checks,
     spectrum_from_gram,
     squared_distance,
     theoretical_spectrum,
@@ -75,8 +73,7 @@ def test_theoretical_spectrum_lisonek():
     assert spec.r1 == parse_scalar("2/3*sqrt(2)")
     assert spec.r2 == R2_LISONEK
     assert [str(v) for v in spec.d_sq] == ["2", "2", "4", "2", "4"]
-    assert spec.distance(2) == parse_scalar("sqrt(2)")
-    assert spec.distance(3) == QuadExt(2)
+    assert spec.d_sq[1] == 2 and spec.d_sq[2] == 4
     assert spec.iota == 1
 
 
@@ -159,8 +156,7 @@ def test_spectrum_from_gram_rejects_nonpositive_radius(lisonek_projector):
 def test_two_distance_classify_lisonek():
     result = two_distance_classify(theoretical_spectrum(2, 9, 1, 0, "gt2"))
     assert result.is_two_distance
-    assert result.gamma_sq == QuadExt(4)
-    assert result.gamma() == QuadExt(2)
+    assert result.gamma_sq == 4
     assert result.case.letter == "A"
     assert result.case.iota == 1
     assert result.case.complement_letter == "B"
@@ -186,9 +182,30 @@ def test_p_residuals():
     assert p_residuals(7, 27, 3, 1).gt2 == (0, 0, 0)
     lt2 = p_residuals(2, 9, 1, 0).lt2
     assert lt2[0] == 4 and lt2 != (0, 0, 0)
-    assert p_residuals(2, 9, 1, 0).feasible_branches == ("gt2",)
     with pytest.raises(DesignError, match=r"alpha < S < m, got \(m=9, S=3, alpha=1, beta=2\)"):
         p_residuals(3, 9, 1, 2)
+
+
+def geometric_residuals(S: int, m: int, alpha: int, beta: int) -> tuple:
+    """The three two-distance conditions computed geometrically (gamma > 2).
+
+    Imposes d2^2 = 2 to fix R2, then returns (d4^2 - 2, d5^2 - d3^2,
+    2 (S - beta) - d3^2 (S - alpha)) as exact values; all three vanish
+    exactly when the closed-form embedding is a two-distance set.  An
+    oracle for `p_residuals(...).gt2` by a route through the geometry.
+    """
+    fm = f_ratio(m)
+    b_val = fm - f_ratio(m - S)
+    c_val = fm - f_ratio(S)
+    r2_sq = Fraction((m - S) * S, (S - alpha) * m)
+    r2 = sqrt_adjoin(r2_sq)
+    d4_sq = QuadExt(r2_sq + fm) - 2 * (r2 * sqrt_adjoin(b_val))
+    d5_sq = QuadExt(r2_sq + fm) + 2 * (r2 * sqrt_adjoin(c_val))
+    d3_sq = QuadExt(r2_sq * Fraction(2 * (S - beta) * m, (m - S) * S))
+    res1 = d4_sq - 2
+    res2 = d5_sq - d3_sq
+    res3 = QuadExt(2 * (S - beta)) - d3_sq * (S - alpha)
+    return (res1, res2, res3)
 
 
 def test_geometric_route_agrees_with_polynomials():
@@ -217,14 +234,3 @@ def test_distance_ordering_on_grid():
             spec = theoretical_spectrum(S, m, alpha, beta, branch)
             assert (spec.d_sq[2] - spec.d_sq[1]).sign() > 0, (S, m, branch)
             assert (spec.d_sq[4] - spec.d_sq[3]).sign() > 0, (S, m, branch)
-
-
-def test_remark_checks():
-    rc = remark_checks(2, 9)
-    assert rc.d3_out_sq == Fraction(8, 7)
-    assert rc.ok
-    edge = remark_checks(8, 9)
-    assert edge.d2_out_sq == 0 and edge.d3_out_sq == 2
-    assert remark_checks(5, 17).gap == Fraction(2, 12)
-    with pytest.raises(DesignError):
-        remark_checks(9, 9)

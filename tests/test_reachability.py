@@ -1,0 +1,129 @@
+"""Every function in src/twodist runs in a command, a demo or the benchmark.
+
+A child interpreter installs `sys.setprofile` before it imports
+`twodist.cli`, so calls made at import time count, and then runs the golden
+command lines of test_cli_golden, the exit-code and usage-error contracts of
+test_cli (without the rows that inject a failure), the demos and the
+benchmark's library entry `dioph.y2_curve_search`.  Any `def` under
+src/twodist that the child never entered fails the test unless ALLOWLIST
+names it with the reason it stays.  Code only a test calls belongs in
+tests/, as a named oracle beside the tests that use it.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_cli import EXIT_CODE_CONTRACT, USAGE_ERRORS, write_contract_files
+from test_cli_golden import CASES as GOLDEN_ARGV
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "twodist"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# module:qualified name -> why it stays although the run above never calls it
+ALLOWLIST = {
+    "cli:main": "the console script; it only wraps dispatch, which the child calls",
+    "cli:CommandReport.fail": "runs only when a proof fails",
+    "dioph:_RowEvaluator._check_point_fallback": "the D = 0 path of a row; unproved unreachable",
+    "exactnum:QuadExt.__hash__": "value semantics: equal values hash equal",
+    "exactnum:QuadExt.__repr__": "value semantics: what a failing comparison prints",
+    "exactnum:QuadExt.__bool__": "value semantics: zero is false, as for int and Fraction",
+    "polynomials:Poly.__eq__": "value semantics: without it == is identity",
+    "polynomials:Poly.__hash__": "value semantics: equal polynomials hash equal",
+    "polynomials:Poly.__repr__": "verify_identities prints it when a residue is nonzero",
+    "designs:IncidenceDesign.__eq__": "value semantics: without it == is identity",
+    "designs:IncidenceDesign.__hash__": "value semantics: equal designs hash equal",
+    "designs:IncidenceDesign.__repr__": "value semantics: what a failing comparison prints",
+    "designs:IncidenceDesign.__setattr__": "keeps a checked design immutable",
+}
+
+CHILD = """
+import contextlib, io, json, runpy, sys
+
+job = json.load(sys.stdin)
+seen = set()
+
+
+def record(frame, event, arg):
+    if event == "call":
+        seen.add(frame.f_code)
+
+
+sys.setprofile(record)
+import twodist.cli
+from twodist import dioph
+
+sink = io.StringIO()
+with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    for argv in job["argv"]:
+        twodist.cli.dispatch(argv)
+    for path in job["demos"]:
+        runpy.run_path(path, run_name="__main__")
+    dioph.y2_curve_search(3, 40, -5, 5)
+sys.setprofile(None)
+print(json.dumps(sorted({(c.co_filename, c.co_firstlineno) for c in seen})))
+"""
+
+
+def source_defs() -> dict:
+    """(path, first line) -> "module:qualified name" of every def under SRC.
+
+    The first line is the one a code object reports: a decorator's, when
+    the def has one.
+    """
+    out = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    out[(path, first)] = f"{path.stem}:{name}"
+                visit(child, path, name + ".")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, "")
+    return out
+
+
+def reached_defs(tmp_path: Path) -> set:
+    write_contract_files(tmp_path)
+    argv = list(GOLDEN_ARGV)
+    argv += [[a.replace("{tmp}", str(tmp_path)) for a in p.values[0]]
+             for p in EXIT_CODE_CONTRACT if p.values[2] is None]
+    argv += [a for a, _ in USAGE_ERRORS]
+    job = {"argv": argv, "demos": [str(p) for p in DEMOS]}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(job), cwd=ROOT,
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    defs = source_defs()
+    return {defs[(Path(f).resolve(), line)] for f, line in json.loads(result.stdout)
+            if (Path(f).resolve(), line) in defs}
+
+
+@pytest.fixture(scope="module")
+def reached(tmp_path_factory):
+    return reached_defs(tmp_path_factory.mktemp("contract"))
+
+
+def test_every_def_is_reached_or_allowlisted(reached):
+    unreached = sorted(set(source_defs().values()) - reached - set(ALLOWLIST))
+    assert not unreached, (
+        "no command, demo or benchmark entry calls these; delete them, or move them "
+        f"to tests/ as an oracle: {unreached}")
+
+
+def test_allowlist_names_only_unreached_defs(reached):
+    defs = set(source_defs().values())
+    assert not set(ALLOWLIST) - defs, "allowlist entries that name no def"
+    assert not set(ALLOWLIST) & reached, "allowlist entries that the run reaches"
