@@ -230,6 +230,9 @@ class QuadExt:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a rational value equals its Fraction, so it hashes as that Fraction
+        if self.is_rational():
+            return hash(self.rational_value())
         return hash(self._terms)
 
     def sign(self) -> int:

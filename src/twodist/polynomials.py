@@ -2,9 +2,12 @@
 
 :class:`Poly` is the one polynomial type: Python ``int`` coefficients keyed
 by exponent vectors over a fixed, ordered variable tuple.  Its constructor
-rejects any other coefficient, so integrality is a property of the type.
-Canonical form (no zero coefficients) makes equality structural, so "this
-residue is the zero polynomial" is a direct comparison.  Rational
+rejects any other coefficient, and any exponent that is not a nonnegative
+``int``, so integrality is a property of the type.  The ring operations
+combine valid terms into valid terms, so they build their results with
+the unchecked ``Poly._trusted``.  Canonical form (no zero coefficients)
+makes equality structural, so "this residue is the zero polynomial" is a
+direct comparison.  Rational
 substitutions enter only through :func:`compose_cleared`, which takes each
 substitution as a (numerator, denominator) pair and clears the denominators.
 
@@ -25,8 +28,12 @@ from __future__ import annotations
 from functools import reduce
 from itertools import zip_longest
 from math import gcd
-from operator import ne
+from operator import add, ne
 from typing import Mapping, Sequence
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Poly:
@@ -38,14 +45,30 @@ class Poly:
         self.vars = tuple(variables)
         clean: dict[tuple[int, ...], int] = {}
         for expo, coeff in dict(terms).items():
-            if not isinstance(coeff, int):
+            if not _is_int(coeff):
                 raise TypeError(f"Poly coefficients are int, got {coeff!r} ({type(coeff).__name__})")
-            if coeff == 0:
-                continue
+            expo = tuple(expo)
             if len(expo) != len(self.vars):
                 raise ValueError(f"exponent {expo} does not match variables {self.vars}")
-            clean[tuple(expo)] = coeff
+            if not all(map(_is_int, expo)):
+                raise TypeError(f"Poly exponents are int, got {expo!r}")
+            if min(expo, default=0) < 0:
+                raise ValueError(f"negative exponent in {expo}")
+            if coeff:
+                clean[expo] = coeff
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...], terms: dict) -> "Poly":
+        """The Poly of terms built by ring operations from valid Polys.
+
+        Drops zero coefficients and checks nothing else: ints combined by
+        +, - and * stay ints, and sums of valid exponent tuples stay valid.
+        """
+        out = cls.__new__(cls)
+        out.vars = variables
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
 
     # ----- constructors -------------------------------------------------
 
@@ -83,14 +106,15 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         terms = dict(self.terms)
+        get = terms.get
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return Poly(self.vars, terms)
+            terms[e] = get(e, 0) + c
+        return Poly._trusted(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -102,35 +126,50 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # a constant or a monomial: shift and scale the other factor
+            ((e1, c1),) = a.items()
+            return Poly._trusted(self.vars, {tuple(map(add, e1, e2)): c1 * c2
+                                             for e2, c2 in b.items()})
         terms: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return Poly(self.vars, terms)
+        get = terms.get
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(add, e1, e2))
+                terms[e] = get(e, 0) + c1 * c2
+        return Poly._trusted(self.vars, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = Poly.constant(self.vars, 1)
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return Poly.constant(self.vars, 1) if out is None else out
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = Poly.constant(self.vars, other)
+            return self.terms == ({(0,) * len(self.vars): other} if other else {})
         if not isinstance(other, Poly):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as that int
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1 and not any(next(iter(self.terms))):
+            return hash(next(iter(self.terms.values())))
         return hash((self.vars, tuple(sorted(self.terms.items()))))
 
     # ----- queries --------------------------------------------------------
@@ -161,6 +200,11 @@ def compose_cleared(p: Poly, subs: Mapping[str, tuple[Poly, Poly]]) -> Poly:
     substitution variables.  Every substituted polynomial must share one
     output variable tuple; unsubstituted variables must not occur, and at
     least one substitution must be given, since it names the output variables.
+
+    Each factor num_v^e * den_v^(deg_v - e) is formed once, with no product
+    by the constant 1, and so is the product of the factors over each prefix
+    of a term's exponent vector, which the terms of p sharing that prefix
+    reuse.  Each coefficient of p is folded into the sum, not multiplied in.
     """
     if not subs:
         raise ValueError("compose_cleared needs at least one substitution")
@@ -171,26 +215,44 @@ def compose_cleared(p: Poly, subs: Mapping[str, tuple[Poly, Poly]]) -> Poly:
     for v in p.vars:
         if v not in subs and degs[v] > 0:
             raise ValueError(f"no substitution given for {v!r}")
-    # factors[v][e] = num_v^e * den_v^(deg_v - e), each formed once
-    factors: dict[str, list[Poly]] = {}
-    for v, d in degs.items():
-        if d == 0:
-            continue
-        num, den = subs[v]
-        num_pows, den_pows = [Poly.constant(out_vars, 1)], [Poly.constant(out_vars, 1)]
-        for _ in range(d):
-            num_pows.append(num_pows[-1] * num)
-            den_pows.append(den_pows[-1] * den)
-        factors[v] = [num_pows[e] * den_pows[d - e] for e in range(d + 1)]
+    zero = (0,) * len(out_vars)
+    one = Poly._trusted(out_vars, {zero: 1})
+
+    def times(a: Poly, b: Poly) -> Poly:
+        return b if a is one else a if b is one else a * b
+
+    def powers(q: Poly, d: int) -> list[Poly]:
+        if q.terms == {zero: 1}:
+            return [one] * (d + 1)
+        out = [one, q]
+        while len(out) <= d:
+            out.append(out[-1] * q)
+        return out
+
+    # factors[i][e] = num^e * den^(d - e) for the i-th variable of p, degree d > 0
+    factors: dict[int, list[Poly]] = {}
+    for i, (v, d) in enumerate(degs.items()):
+        if d:
+            num_pows, den_pows = powers(subs[v][0], d), powers(subs[v][1], d)
+            factors[i] = [times(num_pows[e], den_pows[d - e]) for e in range(d + 1)]
+    # the largest factors first, so that the costliest products sit in the
+    # shortest prefixes, which the most terms share
+    order = sorted(factors.items(), key=lambda item: -max(len(f.terms) for f in item[1]))
+    prefix_products: dict[tuple[int, ...], Poly] = {}
     total: dict[tuple[int, ...], int] = {}
+    get = total.get
     for expo, coeff in p.terms.items():
-        term = Poly.constant(out_vars, coeff)
-        for v, e in zip(p.vars, expo):
-            if v in factors:
-                term = term * factors[v][e]
-        for e, c in term.terms.items():
-            total[e] = total.get(e, 0) + c
-    return Poly(out_vars, total)
+        key: tuple[int, ...] = ()
+        product = one
+        for i, row in order:
+            key += (expo[i],)
+            shared = prefix_products.get(key)
+            if shared is None:
+                shared = prefix_products[key] = times(product, row[expo[i]])
+            product = shared
+        for e, c in product.terms.items():
+            total[e] = get(e, 0) + coeff * c
+    return Poly._trusted(out_vars, total)
 
 
 # ----- dense univariate lists -------------------------------------------

@@ -257,6 +257,9 @@ CONTRACT_FILES = {
     "huge_m.json": b'{"m": 1' + b"0" * 200 + b', "blocks": [[0, 1], [0, 2], [1, 3]]}',
     # 10^10 points would take 28 GiB as an incidence matrix; point 3 lies in no block
     "uncovered.json": b'{"m": 10000000000, "blocks": [[0, 1], [1, 2], [0, 2]]}',
+    # any two lines meet in one point: one intersection value, so not quasi-symmetric
+    "fano.json": b'{"m": 7, "blocks": [[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5], [1, 4, 6],'
+                 b' [2, 3, 6], [2, 4, 5]]}',
 }
 
 
@@ -297,6 +300,7 @@ EXIT_CODE_CONTRACT = [
     pytest.param(["embed", "{tmp}/latin1.json"], 2, None, id="design-not-utf8"),
     pytest.param(["embed", "{tmp}/big_int.json"], 2, None, id="design-int-over-digit-limit"),
     pytest.param(["embed", "{tmp}/not_qs.json"], 2, None, id="design-not-quasi-symmetric"),
+    pytest.param(["embed", "{tmp}/fano.json"], 2, None, id="design-fano-plane"),
     pytest.param(["embed", "{tmp}/axioms_fail.json"], 2, None, id="design-axioms-fail"),
     pytest.param(["embed", "{tmp}/huge_m.json"], 2, None,
                  id="design-huge-m-point-in-no-block"),

@@ -125,6 +125,29 @@ def test_verify_identities():
     assert "block count n = C(m,2) on family (i)" in names
 
 
+# Poly products and coefficient products verify_identities makes: each
+# factor num^e * den^(d - e) and each prefix product of factors is formed
+# once.  Counted, not timed, so host load cannot move them; a change that
+# stops sharing that work raises them (forming every term's product afresh
+# made 639 and 6,035).
+IDENTITY_MULS, IDENTITY_COEFF_PRODUCTS = 292, 3820
+
+
+def test_verify_identities_work_count(monkeypatch):
+    counts = {"muls": 0, "coeff_products": 0}
+    mul = Poly.__mul__
+
+    def counting(a, b):
+        counts["muls"] += 1
+        counts["coeff_products"] += len(a.terms) * (len(b.terms) if isinstance(b, Poly) else 1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    verify_identities()
+    assert 0 < counts["muls"] <= IDENTITY_MULS
+    assert 0 < counts["coeff_products"] <= IDENTITY_COEFF_PRODUCTS
+
+
 def test_family_points():
     assert family_points("i", 1) == (2, 9, 1, 0)
     assert family_points("i", 2) == (7, 27, 3, 1)
@@ -254,6 +277,22 @@ def test_y2_curve_table_is_the_cleared_curve():
 
     cleared = _p3_on_y2_cleared()
     assert table_poly(_xz_rows(cleared)) == cleared
+
+
+def test_y2_curve_table_matches_sympy():
+    """p3 at m = r^2 / x, y = y2num / r^2, times x^deg_m r^(2 deg_y), then r = x + z^2 + z."""
+    import sympy
+
+    from twodist.dioph import _p3, _p3_on_y2_cleared, _xz_rows
+
+    S, m, xs, y, x, z, r = sympy.symbols("S m xs y x z r")
+    p3 = sympy.expand(_p3(S, m, xs, y))
+    s_xz, root, _, y2num = _xz_coords(x, z)
+    on_y2 = p3.subs({S: s_xz, m: r**2 / x, xs: x, y: y2num / r**2})
+    cleared = sympy.expand(on_y2 * x ** sympy.degree(p3, m) * r ** (2 * sympy.degree(p3, y)))
+    want = sympy.Poly(cleared.subs(r, root), x, z).as_dict()
+    rows = _xz_rows(_p3_on_y2_cleared())
+    assert {(k, j): c for k, row in enumerate(rows) for j, c in enumerate(row) if c} == want
 
 
 def test_g2_row_z_zero_evaluates_to_zero():

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from twodist.exactnum import QuadExt
 from twodist.polynomials import (Poly, compose_cleared, dense_coeffs, dense_divmod, dense_gcd,
                                  root_free, sign_variations, taylor_shift)
 
-from oracles import poly_eval
+from oracles import compose_cleared_by_terms, poly_eval, poly_mul
 
 XZ = ("x", "z")
 T = ("t",)
+SMXY = ("S", "m", "x", "y")
 small = st.integers(-20, 20)
 
 
@@ -101,6 +103,110 @@ def test_poly_rejects_non_integer_coefficients():
         Poly.constant(XZ, 1.0)
     with pytest.raises(TypeError):
         Poly.variable("x", XZ) + Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Poly(("x",), {(1,): True})
+    with pytest.raises(TypeError):
+        Poly.variable("x", XZ) * True
+
+
+@pytest.mark.parametrize("terms, error", [
+    ({(-1,): 5, (2,): 1}, ValueError),       # x^-1 would be dropped by dense_coeffs
+    ({(-1,): 0}, ValueError),                # checked before the zero is dropped
+    ({(1.0,): 1}, TypeError),
+    ({(True,): 1}, TypeError),
+    ({(1, 0): 1}, ValueError),
+], ids=["negative", "negative-zero-coefficient", "float", "bool", "length"])
+def test_poly_rejects_invalid_exponents(terms, error):
+    with pytest.raises(error):
+        Poly(("x",), terms)
+
+
+# ----- the kernel against the schoolbook oracle ---------------------------
+
+
+@st.composite
+def kernel_polys(draw, variables, max_degree=3, flat=frozenset()):
+    """A Poly that is often zero or one term; the variables in `flat` never occur."""
+    expo = st.tuples(*[st.just(0) if v in flat else st.integers(0, max_degree)
+                       for v in variables])
+    size = draw(st.sampled_from([0, 1, 1, 2, 3, 5]))
+    return Poly(variables, draw(st.dictionaries(expo, small, max_size=size)))
+
+
+def assert_canonical(p, variables):
+    """No stored zero, int coefficients, nonnegative int exponents of the right length."""
+    assert p.vars == variables
+    for expo, coeff in p.terms.items():
+        assert type(coeff) is int and coeff != 0
+        assert type(expo) is tuple and len(expo) == len(variables)
+        assert all(type(e) is int and e >= 0 for e in expo)
+
+
+def oracle_sub(a, b):
+    terms = dict(a.terms)
+    for e, c in b.terms.items():
+        terms[e] = terms.get(e, 0) - c
+    return Poly(a.vars, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), variables=st.sampled_from([T, XZ, SMXY]), n=st.integers(0, 4),
+       k=small)
+def test_ring_operations_match_schoolbook_oracle(data, variables, n, k):
+    flat = data.draw(st.sets(st.sampled_from(variables), max_size=len(variables) - 1))
+    a = data.draw(kernel_polys(variables, flat=flat))
+    b = data.draw(kernel_polys(variables))
+    zero = Poly(variables)
+    power = Poly.constant(variables, 1)
+    for _ in range(n):
+        power = poly_mul(power, a)
+    for got, want in [(a * b, poly_mul(a, b)), (b * a, poly_mul(a, b)),
+                      (a * k, poly_mul(a, Poly.constant(variables, k))), (k * a, a * k),
+                      (a - b, oracle_sub(a, b)), (-a, oracle_sub(zero, a)),
+                      (a + b, oracle_sub(a, oracle_sub(zero, b))), (a**n, power)]:
+        assert_canonical(got, variables)
+        assert got.terms == want.terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), in_vars=st.sampled_from([("x", "y", "z"), SMXY]),
+       out_vars=st.sampled_from([T, XZ]))
+def test_compose_cleared_matches_term_by_term_oracle(data, in_vars, out_vars):
+    flat = data.draw(st.sets(st.sampled_from(in_vars), max_size=len(in_vars) - 1))
+    p = data.draw(kernel_polys(in_vars, 2, flat))
+    one = Poly.constant(out_vars, 1)
+    subs = {v: (data.draw(kernel_polys(out_vars, 2)),
+                data.draw(st.one_of(st.just(one), kernel_polys(out_vars, 2))))
+            for v in in_vars}
+    got = compose_cleared(p, subs)
+    assert_canonical(got, out_vars)
+    assert got.terms == compose_cleared_by_terms(p, subs).terms
+
+
+# ----- value semantics ------------------------------------------------------
+
+_n = st.integers(-2, 2)
+exact_values = st.one_of(
+    _n,
+    st.builds(Fraction, _n, st.sampled_from([1, 2])),
+    st.builds(lambda n, d: QuadExt(Fraction(n, d)), _n, st.sampled_from([1, 2])),
+    st.builds(lambda n: QuadExt({1: n, 2: 1}), _n),
+    st.builds(Poly.constant, st.sampled_from([T, XZ]), _n),
+    st.builds(lambda n: Poly.variable("x", XZ) + n, _n),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=exact_values, b=exact_values)
+def test_equal_values_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_constants_and_their_ints_are_one_set_element():
+    assert len({Poly.constant(T, 3), 3}) == 1 and len({Poly(XZ), 0}) == 1
+    assert len({QuadExt(3), 3, Fraction(3)}) == 1
+    assert len({QuadExt(Fraction(1, 2)), Fraction(1, 2)}) == 1
 
 
 # ----- dense lists -------------------------------------------------------
