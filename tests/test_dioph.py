@@ -128,8 +128,8 @@ def test_verify_identities():
 # Poly products and coefficient products verify_identities makes: each
 # factor num^e * den^(d - e) and each prefix product of factors is formed
 # once.  Counted, not timed, so host load cannot move them; a change that
-# stops sharing that work raises them (forming every term's product afresh
-# made 639 and 6,035).
+# stops sharing that work raises them (forming each term's product afresh
+# takes 639 and 6,035).
 IDENTITY_MULS, IDENTITY_COEFF_PRODUCTS = 292, 3820
 
 

@@ -160,8 +160,9 @@ def test_ring_operations_match_schoolbook_oracle(data, variables, n, k):
     power = Poly.constant(variables, 1)
     for _ in range(n):
         power = poly_mul(power, a)
+    times_k = poly_mul(a, Poly.constant(variables, k))
     for got, want in [(a * b, poly_mul(a, b)), (b * a, poly_mul(a, b)),
-                      (a * k, poly_mul(a, Poly.constant(variables, k))), (k * a, a * k),
+                      (a * k, times_k), (k * a, times_k),
                       (a - b, oracle_sub(a, b)), (-a, oracle_sub(zero, a)),
                       (a + b, oracle_sub(a, oracle_sub(zero, b))), (a**n, power)]:
         assert_canonical(got, variables)
