@@ -23,6 +23,7 @@ from .exactnum import QuadExt, _radicand_closure, _sf_product, sqrt_adjoin
 
 
 TRANSPOSE_PAIRS = {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 8, 7: 9, 8: 6, 9: 7}
+SWAP = np.array([0, *TRANSPOSE_PAIRS.values()], dtype=np.int8)  # SWAP[i] = TRANSPOSE_PAIRS[i]
 
 GRAM_CLASS_OF_RELATION = {
     1: "V_diag", 2: "B_diag", 3: "V_off", 4: "B_alpha", 5: "B_beta",
@@ -80,9 +81,11 @@ class AxiomReport:
         self.ok, self.p, self.violation = ok, p, violation  # p[i-1, j-1, k-1] = p_{ij}^k
 
     def p_constant(self, i: int, j: int, k: int) -> int:
-        """Intersection number p_{ij}^k with 1-based relation labels."""
+        """Intersection number p_{ij}^k with 1-based relation labels 1..9."""
         if self.p is None:
             raise ValueError(f"no p table: the axiom check failed ({self.violation})")
+        if not all(1 <= label <= 9 for label in (i, j, k)):
+            raise ValueError(f"relation labels run from 1 to 9, got p_{i}{j}^{k}")
         return int(self.p[i - 1, j - 1, k - 1])
 
 
@@ -95,73 +98,105 @@ def verify_axioms(cc: CoherentConfig) -> AxiomReport:
     R_j}| is constant over (u,v) in R_k.  Returns the full table of
     constants, or the first violation found in (i, j, k) order.
 
-    (4) runs on fiber blocks.  The diagonals of R1 and R2 give the fibers
-    X_1 and X_2; every nonempty relation must lie in one block X_a x X_b
-    (else "R{i} meets more than one fiber pair"), since p_{Δa,R}^R = [u in
-    X_a] must be constant on R.  A_i A_j is then zero unless R_i's column
-    fiber is R_j's row fiber, and otherwise lives in one block (a, c); only
-    the R_k in that block are tested.  R1 and R2 are the identity on their
-    fiber, so a product with one of them is the other block, no matmul;
-    every other product is a `count_product`.  The R_k of a block partition
-    it, so with c_k the product's value at R_k's first pair, the product is
-    compared at once with sum_k c_k A_k, and only a mismatch is searched
-    for its first pair, R_k by R_k.  Fiber indices are sorted, so a block's
-    row-major order is the global one and a violation names the same pair
-    as a full-matrix check would.
+    (2) is one lookup, SWAP[labels] against labels^T; (3) asks for diagonal
+    labels in {1, 2} and no other label 1 or 2.  The diagonal then gives the
+    fibers X_1 (label 1) and X_2 (label 2); one permutation puts the labels
+    in fiber order, each fiber ascending, unless they already are (as
+    `from_design` builds them), and the four label blocks L_ab on X_a x X_b
+    are slices.  A bincount of each block says which relations meet it; a
+    relation in more than one block fails with "R{i} meets more than one
+    fiber pair", since p_{Δa,R}^R = [u in X_a] must be constant on R.
+
+    (4) then runs block by block.  A_i A_j is zero unless R_i's column fiber
+    is R_j's row fiber, and otherwise lives in one block (a, c).  R1 and R2
+    are the identity on their fiber, so A_1 A_j = A_j and A_i A_2 = A_i:
+    p_ij^k is a Kronecker delta there, with no product and no comparison.
+    For any other R_i on X_a x X_b and each target fiber c, the relations
+    R_j in block (b, c) partition it, so the sum of their A_j is the
+    all-ones J and sum_j A_i A_j = A_i J = rowsum(A_i) 1^T, an exact integer
+    identity.  Every non-identity product of the block but the last is a
+    `count_product`; the last is rowsum(A_i) 1^T less the others, less A_i
+    itself when R_b's identity lies in the block.  Each product, multiplied
+    or derived, is compared entry by entry with its expected values, the
+    value at each R_k's first pair looked up through L_ac.  A_i's products
+    are all formed before any is checked, and checked in j order; the first
+    violation is the least k, then the first pair in row-major order, which
+    fiber order keeps equal to the caller's order, and the pair is named in
+    the caller's numbering.
     """
     labels = cc.labels
-    if not ((labels >= 1) & (labels <= 9)).all():
+    if labels.min() < 1 or labels.max() > 9:
         return AxiomReport(False, None, "relations do not partition the pair set")
-    rels = [(labels == i).astype(np.int8) for i in range(1, 10)]
-    for i, expect in TRANSPOSE_PAIRS.items():
-        if not (rels[i - 1].T == rels[expect - 1]).all():
-            return AxiomReport(False, None, f"transpose of R{i} is not R{expect}")
-    diag = rels[0] + rels[1]
-    if not (np.diag(np.diag(diag)) == diag).all() or not (np.diag(diag) == 1).all():
+    bad = SWAP.take(labels) != labels.T
+    if bad.any():
+        # R_i fails iff a mismatched entry carries i or SWAP[i]; bad is symmetric
+        seen = labels[bad]
+        i = int(min(seen.min(), SWAP.take(seen).min()))
+        return AxiomReport(False, None, f"transpose of R{i} is not R{SWAP[i]}")
+    diag = np.diagonal(labels)
+    size = len(diag)
+    if np.count_nonzero(diag <= 2) != size or np.count_nonzero(labels <= 2) != size:
         return AxiomReport(False, None, "R1 + R2 is not the diagonal")
-    fibers = [np.flatnonzero(np.diag(rels[0])), np.flatnonzero(np.diag(rels[1]))]
-    fiber_of = np.diag(rels[1]).astype(np.intp)  # fiber index: 0 on X_1, 1 on X_2
-    pairs: list = []   # (a, b) per relation, None when empty
-    blocks: list = []  # int8 block on X_a x X_b
-    for i, r in enumerate(rels):
-        row_fibers = set(fiber_of[r.any(axis=1)].tolist())
-        col_fibers = set(fiber_of[r.any(axis=0)].tolist())
-        if not row_fibers:
-            pairs.append(None)
-            blocks.append(None)
-            continue
-        if len(row_fibers) > 1 or len(col_fibers) > 1:
-            return AxiomReport(False, None, f"R{i+1} meets more than one fiber pair")
-        (a,), (b,) = row_fibers, col_fibers
-        pairs.append((a, b))
-        blocks.append(r[np.ix_(fibers[a], fibers[b])])
-    # flat index of each relation's first pair in its block
-    firsts = [None if blk is None else int(np.argmax(blk)) for blk in blocks]
-    p = np.zeros((9, 9, 9), dtype=np.int32)
+    m = int(np.count_nonzero(diag == 1))
+    order = None
+    if not (diag[:m] == 1).all():
+        order = np.argsort(diag, kind="stable")
+        labels = labels[np.ix_(order, order)]
+    cuts, offsets = (slice(0, m), slice(m, size)), (0, m)
+    blocks = {(a, b): labels[cuts[a], cuts[b]] for a in (0, 1) for b in (0, 1)}
+    met = {ab: np.bincount(block.ravel(), minlength=10)[1:] for ab, block in blocks.items()}
+    pairs: list = []  # (a, b) per relation, None when empty
     for i in range(9):
-        for j in range(9):
-            if pairs[i] is None or pairs[j] is None or pairs[i][1] != pairs[j][0]:
-                continue  # A_i A_j = 0, so every p_ij^k is 0
-            block = (pairs[i][0], pairs[j][1])
-            if i < 2:
-                prod = blocks[j]
-            elif j < 2:
-                prod = blocks[i]
-            else:
-                prod = count_product(blocks[i], blocks[j])
-            ks = [k for k in range(9) if pairs[k] == block]
-            values = [prod.flat[firsts[k]] for k in ks]
-            bad = prod != sum(v * blocks[k] for k, v in zip(ks, values))
+        hit = [ab for ab, counts in met.items() if counts[i]]
+        if len(hit) > 1:
+            return AxiomReport(False, None, f"R{i+1} meets more than one fiber pair")
+        pairs.append(hit[0] if hit else None)
+    members = {ab: [k for k in range(9) if pairs[k] == ab] for ab in blocks}
+    rels = [None, None] + [None if pairs[i] is None else blocks[pairs[i]] == i + 1
+                           for i in range(2, 9)]
+    # flat index of each relation's first pair in its block; (0, 0) for R1 and R2
+    firsts = np.array([0, 0] + [0 if r is None else int(np.argmax(r)) for r in rels[2:]])
+    p = np.zeros((9, 9, 9), dtype=np.int32)
+    for j, pair in enumerate(pairs):
+        if pair is not None:  # R_a is the identity on X_a: A_a A_j = A_j A_b = A_j
+            a, b = pair
+            p[a, j, j] = p[j, b, j] = 1
+    for i in range(2, 9):
+        if pairs[i] is None:
+            continue
+        a, b = pairs[i]
+        prods = {}
+        for c in (0, 1):
+            js = [j for j in members[b, c] if j >= 2]
+            if not js:
+                continue  # the block holds R_b's identity alone
+            for j in js[:-1]:
+                prods[j] = count_product(rels[i], rels[j])
+            last = np.empty((rels[i].shape[0], blocks[b, c].shape[1]), dtype=np.int32)
+            last[:] = rels[i].sum(axis=1, dtype=np.int32)[:, None]
+            for j in js[:-1]:
+                last -= prods[j]
+            if c == b:
+                last -= rels[i]
+            prods[js[-1]] = last
+        for j in sorted(prods):
+            prod, c = prods[j], pairs[j][1]
+            ks = members[a, c]
+            values = prod.ravel()[firsts[ks]]
+            table = np.zeros(10, dtype=np.int32)
+            table[np.add(ks, 1)] = values
+            label_block = blocks[a, c]
+            bad = prod != table.take(label_block)
             if bad.any():
-                for k, first in zip(ks, values):
-                    hit = np.argwhere(bad & (blocks[k] != 0))
-                    if len(hit):
-                        r, c = hit[0]
-                        pair = (int(fibers[block[0]][r]), int(fibers[block[1]][c]))
-                        return AxiomReport(
-                            False, None,
-                            f"p_{i+1}{j+1}^{k+1} not constant: pair {pair} gives "
-                            f"{int(prod[r, c])}, expected {int(first)}")
+                k = int(label_block[bad].min())
+                r, col = np.argwhere(bad & (label_block == k))[0]
+                pair = (offsets[a] + int(r), offsets[c] + int(col))
+                if order is not None:
+                    pair = (int(order[pair[0]]), int(order[pair[1]]))
+                return AxiomReport(
+                    False, None,
+                    f"p_{i+1}{j+1}^{k} not constant: pair {pair} gives "
+                    f"{int(prod[r, col])}, expected {int(table[k])}")
             p[i, j, ks] = values
     return AxiomReport(True, p)
 
@@ -312,9 +347,9 @@ class ProjectorResult:
 
 # Lisonek's configuration and its complement (9 + 36 = 45 vertices each) get the
 # dense check; the 276-vertex Witt configuration relies on the p_ij^k table,
-# since the integer dense check there takes 0.09-0.13 s (medians of 9 runs,
-# 2 vCPUs), about eight times the 0.012-0.016 s of the rest of
-# projector_and_gram on Witt, axiom check included.
+# since the integer dense check there takes 0.07-0.10 s more (medians of 9
+# runs, 2 vCPUs, one BLAS thread), about ten times the 0.007-0.009 s of the
+# rest of projector_and_gram on Witt, axiom check included.
 FULL_MATRIX_LIMIT = 128
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -256,8 +256,9 @@ def incidence_matrix(d: IncidenceDesign) -> np.ndarray:
         missing = next(p for p in range(d.m) if p not in covered)
         raise DesignError(f"point {missing} lies in no block")
     inc = np.zeros((d.m, d.block_count), dtype=np.int8)
-    for j, block in enumerate(d.blocks):
-        inc[list(block), j] = 1
+    points = np.fromiter(chain.from_iterable(d.blocks), dtype=np.intp,
+                         count=d.block_count * d.block_size)
+    inc[points, np.arange(d.block_count).repeat(d.block_size)] = 1
     return inc
 
 
@@ -289,15 +290,19 @@ def intersection_numbers(d: IncidenceDesign, inter: Optional[np.ndarray] = None
 
     The values are the off-diagonal entries of the integer product
     inter = inc^T inc (`count_product`), formed here unless the caller
-    passes it.  The design is quasi-symmetric when exactly two values occur;
-    then alpha is the larger and beta the smaller.
+    passes it: a bincount of all its entries less the diagonal's n copies of
+    the block size S (S stays a value when two blocks are equal).  The
+    design is quasi-symmetric when exactly two values occur; then alpha is
+    the larger and beta the smaller.
     """
     if d.block_count < 2:
         raise DesignError("need at least two blocks to intersect")
     if inter is None:
         inc = incidence_matrix(d)
         inter = count_product(inc.T, inc)
-    values = tuple(sorted(set(inter[np.triu_indices(d.block_count, 1)].tolist())))
+    counts = np.bincount(inter.ravel(), minlength=d.block_size + 1)
+    counts[d.block_size] -= d.block_count
+    values = tuple(int(v) for v in np.flatnonzero(counts))
     if len(values) == 2:
         return IntersectionProfile(values, True, alpha=values[1], beta=values[0])
     return IntersectionProfile(values, False)

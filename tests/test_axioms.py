@@ -6,9 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from twodist import coherent
 from twodist.coherent import (
     TRANSPOSE_PAIRS,
     AxiomReport,
@@ -21,6 +22,7 @@ from twodist.designs import (
     IncidenceDesign,
     derive_parameters,
     incidence_matrix,
+    intersection_numbers,
     lisonek_design,
     load_design,
 )
@@ -71,8 +73,8 @@ def dense_axioms_oracle(cc) -> AxiomReport:
     return AxiomReport(True, p)
 
 
-def assert_same_report(cc):
-    got, expected = verify_axioms(cc), dense_axioms_oracle(cc)
+def assert_same_report(cc, expected=None):
+    got, expected = verify_axioms(cc), expected or dense_axioms_oracle(cc)
     assert (got.ok, got.violation) == (expected.ok, expected.violation)
     if expected.p is None:
         assert got.p is None
@@ -87,9 +89,32 @@ def witt_cc(witt_design):
     return from_design(witt_design)
 
 
-def test_matches_oracle_on_lisonek_complement_and_witt(lisonek_cc, lisonek, witt_cc):
-    for cc in (lisonek_cc, from_design(complement_design(lisonek)), witt_cc):
+@pytest.fixture(scope="module")
+def witt_oracle(witt_cc):
+    return dense_axioms_oracle(witt_cc)
+
+
+@pytest.fixture(scope="module")
+def complement_cc(lisonek):
+    return from_design(complement_design(lisonek))
+
+
+def test_matches_oracle_on_lisonek_complement_and_witt(lisonek_cc, complement_cc, witt_cc,
+                                                       witt_oracle):
+    for cc in (lisonek_cc, complement_cc):
         assert assert_same_report(cc).ok
+    assert assert_same_report(witt_cc, witt_oracle).ok
+
+
+def test_witt_axiom_check_work_count(witt_cc, witt_oracle, monkeypatch):
+    # one count_product per non-identity relation and target fiber block, less
+    # the product each block derives from row sums; 25 before that derivation
+    calls = []
+    product = coherent.count_product
+    monkeypatch.setattr(coherent, "count_product", lambda a, b: calls.append(1) or product(a, b))
+    report = verify_axioms(witt_cc)
+    assert len(calls) <= 11
+    assert report.p.dtype == np.int32 and np.array_equal(report.p, witt_oracle.p)
 
 
 def test_witt_constants_from_parameters(witt_cc):
@@ -98,6 +123,14 @@ def test_witt_constants_from_parameters(witt_cc):
     assert report.p_constant(4, 4, 2) == params.k        # block-graph degree
     assert report.p_constant(6, 8, 1) == params.T        # blocks through a point
     assert report.p_constant(6, 8, 3) == params.Lambda   # blocks through two points
+
+
+@pytest.mark.parametrize("ijk", [(0, 1, 1), (1, 1, 0), (1, 0, 1), (10, 1, 1), (1, 1, 10),
+                                 (-1, 1, 1)])
+def test_p_constant_refuses_labels_outside_1_to_9(lisonek_cc, ijk):
+    # label 0 would wrap around to R9 and label 10 would index past the table
+    with pytest.raises(ValueError, match="relation labels run from 1 to 9"):
+        verify_axioms(lisonek_cc).p_constant(*ijk)
 
 
 # ----- the labels against a set-based derivation ---------------------------
@@ -155,6 +188,21 @@ def set_labels(design) -> list:
 def test_labels_match_set_derivation(name):
     design = DESIGNS[name]()
     assert from_design(design).labels.tolist() == set_labels(design)
+
+
+def set_intersection_values(design) -> tuple:
+    blocks = [set(b) for b in design.blocks]
+    return tuple(sorted({len(a & b) for a, b in combinations(blocks, 2)}))
+
+
+# two equal blocks: S = 2 is an off-diagonal value beside the diagonal's copies of it
+REPEATED_BLOCK = IncidenceDesign(4, ((0, 1), (0, 1), (2, 3)))
+
+
+@pytest.mark.parametrize("name", [*DESIGNS, "repeated-block"])
+def test_intersection_values_match_set_derivation(name):
+    design = REPEATED_BLOCK if name == "repeated-block" else DESIGNS[name]()
+    assert intersection_numbers(design).values == set_intersection_values(design)
 
 
 @pytest.mark.parametrize("name", SMALL_DESIGNS)
@@ -228,6 +276,54 @@ def test_corruptions_match_oracle(lisonek_cc, steps):
     assert_same_report(lisonek_cc._replace(labels=labels))
 
 
+@settings(max_examples=40, deadline=None)
+@given(complement=st.booleans(), order=st.permutations(range(M + N)),
+       steps=st.lists(corruptions, max_size=3))
+def test_shuffled_vertex_orders_match_oracle(lisonek_cc, complement_cc, complement, order,
+                                             steps):
+    # points and blocks interleaved: the check must put them in fiber order
+    # itself and still name a violating pair in the shuffled numbering
+    cc = complement_cc if complement else lisonek_cc
+    labels = cc.labels.copy()
+    for corrupt, args in steps:
+        corrupt(labels, *args)
+    order = np.array(order)
+    assert_same_report(cc._replace(labels=labels[np.ix_(order, order)]))
+
+
+def set_entry(labels, u, v, label):
+    labels[u, v] = label
+
+
+def set_symmetric(labels, u, v, label):
+    """Set (u, v) and its transpose consistently: the transposes still hold."""
+    labels[u, v] = label
+    labels[v, u] = TRANSPOSE_PAIRS[label]
+
+
+vertices = st.integers(0, M + N - 1)
+label_edits = st.tuples(
+    st.sampled_from([set_entry, set_symmetric]), vertices, vertices, st.integers(1, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(edits=st.lists(label_edits, min_size=1, max_size=3))
+# point 0 lies in block 0 (vertex 9): its pair labels turn (9, 8), which R6 fails first
+@example(edits=[(set_entry, 0, 9, 9)])
+# two diagonal 3s and an off-diagonal pair of 1s leave 45 labels in {1, 2}
+@example(edits=[(set_symmetric, 0, 0, 3), (set_symmetric, 1, 1, 3), (set_symmetric, 0, 1, 1)])
+def test_transpose_and_diagonal_violations_match_oracle(lisonek_cc, edits):
+    # the transpose and diagonal checks read the labels without the relations'
+    # masks; the failing relation they name must be the oracle's
+    labels = lisonek_cc.labels.copy()
+    for edit, *args in edits:
+        edit(labels, *args)
+    expected = dense_axioms_oracle(lisonek_cc._replace(labels=labels))
+    assume(expected.violation is not None
+           and expected.violation.startswith(("transpose of", "R1 + R2")))
+    assert_same_report(lisonek_cc._replace(labels=labels), expected)
+
+
 # ----- the two edge cases ---------------------------------------------------
 
 
@@ -242,6 +338,14 @@ def test_relation_meeting_two_fiber_pairs(lisonek_cc):
         report.p_constant(1, 1, 1)
 
 
+def test_relation_meeting_exactly_two_fiber_pairs(lisonek_cc):
+    # fold R5 into R3: a symmetric R3 on both X_1 x X_1 and X_2 x X_2
+    labels = lisonek_cc.labels.copy()
+    labels[labels == 5] = 3
+    report = verify_axioms(lisonek_cc._replace(labels=labels))
+    assert report.violation == "R3 meets more than one fiber pair"
+
+
 def fano_configuration():
     """The Fano plane's configuration: any two lines meet in one point, so R5 is empty."""
     design = IncidenceDesign(7, ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
@@ -251,6 +355,19 @@ def fano_configuration():
     # points: R1 on the diagonal, R3 off it; lines: R2 and R4; incidence R6/R7, R8/R9
     labels = np.block([[3 - 2 * eye, 7 - inc], [9 - inc.T, 4 - 2 * eye]])
     return CoherentConfig(design, derive_parameters(7, 3, 1, 0), labels)
+
+
+def test_fiber_of_one_vertex():
+    # the star: 4 points all in one block, so block (B, B) holds R2 alone and
+    # R4, R5, R7, R9 are empty; no product into that block is formed or derived
+    eye = np.eye(4, dtype=np.int8)
+    labels = np.full((5, 5), 6, dtype=np.int8)
+    labels[:4, :4] = 3 - 2 * eye
+    labels[4] = (8, 8, 8, 8, 2)
+    star = IncidenceDesign(4, ((0, 1, 2, 3),))
+    report = assert_same_report(CoherentConfig(star, None, labels))
+    assert report.ok
+    assert report.p_constant(6, 8, 1) == 1 and report.p_constant(8, 6, 2) == 4
 
 
 def test_empty_relation_is_skipped():
