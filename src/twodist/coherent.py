@@ -94,9 +94,9 @@ def verify_axioms(cc: CoherentConfig) -> AxiomReport:
 
     (1) every label lies in 1..9, so the relations R_i = (labels == i)
     partition all ordered pairs, (2) each relation's transpose is again a
-    relation, (3) R1 + R2 is the diagonal, (4) |{w : (u,w) in R_i, (w,v) in
-    R_j}| is constant over (u,v) in R_k.  Returns the full table of
-    constants, or the first violation found in (i, j, k) order.
+    relation, (3) R1 + R2 is the diagonal of V + B, (4) |{w : (u,w) in
+    R_i, (w,v) in R_j}| is constant over (u,v) in R_k.  Returns the full
+    table of constants, or the first violation found in (i, j, k) order.
 
     (2) is one lookup, SWAP[labels] against labels^T; (3) asks for diagonal
     labels in {1, 2} and no other label 1 or 2.  The diagonal then gives the
@@ -134,7 +134,7 @@ def verify_axioms(cc: CoherentConfig) -> AxiomReport:
         i = int(min(seen.min(), SWAP.take(seen).min()))
         return AxiomReport(False, None, f"transpose of R{i} is not R{SWAP[i]}")
     diag = np.diagonal(labels)
-    size = len(diag)
+    size = cc.size  # a label matrix of any other size fails (3)
     if np.count_nonzero(diag <= 2) != size or np.count_nonzero(labels <= 2) != size:
         return AxiomReport(False, None, "R1 + R2 is not the diagonal")
     m = int(np.count_nonzero(diag == 1))
@@ -333,41 +333,31 @@ class GramTable:
 class ProjectorResult:
     """The projector E of a coherent configuration, verified exactly.
 
-    `coefficients` is E over A1..A9; `matrix` its densely verified integer
-    form, None above FULL_MATRIX_LIMIT; `axioms` the axiom check E rests on.
+    `coefficients` is E over A1..A9; `axioms` the axiom check E rests on.
     """
 
-    __slots__ = ("cc", "idem", "coefficients", "gram", "matrix", "axioms")
+    __slots__ = ("cc", "idem", "coefficients", "gram", "axioms")
+
+    # no dense form of E is built; perfbench's coherent.dense_mults hook still
+    # reads this attribute until the benchmark revision of ROADMAP item 4
+    matrix = None
 
     def __init__(self, cc: CoherentConfig, idem: IdempotentCoefficients, coefficients: tuple,
-                 gram: GramTable, matrix: Optional[_IntegerForm], axioms: AxiomReport):
+                 gram: GramTable, axioms: AxiomReport):
         self.cc, self.idem, self.coefficients = cc, idem, coefficients
-        self.gram, self.matrix, self.axioms = gram, matrix, axioms
-
-
-# Lisonek's configuration and its complement (9 + 36 = 45 vertices each) get the
-# dense check; the 276-vertex Witt configuration relies on the p_ij^k table,
-# since the integer dense check there takes 0.07-0.10 s more (medians of 9
-# runs, 2 vCPUs, one BLAS thread), about ten times the 0.007-0.009 s of the
-# rest of projector_and_gram on Witt, axiom check included.
-FULL_MATRIX_LIMIT = 128
+        self.gram, self.axioms = gram, axioms
 
 
 def projector_and_gram(cc: CoherentConfig) -> ProjectorResult:
     """Assemble E = (eps11 + eps12 + eps21 + eps22)/2 and verify it exactly.
 
-    Checks E = E^T, E^2 = E, trace(E) = m - 1, that E annihilates both fiber
-    indicator vectors, and that every entry agrees with its pair-class value.
-    Every value is written exactly as sum_r sqrt(r) N_r / D: D is the lcm of
-    the coefficient denominators and N_r holds integers, one array per
-    radicand r in {1, d1, d2, d1 d2}.  The eps identities and E^2 = E run on
-    these numerators through the nonzero p_ij^k at every size, and E^2 = E
-    also densely for configurations of at most FULL_MATRIX_LIMIT vertices,
-    one integer matmul per radicand pair.  The dense matrices are int64
-    only when size * max|N|^2 * (sum of the gcds g in sqrt(r) sqrt(s) =
-    g sqrt(d)) and D * max|N| are both below 2^63, so no product can
-    overflow; otherwise they hold Python integers.  The verified form is the
-    result's `matrix`, None when the dense check did not run.
+    Checks E = E^T, E^2 = E, trace(E) = m - 1 and that E annihilates both
+    fiber indicator vectors, at every size, in the adjacency algebra on the
+    verified p_ij^k table.  Every coefficient is written exactly as
+    sum_r sqrt(r) N_r / D: D is the lcm of the coefficient denominators and
+    N_r holds integers, one list per radicand r in {1, d1, d2, d1 d2}; the
+    eps identities and E^2 = E run on these numerators through the nonzero
+    p_ij^k.  The Gram classes are read off the same coefficients.
     """
     report = verify_axioms(cc)
     if not report.ok:
@@ -406,21 +396,7 @@ def projector_and_gram(cc: CoherentConfig) -> ProjectorResult:
         name: coeffs[rel - 1] for rel, name in GRAM_CLASS_OF_RELATION.items()
         if rel not in (8, 9)
     })
-    matrix = None
-    if cc.size <= FULL_MATRIX_LIMIT:
-        matrix = _integer_form(form, cc.labels - 1)
-        _dense_checks(cc, matrix, gram)
-    return ProjectorResult(cc, idem, coeffs, gram, matrix, report)
-
-
-# ----- the dense check on the integer form -----------------------------------
-
-
-class _IntegerForm(NamedTuple):
-    """The matrix sum_r sqrt(r) * parts[r] / denominator, parts[r] integer."""
-
-    denominator: int
-    parts: dict  # radicand -> square integer ndarray, int64 or object dtype
+    return ProjectorResult(cc, idem, coeffs, gram, report)
 
 
 def _integer_vector(values) -> tuple:
@@ -433,63 +409,3 @@ def _integer_vector(values) -> tuple:
         for r, c in v.terms:
             tables[r][i] = c.numerator * (denominator // c.denominator)
     return denominator, tables
-
-
-def _integer_form(vector: tuple, index: np.ndarray) -> _IntegerForm:
-    """Integer form of the matrix whose entry (a, b) is values[index[a, b]].
-
-    `vector` is `_integer_vector(values)`.  The parts are int64 under the
-    overflow bound stated in projector_and_gram and object (Python
-    integers) otherwise.
-    """
-    denominator, tables = vector
-    biggest = max((abs(n) for t in tables.values() for n in t), default=0)
-    g_sum = sum(_sf_product(r, s)[0] for r in tables for s in tables)
-    fits = (index.shape[0] * biggest ** 2 * g_sum < 2 ** 63
-            and denominator * biggest < 2 ** 63)
-    dtype = np.int64 if fits else object
-    return _IntegerForm(
-        denominator, {r: np.array(t, dtype=dtype)[index] for r, t in tables.items()})
-
-
-def _integer_square(form: _IntegerForm) -> dict:
-    """Numerators of the square over denominator^2, keyed by radicand."""
-    out: dict = {}
-    for r, a in form.parts.items():
-        for s, b in form.parts.items():
-            g, d = _sf_product(r, s)
-            term = g * (a @ b)
-            out[d] = out[d] + term if d in out else term
-    return out
-
-
-def _require_equal(lhs: np.ndarray, rhs: np.ndarray, what: str) -> None:
-    if not np.array_equal(lhs, rhs):
-        a, b = (int(i) for i in np.argwhere(lhs != rhs)[0])
-        raise InternalConsistencyError(f"{what} at entry ({a},{b})")
-
-
-def _dense_checks(cc: CoherentConfig, form: _IntegerForm, gram: GramTable) -> None:
-    """E = E^T, class agreement, E^2 = E and trace(E) = m - 1, entry by entry."""
-    ridx = cc.labels - 1
-    zero = np.zeros(ridx.shape, dtype=np.int64)
-    for r, part in form.parts.items():
-        _require_equal(part, part.T, f"E is not symmetric in its sqrt({r}) part")
-    # every entry equals the Gram value of its relation's class
-    classes = [dict(gram[GRAM_CLASS_OF_RELATION[k]].terms) for k in range(1, 10)]
-    for r in form.parts.keys() | {r for terms in classes for r in terms}:
-        scaled = [terms.get(r, 0) * form.denominator for terms in classes]
-        if any(Fraction(v).denominator != 1 for v in scaled):
-            raise InternalConsistencyError(
-                f"a Gram class needs a denominator beyond {form.denominator}")
-        expected = np.array([int(v) for v in scaled], dtype=object)[ridx]
-        _require_equal(form.parts.get(r, zero), expected,
-                       f"E is off its class value in the sqrt({r}) part")
-    square = _integer_square(form)
-    for d in square.keys() | form.parts.keys():
-        _require_equal(square.get(d, zero), form.denominator * form.parts.get(d, zero),
-                       f"E^2 != E in the sqrt({d}) part")
-    trace = QuadExt({r: Fraction(int(np.trace(part)), form.denominator)
-                     for r, part in form.parts.items()})
-    if trace != QuadExt(cc.m - 1):
-        raise InternalConsistencyError(f"dense trace {trace} differs from m - 1")

@@ -42,6 +42,11 @@ def witt_design():
     return load_design(DATA_DIR / "witt_4_23_7_1.json")
 
 
+@pytest.fixture(scope="session")
+def witt_projector(witt_design):
+    return projector_and_gram(from_design(witt_design))
+
+
 @pytest.fixture()
 def lisonek_design_file(tmp_path, lisonek):
     path = tmp_path / "lisonek.json"
@@ -54,7 +59,7 @@ def _relation_rows(cc, coefficients) -> list:
     coefficient of the relation labelled at (a, b).
 
     Filled by plain Python lookups, not by the numpy indexing that builds
-    the library's integer form of E.
+    the dense oracle's integer form of E (oracles.integer_form).
     """
     labels = cc.labels.tolist()
     assert {k for row in labels for k in row} <= set(range(1, 10))

@@ -16,6 +16,7 @@ from twodist.cli import dispatch
 from twodist.exactnum import QuadExt, parse_scalar, quadext_sign, sqrt_adjoin
 
 import surface_oracle
+from oracles import dense_checks, projector_form
 
 
 def _passed(number: int, detail: str, t0: float, budget: float = None) -> None:
@@ -50,8 +51,10 @@ def test_criterion_2_gram_table(lisonek_cc, relation_rows, capsys):
     }
     for key, value in golden.items():
         assert result.gram[key] == parse_scalar(value), key
-    # projector_and_gram verifies E^2 = E, E^T = E and trace(E) = 8 densely;
-    # recheck the trace here on E assembled from the relations
+    # projector_and_gram proves E^2 = E, E^T = E and trace(E) = 8 in the adjacency
+    # algebra; the dense oracle checks all three again entry by entry on this E,
+    # and the trace is summed once more here on E assembled from the relations
+    dense_checks(lisonek_cc, projector_form(result), result.gram)
     matrix = relation_rows(lisonek_cc, result.coefficients)
     trace = QuadExt(0)
     for i in range(45):

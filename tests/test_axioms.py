@@ -33,7 +33,7 @@ from twodist.geometry import (
     two_distance_classify,
 )
 
-from oracles import complement_design
+from oracles import complement_design, derived_design, residual_design
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -148,14 +148,32 @@ def affine_plane_3():
     return IncidenceDesign(9, tuple(tuple(sorted(line)) for line in lines))
 
 
+def projective_space_lines():
+    """The 35 lines of PG(3,2) as STS(15).
+
+    Point v - 1 for each nonzero v in F_2^4; the line through u and v is {u, v, u + v}.
+    """
+    lines = {tuple(sorted((u - 1, v - 1, (u ^ v) - 1)))
+             for u, v in combinations(range(1, 16), 2)}
+    return IncidenceDesign(15, tuple(sorted(lines)))
+
+
+def witt():
+    return load_design(DATA_DIR / "witt_4_23_7_1.json")
+
+
 SMALL_DESIGNS = {
     **{f"pairs-{m}": (lambda m=m: pairs_design(m)) for m in range(4, 9)},
     "AG(2,3)": affine_plane_3,
+    "PG(3,2)": projective_space_lines,
 }
 DESIGNS = {
     "lisonek": lisonek_design,
     "lisonek-complement": lambda: complement_design(lisonek_design()),
-    "witt": lambda: load_design(DATA_DIR / "witt_4_23_7_1.json"),
+    "witt": witt,
+    "witt-complement": lambda: complement_design(witt()),
+    "witt-derived": lambda: derived_design(witt(), 0),     # 3-(22,6,1)
+    "witt-residual": lambda: residual_design(witt(), 0),   # 3-(22,7,4)
     **SMALL_DESIGNS,
 }
 
@@ -207,7 +225,9 @@ def test_intersection_values_match_set_derivation(name):
 
 @pytest.mark.parametrize("name", SMALL_DESIGNS)
 def test_matches_oracle_on_small_designs(name):
-    # the oracle runs on the other three in test_matches_oracle_on_lisonek_complement_and_witt
+    # the oracle runs on Lisonek, its complement and Witt in
+    # test_matches_oracle_on_lisonek_complement_and_witt; on the other designs
+    # derived from Witt it would take 0.1-1.7 s each
     assert assert_same_report(from_design(SMALL_DESIGNS[name]())).ok
 
 
@@ -336,6 +356,12 @@ def test_relation_meeting_two_fiber_pairs(lisonek_cc):
     assert report.violation == "R3 meets more than one fiber pair"
     with pytest.raises(ValueError, match="the axiom check failed"):
         report.p_constant(1, 1, 1)
+
+
+def test_label_matrix_of_another_size_fails_the_diagonal(lisonek_cc):
+    # the pairs are those of V + B, 45 of them on the diagonal
+    report = verify_axioms(lisonek_cc._replace(labels=lisonek_cc.labels[:-1, :-1]))
+    assert report.violation == "R1 + R2 is not the diagonal"
 
 
 def test_relation_meeting_exactly_two_fiber_pairs(lisonek_cc):

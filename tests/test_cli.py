@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 from twodist.cli import COMMANDS, dispatch
+from twodist.designs import load_design
 from twodist.errors import DesignError, InternalConsistencyError
+
+from oracles import derived_design
 
 ROOT = Path(__file__).parent.parent
 DATA_DIR = ROOT / "tests" / "data"
@@ -248,6 +251,7 @@ def test_math_failure_exits_one(monkeypatch, capsys):
 
 LISONEK_FILE = str(DATA_DIR / "lisonek_design.json")
 OVER_DIGIT_LIMIT = "7" * 5000   # Python converts at most 4,300 digits between int and str
+TWICE_DERIVED = derived_design(derived_design(load_design(DATA_DIR / "witt_4_23_7_1.json"), 0), 0)
 # written into the test's tmp directory, which "{tmp}" in an argv names
 CONTRACT_FILES = {
     "latin1.json": b'{"m": 3, "blocks": [[0, 1], [1, 2]], "name": "\xe9"}',
@@ -260,6 +264,9 @@ CONTRACT_FILES = {
     # any two lines meet in one point: one intersection value, so not quasi-symmetric
     "fano.json": b'{"m": 7, "blocks": [[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5], [1, 4, 6],'
                  b' [2, 3, 6], [2, 4, 5]]}',
+    # Witt's 4-(23,7,1) derived twice, a 2-(21,5,1): again any two blocks share one point
+    "twice_derived.json": json.dumps(
+        {"m": TWICE_DERIVED.m, "blocks": TWICE_DERIVED.blocks}).encode(),
 }
 
 
@@ -301,6 +308,7 @@ EXIT_CODE_CONTRACT = [
     pytest.param(["embed", "{tmp}/big_int.json"], 2, None, id="design-int-over-digit-limit"),
     pytest.param(["embed", "{tmp}/not_qs.json"], 2, None, id="design-not-quasi-symmetric"),
     pytest.param(["embed", "{tmp}/fano.json"], 2, None, id="design-fano-plane"),
+    pytest.param(["embed", "{tmp}/twice_derived.json"], 2, None, id="design-witt-twice-derived"),
     pytest.param(["embed", "{tmp}/axioms_fail.json"], 2, None, id="design-axioms-fail"),
     pytest.param(["embed", "{tmp}/huge_m.json"], 2, None,
                  id="design-huge-m-point-in-no-block"),
@@ -329,6 +337,14 @@ def test_exit_code_contract(argv, code, injected, tmp_path, monkeypatch, capsys)
         assert report is None and captured.out == ""
         prefix = "error: " if code == 2 else "consistency failure: "
         assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["fano.json", "twice_derived.json"])
+def test_one_intersection_value_is_named(name, tmp_path, capsys):
+    write_contract_files(tmp_path)
+    assert dispatch(["embed", str(tmp_path / name)]) == (2, None)
+    assert capsys.readouterr().err == (
+        "error: design is not quasi-symmetric: intersection values (1,)\n")
 
 
 def test_two_distance_verdict_without_a_case_exits_one(monkeypatch, capsys):

@@ -20,7 +20,7 @@ from twodist.designs import IncidenceDesign, derive_parameters
 from twodist.errors import DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, parse_scalar
 
-from oracles import complement_design
+from oracles import complement_design, dense_checks, projector_form
 
 GOLDEN_GRAM = {
     "V_diag": "4/9",
@@ -266,34 +266,27 @@ def test_complement_projector(complement_projector):
     assert gram["VB_out"] == parse_scalar("1/18*sqrt(7)")
 
 
-def test_witt_configuration_algebra(witt_design):
+def test_witt_configuration_algebra(witt_projector):
     # 276-point configuration: checked through the verified constant table
-    from twodist.coherent import projector_and_gram
-
-    cc = from_design(witt_design)
-    assert cc.params.Lambda == 21 and cc.params.n == 253
-    result = projector_and_gram(cc)
-    assert result.matrix is None
-    assert result.gram["V_diag"] == QuadExt(Fraction(22, 46))
+    params = witt_projector.cc.params
+    assert params.Lambda == 21 and params.n == 253
+    assert witt_projector.gram["V_diag"] == QuadExt(Fraction(22, 46))
 
 
-def test_projector_matrix_is_the_verified_integer_form(
-        lisonek_projector, complement_projector, witt_design, relation_rows):
-    from twodist.coherent import _dense_checks, _IntegerForm, projector_and_gram
-
+def test_dense_oracle_on_lisonek_complement_and_witt(
+        lisonek_projector, complement_projector, witt_projector, relation_rows):
+    for result in (lisonek_projector, complement_projector, witt_projector):
+        dense_checks(result.cc, projector_form(result), result.gram)
+    # every entry of sum_r sqrt(r) N_r / D is the coefficient of its relation
+    # (in plain Python, which would take 1.5 s on Witt's 276^2 entries)
     for result in (lisonek_projector, complement_projector):
-        form = result.matrix
-        assert isinstance(form, _IntegerForm) and form.denominator == 126
-        _dense_checks(result.cc, form, result.gram)
-        # every entry of sum_r sqrt(r) N_r / D is the coefficient of its relation
+        form = projector_form(result)
         rows = relation_rows(result.cc, result.coefficients)
         for a in range(result.cc.size):
             for b in range(result.cc.size):
                 entry = QuadExt({r: Fraction(int(part[a, b]), form.denominator)
                                  for r, part in form.parts.items()})
                 assert entry == rows[a][b], (a, b)
-    # above FULL_MATRIX_LIMIT no dense form is built
-    assert projector_and_gram(from_design(witt_design)).matrix is None
 
 
 def test_row_sum_identity_behind_fiber_annihilation():

@@ -1,4 +1,4 @@
-"""The dense projector check on the integer form of E, against a QuadExt oracle."""
+"""The dense projector oracle on the integer form of E, against a QuadExt oracle."""
 
 from fractions import Fraction
 
@@ -7,22 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twodist.coherent import (
-    GramTable,
-    _dense_checks,
-    _integer_form,
-    _integer_square,
-    _integer_vector,
-)
+from twodist.coherent import GramTable, _integer_vector
 from twodist.errors import InternalConsistencyError
 from twodist.exactnum import QuadExt, _sf_product
+
+from oracles import dense_checks, integer_form, integer_square, projector_form
 
 
 def quadext_matmul(a: list, b: list) -> list:
     """Dense product of QuadExt matrices by raw term accumulation.
 
     The dense E^2 = E check used this triple loop before the integer form;
-    it stays here as the independent oracle for ``_integer_square``.
+    it stays here as the independent oracle for ``integer_square``.
     """
     cols = [[row[j] for row in b] for j in range(len(b[0]))]
     out = []
@@ -40,11 +36,6 @@ def quadext_matmul(a: list, b: list) -> list:
     return out
 
 
-def projector_form(result, coeffs=None):
-    coeffs = result.coefficients if coeffs is None else coeffs
-    return _integer_form(_integer_vector(coeffs), result.cc.labels - 1)
-
-
 def with_part(form, radicand, part):
     return type(form)(form.denominator, {**form.parts, radicand: part})
 
@@ -54,7 +45,7 @@ def test_dense_check_passes_on_lisonek(lisonek_projector):
     assert form.denominator == 126
     assert sorted(form.parts) == [1, 7]
     assert all(part.dtype == np.int64 for part in form.parts.values())
-    _dense_checks(lisonek_projector.cc, form, lisonek_projector.gram)
+    dense_checks(lisonek_projector.cc, form, lisonek_projector.gram)
 
 
 @pytest.mark.parametrize("radicand, a, b", [(1, 0, 1), (7, 0, 9), (1, 9, 10)])
@@ -64,7 +55,7 @@ def test_dense_check_catches_symmetric_off_class_entry(lisonek_projector, radica
     part[a, b] += 1
     part[b, a] += 1
     with pytest.raises(InternalConsistencyError, match="off its class value"):
-        _dense_checks(lisonek_projector.cc, with_part(form, radicand, part),
+        dense_checks(lisonek_projector.cc, with_part(form, radicand, part),
                       lisonek_projector.gram)
 
 
@@ -72,7 +63,7 @@ def test_dense_check_catches_class_value_off_gram_table(lisonek_projector):
     gram = lisonek_projector.gram
     wrong = GramTable({**gram.classes, "B_beta": QuadExt(Fraction(-1, 63))})
     with pytest.raises(InternalConsistencyError, match="off its class value"):
-        _dense_checks(lisonek_projector.cc, projector_form(lisonek_projector), wrong)
+        dense_checks(lisonek_projector.cc, projector_form(lisonek_projector), wrong)
 
 
 def test_dense_check_catches_non_idempotent_consistent_projector(lisonek_projector):
@@ -82,7 +73,7 @@ def test_dense_check_catches_non_idempotent_consistent_projector(lisonek_project
     coeffs[2] = coeffs[2] + Fraction(1, 126)
     gram = GramTable({**lisonek_projector.gram.classes, "V_off": coeffs[2]})
     with pytest.raises(InternalConsistencyError, match=r"E\^2 != E"):
-        _dense_checks(lisonek_projector.cc, projector_form(lisonek_projector, coeffs), gram)
+        dense_checks(lisonek_projector.cc, projector_form(lisonek_projector, coeffs), gram)
 
 
 FIELDS = ((1, 2, 3, 6), (1, 7))  # Q(sqrt(2), sqrt(3)) and Q(sqrt(7))
@@ -114,10 +105,10 @@ def field_matrices(draw, bits: int) -> list:
 def test_integer_square_matches_quadext_oracle(bits, dtype, data):
     rows = data.draw(field_matrices(bits))
     n = len(rows)
-    form = _integer_form(_integer_vector([v for row in rows for v in row]),
+    form = integer_form(_integer_vector([v for row in rows for v in row]),
                          np.arange(n * n).reshape(n, n))
     assert all(part.dtype == dtype for part in form.parts.values())
-    square = _integer_square(form)
+    square = integer_square(form)
     den = form.denominator ** 2
     got = [
         [QuadExt({d: Fraction(int(num[a, b]), den) for d, num in square.items()})
