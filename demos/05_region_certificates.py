@@ -1,40 +1,49 @@
 #!/usr/bin/env python3
-"""Desk-scale certificates for the auxiliary-function bounds.
+"""Certificates for the auxiliary-function bounds, for every integer z.
 
 The integer solutions of the system are pinned down by two auxiliary
 functions g1, g2 that are integer-valued on candidate parameters yet provably
-trapped inside short open intervals.  Here the interval facts are certified
-exactly on large lattice boxes (a bounded stand-in for the unbounded real
-proof), and the one boundary case g1 = 1 is solved in closed form: its roots
-are (-1 +- sqrt(41))/2, so no integer slips through.
+trapped inside short open intervals.  Each bound is proved by a fixed list of
+steps: a polynomial, an affine substitution in u, w >= 0, and Polya's test
+(every coefficient >= 0, the constant > 0); the pieces of each region
+cover every integer z it needs.  The one boundary case g1 = 1 is solved in closed
+form: its roots are (-1 +- sqrt(41))/2, so no integer slips through.
 
-Small boxes keep this demo quick; the acceptance suite runs the defaults
-(z in [-100, 100], x <= 10^4).
+The box options only choose which lattice points are counted per region;
+the proof is the same for every box.
 """
 
 from twodist.dioph import aux_g, region_scan, y2_curve_search
+from twodist.regions import y2_curve_proof
 
-print("g1 on a small box (bounds (0,1) / (0,2) / (0,1) per region):")
+
+def show(steps):
+    for region, poly, sub, method, covers in steps:
+        print(f"  {region:9} {method:13} {poly:10} at {sub:28} covers {covers}")
+
+
+print("g1: (0,1) off the strip, (0,2) on the strip x = t - 1, t = z(z+1)/2:")
 g1 = region_scan("g1", zmin=-25, zmax=25, xmax=400)
-for region, count in sorted(g1.points_checked.items()):
-    print(f"  {region}: {count} lattice points, "
-          f"{sum(v.region == region for v in g1.violations)} violations")
+show(g1.steps)
+print(f"  {len(g1.violations)} violations; lattice points of |z| <= 25, x <= 400:",
+      g1.points_checked)
 strip = g1.notes["strip_equation"]
 print("  strip equation g1 = 1 reduces to z^2 + z - 10 = 0,"
       f" roots {strip.roots[0]} and {strip.roots[1]}")
 print("  integer roots on the strip:", strip.integer_roots or "none")
 
-print("\ng2 on a small box (bounds (31,33) for x in {1,2}, (-1,38) for x >= 3):")
+print("\ng2: (31,33) for x in {1,2} outside z in [-14, 9], (-1,38) for x >= 3:")
 g2 = region_scan("g2", zmin=-25, zmax=25, xmax=400)
-for region, count in sorted(g2.points_checked.items()):
-    print(f"  {region}: {count} lattice points, "
-          f"{sum(v.region == region for v in g2.violations)} violations")
+show(g2.steps)
+print(f"  {len(g2.violations)} violations; lattice points of |z| <= 25, x <= 400:",
+      g2.points_checked)
 print("  integral g2 values for x in {1,2}, z in [-14, 9]:",
       g2.notes["integer_values"])
 print("  spot checks: g2(1,-1) =", aux_g("g2", 1, -1),
       " g2(1,0) =", aux_g("g2", 1, 0), " g2(2,0) =", aux_g("g2", 2, 0))
 
-print("\nlattice points on the second-branch curve p3 = 0 (x in [3,400], |z| <= 25):")
+print("\nthe second-branch curve p3 = 0 (cleared) for x >= 1:")
+show(step for step, _ in y2_curve_proof())
 hits = y2_curve_search(3, 400, -25, 25)
-off_axis = [h for h in hits if h[1] != 0]
-print(f"  {len(hits)} hits, all on the degenerate line z = 0:", not off_axis)
+print(f"  {len(hits)} lattice points with x in [3,400], |z| <= 25, all on the line z = 0:",
+      all(z == 0 for _, z in hits))

@@ -283,7 +283,7 @@ def cmd_regions(args) -> tuple[int, CommandReport]:
         ])
     report.add("violations", [
         ("count", len(scan.violations)),
-        *[(f"({v.x}, {v.z}) in {v.region}", v.value) for v in scan.violations[:20]],
+        *[(f"{v.region}: {v.step}", v.witness) for v in scan.violations[:20]],
     ])
     if not scan.ok:
         report.fail()
@@ -322,7 +322,7 @@ COMMANDS = {
                ("--no-gate", None, False, None, False)]),
     "classify": ("walk the solution family and apply all gates", cmd_classify, [],
                  [("--zmax", int, 10, None, False)]),
-    "regions": ("certify auxiliary-function bounds on a box", cmd_regions, [],
+    "regions": ("prove auxiliary-function bounds for every integer z", cmd_regions, [],
                 [("--which", str, None, ("g1", "g2"), True), ("--zmin", int, -100, None, False),
                  ("--zmax", int, 100, None, False), ("--xmax", int, 10_000, None, False)]),
     "identities": ("verify the parametrization identities", cmd_identities, [], []),

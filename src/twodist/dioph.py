@@ -4,12 +4,14 @@ The three quartic conditions p1, p2, p3 in (S, m, x, y) are carried as exact
 polynomials.  A two-variable parametrization (x, z) rewrites the design
 parameters, and each auxiliary integer-valued function g1, g2 is shipped as
 one integer fraction N(x, z) / D(x, z) in lowest terms, a pair of
-coefficient tables, and is never held in another form: a lattice row, a
-fixed-x fiber and the strip are read off that pair by Horner's rule.  g1
-and g2 are certified to stay inside open unit-length (or short) intervals
-on large lattice boxes, which is the desk-scale stand-in for the unbounded
-real certificates.  An
-exact-root solver, the parametrized solution families, the quadratic
+coefficient tables, and is never held in another form: a fixed-x fiber and
+the strip are read off that pair by Horner's rule.  The fixed sign checks
+of `twodist.regions` on these tables prove that g1 and g2 stay inside open
+unit-length (or short) intervals for every integer z: g2 for all real
+x >= 3 and on the fibers x = 1, 2 outside a finite window of z, g1 for real
+x in [1, t - 2] and x >= t + 1, t = z(z + 1)/2, and on the strip x = t - 1
+between them; and that the y2-branch curve p3 = 0 has no point with real
+x >= 1 off the line z = 0.  An exact-root solver, the parametrized solution families, the quadratic
 S-range exclusions, and the final classification over the family curve
 complete the pipeline.
 
@@ -25,16 +27,16 @@ them.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import zip_longest
 from math import isqrt
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .designs import derive_parameters, integrality_gate, lambda_parts
 from .errors import DesignError, InternalConsistencyError
-from .exactnum import QuadExt, format_scalar, sqrt_adjoin, squarefree_decompose
-from .polynomials import (Poly, _horner, _primitive, _table_fiber, _table_row, _trim,
-                          compose_cleared, dense_coeffs, dense_divmod, dense_gcd, root_free)
+from .exactnum import QuadExt, sqrt_adjoin, squarefree_decompose
+from .polynomials import (Poly, _horner, _primitive, _table_fiber, _trim, compose_cleared,
+                          dense_coeffs, dense_divmod, dense_gcd, format_terms)
+from .regions import G2_SMALL_Z, g1_proof, g2_proof, y2_curve_proof
 
 
 # ----- the polynomial system --------------------------------------------
@@ -216,30 +218,28 @@ _LOWEST_TERMS = {
 }
 
 
-def _xz_rows(p: Poly) -> list[list[int]]:
-    """The table of a Poly in (x, z): row k lists its x^k coefficients, in z."""
-    return [[p.terms.get((k, j), 0) for j in range(p.degree("z") + 1)]
-            for k in range(p.degree("x") + 1)]
-
-
 def _surface(which: str) -> Sequence[Sequence[Sequence[int]]]:
-    """g1 or g2 as its table pair N / D in lowest terms, which rows, fibers and the strip read."""
+    """g1 or g2 as its table pair N / D in lowest terms, the form every reader reads."""
     return _LOWEST_TERMS[which]
 
 
-def _value_at(surface: Sequence[Sequence[Sequence[int]]], x: int, z: int) -> Fraction:
-    """N(x, z) / D(x, z), read off the fibers x of the table pair.
+def _fiber_values(surface: Sequence[Sequence[Sequence[int]]], x: int,
+                  zs: Iterable[int]) -> Iterator[Fraction]:
+    """N(x, z) / D(x, z) at each z of zs, off the fiber x of the table pair, read once.
 
-    Where D vanishes, the fiber N(x, .) / D(x, .) is reduced by one
-    univariate GCD, so a removable singularity gets its value and a genuine
-    pole raises ZeroDivisionError.
+    Where D vanishes the fiber is reduced once by its GCD, so a removable
+    singularity gets its value and a genuine pole raises ZeroDivisionError.
     """
     num, den = (_table_fiber(rows, x) for rows in surface)
-    if _horner(den, z) == 0:
-        num, den = _reduced(num, den)
-        if _horner(den, z) == 0:
-            raise ZeroDivisionError(f"pole at (x, z) = ({x}, {z})")
-    return Fraction(_horner(num, z), _horner(den, z))
+    reduced = None
+    for z in zs:
+        n, d = _horner(num, z), _horner(den, z)
+        if d == 0:
+            reduced = reduced or _reduced(num, den)
+            n, d = (_horner(c, z) for c in reduced)
+            if d == 0:
+                raise ZeroDivisionError(f"pole at (x, z) = ({x}, {z})")
+        yield Fraction(n, d)
 
 
 def _reduced(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -258,149 +258,47 @@ def aux_g(which: str, x: int, z: int) -> Fraction:
         raise DesignError("aux_g needs x >= 1")
     if which not in _LOWEST_TERMS:
         raise ValueError(f"unknown auxiliary polynomial {which!r}")
-    return _value_at(_surface(which), x, z)
+    return next(_fiber_values(_surface(which), x, (z,)))
 
 
-# ----- lattice scan ------------------------------------------------------------
+# ----- region certificates -------------------------------------------------------
 
 
 class RegionViolation(NamedTuple):
     region: str
-    x: int
-    z: int
-    value: str
+    step: str       # the polynomial and its substitution
+    witness: str    # its first offending coefficient
 
 
 class RegionScanReport:
-    __slots__ = ("which", "zmin", "zmax", "xmax", "points_checked", "violations", "notes",
-                 "points_proved", "points_enumerated")
+    __slots__ = ("which", "zmin", "zmax", "xmax", "points_checked", "violations", "notes", "steps")
 
     def __init__(self, which: str, zmin: int, zmax: int, xmax: int):
         self.which, self.zmin, self.zmax, self.xmax = which, zmin, zmax, xmax
-        self.points_checked: dict[str, int] = {}
+        self.points_checked: dict[str, int] = {}    # the box's points per proved region
         self.violations: list[RegionViolation] = []
         self.notes: dict[str, object] = {}
-        # how the checked points were covered: proved by root exclusion, or
-        # left over with A B <= 0 and checked one by one (a violation or a point
-        # where D = 0); per region, the two sum to points_checked
-        self.points_proved: dict[str, int] = {}
-        self.points_enumerated: dict[str, int] = {}
+        # (region, polynomial, substitution, method, set covered), in proof order
+        self.steps: list[tuple[str, str, str, str, str]] = []
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def _root_free_pieces(polys: Sequence[Sequence[int]], start: int,
-                      stop: int) -> Iterator[tuple[int, int, bool]]:
-    """Cover [start, stop] by pieces (a, b, closed), in ascending order.
-
-    On a closed piece every list of `polys` is `root_free`, so each keeps
-    one sign there.  A piece that is not closed is a single point where one
-    of them vanishes, or the whole range when one is the zero polynomial.
-    Any other interval is split into [a, mid] and [mid + 1, b], and only
-    the polynomials not yet proved root-free on it are tested on its halves.
-    """
-    if not all(map(any, polys)):
-        yield start, stop, False
-        return
-    stack = [(start, stop, polys)]
-    while stack:
-        a, b, still_open = stack.pop()
-        still_open = [p for p in still_open if not root_free(p, a, b)]
-        if not still_open or a == b:
-            yield a, b, not still_open
-            continue
-        mid = (a + b) // 2
-        stack += ((mid + 1, b, still_open), (a, mid, still_open))
-
-
-class _RowEvaluator:
-    """Exact values of g = N / D along the row z = z0, from the lowest-terms pair."""
-
-    def __init__(self, which: str, z0: int):
-        self.z0 = z0
-        self.surface = _surface(which)
-        self.num, self.den = (_table_row(rows, z0) for rows in self.surface)
-
-    def check_range(self, lo: int, hi: int, x_start: int, x_stop: int,
-                    region: str, report: RegionScanReport) -> None:
-        """Assert lo < g(x, z0) < hi for x in [x_start, x_stop].
-
-        With A = N - lo D and B = hi D - N, A B > 0 holds exactly when D != 0
-        and lo < N / D < hi.  `_root_free_pieces` splits the range into
-        pieces on which A and B are both root-free, so a bound proved on an
-        interval is not proved again on its halves; one sign test A(a) B(a)
-        at a piece's left end then decides all its points: all proved, or
-        all left over.  The points left over are exactly those with
-        A B <= 0: the violations, and the points with D = 0, which get the
-        reduced-fiber value.
-        """
-        if lo > hi:
-            raise ValueError(f"empty interval ({lo}, {hi})")
-        count = x_stop - x_start + 1
-        if count <= 0:
-            return
-        report.points_checked[region] = report.points_checked.get(region, 0) + count
-        pairs = list(zip_longest(self.num, self.den, fillvalue=0))
-        above_lo = [n - lo * d for n, d in pairs]
-        below_hi = [hi * d - n for n, d in pairs]
-        enumerated = 0
-        for a, b, closed in _root_free_pieces((above_lo, below_hi), x_start, x_stop):
-            if closed and _horner(above_lo, a) * _horner(below_hi, a) > 0:
-                continue
-            enumerated += b - a + 1
-            for x0 in range(a, b + 1):
-                dv = _horner(self.den, x0)
-                if dv == 0:
-                    self._check_point_fallback(x0, lo, hi, region, report)
-                    continue
-                report.violations.append(RegionViolation(
-                    region, x0, self.z0, format_scalar(Fraction(_horner(self.num, x0), dv))))
-        report.points_enumerated[region] = report.points_enumerated.get(region, 0) + enumerated
-        report.points_proved[region] = report.points_proved.get(region, 0) + count - enumerated
-
-    def _check_point_fallback(self, x0: int, lo: int, hi: int,
-                              region: str, report: RegionScanReport) -> None:
-        try:
-            value = _value_at(self.surface, x0, self.z0)
-        except ZeroDivisionError:
-            report.violations.append(RegionViolation(region, x0, self.z0, "pole"))
-            return
-        if not (lo < value < hi):
-            report.violations.append(RegionViolation(
-                region, x0, self.z0, format_scalar(value)))
-
-
-# g2's small-z window: x in {1, 2} gets its integral values listed on it and
-# the large_z bound (31, 33) outside it
-G2_SMALL_Z = (-14, 9)
-
-
 def region_scan(which: str, zmin: int = -100, zmax: int = 100,
                 xmax: int = 10_000) -> RegionScanReport:
-    """Certify the auxiliary-function interval bounds on a lattice box.
+    """Prove the interval bounds of g1 or g2 for every integer z, and count a box's points.
 
-    For g1 (y1 branch): g in (0,1) off the half-integer strip, (0,2) on the
-    strip x = z(z+1)/2 - 1, plus the exact strip-equation roots
-    z = (-1 +- sqrt(41)) / 2.  For g2 (y2 branch): g in (31,33) for
-    x in {1,2} and z outside G2_SMALL_Z, g in (-1,38) for x >= 3, plus the
-    enumeration of integral g2 values for x in {1,2} on G2_SMALL_Z.
-    Each row z = z0 is read off the lowest-terms table pair of `_surface`
-    (x-degree 3 for g1 and 7 for g2), and its x-range is bisected until both
-    bound polynomials are root-free on each piece (`root_free`), a bound
-    proved on a piece being carried to its halves; `points_enumerated`
-    counts the points left over, those with A B <= 0, and `points_proved`
-    the others.
-    g1 = 8xz(z+1)(x - t) / D with t = z(z+1)/2 is checked on no point of
-    the rows z in {-1, 0}, where g1 vanishes identically, nor at x = t on
-    any other row, where g1 = 0.  Its lowest-terms D changes sign between
-    x = t - 1 and x = t (D(t - 1) = -14t^2 + 6t < 0 < 4t^2 = D(t)), so g1
-    has a real pole in (t - 1, t), between lattice points.
-    The claim is still about the box's lattice points only.  Bounded lattice
-    boxes stand in for unbounded-region certificates; violations are
-    reported, never raised.  A box that holds no lattice point to check
-    raises DesignError.
+    g1, where t = z(z+1)/2 >= 1: in (0, 1) for real x >= t + 1 (region1) and
+    real x in [1, t - 2] (region3), in (0, 2) on the strip x = t - 1
+    (region2); `regions.g1_proof` names the gap.  g2: in (-1, 38) for real
+    x >= 3 (x_ge_3), in (31, 33) for x in {1, 2} and z outside G2_SMALL_Z
+    (large_z).  Notes: the strip-equation roots z = (-1 +- sqrt(41)) / 2, or
+    g2's integral values on G2_SMALL_Z.  `steps` lists the proof of
+    `twodist.regions`; a failed step is a violation, reported and never
+    raised.  The box only sets the lattice points counted per region; one
+    with none raises DesignError.
     """
     if which not in ("g1", "g2"):
         raise ValueError(f"unknown auxiliary polynomial {which!r}")
@@ -409,24 +307,26 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
     if xmax < 1:
         raise DesignError(f"region_scan needs xmax >= 1, got {xmax}")
     report = RegionScanReport(which, zmin, zmax, xmax)
-    small_lo, small_hi = G2_SMALL_Z
+    counts = report.points_checked
     for z0 in range(zmin, zmax + 1):
-        row = _RowEvaluator(which, z0)
-        if which == "g1":
-            strip = _strip_doubled(z0) // 2
-            if z0 <= -2 or z0 >= 1:
-                row.check_range(0, 1, max(1, strip + 2), xmax, "region1", report)
-            if 1 <= strip <= xmax:
-                row.check_range(0, 2, strip, strip, "region2", report)
-            row.check_range(0, 1, 1, min(xmax, strip - 1), "region3", report)
+        t = z0 * (z0 + 1) // 2
+        if which == "g1":       # x ranges; g1 = 0 at x = t and on the rows with t = 0
+            ranges = {"region1": (t + 1, xmax if t else 0),
+                      "region2": (max(1, t - 1), min(xmax, t - 1)), "region3": (1, min(xmax, t - 2))}
         else:
-            if not small_lo <= z0 <= small_hi:
-                row.check_range(31, 33, 1, min(2, xmax), "large_z", report)
-            row.check_range(-1, 38, 3, xmax, "x_ge_3", report)
-    if not report.points_checked:
+            outside = not G2_SMALL_Z[0] <= z0 <= G2_SMALL_Z[1]
+            ranges = {"large_z": (1, min(2, xmax) if outside else 0), "x_ge_3": (3, xmax)}
+        for region, (x_start, x_stop) in ranges.items():
+            if x_stop >= x_start:
+                counts[region] = counts.get(region, 0) + x_stop - x_start + 1
+    if not counts:
         raise DesignError(
             f"the box z in [{zmin}, {zmax}], x <= {xmax} holds no lattice point "
             f"on which {which} is checked")
+    for step, witness in (g1_proof if which == "g1" else g2_proof)(*_surface(which)):
+        report.steps.append(step)
+        if witness:
+            report.violations.append(RegionViolation(step[0], f"{step[1]}, {step[2]}", witness))
     if which == "g1":
         report.notes["strip_equation"] = solve_strip_equation()
     else:
@@ -439,13 +339,9 @@ def g2_integer_values(zmin: int = G2_SMALL_Z[0],
     """Integral values of g2 for x in {1, 2} on z in [zmin, zmax], which must not be inverted."""
     if zmin > zmax:
         raise DesignError(f"empty z range [{zmin}, {zmax}]")
-    out: dict[tuple[int, int], int] = {}
-    for x0 in (1, 2):
-        for z0 in range(zmin, zmax + 1):
-            value = aux_g("g2", x0, z0)
-            if value.denominator == 1:
-                out[(x0, z0)] = int(value)
-    return out
+    zs = range(zmin, zmax + 1)
+    return {(x0, z0): int(g) for x0 in (1, 2)
+            for z0, g in zip(zs, _fiber_values(_surface("g2"), x0, zs)) if g.denominator == 1}
 
 
 def solve_strip_equation() -> Quadratic:
@@ -698,16 +594,7 @@ class ExclusionReport(NamedTuple):
 
 def format_quadratic(q: tuple[int, int, int]) -> str:
     """a z^2 + b z + c as text, unit coefficients dropped: "3z^2 + z - 4"."""
-    text = ""
-    for coeff, mono in zip(q, ("z^2", "z", "")):
-        if not coeff:
-            continue
-        body = mono if abs(coeff) == 1 and mono else f"{abs(coeff)}{mono}"
-        if text:
-            text += f" {'-' if coeff < 0 else '+'} {body}"
-        else:
-            text = f"-{body}" if coeff < 0 else body
-    return text or "0"
+    return format_terms(*zip(q, ("z^2", "z", "")))
 
 
 def _family_i_quadratic(side: str, value: int) -> tuple[int, ...]:
@@ -741,32 +628,21 @@ def quadratic_exclusions() -> ExclusionReport:
     return ExclusionReport(entries, nonsquare)
 
 
-# ----- bounded search on the y2 branch ------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _p3_on_y2_cleared() -> Poly:
-    return compose_cleared(P3, {**_XZ_SUBS, "y": (Y2NUM_XZ, MSQ_XZ)})
+# ----- lattice points of the y2 branch ------------------------------------
 
 
 def y2_curve_search(xmin: int = 3, xmax: int = 10_000,
                     zmin: int = -100, zmax: int = 100) -> list[tuple[int, int]]:
-    """Integer lattice points on the y2-branch curve p3 = 0 inside the box.
+    """Integer lattice points on the y2-branch curve p3 = 0 inside the box, which needs xmin >= 1.
 
-    The line z = 0 (where S = m, outside the feasible ordering) belongs to
-    the curve; any hit off that line would contradict the classification.
-    Each row is read off the curve's table with `_table_row`.
-    `_root_free_pieces` drops the x-intervals of a row on which `root_free`
-    excludes a root, and the points it leaves are exactly the row's zeros;
-    a row that vanishes identically is listed whole, without the
-    2 (xmax - xmin) tests that splitting it would take.  An inverted or
-    empty box raises DesignError.
+    By `y2_curve_proof` the curve holds the line z = 0 (where S = m, outside
+    the feasible ordering) and no other point with real x >= 1.  A failed
+    step raises InternalConsistencyError, a box empty or below x = 1 DesignError.
     """
-    if xmin > xmax or zmin > zmax:
-        raise DesignError(f"empty search box x in [{xmin}, {xmax}], z in [{zmin}, {zmax}]")
-    cleared = _xz_rows(_p3_on_y2_cleared())
-    hits: list[tuple[int, int]] = []
-    for z0 in range(zmin, zmax + 1):
-        pieces = _root_free_pieces((_table_row(cleared, z0),), xmin, xmax)
-        hits.extend((x0, z0) for a, b, closed in pieces if not closed for x0 in range(a, b + 1))
-    return hits
+    if xmin > xmax or zmin > zmax or xmin < 1:
+        raise DesignError(f"search box x in [{xmin}, {xmax}], z in [{zmin}, {zmax}] "
+                          "is empty or reaches below x = 1")
+    for step, witness in y2_curve_proof():
+        if witness:
+            raise InternalConsistencyError(f"{step[1]}, {step[2]}: {witness}")
+    return [(x0, 0) for x0 in range(xmin, xmax + 1)] if zmin <= 0 <= zmax else []

@@ -16,11 +16,8 @@ lists, lowest degree first: :func:`dense_coeffs` reads them off a
 univariate Poly, :func:`dense_divmod` is the exact division and
 :func:`dense_gcd` the primitive-remainder GCD of such lists.  A bivariate
 polynomial sum_k x^k rows[k](z) can also be held as a table of such lists;
-``_table_row`` reads its row z = z0 off it as a dense list in x, and
-``_table_fiber`` its fiber x = x0 as a dense list in z, by Horner's rule.
-:func:`root_free` proves that such a list has no real root on a closed
-integer interval (Descartes' rule after a Moebius map, built from
-:func:`taylor_shift` and :func:`sign_variations`), in integers only.
+``_table_fiber`` reads its fiber x = x0 off it as a dense list in z, by
+Horner's rule, and :func:`taylor_shift` gives the list of c(x + a).
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import zip_longest
 from math import gcd
-from operator import add, ne
+from operator import add
 from typing import Mapping, Sequence
 
 
@@ -276,11 +273,6 @@ def _horner(coeffs: Sequence, x):
     return total
 
 
-def _table_row(rows: Sequence[Sequence[int]], z0: int) -> list[int]:
-    """The row z = z0 of the table sum_k x^k rows[k](z), a dense list in x."""
-    return [_horner(row, z0) for row in rows]
-
-
 def _table_fiber(rows: Sequence[Sequence[int]], x0: int) -> list[int]:
     """The fiber x = x0 of the table sum_k x^k rows[k](z), a dense list in z."""
     out: list[int] = []
@@ -343,9 +335,6 @@ def dense_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _primitive(a) if a else []
 
 
-# ----- root exclusion -----------------------------------------------------
-
-
 def taylor_shift(c: Sequence[int], a: int) -> list[int]:
     """Coefficients of c(x + a), lowest degree first (synthetic division)."""
     out = list(c)
@@ -355,25 +344,15 @@ def taylor_shift(c: Sequence[int], a: int) -> list[int]:
     return out
 
 
-def sign_variations(c: Sequence[int]) -> int:
-    """Sign changes along the coefficient list, zeros skipped."""
-    signs = [x > 0 for x in c if x]
-    return sum(map(ne, signs, signs[1:]))
-
-
-def root_free(c: Sequence[int], a: int, b: int) -> bool:
-    """True only if c has no real root in the closed interval [a, b].
-
-    Descartes' rule on the Moebius image (1 + t)^d c((a + b t) / (1 + t)),
-    whose positive roots are the roots of c in (a, b): no sign variation
-    means none.  The image's constant and leading coefficients are c(a) and
-    c(b), which must be nonzero.  A True answer is a proof; False only means
-    the test could not exclude a root (Descartes over-counts complex pairs
-    near the interval).  The zero list is never root-free.
-    """
-    c = _trim(c)
-    shifted = taylor_shift(c, a)
-    scale = b - a
-    scaled = [x * scale**k for k, x in enumerate(shifted)]
-    image = taylor_shift(scaled[::-1], 1)      # reversed image; same variations
-    return bool(image) and image[0] != 0 and image[-1] != 0 and sign_variations(image) == 0
+def format_terms(*terms: tuple[int, str]) -> str:
+    """A sum of (coefficient, monomial) terms as text, zero terms and unit coefficients dropped."""
+    text = ""
+    for coeff, mono in terms:
+        if not coeff:
+            continue
+        body = mono if abs(coeff) == 1 and mono else f"{abs(coeff)}{mono}"
+        if text:
+            text += f" {'-' if coeff < 0 else '+'} {body}"
+        else:
+            text = f"-{body}" if coeff < 0 else body
+    return text or "0"

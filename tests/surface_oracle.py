@@ -10,7 +10,8 @@ tables against these pairs (`table_holds`, with `table_poly` turning a table
 back into a `Poly`).  `derived_pair` and `param_value` hand the pairs to
 `dioph` as tables, in the form `dioph._surface` gives, and `param_value`
 reads any parameter off them, removable singularities included, through
-`dioph._value_at`.
+`dioph._fiber_values`.  `y2_curve_table` derives the shipped table of the
+y2 curve, `regions._Y2_CURVE`, with `compose_cleared`.
 
 Regenerate the tables after a change to a formula with
 
@@ -27,9 +28,10 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from twodist.designs import block_graph_formulas
-from twodist.dioph import MSQ_XZ, ONE_XZ, S_XZ, XZ, Y1_XZ, Y2NUM_XZ, _value_at, _X, _Z
+from twodist.dioph import (MSQ_XZ, ONE_XZ, P3, S_XZ, XZ, Y1_XZ, Y2NUM_XZ, _XZ_SUBS, _X, _Z,
+                           _fiber_values)
 from twodist.errors import DesignError
-from twodist.polynomials import Poly
+from twodist.polynomials import Poly, compose_cleared
 
 
 def prop_params(S, m, x, y) -> dict:
@@ -181,7 +183,7 @@ def param_value(name: str, x: int, z: int, branch: str = "y1") -> Fraction:
     """
     if x == 0:
         raise DesignError("the parametrization needs x != 0")
-    return _value_at(surface_tables(name, branch), x, z)
+    return next(_fiber_values(surface_tables(name, branch), x, (z,)))
 
 
 # ----- the shipped tables ---------------------------------------------------
@@ -211,6 +213,12 @@ def _rows(terms) -> tuple[tuple[int, ...], ...]:
         while row and row[-1] == 0:
             row.pop()
     return tuple(map(tuple, rows))
+
+
+@lru_cache(maxsize=None)
+def y2_curve_table() -> tuple[tuple[int, ...], ...]:
+    """p3 on the y2 branch, cleared by `compose_cleared`, as table rows."""
+    return _rows(compose_cleared(P3, {**_XZ_SUBS, "y": (Y2NUM_XZ, MSQ_XZ)}).terms.items())
 
 
 @lru_cache(maxsize=None)

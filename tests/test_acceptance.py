@@ -112,21 +112,27 @@ def test_criterion_7_region_certification(capsys):
     t0 = time.monotonic()
     g1 = dioph.region_scan("g1")
     assert g1.ok, g1.violations[:5]
+    assert g1.points_checked == {"region1": 1651650, "region2": 197, "region3": 337954}
+    assert [(s[0], s[3]) for s in g1.steps] == [("t-form", "grid identity")] + [
+        (region, "Polya") for region in ["region1"] * 4 + ["region2"] * 2 + ["region3"] * 2]
     strip = g1.notes["strip_equation"]
     assert set(strip.roots) == {
         parse_scalar("-1/2 + 1/2*sqrt(41)"), parse_scalar("-1/2 - 1/2*sqrt(41)")}
     assert strip.integer_roots == ()
     g2 = dioph.region_scan("g2")
     assert g2.ok, g2.violations[:5]
+    assert g2.points_checked == {"large_z": 354, "x_ge_3": 2009598}
+    assert [s[3] for s in g2.steps] == ["Polya"] * 18
+    assert ("large_z", "N - 31D", "x = 2, z = -15 - w", "Polya", "x = 2, real z <= -15") in g2.steps
     assert g2.notes["integer_values"] == {(1, -1): 136, (1, 0): 0, (2, 0): 0}
     assert dioph.aux_g("g2", 1, -1) == 136
     assert dioph.aux_g("g2", 1, 0) == 0 and dioph.aux_g("g2", 2, 0) == 0
     assert surface_oracle.param_value("Lambda", 1, -1, "y2") == -1
     with capsys.disabled():
-        _passed(7, f"zero violations on default boxes "
-                   f"({sum(g1.points_checked.values())} + "
-                   f"{sum(g2.points_checked.values())} lattice points), "
-                   "strip roots (-1 +- sqrt(41))/2", t0, budget=300.0)
+        _passed(7, f"{len(g1.steps)} + {len(g2.steps)} proof steps for every integer z, "
+                   f"zero violations; default boxes hold {sum(g1.points_checked.values())} + "
+                   f"{sum(g2.points_checked.values())} lattice points, "
+                   "strip roots (-1 +- sqrt(41))/2", t0, budget=10.0)
 
 
 def test_criterion_8_quadratic_exclusions(capsys):

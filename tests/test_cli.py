@@ -230,21 +230,18 @@ def test_solve_box_without_an_s_m_pair_exits_two(capsys):
 
 
 def test_math_failure_exits_one(monkeypatch, capsys):
-    # a violated bound must flip the report to failure and exit 1
-    from twodist import cli, dioph
+    # a failed proof step must flip the report to failure and exit 1
+    from twodist import regions
 
-    def broken_scan(which, zmin=-100, zmax=100, xmax=10_000):
-        report = dioph.RegionScanReport(which, zmin, zmax, xmax)
-        report.notes["strip_equation"] = dioph.solve_strip_equation()
-        report.violations.append(dioph.RegionViolation("region1", 5, 3, "7/2"))
-        return report
-
-    monkeypatch.setattr(cli.dioph, "region_scan", broken_scan)
+    region3 = ("region3", 0, 1, 1, (1, 1, 0), (3, 1, 1), "D given the wrong sign")
+    monkeypatch.setattr(regions, "_G1_PROOF", (*regions._G1_PROOF[:-1], region3))
     code, report, _ = run(
         ["regions", "--which", "g1", "--zmin", "-2", "--zmax", "2", "--xmax", "5"],
         capsys)
     assert code == 1
     assert report.status == "failure"
+    rows = dict(next(rows for title, rows in report.sections if title == "violations"))
+    assert rows["count"] == "2" and "region3: N, x = 1 + u, t = 3 + u + w" in rows
 
 
 # ----- exit-code contract ---------------------------------------------------

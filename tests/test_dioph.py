@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 from typing import NamedTuple
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -34,8 +33,11 @@ from twodist.errors import DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, parse_scalar
 from twodist.polynomials import Poly
 
+from lattice_oracle import (LatticeReport, PointViolation, RowEvaluator, curve_search,
+                            lattice_scan, table_row, xz_rows)
 from oracles import poly_eval
-from surface_oracle import g1_expr, g2_expr, param_value, prop_params, surface, table_poly
+from surface_oracle import (g1_expr, g2_expr, param_value, prop_params, surface, table_poly,
+                            y2_curve_table)
 
 
 class ZPoint(NamedTuple):
@@ -227,8 +229,9 @@ def test_g2_large_z_points_stay_inside_the_box(xmax, count):
     assert report.points_checked == {"large_z": count}
 
 
-@pytest.mark.parametrize("box", [(3, 2, -5, 5), (3, 100, 5, -5)])
+@pytest.mark.parametrize("box", [(3, 2, -5, 5), (3, 100, 5, -5), (0, 100, -5, 5)])
 def test_y2_curve_search_rejects_empty_boxes(box):
+    """An inverted box, and one reaching x = 0, below the proof's x >= 1."""
     with pytest.raises(DesignError):
         y2_curve_search(*box)
 
@@ -247,10 +250,10 @@ def test_pole_path():
 
 
 def _reader_table(name):
-    from twodist import dioph
+    from twodist import regions
 
     if name == "y2 curve":
-        return dioph._xz_rows(dioph._p3_on_y2_cleared())
+        return regions._Y2_CURVE
     which, side = name.split()
     return _surface(which)[side == "D"]
 
@@ -264,26 +267,26 @@ def _reader_table(name):
 @example(name="g2 N", x=0, z=3)
 def test_table_readers_match_poly_eval(name, x, z):
     """Row z and fiber x read off a table agree with `poly_eval` of the same table."""
-    from twodist.polynomials import _horner, _table_fiber, _table_row
+    from twodist.polynomials import _horner, _table_fiber
 
     rows = _reader_table(name)
     want = poly_eval(table_poly(rows), {"x": x, "z": z})
-    assert _horner(_table_row(rows, z), x) == want
+    assert _horner(table_row(rows, z), x) == want
     assert _horner(_table_fiber(rows, x), z) == want
 
 
 def test_y2_curve_table_is_the_cleared_curve():
-    from twodist.dioph import _p3_on_y2_cleared, _xz_rows
+    from twodist.regions import _Y2_CURVE
 
-    cleared = _p3_on_y2_cleared()
-    assert table_poly(_xz_rows(cleared)) == cleared
+    assert y2_curve_table() == _Y2_CURVE
 
 
 def test_y2_curve_table_matches_sympy():
     """p3 at m = r^2 / x, y = y2num / r^2, times x^deg_m r^(2 deg_y), then r = x + z^2 + z."""
     import sympy
 
-    from twodist.dioph import _p3, _p3_on_y2_cleared, _xz_rows
+    from twodist.dioph import _p3
+    from twodist.regions import _Y2_CURVE
 
     S, m, xs, y, x, z, r = sympy.symbols("S m xs y x z r")
     p3 = sympy.expand(_p3(S, m, xs, y))
@@ -291,7 +294,7 @@ def test_y2_curve_table_matches_sympy():
     on_y2 = p3.subs({S: s_xz, m: r**2 / x, xs: x, y: y2num / r**2})
     cleared = sympy.expand(on_y2 * x ** sympy.degree(p3, m) * r ** (2 * sympy.degree(p3, y)))
     want = sympy.Poly(cleared.subs(r, root), x, z).as_dict()
-    rows = _xz_rows(_p3_on_y2_cleared())
+    rows = _Y2_CURVE
     assert {(k, j): c for k, row in enumerate(rows) for j, c in enumerate(row) if c} == want
 
 
@@ -583,8 +586,8 @@ def enumerate_check_range(row, lo, hi, x_start, x_stop, region, report):
     A and B are evaluated by Horner's rule at every point of [x_start, x_stop];
     the points with A B <= 0 are counted in `points_enumerated`.
     """
-    from twodist.dioph import RegionViolation, _horner
     from twodist.exactnum import format_scalar
+    from twodist.polynomials import _horner
 
     if lo > hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
@@ -599,24 +602,20 @@ def enumerate_check_range(row, lo, hi, x_start, x_stop, region, report):
             continue
         failing += 1
         if d == 0:
-            row._check_point_fallback(x0, lo, hi, region, report)
+            row.check_point_fallback(x0, lo, hi, region, report)
             continue
-        report.violations.append(RegionViolation(region, x0, row.z0, format_scalar(Fraction(n, d))))
+        report.violations.append(PointViolation(region, x0, row.z0, format_scalar(Fraction(n, d))))
     report.points_enumerated[region] = report.points_enumerated.get(region, 0) + failing
 
 
-def enumerate_curve_search(xmin, xmax, zmin, zmax):
-    """Oracle: `y2_curve_search` with every point of the box evaluated by `poly_eval`."""
-    from twodist.dioph import _p3_on_y2_cleared
-
-    cleared = _p3_on_y2_cleared()
+def enumerate_curve_search(curve, xmin, xmax, zmin, zmax):
+    """Oracle: `curve_search` with every point of the box evaluated by `poly_eval`."""
     return [(x0, z0) for z0 in range(zmin, zmax + 1) for x0 in range(xmin, xmax + 1)
-            if poly_eval(cleared, {"x": x0, "z": z0}) == 0]
+            if poly_eval(curve, {"x": x0, "z": z0}) == 0]
 
 
 def _check_range_oracle(which, z0, lo, hi, x_start, x_stop, region):
     """The per-point check of lo < g(x, z0) < hi on aux_g and Fractions."""
-    from twodist.dioph import RegionViolation
     from twodist.exactnum import format_scalar
 
     violations = []
@@ -624,10 +623,10 @@ def _check_range_oracle(which, z0, lo, hi, x_start, x_stop, region):
         try:
             value = aux_g(which, x0, z0)
         except ZeroDivisionError:
-            violations.append(RegionViolation(region, x0, z0, "pole"))
+            violations.append(PointViolation(region, x0, z0, "pole"))
             continue
         if not lo < value < hi:
-            violations.append(RegionViolation(region, x0, z0, format_scalar(value)))
+            violations.append(PointViolation(region, x0, z0, format_scalar(value)))
     count = x_stop - x_start + 1
     return ({region: count} if count > 0 else {}), violations
 
@@ -636,12 +635,10 @@ def _check_range_oracle(which, z0, lo, hi, x_start, x_stop, region):
 @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (1, 2), (-1, 38), (31, 33), (-5, 3)])
 def test_row_check_range_matches_pointwise_oracle(which, lo, hi):
     """Every row z in [-12, 12] from x = 1, so (1, 0), a zero of the derived D, is included."""
-    from twodist.dioph import RegionScanReport, _RowEvaluator
-
     for z0 in range(-12, 13):
-        row = _RowEvaluator(which, z0)
+        row = RowEvaluator(which, z0)
         for x_start, x_stop in ((1, 40), (1, 1), (2, 3), (7, 29), (5, 4)):
-            report = RegionScanReport(which, z0, z0, x_stop)
+            report = LatticeReport()
             row.check_range(lo, hi, x_start, x_stop, "r", report)
             points, violations = _check_range_oracle(which, z0, lo, hi, x_start, x_stop, "r")
             assert report.points_checked == points, (z0, x_start, x_stop)
@@ -649,27 +646,22 @@ def test_row_check_range_matches_pointwise_oracle(which, lo, hi):
 
 
 def test_row_check_range_rejects_an_inverted_interval():
-    from twodist.dioph import RegionScanReport, _RowEvaluator
-
-    report = RegionScanReport("g1", 3, 3, 10)
+    report = LatticeReport()
     with pytest.raises(ValueError):
-        _RowEvaluator("g1", 3).check_range(1, 0, 1, 10, "r", report)
+        RowEvaluator("g1", 3).check_range(1, 0, 1, 10, "r", report)
     assert not report.points_checked
 
 
-def test_y2_curve_search_finds_every_off_line_zero(monkeypatch):
-    """A stand-in curve with known lattice zeros off z = 0, against a brute-force scan."""
-    from twodist import dioph
-
+def test_y2_curve_search_finds_every_off_line_zero():
+    """The lattice oracle on a stand-in curve with known zeros off z = 0, against a brute-force scan."""
     x, z = Poly.gens(("x", "z"))
     curve = (x - 5) * (z - 2) * (x - z * z - 3) * (x + z + 40)
-    monkeypatch.setattr(dioph, "_p3_on_y2_cleared", lambda: curve)
     box = (-45, 60, -9, 8)
     expected = [(x0, z0) for z0 in range(box[2], box[3] + 1)
                 for x0 in range(box[0], box[1] + 1)
                 if poly_eval(curve, {"x": x0, "z": z0}) == 0]
     assert any(z0 not in (0, 2) and x0 not in (5, -z0 - 40) for x0, z0 in expected)
-    assert y2_curve_search(*box) == expected
+    assert curve_search(xz_rows(curve), *box) == expected
 
 
 def test_y2_curve_search_small_box():
@@ -686,9 +678,9 @@ def test_y2_curve_search_full_box():
 
 
 def test_y2_paper_intersection_points():
-    from twodist.dioph import _p3_on_y2_cleared
+    from twodist.regions import _Y2_CURVE
 
-    cleared = _p3_on_y2_cleared()
+    cleared = table_poly(_Y2_CURVE)
     assert poly_eval(cleared, {"x": 0, "z": 1}) == 0
     assert poly_eval(cleared, {"x": -9, "z": 3}) == 0
     assert all(x <= 0 for x in (0, -9))
@@ -723,12 +715,9 @@ def tight_row_cases(draw):
 @example(case=("g1", 0, -1, 1, 1, 200))       # (1, 0) zeroes the derived D; g1 = 0 on the row
 @example(case=("g1", 0, 0, 0, 1, 1))
 def test_row_check_range_matches_enumeration_oracle(case):
-    from twodist.dioph import RegionScanReport, _RowEvaluator
-
     which, z0, lo, hi, x_start, x_stop = case
-    row = _RowEvaluator(which, z0)
-    got = RegionScanReport(which, z0, z0, x_stop)
-    want = RegionScanReport(which, z0, z0, x_stop)
+    row = RowEvaluator(which, z0)
+    got, want = LatticeReport(), LatticeReport()
     row.check_range(lo, hi, x_start, x_stop, "r", got)
     enumerate_check_range(row, lo, hi, x_start, x_stop, "r", want)
     assert got.points_checked == want.points_checked
@@ -749,13 +738,11 @@ def test_a_crossing_row_is_partly_proved_and_partly_enumerated(z0, lo, hi):
     root-free on the whole row, so only the root test of the other one
     keeps the violations from being proved away.
     """
-    from twodist.dioph import RegionScanReport, _RowEvaluator
-
-    row = _RowEvaluator("g2", z0)
+    row = RowEvaluator("g2", z0)
     assert lo < aux_g("g2", 3, z0) < hi
-    report = RegionScanReport("g2", z0, z0, 5000)
+    report = LatticeReport()
     row.check_range(lo, hi, 3, 5000, "r", report)
-    want = RegionScanReport("g2", z0, z0, 5000)
+    want = LatticeReport()
     enumerate_check_range(row, lo, hi, 3, 5000, "r", want)
     assert report.violations == want.violations and report.violations
     assert report.points_proved["r"] > 0
@@ -764,12 +751,17 @@ def test_a_crossing_row_is_partly_proved_and_partly_enumerated(z0, lo, hi):
 
 
 def test_default_boxes_need_no_enumeration():
-    """Root exclusion closes every row of the default boxes, so no point is enumerated."""
+    """The lattice oracle closes every row of the default boxes by root exclusion alone.
+
+    It finds no violation and checks the same points, per region, as the
+    proof of `region_scan` counts.
+    """
     for which in ("g1", "g2"):
-        report = region_scan(which)
-        assert report.ok
-        assert report.points_proved == report.points_checked
-        assert set(report.points_enumerated.values()) == {0}
+        proved, oracle = region_scan(which), lattice_scan(which)
+        assert proved.ok and not oracle.violations
+        assert oracle.points_checked == proved.points_checked
+        assert oracle.points_proved == oracle.points_checked
+        assert set(oracle.points_enumerated.values()) == {0}
 
 
 @st.composite
@@ -802,8 +794,5 @@ def stand_in_curves(draw):
 @settings(max_examples=100, deadline=None)
 @given(case=stand_in_curves())
 def test_y2_curve_search_matches_enumeration_oracle(case):
-    from twodist import dioph
-
     curve, box = case
-    with mock.patch.object(dioph, "_p3_on_y2_cleared", lambda: curve):
-        assert y2_curve_search(*box) == enumerate_curve_search(*box)
+    assert curve_search(xz_rows(curve), *box) == enumerate_curve_search(curve, *box)

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from twodist.exactnum import QuadExt
 from twodist.polynomials import (Poly, compose_cleared, dense_coeffs, dense_divmod, dense_gcd,
-                                 root_free, sign_variations, taylor_shift)
+                                 taylor_shift)
 
+from lattice_oracle import root_free, sign_variations
 from oracles import compose_cleared_by_terms, poly_eval, poly_mul
 
 XZ = ("x", "z")

@@ -30,7 +30,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 ALLOWLIST = {
     "cli:main": "the console script; it only wraps dispatch, which the child calls",
     "cli:CommandReport.fail": "runs only when a proof fails",
-    "dioph:_RowEvaluator._check_point_fallback": "the D = 0 path of a row; unproved unreachable",
     "exactnum:QuadExt.__hash__": "value semantics: equal values hash equal",
     "exactnum:QuadExt.__repr__": "value semantics: what a failing comparison prints",
     "exactnum:QuadExt.__bool__": "value semantics: zero is false, as for int and Fraction",

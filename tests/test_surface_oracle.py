@@ -6,9 +6,10 @@ from math import gcd
 import pytest
 
 from twodist import dioph
-from twodist.dioph import RegionScanReport, _RowEvaluator, region_scan, solve_strip_equation
+from twodist.dioph import region_scan, solve_strip_equation
 from twodist.errors import DesignError
 
+from lattice_oracle import LatticeReport, RowEvaluator, lattice_scan
 from surface_oracle import derived_pair, lowest_terms, table_holds, table_literal, table_poly
 
 WHICH = ["g1", "g2"]
@@ -55,18 +56,28 @@ def test_a_perturbed_table_fails_the_identity(which):
 
 def _scan(which, zmin, zmax, xmax):
     try:
-        report = region_scan(which, zmin, zmax, xmax)
-    except DesignError as exc:
-        return str(exc)
+        report = lattice_scan(which, zmin, zmax, xmax)
+    except DesignError:
+        return None
     return (report.points_checked, report.points_proved, report.points_enumerated,
-            report.violations, report.notes)
+            report.violations)
 
 
 @pytest.mark.parametrize("which", WHICH)
 @pytest.mark.parametrize("zmin, zmax", [(-2, 1), (-15, -14), (9, 10)])
 @pytest.mark.parametrize("xmax", [1, 2, 3, 150])
 def test_region_scan_matches_the_derived_pair(which, zmin, zmax, xmax, monkeypatch):
+    """The lattice oracle reads the same box off the shipped and the derived pair.
+
+    It finds no violation there, and checks the points `region_scan` counts.
+    """
     shipped = _scan(which, zmin, zmax, xmax)
+    if shipped is None:
+        with pytest.raises(DesignError):
+            region_scan(which, zmin, zmax, xmax)
+    else:
+        report = region_scan(which, zmin, zmax, xmax)
+        assert report.ok and not shipped[3] and shipped[0] == report.points_checked
     monkeypatch.setattr(dioph, "_surface", derived_pair)
     assert _scan(which, zmin, zmax, xmax) == shipped
 
@@ -80,8 +91,8 @@ def test_strip_equation_matches_the_derived_pair(monkeypatch):
 def _row_violations(which, z0):
     violations = []
     for lo, hi in ((0, 0), (0, 1), (31, 33)):
-        report = RegionScanReport(which, z0, z0, 40)
-        _RowEvaluator(which, z0).check_range(lo, hi, 1, 40, "r", report)
+        report = LatticeReport()
+        RowEvaluator(which, z0).check_range(lo, hi, 1, 40, "r", report)
         violations.append(report.violations)
     return violations
 
@@ -92,7 +103,7 @@ def test_row_violations_match_the_derived_pair(which, z0, monkeypatch):
     """Bounds that g breaks, from x = 1.
 
     On the row z = 0 the derived D vanishes at x = 1, so that point takes
-    `_check_point_fallback` there and a plain N / D on the shipped pair.
+    `check_point_fallback` there and a plain N / D on the shipped pair.
     """
     shipped = _row_violations(which, z0)
     assert any(shipped)
