@@ -13,7 +13,7 @@ The box options only choose which lattice points are counted per region;
 the proof is the same for every box.
 """
 
-from twodist.dioph import aux_g, region_scan, y2_curve_search
+from twodist.dioph import _Y2_CURVE, aux_g, region_scan, y2_curve_search
 from twodist.regions import y2_curve_proof
 
 
@@ -43,7 +43,7 @@ print("  spot checks: g2(1,-1) =", aux_g("g2", 1, -1),
       " g2(1,0) =", aux_g("g2", 1, 0), " g2(2,0) =", aux_g("g2", 2, 0))
 
 print("\nthe second-branch curve p3 = 0 (cleared) for x >= 1:")
-show(step for step, _ in y2_curve_proof())
+show(step for step, _ in y2_curve_proof(_Y2_CURVE))
 hits = y2_curve_search(3, 400, -25, 25)
 print(f"  {len(hits)} lattice points with x in [3,400], |z| <= 25, all on the line z = 0:",
       all(z == 0 for _, z in hits))

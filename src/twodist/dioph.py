@@ -36,7 +36,7 @@ from .errors import DesignError, InternalConsistencyError
 from .exactnum import QuadExt, sqrt_adjoin, squarefree_decompose
 from .polynomials import (Poly, _horner, _primitive, _table_fiber, _trim, compose_cleared,
                           dense_coeffs, dense_divmod, dense_gcd, format_terms)
-from .regions import G2_SMALL_Z, g1_proof, g2_proof, y2_curve_proof
+from .regions import g1_proof, g2_proof, y2_curve_proof
 
 
 # ----- the polynomial system --------------------------------------------
@@ -216,6 +216,21 @@ _LOWEST_TERMS = {
         ),
     ),
 }
+
+# p3 on the y2 branch, cleared of its denominators, as a table of the same form
+# (tests/test_dioph.py proves it against sympy and `compose_cleared`)
+_Y2_CURVE = (
+    (),
+    (0, 0, 0, 0, 0, 0, 0, 0, 0, -4, -12, -8, 8, 12, 4),
+    (0, 0, 0, 0, 0, 0, 0, -4, -24, -20, 32, 48, 16),
+    (0, 0, 0, 0, 0, 0, -12, -16, 48, 72, 24),
+    (0, 0, 0, 0, 0, -4, 32, 48, 16),
+    (0, 0, 0, 0, 8, 12, 4),
+)
+
+# g2 on x in {1, 2} gets its integral values listed on this window of z; the
+# large_z pieces of `regions._G2_PROOF` prove it in (31, 33) outside it
+G2_SMALL_Z = (-14, 9)
 
 
 def _surface(which: str) -> Sequence[Sequence[Sequence[int]]]:
@@ -642,7 +657,7 @@ def y2_curve_search(xmin: int = 3, xmax: int = 10_000,
     if xmin > xmax or zmin > zmax or xmin < 1:
         raise DesignError(f"search box x in [{xmin}, {xmax}], z in [{zmin}, {zmax}] "
                           "is empty or reaches below x = 1")
-    for step, witness in y2_curve_proof():
+    for step, witness in y2_curve_proof(_Y2_CURVE):
         if witness:
             raise InternalConsistencyError(f"{step[1]}, {step[2]}: {witness}")
     return [(x0, 0) for x0 in range(xmin, xmax + 1)] if zmin <= 0 <= zmax else []

@@ -34,23 +34,12 @@ _G1_PROOF = (
     ("region3", 0, 1, -1, (1, 1, 0), (3, 1, 1), "real x >= 1, t >= x + 2"),
 )
 # region, lo, hi, then the pieces of x and of z, each (c, s) for c + s [0, oo)
-# or the point c when s = 0; large_z leaves out exactly G2_SMALL_Z
-G2_SMALL_Z = (-14, 9)   # x in {1, 2} gets its integral values listed on this window
+# or the point c when s = 0; large_z leaves out exactly dioph.G2_SMALL_Z
 _G2_PROOF = (
     ("large_z", 31, 33, ((1, 0), (2, 0)), ((10, 1), (-15, -1))),
     ("x_ge_3", -1, 38, ((3, 1),), ((1, 1), (-3, -1), (-2, 0), (-1, 0), (0, 0))),
 )
-# p3 on the y2 branch, cleared of its denominators, as a table of the form of
-# dioph._LOWEST_TERMS (tests/test_dioph.py proves it against sympy and
-# `compose_cleared`), and its pieces off the line z = 0, for x >= 1
-_Y2_CURVE = (
-    (),
-    (0, 0, 0, 0, 0, 0, 0, 0, 0, -4, -12, -8, 8, 12, 4),
-    (0, 0, 0, 0, 0, 0, 0, -4, -24, -20, 32, 48, 16),
-    (0, 0, 0, 0, 0, 0, -12, -16, 48, 72, 24),
-    (0, 0, 0, 0, 0, -4, 32, 48, 16),
-    (0, 0, 0, 0, 8, 12, 4),
-)
+# the pieces of the y2 curve off the line z = 0, for x >= 1
 _Y2_PROOF = (((1, 1),), ((1, 1), (-2, -1), (-1, 0)))
 
 
@@ -126,9 +115,9 @@ def g2_proof(num, den) -> Iterator[tuple]:
         yield from _table_proof(region, polys, x_pieces, z_pieces)
 
 
-def y2_curve_proof() -> Iterator[tuple]:
-    """The cleared y2 curve is positive off z = 0 for real x >= 1, and zero on z = 0."""
-    yield from _table_proof("off z = 0", [("p3 on y2", _Y2_CURVE)], *_Y2_PROOF)
-    row = _substituted(_Y2_CURVE, (1, 1), (0, 0))
+def y2_curve_proof(table) -> Iterator[tuple]:
+    """The cleared y2 curve table is positive off z = 0 for real x >= 1, and zero on z = 0."""
+    yield from _table_proof("off z = 0", [("p3 on y2", table)], *_Y2_PROOF)
+    row = _substituted(table, (1, 1), (0, 0))
     yield (("z = 0", "p3 on y2", "x = 1 + u, z = 0", "zero row", "real x >= 1, z = 0"),
            f"nonzero coefficients {row}" if row else "")

@@ -11,7 +11,7 @@ back into a `Poly`).  `derived_pair` and `param_value` hand the pairs to
 `dioph` as tables, in the form `dioph._surface` gives, and `param_value`
 reads any parameter off them, removable singularities included, through
 `dioph._fiber_values`.  `y2_curve_table` derives the shipped table of the
-y2 curve, `regions._Y2_CURVE`, with `compose_cleared`.
+y2 curve, `dioph._Y2_CURVE`, with `compose_cleared`.
 
 Regenerate the tables after a change to a formula with
 

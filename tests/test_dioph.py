@@ -250,10 +250,10 @@ def test_pole_path():
 
 
 def _reader_table(name):
-    from twodist import regions
+    from twodist.dioph import _Y2_CURVE
 
     if name == "y2 curve":
-        return regions._Y2_CURVE
+        return _Y2_CURVE
     which, side = name.split()
     return _surface(which)[side == "D"]
 
@@ -276,7 +276,7 @@ def test_table_readers_match_poly_eval(name, x, z):
 
 
 def test_y2_curve_table_is_the_cleared_curve():
-    from twodist.regions import _Y2_CURVE
+    from twodist.dioph import _Y2_CURVE
 
     assert y2_curve_table() == _Y2_CURVE
 
@@ -286,7 +286,7 @@ def test_y2_curve_table_matches_sympy():
     import sympy
 
     from twodist.dioph import _p3
-    from twodist.regions import _Y2_CURVE
+    from twodist.dioph import _Y2_CURVE
 
     S, m, xs, y, x, z, r = sympy.symbols("S m xs y x z r")
     p3 = sympy.expand(_p3(S, m, xs, y))
@@ -678,7 +678,7 @@ def test_y2_curve_search_full_box():
 
 
 def test_y2_paper_intersection_points():
-    from twodist.regions import _Y2_CURVE
+    from twodist.dioph import _Y2_CURVE
 
     cleared = table_poly(_Y2_CURVE)
     assert poly_eval(cleared, {"x": 0, "z": 1}) == 0

@@ -35,7 +35,7 @@ def uncovered(region, x_pieces, z_pieces):
 
 def test_each_proof_lists_its_steps_and_passes():
     g1, g2 = region_scan("g1", -3, 3, 10), region_scan("g2", -3, 3, 10)
-    y2 = list(y2_curve_proof())
+    y2 = list(y2_curve_proof(dioph._Y2_CURVE))
     assert g1.ok and g2.ok and not any(w for _, w in y2)
     assert [s[0] for s in g1.steps] == ["t-form"] + ["region1"] * 4 + ["region2"] * 2 + ["region3"] * 2
     assert len(g2.steps) == 2 * (2 * 2 + 5) and len(y2) == 3 + 1
@@ -137,13 +137,13 @@ def test_a_perturbed_g1_table_of_higher_degree_fails_the_t_form(monkeypatch):
 @pytest.mark.parametrize("proof, table", [
     ((((1, 1),), ((1, 1), (-2, -1), (-1, 1))), None),      # the row z = -1 turned into z >= -1
     ((((0, 1),), ((1, 1), (-2, -1), (-1, 0))), None),      # x from 0, where the curve vanishes
-    (None, regions._Y2_CURVE[:-1] + ((1, 0, 0, 0, 8, 12, 4),)),   # the row z = 0 nonzero
+    (None, dioph._Y2_CURVE[:-1] + ((1, 0, 0, 0, 8, 12, 4),)),   # the row z = 0 nonzero
 ])
 def test_a_mutated_y2_proof_raises(proof, table, monkeypatch):
     if proof:
         monkeypatch.setattr(regions, "_Y2_PROOF", proof)
     if table:
-        monkeypatch.setattr(regions, "_Y2_CURVE", table)
+        monkeypatch.setattr(dioph, "_Y2_CURVE", table)
     with pytest.raises(InternalConsistencyError):
         y2_curve_search(3, 40, -5, 5)
 
