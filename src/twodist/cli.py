@@ -216,8 +216,8 @@ def cmd_embed(args) -> tuple[int, CommandReport]:
         # entry (a, b) of E is the coefficient of the relation holding (a, b)
         values = [str(v) for v in result.coefficients]
         report.add("projector matrix", [
-            (f"row {i}", " | ".join(values[k] for k in row))
-            for i, row in enumerate((cc.labels - 1).tolist())
+            (f"row {u}", " | ".join(values[k] for k in coherent.relation_row(cc, u)))
+            for u in range(cc.size)
         ])
     return EXIT_OK, report
 

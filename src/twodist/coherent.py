@@ -1,11 +1,20 @@
 """Coherent configurations of a quasi-symmetric design.
 
-The configuration as one label matrix over the ordered set V + B (points
-first, then blocks): each ordered pair carries the i of the one relation R_i
-of the nine that holds it.  Then the exhaustive axiom check with the full
-intersection-number table, the matrix-unit basis of the second irreducible
-block of the adjacency algebra, and the symmetric idempotent projector E
-whose entries form the exact Gram table of the Euclidean embedding.
+The configuration on the ordered set V + B (points first, then blocks):
+each ordered pair lies in one of nine relations R_i, read off the blocks'
+bitmasks (`relation_row`).  Its intersection numbers p_ij^k are constant
+because a quasi-symmetric 2-design gives a coherent configuration of type
+(2,2;3): D. G. Higman's theorem on coherent configurations, with the block
+graph strongly regular by Goethals and Seidel (1970).  What is checked is
+that theorem's premises: equal block sizes (`IncidenceDesign`), every
+point in a block and exactly two intersection values (`from_design`), and
+the block count equal to the derived n and every point pair in the same
+number of blocks (`verify_axioms`), which then counts each p_ij^k at one
+pair of R_k.  The exhaustive check of every pair is the test oracle
+`fiber_block_axioms` in tests/oracles.py.  Then the matrix-unit basis of
+the second irreducible block of the adjacency algebra, and the symmetric
+idempotent projector E whose entries form the exact Gram table of the
+Euclidean embedding.
 """
 
 from __future__ import annotations
@@ -14,16 +23,14 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .designs import (
-    DesignParameters, IncidenceDesign, count_product, incidence_matrix, parameters_from_design)
+    DesignParameters, IncidenceDesign, block_masks, parameters_from_design, verify_t_design)
 from .errors import DesignError, InternalConsistencyError
-from .exactnum import QuadExt, _radicand_closure, _sf_product, sqrt_adjoin
+from .exactnum import QuadExt, _radicand_closure, _sf_product, format_scalar, sqrt_adjoin
 
 
-TRANSPOSE_PAIRS = {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 8, 7: 9, 8: 6, 9: 7}
-SWAP = np.array([0, *TRANSPOSE_PAIRS.values()], dtype=np.int8)  # SWAP[i] = TRANSPOSE_PAIRS[i]
+# R_{i+1}^T = R_{TRANSPOSE[i]+1}: R6/R8 and R7/R9 swap, the rest are symmetric
+TRANSPOSE = (0, 1, 2, 3, 4, 7, 8, 5, 6)
 
 GRAM_CLASS_OF_RELATION = {
     1: "V_diag", 2: "B_diag", 3: "V_off", 4: "B_alpha", 5: "B_beta",
@@ -32,14 +39,11 @@ GRAM_CLASS_OF_RELATION = {
 
 
 class CoherentConfig(NamedTuple):
-    """A design's parameters and the relation label of every pair of V + B.
-
-    labels[u, v] is the i of the relation R_i that holds (u, v), as int8.
-    """
+    """A design's parameters and its blocks as bitmasks (`designs.block_masks`)."""
 
     design: IncidenceDesign
     params: DesignParameters
-    labels: np.ndarray
+    masks: tuple
 
     @property
     def m(self) -> int:
@@ -55,20 +59,33 @@ class CoherentConfig(NamedTuple):
 
 
 def from_design(d: IncidenceDesign) -> CoherentConfig:
-    """Label the pairs of V + B; R4 holds the larger intersection number."""
-    inc = incidence_matrix(d)
-    inter = count_product(inc.T, inc)
-    params = parameters_from_design(d, inter)
-    m = d.m
-    labels = np.empty((m + d.block_count,) * 2, dtype=np.int8)
-    labels[:m, :m] = 3
-    labels[m:, m:] = 5
-    labels[m:, m:][inter == params.alpha] = 4
-    labels[:m, m:] = 7 - inc
-    labels[m:, :m] = 9 - inc.T
-    np.fill_diagonal(labels[:m, :m], 1)
-    np.fill_diagonal(labels[m:, m:], 2)
-    return CoherentConfig(d, params, labels)
+    """The configuration of d; raises DesignError unless d is quasi-symmetric."""
+    masks = block_masks(d)
+    return CoherentConfig(d, parameters_from_design(d, masks), masks)
+
+
+def relation_row(cc: CoherentConfig, u: int) -> list:
+    """i - 1 for the relation R_i of each pair (u, w), w over V + B in order.
+
+    Points: R1 on the diagonal, R3 off it.  Blocks: R2 on the diagonal, R4
+    when two blocks meet in alpha points, R5 otherwise.  A point and a block:
+    R6 when the point lies in the block, R7 when not; R8 and R9 transposed.
+    Built fiber by fiber: a point's row tests one bit of every mask, a
+    block's row one bit of its own mask per point and one popcount per block.
+    """
+    m, masks = cc.m, cc.masks
+    if u < m:
+        row = [2] * m
+        row[u] = 0
+        bit = 1 << u
+        row += [5 if b & bit else 6 for b in masks]
+        return row
+    a = masks[u - m]
+    row = [7 if a >> w & 1 else 8 for w in range(m)]
+    alpha = cc.params.alpha
+    row += [3 if (a & b).bit_count() == alpha else 4 for b in masks]
+    row[u] = 1  # |a & a| = S, never alpha
+    return row
 
 
 # ----- axiom verification -------------------------------------------------
@@ -77,8 +94,8 @@ def from_design(d: IncidenceDesign) -> CoherentConfig:
 class AxiomReport:
     __slots__ = ("ok", "p", "violation")
 
-    def __init__(self, ok: bool, p: Optional[np.ndarray], violation: Optional[str] = None):
-        self.ok, self.p, self.violation = ok, p, violation  # p[i-1, j-1, k-1] = p_{ij}^k
+    def __init__(self, ok: bool, p: Optional[tuple], violation: Optional[str] = None):
+        self.ok, self.p, self.violation = ok, p, violation  # p[i-1][j-1][k-1] = p_{ij}^k
 
     def p_constant(self, i: int, j: int, k: int) -> int:
         """Intersection number p_{ij}^k with 1-based relation labels 1..9."""
@@ -86,119 +103,44 @@ class AxiomReport:
             raise ValueError(f"no p table: the axiom check failed ({self.violation})")
         if not all(1 <= label <= 9 for label in (i, j, k)):
             raise ValueError(f"relation labels run from 1 to 9, got p_{i}{j}^{k}")
-        return int(self.p[i - 1, j - 1, k - 1])
+        return self.p[i - 1][j - 1][k - 1]
 
 
 def verify_axioms(cc: CoherentConfig) -> AxiomReport:
-    """Exhaustively check the coherent-configuration axioms.
+    """Check the premises of the configuration theorem and count every p_ij^k.
 
-    (1) every label lies in 1..9, so the relations R_i = (labels == i)
-    partition all ordered pairs, (2) each relation's transpose is again a
-    relation, (3) R1 + R2 is the diagonal of V + B, (4) |{w : (u,w) in
-    R_i, (w,v) in R_j}| is constant over (u,v) in R_k.  Returns the full
-    table of constants, or the first violation found in (i, j, k) order.
-
-    (2) is one lookup, SWAP[labels] against labels^T; (3) asks for diagonal
-    labels in {1, 2} and no other label 1 or 2.  The diagonal then gives the
-    fibers X_1 (label 1) and X_2 (label 2); one permutation puts the labels
-    in fiber order, each fiber ascending, unless they already are (as
-    `from_design` builds them), and the four label blocks L_ab on X_a x X_b
-    are slices.  A bincount of each block says which relations meet it; a
-    relation in more than one block fails with "R{i} meets more than one
-    fiber pair", since p_{Δa,R}^R = [u in X_a] must be constant on R.
-
-    (4) then runs block by block.  A_i A_j is zero unless R_i's column fiber
-    is R_j's row fiber, and otherwise lives in one block (a, c).  R1 and R2
-    are the identity on their fiber, so A_1 A_j = A_j and A_i A_2 = A_i:
-    p_ij^k is a Kronecker delta there, with no product and no comparison.
-    For any other R_i on X_a x X_b and each target fiber c, the relations
-    R_j in block (b, c) partition it, so the sum of their A_j is the
-    all-ones J and sum_j A_i A_j = A_i J = rowsum(A_i) 1^T, an exact integer
-    identity.  Every non-identity product of the block but the last is a
-    `count_product`; the last is rowsum(A_i) 1^T less the others, less A_i
-    itself when R_b's identity lies in the block.  Each product, multiplied
-    or derived, is compared entry by entry with its expected values, the
-    value at each R_k's first pair looked up through L_ac.  A_i's products
-    are all formed before any is checked, and checked in j order; the first
-    violation is the least k, then the first pair in row-major order, which
-    fiber order keeps equal to the caller's order, and the pair is named in
-    the caller's numbering.
+    The theorem (module docstring) needs a quasi-symmetric 2-design.  Equal
+    block sizes are checked when the design is read, every point lying in a
+    block and exactly two intersection values by `from_design`.  Here the
+    block count must be the n that (m, S, alpha, beta) give, checked first
+    because it costs nothing, and every point pair must lie in the same
+    number of blocks (`verify_t_design`); a failure is returned, naming the
+    premise.  Then p_ij^k = |{w : (u,w) in R_i, (w,v) in R_j}| is counted
+    over w in V + B at one pair (u, v) of each R_k, every pair taken from
+    block 0's row: two points, block 0 itself, its first neighbours at
+    alpha and at beta, and a point in it and one outside it.
     """
-    labels = cc.labels
-    if labels.min() < 1 or labels.max() > 9:
-        return AxiomReport(False, None, "relations do not partition the pair set")
-    bad = SWAP.take(labels) != labels.T
-    if bad.any():
-        # R_i fails iff a mismatched entry carries i or SWAP[i]; bad is symmetric
-        seen = labels[bad]
-        i = int(min(seen.min(), SWAP.take(seen).min()))
-        return AxiomReport(False, None, f"transpose of R{i} is not R{SWAP[i]}")
-    diag = np.diagonal(labels)
-    size = cc.size  # a label matrix of any other size fails (3)
-    if np.count_nonzero(diag <= 2) != size or np.count_nonzero(labels <= 2) != size:
-        return AxiomReport(False, None, "R1 + R2 is not the diagonal")
-    m = int(np.count_nonzero(diag == 1))
-    order = None
-    if not (diag[:m] == 1).all():
-        order = np.argsort(diag, kind="stable")
-        labels = labels[np.ix_(order, order)]
-    cuts, offsets = (slice(0, m), slice(m, size)), (0, m)
-    blocks = {(a, b): labels[cuts[a], cuts[b]] for a in (0, 1) for b in (0, 1)}
-    met = {ab: np.bincount(block.ravel(), minlength=10)[1:] for ab, block in blocks.items()}
-    pairs: list = []  # (a, b) per relation, None when empty
-    for i in range(9):
-        hit = [ab for ab, counts in met.items() if counts[i]]
-        if len(hit) > 1:
-            return AxiomReport(False, None, f"R{i+1} meets more than one fiber pair")
-        pairs.append(hit[0] if hit else None)
-    members = {ab: [k for k in range(9) if pairs[k] == ab] for ab in blocks}
-    rels = [None, None] + [None if pairs[i] is None else blocks[pairs[i]] == i + 1
-                           for i in range(2, 9)]
-    # flat index of each relation's first pair in its block; (0, 0) for R1 and R2
-    firsts = np.array([0, 0] + [0 if r is None else int(np.argmax(r)) for r in rels[2:]])
-    p = np.zeros((9, 9, 9), dtype=np.int32)
-    for j, pair in enumerate(pairs):
-        if pair is not None:  # R_a is the identity on X_a: A_a A_j = A_j A_b = A_j
-            a, b = pair
-            p[a, j, j] = p[j, b, j] = 1
-    for i in range(2, 9):
-        if pairs[i] is None:
-            continue
-        a, b = pairs[i]
-        prods = {}
-        for c in (0, 1):
-            js = [j for j in members[b, c] if j >= 2]
-            if not js:
-                continue  # the block holds R_b's identity alone
-            for j in js[:-1]:
-                prods[j] = count_product(rels[i], rels[j])
-            last = np.empty((rels[i].shape[0], blocks[b, c].shape[1]), dtype=np.int32)
-            last[:] = rels[i].sum(axis=1, dtype=np.int32)[:, None]
-            for j in js[:-1]:
-                last -= prods[j]
-            if c == b:
-                last -= rels[i]
-            prods[js[-1]] = last
-        for j in sorted(prods):
-            prod, c = prods[j], pairs[j][1]
-            ks = members[a, c]
-            values = prod.ravel()[firsts[ks]]
-            table = np.zeros(10, dtype=np.int32)
-            table[np.add(ks, 1)] = values
-            label_block = blocks[a, c]
-            bad = prod != table.take(label_block)
-            if bad.any():
-                k = int(label_block[bad].min())
-                r, col = np.argwhere(bad & (label_block == k))[0]
-                pair = (offsets[a] + int(r), offsets[c] + int(col))
-                if order is not None:
-                    pair = (int(order[pair[0]]), int(order[pair[1]]))
-                return AxiomReport(
-                    False, None,
-                    f"p_{i+1}{j+1}^{k} not constant: pair {pair} gives "
-                    f"{int(prod[r, col])}, expected {int(table[k])}")
-            p[i, j, ks] = values
-    return AxiomReport(True, p)
+    d, params = cc.design, cc.params
+    if d.block_count != params.n:
+        return AxiomReport(False, None, f"{d.block_count} blocks, but (m, S, alpha, beta) = "
+                                        f"{params[:4]} give n = {format_scalar(params.n)}")
+    pairs = verify_t_design(d, 2)
+    if not pairs.is_t_design:
+        return AxiomReport(False, None, f"not a 2-design: {pairs.witness}")
+    m = cc.m
+    first = relation_row(cc, m)
+    inside, outside = first.index(7), first.index(8)
+    # (u, v) in R_k for k = 1..9
+    reps = ((0, 0), (m, m), (0, 1), (m, first.index(3, m)), (m, first.index(4, m)),
+            (inside, m), (outside, m), (m, inside), (m, outside))
+    rows = {m: first}
+    for vertex in {v for pair in reps for v in pair} - rows.keys():
+        rows[vertex] = relation_row(cc, vertex)
+    p = [[[0] * 9 for _ in range(9)] for _ in range(9)]
+    for k, (u, v) in enumerate(reps):
+        for i, j in zip(rows[u], rows[v]):  # (u, w) in R_i; (w, v) is (v, w) transposed
+            p[i][TRANSPOSE[j]][k] += 1
+    return AxiomReport(True, tuple(tuple(map(tuple, plane)) for plane in p))
 
 
 # ----- the idempotent basis and the projector ------------------------------
@@ -260,13 +202,10 @@ def idempotent_basis(p: DesignParameters) -> IdempotentCoefficients:
         tuple(eps11), tuple(eps12), tuple(eps21), tuple(eps22))
 
 
-def structure_constants(p_table: np.ndarray) -> tuple:
+def structure_constants(p_table: tuple) -> tuple:
     """The nonzero p_ij^k as (i, j, ((k, p_ij^k), ...)), 0-based, in (i, j) order."""
-    table = p_table.tolist()
-    groups: dict = {}
-    for i, j, k in np.argwhere(p_table).tolist():
-        groups.setdefault((i, j), []).append((k, table[i][j][k]))
-    return tuple((i, j, tuple(ks)) for (i, j), ks in groups.items())
+    return tuple((i, j, ks) for i, plane in enumerate(p_table) for j, column in enumerate(plane)
+                 if (ks := tuple((k, c) for k, c in enumerate(column) if c)))
 
 
 def algebra_product(constants: tuple, u: dict, v: dict) -> dict:

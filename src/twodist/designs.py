@@ -1,22 +1,21 @@
 """Quasi-symmetric design combinatorics.
 
-Incidence structures, t-design verification, block intersection numbers, and
-the exact parameter calculus that expresses the block-graph quantities
-(Lambda, T, N, P, n, k, r, s) in terms of (m, S, alpha, beta).  The calculus
-is written once over any ring: `derive_parameters` evaluates it on Fractions,
-`dioph` on polynomials.  Integrality of the derived values is checked by a
-separate gate so callers can see exactly which condition fails.
+Incidence structures, t-design verification, blocks as integer bitmasks and
+their intersection numbers as popcounts, and the exact parameter calculus
+that expresses the block-graph quantities (Lambda, T, N, P, n, k, r, s) in
+terms of (m, S, alpha, beta).  The calculus is written once over any ring:
+`derive_parameters` evaluates it on Fractions, `dioph` on polynomials.
+Integrality of the derived values is checked by a separate gate so callers
+can see exactly which condition fails.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .errors import DegenerateParametersError, DesignError, InternalConsistencyError
 from .exactnum import format_scalar
@@ -244,65 +243,34 @@ class IntersectionProfile(NamedTuple):
     beta: Optional[int] = None
 
 
-def incidence_matrix(d: IncidenceDesign) -> np.ndarray:
-    """The m x n 0/1 matrix (int8) with entry (p, j) = 1 when point p lies in block j.
+def block_masks(d: IncidenceDesign) -> tuple[int, ...]:
+    """Each block as a bitmask: bit p is set when point p lies in the block.
 
-    A point in no block raises DesignError before anything is allocated.
-    Past that check m and the block count are each at most the number of
-    incidences the design holds, so the array has at most its square entries.
+    A point in no block raises DesignError before any mask is built; past
+    that check m is at most the number of incidences the design holds, so
+    no mask is longer than that many bits.
     """
     covered = {p for block in d.blocks for p in block}
     if len(covered) < d.m:
         missing = next(p for p in range(d.m) if p not in covered)
         raise DesignError(f"point {missing} lies in no block")
-    inc = np.zeros((d.m, d.block_count), dtype=np.int8)
-    points = np.fromiter(chain.from_iterable(d.blocks), dtype=np.intp,
-                         count=d.block_count * d.block_size)
-    inc[points, np.arange(d.block_count).repeat(d.block_size)] = 1
-    return inc
+    return tuple(sum(1 << p for p in block) for block in d.blocks)
 
 
-def count_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The exact integer product a @ b of two integer matrices, as int32.
-
-    numpy multiplies integer matrices in a plain loop but float32 ones in
-    BLAS, so the product is taken in float32.  It is exact: every partial
-    sum is an integer of absolute value at most inner * max|a| * max|b|,
-    and float32 holds every integer up to 2^24 exactly, whatever the
-    summation order, blocking, FMA or thread count.  That bound is checked
-    before anything is converted; a DesignError is raised when it reaches
-    2^24.  Only the int32 result leaves this function.
-    """
-    if a.dtype.kind not in "biu" or b.dtype.kind not in "biu":
-        raise TypeError(f"count_product needs integer matrices, got {a.dtype} and {b.dtype}")
-    if a.size and b.size:
-        bound = a.shape[1] * max(int(a.max()), -int(a.min())) * max(int(b.max()), -int(b.min()))
-        if bound >= 2 ** 24:
-            raise DesignError(
-                f"a {a.shape} x {b.shape} count product may reach {bound}, "
-                f"past float32's exact integers (2^24)")
-    return (a.astype(np.float32) @ b.astype(np.float32)).astype(np.int32)
-
-
-def intersection_numbers(d: IncidenceDesign, inter: Optional[np.ndarray] = None
+def intersection_numbers(d: IncidenceDesign, masks: Optional[tuple] = None
                          ) -> IntersectionProfile:
     """Collect |b & b'| over all distinct block pairs.
 
-    The values are the off-diagonal entries of the integer product
-    inter = inc^T inc (`count_product`), formed here unless the caller
-    passes it: a bincount of all its entries less the diagonal's n copies of
-    the block size S (S stays a value when two blocks are equal).  The
-    design is quasi-symmetric when exactly two values occur; then alpha is
-    the larger and beta the smaller.
+    Each value is the popcount of two blocks' masks (`block_masks`, formed
+    here unless the caller passes them); S is a value when two blocks are
+    equal.  The design is quasi-symmetric when exactly two values occur;
+    then alpha is the larger and beta the smaller.
     """
     if d.block_count < 2:
         raise DesignError("need at least two blocks to intersect")
-    if inter is None:
-        inc = incidence_matrix(d)
-        inter = count_product(inc.T, inc)
-    counts = np.bincount(inter.ravel(), minlength=d.block_size + 1)
-    counts[d.block_size] -= d.block_count
-    values = tuple(int(v) for v in np.flatnonzero(counts))
+    if masks is None:
+        masks = block_masks(d)
+    values = tuple(sorted({(a & b).bit_count() for i, a in enumerate(masks) for b in masks[:i]}))
     if len(values) == 2:
         return IntersectionProfile(values, True, alpha=values[1], beta=values[0])
     return IntersectionProfile(values, False)
@@ -352,14 +320,14 @@ def load_design(path) -> IncidenceDesign:
     return design_from_json(data, source=str(path))
 
 
-def parameters_from_design(d: IncidenceDesign, inter: Optional[np.ndarray] = None
+def parameters_from_design(d: IncidenceDesign, masks: Optional[tuple] = None
                            ) -> DesignParameters:
     """Read (m, S, alpha, beta) off an actual design and derive the rest.
 
-    `inter` is the block intersection matrix inc^T inc when the caller has
-    it; a design that is not quasi-symmetric raises DesignError.
+    `masks` are the design's `block_masks` when the caller has them; a
+    design that is not quasi-symmetric raises DesignError.
     """
-    profile = intersection_numbers(d, inter)
+    profile = intersection_numbers(d, masks)
     if not profile.quasi_symmetric:
         raise DesignError(
             f"design is not quasi-symmetric: intersection values {profile.values}"

@@ -7,7 +7,7 @@ import pytest
 from twodist.coherent import from_design, projector_and_gram
 from twodist.designs import lisonek_design, load_design
 
-from oracles import complement_design
+from oracles import complement_design, label_matrix
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -56,12 +56,12 @@ def lisonek_design_file(tmp_path, lisonek):
 
 def _relation_rows(cc, coefficients) -> list:
     """Dense rows of sum_k coefficients[k] A_{k+1}: entry (a, b) is the
-    coefficient of the relation labelled at (a, b).
+    coefficient of the relation labelled at (a, b) by the oracle's label matrix.
 
     Filled by plain Python lookups, not by the numpy indexing that builds
     the dense oracle's integer form of E (oracles.integer_form).
     """
-    labels = cc.labels.tolist()
+    labels = label_matrix(cc).tolist()
     assert {k for row in labels for k in row} <= set(range(1, 10))
     return [[coefficients[k - 1] for k in row] for row in labels]
 

@@ -5,13 +5,15 @@ or the benchmark calls (tests/test_reachability.py checks that).
 """
 
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from twodist.coherent import GRAM_CLASS_OF_RELATION, CoherentConfig, GramTable, _integer_vector
+from twodist.coherent import (
+    GRAM_CLASS_OF_RELATION, AxiomReport, CoherentConfig, GramTable, _integer_vector)
 from twodist.designs import IncidenceDesign
-from twodist.errors import InternalConsistencyError
+from twodist.errors import DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, _sf_product
 from twodist.polynomials import Poly
 
@@ -93,6 +95,183 @@ def compose_cleared_by_terms(p, subs):
     return Poly(out_vars, total)
 
 
+# ----- the exhaustive axiom check ------------------------------------------------
+#
+# `coherent.verify_axioms` checks that the design is a quasi-symmetric 2-design
+# and reads each p_ij^k off one pair of R_k; constancy is the classical theorem.
+# This oracle builds the label matrix of every pair from a dense incidence
+# matrix and checks the axioms on all of them, with the full p table.
+
+TRANSPOSE_PAIRS = {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 8, 7: 9, 8: 6, 9: 7}
+SWAP = np.array([0, *TRANSPOSE_PAIRS.values()], dtype=np.int8)  # SWAP[i] = TRANSPOSE_PAIRS[i]
+
+
+def incidence_matrix(d: IncidenceDesign) -> np.ndarray:
+    """The m x n 0/1 matrix (int8) with entry (p, j) = 1 when point p lies in block j."""
+    inc = np.zeros((d.m, d.block_count), dtype=np.int8)
+    points = np.fromiter(chain.from_iterable(d.blocks), dtype=np.intp,
+                         count=d.block_count * d.block_size)
+    inc[points, np.arange(d.block_count).repeat(d.block_size)] = 1
+    return inc
+
+
+def count_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The exact integer product a @ b of two integer matrices, as int32.
+
+    numpy multiplies integer matrices in a plain loop but float32 ones in
+    BLAS, so the product is taken in float32.  It is exact: every partial
+    sum is an integer of absolute value at most inner * max|a| * max|b|,
+    and float32 holds every integer up to 2^24 exactly, whatever the
+    summation order, blocking, FMA or thread count.  That bound is checked
+    before anything is converted; a DesignError is raised when it reaches
+    2^24.  Only the int32 result leaves this function.
+    """
+    if a.dtype.kind not in "biu" or b.dtype.kind not in "biu":
+        raise TypeError(f"count_product needs integer matrices, got {a.dtype} and {b.dtype}")
+    if a.size and b.size:
+        bound = a.shape[1] * max(int(a.max()), -int(a.min())) * max(int(b.max()), -int(b.min()))
+        if bound >= 2 ** 24:
+            raise DesignError(
+                f"a {a.shape} x {b.shape} count product may reach {bound}, "
+                f"past float32's exact integers (2^24)")
+    return (a.astype(np.float32) @ b.astype(np.float32)).astype(np.int32)
+
+
+def label_matrix(cc: CoherentConfig) -> np.ndarray:
+    """labels[u, v] = i (int8) for the relation R_i holding (u, v); R4 is the larger intersection."""
+    inc = incidence_matrix(cc.design)
+    inter = count_product(inc.T, inc)
+    m = cc.m
+    labels = np.empty((cc.size,) * 2, dtype=np.int8)
+    labels[:m, :m] = 3
+    labels[m:, m:] = 5
+    labels[m:, m:][inter == cc.params.alpha] = 4
+    labels[:m, m:] = 7 - inc
+    labels[m:, :m] = 9 - inc.T
+    np.fill_diagonal(labels[:m, :m], 1)
+    np.fill_diagonal(labels[m:, m:], 2)
+    return labels
+
+
+def as_table(p: np.ndarray) -> tuple:
+    """A 9 x 9 x 9 array as the nested tuples of `AxiomReport.p`."""
+    return tuple(tuple(map(tuple, plane)) for plane in p.tolist())
+
+
+def fiber_block_axioms(cc: CoherentConfig, labels=None) -> AxiomReport:
+    """Exhaustively check the coherent-configuration axioms on a label matrix.
+
+    `labels` defaults to `label_matrix(cc)`.  (1) every label lies in 1..9,
+    so the relations R_i = (labels == i) partition all ordered pairs, (2)
+    each relation's transpose is again a relation, (3) R1 + R2 is the
+    diagonal of V + B, (4) |{w : (u,w) in R_i, (w,v) in R_j}| is constant
+    over (u,v) in R_k.  Returns the full table of constants, or the first
+    violation found in (i, j, k) order.
+
+    (2) is one lookup, SWAP[labels] against labels^T; (3) asks for diagonal
+    labels in {1, 2} and no other label 1 or 2.  The diagonal then gives the
+    fibers X_1 (label 1) and X_2 (label 2); one permutation puts the labels
+    in fiber order, each fiber ascending, unless they already are (as
+    `label_matrix` builds them), and the four label blocks L_ab on X_a x X_b
+    are slices.  A bincount of each block says which relations meet it; a
+    relation in more than one block fails with "R{i} meets more than one
+    fiber pair", since p_{Δa,R}^R = [u in X_a] must be constant on R.
+
+    (4) then runs block by block.  A_i A_j is zero unless R_i's column fiber
+    is R_j's row fiber, and otherwise lives in one block (a, c).  R1 and R2
+    are the identity on their fiber, so A_1 A_j = A_j and A_i A_2 = A_i:
+    p_ij^k is a Kronecker delta there, with no product and no comparison.
+    For any other R_i on X_a x X_b and each target fiber c, the relations
+    R_j in block (b, c) partition it, so the sum of their A_j is the
+    all-ones J and sum_j A_i A_j = A_i J = rowsum(A_i) 1^T, an exact integer
+    identity.  Every non-identity product of the block but the last is a
+    `count_product`; the last is rowsum(A_i) 1^T less the others, less A_i
+    itself when R_b's identity lies in the block.  Each product, multiplied
+    or derived, is compared entry by entry with its expected values, the
+    value at each R_k's first pair looked up through L_ac.  A_i's products
+    are all formed before any is checked, and checked in j order; the first
+    violation is the least k, then the first pair in row-major order, which
+    fiber order keeps equal to the caller's order, and the pair is named in
+    the caller's numbering.
+    """
+    if labels is None:
+        labels = label_matrix(cc)
+    if labels.min() < 1 or labels.max() > 9:
+        return AxiomReport(False, None, "relations do not partition the pair set")
+    bad = SWAP.take(labels) != labels.T
+    if bad.any():
+        # R_i fails iff a mismatched entry carries i or SWAP[i]; bad is symmetric
+        seen = labels[bad]
+        i = int(min(seen.min(), SWAP.take(seen).min()))
+        return AxiomReport(False, None, f"transpose of R{i} is not R{SWAP[i]}")
+    diag = np.diagonal(labels)
+    size = cc.size  # a label matrix of any other size fails (3)
+    if np.count_nonzero(diag <= 2) != size or np.count_nonzero(labels <= 2) != size:
+        return AxiomReport(False, None, "R1 + R2 is not the diagonal")
+    m = int(np.count_nonzero(diag == 1))
+    order = None
+    if not (diag[:m] == 1).all():
+        order = np.argsort(diag, kind="stable")
+        labels = labels[np.ix_(order, order)]
+    cuts, offsets = (slice(0, m), slice(m, size)), (0, m)
+    blocks = {(a, b): labels[cuts[a], cuts[b]] for a in (0, 1) for b in (0, 1)}
+    met = {ab: np.bincount(block.ravel(), minlength=10)[1:] for ab, block in blocks.items()}
+    pairs: list = []  # (a, b) per relation, None when empty
+    for i in range(9):
+        hit = [ab for ab, counts in met.items() if counts[i]]
+        if len(hit) > 1:
+            return AxiomReport(False, None, f"R{i+1} meets more than one fiber pair")
+        pairs.append(hit[0] if hit else None)
+    members = {ab: [k for k in range(9) if pairs[k] == ab] for ab in blocks}
+    rels = [None, None] + [None if pairs[i] is None else blocks[pairs[i]] == i + 1
+                           for i in range(2, 9)]
+    # flat index of each relation's first pair in its block; (0, 0) for R1 and R2
+    firsts = np.array([0, 0] + [0 if r is None else int(np.argmax(r)) for r in rels[2:]])
+    p = np.zeros((9, 9, 9), dtype=np.int32)
+    for j, pair in enumerate(pairs):
+        if pair is not None:  # R_a is the identity on X_a: A_a A_j = A_j A_b = A_j
+            a, b = pair
+            p[a, j, j] = p[j, b, j] = 1
+    for i in range(2, 9):
+        if pairs[i] is None:
+            continue
+        a, b = pairs[i]
+        prods = {}
+        for c in (0, 1):
+            js = [j for j in members[b, c] if j >= 2]
+            if not js:
+                continue  # the block holds R_b's identity alone
+            for j in js[:-1]:
+                prods[j] = count_product(rels[i], rels[j])
+            last = np.empty((rels[i].shape[0], blocks[b, c].shape[1]), dtype=np.int32)
+            last[:] = rels[i].sum(axis=1, dtype=np.int32)[:, None]
+            for j in js[:-1]:
+                last -= prods[j]
+            if c == b:
+                last -= rels[i]
+            prods[js[-1]] = last
+        for j in sorted(prods):
+            prod, c = prods[j], pairs[j][1]
+            ks = members[a, c]
+            values = prod.ravel()[firsts[ks]]
+            table = np.zeros(10, dtype=np.int32)
+            table[np.add(ks, 1)] = values
+            label_block = blocks[a, c]
+            bad = prod != table.take(label_block)
+            if bad.any():
+                k = int(label_block[bad].min())
+                r, col = np.argwhere(bad & (label_block == k))[0]
+                pair = (offsets[a] + int(r), offsets[c] + int(col))
+                if order is not None:
+                    pair = (int(order[pair[0]]), int(order[pair[1]]))
+                return AxiomReport(
+                    False, None,
+                    f"p_{i+1}{j+1}^{k} not constant: pair {pair} gives "
+                    f"{int(prod[r, col])}, expected {int(table[k])}")
+            p[i, j, ks] = values
+    return AxiomReport(True, as_table(p))
+
+
 # ----- the dense projector check -------------------------------------------------
 #
 # `projector_and_gram` proves E^2 = E, E^T = E and trace(E) = m - 1 in the
@@ -128,7 +307,7 @@ def integer_form(vector: tuple, index: np.ndarray) -> IntegerForm:
 def projector_form(result, coeffs=None) -> IntegerForm:
     """The integer form of a `ProjectorResult`'s E, or of the E with coefficients `coeffs`."""
     coeffs = result.coefficients if coeffs is None else coeffs
-    return integer_form(_integer_vector(coeffs), result.cc.labels - 1)
+    return integer_form(_integer_vector(coeffs), label_matrix(result.cc) - 1)
 
 
 def integer_square(form: IntegerForm) -> dict:
@@ -150,7 +329,7 @@ def _require_equal(lhs: np.ndarray, rhs: np.ndarray, what: str) -> None:
 
 def dense_checks(cc: CoherentConfig, form: IntegerForm, gram: GramTable) -> None:
     """E = E^T, class agreement, E^2 = E and trace(E) = m - 1, entry by entry."""
-    ridx = cc.labels - 1
+    ridx = label_matrix(cc) - 1
     zero = np.zeros(ridx.shape, dtype=np.int64)
     for r, part in form.parts.items():
         _require_equal(part, part.T, f"E is not symmetric in its sqrt({r}) part")

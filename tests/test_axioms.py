@@ -1,6 +1,12 @@
-"""The fiber-block axiom check against the full-matrix triple loop, and the
-embedding pipeline on the same designs."""
+"""The premise check of `coherent.verify_axioms` against two exhaustive
+oracles, the designs it must reject, and the embedding pipeline on the zoo.
 
+The oracles check every pair: `oracles.fiber_block_axioms` on the label
+matrix, block by block, and `dense_axioms_oracle` here, by all 81 full
+products.  The label-corruption tests give them matrices that no design
+produces, so they test the oracles against each other."""
+
+import json
 from itertools import combinations
 from pathlib import Path
 
@@ -9,19 +15,21 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from twodist import coherent
+from twodist.cli import dispatch
 from twodist.coherent import (
-    TRANSPOSE_PAIRS,
     AxiomReport,
     CoherentConfig,
     from_design,
     projector_and_gram,
+    relation_row,
     verify_axioms,
 )
 from twodist.designs import (
     IncidenceDesign,
+    block_masks,
     derive_parameters,
-    incidence_matrix,
     intersection_numbers,
     lisonek_design,
     load_design,
@@ -33,20 +41,31 @@ from twodist.geometry import (
     two_distance_classify,
 )
 
-from oracles import complement_design, derived_design, residual_design
+from oracles import (
+    TRANSPOSE_PAIRS,
+    as_table,
+    complement_design,
+    derived_design,
+    fiber_block_axioms,
+    incidence_matrix,
+    label_matrix,
+    residual_design,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
 
-def dense_axioms_oracle(cc) -> AxiomReport:
+def dense_axioms_oracle(cc, labels=None) -> AxiomReport:
     """Axiom (4) by all 81 full (m+n) x (m+n) products, each masked 9 times.
 
-    The independent oracle for verify_axioms: it knows nothing of fibers, so
-    its p table and its first violation in (i, j, k) order are the reference.
+    The independent oracle for fiber_block_axioms: it knows nothing of
+    fibers, so its p table and its first violation in (i, j, k) order are
+    the reference.  `labels` defaults to `label_matrix(cc)`.
     """
-    if not np.isin(cc.labels, range(1, 10)).all():
+    labels = label_matrix(cc) if labels is None else labels
+    if not np.isin(labels, range(1, 10)).all():
         return AxiomReport(False, None, "relations do not partition the pair set")
-    supports = [cc.labels == k for k in range(1, 10)]
+    supports = [labels == k for k in range(1, 10)]
     mats = [m.astype(np.int32) for m in supports]
     for i, expect in TRANSPOSE_PAIRS.items():
         if not (supports[i - 1].T == supports[expect - 1]).all():
@@ -70,17 +89,14 @@ def dense_axioms_oracle(cc) -> AxiomReport:
                         f"p_{i+1}{j+1}^{k+1} not constant: pair {bad} gives "
                         f"{int(prod[bad])}, expected {int(first)}")
                 p[i, j, k] = first
-    return AxiomReport(True, p)
+    return AxiomReport(True, as_table(p))
 
 
-def assert_same_report(cc, expected=None):
-    got, expected = verify_axioms(cc), expected or dense_axioms_oracle(cc)
-    assert (got.ok, got.violation) == (expected.ok, expected.violation)
-    if expected.p is None:
-        assert got.p is None
-    else:
-        assert got.p.dtype == expected.p.dtype
-        assert np.array_equal(got.p, expected.p)
+def assert_same_report(cc, labels=None, expected=None):
+    """The two exhaustive oracles agree: verdict, violation and p table."""
+    got = fiber_block_axioms(cc, labels)
+    expected = expected or dense_axioms_oracle(cc, labels)
+    assert (got.ok, got.violation, got.p) == (expected.ok, expected.violation, expected.p)
     return got
 
 
@@ -102,19 +118,24 @@ def complement_cc(lisonek):
 def test_matches_oracle_on_lisonek_complement_and_witt(lisonek_cc, complement_cc, witt_cc,
                                                        witt_oracle):
     for cc in (lisonek_cc, complement_cc):
-        assert assert_same_report(cc).ok
-    assert assert_same_report(witt_cc, witt_oracle).ok
+        assert verify_axioms(cc).p == assert_same_report(cc).p
+    assert verify_axioms(witt_cc).p == assert_same_report(witt_cc, None, witt_oracle).p
 
 
 def test_witt_axiom_check_work_count(witt_cc, witt_oracle, monkeypatch):
-    # one count_product per non-identity relation and target fiber block, less
-    # the product each block derives from row sums; 25 before that derivation
-    calls = []
-    product = coherent.count_product
-    monkeypatch.setattr(coherent, "count_product", lambda a, b: calls.append(1) or product(a, b))
+    # the premise check builds the rows of block 0 and of the six vertices its
+    # representative pairs name, at most; the oracle makes one count_product
+    # per non-identity relation and target fiber block, less the product each
+    # block derives from row sums
+    rows, calls = [], []
+    row, product = coherent.relation_row, oracles.count_product
+    labels = label_matrix(witt_cc)
+    monkeypatch.setattr(coherent, "relation_row", lambda cc, u: rows.append(u) or row(cc, u))
+    monkeypatch.setattr(oracles, "count_product", lambda a, b: calls.append(1) or product(a, b))
     report = verify_axioms(witt_cc)
+    assert len(rows) == len(set(rows)) <= 7
+    assert fiber_block_axioms(witt_cc, labels).p == report.p == witt_oracle.p
     assert len(calls) <= 11
-    assert report.p.dtype == np.int32 and np.array_equal(report.p, witt_oracle.p)
 
 
 def test_witt_constants_from_parameters(witt_cc):
@@ -162,10 +183,15 @@ def witt():
     return load_design(DATA_DIR / "witt_4_23_7_1.json")
 
 
+# 2-(6,3,2), quasi-symmetric with intersection numbers 2 and 1 (beta > 0)
+SIX_POINT_TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5), (1, 2, 5), (1, 3, 4),
+                     (1, 4, 5), (2, 3, 4), (2, 3, 5))
+
 SMALL_DESIGNS = {
     **{f"pairs-{m}": (lambda m=m: pairs_design(m)) for m in range(4, 9)},
     "AG(2,3)": affine_plane_3,
     "PG(3,2)": projective_space_lines,
+    "2-(6,3,2)": lambda: IncidenceDesign(6, SIX_POINT_TRIPLES),
 }
 DESIGNS = {
     "lisonek": lisonek_design,
@@ -175,6 +201,8 @@ DESIGNS = {
     "witt-derived": lambda: derived_design(witt(), 0),     # 3-(22,6,1)
     "witt-residual": lambda: residual_design(witt(), 0),   # 3-(22,7,4)
     **SMALL_DESIGNS,
+    # up to 30 + 435 = 465 vertices
+    **{f"pairs-{m}": (lambda m=m: pairs_design(m)) for m in range(9, 31)},
 }
 
 
@@ -205,7 +233,10 @@ def set_labels(design) -> list:
 @pytest.mark.parametrize("name", DESIGNS)
 def test_labels_match_set_derivation(name):
     design = DESIGNS[name]()
-    assert from_design(design).labels.tolist() == set_labels(design)
+    cc = from_design(design)
+    expected = set_labels(design)
+    assert [[i + 1 for i in relation_row(cc, u)] for u in range(cc.size)] == expected
+    assert label_matrix(cc).tolist() == expected
 
 
 def set_intersection_values(design) -> tuple:
@@ -225,10 +256,18 @@ def test_intersection_values_match_set_derivation(name):
 
 @pytest.mark.parametrize("name", SMALL_DESIGNS)
 def test_matches_oracle_on_small_designs(name):
-    # the oracle runs on Lisonek, its complement and Witt in
+    # the full-matrix oracle runs on Lisonek, its complement and Witt in
     # test_matches_oracle_on_lisonek_complement_and_witt; on the other designs
     # derived from Witt it would take 0.1-1.7 s each
-    assert assert_same_report(from_design(SMALL_DESIGNS[name]())).ok
+    cc = from_design(SMALL_DESIGNS[name]())
+    assert verify_axioms(cc).p == assert_same_report(cc).p
+
+
+@pytest.mark.parametrize("name", DESIGNS)
+def test_premise_check_matches_exhaustive_oracle_on_the_zoo(name):
+    cc = from_design(DESIGNS[name]())
+    report, oracle = verify_axioms(cc), fiber_block_axioms(cc)
+    assert report.ok and oracle.ok and report.p == oracle.p
 
 
 # ----- the embedding pipeline -----------------------------------------------
@@ -251,6 +290,58 @@ def test_two_distance_exactly_where_the_residuals_vanish(name, branch, projector
     two_distance = two_distance_classify(spec).is_two_distance
     residuals = getattr(p_residuals(p.S, p.m, p.alpha, p.beta), branch)
     assert two_distance == (residuals == (0, 0, 0)) == ((p.S, p.m, branch) == (2, 9, "gt2"))
+
+
+# ----- designs the premise check must reject ----------------------------------
+
+
+def embed_error(tmp_path, design: IncidenceDesign, capsys) -> str:
+    """embed on the design's JSON file: exit 2, no report, and the one error line."""
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps({"m": design.m, "blocks": design.blocks}))
+    assert dispatch(["embed", str(path)]) == (2, None)
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    return captured.err[len("error: "):].rstrip("\n")
+
+
+def test_witt_minus_one_block_is_rejected(tmp_path, capsys):
+    # still {1, 3} and no longer a 2-design; the block count, checked first, names it
+    d = witt()
+    assert intersection_numbers(IncidenceDesign(23, d.blocks[:-1])).values == (1, 3)
+    assert embed_error(tmp_path, IncidenceDesign(23, d.blocks[:-1]), capsys) == (
+        "axioms fail: 252 blocks, but (m, S, alpha, beta) = (23, 7, 3, 1) give n = 253")
+
+
+def test_repeated_block_is_rejected(tmp_path, capsys):
+    # the copy meets its block in S = 7 points, a third intersection value
+    d = witt()
+    assert embed_error(tmp_path, IncidenceDesign(23, d.blocks + d.blocks[:1]), capsys) == (
+        "design is not quasi-symmetric: intersection values (1, 3, 7)")
+
+
+def test_pair_covered_once_too_often_is_rejected(tmp_path, capsys):
+    # 2-(6,3,2) with {2, 3, 4} swapped for its complement {0, 1, 5}: every other
+    # block meets both in 1 or 2 points, so the intersection values and the
+    # block count stand, while (0, 1) now lies in 3 blocks
+    blocks = tuple(sorted(set(SIX_POINT_TRIPLES) - {(2, 3, 4)} | {(0, 1, 5)}))
+    swapped = IncidenceDesign(6, blocks)
+    assert intersection_numbers(swapped).values == (1, 2)
+    assert embed_error(tmp_path, swapped, capsys) == (
+        "axioms fail: not a 2-design: (0, 1) lies in 3 blocks but (0, 2) lies in 2")
+
+
+def test_block_count_off_the_derived_n_is_rejected(tmp_path, capsys):
+    # AG(2,3) less point 8 and its 4 lines: 8 blocks, {0, 1}, and a derived n
+    # that is not even an integer
+    residual = residual_design(affine_plane_3(), 8)
+    assert embed_error(tmp_path, residual, capsys) == (
+        "axioms fail: 8 blocks, but (m, S, alpha, beta) = (8, 3, 1, 0) give n = 28/3")
+
+
+def test_point_in_no_block_is_rejected(tmp_path, capsys):
+    assert embed_error(tmp_path, IncidenceDesign(24, witt().blocks), capsys) == (
+        "point 23 lies in no block")
 
 
 # ----- corruptions of Lisonek's configuration ------------------------------
@@ -290,10 +381,10 @@ corruptions = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(steps=st.lists(corruptions, min_size=1, max_size=3))
 def test_corruptions_match_oracle(lisonek_cc, steps):
-    labels = lisonek_cc.labels.copy()
+    labels = label_matrix(lisonek_cc)
     for corrupt, args in steps:
         corrupt(labels, *args)
-    assert_same_report(lisonek_cc._replace(labels=labels))
+    assert_same_report(lisonek_cc, labels)
 
 
 @settings(max_examples=40, deadline=None)
@@ -304,11 +395,11 @@ def test_shuffled_vertex_orders_match_oracle(lisonek_cc, complement_cc, compleme
     # points and blocks interleaved: the check must put them in fiber order
     # itself and still name a violating pair in the shuffled numbering
     cc = complement_cc if complement else lisonek_cc
-    labels = cc.labels.copy()
+    labels = label_matrix(cc)
     for corrupt, args in steps:
         corrupt(labels, *args)
     order = np.array(order)
-    assert_same_report(cc._replace(labels=labels[np.ix_(order, order)]))
+    assert_same_report(cc, labels[np.ix_(order, order)])
 
 
 def set_entry(labels, u, v, label):
@@ -335,13 +426,13 @@ label_edits = st.tuples(
 def test_transpose_and_diagonal_violations_match_oracle(lisonek_cc, edits):
     # the transpose and diagonal checks read the labels without the relations'
     # masks; the failing relation they name must be the oracle's
-    labels = lisonek_cc.labels.copy()
+    labels = label_matrix(lisonek_cc)
     for edit, *args in edits:
         edit(labels, *args)
-    expected = dense_axioms_oracle(lisonek_cc._replace(labels=labels))
+    expected = dense_axioms_oracle(lisonek_cc, labels)
     assume(expected.violation is not None
            and expected.violation.startswith(("transpose of", "R1 + R2")))
-    assert_same_report(lisonek_cc._replace(labels=labels), expected)
+    assert_same_report(lisonek_cc, labels, expected)
 
 
 # ----- the two edge cases ---------------------------------------------------
@@ -349,9 +440,9 @@ def test_transpose_and_diagonal_violations_match_oracle(lisonek_cc, edits):
 
 def test_relation_meeting_two_fiber_pairs(lisonek_cc):
     # fold R6 and R8 into R3: partition, transposes and diagonal still hold
-    labels = lisonek_cc.labels.copy()
+    labels = label_matrix(lisonek_cc)
     labels[(labels == 6) | (labels == 8)] = 3
-    report = verify_axioms(lisonek_cc._replace(labels=labels))
+    report = fiber_block_axioms(lisonek_cc, labels)
     assert not report.ok and report.p is None
     assert report.violation == "R3 meets more than one fiber pair"
     with pytest.raises(ValueError, match="the axiom check failed"):
@@ -360,27 +451,27 @@ def test_relation_meeting_two_fiber_pairs(lisonek_cc):
 
 def test_label_matrix_of_another_size_fails_the_diagonal(lisonek_cc):
     # the pairs are those of V + B, 45 of them on the diagonal
-    report = verify_axioms(lisonek_cc._replace(labels=lisonek_cc.labels[:-1, :-1]))
+    report = fiber_block_axioms(lisonek_cc, label_matrix(lisonek_cc)[:-1, :-1])
     assert report.violation == "R1 + R2 is not the diagonal"
 
 
 def test_relation_meeting_exactly_two_fiber_pairs(lisonek_cc):
     # fold R5 into R3: a symmetric R3 on both X_1 x X_1 and X_2 x X_2
-    labels = lisonek_cc.labels.copy()
+    labels = label_matrix(lisonek_cc)
     labels[labels == 5] = 3
-    report = verify_axioms(lisonek_cc._replace(labels=labels))
+    report = fiber_block_axioms(lisonek_cc, labels)
     assert report.violation == "R3 meets more than one fiber pair"
 
 
 def fano_configuration():
-    """The Fano plane's configuration: any two lines meet in one point, so R5 is empty."""
+    """The Fano plane's configuration and labels: any two lines meet in one point, so R5 is empty."""
     design = IncidenceDesign(7, ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
                                  (2, 3, 6), (2, 4, 5)))
     inc = incidence_matrix(design)
     eye = np.eye(7, dtype=np.int8)
     # points: R1 on the diagonal, R3 off it; lines: R2 and R4; incidence R6/R7, R8/R9
     labels = np.block([[3 - 2 * eye, 7 - inc], [9 - inc.T, 4 - 2 * eye]])
-    return CoherentConfig(design, derive_parameters(7, 3, 1, 0), labels)
+    return CoherentConfig(design, derive_parameters(7, 3, 1, 0), block_masks(design)), labels
 
 
 def test_fiber_of_one_vertex():
@@ -391,15 +482,16 @@ def test_fiber_of_one_vertex():
     labels[:4, :4] = 3 - 2 * eye
     labels[4] = (8, 8, 8, 8, 2)
     star = IncidenceDesign(4, ((0, 1, 2, 3),))
-    report = assert_same_report(CoherentConfig(star, None, labels))
+    report = assert_same_report(CoherentConfig(star, None, None), labels)
     assert report.ok
     assert report.p_constant(6, 8, 1) == 1 and report.p_constant(8, 6, 2) == 4
 
 
 def test_empty_relation_is_skipped():
-    report = assert_same_report(fano_configuration())
+    report = assert_same_report(*fano_configuration())
     assert report.ok
-    assert not report.p[4].any() and not report.p[:, 4].any() and not report.p[:, :, 4].any()
+    p = np.array(report.p)
+    assert not p[4].any() and not p[:, 4].any() and not p[:, :, 4].any()
     assert report.p_constant(4, 4, 2) == 6      # every other line
     assert report.p_constant(6, 8, 1) == 3      # lines through a point
     assert report.p_constant(6, 8, 3) == 1      # lines through two points

@@ -149,6 +149,8 @@ def test_embed_witt_gram_dump(witt_design, capsys):
     from twodist.coherent import GRAM_CLASS_OF_RELATION, from_design, projector_and_gram
     from twodist.exactnum import parse_scalar
 
+    from oracles import label_matrix
+
     code, _, out = run(
         ["embed", str(DATA_DIR / "witt_4_23_7_1.json"), "--dump-gram", "--json"], capsys)
     assert code == 0
@@ -160,7 +162,7 @@ def test_embed_witt_gram_dump(witt_design, capsys):
     cc = from_design(witt_design)
     gram = projector_and_gram(cc).gram
     values = {text: parse_scalar(text) for row in dump for text in set(row)}
-    for a, row in enumerate(cc.labels.tolist()):
+    for a, row in enumerate(label_matrix(cc).tolist()):
         for b, k in enumerate(row):
             assert values[dump[a][b]] == gram[GRAM_CLASS_OF_RELATION[k]], (a, b, k)
 
@@ -454,6 +456,36 @@ def test_dispatch_imports_no_argparse():
                             env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_no_command_imports_numpy():
+    # every golden command line, then the benchmark's library entry
+    from test_cli_golden import CASES
+
+    probe = ("import contextlib, io, json, sys\n"
+             "from twodist.cli import dispatch\n"
+             "from twodist import dioph\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    for argv in json.loads(sys.argv[1]):\n"
+             "        dispatch(argv)\n"
+             "    dioph.y2_curve_search(3, 40, -5, 5)\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    result = subprocess.run([sys.executable, "-c", probe, json.dumps(CASES)], cwd=ROOT,
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_no_module_under_src_imports_numpy():
+    import ast
+
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not any(n.split(".")[0] == "numpy" for n in names), (
+                f"{path.relative_to(ROOT)}:{node.lineno} imports numpy")
 
 
 def test_readme_lists_the_commands_as_help_does(capsys):

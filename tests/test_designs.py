@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from twodist.designs import (
     IncidenceDesign,
-    count_product,
+    block_masks,
     derive_parameters,
     design_from_json,
     integrality_gate,
@@ -22,7 +22,7 @@ from twodist.designs import (
 from twodist import designs
 from twodist.errors import DegenerateParametersError, DesignError, InternalConsistencyError
 
-from oracles import complement_design
+from oracles import complement_design, count_product, incidence_matrix
 
 
 @pytest.mark.parametrize("args,expected", [
@@ -109,7 +109,7 @@ def test_verify_t_design_without_a_t_subset_is_an_internal_error():
 
 def test_quasi_symmetric_profile_without_alpha_is_an_internal_error(lisonek, monkeypatch):
     monkeypatch.setattr(designs, "intersection_numbers",
-                        lambda d, inter=None: designs.IntersectionProfile((0, 1), True))
+                        lambda d, masks=None: designs.IntersectionProfile((0, 1), True))
     with pytest.raises(InternalConsistencyError, match="lacks alpha or beta"):
         parameters_from_design(lisonek)
 
@@ -147,23 +147,25 @@ def test_double_counting(lisonek, witt_design):
 
 
 def test_parameters_from_a_given_intersection_matrix(lisonek, witt_design):
-    from twodist.designs import incidence_matrix
-
+    # the popcounts of the block masks are the off-diagonal entries of inc^T inc
     for design in (lisonek, complement_design(lisonek), witt_design):
+        masks = block_masks(design)
         inc = incidence_matrix(design).astype(int)
-        assert parameters_from_design(design, inc.T @ inc) == parameters_from_design(design)
+        inter = inc.T @ inc
+        assert [[(a & b).bit_count() for b in masks] for a in masks] == inter.tolist()
+        assert parameters_from_design(design, masks) == parameters_from_design(design)
     with pytest.raises(DesignError, match="not quasi-symmetric"):
         parameters_from_design(IncidenceDesign(4, ((0, 1), (2, 3))))
 
 
-def test_incidence_matrix_names_a_point_in_no_block():
-    from twodist.designs import incidence_matrix
-
-    # 10^10 points: the check must come before the 28 GiB array
+def test_block_masks_name_a_point_in_no_block():
+    # 10^10 points: the check must come before any mask of up to 10^10 bits
     with pytest.raises(DesignError, match="^point 3 lies in no block$"):
-        incidence_matrix(IncidenceDesign(10**10, ((0, 1), (1, 2), (0, 2))))
+        block_masks(IncidenceDesign(10**10, ((0, 1), (1, 2), (0, 2))))
     with pytest.raises(DesignError, match="^point 2 lies in no block$"):
-        incidence_matrix(IncidenceDesign(5, ((0, 1), (3, 4))))
+        block_masks(IncidenceDesign(5, ((0, 1), (3, 4))))
+    with pytest.raises(DesignError, match="^point 0 lies in no block$"):
+        intersection_numbers(IncidenceDesign(10**10, ((1, 2), (2, 3), (3, 10**10 - 1))))
 
 
 @st.composite

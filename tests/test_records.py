@@ -42,7 +42,7 @@ def test_immutable_records_refuse_assignment(lisonek, lisonek_cc):
         (designs.derive_parameters(9, 2, 1, 0), "m"),
         (dioph.solve_quadratic("z^2 - 1", 1, 0, -1), "roots"),
         (geometry.p_residuals(2, 9, 1, 0), "gt2"),
-        (lisonek_cc, "labels"),
+        (lisonek_cc, "masks"),
         (lisonek, "m"),
         (lisonek, "blocks"),
     ]
