@@ -3,8 +3,11 @@
 Incidence structures, t-design verification, blocks as integer bitmasks and
 their intersection numbers as popcounts, and the exact parameter calculus
 that expresses the block-graph quantities (Lambda, T, N, P, n, k, r, s) in
-terms of (m, S, alpha, beta).  The calculus is written once over any ring:
-`derive_parameters` evaluates it on Fractions, `dioph` on polynomials.
+terms of (m, S, alpha, beta).  The calculus is written once over any ring,
+as one (numerator, denominator) pair per value: `derive_parameters`
+evaluates the pairs on ints and forms one Fraction per value, `dioph`
+evaluates Lambda's pair on polynomials, and the tests divide every pair
+over polynomial fractions.
 Integrality of the derived values is checked by a separate gate so callers
 can see exactly which condition fails.
 """
@@ -78,18 +81,29 @@ def lambda_parts(S, m, alpha, beta):
 
 
 def block_graph_formulas(S, m, alpha, beta) -> dict:
-    """Lambda, T, N, P, r, k, n, s as expressions over any exact field."""
+    """Lambda, T, N, P, r, k, n, s as (numerator, denominator) pairs over any ring.
+
+    Each pair is built from Lambda's num and den, the excess
+    S(S - 1) - beta(m - 1), alpha - beta and T's denominator (S - 1) den
+    (Shrikhande and Sane, 1991), so a caller divides once per value.
+    """
     num, den = lambda_parts(S, m, alpha, beta)
-    lam = num / den
-    t = (m - 1) * lam / (S - 1)
     excess = S * (S - 1) - beta * (m - 1)
-    big_n = alpha * (m - S) * excess * lam / (S * (alpha - beta) * (S - alpha) * (S - 1))
-    big_p = excess * lam / ((alpha - beta) * (S - 1))
-    r = ((m - S) * lam / (S - 1) - (S - beta)) / (alpha - beta)
-    k = (m - S) * excess * lam / ((alpha - beta) * (S - alpha) * (S - 1))
-    n = m * t / S
-    s = (beta - S) / (alpha - beta)
-    return {"Lambda": lam, "T": t, "N": big_n, "P": big_p, "r": r, "k": k, "n": n, "s": s}
+    gap = alpha - beta
+    t_den = (S - 1) * den
+    p_den = gap * t_den
+    k_num = (m - S) * excess * num
+    k_den = (S - alpha) * p_den
+    return {
+        "Lambda": (num, den),
+        "T": ((m - 1) * num, t_den),
+        "N": (alpha * k_num, S * k_den),
+        "P": (excess * num, p_den),
+        "r": ((m - S) * num - (S - beta) * t_den, p_den),
+        "k": (k_num, k_den),
+        "n": (m * (m - 1) * num, S * t_den),
+        "s": (beta - S, gap),
+    }
 
 
 def require_ordering(m: int, S: int, alpha: int, beta: int) -> None:
@@ -102,17 +116,20 @@ def require_ordering(m: int, S: int, alpha: int, beta: int) -> None:
 def derive_parameters(m: int, S: int, alpha: int, beta: int) -> DesignParameters:
     """Derive (Lambda, T, N, P, n, k, r, s) exactly from (m, S, alpha, beta).
 
-    Requires the feasibility ordering (`require_ordering`); raises
-    DegenerateParametersError when the Lambda denominator vanishes (the
-    ordering keeps every other denominator nonzero).
+    The pairs of `block_graph_formulas` are evaluated on ints, and each value
+    is one Fraction, reduced once.  Requires the feasibility ordering
+    (`require_ordering`); raises DegenerateParametersError when the Lambda
+    denominator vanishes (the ordering keeps every other denominator
+    nonzero).
     """
     require_ordering(m, S, alpha, beta)
-    if lambda_parts(S, m, alpha, beta)[1] == 0:
+    pairs = block_graph_formulas(S, m, alpha, beta)
+    if pairs["Lambda"][1] == 0:
         raise DegenerateParametersError(
             f"degenerate parameters (m={m}, S={S}, alpha={alpha}, beta={beta})"
         )
-    values = block_graph_formulas(Fraction(S), Fraction(m), Fraction(alpha), Fraction(beta))
-    return DesignParameters(m, S, alpha, beta, **values)
+    return DesignParameters(m, S, alpha, beta,
+                            **{name: Fraction(n, d) for name, (n, d) in pairs.items()})
 
 
 class GateReport(NamedTuple):

@@ -19,7 +19,8 @@ The quartics, the parametrization and family (i) are each written once, as
 a function of plain ring operations: the integer and Fraction paths call it
 directly, and the module-level `Poly` constants are the same function
 evaluated on the polynomial generators.  The g1 and g2 tables are derived
-from the parameter formulas (`designs.block_graph_formulas`) outside this
+from the parameter formulas (`designs.block_graph_formulas`, one
+numerator/denominator pair per parameter over any ring) outside this
 module, by the test-side oracle tests/surface_oracle.py, which also proves
 them.
 """

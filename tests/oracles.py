@@ -12,8 +12,8 @@ import numpy as np
 
 from twodist.coherent import (
     GRAM_CLASS_OF_RELATION, AxiomReport, CoherentConfig, GramTable, _integer_vector)
-from twodist.designs import IncidenceDesign
-from twodist.errors import DesignError, InternalConsistencyError
+from twodist.designs import IncidenceDesign, lambda_parts
+from twodist.errors import DegenerateParametersError, DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, _sf_product
 from twodist.polynomials import Poly
 
@@ -93,6 +93,34 @@ def compose_cleared_by_terms(p, subs):
         for e, c in term.terms.items():
             total[e] = total.get(e, 0) + c
     return Poly(out_vars, total)
+
+
+# ----- the sequential parameter calculus -----------------------------------------
+
+
+def sequential_parameters(m: int, S: int, alpha: int, beta: int) -> dict:
+    """(Lambda, T, N, P, r, k, n, s) by Fraction arithmetic, one operation at a time.
+
+    Lambda is divided out first and every other value is formed from it, each
+    operation a reduced Fraction, with none of the numerator/denominator
+    pairs of `designs.block_graph_formulas`.  A vanishing Lambda denominator
+    raises DegenerateParametersError, as `derive_parameters` does.
+    """
+    S, m, alpha, beta = map(Fraction, (S, m, alpha, beta))
+    num, den = lambda_parts(S, m, alpha, beta)
+    if den == 0:
+        raise DegenerateParametersError(
+            f"degenerate parameters (m={m}, S={S}, alpha={alpha}, beta={beta})")
+    lam = num / den
+    t = (m - 1) * lam / (S - 1)
+    excess = S * (S - 1) - beta * (m - 1)
+    big_n = alpha * (m - S) * excess * lam / (S * (alpha - beta) * (S - alpha) * (S - 1))
+    big_p = excess * lam / ((alpha - beta) * (S - 1))
+    r = ((m - S) * lam / (S - 1) - (S - beta)) / (alpha - beta)
+    k = (m - S) * excess * lam / ((alpha - beta) * (S - alpha) * (S - 1))
+    n = m * t / S
+    s = (beta - S) / (alpha - beta)
+    return {"Lambda": lam, "T": t, "N": big_n, "P": big_p, "r": r, "k": k, "n": n, "s": s}
 
 
 # ----- the exhaustive axiom check ------------------------------------------------

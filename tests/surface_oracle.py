@@ -2,12 +2,14 @@
 
 `dioph` ships g1 and g2 as coefficient tables in lowest terms
 (`dioph._LOWEST_TERMS`).  This module derives them again from the paper's
-formulas: the block-graph parameters of `designs.block_graph_formulas` and
-the two auxiliary functions are evaluated over `PolyFrac`, a fraction of
-`Poly`s whose denominator stays factored, and each is expanded once into an
-unreduced pair N(x, z) / D(x, z) (`surface`).  The tests prove the shipped
-tables against these pairs (`table_holds`, with `table_poly` turning a table
-back into a `Poly`).  `derived_pair` and `param_value` hand the pairs to
+formulas.  `designs.block_graph_formulas` gives each block-graph parameter
+as a numerator/denominator pair over any ring; the pairs are evaluated over
+`PolyFrac`, a fraction of `Poly`s whose numerator and denominator stay
+factored, and divided once each (`prop_params`).  The parameters and the
+two auxiliary functions are then expanded once into an unreduced pair
+N(x, z) / D(x, z) (`surface`).  The tests prove the shipped tables against
+these pairs (`table_holds`, with `table_poly` turning a table back into a
+`Poly`).  `derived_pair` and `param_value` hand the pairs to
 `dioph` as tables, in the form `dioph._surface` gives, and `param_value`
 reads any parameter off them, removable singularities included, through
 `dioph._fiber_values`.  `y2_curve_table` derives the shipped table of the
@@ -35,8 +37,12 @@ from twodist.polynomials import Poly, compose_cleared
 
 
 def prop_params(S, m, x, y) -> dict:
-    """Block-graph parameters plus S, m and y, over any exact field."""
-    return {**block_graph_formulas(S, m, x, y), "S": S, "m": m, "y": y}
+    """Block-graph parameters plus S, m and y, over any exact field.
+
+    Each parameter is its `block_graph_formulas` pair divided once.
+    """
+    return {**{name: n / d for name, (n, d) in block_graph_formulas(S, m, x, y).items()},
+            "S": S, "m": m, "y": y}
 
 
 def g1_expr(par, x, z):
@@ -51,18 +57,27 @@ def g2_expr(par, x, y, z):
 
 
 class PolyFrac:
-    """Bivariate fraction with a factored, never-expanded denominator.
+    """Bivariate fraction whose numerator and denominator both stay factored.
 
-    Evaluating a parameter formula over PolyFrac keeps the denominator
-    factors apart, so no GCD is computed, and `surface` expands them once
-    into a single denominator.
+    Each side is a product of `Poly` factors, held as {factor: exponent}.  A
+    product or a quotient only merges factors, so a numerator/denominator
+    pair keeps the factors it was built from when it is divided; a sum
+    expands each numerator over the common denominator, the larger exponent
+    of each factor, so no GCD is computed.  `surface` expands both sides
+    once.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Optional[dict] = None):
-        self.num = num
+        self.num = {num: 1}
         self.den = dict(den or {})
+
+    @classmethod
+    def _factored(cls, num: dict, den: dict) -> "PolyFrac":
+        out = cls.__new__(cls)
+        out.num, out.den = num, den
+        return out
 
     def _coerce(self, other) -> "PolyFrac":
         if isinstance(other, PolyFrac):
@@ -80,13 +95,14 @@ class PolyFrac:
         common: dict = dict(self.den)
         for f, e in other.den.items():
             common[f] = max(common.get(f, 0), e)
-        num = self.num * _den_product(common, self.den) + other.num * _den_product(common, other.den)
+        num = (_cofactor(self.num, {}) * _cofactor(common, self.den)
+               + _cofactor(other.num, {}) * _cofactor(common, other.den))
         return PolyFrac(num, common)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyFrac(-self.num, self.den)
+        return PolyFrac(-_cofactor(self.num, {}), self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -95,10 +111,7 @@ class PolyFrac:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        den = dict(self.den)
-        for f, e in other.den.items():
-            den[f] = den.get(f, 0) + e
-        return PolyFrac(self.num * other.num, den)
+        return PolyFrac._factored(_merge(self.num, other.num), _merge(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -106,17 +119,21 @@ class PolyFrac:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.num.is_zero():
+        if any(f.is_zero() for f in other.num):
             raise ZeroDivisionError("PolyFrac division by zero")
-        num = self.num
-        for f, e in other.den.items():
-            num = num * f**e
-        den = dict(self.den)
-        den[other.num] = den.get(other.num, 0) + 1
-        return PolyFrac(num, den)
+        return PolyFrac._factored(_merge(self.num, other.den), _merge(self.den, other.num))
 
 
-def _den_product(common: dict, mine: dict) -> Poly:
+def _merge(a: dict, b: dict) -> dict:
+    """The product of two factored products: exponents add."""
+    out = dict(a)
+    for f, e in b.items():
+        out[f] = out.get(f, 0) + e
+    return out
+
+
+def _cofactor(common: dict, mine: dict) -> Poly:
+    """The expanded product of the factors `common` holds beyond `mine`."""
     out = ONE_XZ
     for f, e in common.items():
         missing = e - mine.get(f, 0)
@@ -155,7 +172,7 @@ def surface(name: str, branch: str) -> tuple[Poly, Poly]:
     the common power of z is cancelled from N and D.
     """
     f = branch_fracs(branch)[name]
-    num, den = f.num, _den_product(f.den, {})
+    num, den = _cofactor(f.num, {}), _cofactor(f.den, {})
     k = min(ez for _, ez in (*num.terms, *den.terms))
 
     def shifted(p: Poly) -> Poly:

@@ -54,6 +54,21 @@ def test_derive_parameters_degenerate():
         derive_parameters(5, 3, 2, 0)
 
 
+def test_derive_parameters_work_count(monkeypatch):
+    # one reduced Fraction per derived value, formed from int pairs: every
+    # field is one of the Fractions built here, so a value left to Fraction
+    # arithmetic (one gcd per operation) fails this test
+    built = []
+    monkeypatch.setattr(designs, "Fraction",
+                        lambda *args: built.append(Fraction(*args)) or built[-1])
+    for args in ((9, 2, 1, 0), (45, 9, 3, 1), (54, 15, 6, 3)):
+        built.clear()
+        p = derive_parameters(*args)
+        assert len(built) <= 8
+        assert all(any(getattr(p, name) is f for f in built)
+                   for name in ("Lambda", "T", "N", "P", "r", "k", "n", "s"))
+
+
 def test_block_graph_parameters():
     p = derive_parameters(9, 2, 1, 0)
     assert p.lambda_graph == 7 and p.mu_graph == 4
