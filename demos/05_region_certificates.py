@@ -6,8 +6,12 @@ functions g1, g2 that are integer-valued on candidate parameters yet provably
 trapped inside short open intervals.  Each bound is proved by a fixed list of
 steps: a polynomial, an affine substitution in u, w >= 0, and Polya's test
 (every coefficient >= 0, the constant > 0); the pieces of each region
-cover every integer z it needs.  The one boundary case g1 = 1 is solved in closed
-form: its roots are (-1 +- sqrt(41))/2, so no integer slips through.
+cover every integer z it needs.  g1 has one form, its numerator and
+denominator in x and t = z(z+1)/2, and its 8 steps substitute into that
+form; g2's 18 steps and the y2 curve's 4 substitute into integer tables,
+30 steps in all.  The one boundary case g1 = 1 is read off the t-form on
+the strip x = t - 1 and solved in closed form: its roots are
+(-1 +- sqrt(41))/2, so no integer slips through.
 
 The box options only choose which lattice points are counted per region;
 the proof is the same for every box.

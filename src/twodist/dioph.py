@@ -2,42 +2,41 @@
 
 The three quartic conditions p1, p2, p3 in (S, m, x, y) are carried as exact
 polynomials.  A two-variable parametrization (x, z) rewrites the design
-parameters, and each auxiliary integer-valued function g1, g2 is shipped as
-one integer fraction N(x, z) / D(x, z) in lowest terms, a pair of
-coefficient tables, and is never held in another form: a fixed-x fiber and
-the strip are read off that pair by Horner's rule.  The fixed sign checks
-of `twodist.regions` on these tables prove that g1 and g2 stay inside open
-unit-length (or short) intervals for every integer z: g2 for all real
+parameters, and each auxiliary integer-valued function has one form: g1 is
+`regions.g1_in_t`, its N and D as polynomials in x and t = z(z + 1)/2, and
+g2 one integer fraction N(x, z) / D(x, z) in lowest terms, a pair of
+coefficient tables whose fixed-x fiber is read off by Horner's rule.  The
+fixed sign checks of `twodist.regions` prove that g1 and g2 stay inside
+open unit-length (or short) intervals for every integer z: g2 for all real
 x >= 3 and on the fibers x = 1, 2 outside a finite window of z, g1 for real
-x in [1, t - 2] and x >= t + 1, t = z(z + 1)/2, and on the strip x = t - 1
-between them; and that the y2-branch curve p3 = 0 has no point with real
-x >= 1 off the line z = 0.  An exact-root solver, the parametrized solution families, the quadratic
-S-range exclusions, and the final classification over the family curve
-complete the pipeline.
+x in [1, t - 2] and x >= t + 1, and on the strip x = t - 1 between them,
+where g1 = 1 is read off the t-form; and that the y2-branch curve p3 = 0
+has no point with real x >= 1 off the line z = 0.  An exact-root solver,
+the parametrized solution families, the quadratic S-range exclusions, and
+the final classification over the family curve complete the pipeline.
 
 The quartics, the parametrization and family (i) are each written once, as
 a function of plain ring operations: the integer and Fraction paths call it
 directly, and the module-level `Poly` constants are the same function
-evaluated on the polynomial generators.  The g1 and g2 tables are derived
-from the parameter formulas (`designs.block_graph_formulas`, one
+evaluated on the polynomial generators.  g1 and g2 are derived from the
+parameter formulas (`designs.block_graph_formulas`, one
 numerator/denominator pair per parameter over any ring) outside this
 module, by the test-side oracle tests/surface_oracle.py, which also proves
-them.
+that the t-form of g1 and the g2 table are what the formulas give.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from math import isqrt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .designs import derive_parameters, integrality_gate, lambda_parts
 from .errors import DesignError, InternalConsistencyError
 from .exactnum import QuadExt, sqrt_adjoin, squarefree_decompose
-from .polynomials import (Poly, _horner, _primitive, _table_fiber, _trim, compose_cleared,
-                          dense_coeffs, dense_divmod, dense_gcd, format_terms)
-from .regions import g1_proof, g2_proof, y2_curve_proof
+from .polynomials import (Poly, _horner, _primitive, _table_fiber, compose_cleared,
+                          dense_coeffs, format_terms)
+from .regions import g1_in_t, g1_proof, g2_proof, y2_curve_proof
 
 
 # ----- the polynomial system --------------------------------------------
@@ -132,16 +131,12 @@ def _family_i_doubled(z):
     return z * (3 * z + 1), 9 * z * (z + 1), z * (z + 1), z * (z - 1)
 
 
-def _strip_doubled(z):
-    """Twice the g1 strip x = z(z+1)/2 - 1; even at integer z."""
-    return z * (z + 1) - 2
-
-
 _FAM_Z = ("z",)
 _FAM_Z_VAR = Poly.variable("z", _FAM_Z)
 _TWO_Z = Poly.constant(_FAM_Z, 2)
 _FAMILY_I_DOUBLED = _family_i_doubled(_FAM_Z_VAR)
 _FAMILY_I_SUBS = {name: (double, _TWO_Z) for name, double in zip(P_VARS, _FAMILY_I_DOUBLED)}
+_STRIP_T = Poly.variable("t", ("t",))     # t = z(z + 1)/2 on the g1 strip x = t - 1
 
 
 # ----- identity verification --------------------------------------------
@@ -173,50 +168,42 @@ def verify_identities() -> tuple[str, ...]:
     return tuple(name for name, _ in checks)
 
 
-# ----- g1 and g2 on the (x, z) surface, in lowest terms ---------------------
+# ----- g2 on the (x, z) surface, in lowest terms ---------------------------
 
-# Each auxiliary function as one pair of integer tables (numerator,
-# denominator): row k holds the coefficients of x^k, as a polynomial in z,
-# lowest power first.  The denominator is primitive, with a positive
-# coefficient on its top power of x.  tests/surface_oracle.py derives both
-# pairs from the parameter formulas and proves them; regenerate a table
-# there, never edit one by hand.
+# g2 as one pair of integer tables (numerator, denominator): row k holds the
+# coefficients of x^k, as a polynomial in z, lowest power first.  The
+# denominator is primitive, with a positive coefficient on its top power of
+# x.  tests/surface_oracle.py derives the pair from the parameter formulas
+# and proves it; regenerate the table there, never edit it by hand.
 #
-#   g1 = 8xz(z + 1)(x - t) / (2x^3 + 3x^2 z^2 + 3x^2 z + 2x^2 + xz^2 + xz - z^3 (z + 1)^3),
-#        t = z(z + 1)/2; the derived N and D also share x^3 (x + z^2)(x + z^2 - 1)^3
 #   g2 = 4z P(x, z) / ((x + z^2 + z)^2 Q(x, z)), P and Q of degree 6 and 5 in x;
 #        the derived N and D also share x^3 (x + z^2)(x + z^2 - 1)
 #
-# The cancelled factors are nonzero at every integer point with x >= 1 except
-# (1, 0), where the derived D vanishes and its fiber reduction gives the
-# value these tables give, 0.
-_LOWEST_TERMS = {
-    "g1": (
-        ((), (0, 0, -4, -8, -4), (0, 8, 8)),
-        ((0, 0, 0, -1, -3, -3, -1), (0, 1, 1), (2, 3, 3), (2,)),
+# The cancelled factors vanish at no integer point with x >= 1 but (1, 0),
+# where the derived D vanishes and this table gives g2 = 0.  This D vanishes
+# at none: the proof gives D > 0 for x >= 3 and on x in {1, 2} outside
+# G2_SMALL_Z, and tests/test_region_proof.py checks the points inside it.
+_G2_TABLE = (
+    (
+        (0, 0, 0, 0, 0, 0, 0, 0, 96, 576, 1440, 1920, 1440, 576, 96),
+        (0, 0, 0, 0, 0, 0, -44, 532, 3256, 6824, 6916, 3460, 688),
+        (0, 0, 0, 0, 0, -224, 1552, 7972, 12204, 7820, 1812),
+        (0, 0, 0, 0, -304, 3132, 9656, 8380, 2288),
+        (0, 0, 0, 64, 3164, 4180, 1432),
+        (0, 0, 236, 656, 384),
+        (0, -80, 20),
     ),
-    "g2": (
-        (
-            (0, 0, 0, 0, 0, 0, 0, 0, 96, 576, 1440, 1920, 1440, 576, 96),
-            (0, 0, 0, 0, 0, 0, -44, 532, 3256, 6824, 6916, 3460, 688),
-            (0, 0, 0, 0, 0, -224, 1552, 7972, 12204, 7820, 1812),
-            (0, 0, 0, 0, -304, 3132, 9656, 8380, 2288),
-            (0, 0, 0, 64, 3164, 4180, 1432),
-            (0, 0, 236, 656, 384),
-            (0, -80, 20),
-        ),
-        (
-            (0, 0, 0, 0, 0, 0, 0, 1, 9, 33, 65, 75, 51, 19, 3),
-            (0, 0, 0, 0, 0, -1, 5, 64, 206, 319, 265, 114, 20),
-            (0, 0, 0, 0, -6, 19, 209, 508, 552, 285, 57),
-            (0, 0, 0, -12, 60, 360, 578, 380, 90),
-            (0, 0, -8, 97, 307, 285, 85),
-            (0, 1, 69, 114, 48),
-            (2, 19, 15),
-            (2,),
-        ),
+    (
+        (0, 0, 0, 0, 0, 0, 0, 1, 9, 33, 65, 75, 51, 19, 3),
+        (0, 0, 0, 0, 0, -1, 5, 64, 206, 319, 265, 114, 20),
+        (0, 0, 0, 0, -6, 19, 209, 508, 552, 285, 57),
+        (0, 0, 0, -12, 60, 360, 578, 380, 90),
+        (0, 0, -8, 97, 307, 285, 85),
+        (0, 1, 69, 114, 48),
+        (2, 19, 15),
+        (2,),
     ),
-}
+)
 
 # p3 on the y2 branch, cleared of its denominators, as a table of the same form
 # (tests/test_dioph.py proves it against sympy and `compose_cleared`)
@@ -234,47 +221,27 @@ _Y2_CURVE = (
 G2_SMALL_Z = (-14, 9)
 
 
-def _surface(which: str) -> Sequence[Sequence[Sequence[int]]]:
-    """g1 or g2 as its table pair N / D in lowest terms, the form every reader reads."""
-    return _LOWEST_TERMS[which]
-
-
-def _fiber_values(surface: Sequence[Sequence[Sequence[int]]], x: int,
-                  zs: Iterable[int]) -> Iterator[Fraction]:
-    """N(x, z) / D(x, z) at each z of zs, off the fiber x of the table pair, read once.
-
-    Where D vanishes the fiber is reduced once by its GCD, so a removable
-    singularity gets its value and a genuine pole raises ZeroDivisionError.
-    """
-    num, den = (_table_fiber(rows, x) for rows in surface)
-    reduced = None
+def _g2_values(x: int, zs: Iterable[int]) -> Iterator[Fraction]:
+    """g2 = N / D at each z of zs, off the fiber x of `_G2_TABLE`, read once; D = 0 raises."""
+    num, den = (_table_fiber(rows, x) for rows in _G2_TABLE)
     for z in zs:
-        n, d = _horner(num, z), _horner(den, z)
-        if d == 0:
-            reduced = reduced or _reduced(num, den)
-            n, d = (_horner(c, z) for c in reduced)
-            if d == 0:
-                raise ZeroDivisionError(f"pole at (x, z) = ({x}, {z})")
-        yield Fraction(n, d)
-
-
-def _reduced(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """num / den along one line, both divided by their `dense_gcd`."""
-    common = dense_gcd(num, den)
-    return dense_divmod(num, common)[0], dense_divmod(den, common)[0]
+        yield Fraction(_horner(num, z), _horner(den, z))
 
 
 def aux_g(which: str, x: int, z: int) -> Fraction:
-    """Exact value of the auxiliary function g1 (y1 branch) or g2 (y2 branch).
+    """Exact value of the auxiliary function g1 (y1 branch) or g2 (y2 branch) at x >= 1.
 
-    x must be a positive integer; removable singularities are evaluated after
-    reduction along the fixed-x fiber.
+    g1 is `g1_in_t` at t = z(z + 1)/2.  Its D vanishes at no such point:
+    `regions.g1_proof` gives its sign off x = t for t >= 1, D = 4t^2 at
+    x = t, and D = 2x^2 (x + 1) at t = 0.
     """
     if x < 1:
         raise DesignError("aux_g needs x >= 1")
-    if which not in _LOWEST_TERMS:
-        raise ValueError(f"unknown auxiliary polynomial {which!r}")
-    return next(_fiber_values(_surface(which), x, (z,)))
+    if which == "g1":
+        return Fraction(*g1_in_t(x, z * (z + 1) // 2))
+    if which == "g2":
+        return next(_g2_values(x, (z,)))
+    raise ValueError(f"unknown auxiliary polynomial {which!r}")
 
 
 # ----- region certificates -------------------------------------------------------
@@ -339,7 +306,7 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
         raise DesignError(
             f"the box z in [{zmin}, {zmax}], x <= {xmax} holds no lattice point "
             f"on which {which} is checked")
-    for step, witness in (g1_proof if which == "g1" else g2_proof)(*_surface(which)):
+    for step, witness in g1_proof() if which == "g1" else g2_proof(*_G2_TABLE):
         report.steps.append(step)
         if witness:
             report.violations.append(RegionViolation(step[0], f"{step[1]}, {step[2]}", witness))
@@ -357,34 +324,27 @@ def g2_integer_values(zmin: int = G2_SMALL_Z[0],
         raise DesignError(f"empty z range [{zmin}, {zmax}]")
     zs = range(zmin, zmax + 1)
     return {(x0, z0): int(g) for x0 in (1, 2)
-            for z0, g in zip(zs, _fiber_values(_surface("g2"), x0, zs)) if g.denominator == 1}
+            for z0, g in zip(zs, _g2_values(x0, zs)) if g.denominator == 1}
 
 
 def solve_strip_equation() -> Quadratic:
-    """Solve g1 = 1 exactly along x = z(z+1)/2 - 1.
+    """Solve g1 = 1 exactly along the strip x = t - 1, t = z(z+1)/2.
 
-    g1 = N / D restricted to the strip is reduced once; the difference
-    num - den of the result must be a nonzero multiple of z^2 + z - 10, and
-    neither root z = (-1 +- sqrt(41)) / 2 may be a pole of the reduced g1.
+    `g1_in_t` there gives N - D = -2t(t - 5) and D = -2t(7t - 3): t = 0 is a
+    common zero, so g1 = 1 only at t = 5, where D != 0, and z(z + 1)/2 = 5 is
+    z^2 + z - 10 = 0.  Any other form must give N - D = t(b + a t), D(0) = 0
+    and an integer t0 = -b/a with D(t0) != 0.
     """
-    quadratic = (1, 1, -10)
-    z, surface = _FAM_Z_VAR, _surface("g1")
-    top = max(map(len, surface)) - 1
-    # 2^top N and 2^top D at 2x = _strip_doubled(z): Horner's rule in x on the
-    # rows, row k scaled by 2^(top - k)
-    num, den = _reduced(*(
-        dense_coeffs(_horner([2 ** (top - k) * _horner(row, z) for k, row in enumerate(rows)],
-                             _strip_doubled(z)))
-        for rows in surface))
-    q = _trim(a - b for a, b in zip_longest(num, den, fillvalue=0))
-    if dense_divmod(q, quadratic[::-1])[1] or len(q) != 3:
-        raise InternalConsistencyError(
-            f"strip residue {q} is not a nonzero multiple of {format_quadratic(quadratic)}")
-    strip = solve_quadratic("strip g1 = 1", *quadratic, note="from Region 2 of the g1 certificate")
-    for r in strip.roots:
-        if _horner(den, r).is_zero():
-            raise InternalConsistencyError(f"strip root {r} is a pole of the reduced g1")
-    return strip
+    num, den = g1_in_t(_STRIP_T - 1, _STRIP_T)
+    diff, den = dense_coeffs(num - den), dense_coeffs(den)
+    if len(diff) != 3 or diff[0] or diff[1] % diff[2] or den[:1] != [0]:
+        raise InternalConsistencyError(f"on the strip, N - D = {diff} and D = {den} in t: "
+                                       "not one crossing of 1 off t = 0")
+    t0 = -diff[1] // diff[2]
+    if not _horner(den, t0):
+        raise InternalConsistencyError(f"the strip crossing t = {t0} is a pole of g1")
+    return solve_quadratic("strip g1 = 1", 1, 1, -2 * t0,
+                           note="from Region 2 of the g1 certificate")
 
 
 def _integer_roots(a: int, b: int, c: int) -> list[int]:

@@ -11,13 +11,15 @@ direct comparison.  Rational
 substitutions enter only through :func:`compose_cleared`, which takes each
 substitution as a (numerator, denominator) pair and clears the denominators.
 
-Work along one line (a row, a fiber, a strip) runs on dense coefficient
-lists, lowest degree first: :func:`dense_coeffs` reads them off a
-univariate Poly, :func:`dense_divmod` is the exact division and
-:func:`dense_gcd` the primitive-remainder GCD of such lists.  A bivariate
-polynomial sum_k x^k rows[k](z) can also be held as a table of such lists;
-``_table_fiber`` reads its fiber x = x0 off it as a dense list in z, by
-Horner's rule, and :func:`taylor_shift` gives the list of c(x + a).
+Work along one line (a fiber, the g1 strip, a quadratic in z) runs on
+dense coefficient lists, lowest degree first: :func:`dense_coeffs` reads
+them off a univariate Poly, and ``_primitive`` divides one by its content.
+A bivariate polynomial sum_k x^k rows[k](z) can also be held as a table of
+such lists; ``_table_fiber`` reads its fiber x = x0 off it as a dense list
+in z, by Horner's rule, and :func:`taylor_shift` gives the list of c(x + a).
+No line is reduced by a GCD: g1's one form, in x and t = z(z + 1)/2, and
+the g2 table are in lowest terms, and the 30 steps of the region proofs
+(`twodist.regions`) expand them as they are.
 """
 
 from __future__ import annotations
@@ -281,58 +283,12 @@ def _table_fiber(rows: Sequence[Sequence[int]], x0: int) -> list[int]:
     return out
 
 
-def _trim(a: Sequence[int]) -> list[int]:
-    out = list(a)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def dense_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Integer quotient and remainder of a by b.
-
-    Every quotient coefficient must be an integer: this holds when b's leading
-    coefficient is +-1 and when b divides a with a primitive b (Gauss's lemma).
-    Otherwise ArithmeticError is raised.
-    """
-    b = _trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = _trim(a)
-    q = [0] * max(0, len(rem) - len(b) + 1)
-    while len(rem) >= len(b):
-        factor, left = divmod(rem[-1], b[-1])
-        if left:
-            raise ArithmeticError(f"{rem[-1]} is not divisible by the leading coefficient {b[-1]}")
-        shift = len(rem) - len(b)
-        q[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * c
-        rem = _trim(rem)
-    return q, rem
-
-
 def _primitive(a: list[int]) -> list[int]:
     """a divided by its content, with a positive leading coefficient."""
     c = reduce(gcd, a, 0)
     if a[-1] < 0:
         c = -c
     return [x // c for x in a]
-
-
-def dense_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Primitive GCD of two integer polynomials, positive leading coefficient.
-
-    Euclid on pseudo-remainders, each made primitive, so every coefficient
-    stays an integer: lead(b)^(deg a - deg b + 1) * a divides by b exactly.
-    gcd(0, 0) is the zero polynomial [].
-    """
-    a, b = _trim(a), _trim(b)
-    while b:
-        b = _primitive(b)
-        scale = b[-1] ** max(0, len(a) - len(b) + 1)
-        a, b = b, dense_divmod([scale * c for c in a], b)[1]
-    return _primitive(a) if a else []
 
 
 def taylor_shift(c: Sequence[int], a: int) -> list[int]:

@@ -7,8 +7,10 @@ lo < N / D < hi holds where s (N - lo D) and s (hi D - N) are both positive
 for s = +-1, since their sum s (hi - lo) D is then positive too.  A proof
 yields (step, witness): the step is (region, polynomial, substitution,
 method, set covered) and the witness "" or its first offending coefficient.
-The pieces are constants; tests/test_region_proof.py checks that they cover
-every integer z each region needs.
+g1 is proved in its one form, `g1_in_t`, in x and t = z(z + 1)/2 (8 steps);
+g2 (18 steps) and the y2 curve (4 steps) on the integer tables of `dioph`:
+30 steps in all.  The pieces are constants; tests/test_region_proof.py
+checks that they cover every integer z each region needs.
 """
 
 from __future__ import annotations
@@ -19,8 +21,12 @@ from typing import Iterator, Sequence
 from .polynomials import Poly, _horner, _table_fiber, format_terms, taylor_shift
 
 
-def _g1_in_t(x, t):
-    """N and D of the shipped g1 at t = z(z + 1)/2, in any ring."""
+def g1_in_t(x, t):
+    """N and D of g1 at t = z(z + 1)/2, in any ring: g1's one form.
+
+    tests/surface_oracle.py proves that N / D at t = z(z + 1)/2 is the g1
+    the parameter formulas give.
+    """
     return 16 * t * x * (x - t), 2 * (x**3 + (3 * t + 1) * x**2 + t * x - 4 * t**3)
 
 
@@ -78,26 +84,18 @@ def _table_proof(region: str, polys, x_pieces, z_pieces) -> Iterator[tuple]:
         yield (region, label, sub, "Polya", covers), _polya_witness(_substituted(rows, xp, zp))
 
 
-def g1_proof(num, den) -> Iterator[tuple]:
-    """The g1 table pair num / den is `_g1_in_t` at t = z(z + 1)/2, and keeps its bounds.
+def g1_proof() -> Iterator[tuple]:
+    """`g1_in_t` keeps its bounds, for t >= 1, that is z not in {-1, 0}.
 
-    Both sides have degree <= 3 in x and <= 6 in z, so a 4 x 7 grid of
-    integers (larger if the table is) decides the identity.  For t >= 1, that
-    is z not in {-1, 0}, the pieces cover real x >= t + 1, real x in [1, t - 2]
-    and the strip x = t - 1.  The real interval (t - 2, t) is a gap: it holds
-    both the crossing g1 = 1 and the pole of g1 (D(t - 1) < 0 < D(t)).  Of
-    (t - 2, t + 1) only the integer points are claimed: the strip, and x = t,
-    where g1 = 0.
+    The pieces cover real x >= t + 1, real x in [1, t - 2] and the strip
+    x = t - 1.  The real interval (t - 2, t) is a gap: it holds both the
+    crossing g1 = 1 and the pole of g1 (D(t - 1) < 0 < D(t)).  Of
+    (t - 2, t + 1) only the integer points are claimed: the strip, and
+    x = t, where g1 = 0.
     """
-    wrong = next(((x, z) for x in range(max(4, len(num), len(den)))
-                  for fibers in [[_table_fiber(rows, x) for rows in (num, den)]]
-                  for z in range(max(7, *map(len, num), *map(len, den)))
-                  if _g1_in_t(x, z * (z + 1) // 2) != tuple(_horner(f, z) for f in fibers)), None)
-    yield (("t-form", "N, D", "t = z(z + 1)/2", "grid identity", "all real x, z"),
-           "" if wrong is None else f"the table differs at (x, z) = {wrong}")
     u, w = Poly.gens(("u", "w"))
     for region, lo, hi, sign, x, t, covers in _G1_PROOF:
-        num_t, den_t = _g1_in_t(*(c + cu * u + cw * w for c, cu, cw in (x, t)))
+        num_t, den_t = g1_in_t(*(c + cu * u + cw * w for c, cu, cw in (x, t)))
         sub = ", ".join(f"{v} = {format_terms((c, ''), (cu, 'u'), (cw, 'w'))}"
                         for v, (c, cu, cw) in (("x", x), ("t", t)))
         for a, b in ((sign, -sign * lo), (-sign, sign * hi)):

@@ -3,10 +3,11 @@
 `dioph.region_scan` and `dioph.y2_curve_search` prove their claims for every
 integer z from a fixed list of sign checks.  This module keeps the row
 kernel they replaced, as an independent check on lattice boxes: each row
-z = z0 is read off the shipped table as a dense list in x, and its x-range
-is bisected until every bound polynomial is `root_free` on each piece, a
-bound proved on a piece being carried to its halves; the points left over
-are evaluated one by one.  `lattice_scan` runs it on the regions of
+z = z0 is read off a table pair as a dense list in x (by default g1's
+derived pair, since `src/` holds g1 only in its t-form, and the shipped g2
+table), and its x-range is bisected until every bound polynomial is
+`root_free` on each piece, a bound proved on a piece being carried to its
+halves; the points left over are evaluated one by one.  `lattice_scan` runs it on the regions of
 `region_scan`, counting the box's points the same way, and `curve_search`
 lists the lattice zeros of any table in a box.
 """
@@ -19,10 +20,13 @@ from operator import ne
 from typing import Iterator, NamedTuple, Sequence
 
 from twodist import dioph
-from twodist.dioph import G2_SMALL_Z, _strip_doubled
+from twodist.dioph import G2_SMALL_Z
 from twodist.errors import DesignError
 from twodist.exactnum import format_scalar
-from twodist.polynomials import _horner, _trim, taylor_shift
+from twodist.polynomials import _horner, taylor_shift
+
+from oracles import trim
+from surface_oracle import derived_pair, fiber_values
 
 
 def sign_variations(c: Sequence[int]) -> int:
@@ -41,7 +45,7 @@ def root_free(c: Sequence[int], a: int, b: int) -> bool:
     the test could not exclude a root (Descartes over-counts complex pairs
     near the interval).  The zero list is never root-free.
     """
-    c = _trim(c)
+    c = trim(c)
     shifted = taylor_shift(c, a)
     scale = b - a
     scaled = [x * scale**k for k, x in enumerate(shifted)]
@@ -98,13 +102,18 @@ class LatticeReport:
         self.points_enumerated: dict[str, int] = {}
 
 
-class RowEvaluator:
-    """Exact values of g = N / D along the row z = z0, from `dioph._surface`."""
+def row_pair(which: str) -> tuple:
+    """The table pair the oracle reads by default: g1's derived pair, or the shipped g2 table."""
+    return derived_pair("g1") if which == "g1" else dioph._G2_TABLE
 
-    def __init__(self, which: str, z0: int):
+
+class RowEvaluator:
+    """Exact values of g = N / D along the row z = z0 of a table pair, `row_pair(which)` by default."""
+
+    def __init__(self, which: str, z0: int, pair=None):
         self.z0 = z0
-        self.surface = dioph._surface(which)
-        self.num, self.den = (table_row(rows, z0) for rows in self.surface)
+        self.pair = pair or row_pair(which)
+        self.num, self.den = (table_row(rows, z0) for rows in self.pair)
 
     def check_range(self, lo: int, hi: int, x_start: int, x_stop: int,
                     region: str, report: LatticeReport) -> None:
@@ -145,7 +154,7 @@ class RowEvaluator:
     def check_point_fallback(self, x0: int, lo: int, hi: int,
                              region: str, report: LatticeReport) -> None:
         try:
-            value = next(dioph._fiber_values(self.surface, x0, (self.z0,)))
+            value = next(fiber_values(self.pair, x0, (self.z0,)))
         except ZeroDivisionError:
             report.violations.append(PointViolation(region, x0, self.z0, "pole"))
             return
@@ -154,20 +163,21 @@ class RowEvaluator:
 
 
 def lattice_scan(which: str, zmin: int = -100, zmax: int = 100,
-                 xmax: int = 10_000) -> LatticeReport:
+                 xmax: int = 10_000, pair=None) -> LatticeReport:
     """The bounds of `dioph.region_scan` checked on every lattice point of its box, row by row.
 
     g1 is checked on no point of the rows z in {-1, 0}, where it vanishes
-    identically, nor at x = t on any other row, where g1 = 0.  A box that
-    holds no lattice point to check raises DesignError.
+    identically, nor at x = t on any other row, where g1 = 0.  The rows are
+    read off `pair`, `row_pair(which)` by default.  A box that holds no
+    lattice point to check raises DesignError.
     """
     if zmin > zmax or xmax < 1:
         raise DesignError(f"empty box z in [{zmin}, {zmax}], x <= {xmax}")
     report = LatticeReport()
     for z0 in range(zmin, zmax + 1):
-        row = RowEvaluator(which, z0)
+        row = RowEvaluator(which, z0, pair)
         if which == "g1":
-            strip = _strip_doubled(z0) // 2
+            strip = z0 * (z0 + 1) // 2 - 1
             if z0 <= -2 or z0 >= 1:
                 row.check_range(0, 1, max(1, strip + 2), xmax, "region1", report)
             if 1 <= strip <= xmax:

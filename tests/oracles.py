@@ -6,7 +6,7 @@ or the benchmark calls (tests/test_reachability.py checks that).
 
 from fractions import Fraction
 from itertools import chain
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from twodist.coherent import (
 from twodist.designs import IncidenceDesign, lambda_parts
 from twodist.errors import DegenerateParametersError, DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, _sf_product
-from twodist.polynomials import Poly
+from twodist.polynomials import Poly, _primitive
 
 
 def complement_design(d: IncidenceDesign) -> IncidenceDesign:
@@ -93,6 +93,58 @@ def compose_cleared_by_terms(p, subs):
         for e, c in term.terms.items():
             total[e] = total.get(e, 0) + c
     return Poly(out_vars, total)
+
+
+# ----- exact division and GCD on dense lists ----------------------------------------
+# lowest degree first, as `polynomials.dense_coeffs` gives them; no command
+# divides polynomials, but the oracles reduce a fiber or the strip by its GCD
+
+
+def trim(a: Sequence[int]) -> list[int]:
+    """a without its trailing zeros."""
+    out = list(a)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def dense_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Integer quotient and remainder of a by b.
+
+    Every quotient coefficient must be an integer: this holds when b's leading
+    coefficient is +-1 and when b divides a with a primitive b (Gauss's lemma).
+    Otherwise ArithmeticError is raised.
+    """
+    b = trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = trim(a)
+    q = [0] * max(0, len(rem) - len(b) + 1)
+    while len(rem) >= len(b):
+        factor, left = divmod(rem[-1], b[-1])
+        if left:
+            raise ArithmeticError(f"{rem[-1]} is not divisible by the leading coefficient {b[-1]}")
+        shift = len(rem) - len(b)
+        q[shift] = factor
+        for i, c in enumerate(b):
+            rem[shift + i] -= factor * c
+        rem = trim(rem)
+    return q, rem
+
+
+def dense_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Primitive GCD of two integer polynomials, positive leading coefficient.
+
+    Euclid on pseudo-remainders, each made primitive, so every coefficient
+    stays an integer: lead(b)^(deg a - deg b + 1) * a divides by b exactly.
+    gcd(0, 0) is the zero polynomial [].
+    """
+    a, b = trim(a), trim(b)
+    while b:
+        b = _primitive(b)
+        scale = b[-1] ** max(0, len(a) - len(b) + 1)
+        a, b = b, dense_divmod([scale * c for c in a], b)[1]
+    return _primitive(a) if a else []
 
 
 # ----- the sequential parameter calculus -----------------------------------------

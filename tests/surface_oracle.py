@@ -1,39 +1,51 @@
 """The derivation of g1 and g2 on the (x, z) surface: a test-side oracle.
 
-`dioph` ships g1 and g2 as coefficient tables in lowest terms
-(`dioph._LOWEST_TERMS`).  This module derives them again from the paper's
+`src/` holds g1 in one form, `regions.g1_in_t`, its N and D in x and
+t = z(z + 1)/2, and g2 as a coefficient table pair in lowest terms
+(`dioph._G2_TABLE`).  This module derives both again from the paper's
 formulas.  `designs.block_graph_formulas` gives each block-graph parameter
 as a numerator/denominator pair over any ring; the pairs are evaluated over
 `PolyFrac`, a fraction of `Poly`s whose numerator and denominator stay
 factored, and divided once each (`prop_params`).  The parameters and the
 two auxiliary functions are then expanded once into an unreduced pair
-N(x, z) / D(x, z) (`surface`).  The tests prove the shipped tables against
+N(x, z) / D(x, z) (`surface`).  The tests prove the shipped forms against
 these pairs (`table_holds`, with `table_poly` turning a table back into a
-`Poly`).  `derived_pair` and `param_value` hand the pairs to
-`dioph` as tables, in the form `dioph._surface` gives, and `param_value`
-reads any parameter off them, removable singularities included, through
-`dioph._fiber_values`.  `y2_curve_table` derives the shipped table of the
-y2 curve, `dioph._Y2_CURVE`, with `compose_cleared`.
+`Poly`): the g2 table as it is, and g1's t-form through its reading at
+t = z(z + 1)/2 as a table pair (`t_form_tables`).  `derived_pair` gives the
+pairs as tables, and `param_value` reads any parameter off them,
+removable singularities included, through `fiber_values`, which reduces a
+fiber by its GCD where D vanishes; `strip_equation` solves g1 = 1 on the
+strip of a table pair the same way.  Neither path is needed in `src/`,
+whose forms are in lowest terms.  `y2_curve_table` derives the shipped
+table of the y2 curve, `dioph._Y2_CURVE`, with `compose_cleared`.
 
-Regenerate the tables after a change to a formula with
+After a change to a formula,
 
     PYTHONPATH=src python3 tests/surface_oracle.py
 
-which prints the `_LOWEST_TERMS` entries (sympy, test-only).
+prints g1 and g2 in lowest terms as table pairs (sympy, test-only): the
+new `dioph._G2_TABLE`, and the table that `t_form_tables` must give, from
+which the t-form is read off with t = z(z + 1)/2.
 """
 
 from __future__ import annotations
 
 import pprint
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import lru_cache, reduce
+from itertools import zip_longest
+from math import gcd
+from typing import Iterable, Iterator, Optional, Sequence
 
+from twodist import dioph
 from twodist.designs import block_graph_formulas
 from twodist.dioph import (MSQ_XZ, ONE_XZ, P3, S_XZ, XZ, Y1_XZ, Y2NUM_XZ, _XZ_SUBS, _X, _Z,
-                           _fiber_values)
-from twodist.errors import DesignError
-from twodist.polynomials import Poly, compose_cleared
+                           Quadratic, format_quadratic, solve_quadratic)
+from twodist.errors import DesignError, InternalConsistencyError
+from twodist.polynomials import Poly, _horner, _table_fiber, compose_cleared, dense_coeffs
+from twodist.regions import g1_in_t
+
+from oracles import dense_divmod, dense_gcd, trim
 
 
 def prop_params(S, m, x, y) -> dict:
@@ -188,8 +200,33 @@ def surface_tables(name: str, branch: str) -> tuple[tuple, tuple]:
 
 
 def derived_pair(which: str) -> tuple[tuple, tuple]:
-    """The unreduced N / D of g1 or g2 as tables; a drop-in for `dioph._surface`."""
+    """The unreduced N / D of g1 or g2 as tables."""
     return surface_tables(which, AUX_BRANCH[which])
+
+
+def fiber_values(pair: Sequence[Sequence[Sequence[int]]], x: int,
+                 zs: Iterable[int]) -> Iterator[Fraction]:
+    """N(x, z) / D(x, z) at each z of zs, off the fiber x of a table pair, read once.
+
+    Where D vanishes the fiber is reduced once by its GCD, so a removable
+    singularity gets its value and a genuine pole raises ZeroDivisionError.
+    """
+    num, den = (_table_fiber(rows, x) for rows in pair)
+    lowest = None
+    for z in zs:
+        n, d = _horner(num, z), _horner(den, z)
+        if d == 0:
+            lowest = lowest or reduced(num, den)
+            n, d = (_horner(c, z) for c in lowest)
+            if d == 0:
+                raise ZeroDivisionError(f"pole at (x, z) = ({x}, {z})")
+        yield Fraction(n, d)
+
+
+def reduced(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """num / den along one line, both divided by their `dense_gcd`."""
+    common = dense_gcd(num, den)
+    return dense_divmod(num, common)[0], dense_divmod(den, common)[0]
 
 
 def param_value(name: str, x: int, z: int, branch: str = "y1") -> Fraction:
@@ -200,10 +237,64 @@ def param_value(name: str, x: int, z: int, branch: str = "y1") -> Fraction:
     """
     if x == 0:
         raise DesignError("the parametrization needs x != 0")
-    return next(_fiber_values(surface_tables(name, branch), x, (z,)))
+    return next(fiber_values(surface_tables(name, branch), x, (z,)))
 
 
-# ----- the shipped tables ---------------------------------------------------
+def strip_equation(pair: Sequence[Sequence[Sequence[int]]]) -> Quadratic:
+    """Solve g1 = 1 along the strip x = z(z+1)/2 - 1 of a g1 table pair.
+
+    N / D restricted to the strip is reduced once; the difference num - den
+    of the result must be a nonzero multiple of z^2 + z - 10, and neither
+    root z = (-1 +- sqrt(41)) / 2 may be a pole of the reduced g1.  It reads
+    only the table pair, never the t-form, so on the derived pair it is an
+    independent check of `dioph.solve_strip_equation`.
+    """
+    quadratic = (1, 1, -10)
+    z = Poly.variable("z", ("z",))
+    top = max(map(len, pair)) - 1
+    # 2^top N and 2^top D at 2x = z(z + 1) - 2: Horner's rule in x on the
+    # rows, row k scaled by 2^(top - k)
+    num, den = reduced(*(
+        dense_coeffs(_horner([2 ** (top - k) * _horner(row, z) for k, row in enumerate(rows)],
+                             z * (z + 1) - 2))
+        for rows in pair))
+    q = trim(a - b for a, b in zip_longest(num, den, fillvalue=0))
+    if dense_divmod(q, quadratic[::-1])[1] or len(q) != 3:
+        raise InternalConsistencyError(
+            f"strip residue {q} is not a nonzero multiple of {format_quadratic(quadratic)}")
+    strip = solve_quadratic("strip g1 = 1", *quadratic, note="from Region 2 of the g1 certificate")
+    for r in strip.roots:
+        if _horner(den, r).is_zero():
+            raise InternalConsistencyError(f"strip root {r} is a pole of the reduced g1")
+    return strip
+
+
+# ----- the shipped forms -----------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def t_form_tables(form=g1_in_t) -> tuple[tuple, tuple]:
+    """A t-form N / D in (x, t) at t = z(z + 1)/2, as a table pair in lowest integer terms.
+
+    Each side is cleared by `compose_cleared` with t = z(z + 1) / 2 and
+    scaled to the larger power of 2; both are then divided by their common
+    content, with the sign that makes D's top coefficient positive.  For
+    `regions.g1_in_t` this is g1 in lowest terms, the table `lowest_terms`
+    gives.
+    """
+    sides = form(*Poly.gens(("x", "t")))
+    subs = {"x": (_X, ONE_XZ), "t": (_Z * (_Z + 1), 2 * ONE_XZ)}
+    top = max(p.degree("t") for p in sides)
+    num, den = (compose_cleared(p, subs) * 2 ** (top - p.degree("t")) for p in sides)
+    content = reduce(gcd, (*num.terms.values(), *den.terms.values()))
+    if _rows(den.terms.items())[-1][-1] < 0:
+        content = -content
+    return tuple(_rows((e, c // content) for e, c in p.terms.items()) for p in (num, den))
+
+
+def shipped_pair(which: str) -> tuple[tuple, tuple]:
+    """What `src/` holds of g1 or g2 as a table pair: g1's t-form read at t = z(z + 1)/2, the g2 table."""
+    return t_form_tables() if which == "g1" else dioph._G2_TABLE
 
 
 def table_poly(rows: Sequence[Sequence[int]]) -> Poly:
@@ -257,8 +348,8 @@ def lowest_terms(which: str) -> tuple[tuple, tuple]:
 
 
 def table_literal(which: str) -> str:
-    """The regenerated `_LOWEST_TERMS` entry of g1 or g2, as Python source."""
-    return f'"{which}": {pprint.pformat(lowest_terms(which), width=96)},'
+    """g1 or g2 in lowest terms as a table pair, as Python source."""
+    return f'{which}: {pprint.pformat(lowest_terms(which), width=96)}'
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from twodist.dioph import (
     P3,
     _integer_roots_between,
     _p1,
-    _surface,
     _xz_coords,
     aux_g,
     brute_solver,
@@ -32,12 +31,13 @@ from twodist.dioph import (
 from twodist.errors import DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, parse_scalar
 from twodist.polynomials import Poly
+from twodist.regions import g1_in_t
 
 from lattice_oracle import (LatticeReport, PointViolation, RowEvaluator, curve_search,
                             lattice_scan, table_row, xz_rows)
 from oracles import poly_eval
-from surface_oracle import (g1_expr, g2_expr, param_value, prop_params, surface, table_poly,
-                            y2_curve_table)
+from surface_oracle import (g1_expr, g2_expr, param_value, prop_params, shipped_pair, surface,
+                            table_poly, y2_curve_table)
 
 
 class ZPoint(NamedTuple):
@@ -190,16 +190,17 @@ def test_g2_integer_values_rejects_an_inverted_window():
 
 
 def test_g1_pole_between_the_strip_and_its_zero():
-    """The shipped g1 denominator changes sign on (t - 1, t), t = z(z+1)/2.
+    """The g1 denominator changes sign on (t - 1, t), t = z(z+1)/2.
 
     region_scan skips x = t, where g1 = 0, and the rows z = -1, 0; between
-    region 2 at x = t - 1 and that skipped point g1 has a real pole.
+    region 2 at x = t - 1 and that skipped point g1 has a real pole.  The
+    t-form's table reading at t = z(z+1)/2 gives the same signs.
     """
-    den = table_poly(_surface("g1")[1])
+    den = table_poly(shipped_pair("g1")[1])
     for z in [z for z in range(-50, 51) if z not in (-1, 0)]:
         t = z * (z + 1) // 2
-        assert poly_eval(den, {"x": t - 1, "z": z}) == -14 * t * t + 6 * t < 0
-        assert poly_eval(den, {"x": t, "z": z}) == 4 * t * t > 0
+        assert g1_in_t(t - 1, t)[1] == poly_eval(den, {"x": t - 1, "z": z}) == -14 * t * t + 6 * t < 0
+        assert g1_in_t(t, t)[1] == poly_eval(den, {"x": t, "z": z}) == 4 * t * t > 0
 
 
 def test_region_scan_small_boxes():
@@ -244,8 +245,8 @@ def test_pole_path():
     with pytest.raises(ZeroDivisionError):
         param_value("y", -2, 1, "y2")
     assert param_value("N", 1, 0, "y1") == -1
-    # the shipped g1 is in lowest terms: its denominator does not vanish there
-    assert poly_eval(table_poly(_surface("g1")[1]), {"x": 1, "z": 0}) == 4
+    # g1's t-form is in lowest terms: its denominator does not vanish there
+    assert g1_in_t(1, 0)[1] == 4
     assert aux_g("g1", 1, 0) == 0
 
 
@@ -255,7 +256,7 @@ def _reader_table(name):
     if name == "y2 curve":
         return _Y2_CURVE
     which, side = name.split()
-    return _surface(which)[side == "D"]
+    return shipped_pair(which)[side == "D"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -338,6 +339,23 @@ def test_strip_equation():
     assert strip.integer_roots == ()
     expected = {parse_scalar("-1/2 + 1/2*sqrt(41)"), parse_scalar("-1/2 - 1/2*sqrt(41)")}
     assert set(strip.roots) == expected
+
+
+@pytest.mark.parametrize("bump", [
+    lambda x, t: (1, 0),          # N - D gains a constant term: t = 0 is no longer a root
+    lambda x, t: (x * x, x * x),  # N - D unchanged, but D no longer vanishes at t = 0
+    lambda x, t: (t, 0),          # N - D = -t(2t - 11): the crossing t = 11/2 is not an integer
+], ids=["constant", "D(0) != 0", "half-integer"])
+def test_strip_equation_reads_the_t_form(bump, monkeypatch):
+    """A t-form whose strip is not one crossing of 1 at an integer t off t = 0 raises."""
+    from twodist import dioph
+
+    def form(x, t):
+        return tuple(a + b for a, b in zip(g1_in_t(x, t), bump(x, t)))
+
+    monkeypatch.setattr(dioph, "g1_in_t", form)
+    with pytest.raises(InternalConsistencyError):
+        solve_strip_equation()
 
 
 def test_brute_solver_small_box():

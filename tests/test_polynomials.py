@@ -5,11 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twodist.exactnum import QuadExt
-from twodist.polynomials import (Poly, compose_cleared, dense_coeffs, dense_divmod, dense_gcd,
-                                 taylor_shift)
+from twodist.polynomials import Poly, compose_cleared, dense_coeffs, taylor_shift
 
 from lattice_oracle import root_free, sign_variations
-from oracles import compose_cleared_by_terms, poly_eval, poly_mul
+from oracles import compose_cleared_by_terms, dense_divmod, dense_gcd, poly_eval, poly_mul
 
 XZ = ("x", "z")
 T = ("t",)

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from twodist import dioph, regions
 from twodist.dioph import G2_SMALL_Z, aux_g, g2_integer_values, region_scan, y2_curve_search
 from twodist.errors import InternalConsistencyError
-from twodist.polynomials import Poly, compose_cleared
-from twodist.regions import _substituted, y2_curve_proof
+from twodist.polynomials import Poly, _horner, _table_fiber, compose_cleared
+from twodist.regions import _substituted, g1_in_t, y2_curve_proof
 
 from lattice_oracle import lattice_scan
-from surface_oracle import table_poly
+from surface_oracle import derived_pair, fiber_values, table_holds, t_form_tables, table_poly
 
 # each region of g2 and the y2 curve: the integer x and z its pieces must cover
 NEEDED = {
@@ -37,9 +37,9 @@ def test_each_proof_lists_its_steps_and_passes():
     g1, g2 = region_scan("g1", -3, 3, 10), region_scan("g2", -3, 3, 10)
     y2 = list(y2_curve_proof(dioph._Y2_CURVE))
     assert g1.ok and g2.ok and not any(w for _, w in y2)
-    assert [s[0] for s in g1.steps] == ["t-form"] + ["region1"] * 4 + ["region2"] * 2 + ["region3"] * 2
+    assert [s[0] for s in g1.steps] == ["region1"] * 4 + ["region2"] * 2 + ["region3"] * 2
     assert len(g2.steps) == 2 * (2 * 2 + 5) and len(y2) == 3 + 1
-    assert {s[3] for s in g1.steps + g2.steps} == {"grid identity", "Polya"}
+    assert {s[3] for s in g1.steps + g2.steps} == {"Polya"}
     assert ("x_ge_3", "N + D", "x = 3 + u, z = -3 - w", "Polya", "real x >= 3, real z <= -3") in g2.steps
     assert ("region2", "N - 2D", "x = 1 + w, t = 2 + w", "Polya", "x = t - 1, real t >= 2") in g1.steps
 
@@ -107,31 +107,48 @@ def test_a_mutated_g1_piece_reports_a_named_violation(row, field, value, monkeyp
     assert {v.region for v in report.violations} == {proof[row][0]}
 
 
-def g1_outcome():
-    """The first g1 proof step's witness, and what region_scan makes of the table."""
-    try:
-        scan = "ok" if region_scan("g1", -5, 5, 10).ok else "violation"
-    except InternalConsistencyError:     # the strip equation reads the same table
-        scan = "raised"
-    return next(regions.g1_proof(*dioph._surface("g1")))[1], scan
+def bumped_t_form(side, k, j):
+    """`g1_in_t` with x^k t^j added to N (side 0) or to D (side 1)."""
+    def form(x, t):
+        pair = list(g1_in_t(x, t))
+        pair[side] = pair[side] + x**k * t**j
+        return tuple(pair)
+    return form
+
+
+def g1_outcome(form, monkeypatch):
+    """Whether `form` is g1 by the identity with the derived pair, and the first point
+    (x, z) of a small box where `aux_g`, reading `form`, leaves the derived g1 or divides by 0.
+    """
+    holds = table_holds("g1", *t_form_tables(form))
+    monkeypatch.setattr(dioph, "g1_in_t", form)
+    for x in range(1, 9):
+        for z, want in zip(range(-4, 5), fiber_values(derived_pair("g1"), x, range(-4, 5))):
+            try:
+                if aux_g("g1", x, z) != want:
+                    return holds, (x, z)
+            except ZeroDivisionError:
+                return holds, (x, z)
+    return holds, None
 
 
 @pytest.mark.parametrize("side, k, j", [(0, 1, 2), (0, 2, 1), (1, 0, 6), (1, 3, 0), (1, 2, 1)])
 def test_a_perturbed_g1_table_fails_the_t_form(side, k, j, monkeypatch):
-    num, den = dioph._LOWEST_TERMS["g1"]
-    pair = [[list(row) for row in num], [list(row) for row in den]]
-    pair[side][k][j] += 1
-    monkeypatch.setattr(dioph, "_surface", lambda which: pair)
-    witness, scan = g1_outcome()
-    assert witness.startswith("the table differs at (x, z) = ") and scan != "ok"
+    """g1's one form is its t-form: a term x^k t^j added to one side breaks its identity
+    with the derived pair, and `aux_g` then leaves the derived g1 inside a small box.
+    """
+    holds, point = g1_outcome(bumped_t_form(side, k, j), monkeypatch)
+    assert not holds and point is not None
 
 
 def test_a_perturbed_g1_table_of_higher_degree_fails_the_t_form(monkeypatch):
-    num, den = dioph._LOWEST_TERMS["g1"]
-    bigger = (*num, (0,) * 7 + (1,))      # an x^3 z^7 term, outside the 4 x 7 grid
-    monkeypatch.setattr(dioph, "_surface", lambda which: (bigger, den))
-    witness, scan = g1_outcome()
-    assert witness.startswith("the table differs at (x, z) = (") and scan != "ok"
+    """A term of degree 3 in x and 7 in t, above every term of the t-form."""
+    holds, point = g1_outcome(bumped_t_form(0, 3, 7), monkeypatch)
+    assert not holds and point is not None
+
+
+def test_the_unperturbed_t_form_holds(monkeypatch):
+    assert g1_outcome(g1_in_t, monkeypatch) == (True, None)
 
 
 @pytest.mark.parametrize("proof, table", [
@@ -216,6 +233,16 @@ def test_the_lattice_oracle_agrees_with_the_proof_on_random_boxes(which, zmin, w
     assert not oracle.violations
     assert oracle.points_checked == region_scan(which, zmin, zmin + width, xmax).points_checked
     assert oracle.points_checked == expected_counts(which, zmin, zmin + width, xmax)
+
+
+def test_g2_denominator_has_no_zero_on_the_small_window():
+    """The premise of a plain N / D in `dioph._g2_values`: D != 0 at x in {1, 2} on G2_SMALL_Z.
+
+    The proof gives D > 0 at every other integer point with x >= 1.
+    """
+    for x in (1, 2):
+        fiber = _table_fiber(dioph._G2_TABLE[1], x)
+        assert all(_horner(fiber, z) for z in range(G2_SMALL_Z[0], G2_SMALL_Z[1] + 1)), x
 
 
 @pytest.mark.parametrize("zmin, zmax", [G2_SMALL_Z, (-60, 60)])
