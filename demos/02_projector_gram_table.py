@@ -32,7 +32,7 @@ print("sample intersection numbers: p_33^3 =", axioms.p_constant(3, 3, 3),
 
 result = projector_and_gram(cc)   # raises if E^2 != E, E^T != E or trace != 8
 print("\nGram classes of the projector E (all exact):")
-for name, value in result.gram.as_strings().items():
+for name, value in result.gram.items():
     print(f"  {name:8s} {value}")
 
 native = native_gram_distances(result.gram)

@@ -34,4 +34,4 @@ for m, S, alpha, beta in CASES:
 
 print("family (i) walks these tuples for z = 1, 2, 3, 4:")
 for z in (1, 2, 3, 4):
-    print(f"  z={z}: (S,m,x,y) = {family_points('i', z)}")
+    print(f"  z={z}: (S,m,x,y) = {family_points(z)}")

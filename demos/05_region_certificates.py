@@ -17,7 +17,7 @@ The box options only choose which lattice points are counted per region;
 the proof is the same for every box.
 """
 
-from twodist.dioph import _Y2_CURVE, aux_g, region_scan, y2_curve_search
+from twodist.dioph import _Y2_CURVE, region_scan, y2_curve_search
 from twodist.regions import y2_curve_proof
 
 
@@ -43,8 +43,6 @@ print(f"  {len(g2.violations)} violations; lattice points of |z| <= 25, x <= 400
       g2.points_checked)
 print("  integral g2 values for x in {1,2}, z in [-14, 9]:",
       g2.notes["integer_values"])
-print("  spot checks: g2(1,-1) =", aux_g("g2", 1, -1),
-      " g2(1,0) =", aux_g("g2", 1, 0), " g2(2,0) =", aux_g("g2", 2, 0))
 
 print("\nthe second-branch curve p3 = 0 (cleared) for x >= 1:")
 show(step for step, _ in y2_curve_proof(_Y2_CURVE))

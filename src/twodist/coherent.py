@@ -254,25 +254,12 @@ def verify_epsilon_identities(constants: tuple, idem: IdempotentCoefficients) ->
                              f"eps_{i}{j} eps_{k}{l} != delta * eps_{i}{l}")
 
 
-class GramTable:
-    """The seven exact Gram classes of the projector embedding."""
-
-    __slots__ = ("classes",)
-
-    def __init__(self, classes: dict):
-        self.classes = classes  # class name -> QuadExt
-
-    def __getitem__(self, key: str) -> QuadExt:
-        return self.classes[key]
-
-    def as_strings(self) -> dict:
-        return {k: str(v) for k, v in self.classes.items()}
-
-
 class ProjectorResult:
     """The projector E of a coherent configuration, verified exactly.
 
-    `coefficients` is E over A1..A9; `axioms` the axiom check E rests on.
+    `coefficients` is E over A1..A9; `gram` maps each of the seven Gram
+    classes of the embedding to its exact value; `axioms` the axiom check
+    E rests on.
     """
 
     __slots__ = ("cc", "idem", "coefficients", "gram", "axioms")
@@ -282,7 +269,7 @@ class ProjectorResult:
     matrix = None
 
     def __init__(self, cc: CoherentConfig, idem: IdempotentCoefficients, coefficients: tuple,
-                 gram: GramTable, axioms: AxiomReport):
+                 gram: dict, axioms: AxiomReport):
         self.cc, self.idem, self.coefficients = cc, idem, coefficients
         self.gram, self.axioms = gram, axioms
 
@@ -331,10 +318,10 @@ def projector_and_gram(cc: CoherentConfig) -> ProjectorResult:
     for value in (*v_sums, *b_sums):
         if not QuadExt(value).is_zero():
             raise InternalConsistencyError("E does not annihilate a fiber indicator")
-    gram = GramTable({
+    gram = {
         name: coeffs[rel - 1] for rel, name in GRAM_CLASS_OF_RELATION.items()
         if rel not in (8, 9)
-    })
+    }
     return ProjectorResult(cc, idem, coeffs, gram, report)
 
 

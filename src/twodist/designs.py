@@ -135,7 +135,6 @@ def derive_parameters(m: int, S: int, alpha: int, beta: int) -> DesignParameters
 class GateReport(NamedTuple):
     """Outcome of the integrality gate, with one entry per violated condition."""
 
-    params: DesignParameters
     violations: tuple[str, ...]
 
     @property
@@ -166,7 +165,7 @@ def integrality_gate(p: DesignParameters) -> GateReport:
         value = getattr(p, name)
         if value.denominator != 1:
             violations.append(f"{name} = {format_scalar(value)} is not an integer")
-    return GateReport(p, tuple(violations))
+    return GateReport(tuple(violations))
 
 
 # ----- incidence structures --------------------------------------------
@@ -253,13 +252,6 @@ def verify_t_design(d: IncidenceDesign, t: int) -> TDesignResult:
     return TDesignResult(True, want)
 
 
-class IntersectionProfile(NamedTuple):
-    values: tuple[int, ...]
-    quasi_symmetric: bool
-    alpha: Optional[int] = None
-    beta: Optional[int] = None
-
-
 def block_masks(d: IncidenceDesign) -> tuple[int, ...]:
     """Each block as a bitmask: bit p is set when point p lies in the block.
 
@@ -275,8 +267,8 @@ def block_masks(d: IncidenceDesign) -> tuple[int, ...]:
 
 
 def intersection_numbers(d: IncidenceDesign, masks: Optional[tuple] = None
-                         ) -> IntersectionProfile:
-    """Collect |b & b'| over all distinct block pairs.
+                         ) -> tuple[int, ...]:
+    """The distinct |b & b'| over all distinct block pairs, ascending.
 
     Each value is the popcount of two blocks' masks (`block_masks`, formed
     here unless the caller passes them); S is a value when two blocks are
@@ -287,10 +279,7 @@ def intersection_numbers(d: IncidenceDesign, masks: Optional[tuple] = None
         raise DesignError("need at least two blocks to intersect")
     if masks is None:
         masks = block_masks(d)
-    values = tuple(sorted({(a & b).bit_count() for i, a in enumerate(masks) for b in masks[:i]}))
-    if len(values) == 2:
-        return IntersectionProfile(values, True, alpha=values[1], beta=values[0])
-    return IntersectionProfile(values, False)
+    return tuple(sorted({(a & b).bit_count() for i, a in enumerate(masks) for b in masks[:i]}))
 
 
 # ----- canonical designs -----------------------------------------------
@@ -344,11 +333,10 @@ def parameters_from_design(d: IncidenceDesign, masks: Optional[tuple] = None
     `masks` are the design's `block_masks` when the caller has them; a
     design that is not quasi-symmetric raises DesignError.
     """
-    profile = intersection_numbers(d, masks)
-    if not profile.quasi_symmetric:
+    values = intersection_numbers(d, masks)
+    if len(values) != 2:
         raise DesignError(
-            f"design is not quasi-symmetric: intersection values {profile.values}"
+            f"design is not quasi-symmetric: intersection values {values}"
         )
-    if profile.alpha is None or profile.beta is None:
-        raise InternalConsistencyError(f"quasi-symmetric profile {profile} lacks alpha or beta")
-    return derive_parameters(d.m, d.block_size, profile.alpha, profile.beta)
+    beta, alpha = values
+    return derive_parameters(d.m, d.block_size, alpha, beta)

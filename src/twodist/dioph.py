@@ -11,9 +11,12 @@ open unit-length (or short) intervals for every integer z: g2 for all real
 x >= 3 and on the fibers x = 1, 2 outside a finite window of z, g1 for real
 x in [1, t - 2] and x >= t + 1, and on the strip x = t - 1 between them,
 where g1 = 1 is read off the t-form; and that the y2-branch curve p3 = 0
-has no point with real x >= 1 off the line z = 0.  An exact-root solver,
-the parametrized solution families, the quadratic S-range exclusions, and
-the final classification over the family curve complete the pipeline.
+has no point with real x >= 1 off the line z = 0.  Of the values of g1 and
+g2 at single points, a command needs only g2's integral ones on that window
+(`g2_integer_values`); reading either at any point is the test oracle
+`aux_g` in tests/surface_oracle.py.  An exact-root solver, family (i), the
+quadratic S-range exclusions, and the final classification over the family
+curve complete the pipeline.
 
 The quartics, the parametrization and family (i) are each written once, as
 a function of plain ring operations: the integer and Fraction paths call it
@@ -29,14 +32,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .designs import derive_parameters, integrality_gate, lambda_parts
 from .errors import DesignError, InternalConsistencyError
 from .exactnum import QuadExt, sqrt_adjoin, squarefree_decompose
 from .polynomials import (Poly, _horner, _primitive, _table_fiber, compose_cleared,
                           dense_coeffs, format_terms)
-from .regions import g1_in_t, g1_proof, g2_proof, y2_curve_proof
+from .regions import G2_SMALL_Z, g1_in_t, g1_proof, g2_proof, y2_curve_proof
 
 
 # ----- the polynomial system --------------------------------------------
@@ -115,15 +118,9 @@ def z_of(S: int, m: int, x: int) -> Fraction:
     return Fraction(x * (m + 1) - S * (S + 1), 2 * S)
 
 
-def family_points(family: str, z: int) -> tuple[int, int, int, int]:
-    """A point (S, m, x, y) on one of the three solution curves."""
-    if family == "i":
-        return tuple(c // 2 for c in _family_i_doubled(z))
-    if family == "ii":
-        return (z, z, z, z)
-    if family == "iii":
-        return (z + 1, z, z, z + 1)
-    raise ValueError(f"unknown family {family!r}")
+def family_points(z: int) -> tuple[int, int, int, int]:
+    """The point (S, m, x, y) of solution family (i) at z."""
+    return tuple(c // 2 for c in _family_i_doubled(z))
 
 
 def _family_i_doubled(z):
@@ -216,33 +213,6 @@ _Y2_CURVE = (
     (0, 0, 0, 0, 8, 12, 4),
 )
 
-# g2 on x in {1, 2} gets its integral values listed on this window of z; the
-# large_z pieces of `regions._G2_PROOF` prove it in (31, 33) outside it
-G2_SMALL_Z = (-14, 9)
-
-
-def _g2_values(x: int, zs: Iterable[int]) -> Iterator[Fraction]:
-    """g2 = N / D at each z of zs, off the fiber x of `_G2_TABLE`, read once; D = 0 raises."""
-    num, den = (_table_fiber(rows, x) for rows in _G2_TABLE)
-    for z in zs:
-        yield Fraction(_horner(num, z), _horner(den, z))
-
-
-def aux_g(which: str, x: int, z: int) -> Fraction:
-    """Exact value of the auxiliary function g1 (y1 branch) or g2 (y2 branch) at x >= 1.
-
-    g1 is `g1_in_t` at t = z(z + 1)/2.  Its D vanishes at no such point:
-    `regions.g1_proof` gives its sign off x = t for t >= 1, D = 4t^2 at
-    x = t, and D = 2x^2 (x + 1) at t = 0.
-    """
-    if x < 1:
-        raise DesignError("aux_g needs x >= 1")
-    if which == "g1":
-        return Fraction(*g1_in_t(x, z * (z + 1) // 2))
-    if which == "g2":
-        return next(_g2_values(x, (z,)))
-    raise ValueError(f"unknown auxiliary polynomial {which!r}")
-
 
 # ----- region certificates -------------------------------------------------------
 
@@ -254,10 +224,9 @@ class RegionViolation(NamedTuple):
 
 
 class RegionScanReport:
-    __slots__ = ("which", "zmin", "zmax", "xmax", "points_checked", "violations", "notes", "steps")
+    __slots__ = ("points_checked", "violations", "notes", "steps")
 
-    def __init__(self, which: str, zmin: int, zmax: int, xmax: int):
-        self.which, self.zmin, self.zmax, self.xmax = which, zmin, zmax, xmax
+    def __init__(self):
         self.points_checked: dict[str, int] = {}    # the box's points per proved region
         self.violations: list[RegionViolation] = []
         self.notes: dict[str, object] = {}
@@ -289,7 +258,7 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
         raise DesignError(f"empty z range [{zmin}, {zmax}]")
     if xmax < 1:
         raise DesignError(f"region_scan needs xmax >= 1, got {xmax}")
-    report = RegionScanReport(which, zmin, zmax, xmax)
+    report = RegionScanReport()
     counts = report.points_checked
     for z0 in range(zmin, zmax + 1):
         t = z0 * (z0 + 1) // 2
@@ -317,14 +286,20 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
     return report
 
 
-def g2_integer_values(zmin: int = G2_SMALL_Z[0],
-                      zmax: int = G2_SMALL_Z[1]) -> dict[tuple[int, int], int]:
-    """Integral values of g2 for x in {1, 2} on z in [zmin, zmax], which must not be inverted."""
-    if zmin > zmax:
-        raise DesignError(f"empty z range [{zmin}, {zmax}]")
-    zs = range(zmin, zmax + 1)
-    return {(x0, z0): int(g) for x0 in (1, 2)
-            for z0, g in zip(zs, _g2_values(x0, zs)) if g.denominator == 1}
+def g2_integer_values() -> dict[tuple[int, int], int]:
+    """Integral values of g2 for x in {1, 2} and z in G2_SMALL_Z.
+
+    Each fiber x of `_G2_TABLE` is read off once, and g2 = N / D at each z;
+    D vanishes at no point of the window (tests/test_region_proof.py).
+    """
+    out = {}
+    for x0 in (1, 2):
+        num, den = (_table_fiber(rows, x0) for rows in _G2_TABLE)
+        for z0 in range(G2_SMALL_Z[0], G2_SMALL_Z[1] + 1):
+            g = Fraction(_horner(num, z0), _horner(den, z0))
+            if g.denominator == 1:
+                out[(x0, z0)] = int(g)
+    return out
 
 
 def solve_strip_equation() -> Quadratic:
@@ -359,21 +334,16 @@ def _integer_roots(a: int, b: int, c: int) -> list[int]:
     return sorted({q for q, rem in (divmod(-b - r, 2 * a), divmod(-b + r, 2 * a)) if not rem})
 
 
-def _integer_roots_between(f, lo: int, hi: int) -> Sequence[int]:
-    """The integer roots of f in [lo, hi], ascending, for f of degree <= 2.
+def _integer_roots_between(f, lo: int, hi: int) -> list[int]:
+    """The integer roots of a quadratic f in [lo, hi], ascending.
 
-    f = a t^2 + b t + c is read off f(0) and f(+-1).  A quadratic goes to
-    `_integer_roots`; with a = 0 the linear root is taken, and an f that
-    vanishes identically keeps the range.
+    f = a t^2 + b t + c is read off f(0) and f(+-1) and goes to
+    `_integer_roots`, which needs a != 0.  Both callers in `brute_solver`
+    meet it: p1 in m leads with x^2, x >= 1, and p2 in y with 4 m^2, m >= 3.
     """
     c, f1, fm1 = f(0), f(1), f(-1)
     a, b = (f1 + fm1) // 2 - c, (f1 - fm1) // 2
-    if a:
-        roots = _integer_roots(a, b, c)
-    elif b:
-        roots = [] if c % b else [-c // b]
-    else:
-        return [] if c else range(lo, hi + 1)
+    roots = _integer_roots(a, b, c)
     return [t for t in roots if lo <= t <= hi]
 
 
@@ -433,7 +403,7 @@ def _family_i_gate(S: int, m: int, x: int, y: int) -> GateResult:
     z = z_of(S, m, x)
     if z.denominator != 1:
         return GateResult("family-i", False, f"z = {z} is not an integer")
-    point = family_points("i", int(z))
+    point = family_points(int(z))
     if point != (S, m, x, y):
         return GateResult(
             "family-i", False,
@@ -482,11 +452,11 @@ TIGHT_DESIGN = (23, 7, 1)  # the unique tight 4-design parameters, used as a fil
 
 
 class ClassifyReport:
-    __slots__ = ("zmax", "certificates", "family_notes")
+    __slots__ = ("certificates", "family_notes")
 
-    def __init__(self, zmax: int, certificates: list[SolutionCertificate],
+    def __init__(self, certificates: list[SolutionCertificate],
                  family_notes: tuple[str, ...]):
-        self.zmax, self.certificates, self.family_notes = zmax, certificates, family_notes
+        self.certificates, self.family_notes = certificates, family_notes
 
     @property
     def accepted(self) -> list[SolutionCertificate]:
@@ -506,7 +476,7 @@ def classify(zmax: int) -> ClassifyReport:
         raise DesignError("classify needs zmax >= 1")
     certificates: list[SolutionCertificate] = []
     for z in range(1, zmax + 1):
-        S, m, x, y = family_points("i", z)
+        S, m, x, y = family_points(z)
         gates = _integrality_gates(S, m, x, y)
         if all(g.passed for g in gates):
             if S < 4:
@@ -530,7 +500,7 @@ def classify(zmax: int) -> ClassifyReport:
         "family (ii) S = m = x = y gives S = alpha, violating alpha < S",
         "family (iii) m = S - 1 violates S < m",
     )
-    return ClassifyReport(zmax, certificates, notes)
+    return ClassifyReport(certificates, notes)
 
 
 # ----- quadratics in z ----------------------------------------------------

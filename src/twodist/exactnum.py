@@ -23,16 +23,6 @@ ScalarLike = Union[int, Fraction, "QuadExt"]
 RADICAND_LIMIT = 10**12
 
 
-def as_rational(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not a rational value: {value!r}")
-
-
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write ``n = s*s*d`` with ``d`` square-free; returns ``(s, d)``.
 
@@ -252,12 +242,15 @@ class QuadExt:
 
 
 def sqrt_adjoin(r) -> QuadExt:
-    """Exact square root of a nonnegative rational, as a QuadExt.
+    """Exact square root of a nonnegative int or Fraction, as a QuadExt.
 
     ``sqrt(p/q) = sqrt(p*q)/q``; the integer radicand is reduced to its
-    square-free part, so perfect squares come back rational.
+    square-free part, so perfect squares come back rational.  Anything else,
+    a float included, raises TypeError.
     """
-    r = as_rational(r)
+    if not isinstance(r, (int, Fraction)):
+        raise TypeError(f"not a rational value: {r!r}")
+    r = Fraction(r)
     if r < 0:
         raise ValueError(f"square root of negative rational {r}")
     if r == 0:

@@ -18,7 +18,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .coherent import GramTable
 from .designs import require_ordering
 from .dioph import eval_p
 from .errors import DegeneracyError, DesignError, InternalConsistencyError
@@ -136,8 +135,7 @@ class DistanceSpectrum(NamedTuple):
     r2: QuadExt
     d_sq: tuple
     classes: dict
-    branch: Optional[str] = None      # "gt2" or "lt2" for theoretical spectra
-    iota: Optional[int] = None        # 1: V on the smaller sphere, far = in-block
+    iota: int         # 1: V on the smaller sphere, far = in-block
 
     def distinct_squared(self) -> tuple:
         seen: list[QuadExt] = []
@@ -191,12 +189,11 @@ def theoretical_spectrum(S: int, m: int, alpha: int, beta: int,
         "V_B_in": crossed, "V_B_out": matched,
     }
     return DistanceSpectrum(r1, r2, (QuadExt(2), d2_sq, d3_sq, d4_sq, d5_sq),
-                            classes, branch, iota)
+                            classes, iota)
 
 
-def native_gram_distances(gram: GramTable) -> dict:
+def native_gram_distances(e: dict) -> dict:
     """Projector-frame squared distances straight off the Gram classes."""
-    e = gram.classes
     vv = 2 * (e["V_diag"] - e["V_off"])
     return {
         "V_V": vv,
@@ -207,11 +204,11 @@ def native_gram_distances(gram: GramTable) -> dict:
     }
 
 
-def native_block_radius(gram: GramTable) -> QuadExt:
-    return sqrt_adjoin(gram.classes["B_diag"].rational_value())
+def native_block_radius(gram: dict) -> QuadExt:
+    return sqrt_adjoin(gram["B_diag"].rational_value())
 
 
-def spectrum_from_gram(gram: GramTable, r2: QuadExt,
+def spectrum_from_gram(e: dict, r2: QuadExt,
                        orientation: int = 1) -> DistanceSpectrum:
     """Simplex-frame spectrum of the projector embedding at a free radius R2.
 
@@ -227,7 +224,6 @@ def spectrum_from_gram(gram: GramTable, r2: QuadExt,
     r2 = QuadExt(r2)
     if r2.sign() <= 0:
         raise DesignError("the block-sphere radius R2 must be positive")
-    e = gram.classes
     e_vv = e["V_diag"].rational_value()
     e_bb = e["B_diag"].rational_value()
     if e_bb <= 0:
@@ -251,7 +247,7 @@ def spectrum_from_gram(gram: GramTable, r2: QuadExt,
     }
     r1 = sqrt_adjoin(2 * e_vv)
     return DistanceSpectrum(r1, r2, (QuadExt(2), d2_sq, d3_sq, d4_sq, d5_sq),
-                            classes, None, iota)
+                            classes, iota)
 
 
 # ----- two-distance classification ----------------------------------------

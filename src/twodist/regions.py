@@ -39,10 +39,13 @@ _G1_PROOF = (
     ("region2", 0, 2, -1, (1, 0, 1), (2, 0, 1), "x = t - 1, real t >= 2"),
     ("region3", 0, 1, -1, (1, 1, 0), (3, 1, 1), "real x >= 1, t >= x + 2"),
 )
+# g2 on x in {1, 2} gets its integral values listed on this window of z
+# (`dioph.g2_integer_values`); the large_z pieces below prove it in (31, 33) outside it
+G2_SMALL_Z = (-14, 9)
 # region, lo, hi, then the pieces of x and of z, each (c, s) for c + s [0, oo)
-# or the point c when s = 0; large_z leaves out exactly dioph.G2_SMALL_Z
+# or the point c when s = 0; large_z leaves out exactly G2_SMALL_Z
 _G2_PROOF = (
-    ("large_z", 31, 33, ((1, 0), (2, 0)), ((10, 1), (-15, -1))),
+    ("large_z", 31, 33, ((1, 0), (2, 0)), ((G2_SMALL_Z[1] + 1, 1), (G2_SMALL_Z[0] - 1, -1))),
     ("x_ge_3", -1, 38, ((3, 1),), ((1, 1), (-3, -1), (-2, 0), (-1, 0), (0, 0))),
 )
 # the pieces of the y2 curve off the line z = 0, for x >= 1

@@ -20,10 +20,10 @@ from operator import ne
 from typing import Iterator, NamedTuple, Sequence
 
 from twodist import dioph
-from twodist.dioph import G2_SMALL_Z
 from twodist.errors import DesignError
 from twodist.exactnum import format_scalar
 from twodist.polynomials import _horner, taylor_shift
+from twodist.regions import G2_SMALL_Z
 
 from oracles import trim
 from surface_oracle import derived_pair, fiber_values

@@ -11,7 +11,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from twodist.coherent import (
-    GRAM_CLASS_OF_RELATION, AxiomReport, CoherentConfig, GramTable, _integer_vector)
+    GRAM_CLASS_OF_RELATION, AxiomReport, CoherentConfig, _integer_vector)
 from twodist.designs import IncidenceDesign, lambda_parts
 from twodist.errors import DegenerateParametersError, DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, _sf_product
@@ -407,7 +407,7 @@ def _require_equal(lhs: np.ndarray, rhs: np.ndarray, what: str) -> None:
         raise InternalConsistencyError(f"{what} at entry ({a},{b})")
 
 
-def dense_checks(cc: CoherentConfig, form: IntegerForm, gram: GramTable) -> None:
+def dense_checks(cc: CoherentConfig, form: IntegerForm, gram: dict) -> None:
     """E = E^T, class agreement, E^2 = E and trace(E) = m - 1, entry by entry."""
     ridx = label_matrix(cc) - 1
     zero = np.zeros(ridx.shape, dtype=np.int64)

@@ -16,7 +16,9 @@ pairs as tables, and `param_value` reads any parameter off them,
 removable singularities included, through `fiber_values`, which reduces a
 fiber by its GCD where D vanishes; `strip_equation` solves g1 = 1 on the
 strip of a table pair the same way.  Neither path is needed in `src/`,
-whose forms are in lowest terms.  `y2_curve_table` derives the shipped
+whose forms are in lowest terms.  `aux_g` reads g1 or g2 at one point off
+those shipped forms, the pointwise oracle the tests hold the region proofs
+and the lattice oracle against.  `y2_curve_table` derives the shipped
 table of the y2 curve, `dioph._Y2_CURVE`, with `compose_cleared`.
 
 After a change to a formula,
@@ -37,7 +39,7 @@ from itertools import zip_longest
 from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
-from twodist import dioph
+from twodist import dioph, regions
 from twodist.designs import block_graph_formulas
 from twodist.dioph import (MSQ_XZ, ONE_XZ, P3, S_XZ, XZ, Y1_XZ, Y2NUM_XZ, _XZ_SUBS, _X, _Z,
                            Quadratic, format_quadratic, solve_quadratic)
@@ -221,6 +223,25 @@ def fiber_values(pair: Sequence[Sequence[Sequence[int]]], x: int,
             if d == 0:
                 raise ZeroDivisionError(f"pole at (x, z) = ({x}, {z})")
         yield Fraction(n, d)
+
+
+def aux_g(which: str, x: int, z: int) -> Fraction:
+    """Exact value of g1 (y1 branch) or g2 (y2 branch) at x >= 1, off the forms `src/` holds.
+
+    g1 is `regions.g1_in_t` at t = z(z + 1)/2, looked up at each call so
+    that a test can swap the form.  Its D vanishes at no such point:
+    `regions.g1_proof` gives its sign off x = t for t >= 1, D = 4t^2 at
+    x = t, and D = 2x^2 (x + 1) at t = 0.  g2 is N / D on the fiber x of
+    `dioph._G2_TABLE`, whose D vanishes at no integer point with x >= 1.
+    """
+    if x < 1:
+        raise DesignError("aux_g needs x >= 1")
+    if which == "g1":
+        return Fraction(*regions.g1_in_t(x, z * (z + 1) // 2))
+    if which == "g2":
+        num, den = (_table_fiber(rows, x) for rows in dioph._G2_TABLE)
+        return Fraction(_horner(num, z), _horner(den, z))
+    raise ValueError(f"unknown auxiliary polynomial {which!r}")
 
 
 def reduced(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:

@@ -251,7 +251,7 @@ REPEATED_BLOCK = IncidenceDesign(4, ((0, 1), (0, 1), (2, 3)))
 @pytest.mark.parametrize("name", [*DESIGNS, "repeated-block"])
 def test_intersection_values_match_set_derivation(name):
     design = REPEATED_BLOCK if name == "repeated-block" else DESIGNS[name]()
-    assert intersection_numbers(design).values == set_intersection_values(design)
+    assert intersection_numbers(design) == set_intersection_values(design)
 
 
 @pytest.mark.parametrize("name", SMALL_DESIGNS)
@@ -308,7 +308,7 @@ def embed_error(tmp_path, design: IncidenceDesign, capsys) -> str:
 def test_witt_minus_one_block_is_rejected(tmp_path, capsys):
     # still {1, 3} and no longer a 2-design; the block count, checked first, names it
     d = witt()
-    assert intersection_numbers(IncidenceDesign(23, d.blocks[:-1])).values == (1, 3)
+    assert intersection_numbers(IncidenceDesign(23, d.blocks[:-1])) == (1, 3)
     assert embed_error(tmp_path, IncidenceDesign(23, d.blocks[:-1]), capsys) == (
         "axioms fail: 252 blocks, but (m, S, alpha, beta) = (23, 7, 3, 1) give n = 253")
 
@@ -326,7 +326,7 @@ def test_pair_covered_once_too_often_is_rejected(tmp_path, capsys):
     # block count stand, while (0, 1) now lies in 3 blocks
     blocks = tuple(sorted(set(SIX_POINT_TRIPLES) - {(2, 3, 4)} | {(0, 1, 5)}))
     swapped = IncidenceDesign(6, blocks)
-    assert intersection_numbers(swapped).values == (1, 2)
+    assert intersection_numbers(swapped) == (1, 2)
     assert embed_error(tmp_path, swapped, capsys) == (
         "axioms fail: not a 2-design: (0, 1) lies in 3 blocks but (0, 2) lies in 2")
 

@@ -292,6 +292,19 @@ EXIT_CODE_CONTRACT = [
     pytest.param(["embed", LISONEK_FILE, "--r2", "sqrt(2)+sqrt(3)+sqrt(5)"], 2, None,
                  id="r2-three-radicands"),
     pytest.param(["embed", LISONEK_FILE, "--r2", "sqrt(0)"], 2, None, id="r2-zero-radicand"),
+    # radii of two and three terms reach quadext_sign's two-term comparison and its
+    # interval refinement: 4 - sqrt(2) - sqrt(7), about -0.06, is decided at the first
+    # precision, 2^-16, and 4059965/1000000 - sqrt(2) - sqrt(7), about 1.3e-7, only
+    # after doubling it
+    pytest.param(["embed", LISONEK_FILE, "--r2", "2 - sqrt(2)"], 0, None, id="r2-two-terms"),
+    pytest.param(["embed", LISONEK_FILE, "--r2", "1 - sqrt(2)"], 2, None,
+                 id="r2-two-terms-negative"),
+    pytest.param(["embed", LISONEK_FILE, "--r2", "5 - sqrt(2) - sqrt(7)"], 0, None,
+                 id="r2-three-terms"),
+    pytest.param(["embed", LISONEK_FILE, "--r2", "4 - sqrt(2) - sqrt(7)"], 2, None,
+                 id="r2-three-terms-negative"),
+    pytest.param(["embed", LISONEK_FILE, "--r2", "4059965/1000000 - sqrt(2) - sqrt(7)"], 0, None,
+                 id="r2-three-terms-near-zero"),
     pytest.param(["embed", LISONEK_FILE, "--r2", "1 2"], 2, None, id="r2-syntax"),
     pytest.param(["embed", LISONEK_FILE, "--r2", OVER_DIGIT_LIMIT], 2, None,
                  id="r2-coefficient-over-digit-limit"),

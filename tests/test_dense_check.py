@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twodist.coherent import GramTable, _integer_vector
+from twodist.coherent import _integer_vector
 from twodist.errors import InternalConsistencyError
 from twodist.exactnum import QuadExt, _sf_product
 
@@ -61,7 +61,7 @@ def test_dense_check_catches_symmetric_off_class_entry(lisonek_projector, radica
 
 def test_dense_check_catches_class_value_off_gram_table(lisonek_projector):
     gram = lisonek_projector.gram
-    wrong = GramTable({**gram.classes, "B_beta": QuadExt(Fraction(-1, 63))})
+    wrong = {**gram, "B_beta": QuadExt(Fraction(-1, 63))}
     with pytest.raises(InternalConsistencyError, match="off its class value"):
         dense_checks(lisonek_projector.cc, projector_form(lisonek_projector), wrong)
 
@@ -71,7 +71,7 @@ def test_dense_check_catches_non_idempotent_consistent_projector(lisonek_project
     # table moves with it, so only the E^2 = E product can see the change
     coeffs = list(lisonek_projector.coefficients)
     coeffs[2] = coeffs[2] + Fraction(1, 126)
-    gram = GramTable({**lisonek_projector.gram.classes, "V_off": coeffs[2]})
+    gram = {**lisonek_projector.gram, "V_off": coeffs[2]}
     with pytest.raises(InternalConsistencyError, match=r"E\^2 != E"):
         dense_checks(lisonek_projector.cc, projector_form(lisonek_projector, coeffs), gram)
 

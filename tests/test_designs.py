@@ -122,21 +122,10 @@ def test_verify_t_design_without_a_t_subset_is_an_internal_error():
         verify_t_design(unchecked, 2)
 
 
-def test_quasi_symmetric_profile_without_alpha_is_an_internal_error(lisonek, monkeypatch):
-    monkeypatch.setattr(designs, "intersection_numbers",
-                        lambda d, masks=None: designs.IntersectionProfile((0, 1), True))
-    with pytest.raises(InternalConsistencyError, match="lacks alpha or beta"):
-        parameters_from_design(lisonek)
-
-
 def test_intersection_numbers(lisonek):
-    profile = intersection_numbers(lisonek)
-    assert profile.values == (0, 1)
-    assert profile.quasi_symmetric and (profile.alpha, profile.beta) == (1, 0)
-    comp = intersection_numbers(complement_design(lisonek))
-    assert comp.values == (5, 6)
-    flat = intersection_numbers(IncidenceDesign(4, ((0, 1), (2, 3))))
-    assert flat.values == (0,) and not flat.quasi_symmetric
+    assert intersection_numbers(lisonek) == (0, 1)
+    assert intersection_numbers(complement_design(lisonek)) == (5, 6)
+    assert intersection_numbers(IncidenceDesign(4, ((0, 1), (2, 3)))) == (0,)
 
 
 def test_complement_involution(lisonek):
@@ -228,8 +217,7 @@ def test_witt_design(witt_design):
     assert witt_design.block_size == 7
     res = verify_t_design(witt_design, 4)
     assert res.is_t_design and res.Lambda == 1
-    profile = intersection_numbers(witt_design)
-    assert profile.quasi_symmetric and (profile.alpha, profile.beta) == (3, 1)
+    assert intersection_numbers(witt_design) == (1, 3)
 
 
 def test_design_json_round_trip(tmp_path, lisonek):

@@ -38,6 +38,13 @@ def test_sqrt_adjoin_examples():
         sqrt_adjoin(Fraction(-1, 2))
 
 
+@pytest.mark.parametrize("value", [0.5, "1/2"])
+def test_sqrt_adjoin_refuses_what_is_not_an_int_or_fraction(value):
+    # a float would carry its rounding into an exact result
+    with pytest.raises(TypeError, match="not a rational value"):
+        sqrt_adjoin(value)
+
+
 def test_sqrt_adjoin_squares_back():
     random.seed(20240817)
     for _ in range(200):

@@ -172,7 +172,7 @@ def test_two_distance_classify_rejects_many_values(lisonek_projector):
 def test_two_distance_classify_degenerate(lisonek_projector):
     spec = theoretical_spectrum(2, 9, 1, 0, "gt2")
     collapsed = type(spec)(spec.r1, spec.r2, (QuadExt(2),) * 5,
-                           dict.fromkeys(spec.classes, QuadExt(2)), "gt2", 1)
+                           dict.fromkeys(spec.classes, QuadExt(2)), 1)
     with pytest.raises(DegeneracyError):
         two_distance_classify(collapsed)
 

@@ -8,6 +8,10 @@ benchmark's library entry `dioph.y2_curve_search`.  Any `def` under
 src/twodist that the child never entered fails the test unless ALLOWLIST
 names it with the reason it stays.  Code only a test calls belongs in
 tests/, as a named oracle beside the tests that use it.
+
+The rule holds below the def too, where a profile of calls cannot see: a
+branch, a parameter or a record field that only tests reach is dropped
+from src/twodist as well.  This test checks only whole defs.
 """
 
 import ast

@@ -1,7 +1,7 @@
 """The record types: no generated code at import, immutable where they were frozen.
 
-Records are `typing.NamedTuple`s, or `__slots__` classes where they mutate,
-override `__getitem__` or check their input.  A `@dataclass`
+Records are `typing.NamedTuple`s, or `__slots__` classes where they mutate
+or check their input.  A `@dataclass`
 `exec`s its generated methods when its module is imported, which every
 command pays at start-up.
 """
@@ -76,9 +76,9 @@ def test_incidence_design_checks_at_construction(m, blocks, fragment):
 
 def test_mutable_reports_have_no_instance_dict(lisonek_projector):
     # __slots__ records take no per-instance dict and refuse unknown fields
-    report = dioph.RegionScanReport("g1", 0, 0, 1)
+    report = dioph.RegionScanReport()
     report.points_checked["r"] = 1
-    for record in (report, lisonek_projector, lisonek_projector.gram, coherent.verify_axioms(
+    for record in (report, lisonek_projector, coherent.verify_axioms(
             lisonek_projector.cc), dioph.classify(1)):
         assert not hasattr(record, "__dict__")
         with pytest.raises(AttributeError):

@@ -5,13 +5,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twodist import dioph, regions
-from twodist.dioph import G2_SMALL_Z, aux_g, g2_integer_values, region_scan, y2_curve_search
+from twodist.dioph import g2_integer_values, region_scan, solve_strip_equation, y2_curve_search
 from twodist.errors import InternalConsistencyError
 from twodist.polynomials import Poly, _horner, _table_fiber, compose_cleared
-from twodist.regions import _substituted, g1_in_t, y2_curve_proof
+from twodist.regions import G2_SMALL_Z, _substituted, g1_in_t, y2_curve_proof
 
 from lattice_oracle import lattice_scan
-from surface_oracle import derived_pair, fiber_values, table_holds, t_form_tables, table_poly
+from surface_oracle import aux_g, derived_pair, fiber_values, table_holds, t_form_tables, table_poly
 
 # each region of g2 and the y2 curve: the integer x and z its pieces must cover
 NEEDED = {
@@ -117,38 +117,50 @@ def bumped_t_form(side, k, j):
 
 
 def g1_outcome(form, monkeypatch):
-    """Whether `form` is g1 by the identity with the derived pair, and the first point
-    (x, z) of a small box where `aux_g`, reading `form`, leaves the derived g1 or divides by 0.
+    """How `form` fares as g1, read everywhere `src/` and the oracle read g1.
+
+    Whether it is g1 by the identity with the derived pair; the regions of
+    the steps of `regions.g1_proof` it fails; whether
+    `dioph.solve_strip_equation` still finds z^2 + z - 10 on it; and the
+    first point (x, z) of a small box where `aux_g`, reading `form`, leaves
+    the derived g1 or divides by 0.
     """
     holds = table_holds("g1", *t_form_tables(form))
+    monkeypatch.setattr(regions, "g1_in_t", form)
     monkeypatch.setattr(dioph, "g1_in_t", form)
+    failed = sorted({step[0] for step, witness in regions.g1_proof() if witness})
+    try:
+        strip = solve_strip_equation().quadratic == (1, 1, -10)
+    except InternalConsistencyError:
+        strip = False
     for x in range(1, 9):
         for z, want in zip(range(-4, 5), fiber_values(derived_pair("g1"), x, range(-4, 5))):
             try:
                 if aux_g("g1", x, z) != want:
-                    return holds, (x, z)
+                    return holds, failed, strip, (x, z)
             except ZeroDivisionError:
-                return holds, (x, z)
-    return holds, None
+                return holds, failed, strip, (x, z)
+    return holds, failed, strip, None
 
 
 @pytest.mark.parametrize("side, k, j", [(0, 1, 2), (0, 2, 1), (1, 0, 6), (1, 3, 0), (1, 2, 1)])
 def test_a_perturbed_g1_table_fails_the_t_form(side, k, j, monkeypatch):
     """g1's one form is its t-form: a term x^k t^j added to one side breaks its identity
-    with the derived pair, and `aux_g` then leaves the derived g1 inside a small box.
+    with the derived pair, fails steps of the g1 proof and the strip equation, and
+    `aux_g` then leaves the derived g1 inside a small box.
     """
-    holds, point = g1_outcome(bumped_t_form(side, k, j), monkeypatch)
-    assert not holds and point is not None
+    holds, failed, strip, point = g1_outcome(bumped_t_form(side, k, j), monkeypatch)
+    assert not holds and failed and not strip and point is not None
 
 
 def test_a_perturbed_g1_table_of_higher_degree_fails_the_t_form(monkeypatch):
     """A term of degree 3 in x and 7 in t, above every term of the t-form."""
-    holds, point = g1_outcome(bumped_t_form(0, 3, 7), monkeypatch)
-    assert not holds and point is not None
+    holds, failed, strip, point = g1_outcome(bumped_t_form(0, 3, 7), monkeypatch)
+    assert not holds and failed and not strip and point is not None
 
 
 def test_the_unperturbed_t_form_holds(monkeypatch):
-    assert g1_outcome(g1_in_t, monkeypatch) == (True, None)
+    assert g1_outcome(g1_in_t, monkeypatch) == (True, [], True, None)
 
 
 @pytest.mark.parametrize("proof, table", [
@@ -236,7 +248,7 @@ def test_the_lattice_oracle_agrees_with_the_proof_on_random_boxes(which, zmin, w
 
 
 def test_g2_denominator_has_no_zero_on_the_small_window():
-    """The premise of a plain N / D in `dioph._g2_values`: D != 0 at x in {1, 2} on G2_SMALL_Z.
+    """The premise of a plain N / D in `dioph.g2_integer_values`: D != 0 at x in {1, 2} on G2_SMALL_Z.
 
     The proof gives D > 0 at every other integer point with x >= 1.
     """
@@ -245,11 +257,10 @@ def test_g2_denominator_has_no_zero_on_the_small_window():
         assert all(_horner(fiber, z) for z in range(G2_SMALL_Z[0], G2_SMALL_Z[1] + 1)), x
 
 
-@pytest.mark.parametrize("zmin, zmax", [G2_SMALL_Z, (-60, 60)])
-def test_g2_integer_values_match_aux_g(zmin, zmax):
-    want = {(x, z): int(v) for x in (1, 2) for z in range(zmin, zmax + 1)
+def test_g2_integer_values_match_aux_g():
+    want = {(x, z): int(v) for x in (1, 2) for z in range(G2_SMALL_Z[0], G2_SMALL_Z[1] + 1)
             if (v := aux_g("g2", x, z)).denominator == 1}
-    assert g2_integer_values(zmin, zmax) == want
+    assert g2_integer_values() == want
     assert want[(1, 0)] == 0
 
 

@@ -5,12 +5,13 @@ from math import gcd
 
 import pytest
 
-from twodist.dioph import G2_SMALL_Z, aux_g, g2_integer_values, region_scan, solve_strip_equation
+from twodist.dioph import region_scan, solve_strip_equation
 from twodist.errors import DesignError
 from twodist.polynomials import _horner, _table_fiber
+from twodist.regions import G2_SMALL_Z
 
 from lattice_oracle import LatticeReport, RowEvaluator, lattice_scan
-from surface_oracle import (derived_pair, fiber_values, lowest_terms, shipped_pair,
+from surface_oracle import (aux_g, derived_pair, fiber_values, lowest_terms, shipped_pair,
                             strip_equation, table_holds, table_literal, table_poly)
 
 WHICH = ["g1", "g2"]
@@ -108,12 +109,18 @@ def test_region_scan_matches_the_derived_pair(which, zmin, zmax, xmax):
     assert report.notes == oracle_notes(which)
 
 
-@pytest.mark.parametrize("window", [(), (-60, 60)])
+@pytest.mark.parametrize("window", [G2_SMALL_Z, (-60, 60)])
 def test_g2_integer_values_match_the_derived_pair(window):
-    """The derived D vanishes at (1, 0), so the oracle reduces the fiber there; the shipped table needs no reduction."""
+    """The derived D vanishes at (1, 0), so the oracle reduces the fiber there; the shipped table needs no reduction.
+
+    The table is read by `aux_g` on G2_SMALL_Z and on a wider window;
+    test_region_scan_matches_the_derived_pair holds `g2_integer_values`
+    itself against the pair on G2_SMALL_Z.
+    """
     assert _horner(_table_fiber(derived_pair("g2")[1], 1), 0) == 0
-    shipped = g2_integer_values(*window)
-    assert shipped == oracle_integer_values(*(window or G2_SMALL_Z))
+    shipped = {(x, z): int(v) for x in (1, 2) for z in range(window[0], window[1] + 1)
+               if (v := aux_g("g2", x, z)).denominator == 1}
+    assert shipped == oracle_integer_values(*window)
     assert shipped[(1, 0)] == 0
 
 
