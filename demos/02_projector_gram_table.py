@@ -51,7 +51,7 @@ for r2_text in ("1/3", "1", "1/3*sqrt(14)"):
 spec = spectrum_from_gram(result.gram, parse_scalar("1/3*sqrt(14)"))
 verdict = two_distance_classify(spec)
 print("\ntwo-distance at the root radius:", verdict.is_two_distance,
-      "| gamma =", verdict.gamma_sq, "| case", verdict.case.letter)
+      "| gamma =", verdict.gamma_sq, "| case", verdict.letter)
 
 theory = theoretical_spectrum(2, 9, 1, 0, "gt2")
 print("closed-form spectrum agrees with the Gram route:",

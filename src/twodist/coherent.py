@@ -149,10 +149,6 @@ def verify_axioms(cc: CoherentConfig) -> AxiomReport:
 class IdempotentCoefficients(NamedTuple):
     """Coefficient vectors (over A1..A9) of the second-block matrix units."""
 
-    alpha1: QuadExt
-    alpha2: QuadExt
-    beta1: QuadExt
-    beta2: QuadExt
     eps11: tuple
     eps12: tuple
     eps21: tuple
@@ -197,9 +193,7 @@ def idempotent_basis(p: DesignParameters) -> IdempotentCoefficients:
     eps22[1] = QuadExt(-((p.n - p.k - 1) * p.s + p.k * p.s + p.k) / nrs)
     eps22[3] = QuadExt((p.n - p.k + p.s) / nrs)
     eps22[4] = QuadExt((p.s - p.k) / nrs)
-    return IdempotentCoefficients(
-        alpha1, alpha2, beta1, beta2,
-        tuple(eps11), tuple(eps12), tuple(eps21), tuple(eps22))
+    return IdempotentCoefficients(tuple(eps11), tuple(eps12), tuple(eps21), tuple(eps22))
 
 
 def structure_constants(p_table: tuple) -> tuple:
@@ -258,27 +252,25 @@ class ProjectorResult:
     """The projector E of a coherent configuration, verified exactly.
 
     `coefficients` is E over A1..A9; `gram` maps each of the seven Gram
-    classes of the embedding to its exact value; `axioms` the axiom check
-    E rests on.
+    classes of the embedding to its exact value.
     """
 
-    __slots__ = ("cc", "idem", "coefficients", "gram", "axioms")
+    __slots__ = ("cc", "coefficients", "gram")
 
     # no dense form of E is built; perfbench's coherent.dense_mults hook still
     # reads this attribute until the benchmark revision of ROADMAP item 4
     matrix = None
 
-    def __init__(self, cc: CoherentConfig, idem: IdempotentCoefficients, coefficients: tuple,
-                 gram: dict, axioms: AxiomReport):
-        self.cc, self.idem, self.coefficients = cc, idem, coefficients
-        self.gram, self.axioms = gram, axioms
+    def __init__(self, cc: CoherentConfig, coefficients: tuple, gram: dict):
+        self.cc, self.coefficients, self.gram = cc, coefficients, gram
 
 
 def projector_and_gram(cc: CoherentConfig) -> ProjectorResult:
     """Assemble E = (eps11 + eps12 + eps21 + eps22)/2 and verify it exactly.
 
-    Checks E = E^T, E^2 = E, trace(E) = m - 1 and that E annihilates both
-    fiber indicator vectors, at every size, in the adjacency algebra on the
+    A configuration that fails `verify_axioms` raises DesignError.  Checks
+    E = E^T, E^2 = E, trace(E) = m - 1 and that E annihilates both fiber
+    indicator vectors, at every size, in the adjacency algebra on the
     verified p_ij^k table.  Every coefficient is written exactly as
     sum_r sqrt(r) N_r / D: D is the lcm of the coefficient denominators and
     N_r holds integers, one list per radicand r in {1, d1, d2, d1 d2}; the
@@ -322,7 +314,7 @@ def projector_and_gram(cc: CoherentConfig) -> ProjectorResult:
         name: coeffs[rel - 1] for rel, name in GRAM_CLASS_OF_RELATION.items()
         if rel not in (8, 9)
     }
-    return ProjectorResult(cc, idem, coeffs, gram, report)
+    return ProjectorResult(cc, coeffs, gram)
 
 
 def _integer_vector(values) -> tuple:

@@ -18,7 +18,7 @@ import json
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import DegenerateParametersError, DesignError, InternalConsistencyError
 from .exactnum import format_scalar
@@ -132,40 +132,24 @@ def derive_parameters(m: int, S: int, alpha: int, beta: int) -> DesignParameters
                             **{name: Fraction(n, d) for name, (n, d) in pairs.items()})
 
 
-class GateReport(NamedTuple):
-    """Outcome of the integrality gate, with one entry per violated condition."""
-
-    violations: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def integrality_gate(p: DesignParameters) -> GateReport:
-    """Check the integrality conditions on a derived parameter set.
+def integrality_violations(p: DesignParameters) -> Iterator[str]:
+    """Each violated integrality condition on a derived parameter set, as text, in order.
 
     Lambda must be a positive integer; T, N, P, k, n nonnegative integers;
-    r and s integers; and the ordering 0 <= beta < alpha < S < m must hold.
-    Failures are reported, never raised.
+    r and s integers.  A violation is formatted only when the caller asks
+    for the next one.  The ordering 0 <= beta < alpha < S < m is not
+    checked: `derive_parameters` refuses a set that breaks it.
     """
-    violations: list[str] = []
-    if not (0 <= p.beta < p.alpha < p.S < p.m):
-        violations.append(
-            f"ordering 0 <= beta < alpha < S < m violated by "
-            f"(m={p.m}, S={p.S}, alpha={p.alpha}, beta={p.beta})"
-        )
     if p.Lambda.denominator != 1 or p.Lambda < 1:
-        violations.append(f"Lambda = {format_scalar(p.Lambda)} is not a positive integer")
+        yield f"Lambda = {format_scalar(p.Lambda)} is not a positive integer"
     for name in ("T", "N", "P", "k", "n"):
         value: Fraction = getattr(p, name)
         if value.denominator != 1 or value < 0:
-            violations.append(f"{name} = {format_scalar(value)} is not a nonnegative integer")
+            yield f"{name} = {format_scalar(value)} is not a nonnegative integer"
     for name in ("r", "s"):
         value = getattr(p, name)
         if value.denominator != 1:
-            violations.append(f"{name} = {format_scalar(value)} is not an integer")
-    return GateReport(tuple(violations))
+            yield f"{name} = {format_scalar(value)} is not an integer"
 
 
 # ----- incidence structures --------------------------------------------

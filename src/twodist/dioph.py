@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from .designs import derive_parameters, integrality_gate, lambda_parts
+from .designs import derive_parameters, integrality_violations, lambda_parts
 from .errors import DesignError, InternalConsistencyError
 from .exactnum import QuadExt, sqrt_adjoin, squarefree_decompose
 from .polynomials import (Poly, _horner, _primitive, _table_fiber, compose_cleared,
@@ -318,8 +318,7 @@ def solve_strip_equation() -> Quadratic:
     t0 = -diff[1] // diff[2]
     if not _horner(den, t0):
         raise InternalConsistencyError(f"the strip crossing t = {t0} is a pole of g1")
-    return solve_quadratic("strip g1 = 1", 1, 1, -2 * t0,
-                           note="from Region 2 of the g1 certificate")
+    return solve_quadratic("strip g1 = 1", 1, 1, -2 * t0)
 
 
 def _integer_roots(a: int, b: int, c: int) -> list[int]:
@@ -373,10 +372,11 @@ class SolutionCertificate(NamedTuple):
 def _finish_certificate(S: int, m: int, x: int, y: int,
                         gates: list[GateResult]) -> SolutionCertificate:
     z = z_of(S, m, x)
-    z_int = int(z) if z.denominator == 1 else 0
+    if z.denominator != 1:  # p1 gives S - x = t^2 and z = +-t; classify walks integer z
+        raise InternalConsistencyError(f"(S,m,x,y)=({S},{m},{x},{y}) has z = {z}, not an integer")
     failing = next((g for g in gates if not g.passed), None)
     verdict = "accepted" if failing is None else f"rejected: {failing.name}: {failing.witness}"
-    return SolutionCertificate((S, m, x, y, z_int), tuple(gates), verdict)
+    return SolutionCertificate((S, m, x, y, int(z)), tuple(gates), verdict)
 
 
 def _integrality_gates(S: int, m: int, x: int, y: int) -> list[GateResult]:
@@ -393,9 +393,8 @@ def _integrality_gates(S: int, m: int, x: int, y: int) -> list[GateResult]:
     except DesignError as exc:
         gates.append(GateResult("integrality", False, str(exc)))
         return gates
-    gate = integrality_gate(params)
-    witness = "all parameters integral" if gate.passed else gate.violations[0]
-    gates.append(GateResult("integrality", gate.passed, witness))
+    violation = next(integrality_violations(params), None)
+    gates.append(GateResult("integrality", violation is None, violation or "all parameters integral"))
     return gates
 
 
@@ -515,10 +514,9 @@ class Quadratic(NamedTuple):
     squarefree_part: int
     roots: tuple[QuadExt, QuadExt]           # (-b + sqrt(disc)) / 2a, then (-b - sqrt(disc)) / 2a
     integer_roots: tuple[int, ...]           # distinct, ascending
-    note: str = ""
 
 
-def solve_quadratic(label: str, a: int, b: int, c: int, note: str = "") -> Quadratic:
+def solve_quadratic(label: str, a: int, b: int, c: int) -> Quadratic:
     """Solve a z^2 + b z + c = 0 exactly; a != 0 and the roots must be real.
 
     A root that fails substitution raises InternalConsistencyError.
@@ -530,7 +528,7 @@ def solve_quadratic(label: str, a: int, b: int, c: int, note: str = "") -> Quadr
         if not _horner((c, b, a), r).is_zero():
             raise InternalConsistencyError(f"root {r} of {label} fails substitution")
     return Quadratic(label, (a, b, c), disc, squarefree_decompose(disc)[1], roots,
-                     tuple(_integer_roots(a, b, c)), note)
+                     tuple(_integer_roots(a, b, c)))
 
 
 class ExclusionReport(NamedTuple):
@@ -562,8 +560,8 @@ def quadratic_exclusions() -> ExclusionReport:
     entries = (
         solve_quadratic("S = 2", *_family_i_quadratic("S", 2)),
         solve_quadratic("S = 3", *_family_i_quadratic("S", 3)),
-        solve_quadratic("S = 7 (tight range)", *_family_i_quadratic("S", 7), note=(
-            "integer root z = 2 is excluded by the tight-design filter (m = 27 != 23)")),
+        # its integer root z = 2 is excluded by the tight-design filter (m = 27 != 23)
+        solve_quadratic("S = 7 (tight range)", *_family_i_quadratic("S", 7)),
         *(solve_quadratic(f"S = m - {c}", *_family_i_quadratic("m - S", c)) for c in (3, 2, 1)),
         solve_strip_equation(),
     )

@@ -135,7 +135,6 @@ class DistanceSpectrum(NamedTuple):
     r2: QuadExt
     d_sq: tuple
     classes: dict
-    iota: int         # 1: V on the smaller sphere, far = in-block
 
     def distinct_squared(self) -> tuple:
         seen: list[QuadExt] = []
@@ -181,15 +180,14 @@ def theoretical_spectrum(S: int, m: int, alpha: int, beta: int,
     crossed = QuadExt(a_val + b_val + fm) + 2 * e * (sq_ab + sq_ac) + 2 * sq_bc
     if matched != QuadExt(2):
         raise InternalConsistencyError("the branch radius must pin d^2 = 2")
-    d4_sq, d5_sq, iota = (matched, crossed, 1) if e == 1 else (crossed, matched, 3)
+    d4_sq, d5_sq = (matched, crossed) if e == 1 else (crossed, matched)
     d2_sq = r2_sq * c_alpha
     d3_sq = r2_sq * c_beta
     classes = {
         "V_V": QuadExt(2), "B_B_alpha": d2_sq, "B_B_beta": d3_sq,
         "V_B_in": crossed, "V_B_out": matched,
     }
-    return DistanceSpectrum(r1, r2, (QuadExt(2), d2_sq, d3_sq, d4_sq, d5_sq),
-                            classes, iota)
+    return DistanceSpectrum(r1, r2, (QuadExt(2), d2_sq, d3_sq, d4_sq, d5_sq), classes)
 
 
 def native_gram_distances(e: dict) -> dict:
@@ -237,38 +235,32 @@ def spectrum_from_gram(e: dict, r2: QuadExt,
     scale = sqrt_adjoin(Fraction(2) / e_bb)
     in_sq = 2 * e_vv + r2_sq - 2 * orientation * (r2 * e["VB_in"] * scale)
     out_sq = 2 * e_vv + r2_sq - 2 * orientation * (r2 * e["VB_out"] * scale)
-    if (in_sq - out_sq).sign() >= 0:
-        d4_sq, d5_sq, iota = out_sq, in_sq, 1
-    else:
-        d4_sq, d5_sq, iota = in_sq, out_sq, 3
+    d4_sq, d5_sq = (out_sq, in_sq) if (in_sq - out_sq).sign() >= 0 else (in_sq, out_sq)
     classes = {
         "V_V": QuadExt(2), "B_B_alpha": d2_sq, "B_B_beta": d3_sq,
         "V_B_in": in_sq, "V_B_out": out_sq,
     }
     r1 = sqrt_adjoin(2 * e_vv)
-    return DistanceSpectrum(r1, r2, (QuadExt(2), d2_sq, d3_sq, d4_sq, d5_sq),
-                            classes, iota)
+    return DistanceSpectrum(r1, r2, (QuadExt(2), d2_sq, d3_sq, d4_sq, d5_sq), classes)
 
 
 # ----- two-distance classification ----------------------------------------
 
 
-CASE_TABLE = {("gt2", 1): "A", ("gt2", 2): "B", ("gt2", 3): "C", ("gt2", 4): "D",
-              ("lt2", 1): "E", ("lt2", 2): "F", ("lt2", 3): "G", ("lt2", 4): "H"}
-COMPLEMENT_TWIN = {1: 2, 2: 1, 3: 4, 4: 3}
-
-
-class CaseLabel(NamedTuple):
-    iota: int
-    branch: str
-    letter: str
-    complement_letter: str
+# the feasible case letter of each branch and that of the same point set seen
+# from the complement design: gamma > 2 puts V on the smaller sphere with the
+# in-block distance the far one, gamma < 2 the reverse
+CASE_LETTERS = {"gt2": ("A", "B"), "lt2": ("G", "H")}
 
 
 class TwoDistanceResult(NamedTuple):
-    is_two_distance: bool
     gamma_sq: Optional[QuadExt]
-    case: Optional[CaseLabel]
+    letter: Optional[str]
+    complement_letter: Optional[str]
+
+    @property
+    def is_two_distance(self) -> bool:
+        return self.letter is not None
 
 
 def two_distance_classify(spec: DistanceSpectrum) -> TwoDistanceResult:
@@ -285,44 +277,25 @@ def two_distance_classify(spec: DistanceSpectrum) -> TwoDistanceResult:
     if len(values) == 1 and values[0] == two:
         raise DegeneracyError("gamma = 2: the two distances coincide")
     if len(values) != 2 or all(v != two for v in values):
-        return TwoDistanceResult(False, None, None)
+        return TwoDistanceResult(None, None, None)
     gamma_sq = values[0] if values[1] == two else values[1]
     branch = "gt2" if (gamma_sq - 2).sign() > 0 else "lt2"
     # compare the (positive) radii through their squares, which always stay
     # inside one quadratic extension even when the radii themselves do not
     radius_gap = (spec.r2 * spec.r2 - spec.r1 * spec.r1).sign()
-    if branch == "gt2":
-        if radius_gap <= 0:
-            raise InternalConsistencyError(
-                "gamma > 2 embedding with R2 <= R1 would realize the impossible case (D)")
-        iota = 1
-    else:
-        if radius_gap >= 0:
-            raise InternalConsistencyError(
-                "gamma < 2 embedding with R2 >= R1 would realize the impossible case (F)")
-        iota = 3
-    label = CaseLabel(iota, branch, CASE_TABLE[(branch, iota)],
-                      CASE_TABLE[(branch, COMPLEMENT_TWIN[iota])])
-    return TwoDistanceResult(True, gamma_sq, label)
+    if branch == "gt2" and radius_gap <= 0:
+        raise InternalConsistencyError(
+            "gamma > 2 embedding with R2 <= R1 would realize the impossible case (D)")
+    if branch == "lt2" and radius_gap >= 0:
+        raise InternalConsistencyError(
+            "gamma < 2 embedding with R2 >= R1 would realize the impossible case (F)")
+    return TwoDistanceResult(gamma_sq, *CASE_LETTERS[branch])
 
 
 # ----- polynomial residuals -------------------------------------------------
 
 
-class PResiduals(NamedTuple):
-    """Values of (p1, p2, p3) on both branch substitutions.
-
-    The gamma > 2 branch evaluates at (S, m, alpha, beta); the gamma < 2
-    branch swaps the intersection numbers.  A branch is feasible only when
-    its triple vanishes.
-    """
-
-    gt2: tuple
-    lt2: tuple
-
-
-def p_residuals(S: int, m: int, alpha: int, beta: int) -> PResiduals:
+def p_residuals(S: int, m: int, alpha: int, beta: int) -> tuple:
+    """(p1, p2, p3) at (S, m, alpha, beta); the gamma > 2 branch is feasible only when all vanish."""
     require_ordering(m, S, alpha, beta)
-    gt2 = tuple(eval_p(w, S, m, alpha, beta) for w in ("p1", "p2", "p3"))
-    lt2 = tuple(eval_p(w, S, m, beta, alpha) for w in ("p1", "p2", "p3"))
-    return PResiduals(gt2, lt2)
+    return tuple(eval_p(w, S, m, alpha, beta) for w in ("p1", "p2", "p3"))

@@ -283,7 +283,7 @@ def strip_equation(pair: Sequence[Sequence[Sequence[int]]]) -> Quadratic:
     if dense_divmod(q, quadratic[::-1])[1] or len(q) != 3:
         raise InternalConsistencyError(
             f"strip residue {q} is not a nonzero multiple of {format_quadratic(quadratic)}")
-    strip = solve_quadratic("strip g1 = 1", *quadratic, note="from Region 2 of the g1 certificate")
+    strip = solve_quadratic("strip g1 = 1", *quadratic)
     for r in strip.roots:
         if _horner(den, r).is_zero():
             raise InternalConsistencyError(f"strip root {r} is a pole of the reduced g1")

@@ -184,7 +184,7 @@ def test_criterion_9_property_suites(lisonek_cc, lisonek_projector, relation_row
         checked += 1
     # matrix-unit identities for the idempotent basis
     constants = coherent.structure_constants(coherent.verify_axioms(lisonek_cc).p)
-    coherent.verify_epsilon_identities(constants, lisonek_projector.idem)
+    coherent.verify_epsilon_identities(constants, coherent.idempotent_basis(lisonek_cc.params))
     # E annihilates both fiber indicators
     for row in relation_rows(lisonek_cc, lisonek_projector.coefficients):
         v_sum, b_sum = QuadExt(0), QuadExt(0)

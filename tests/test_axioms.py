@@ -34,6 +34,7 @@ from twodist.designs import (
     lisonek_design,
     load_design,
 )
+from twodist.dioph import eval_p
 from twodist.geometry import (
     p_residuals,
     spectrum_from_gram,
@@ -288,7 +289,9 @@ def test_two_distance_exactly_where_the_residuals_vanish(name, branch, projector
     r2 = theoretical_spectrum(p.S, p.m, p.alpha, p.beta, branch).r2
     spec = spectrum_from_gram(result.gram, r2, 1 if branch == "gt2" else -1)
     two_distance = two_distance_classify(spec).is_two_distance
-    residuals = getattr(p_residuals(p.S, p.m, p.alpha, p.beta), branch)
+    # the gamma < 2 branch swaps the intersection numbers
+    residuals = (p_residuals(p.S, p.m, p.alpha, p.beta) if branch == "gt2" else
+                 tuple(eval_p(w, p.S, p.m, p.beta, p.alpha) for w in ("p1", "p2", "p3")))
     assert two_distance == (residuals == (0, 0, 0)) == ((p.S, p.m, branch) == (2, 9, "gt2"))
 
 

@@ -286,6 +286,8 @@ EXIT_CODE_CONTRACT = [
     pytest.param(["params", "5", "3", "2", "0"], 2, None, id="params-degenerate"),
     pytest.param(["params", "1" + "0" * 1500, "1" + "0" * 1400, "2", "1"], 2, None,
                  id="params-output-over-digit-limit"),
+    # the antipodal orientation puts the in-block distance below the out-block one
+    pytest.param(["embed", LISONEK_FILE, "--branch", "lt2"], 0, None, id="branch-lt2"),
     pytest.param(["embed", LISONEK_FILE, "--r2", "-1"], 2, None, id="r2-negative"),
     pytest.param(["embed", LISONEK_FILE, "--r2="], 2, None, id="r2-empty"),
     pytest.param(["embed", LISONEK_FILE, "--r2", "1/0"], 2, None, id="r2-zero-denominator"),
@@ -357,18 +359,6 @@ def test_one_intersection_value_is_named(name, tmp_path, capsys):
     assert dispatch(["embed", str(tmp_path / name)]) == (2, None)
     assert capsys.readouterr().err == (
         "error: design is not quasi-symmetric: intersection values (1,)\n")
-
-
-def test_two_distance_verdict_without_a_case_exits_one(monkeypatch, capsys):
-    # an invariant of the classifier, checked with a raise that -O keeps
-    from twodist import cli
-    from twodist.exactnum import QuadExt
-
-    monkeypatch.setattr(cli.geometry, "two_distance_classify",
-                        lambda spec: cli.geometry.TwoDistanceResult(True, QuadExt(4), None))
-    assert dispatch(["embed", LISONEK_FILE]) == (1, None)
-    assert capsys.readouterr().err == (
-        "consistency failure: a two-distance verdict without a case label\n")
 
 
 @pytest.mark.parametrize("exc", [ValueError("a bug"), KeyError("a bug"), AssertionError("a bug")])

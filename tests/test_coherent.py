@@ -92,10 +92,10 @@ def test_axiom_table_consistency(lisonek_cc):
 
 def test_idempotent_coefficients(lisonek_cc):
     idem = idempotent_basis(lisonek_cc.params)
-    assert idem.alpha1 == QuadExt(4)
-    assert idem.alpha2 == QuadExt(14)
-    assert idem.beta1 == parse_scalar("sqrt(7)")
-    assert idem.beta2 == -parse_scalar("sqrt(7)")
+    # alpha1 = 4, alpha2 = 14, beta1 = -beta2 = sqrt(7): the 2x2 determinant is
+    # -18 sqrt(7), and eps12 = eps21^T holds alpha2 / det and -alpha1 / det
+    assert idem.eps12[5] == idem.eps21[7] == parse_scalar("-1/9*sqrt(7)")
+    assert idem.eps12[6] == idem.eps21[8] == parse_scalar("2/63*sqrt(7)")
     assert idem.eps11[0] == QuadExt(Fraction(8, 9))
     assert idem.eps11[2] == QuadExt(Fraction(-1, 9))
     # A2 coefficient of eps22 is twice the B-diagonal Gram entry 1/9
@@ -134,9 +134,9 @@ def integer_product(constants: tuple, u, v) -> tuple:
                  for k in range(9))
 
 
-def test_epsilon_matrix_unit_identities(lisonek_cc, lisonek_projector):
+def test_epsilon_matrix_unit_identities(lisonek_cc):
     report = verify_axioms(lisonek_cc)
-    verify_epsilon_identities(structure_constants(report.p), lisonek_projector.idem)
+    verify_epsilon_identities(structure_constants(report.p), idempotent_basis(lisonek_cc.params))
 
 
 def test_algebra_product_matches_matrices(lisonek_cc, lisonek_projector):
@@ -187,10 +187,10 @@ def test_integer_algebra_product_matches_quadext_oracle(p_tables, data):
         assert integer_product(structure_constants(table), u, v) == expected
 
 
-def test_epsilon_failure_names_product_relation_and_radicand(lisonek_cc, lisonek_projector):
+def test_epsilon_failure_names_product_relation_and_radicand(lisonek_cc):
     # eps_22's B_alpha (A4) coefficient off by 1/63: eps_11 eps_22 = 0 still
     # holds (the point and block fibers do not meet), eps_12 eps_22 is first
-    idem = lisonek_projector.idem
+    idem = idempotent_basis(lisonek_cc.params)
     eps22 = list(idem.eps22)
     eps22[3] = eps22[3] + Fraction(1, 63)
     broken = idem._replace(eps22=tuple(eps22))
@@ -202,10 +202,10 @@ def test_epsilon_failure_names_product_relation_and_radicand(lisonek_cc, lisonek
 
 @pytest.mark.parametrize("pair", [(a, b) for a in ("11", "12", "21", "22")
                                   for b in ("11", "12", "21", "22")])
-def test_every_epsilon_product_is_checked(lisonek_cc, lisonek_projector, monkeypatch, pair):
+def test_every_epsilon_product_is_checked(lisonek_cc, monkeypatch, pair):
     # a product that comes back one off in its rational R1 part must fail, and
     # must be the one named
-    idem = lisonek_projector.idem
+    idem = idempotent_basis(lisonek_cc.params)
     forms = {key: _integer_vector(getattr(idem, f"eps{key}"))[1] for key in ("11", "12", "21", "22")}
     exact = coherent.algebra_product
 

@@ -522,6 +522,18 @@ def test_brute_solver_large_box():
         assert [g.passed for g in family_cert.gates if g.name == "integrality"] == [True]
 
 
+@pytest.mark.parametrize("run", [lambda: classify(1), lambda: brute_solver(3, 9)],
+                         ids=["classify", "brute_solver"])
+def test_certificate_refuses_a_non_integral_z(run, monkeypatch):
+    # z is an integer on every certificate (p1 gives S - x = t^2 and z = +-t;
+    # classify walks integer z), so a fractional one is a bug, never z = 0
+    from twodist import dioph
+
+    monkeypatch.setattr(dioph, "z_of", lambda S, m, x: Fraction(1, 2))
+    with pytest.raises(InternalConsistencyError, match=r"has z = 1/2, not an integer"):
+        run()
+
+
 def test_classify_unique_acceptance_for_every_bound():
     for zmax in range(1, 13):
         report = classify(zmax)
@@ -553,7 +565,7 @@ def test_quadratic_exclusions():
     assert by_label["S = m - 2"].squarefree_part == 10
     assert by_label["S = m - 3"].squarefree_part == 13
     tight = by_label["S = 7 (tight range)"]
-    assert tight.integer_roots == (2,) and "23" in tight.note
+    assert tight.integer_roots == (2,)
     # the only integer root outside the tight range is z = 1
     outside = [r for e in report.entries for r in e.integer_roots
                if not e.label.startswith("S = 7")]

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from twodist.dioph import eval_p
 from twodist.errors import DegeneracyError, DesignError
 from twodist.exactnum import QuadExt, parse_scalar, sqrt_adjoin
 from twodist.geometry import (
@@ -74,7 +75,8 @@ def test_theoretical_spectrum_lisonek():
     assert spec.r2 == R2_LISONEK
     assert [str(v) for v in spec.d_sq] == ["2", "2", "4", "2", "4"]
     assert spec.d_sq[1] == 2 and spec.d_sq[2] == 4
-    assert spec.iota == 1
+    # gamma > 2: V on the smaller sphere, so the in-block distance is the far one
+    assert spec.d_sq[3] == spec.classes["V_B_out"] and spec.d_sq[4] == spec.classes["V_B_in"]
 
 
 def test_theoretical_spectrum_errors():
@@ -157,30 +159,30 @@ def test_two_distance_classify_lisonek():
     result = two_distance_classify(theoretical_spectrum(2, 9, 1, 0, "gt2"))
     assert result.is_two_distance
     assert result.gamma_sq == 4
-    assert result.case.letter == "A"
-    assert result.case.iota == 1
-    assert result.case.complement_letter == "B"
+    assert result.letter == "A"
+    assert result.complement_letter == "B"
 
 
 def test_two_distance_classify_rejects_many_values(lisonek_projector):
     spec = spectrum_from_gram(lisonek_projector.gram, QuadExt(1))
     result = two_distance_classify(spec)
     assert not result.is_two_distance
-    assert result.gamma_sq is None and result.case is None
+    assert result == (None, None, None)
 
 
 def test_two_distance_classify_degenerate(lisonek_projector):
     spec = theoretical_spectrum(2, 9, 1, 0, "gt2")
     collapsed = type(spec)(spec.r1, spec.r2, (QuadExt(2),) * 5,
-                           dict.fromkeys(spec.classes, QuadExt(2)), 1)
+                           dict.fromkeys(spec.classes, QuadExt(2)))
     with pytest.raises(DegeneracyError):
         two_distance_classify(collapsed)
 
 
 def test_p_residuals():
-    assert p_residuals(2, 9, 1, 0).gt2 == (0, 0, 0)
-    assert p_residuals(7, 27, 3, 1).gt2 == (0, 0, 0)
-    lt2 = p_residuals(2, 9, 1, 0).lt2
+    assert p_residuals(2, 9, 1, 0) == (0, 0, 0)
+    assert p_residuals(7, 27, 3, 1) == (0, 0, 0)
+    # the gamma < 2 branch swaps the intersection numbers
+    lt2 = tuple(eval_p(w, 2, 9, 0, 1) for w in ("p1", "p2", "p3"))
     assert lt2[0] == 4 and lt2 != (0, 0, 0)
     with pytest.raises(DesignError, match=r"alpha < S < m, got \(m=9, S=3, alpha=1, beta=2\)"):
         p_residuals(3, 9, 1, 2)
@@ -192,7 +194,7 @@ def geometric_residuals(S: int, m: int, alpha: int, beta: int) -> tuple:
     Imposes d2^2 = 2 to fix R2, then returns (d4^2 - 2, d5^2 - d3^2,
     2 (S - beta) - d3^2 (S - alpha)) as exact values; all three vanish
     exactly when the closed-form embedding is a two-distance set.  An
-    oracle for `p_residuals(...).gt2` by a route through the geometry.
+    oracle for `p_residuals` by a route through the geometry.
     """
     fm = f_ratio(m)
     b_val = fm - f_ratio(m - S)
@@ -212,7 +214,7 @@ def test_geometric_route_agrees_with_polynomials():
     grid = [(2, 9, 1, 0), (7, 27, 3, 1), (3, 10, 2, 1), (4, 12, 2, 1),
             (5, 12, 3, 2), (6, 20, 4, 2)]
     for S, m, alpha, beta in grid:
-        poly_zero = p_residuals(S, m, alpha, beta).gt2 == (0, 0, 0)
+        poly_zero = p_residuals(S, m, alpha, beta) == (0, 0, 0)
         geo = geometric_residuals(S, m, alpha, beta)
         geo_zero = all(g.is_zero() for g in geo)
         assert poly_zero == geo_zero, (S, m, alpha, beta)

@@ -11,7 +11,8 @@ tests/, as a named oracle beside the tests that use it.
 
 The rule holds below the def too, where a profile of calls cannot see: a
 branch, a parameter or a record field that only tests reach is dropped
-from src/twodist as well.  This test checks only whole defs.
+from src/twodist as well.  The child run checks whole defs; a scan of the
+source checks record fields (`test_every_record_field_is_read`).
 """
 
 import ast
@@ -29,6 +30,8 @@ from test_cli_golden import CASES as GOLDEN_ARGV
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "twodist"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# what a command, a demo or the benchmark runs
+READERS = (ROOT / "src", ROOT / "demos", ROOT / "perfbench")
 
 # module:qualified name -> why it stays although the run above never calls it
 ALLOWLIST = {
@@ -130,3 +133,41 @@ def test_allowlist_names_only_unreached_defs(reached):
     defs = set(source_defs().values())
     assert not set(ALLOWLIST) - defs, "allowlist entries that name no def"
     assert not set(ALLOWLIST) & reached, "allowlist entries that the run reaches"
+
+
+def record_fields() -> dict:
+    """Every NamedTuple field and __slots__ name under SRC, as "module:Class.field" -> field."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases):
+                names = [stmt.target.id for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+            else:
+                names = [name for stmt in node.body if isinstance(stmt, ast.Assign)
+                         and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+                         for name in ast.literal_eval(stmt.value)]
+            out.update({f"{path.stem}:{node.name}.{name}": name for name in names})
+    return out
+
+
+def attributes_read() -> set:
+    """Every name read as `expr.name` in a file under READERS; assignments do not count."""
+    return {node.attr for root in READERS for path in sorted(root.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_record_field_is_read():
+    """A field that no command, demo or benchmark reads goes, as an unreached def does.
+
+    The scan matches names, not objects: a field is taken as read when any
+    object under READERS has an attribute read by its name.  So a name read
+    on another object hides a field: `args.branch` in cli.py would hide a
+    `branch` field that nothing reads.  A field read only by unpacking or
+    indexing the tuple is reported, and should then be an attribute read.
+    """
+    read = attributes_read()
+    unread = sorted(key for key, name in record_fields().items() if name not in read)
+    assert not unread, f"no command, demo or benchmark reads these record fields: {unread}"

@@ -41,7 +41,7 @@ def test_immutable_records_refuse_assignment(lisonek, lisonek_cc):
     records = [
         (designs.derive_parameters(9, 2, 1, 0), "m"),
         (dioph.solve_quadratic("z^2 - 1", 1, 0, -1), "roots"),
-        (geometry.p_residuals(2, 9, 1, 0), "gt2"),
+        (geometry.two_distance_classify(geometry.theoretical_spectrum(2, 9, 1, 0)), "letter"),
         (lisonek_cc, "masks"),
         (lisonek, "m"),
         (lisonek, "blocks"),
