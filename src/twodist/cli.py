@@ -186,7 +186,7 @@ def cmd_embed(args) -> tuple[int, CommandReport]:
         r2 = parse_scalar(args.r2)
     else:
         r2 = geometry.theoretical_spectrum(p.S, p.m, p.alpha, p.beta, args.branch).r2
-    spec = geometry.spectrum_from_gram(result.gram, r2, 1 if args.branch == "gt2" else -1)
+    spec = geometry.spectrum_from_gram(result.gram, r2, args.branch)
     report = CommandReport(f"embed {args.design}")
     report.add("parameters", list(p.as_dict().items()))
     report.add("gram classes", list(result.gram.items()))

@@ -170,7 +170,8 @@ def idempotent_basis(p: DesignParameters) -> IdempotentCoefficients:
         raise DesignError(
             f"negative radicand: S*T = {st}, T - Lambda = {tl}")
     alpha1 = sqrt_adjoin(st)
-    alpha2 = (p.k - p.N) / p.P * alpha1
+    ratio = (p.k - p.N) / p.P
+    alpha2 = ratio * alpha1
     beta1 = sqrt_adjoin(tl)
     beta2 = -beta1
     disc = alpha1 * beta2 - alpha2 * beta1
@@ -183,12 +184,11 @@ def idempotent_basis(p: DesignParameters) -> IdempotentCoefficients:
     eps11 = [zero] * 9
     eps11[0] = QuadExt(Fraction(m - 1, m))
     eps11[2] = QuadExt(Fraction(-1, m))
+    unit = alpha1 / disc  # the one inversion: alpha2 / disc = ratio * unit
     eps12 = [zero] * 9
-    eps12[5] = alpha2 / disc
-    eps12[6] = -alpha1 / disc
+    eps12[5], eps12[6] = ratio * unit, -unit
     eps21 = [zero] * 9
-    eps21[7] = alpha2 / disc
-    eps21[8] = -alpha1 / disc
+    eps21[7], eps21[8] = eps12[5], eps12[6]
     eps22 = [zero] * 9
     eps22[1] = QuadExt(-((p.n - p.k - 1) * p.s + p.k * p.s + p.k) / nrs)
     eps22[3] = QuadExt((p.n - p.k + p.s) / nrs)

@@ -380,30 +380,23 @@ def _finish_certificate(S: int, m: int, x: int, y: int,
 
 
 def _integrality_gates(S: int, m: int, x: int, y: int) -> list[GateResult]:
-    gates: list[GateResult] = []
-    ordering_ok = 0 <= y < x < S < m
-    gates.append(GateResult(
-        "ordering", ordering_ok,
-        f"0 <= {y} < {x} < {S} < {m}" if ordering_ok else
-        f"(S,m,x,y)=({S},{m},{x},{y}) violates 0 <= y < x < S < m"))
-    if not ordering_ok:
-        return gates
+    # brute_solver and classify keep the ordering; there a p-system point has S - x = t^2,
+    # m x = (S + t)^2, y = x - t, t >= 1, and Lambda's denominator -t^2 ((w - 2x)(w + x)^2
+    # - x(w + 2x)) / x, w = t(t + 1), is never 0: the bracket is < 0 for w <= 2x, else > 0
+    if not 0 <= y < x < S < m:
+        raise InternalConsistencyError(f"(S,m,x,y)=({S},{m},{x},{y}) violates 0 <= y < x < S < m")
     try:
         params = derive_parameters(m, S, x, y)
     except DesignError as exc:
-        gates.append(GateResult("integrality", False, str(exc)))
-        return gates
+        raise InternalConsistencyError(f"(S,m,x,y)=({S},{m},{x},{y}): {exc}") from None
     violation = next(integrality_violations(params), None)
-    gates.append(GateResult("integrality", violation is None, violation or "all parameters integral"))
-    return gates
+    return [GateResult("ordering", True, f"0 <= {y} < {x} < {S} < {m}"),
+            GateResult("integrality", violation is None, violation or "all parameters integral")]
 
 
 def _family_i_gate(S: int, m: int, x: int, y: int) -> GateResult:
-    z = z_of(S, m, x)
-    if z.denominator != 1:
-        return GateResult("family-i", False, f"z = {z} is not an integer")
-    point = family_points(int(z))
-    if point != (S, m, x, y):
+    z = z_of(S, m, x)  # a non-integral z lands off the family; _finish_certificate raises on it
+    if family_points(int(z)) != (S, m, x, y):
         return GateResult(
             "family-i", False,
             f"(S,m,x,y)=({S},{m},{x},{y}) is off family (i) at z={z}")

@@ -106,7 +106,8 @@ class QuadExt:
         Drops zero coefficients, checks the rank and sorts by radicand.
         """
         terms = {r: c for r, c in terms.items() if c}
-        _radicand_closure(terms)
+        if len(terms) - (1 in terms) > 2:  # radicands u, v give at most {1, u, v, uv}
+            _radicand_closure(terms)
         out = cls.__new__(cls)
         out._terms = tuple(sorted(terms.items()))
         return out
@@ -149,7 +150,7 @@ class QuadExt:
             return NotImplemented
         terms = dict(self._terms)
         for r, c in other._terms:
-            terms[r] = terms.get(r, Fraction(0)) + c
+            terms[r] = terms[r] + c if r in terms else c
         return QuadExt._trusted(terms)
 
     __radd__ = __add__
@@ -166,14 +167,16 @@ class QuadExt:
         return self + (-other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):  # a rational keeps the radicands
+            return QuadExt._trusted({r: c * other for r, c in self._terms})
+        if not isinstance(other, QuadExt):
             return NotImplemented
         terms: dict[int, Fraction] = {}
         for r1, c1 in self._terms:
             for r2, c2 in other._terms:
-                g, d = _sf_product(r1, r2)
-                terms[d] = terms.get(d, Fraction(0)) + c1 * c2 * g
+                g, d = (1, r1 * r2) if r1 == 1 or r2 == 1 else _sf_product(r1, r2)
+                c = c1 * c2 if g == 1 else c1 * c2 * g
+                terms[d] = terms[d] + c if d in terms else c
         return QuadExt._trusted(terms)
 
     __rmul__ = __mul__
@@ -257,7 +260,7 @@ def sqrt_adjoin(r) -> QuadExt:
         return QuadExt(0)
     n = r.numerator * r.denominator
     s, d = squarefree_decompose(n)
-    return QuadExt({d: Fraction(s, r.denominator)})
+    return QuadExt._trusted({d: Fraction(s, r.denominator)})  # d is square-free already
 
 
 # ----- exact sign determination ---------------------------------------

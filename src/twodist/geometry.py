@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .designs import require_ordering
@@ -70,7 +71,9 @@ def squared_distance(p: Sequence, q: Sequence) -> Fraction:
 
 
 def origin_norm_sq(p: Sequence) -> Fraction:
-    return sum(Fraction(a) ** 2 for a in p)
+    """|p|^2 for int or Fraction coordinates, summed over integers."""
+    (q,), scale = _integer_points([p])
+    return Fraction(sum(map(mul, q, q)), scale * scale)
 
 
 def centroid(points: Sequence) -> tuple:
@@ -81,42 +84,41 @@ def centroid(points: Sequence) -> tuple:
     )
 
 
+def _integer_points(points: Sequence) -> tuple:
+    """Int or Fraction points times the lcm of their coordinates' denominators, and that lcm."""
+    scale = math.lcm(*(c.denominator for p in points for c in p))
+    return [[c.numerator * (scale // c.denominator) for c in p] for p in points], scale
+
+
 def configuration_distance_classes(config: PointConfiguration) -> dict:
     """Squared distances per pair class, each asserted to be a single value.
 
     Distances are taken between integer coordinates, scaled by the common
-    denominator of all coordinates, and divided by its square once per class.
+    denominator of all coordinates, as |p|^2 + |q|^2 - 2 p.q, and divided
+    by the scale's square once per class.
     """
-    scale = math.lcm(*(Fraction(c).denominator for p in config.all_points for c in p))
+    points, scale = _integer_points(config.all_points)
+    normed = [(p, sum(map(mul, p, p))) for p in points]
 
-    def scaled(points) -> list:
-        return [[int(Fraction(c) * scale) for c in p] for p in points]
+    def dist_sq(a, b) -> int:
+        (p, p_sq), (q, q_sq) = a, b
+        return p_sq + q_sq - 2 * sum(map(mul, p, q))
 
-    def dist_sq(p, q) -> int:
-        return sum((a - b) * (a - b) for a, b in zip(p, q))
-
+    nv = len(config.simplex_points)
+    simplex, blocks = normed[:nv], list(zip(normed[nv:], map(set, config.blocks)))
     out: dict[str, set] = {
-        "V_V": set(), "B_B_alpha": set(), "B_B_beta": set(),
-        "V_B_in": set(), "V_B_out": set(),
+        "V_V": {dist_sq(p, q) for p, q in combinations(simplex, 2)},
+        "B_B_alpha": set(), "B_B_beta": set(), "V_B_in": set(), "V_B_out": set(),
     }
-    simplex = scaled(config.simplex_points)
-    pts = scaled(config.block_points)
-    blocks = [set(b) for b in config.blocks]
-    for i, j in combinations(range(len(simplex)), 2):
-        out["V_V"].add(dist_sq(simplex[i], simplex[j]))
-    for i, j in combinations(range(len(pts)), 2):
-        key = "B_B_alpha" if len(blocks[i] & blocks[j]) == 1 else "B_B_beta"
-        out[key].add(dist_sq(pts[i], pts[j]))
-    for v in range(len(simplex)):
-        for b in range(len(pts)):
-            key = "V_B_in" if v in blocks[b] else "V_B_out"
-            out[key].add(dist_sq(simplex[v], pts[b]))
-    classes = {}
+    for (p, a), (q, b) in combinations(blocks, 2):
+        out["B_B_alpha" if len(a & b) == 1 else "B_B_beta"].add(dist_sq(p, q))
+    for v, p in enumerate(simplex):
+        for q, b in blocks:
+            out["V_B_in" if v in b else "V_B_out"].add(dist_sq(p, q))
     for key, values in out.items():
         if len(values) != 1:
             raise InternalConsistencyError(f"pair class {key} is not a single distance")
-        classes[key] = QuadExt(Fraction(values.pop(), scale * scale))
-    return classes
+    return {key: QuadExt(Fraction(value, scale * scale)) for key, (value,) in out.items()}
 
 
 # ----- distance spectra ----------------------------------------------------
@@ -150,6 +152,10 @@ class DistanceSpectrum(NamedTuple):
         return data
 
 
+# the sign of each branch's second root and of its block orientation
+BRANCH_SIGN = {"gt2": 1, "lt2": -1}
+
+
 def theoretical_spectrum(S: int, m: int, alpha: int, beta: int,
                          branch: str = "gt2") -> DistanceSpectrum:
     """Closed-form spectrum of the embedding at the branch's canonical radius.
@@ -160,7 +166,7 @@ def theoretical_spectrum(S: int, m: int, alpha: int, beta: int,
     nest because products of paired square roots are expanded first.
     """
     require_ordering(m, S, alpha, beta)
-    if branch not in ("gt2", "lt2"):
+    if branch not in BRANCH_SIGN:
         raise ValueError(f"branch must be 'gt2' or 'lt2', got {branch!r}")
     fm = f_ratio(m)
     a_val = 2 - f_ratio(m - S)
@@ -173,7 +179,7 @@ def theoretical_spectrum(S: int, m: int, alpha: int, beta: int,
     r1 = sqrt_adjoin(fm)
     c_alpha = Fraction(2 * (S - alpha) * m, (m - S) * S)
     c_beta = Fraction(2 * (S - beta) * m, (m - S) * S)
-    e = 1 if branch == "gt2" else -1
+    e = BRANCH_SIGN[branch]
     r2 = sq_a + e * sq_b
     r2_sq = QuadExt(a_val + b_val) + 2 * e * sq_ab
     matched = QuadExt(a_val - b_val + fm)           # R2^2 - 2e R2 sqrt(B) + f(m)
@@ -206,19 +212,17 @@ def native_block_radius(gram: dict) -> QuadExt:
     return sqrt_adjoin(gram["B_diag"].rational_value())
 
 
-def spectrum_from_gram(e: dict, r2: QuadExt,
-                       orientation: int = 1) -> DistanceSpectrum:
+def spectrum_from_gram(e: dict, r2: QuadExt, branch: str = "gt2") -> DistanceSpectrum:
     """Simplex-frame spectrum of the projector embedding at a free radius R2.
 
     V is scaled by sqrt(2) so d(V,V) = sqrt(2) exactly; block points keep
     their directions and are rescaled from the native radius sqrt(E_bb) to
-    R2.  orientation = -1 places the block points antipodally (same spheres,
-    point-block cross terms flipped), which is the geometry of the gamma < 2
-    branch.  For every R2 the point-block and block-block distances take at
-    most two values each, one per Gram class.
+    R2.  The gamma < 2 branch ("lt2") places the block points antipodally
+    (same spheres, point-block cross terms flipped).  For every R2 the
+    point-block and block-block distances take at most two values each, one
+    per Gram class.
     """
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
+    orientation = BRANCH_SIGN[branch]
     r2 = QuadExt(r2)
     if r2.sign() <= 0:
         raise DesignError("the block-sphere radius R2 must be positive")

@@ -287,7 +287,7 @@ def test_two_distance_exactly_where_the_residuals_vanish(name, branch, projector
     result = projectors[name]
     p = result.cc.params
     r2 = theoretical_spectrum(p.S, p.m, p.alpha, p.beta, branch).r2
-    spec = spectrum_from_gram(result.gram, r2, 1 if branch == "gt2" else -1)
+    spec = spectrum_from_gram(result.gram, r2, branch)
     two_distance = two_distance_classify(spec).is_two_distance
     # the gamma < 2 branch swaps the intersection numbers
     residuals = (p_residuals(p.S, p.m, p.alpha, p.beta) if branch == "gt2" else

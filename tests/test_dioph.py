@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from twodist.designs import derive_parameters
+from twodist.designs import derive_parameters, lambda_parts
 from twodist.dioph import (
     P1,
     P2,
@@ -27,7 +27,7 @@ from twodist.dioph import (
     y2_curve_search,
     z_of,
 )
-from twodist.errors import DesignError, InternalConsistencyError
+from twodist.errors import DegenerateParametersError, DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, parse_scalar
 from twodist.polynomials import Poly
 from twodist.regions import g1_in_t
@@ -532,6 +532,40 @@ def test_certificate_refuses_a_non_integral_z(run, monkeypatch):
     monkeypatch.setattr(dioph, "z_of", lambda S, m, x: Fraction(1, 2))
     with pytest.raises(InternalConsistencyError, match=r"has z = 1/2, not an integer"):
         run()
+
+
+def test_integrality_gates_raise_where_no_walk_can_go(monkeypatch):
+    # both walks keep 0 <= y < x < S < m and a nonzero Lambda denominator, so
+    # a point that breaks either is a bug, not a rejection
+    from twodist import dioph
+
+    monkeypatch.setattr(dioph, "family_points", lambda z: (2, 9, 1, 1))
+    with pytest.raises(InternalConsistencyError, match=r"violates 0 <= y < x < S < m"):
+        classify(1)
+    monkeypatch.undo()
+
+    def degenerate(m, S, alpha, beta):
+        raise DegenerateParametersError("degenerate parameters")
+
+    monkeypatch.setattr(dioph, "derive_parameters", degenerate)
+    for run in (lambda: classify(1), lambda: brute_solver(3, 9)):
+        with pytest.raises(InternalConsistencyError, match=r"degenerate parameters"):
+            run()
+
+
+def test_lambda_denominator_is_nonzero_on_the_p_system():
+    # the parametrization and closed form that _integrality_gates' comment rests on:
+    # for w <= 2x both parts of the bracket are <= 0 and the second < 0; for w > 2x
+    # the first is >= (w + x)^2 > x(w + 2x)
+    certs = brute_solver(60, 20_000)
+    assert len(certs) > 40
+    for cert in certs:
+        S, m, x, y = cert.smxy
+        t = x - y
+        w = t * (t + 1)
+        bracket = (w - 2 * x) * (w + x) ** 2 - x * (w + 2 * x)
+        assert t >= 1 and S - x == t * t and m * x == (S + t) ** 2
+        assert lambda_parts(S, m, x, y)[1] * x == -t * t * bracket != 0
 
 
 def test_classify_unique_acceptance_for_every_bound():

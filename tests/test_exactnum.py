@@ -78,6 +78,14 @@ def test_extension_rank_cap():
         QuadExt({2: 1, 3: 1}) * QuadExt({1: 1, 5: 1})
     with pytest.raises(DesignError, match=beyond_two):
         QuadExt({2: 1, 3: 1}) + QuadExt({5: 1})
+    # the same sqrt(2) + sqrt(3) + sqrt(5) as a product and through an inverse:
+    # 5 + sqrt(10) + sqrt(15) lies in Q(sqrt(10), sqrt(15)), its quotient by
+    # sqrt(5) does not
+    rank_two = QuadExt({1: 5, 10: 1, 15: 1})
+    with pytest.raises(DesignError, match=beyond_two):
+        rank_two * QuadExt({5: Fraction(1, 5)})
+    with pytest.raises(DesignError, match=beyond_two):
+        rank_two * QuadExt({5: 1}).inverse()
     # (sqrt(2) + sqrt(3)) * sqrt(5) lands in the rank-2 field Q(sqrt(10), sqrt(15))
     ok = QuadExt({2: 1, 3: 1}) * QuadExt({5: 1})
     assert ok == QuadExt({10: 1, 15: 1})
@@ -249,6 +257,18 @@ def test_arithmetic_results_are_canonical(pair, data):
     if not b.is_zero():
         assert_canonical(a / b)
         assert_canonical(b.inverse())
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=any_field, r=st.one_of(st.integers(-10**6, 10**6), fractions))
+def test_rational_operand_matches_the_general_product(v, r):
+    # QuadExt * int/Fraction scales the terms directly; it must agree term for
+    # term with the product by QuadExt(r) and stay canonical, in either order
+    expected = v * QuadExt(r)
+    for product in (v * r, r * v):
+        assert product.terms == expected.terms
+        assert all(type(c) is Fraction for _, c in product.terms)
+        assert_canonical(product)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,11 +1,15 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twodist.dioph import eval_p
-from twodist.errors import DegeneracyError, DesignError
+from twodist.errors import DegeneracyError, DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, parse_scalar, sqrt_adjoin
 from twodist.geometry import (
+    PointConfiguration,
     centroid,
     configuration_distance_classes,
     f_ratio,
@@ -56,6 +60,69 @@ def test_lisonek_distance_classes():
     assert classes["B_B_beta"] == QuadExt(4)
     assert classes["V_B_in"] == QuadExt(4)
     assert classes["V_B_out"] == QuadExt(2)
+
+
+def distance_classes_by_definition(config) -> dict:
+    """The pair classes' sets of squared_distance values, straight from Fractions."""
+    blocks = [set(b) for b in config.blocks]
+    simplex, pts = config.simplex_points, config.block_points
+    out = {"V_V": {squared_distance(p, q) for p, q in combinations(simplex, 2)},
+           "B_B_alpha": set(), "B_B_beta": set(), "V_B_in": set(), "V_B_out": set()}
+    for i, j in combinations(range(len(pts)), 2):
+        key = "B_B_alpha" if len(blocks[i] & blocks[j]) == 1 else "B_B_beta"
+        out[key].add(squared_distance(pts[i], pts[j]))
+    for v, p in enumerate(simplex):
+        for b, q in enumerate(pts):
+            out["V_B_in" if v in blocks[b] else "V_B_out"].add(squared_distance(p, q))
+    return out
+
+
+def assert_matches_definition(config) -> None:
+    expected = distance_classes_by_definition(config)
+    if all(len(values) == 1 for values in expected.values()):
+        classes = configuration_distance_classes(config)
+        assert classes == {k: QuadExt(v) for k, (v,) in expected.items()}
+    else:
+        with pytest.raises(InternalConsistencyError, match="is not a single distance"):
+            configuration_distance_classes(config)
+    for p in config.all_points:
+        assert origin_norm_sq(p) == sum(Fraction(a) ** 2 for a in p)
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@st.composite
+def moved_lisonek(draw):
+    """Lisonek's points under a rational scaling, translation and coordinate order."""
+    config = lisonek_coordinates()
+    scale = draw(rationals.filter(bool))
+    shift = draw(st.lists(rationals, min_size=9, max_size=9))
+    order = draw(st.permutations(range(9)))
+
+    def move(points):
+        return tuple(tuple(scale * p[k] + shift[k] for k in order) for p in points)
+
+    return PointConfiguration(move(config.simplex_points), move(config.block_points),
+                              config.blocks)
+
+
+@st.composite
+def rational_configurations(draw):
+    """A few int or Fraction points in R^3 with blocks drawn among pairs of them."""
+    nv = draw(st.integers(2, 4))
+    point = st.lists(st.one_of(st.integers(-9, 9), rationals), min_size=3, max_size=3).map(tuple)
+    pairs = list(combinations(range(nv), 2))
+    blocks = tuple(draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4)))
+    return PointConfiguration(tuple(draw(point) for _ in range(nv)),
+                              tuple(draw(point) for _ in blocks), blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=st.one_of(moved_lisonek(), rational_configurations()))
+@example(config=lisonek_coordinates())
+def test_integer_geometry_matches_fractions(config):
+    assert_matches_definition(config)
 
 
 def test_lisonek_radii():
@@ -120,9 +187,9 @@ def test_both_branches_realized_from_gram(lisonek_projector, witt_design):
     witt_result = projector_and_gram(from_design(witt_design))
     cases.append((witt_result.gram, (7, 23, 3, 1)))
     for gram, (S, m, alpha, beta) in cases:
-        for branch, orientation in (("gt2", 1), ("lt2", -1)):
+        for branch in ("gt2", "lt2"):
             spec = theoretical_spectrum(S, m, alpha, beta, branch)
-            mirrored = spectrum_from_gram(gram, spec.r2, orientation=orientation)
+            mirrored = spectrum_from_gram(gram, spec.r2, branch)
             assert mirrored.classes == spec.classes, (S, m, branch)
             assert mirrored.d_sq == spec.d_sq, (S, m, branch)
 
