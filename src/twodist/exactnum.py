@@ -85,7 +85,7 @@ class QuadExt:
             self._terms = value._terms
             return
         if isinstance(value, (int, Fraction)):
-            c = Fraction(value)
+            c = value if isinstance(value, Fraction) else Fraction(value)
             self._terms = ((1, c),) if c else ()
             return
         terms: dict[int, Fraction] = {}

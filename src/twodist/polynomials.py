@@ -9,7 +9,9 @@ the unchecked ``Poly._trusted``.  Canonical form (no zero coefficients)
 makes equality structural, so "this residue is the zero polynomial" is a
 direct comparison.  Rational
 substitutions enter only through :func:`compose_cleared`, which takes each
-substitution as a (numerator, denominator) pair and clears the denominators.
+substitution as a (numerator, denominator) pair and clears the denominators:
+it evaluates the cleared polynomial at powers of two spaced by bounds on its
+degrees and coefficients, and reads the coefficients off the integer's digits.
 
 Work along one line (a fiber, the g1 strip, a quadratic in z) runs on
 dense coefficient lists, lowest degree first: :func:`dense_coeffs` reads
@@ -25,9 +27,9 @@ the g2 table are in lowest terms, and the 30 steps of the region proofs
 from __future__ import annotations
 
 from functools import reduce
-from itertools import zip_longest
-from math import gcd
-from operator import add
+from itertools import product, zip_longest
+from math import gcd, prod
+from operator import add, getitem, mul
 from typing import Mapping, Sequence
 
 
@@ -200,58 +202,74 @@ def compose_cleared(p: Poly, subs: Mapping[str, tuple[Poly, Poly]]) -> Poly:
     output variable tuple; unsubstituted variables must not occur, and at
     least one substitution must be given, since it names the output variables.
 
-    Each factor num_v^e * den_v^(deg_v - e) is formed once, with no product
-    by the constant 1, and so is the product of the factors over each prefix
-    of a term's exponent vector, which the terms of p sharing that prefix
-    reuse.  Each coefficient of p is folded into the sum, not multiplied in.
+    The result is one exact integer (Kronecker substitution).  A term
+    c * prod(v^e) of p clears to c * prod(num_v^e * den_v^(d_v - e)), of
+    degree at most sum(e * deg_w(num_v) + (d_v - e) * deg_w(den_v)) in each
+    output variable w and with coefficients at most
+    |c| * prod(|num_v|^e * |den_v|^(d_v - e)), |q| the sum of q's |coefficients|.
+    With D_w the largest such degree and H the sum of such bounds, w becomes
+    2^(B * stride_w), B = H.bit_length() + 1, with strides from the D_w + 1:
+    no two monomials of the result share a base-2^B digit, and |c| <= H <
+    2^(B - 1) makes its balanced digits exactly its coefficients.  The factors
+    num_v^e * den_v^(d_v - e), and the products over each exponent prefix that
+    the terms sharing it reuse, are integer products.
     """
     if not subs:
         raise ValueError("compose_cleared needs at least one substitution")
-    out_vars = next(iter(subs.values()))[0].vars
+    first = next(iter(subs.values()))
+    out_vars = first[0].vars
     if any(num.vars != out_vars or den.vars != out_vars for num, den in subs.values()):
         raise ValueError("all substitution polynomials must share variables")
-    degs = {v: p.degree(v) for v in p.vars}
+    degs = dict(zip(p.vars, map(max, zip((0,) * len(p.vars), *p.terms))))
     for v in p.vars:
         if v not in subs and degs[v] > 0:
             raise ValueError(f"no substitution given for {v!r}")
+    # a term's degree in w is base[w] + sum(e_v * deltas[w][v]), base[w] the
+    # sum of d_v * deg_w(den_v); heights[v][e] bounds num_v^e * den_v^(d_v - e).
+    # A variable of degree 0 has e = 0 in every term, so any pair serves it.
     zero = (0,) * len(out_vars)
-    one = Poly._trusted(out_vars, {zero: 1})
+    base, deltas, heights = zero, [[] for _ in out_vars], []
+    for v, d in degs.items():
+        (dn, hn), (dd, hd) = (([*map(max, zip(zero, *q.terms))], sum(map(abs, q.terms.values())))
+                              for q in subs.get(v, first))
+        base = [b + d * y for b, y in zip(base, dd)]
+        for column, x, y in zip(deltas, dn, dd):
+            column.append(x - y)
+        heights.append([hn**e * hd ** (d - e) for e in range(d + 1)])
+    bounds = [b + max((sum(map(mul, e, column)) for e in p.terms), default=0)
+              for b, column in zip(base, deltas)]
+    height = sum(abs(c) * prod(map(getitem, heights, e)) for e, c in p.terms.items())
+    bits = height.bit_length() + 1
+    # w_k = 2^(bits * strides[k]): the last output variable runs fastest
+    strides = [prod(b + 1 for b in bounds[k + 1:]) for k in range(len(bounds))]
 
-    def times(a: Poly, b: Poly) -> Poly:
-        return b if a is one else a if b is one else a * b
+    def pack(q: Poly) -> int:
+        return sum(c << bits * sum(map(mul, e, strides)) for e, c in q.terms.items())
 
-    def powers(q: Poly, d: int) -> list[Poly]:
-        if q.terms == {zero: 1}:
-            return [one] * (d + 1)
-        out = [one, q]
-        while len(out) <= d:
-            out.append(out[-1] * q)
-        return out
-
-    # factors[i][e] = num^e * den^(d - e) for the i-th variable of p, degree d > 0
-    factors: dict[int, list[Poly]] = {}
+    factors = {}
     for i, (v, d) in enumerate(degs.items()):
         if d:
-            num_pows, den_pows = powers(subs[v][0], d), powers(subs[v][1], d)
-            factors[i] = [times(num_pows[e], den_pows[d - e]) for e in range(d + 1)]
-    # the largest factors first, so that the costliest products sit in the
-    # shortest prefixes, which the most terms share
-    order = sorted(factors.items(), key=lambda item: -max(len(f.terms) for f in item[1]))
-    prefix_products: dict[tuple[int, ...], Poly] = {}
-    total: dict[tuple[int, ...], int] = {}
-    get = total.get
+            num, den = map(pack, subs[v])
+            factors[i] = [num**e * den ** (d - e) for e in range(d + 1)]
+    prefix_products: dict[tuple[int, ...], int] = {}
+    total = 0
     for expo, coeff in p.terms.items():
-        key: tuple[int, ...] = ()
-        product = one
-        for i, row in order:
+        key, value = (), 1
+        for i, row in factors.items():
             key += (expo[i],)
             shared = prefix_products.get(key)
             if shared is None:
-                shared = prefix_products[key] = times(product, row[expo[i]])
-            product = shared
-        for e, c in product.terms.items():
-            total[e] = get(e, 0) + coeff * c
-    return Poly._trusted(out_vars, total)
+                shared = prefix_products[key] = value * row[expo[i]]
+            value = shared
+        total += coeff * value
+    terms = {}
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    for expo in product(*(range(bound + 1) for bound in bounds)):
+        if not total:
+            break
+        terms[expo] = c = ((total + half) & mask) - half
+        total = (total - c) >> bits
+    return Poly._trusted(out_vars, terms)
 
 
 # ----- dense univariate lists -------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from twodist import designs
 from twodist.cli import COMMANDS, dispatch
 from twodist.designs import load_design
 from twodist.errors import DesignError, InternalConsistencyError
@@ -27,6 +28,21 @@ def test_verify_lisonek_exit_zero(capsys):
     assert code == 0
     assert report.status == "ok"
     assert "45" in out and "1/3*sqrt(14)" in out
+
+
+def test_verify_lisonek_counts_block_intersections_once(monkeypatch, capsys):
+    # the design row reads alpha and beta off the configuration the projector uses
+    calls = []
+    count = designs.intersection_numbers
+
+    def counting(*args):
+        calls.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(designs, "intersection_numbers", counting)
+    code, _, out = run(["verify", "lisonek"], capsys)
+    assert code == 0 and "alpha=1, beta=0" in out
+    assert len(calls) == 1
 
 
 def test_params_command(capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from twodist import dioph
 from twodist.designs import derive_parameters, lambda_parts
 from twodist.dioph import (
     P1,
@@ -126,27 +128,42 @@ def test_verify_identities():
     assert "block count n = C(m,2) on family (i)" in names
 
 
-# Poly products and coefficient products verify_identities makes: each
-# factor num^e * den^(d - e) and each prefix product of factors is formed
-# once.  Counted, not timed, so host load cannot move them; a change that
-# stops sharing that work raises them (forming each term's product afresh
-# takes 639 and 6,035).
-IDENTITY_MULS, IDENTITY_COEFF_PRODUCTS = 292, 3820
-
-
+# verify_identities clears each of its seven identities with one
+# compose_cleared call, whose products are integer products at a packed
+# point, so no Poly product is formed.  Counted, not timed, so host load
+# cannot move them; a change that moves work back into Poly raises the first.
 def test_verify_identities_work_count(monkeypatch):
-    counts = {"muls": 0, "coeff_products": 0}
-    mul = Poly.__mul__
+    counts = {"muls": 0, "composes": 0}
+    mul, compose = Poly.__mul__, dioph.compose_cleared
 
-    def counting(a, b):
+    def counting_mul(a, b):
         counts["muls"] += 1
-        counts["coeff_products"] += len(a.terms) * (len(b.terms) if isinstance(b, Poly) else 1)
         return mul(a, b)
 
-    monkeypatch.setattr(Poly, "__mul__", counting)
+    def counting_compose(p, subs):
+        counts["composes"] += 1
+        return compose(p, subs)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    monkeypatch.setattr(dioph, "compose_cleared", counting_compose)
     verify_identities()
-    assert 0 < counts["muls"] <= IDENTITY_MULS
-    assert 0 < counts["coeff_products"] <= IDENTITY_COEFF_PRODUCTS
+    assert counts == {"muls": 0, "composes": 7}
+
+
+# the first identity each constant enters, in the order verify_identities checks them
+@pytest.mark.parametrize("name, identity", [
+    ("P1", "p1 on the y1 branch"),
+    ("P2", "p2 on the y1 branch"),
+    ("P3", "p3 on family (i)"),
+    ("BLOCK_COUNT", "block count n = C(m,2) on family (i)"),
+])
+def test_verify_identities_names_a_perturbed_identity(monkeypatch, name, identity):
+    """One coefficient of a quartic or of the block count off by one fails its identity."""
+    poly = getattr(dioph, name)
+    for expo, coeff in poly.terms.items():
+        monkeypatch.setattr(dioph, name, Poly(poly.vars, {**poly.terms, expo: coeff + 1}))
+        with pytest.raises(InternalConsistencyError, match=re.escape(f"residue for {identity}:")):
+            verify_identities()
 
 
 def test_family_points():

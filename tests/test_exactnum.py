@@ -260,6 +260,17 @@ def test_arithmetic_results_are_canonical(pair, data):
 
 
 @settings(max_examples=100, deadline=None)
+@given(r=st.one_of(st.integers(-10**6, 10**6), fractions))
+def test_rational_constructor_matches_wrapping_in_a_fraction(r):
+    # QuadExt(r) keeps a Fraction as it is and builds one only from an int;
+    # either way it is the term map of Fraction(r), with a Fraction coefficient
+    v = QuadExt(r)
+    assert v.terms == (((1, Fraction(r)),) if r else ())
+    assert all(type(c) is Fraction for _, c in v.terms)
+    assert v == QuadExt({1: r})
+
+
+@settings(max_examples=100, deadline=None)
 @given(v=any_field, r=st.one_of(st.integers(-10**6, 10**6), fractions))
 def test_rational_operand_matches_the_general_product(v, r):
     # QuadExt * int/Fraction scales the terms directly; it must agree term for

@@ -14,6 +14,7 @@ XZ = ("x", "z")
 T = ("t",)
 SMXY = ("S", "m", "x", "y")
 small = st.integers(-20, 20)
+big = st.integers(-2**80, 2**80)
 
 
 def polys(variables, max_degree=3, max_terms=5):
@@ -125,12 +126,12 @@ def test_poly_rejects_invalid_exponents(terms, error):
 
 
 @st.composite
-def kernel_polys(draw, variables, max_degree=3, flat=frozenset()):
+def kernel_polys(draw, variables, max_degree=3, flat=frozenset(), coeffs=small):
     """A Poly that is often zero or one term; the variables in `flat` never occur."""
     expo = st.tuples(*[st.just(0) if v in flat else st.integers(0, max_degree)
                        for v in variables])
     size = draw(st.sampled_from([0, 1, 1, 2, 3, 5]))
-    return Poly(variables, draw(st.dictionaries(expo, small, max_size=size)))
+    return Poly(variables, draw(st.dictionaries(expo, coeffs, max_size=size)))
 
 
 def assert_canonical(p, variables):
@@ -169,19 +170,82 @@ def test_ring_operations_match_schoolbook_oracle(data, variables, n, k):
         assert got.terms == want.terms
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data(), in_vars=st.sampled_from([("x", "y", "z"), SMXY]),
-       out_vars=st.sampled_from([T, XZ]))
-def test_compose_cleared_matches_term_by_term_oracle(data, in_vars, out_vars):
+       out_vars=st.sampled_from([T, XZ]), coeffs=st.sampled_from([small, big]))
+def test_compose_cleared_matches_term_by_term_oracle(data, in_vars, out_vars, coeffs):
     flat = data.draw(st.sets(st.sampled_from(in_vars), max_size=len(in_vars) - 1))
-    p = data.draw(kernel_polys(in_vars, 2, flat))
+    p = data.draw(kernel_polys(in_vars, 2, flat, coeffs))
     one = Poly.constant(out_vars, 1)
-    subs = {v: (data.draw(kernel_polys(out_vars, 2)),
-                data.draw(st.one_of(st.just(one), kernel_polys(out_vars, 2))))
+    subs = {v: (data.draw(kernel_polys(out_vars, 2, coeffs=coeffs)),
+                data.draw(st.one_of(st.just(one), kernel_polys(out_vars, 2, coeffs=coeffs))))
             for v in in_vars}
     got = compose_cleared(p, subs)
     assert_canonical(got, out_vars)
     assert got.terms == compose_cleared_by_terms(p, subs).terms
+
+
+AB = ("a", "b")
+_a, _b = Poly.gens(AB)
+_t, = Poly.gens(T)
+_x, _z = Poly.gens(XZ)
+ONE_T, ONE_XZ = Poly.constant(T, 1), Poly.constant(XZ, 1)
+TOP = 2**80 - 1            # as H, it sets 81-bit digits, whose balanced range ends at TOP
+
+
+def height_bound(p, subs):
+    """H = sum |c| prod |num_v|^e |den_v|^(d_v - e), |q| the sum of q's |coefficients|."""
+    def norm(q):
+        return sum(map(abs, q.terms.values()))
+    total = 0
+    for expo, coeff in p.terms.items():
+        term = abs(coeff)
+        for v, e in zip(p.vars, expo):
+            d = p.degree(v)
+            if d:
+                num, den = subs[v]
+                term *= norm(num) ** e * norm(den) ** (d - e)
+        total += term
+    return total
+
+
+# (p, substitutions, the cleared result); in the "height" cases a coefficient
+# of the result is +H or -H, the bound the digit width is chosen from
+COMPOSE_CASES = {
+    "height-one-term+": (TOP * _a, {"a": (_t, ONE_T)}, TOP * _t),
+    "height-one-term-": (-TOP * _a, {"a": (_t, ONE_T)}, -TOP * _t),
+    "height-two-terms+": (2**79 * _a + (2**79 - 1) * _b, {"a": (_x * _z, _z), "b": (_x, ONE_XZ)},
+                          TOP * _x * _z),
+    "height-two-terms-": (-(2**79) * _a - (2**79 - 1) * _b,
+                          {"a": (_x * _z, _z), "b": (_x, ONE_XZ)}, -TOP * _x * _z),
+    "height-power": (-3 * _a**4, {"a": (5 * _x**2, 7 * _z)}, -1875 * _x**8),
+    "zero-numerator": (_a**2 + 3, {"a": (Poly(T), _t)}, 3 * _t**2),
+    "zero-denominator": (_a**2 + 3 * _a, {"a": (_t, Poly(T))}, _t**2),
+    "zero-p": (Poly(AB), {"a": (_t, _t)}, Poly(T)),
+    "constant-p": (Poly.constant(AB, -7), {"a": (_x, _z)}, Poly.constant(XZ, -7)),
+    "constant-p-no-variables": (Poly.constant((), 5), {"a": (_t, _t)}, Poly.constant(T, 5)),
+    "borrow-alternating": (_a**5, {"a": (_t - 1, ONE_T)}, (_t - 1) ** 5),
+    "borrow-two-variables": (_a**4 - _b**3, {"a": (_x - _z, _x), "b": (_z - _x, ONE_XZ)},
+                             (_x - _z) ** 4 - (_z - _x) ** 3 * _x**4),
+    "borrow-large": (_a**3, {"a": (2**30 * _t - (2**30 - 1), ONE_T)},
+                     (2**30 * _t - (2**30 - 1)) ** 3),
+}
+
+
+@pytest.mark.parametrize("p, subs, cleared", COMPOSE_CASES.values(), ids=COMPOSE_CASES.keys())
+def test_compose_cleared_edge_cases(p, subs, cleared):
+    got = compose_cleared(p, subs)
+    assert_canonical(got, cleared.vars)
+    assert got.terms == cleared.terms
+    assert got.terms == compose_cleared_by_terms(p, subs).terms
+
+
+HEIGHT_CASES = {name: case for name, case in COMPOSE_CASES.items() if name.startswith("height")}
+
+
+@pytest.mark.parametrize("p, subs, cleared", HEIGHT_CASES.values(), ids=HEIGHT_CASES.keys())
+def test_compose_cleared_edge_cases_reach_the_height_bound(p, subs, cleared):
+    assert max(map(abs, cleared.terms.values())) == height_bound(p, subs)
 
 
 # ----- value semantics ------------------------------------------------------
