@@ -61,7 +61,7 @@ class CoherentConfig(NamedTuple):
 def from_design(d: IncidenceDesign) -> CoherentConfig:
     """The configuration of d; raises DesignError unless d is quasi-symmetric."""
     masks = block_masks(d)
-    return CoherentConfig(d, parameters_from_design(d, masks), masks)
+    return CoherentConfig(d, parameters_from_design(d), masks)
 
 
 def relation_row(cc: CoherentConfig, u: int) -> list:

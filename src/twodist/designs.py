@@ -1,8 +1,9 @@
 """Quasi-symmetric design combinatorics.
 
-Incidence structures, t-design verification, blocks as integer bitmasks and
-their intersection numbers as popcounts, and the exact parameter calculus
-that expresses the block-graph quantities (Lambda, T, N, P, n, k, r, s) in
+Incidence structures, t-design verification, blocks as integer bitmasks,
+the intersection numbers read off packed point rows (a big-integer sum
+and a `bytes.translate` per block), and the exact parameter calculus that
+expresses the block-graph quantities (Lambda, T, N, P, n, k, r, s) in
 terms of (m, S, alpha, beta).  The calculus is written once over any ring,
 as one (numerator, denominator) pair per value: `derive_parameters`
 evaluates the pairs on ints and forms one Fraction per value, `dioph`
@@ -16,7 +17,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import chain, combinations, repeat
+from operator import and_, lt
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
@@ -173,9 +176,9 @@ class IncidenceDesign:
         for i, b in enumerate(blocks):
             if len(b) != size:
                 raise DesignError(f"block {i} has size {len(b)}, expected {size}")
-            if any(not (0 <= v < m) for v in b):
+            if b and (min(b) < 0 or max(b) >= m):
                 raise DesignError(f"block {i} has an entry outside [0, {m})")
-            if any(b[j] >= b[j + 1] for j in range(len(b) - 1)):
+            if not all(map(lt, b, b[1:])):
                 raise DesignError(f"block {i} is not strictly ascending: {b}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "blocks", blocks)
@@ -215,25 +218,40 @@ def verify_t_design(d: IncidenceDesign, t: int) -> TDesignResult:
     """Exhaustively count how many blocks contain each t-subset of points.
 
     Returns the common count when it exists; otherwise reports the first
-    t-subset whose count differs.
+    t-subset, in lexicographic order, whose count differs from the count of
+    the first one.  Point p's row is a bitmask over the blocks (bit j set
+    when p lies in block j), so a t-subset's count is the popcount of the
+    AND of its t rows: one walk over the t-subsets of the points, each
+    counted over every block at once.  A point in no block has no row and
+    counts as the empty mask.
     """
     if not (1 <= t <= d.block_size):
         raise DesignError(f"t must be in [1, {d.block_size}], got {t}")
-    counts: dict[tuple[int, ...], int] = {}
-    for b in d.blocks:
-        for sub in combinations(b, t):
-            counts[sub] = counts.get(sub, 0) + 1
+    rows: dict[int, int] = {}
+    for j, block in enumerate(d.blocks):
+        bit = 1 << j
+        for p in block:
+            rows[p] = rows.get(p, 0) | bit
     subsets = combinations(range(d.m), t)
     first = next(subsets, None)
     if first is None:  # t <= block size <= m leaves at least one t-subset
         raise InternalConsistencyError(f"no {t}-subset of {d.m} points to count")
-    want = counts.get(first, 0)
+    row, empty = rows.get, repeat(0)
+    want = reduce(and_, map(row, first, empty)).bit_count()
     for sub in subsets:
-        c = counts.get(sub, 0)
+        c = reduce(and_, map(row, sub, empty)).bit_count()
         if c != want:
             return TDesignResult(
                 False, None, f"{first} lies in {want} blocks but {sub} lies in {c}")
     return TDesignResult(True, want)
+
+
+def _require_every_point(d: IncidenceDesign) -> None:
+    """Raise DesignError naming the first point that lies in no block."""
+    covered = set(chain.from_iterable(d.blocks))
+    if len(covered) < d.m:
+        missing = next(p for p in range(d.m) if p not in covered)
+        raise DesignError(f"point {missing} lies in no block")
 
 
 def block_masks(d: IncidenceDesign) -> tuple[int, ...]:
@@ -243,27 +261,48 @@ def block_masks(d: IncidenceDesign) -> tuple[int, ...]:
     that check m is at most the number of incidences the design holds, so
     no mask is longer than that many bits.
     """
-    covered = {p for block in d.blocks for p in block}
-    if len(covered) < d.m:
-        missing = next(p for p in range(d.m) if p not in covered)
-        raise DesignError(f"point {missing} lies in no block")
+    _require_every_point(d)
     return tuple(sum(1 << p for p in block) for block in d.blocks)
 
 
-def intersection_numbers(d: IncidenceDesign, masks: Optional[tuple] = None
-                         ) -> tuple[int, ...]:
+def intersection_numbers(d: IncidenceDesign) -> tuple[int, ...]:
     """The distinct |b & b'| over all distinct block pairs, ascending.
 
-    Each value is the popcount of two blocks' masks (`block_masks`, formed
-    here unless the caller passes them); S is a value when two blocks are
-    equal.  The design is quasi-symmetric when exactly two values occur;
-    then alpha is the larger and beta the smaller.
+    Read off packed point rows: point p's row is an int whose field j is 1
+    when p lies in block j, so the sum of block i's S rows holds |b_i & b_j|
+    in field j, and its fields above field i are block i's intersections
+    with the blocks after it.  A field holds at most S, so no carry crosses
+    one: fields are one byte wide for S <= 255 and as wide as S needs
+    above that.  `bytes.translate` deletes the values already seen, so
+    Python reads a block's fields only when a new value is left, at most
+    S + 1 times; wider fields are read on every block, since a byte of
+    theirs is not a value.  S is a value when two blocks are equal.  The
+    design is quasi-symmetric when exactly two values occur; then alpha is
+    the larger and beta the smaller.
+
+    A point in no block raises DesignError before the m rows of b fields
+    are allocated; past that check m is at most the number of incidences.
     """
     if d.block_count < 2:
         raise DesignError("need at least two blocks to intersect")
-    if masks is None:
-        masks = block_masks(d)
-    return tuple(sorted({(a & b).bit_count() for i, a in enumerate(masks) for b in masks[:i]}))
+    _require_every_point(d)
+    width = (d.block_size.bit_length() + 7) // 8
+    size = d.block_count * width
+    planes = [bytearray(size) for _ in range(d.m)]
+    for j, block in enumerate(d.blocks):
+        for p in block:
+            planes[p][j * width] = 1
+    rows = [int.from_bytes(plane, "little") for plane in planes]
+    values: set[int] = set()
+    known = b""
+    for i, block in enumerate(d.blocks, 1):
+        later = sum(map(rows.__getitem__, block)) >> 8 * width * i
+        fresh = later.to_bytes(size - width * i, "little").translate(None, known)
+        if fresh:
+            values.update(int.from_bytes(fresh[k:k + width], "little")
+                          for k in range(0, len(fresh), width))
+            known = bytes(values) if width == 1 else b""
+    return tuple(sorted(values))
 
 
 # ----- canonical designs -----------------------------------------------
@@ -286,15 +325,12 @@ def design_from_json(data, source: str = "<data>") -> IncidenceDesign:
     blocks = data["blocks"]
     if not isinstance(blocks, list):
         raise DesignError(f"{source}: field 'blocks' must be a list")
-    parsed: list[tuple[int, ...]] = []
     for i, b in enumerate(blocks):
-        if not isinstance(b, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in b
-        ):
+        if not (isinstance(b, list) and all(map(isinstance, b, repeat(int)))
+                and not any(map(isinstance, b, repeat(bool)))):
             raise DesignError(f"{source}: blocks[{i}] must be a list of integers")
-        parsed.append(tuple(b))
     try:
-        return IncidenceDesign(m, tuple(parsed))
+        return IncidenceDesign(m, tuple(map(tuple, blocks)))
     except DesignError as exc:
         raise DesignError(f"{source}: {exc}") from exc
 
@@ -310,14 +346,12 @@ def load_design(path) -> IncidenceDesign:
     return design_from_json(data, source=str(path))
 
 
-def parameters_from_design(d: IncidenceDesign, masks: Optional[tuple] = None
-                           ) -> DesignParameters:
+def parameters_from_design(d: IncidenceDesign) -> DesignParameters:
     """Read (m, S, alpha, beta) off an actual design and derive the rest.
 
-    `masks` are the design's `block_masks` when the caller has them; a
-    design that is not quasi-symmetric raises DesignError.
+    A design that is not quasi-symmetric raises DesignError.
     """
-    values = intersection_numbers(d, masks)
+    values = intersection_numbers(d)
     if len(values) != 2:
         raise DesignError(
             f"design is not quasi-symmetric: intersection values {values}"

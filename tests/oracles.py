@@ -5,14 +5,14 @@ or the benchmark calls (tests/test_reachability.py checks that).
 """
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from twodist.coherent import (
     GRAM_CLASS_OF_RELATION, AxiomReport, CoherentConfig, _integer_vector)
-from twodist.designs import IncidenceDesign, lambda_parts
+from twodist.designs import IncidenceDesign, TDesignResult, block_masks, lambda_parts
 from twodist.errors import DegenerateParametersError, DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, _sf_product
 from twodist.polynomials import Poly, _primitive
@@ -35,6 +35,43 @@ def residual_design(d: IncidenceDesign, point: int) -> IncidenceDesign:
     """The blocks that miss `point`; the points above it move down one."""
     return IncidenceDesign(d.m - 1, tuple(tuple(x - (x > point) for x in b)
                                           for b in d.blocks if point not in b))
+
+
+def intersection_numbers_by_pairs(d: IncidenceDesign) -> tuple[int, ...]:
+    """The distinct |b & b'| over all distinct block pairs, one popcount per pair.
+
+    The pairwise scan `designs.intersection_numbers` replaced: O(b^2)
+    popcounts of two blocks' masks, with the same refusals in the same order.
+    """
+    if d.block_count < 2:
+        raise DesignError("need at least two blocks to intersect")
+    masks = block_masks(d)
+    return tuple(sorted({(a & b).bit_count() for i, a in enumerate(masks) for b in masks[:i]}))
+
+
+def verify_t_design_by_walk(d: IncidenceDesign, t: int) -> TDesignResult:
+    """`designs.verify_t_design` by one dict update per t-subset of a block and a full walk.
+
+    Every t-subset of the points is visited in lexicographic order, and the
+    first whose count differs from the first subset's is the witness.
+    """
+    if not (1 <= t <= d.block_size):
+        raise DesignError(f"t must be in [1, {d.block_size}], got {t}")
+    counts: dict[tuple[int, ...], int] = {}
+    for b in d.blocks:
+        for sub in combinations(b, t):
+            counts[sub] = counts.get(sub, 0) + 1
+    subsets = combinations(range(d.m), t)
+    first = next(subsets, None)
+    if first is None:
+        raise InternalConsistencyError(f"no {t}-subset of {d.m} points to count")
+    want = counts.get(first, 0)
+    for sub in subsets:
+        c = counts.get(sub, 0)
+        if c != want:
+            return TDesignResult(
+                False, None, f"{first} lies in {want} blocks but {sub} lies in {c}")
+    return TDesignResult(True, want)
 
 
 def poly_eval(p, values):

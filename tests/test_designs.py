@@ -151,13 +151,16 @@ def test_double_counting(lisonek, witt_design):
 
 
 def test_parameters_from_a_given_intersection_matrix(lisonek, witt_design):
-    # the popcounts of the block masks are the off-diagonal entries of inc^T inc
+    # the popcounts of the block masks are the entries of inc^T inc, and
+    # parameters_from_design reads beta and alpha off its off-diagonal values
     for design in (lisonek, complement_design(lisonek), witt_design):
         masks = block_masks(design)
         inc = incidence_matrix(design).astype(int)
         inter = inc.T @ inc
         assert [[(a & b).bit_count() for b in masks] for a in masks] == inter.tolist()
-        assert parameters_from_design(design, masks) == parameters_from_design(design)
+        off_diagonal = sorted(set(inter[~np.eye(len(masks), dtype=bool)].tolist()))
+        p = parameters_from_design(design)
+        assert [p.beta, p.alpha] == off_diagonal
     with pytest.raises(DesignError, match="not quasi-symmetric"):
         parameters_from_design(IncidenceDesign(4, ((0, 1), (2, 3))))
 
@@ -238,6 +241,47 @@ def test_design_json_rejections(data, fragment):
     with pytest.raises(DesignError) as err:
         design_from_json(data)
     assert fragment in str(err.value)
+
+
+# the messages a bad block gets, each naming the first block that fails: a
+# block is checked for its size, then its range, then its order; the entry
+# types of every block are checked before any of that
+BLOCK_ERRORS = [
+    ([[0, 1, 2]], "block 2 has size 3, expected 2"),
+    ([[-1, 1]], "block 2 has an entry outside [0, 4)"),
+    ([[0, 4]], "block 2 has an entry outside [0, 4)"),
+    ([[3, -1]], "block 2 has an entry outside [0, 4)"),
+    ([[1, 1]], "block 2 is not strictly ascending: (1, 1)"),
+    ([[2, 1]], "block 2 is not strictly ascending: (2, 1)"),
+]
+
+
+@pytest.mark.parametrize("bad,message", BLOCK_ERRORS)
+def test_block_error_messages(bad, message):
+    # blocks 0 and 1 pass; block 3 fails too, so the message names the first
+    blocks = [[0, 1], [1, 3], *bad, [3, 2, 1]]
+    with pytest.raises(DesignError) as err:
+        IncidenceDesign(4, tuple(map(tuple, blocks)))
+    assert str(err.value) == message
+    with pytest.raises(DesignError) as err:
+        design_from_json({"m": 4, "blocks": blocks}, source="d.json")
+    assert str(err.value) == f"d.json: {message}"
+
+
+@pytest.mark.parametrize("bad", [[[True, 1]], [[0, 1.0]], [(0, 1)], [3], [[0, "1"]]],
+                         ids=["true", "float", "tuple", "int", "string"])
+def test_block_entry_type_messages(bad):
+    # block 1 is out of range, but entry types are checked in every block first
+    blocks = [[0, 1], [0, 9], *bad, [True]]
+    with pytest.raises(DesignError) as err:
+        design_from_json({"m": 4, "blocks": blocks}, source="d.json")
+    assert str(err.value) == "d.json: blocks[2] must be a list of integers"
+
+
+def test_empty_blocks_are_checked_for_size_only():
+    assert IncidenceDesign(3, ((), ())).block_size == 0
+    with pytest.raises(DesignError, match="^block 1 has size 1, expected 0$"):
+        IncidenceDesign(3, ((), (0,)))
 
 
 def test_load_design_bad_json(tmp_path):
