@@ -9,7 +9,7 @@ R2 = sqrt(14)/3 reproduces the two-distance set of demo 01 exactly.
 """
 
 from twodist.coherent import from_design, projector_and_gram, verify_axioms
-from twodist.designs import lisonek_design, parameters_from_design
+from twodist.designs import lisonek_design
 from twodist.exactnum import parse_scalar
 from twodist.geometry import (
     native_block_radius,
@@ -20,10 +20,9 @@ from twodist.geometry import (
 )
 
 design = lisonek_design()
-print("design: 2-(9,2,1),", design.block_count, "blocks,",
-      parameters_from_design(design).as_dict())
-
 cc = from_design(design)
+print("design: 2-(9,2,1),", design.block_count, "blocks,", cc.params.as_dict())
+
 axioms = verify_axioms(cc)
 print("\ncoherent-configuration axioms:", "ok" if axioms.ok else axioms.violation)
 print("sample intersection numbers: p_33^3 =", axioms.p_constant(3, 3, 3),

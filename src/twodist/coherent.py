@@ -1,16 +1,18 @@
 """Coherent configurations of a quasi-symmetric design.
 
 The configuration on the ordered set V + B (points first, then blocks):
-each ordered pair lies in one of nine relations R_i, read off the blocks'
-bitmasks (`relation_row`).  Its intersection numbers p_ij^k are constant
-because a quasi-symmetric 2-design gives a coherent configuration of type
-(2,2;3): D. G. Higman's theorem on coherent configurations, with the block
-graph strongly regular by Goethals and Seidel (1970).  What is checked is
-that theorem's premises: equal block sizes (`IncidenceDesign`), every
-point in a block and exactly two intersection values (`from_design`), and
-the block count equal to the derived n and every point pair in the same
-number of blocks (`verify_axioms`), which then counts each p_ij^k at one
-pair of R_k.  The exhaustive check of every pair is the test oracle
+each ordered pair lies in one of nine relations R_i, read off the
+design's incidence packed once each way (`relation_row`).  Its
+intersection numbers p_ij^k are constant because a quasi-symmetric
+2-design gives a coherent configuration of type (2,2;3): D. G. Higman's
+theorem on coherent configurations, with the block graph strongly regular
+by Goethals and Seidel (1970).  What is checked is that theorem's
+premises: equal block sizes (`IncidenceDesign`), every point in a block
+and exactly two intersection values (`from_design`, which also counts the
+blocks through each point pair by the same pass on the transpose), and the
+block count equal to the derived n and every point pair in the same number
+of blocks (`verify_axioms`), which then counts each p_ij^k at one pair of
+R_k.  The exhaustive check of every pair is the test oracle
 `fiber_block_axioms` in tests/oracles.py.  Then the matrix-unit basis of
 the second irreducible block of the adjacency algebra, and the symmetric
 idempotent projector E whose entries form the exact Gram table of the
@@ -23,8 +25,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .designs import (
-    DesignParameters, IncidenceDesign, block_masks, parameters_from_design, verify_t_design)
+from . import designs
+from .designs import DesignParameters, IncidenceDesign, Packed
 from .errors import DesignError, InternalConsistencyError
 from .exactnum import QuadExt, _radicand_closure, _sf_product, format_scalar, sqrt_adjoin
 
@@ -39,11 +41,13 @@ GRAM_CLASS_OF_RELATION = {
 
 
 class CoherentConfig(NamedTuple):
-    """A design's parameters and its blocks as bitmasks (`designs.block_masks`)."""
+    """A design, its parameters, its incidence packed each way and its point-pair counts."""
 
     design: IncidenceDesign
     params: DesignParameters
-    masks: tuple
+    points: Packed
+    blocks: Packed
+    pairs: tuple
 
     @property
     def m(self) -> int:
@@ -60,8 +64,20 @@ class CoherentConfig(NamedTuple):
 
 def from_design(d: IncidenceDesign) -> CoherentConfig:
     """The configuration of d; raises DesignError unless d is quasi-symmetric."""
-    masks = block_masks(d)
-    return CoherentConfig(d, parameters_from_design(d), masks)
+    designs.require_every_point(d)  # before anything of size m is built
+    through = designs.blocks_through_points(d)
+    points = designs.pack(through, d.block_count, d.block_size)
+    values = designs.intersection_numbers(d, points)
+    if len(values) != 2:
+        raise DesignError(f"design is not quasi-symmetric: intersection values {values}")
+    beta, alpha = values
+    params = designs.derive_parameters(d.m, d.block_size, alpha, beta)
+    blocks = designs.pack(d.blocks, d.m, max(map(len, through)))
+    return CoherentConfig(d, params, points, blocks, designs.pair_counts(through, blocks))
+
+
+# from a 0/1 incidence field to the 0-based label: R6 or R7, R8 or R9
+IN_BLOCK, HAS_POINT = bytes((6, 5)) + bytes(254), bytes((8, 7)) + bytes(254)
 
 
 def relation_row(cc: CoherentConfig, u: int) -> list:
@@ -70,20 +86,25 @@ def relation_row(cc: CoherentConfig, u: int) -> list:
     Points: R1 on the diagonal, R3 off it.  Blocks: R2 on the diagonal, R4
     when two blocks meet in alpha points, R5 otherwise.  A point and a block:
     R6 when the point lies in the block, R7 when not; R8 and R9 transposed.
-    Built fiber by fiber: a point's row tests one bit of every mask, a
-    block's row one bit of its own mask per point and one popcount per block.
+    Read off the packed rows: u's own row gives its incidences, and a
+    block's point rows sum to its intersections.
     """
-    m, masks = cc.m, cc.masks
+    m, n = cc.m, cc.n_blocks
+    points, width, by_point = cc.points.rows, cc.points.width, cc.blocks.width
     if u < m:
         row = [2] * m
         row[u] = 0
-        bit = 1 << u
-        row += [5 if b & bit else 6 for b in masks]
+        row += points[u].to_bytes(n * width, "little")[::width].translate(IN_BLOCK)
         return row
-    a = masks[u - m]
-    row = [7 if a >> w & 1 else 8 for w in range(m)]
-    alpha = cc.params.alpha
-    row += [3 if (a & b).bit_count() == alpha else 4 for b in masks]
+    own = cc.blocks.rows[u - m].to_bytes(m * by_point, "little")
+    row = list(own[::by_point].translate(HAS_POINT))
+    # off the diagonal a field holds alpha or beta: a byte where they differ tells which
+    alpha, beta = cc.params.alpha, cc.params.beta
+    t = ((alpha ^ beta).bit_length() - 1) // 8
+    label = bytearray(b"\4" * 256)
+    label[alpha >> 8 * t & 255] = 3
+    meets = sum(map(points.__getitem__, cc.design.blocks[u - m])).to_bytes(n * width, "little")
+    row += meets[t::width].translate(label)
     row[u] = 1  # |a & a| = S, never alpha
     return row
 
@@ -114,7 +135,7 @@ def verify_axioms(cc: CoherentConfig) -> AxiomReport:
     block and exactly two intersection values by `from_design`.  Here the
     block count must be the n that (m, S, alpha, beta) give, checked first
     because it costs nothing, and every point pair must lie in the same
-    number of blocks (`verify_t_design`); a failure is returned, naming the
+    number of blocks (`cc.pairs`); a failure is returned, naming the
     premise.  Then p_ij^k = |{w : (u,w) in R_i, (w,v) in R_j}| is counted
     over w in V + B at one pair (u, v) of each R_k, every pair taken from
     block 0's row: two points, block 0 itself, its first neighbours at
@@ -124,9 +145,8 @@ def verify_axioms(cc: CoherentConfig) -> AxiomReport:
     if d.block_count != params.n:
         return AxiomReport(False, None, f"{d.block_count} blocks, but (m, S, alpha, beta) = "
                                         f"{params[:4]} give n = {format_scalar(params.n)}")
-    pairs = verify_t_design(d, 2)
-    if not pairs.is_t_design:
-        return AxiomReport(False, None, f"not a 2-design: {pairs.witness}")
+    if len(cc.pairs) != 1:
+        return AxiomReport(False, None, f"not a 2-design: {designs.pair_witness(cc.points)}")
     m = cc.m
     first = relation_row(cc, m)
     inside, outside = first.index(7), first.index(8)

@@ -1,10 +1,12 @@
 """Quasi-symmetric design combinatorics.
 
-Incidence structures, t-design verification, blocks as integer bitmasks,
-the intersection numbers read off packed point rows (a big-integer sum
-and a `bytes.translate` per block), and the exact parameter calculus that
-expresses the block-graph quantities (Lambda, T, N, P, n, k, r, s) in
-terms of (m, S, alpha, beta).  The calculus is written once over any ring,
+Incidence structures, one packing of an incidence as rows of byte fields
+(`pack`), and one pass that sums packed rows to read off the distinct
+intersections of lines with a `bytes.translate` per line: of the blocks
+on the points' rows, of the points' sets of blocks (the point-pair counts)
+on the blocks' rows.  And the exact parameter calculus that expresses the
+block-graph quantities (Lambda, T, N, P, n, k, r, s) in terms of
+(m, S, alpha, beta).  The calculus is written once over any ring,
 as one (numerator, denominator) pair per value: `derive_parameters`
 evaluates the pairs on ints and forms one Fraction per value, `dioph`
 evaluates Lambda's pair on polynomials, and the tests divide every pair
@@ -17,13 +19,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import reduce
 from itertools import chain, combinations, repeat
-from operator import and_, lt
+from operator import lt
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
-from .errors import DegenerateParametersError, DesignError, InternalConsistencyError
+from .errors import DegenerateParametersError, DesignError
 from .exactnum import format_scalar
 
 
@@ -208,45 +209,7 @@ class IncidenceDesign:
         return len(self.blocks)
 
 
-class TDesignResult(NamedTuple):
-    is_t_design: bool
-    Lambda: Optional[int]
-    witness: Optional[str] = None
-
-
-def verify_t_design(d: IncidenceDesign, t: int) -> TDesignResult:
-    """Exhaustively count how many blocks contain each t-subset of points.
-
-    Returns the common count when it exists; otherwise reports the first
-    t-subset, in lexicographic order, whose count differs from the count of
-    the first one.  Point p's row is a bitmask over the blocks (bit j set
-    when p lies in block j), so a t-subset's count is the popcount of the
-    AND of its t rows: one walk over the t-subsets of the points, each
-    counted over every block at once.  A point in no block has no row and
-    counts as the empty mask.
-    """
-    if not (1 <= t <= d.block_size):
-        raise DesignError(f"t must be in [1, {d.block_size}], got {t}")
-    rows: dict[int, int] = {}
-    for j, block in enumerate(d.blocks):
-        bit = 1 << j
-        for p in block:
-            rows[p] = rows.get(p, 0) | bit
-    subsets = combinations(range(d.m), t)
-    first = next(subsets, None)
-    if first is None:  # t <= block size <= m leaves at least one t-subset
-        raise InternalConsistencyError(f"no {t}-subset of {d.m} points to count")
-    row, empty = rows.get, repeat(0)
-    want = reduce(and_, map(row, first, empty)).bit_count()
-    for sub in subsets:
-        c = reduce(and_, map(row, sub, empty)).bit_count()
-        if c != want:
-            return TDesignResult(
-                False, None, f"{first} lies in {want} blocks but {sub} lies in {c}")
-    return TDesignResult(True, want)
-
-
-def _require_every_point(d: IncidenceDesign) -> None:
+def require_every_point(d: IncidenceDesign) -> None:
     """Raise DesignError naming the first point that lies in no block."""
     covered = set(chain.from_iterable(d.blocks))
     if len(covered) < d.m:
@@ -254,55 +217,84 @@ def _require_every_point(d: IncidenceDesign) -> None:
         raise DesignError(f"point {missing} lies in no block")
 
 
-def block_masks(d: IncidenceDesign) -> tuple[int, ...]:
-    """Each block as a bitmask: bit p is set when point p lies in the block.
-
-    A point in no block raises DesignError before any mask is built; past
-    that check m is at most the number of incidences the design holds, so
-    no mask is longer than that many bits.
-    """
-    _require_every_point(d)
-    return tuple(sum(1 << p for p in block) for block in d.blocks)
-
-
-def intersection_numbers(d: IncidenceDesign) -> tuple[int, ...]:
-    """The distinct |b & b'| over all distinct block pairs, ascending.
-
-    Read off packed point rows: point p's row is an int whose field j is 1
-    when p lies in block j, so the sum of block i's S rows holds |b_i & b_j|
-    in field j, and its fields above field i are block i's intersections
-    with the blocks after it.  A field holds at most S, so no carry crosses
-    one: fields are one byte wide for S <= 255 and as wide as S needs
-    above that.  `bytes.translate` deletes the values already seen, so
-    Python reads a block's fields only when a new value is left, at most
-    S + 1 times; wider fields are read on every block, since a byte of
-    theirs is not a value.  S is a value when two blocks are equal.  The
-    design is quasi-symmetric when exactly two values occur; then alpha is
-    the larger and beta the smaller.
-
-    A point in no block raises DesignError before the m rows of b fields
-    are allocated; past that check m is at most the number of incidences.
-    """
-    if d.block_count < 2:
-        raise DesignError("need at least two blocks to intersect")
-    _require_every_point(d)
-    width = (d.block_size.bit_length() + 7) // 8
-    size = d.block_count * width
-    planes = [bytearray(size) for _ in range(d.m)]
+def blocks_through_points(d: IncidenceDesign) -> list[list[int]]:
+    """The blocks through each point, in m lists: run `require_every_point` first."""
+    through: list[list[int]] = [[] for _ in range(d.m)]
     for j, block in enumerate(d.blocks):
         for p in block:
-            planes[p][j * width] = 1
-    rows = [int.from_bytes(plane, "little") for plane in planes]
+            through[p].append(j)
+    return through
+
+
+class Packed(NamedTuple):
+    """Rows of `width`-byte fields: field k of row i is 1 when line i holds k, else 0."""
+
+    rows: list[int]
+    width: int
+
+
+def pack(lines, count: int, largest: int) -> Packed:
+    """Each line, a set of indices below count, as a row of count fields.
+
+    The one packing of a design, of its blocks and of the blocks through each
+    point.  Fields are as many bytes wide as `largest`, the most rows one sum
+    adds, needs.
+    """
+    width = (largest.bit_length() + 7) // 8
+    rows = []
+    for line in lines:
+        plane = bytearray(count * width)
+        for k in line:
+            plane[k * width] = 1
+        rows.append(int.from_bytes(plane, "little"))
+    return Packed(rows, width)
+
+
+def _field_values(lines, packed: Packed) -> tuple[int, ...]:
+    """The distinct |line_i & line_j| over i < j, ascending.
+
+    Row k of `packed` has field i set when line i holds k, so line i's rows
+    sum to |line_i & line_j| in field j.  `translate` deletes the values
+    already seen, so Python reads a line's fields only when a new value is
+    left, or on every line when fields are wider than a byte.
+    """
+    rows, width = packed
+    size = len(lines) * width
     values: set[int] = set()
     known = b""
-    for i, block in enumerate(d.blocks, 1):
-        later = sum(map(rows.__getitem__, block)) >> 8 * width * i
+    for i, line in enumerate(lines, 1):
+        later = sum(map(rows.__getitem__, line)) >> 8 * width * i
         fresh = later.to_bytes(size - width * i, "little").translate(None, known)
         if fresh:
             values.update(int.from_bytes(fresh[k:k + width], "little")
                           for k in range(0, len(fresh), width))
             known = bytes(values) if width == 1 else b""
     return tuple(sorted(values))
+
+
+def intersection_numbers(d: IncidenceDesign, points: Packed) -> tuple[int, ...]:
+    """The distinct |b & b'| over distinct block pairs, off the points' rows over the blocks.
+
+    S is a value when two blocks are equal.  The design is quasi-symmetric
+    when exactly two values occur: alpha the larger, beta the smaller.
+    """
+    if d.block_count < 2:
+        raise DesignError("need at least two blocks to intersect")
+    return _field_values(d.blocks, points)
+
+
+def pair_counts(through: list[list[int]], blocks: Packed) -> tuple[int, ...]:
+    """The distinct numbers of blocks through a point pair: Lambda alone in a 2-design."""
+    return _field_values(through, blocks)
+
+
+def pair_witness(points: Packed) -> str:
+    """The first point pair, in lexicographic order, not in as many blocks as (0, 1), as text."""
+    rows = points.rows
+    want = (rows[0] & rows[1]).bit_count()
+    return next(f"(0, 1) lies in {want} blocks but {(p, q)} lies in {c}"
+                for p, q in combinations(range(len(rows)), 2)
+                if (c := (rows[p] & rows[q]).bit_count()) != want)
 
 
 # ----- canonical designs -----------------------------------------------
@@ -344,17 +336,3 @@ def load_design(path) -> IncidenceDesign:
     except ValueError as exc:  # bytes that do not decode, an integer over the digit limit
         raise DesignError(f"{path}: {exc}") from exc
     return design_from_json(data, source=str(path))
-
-
-def parameters_from_design(d: IncidenceDesign) -> DesignParameters:
-    """Read (m, S, alpha, beta) off an actual design and derive the rest.
-
-    A design that is not quasi-symmetric raises DesignError.
-    """
-    values = intersection_numbers(d)
-    if len(values) != 2:
-        raise DesignError(
-            f"design is not quasi-symmetric: intersection values {values}"
-        )
-    beta, alpha = values
-    return derive_parameters(d.m, d.block_size, alpha, beta)

@@ -6,13 +6,15 @@ or the benchmark calls (tests/test_reachability.py checks that).
 
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from twodist.coherent import (
     GRAM_CLASS_OF_RELATION, AxiomReport, CoherentConfig, _integer_vector)
-from twodist.designs import IncidenceDesign, TDesignResult, block_masks, lambda_parts
+from twodist.designs import (
+    IncidenceDesign, blocks_through_points, intersection_numbers, lambda_parts, pack, pair_counts,
+    pair_witness)
 from twodist.errors import DegenerateParametersError, DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, _sf_product
 from twodist.polynomials import Poly, _primitive
@@ -37,23 +39,43 @@ def residual_design(d: IncidenceDesign, point: int) -> IncidenceDesign:
                                           for b in d.blocks if point not in b))
 
 
+def block_masks(d: IncidenceDesign) -> list[int]:
+    """Each block as a bitmask: bit p is set when point p lies in the block."""
+    return [sum(1 << p for p in block) for block in d.blocks]
+
+
 def intersection_numbers_by_pairs(d: IncidenceDesign) -> tuple[int, ...]:
     """The distinct |b & b'| over all distinct block pairs, one popcount per pair.
 
     The pairwise scan `designs.intersection_numbers` replaced: O(b^2)
-    popcounts of two blocks' masks, with the same refusals in the same order.
+    popcounts of two blocks' masks, with the refusals of
+    `coherent.from_design` in its order: a point in no block first, then a
+    single block.
     """
+    covered = set(chain.from_iterable(d.blocks))
+    if len(covered) < d.m:
+        missing = next(p for p in range(d.m) if p not in covered)
+        raise DesignError(f"point {missing} lies in no block")
     if d.block_count < 2:
         raise DesignError("need at least two blocks to intersect")
     masks = block_masks(d)
     return tuple(sorted({(a & b).bit_count() for i, a in enumerate(masks) for b in masks[:i]}))
 
 
-def verify_t_design_by_walk(d: IncidenceDesign, t: int) -> TDesignResult:
-    """`designs.verify_t_design` by one dict update per t-subset of a block and a full walk.
+class TDesignResult(NamedTuple):
+    is_t_design: bool
+    Lambda: Optional[int]
+    witness: Optional[str] = None
 
-    Every t-subset of the points is visited in lexicographic order, and the
-    first whose count differs from the first subset's is the witness.
+
+def verify_t_design_by_walk(d: IncidenceDesign, t: int) -> TDesignResult:
+    """Whether every t-subset of the points lies in the same number of blocks.
+
+    One dict update per t-subset of a block, then every t-subset of the
+    points visited in lexicographic order: the first whose count differs
+    from the first subset's is the witness.  The package checks t = 2 only
+    (`designs.pair_counts`); this walk is the reference for it and the
+    check of every other t.
     """
     if not (1 <= t <= d.block_size):
         raise DesignError(f"t must be in [1, {d.block_size}], got {t}")
@@ -72,6 +94,27 @@ def verify_t_design_by_walk(d: IncidenceDesign, t: int) -> TDesignResult:
             return TDesignResult(
                 False, None, f"{first} lies in {want} blocks but {sub} lies in {c}")
     return TDesignResult(True, want)
+
+
+def block_intersections(d: IncidenceDesign) -> tuple[int, ...]:
+    """`designs.intersection_numbers` on the point rows `coherent.from_design` packs.
+
+    Every point must lie in a block: from_design checks that first.
+    """
+    return intersection_numbers(d, pack(blocks_through_points(d), d.block_count, d.block_size))
+
+
+def pair_pass(d: IncidenceDesign) -> TDesignResult:
+    """The 2-design check of `coherent.from_design` and `verify_axioms`, as the walk reports it.
+
+    `designs.pair_counts` on the block rows from_design packs, and on a
+    failure `designs.pair_witness` on its point rows.
+    """
+    through = blocks_through_points(d)
+    counts = pair_counts(through, pack(d.blocks, d.m, max(map(len, through))))
+    if len(counts) == 1:
+        return TDesignResult(True, counts[0])
+    return TDesignResult(False, None, pair_witness(pack(through, d.block_count, d.block_size)))
 
 
 def poly_eval(p, values):

@@ -26,14 +26,7 @@ from twodist.coherent import (
     relation_row,
     verify_axioms,
 )
-from twodist.designs import (
-    IncidenceDesign,
-    block_masks,
-    derive_parameters,
-    intersection_numbers,
-    lisonek_design,
-    load_design,
-)
+from twodist.designs import IncidenceDesign, derive_parameters, lisonek_design, load_design
 from twodist.dioph import eval_p
 from twodist.geometry import (
     p_residuals,
@@ -45,6 +38,7 @@ from twodist.geometry import (
 from oracles import (
     TRANSPOSE_PAIRS,
     as_table,
+    block_intersections,
     complement_design,
     derived_design,
     fiber_block_axioms,
@@ -240,6 +234,21 @@ def test_labels_match_set_derivation(name):
     assert label_matrix(cc).tolist() == expected
 
 
+def halves(m):
+    """Blocks [0, m/2), [m/2, m) and [0, m/4) + [m/2, 3m/4): they meet in 0 or m/4 points."""
+    a, b, c = m // 4, m // 2, 3 * m // 4
+    return IncidenceDesign(m, (tuple(range(b)), tuple(range(b, m)),
+                               tuple(range(a)) + tuple(range(b, c))))
+
+
+# S = 256 and 512 take two-byte fields; at m = 1024 alpha = 256 has beta's low byte
+@pytest.mark.parametrize("m", [512, 1024])
+def test_labels_match_set_derivation_with_wide_fields(m):
+    cc = from_design(halves(m))
+    assert cc.points.width == 2 and (cc.params.alpha, cc.params.beta) == (m // 4, 0)
+    assert [[i + 1 for i in relation_row(cc, u)] for u in range(cc.size)] == set_labels(cc.design)
+
+
 def set_intersection_values(design) -> tuple:
     blocks = [set(b) for b in design.blocks]
     return tuple(sorted({len(a & b) for a, b in combinations(blocks, 2)}))
@@ -252,7 +261,7 @@ REPEATED_BLOCK = IncidenceDesign(4, ((0, 1), (0, 1), (2, 3)))
 @pytest.mark.parametrize("name", [*DESIGNS, "repeated-block"])
 def test_intersection_values_match_set_derivation(name):
     design = REPEATED_BLOCK if name == "repeated-block" else DESIGNS[name]()
-    assert intersection_numbers(design) == set_intersection_values(design)
+    assert block_intersections(design) == set_intersection_values(design)
 
 
 @pytest.mark.parametrize("name", SMALL_DESIGNS)
@@ -311,7 +320,7 @@ def embed_error(tmp_path, design: IncidenceDesign, capsys) -> str:
 def test_witt_minus_one_block_is_rejected(tmp_path, capsys):
     # still {1, 3} and no longer a 2-design; the block count, checked first, names it
     d = witt()
-    assert intersection_numbers(IncidenceDesign(23, d.blocks[:-1])) == (1, 3)
+    assert block_intersections(IncidenceDesign(23, d.blocks[:-1])) == (1, 3)
     assert embed_error(tmp_path, IncidenceDesign(23, d.blocks[:-1]), capsys) == (
         "axioms fail: 252 blocks, but (m, S, alpha, beta) = (23, 7, 3, 1) give n = 253")
 
@@ -329,7 +338,7 @@ def test_pair_covered_once_too_often_is_rejected(tmp_path, capsys):
     # block count stand, while (0, 1) now lies in 3 blocks
     blocks = tuple(sorted(set(SIX_POINT_TRIPLES) - {(2, 3, 4)} | {(0, 1, 5)}))
     swapped = IncidenceDesign(6, blocks)
-    assert intersection_numbers(swapped) == (1, 2)
+    assert block_intersections(swapped) == (1, 2)
     assert embed_error(tmp_path, swapped, capsys) == (
         "axioms fail: not a 2-design: (0, 1) lies in 3 blocks but (0, 2) lies in 2")
 
@@ -474,7 +483,7 @@ def fano_configuration():
     eye = np.eye(7, dtype=np.int8)
     # points: R1 on the diagonal, R3 off it; lines: R2 and R4; incidence R6/R7, R8/R9
     labels = np.block([[3 - 2 * eye, 7 - inc], [9 - inc.T, 4 - 2 * eye]])
-    return CoherentConfig(design, derive_parameters(7, 3, 1, 0), block_masks(design)), labels
+    return CoherentConfig(design, derive_parameters(7, 3, 1, 0), None, None, None), labels
 
 
 def test_fiber_of_one_vertex():
@@ -485,7 +494,7 @@ def test_fiber_of_one_vertex():
     labels[:4, :4] = 3 - 2 * eye
     labels[4] = (8, 8, 8, 8, 2)
     star = IncidenceDesign(4, ((0, 1, 2, 3),))
-    report = assert_same_report(CoherentConfig(star, None, None), labels)
+    report = assert_same_report(CoherentConfig(star, None, None, None, None), labels)
     assert report.ok
     assert report.p_constant(6, 8, 1) == 1 and report.p_constant(8, 6, 2) == 4
 

@@ -30,16 +30,40 @@ def test_verify_lisonek_exit_zero(capsys):
     assert "45" in out and "1/3*sqrt(14)" in out
 
 
+def counting(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_verify_lisonek_counts_point_pairs_once(monkeypatch, capsys):
+    # the design row and verify_axioms read the one pair count of the configuration
+    calls = counting(monkeypatch, designs, "pair_counts")
+    code, report, _ = run(["verify", "lisonek"], capsys)
+    rows = dict(next(rows for title, rows in report.sections if title == "design"))
+    assert code == 0 and (rows["2-design"], rows["Lambda"]) == ("True", "1")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lisonek"],
+    ["embed", str(DATA_DIR / "lisonek_complement.json")],
+    ["embed", str(DATA_DIR / "witt_4_23_7_1.json")],
+])
+def test_one_coverage_check_and_one_packing_each_way(argv, monkeypatch, capsys):
+    # the points' rows over the blocks, then the blocks' rows over the points
+    checks = counting(monkeypatch, designs, "require_every_point")
+    packs = counting(monkeypatch, designs, "pack")
+    code, _, _ = run(argv, capsys)
+    assert code == 0 and len(checks) == 1
+    (design,), = checks
+    assert [count for _, count, _ in packs] == [design.block_count, design.m]
+
+
 def test_verify_lisonek_counts_block_intersections_once(monkeypatch, capsys):
     # the design row reads alpha and beta off the configuration the projector uses
-    calls = []
-    count = designs.intersection_numbers
-
-    def counting(*args):
-        calls.append(args)
-        return count(*args)
-
-    monkeypatch.setattr(designs, "intersection_numbers", counting)
+    calls = counting(monkeypatch, designs, "intersection_numbers")
     code, _, out = run(["verify", "lisonek"], capsys)
     assert code == 0 and "alpha=1, beta=0" in out
     assert len(calls) == 1
@@ -273,6 +297,9 @@ CONTRACT_FILES = {
     "big_int.json": b'{"m": ' + OVER_DIGIT_LIMIT.encode() + b', "blocks": [[0, 1]]}',
     "not_qs.json": b'{"m": 4, "blocks": [[0, 1], [2, 3]]}',
     "axioms_fail.json": b'{"m": 4, "blocks": [[0, 1], [2, 3], [0, 2]]}',
+    # 2-(6,3,2) with {2, 3, 4} swapped for {0, 1, 5}: n and {1, 2} stand, (0, 1) lies in 3 blocks
+    "not_2_design.json": b'{"m": 6, "blocks": [[0, 1, 2], [0, 1, 3], [0, 1, 5], [0, 2, 4],'
+                         b' [0, 3, 5], [0, 4, 5], [1, 2, 5], [1, 3, 4], [1, 4, 5], [2, 3, 5]]}',
     "huge_m.json": b'{"m": 1' + b"0" * 200 + b', "blocks": [[0, 1], [0, 2], [1, 3]]}',
     # 10^10 points would take 28 GiB as an incidence matrix; point 3 lies in no block
     "uncovered.json": b'{"m": 10000000000, "blocks": [[0, 1], [1, 2], [0, 2]]}',
@@ -340,6 +367,7 @@ EXIT_CODE_CONTRACT = [
     pytest.param(["embed", "{tmp}/fano.json"], 2, None, id="design-fano-plane"),
     pytest.param(["embed", "{tmp}/twice_derived.json"], 2, None, id="design-witt-twice-derived"),
     pytest.param(["embed", "{tmp}/axioms_fail.json"], 2, None, id="design-axioms-fail"),
+    pytest.param(["embed", "{tmp}/not_2_design.json"], 2, None, id="design-not-a-2-design"),
     pytest.param(["embed", "{tmp}/huge_m.json"], 2, None,
                  id="design-huge-m-point-in-no-block"),
     pytest.param(["embed", "{tmp}/uncovered.json"], 2, None, id="design-point-in-no-block"),

@@ -8,21 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from twodist.coherent import from_design
 from twodist.designs import (
     IncidenceDesign,
-    block_masks,
     derive_parameters,
     design_from_json,
     integrality_violations,
-    intersection_numbers,
     load_design,
-    parameters_from_design,
-    verify_t_design,
 )
 from twodist import designs
 from twodist.errors import DegenerateParametersError, DesignError, InternalConsistencyError
 
-from oracles import complement_design, count_product, incidence_matrix
+from oracles import (
+    block_intersections, complement_design, count_product, incidence_matrix, pair_pass,
+    verify_t_design_by_walk)
 
 
 @pytest.mark.parametrize("args,expected", [
@@ -99,33 +98,32 @@ def test_lisonek_design_shape(lisonek):
 
 
 def test_verify_t_design(lisonek):
-    res = verify_t_design(lisonek, 2)
-    assert res.is_t_design and res.Lambda == 1
-    comp = verify_t_design(complement_design(lisonek), 2)
-    assert comp.is_t_design and comp.Lambda == 21
+    # the pair pass gives Lambda; the walk, which checks every t, refuses t > S
+    assert pair_pass(lisonek) == (True, 1, None)
+    assert pair_pass(complement_design(lisonek)) == (True, 21, None)
     with pytest.raises(DesignError):
-        verify_t_design(lisonek, 3)
+        verify_t_design_by_walk(lisonek, 3)
 
 
 def test_verify_t_design_negative():
     d = IncidenceDesign(5, ((0, 1), (2, 3), (0, 2)))
-    res = verify_t_design(d, 2)
+    res = pair_pass(d)
     assert not res.is_t_design
     assert res.Lambda is None
-    assert res.witness
+    assert res.witness == "(0, 1) lies in 1 blocks but (0, 3) lies in 0"
 
 
 def test_verify_t_design_without_a_t_subset_is_an_internal_error():
     # a checked design has t <= block size <= m; this stand-in skips the check
     unchecked = SimpleNamespace(m=1, blocks=((0, 1),), block_size=2)
     with pytest.raises(InternalConsistencyError, match="no 2-subset of 1 points"):
-        verify_t_design(unchecked, 2)
+        verify_t_design_by_walk(unchecked, 2)
 
 
 def test_intersection_numbers(lisonek):
-    assert intersection_numbers(lisonek) == (0, 1)
-    assert intersection_numbers(complement_design(lisonek)) == (5, 6)
-    assert intersection_numbers(IncidenceDesign(4, ((0, 1), (2, 3)))) == (0,)
+    assert block_intersections(lisonek) == (0, 1)
+    assert block_intersections(complement_design(lisonek)) == (5, 6)
+    assert block_intersections(IncidenceDesign(4, ((0, 1), (2, 3)))) == (0,)
 
 
 def test_complement_involution(lisonek):
@@ -143,7 +141,7 @@ def test_complement_involution(lisonek):
 
 def test_double_counting(lisonek, witt_design):
     for design in (lisonek, complement_design(lisonek), witt_design):
-        p = parameters_from_design(design)
+        p = from_design(design).params
         m, S = design.m, design.block_size
         assert p.n * S * (S - 1) == p.Lambda * m * (m - 1)
         assert p.T * (S - 1) == p.Lambda * (m - 1)
@@ -151,28 +149,34 @@ def test_double_counting(lisonek, witt_design):
 
 
 def test_parameters_from_a_given_intersection_matrix(lisonek, witt_design):
-    # the popcounts of the block masks are the entries of inc^T inc, and
-    # parameters_from_design reads beta and alpha off its off-diagonal values
+    # block i's point rows sum to row i of inc^T inc, and from_design reads
+    # beta and alpha off that matrix's off-diagonal values
     for design in (lisonek, complement_design(lisonek), witt_design):
-        masks = block_masks(design)
+        cc = from_design(design)
         inc = incidence_matrix(design).astype(int)
         inter = inc.T @ inc
-        assert [[(a & b).bit_count() for b in masks] for a in masks] == inter.tolist()
-        off_diagonal = sorted(set(inter[~np.eye(len(masks), dtype=bool)].tolist()))
-        p = parameters_from_design(design)
-        assert [p.beta, p.alpha] == off_diagonal
+        n, width = design.block_count, cc.points.width
+        sums = [sum(cc.points.rows[p] for p in block).to_bytes(n * width, "little")
+                for block in design.blocks]
+        assert [list(row) for row in sums] == inter.tolist()
+        off_diagonal = sorted(set(inter[~np.eye(n, dtype=bool)].tolist()))
+        assert [cc.params.beta, cc.params.alpha] == off_diagonal
     with pytest.raises(DesignError, match="not quasi-symmetric"):
-        parameters_from_design(IncidenceDesign(4, ((0, 1), (2, 3))))
+        from_design(IncidenceDesign(4, ((0, 1), (2, 3))))
 
 
-def test_block_masks_name_a_point_in_no_block():
-    # 10^10 points: the check must come before any mask of up to 10^10 bits
+def test_from_design_names_a_point_in_no_block(monkeypatch):
+    # 10^10 points: the check must come before anything of size m is built
+    packed = []
+    monkeypatch.setattr(designs, "pack", lambda *args: packed.append(args))
+    monkeypatch.setattr(designs, "blocks_through_points", lambda d: packed.append(d))
     with pytest.raises(DesignError, match="^point 3 lies in no block$"):
-        block_masks(IncidenceDesign(10**10, ((0, 1), (1, 2), (0, 2))))
-    with pytest.raises(DesignError, match="^point 2 lies in no block$"):
-        block_masks(IncidenceDesign(5, ((0, 1), (3, 4))))
+        from_design(IncidenceDesign(10**10, ((0, 1), (1, 2), (0, 2))))
     with pytest.raises(DesignError, match="^point 0 lies in no block$"):
-        intersection_numbers(IncidenceDesign(10**10, ((1, 2), (2, 3), (3, 10**10 - 1))))
+        from_design(IncidenceDesign(10**10, ((1, 2), (2, 3), (3, 10**10 - 1))))
+    with pytest.raises(DesignError, match="^point 2 lies in no block$"):
+        from_design(IncidenceDesign(5, ((0, 1), (3, 4))))
+    assert packed == []
 
 
 @st.composite
@@ -218,9 +222,9 @@ def test_witt_design(witt_design):
     assert witt_design.m == 23
     assert witt_design.block_count == 253
     assert witt_design.block_size == 7
-    res = verify_t_design(witt_design, 4)
+    res = verify_t_design_by_walk(witt_design, 4)
     assert res.is_t_design and res.Lambda == 1
-    assert intersection_numbers(witt_design) == (1, 3)
+    assert block_intersections(witt_design) == (1, 3)
 
 
 def test_design_json_round_trip(tmp_path, lisonek):

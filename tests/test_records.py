@@ -42,7 +42,7 @@ def test_immutable_records_refuse_assignment(lisonek, lisonek_cc):
         (designs.derive_parameters(9, 2, 1, 0), "m"),
         (dioph.solve_quadratic("z^2 - 1", 1, 0, -1), "roots"),
         (geometry.two_distance_classify(geometry.theoretical_spectrum(2, 9, 1, 0)), "letter"),
-        (lisonek_cc, "masks"),
+        (lisonek_cc, "points"),
         (lisonek, "m"),
         (lisonek, "blocks"),
     ]
