@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .designs import derive_parameters, integrality_violations, lambda_parts
 from .errors import DesignError, InternalConsistencyError
@@ -79,6 +79,7 @@ def _p3(S, m, x, y):
 
 _P_FUNCS = {"p1": _p1, "p2": _p2, "p3": _p3}
 P1, P2, P3 = (f(_S, _M, _XV, _YV) for f in _P_FUNCS.values())
+_P1_NORM = (_XV * _M - _S * _S - (_S - _XV)) ** 2 - 4 * _S * _S * (_S - _XV)
 
 
 def eval_p(which: str, S: int, m: int, x: int, y: int) -> int:
@@ -336,14 +337,22 @@ def _integer_roots(a: int, b: int, c: int) -> list[int]:
 def _integer_roots_between(f, lo: int, hi: int) -> list[int]:
     """The integer roots of a quadratic f in [lo, hi], ascending.
 
-    f = a t^2 + b t + c is read off f(0) and f(+-1) and goes to
-    `_integer_roots`, which needs a != 0.  Both callers in `brute_solver`
-    meet it: p1 in m leads with x^2, x >= 1, and p2 in y with 4 m^2, m >= 3.
+    f = a t^2 + b t + c is read off f(0) and f(+-1) and goes to `_integer_roots`, which
+    needs a != 0; its one caller, `brute_solver`'s p2 in y, leads with 4 m^2, m >= 3.
     """
     c, f1, fm1 = f(0), f(1), f(-1)
     a, b = (f1 + fm1) // 2 - c, (f1 - fm1) // 2
     roots = _integer_roots(a, b, c)
     return [t for t in roots if lo <= t <= hi]
+
+
+def _p1_m_roots(S: int, mmax: int) -> Iterator[tuple[int, int]]:
+    """The (x, m) with 1 <= x < S < m <= mmax on p1 = 0: x = S - t^2, m = (S +- t)^2 / x."""
+    for t in range(1, isqrt(S - 1) + 1):
+        x = S - t * t
+        for m, r in (divmod((S - t) ** 2, x), divmod((S + t) ** 2, x)):
+            if not r and S < m <= mmax:
+                yield x, m
 
 
 # ----- solution certificates, brute force, classification -----------------
@@ -397,36 +406,31 @@ def _integrality_gates(S: int, m: int, x: int, y: int) -> list[GateResult]:
 def _family_i_gate(S: int, m: int, x: int, y: int) -> GateResult:
     z = z_of(S, m, x)  # a non-integral z lands off the family; _finish_certificate raises on it
     if family_points(int(z)) != (S, m, x, y):
-        return GateResult(
-            "family-i", False,
-            f"(S,m,x,y)=({S},{m},{x},{y}) is off family (i) at z={z}")
+        return GateResult("family-i", False,
+                          f"(S,m,x,y)=({S},{m},{x},{y}) is off family (i) at z={z}")
     return GateResult("family-i", True, f"on family (i) with z = {z}")
 
 
 def brute_solver(smax: int, mmax: int, enforce_gate: bool = True) -> list[SolutionCertificate]:
     """All integer solutions of p1 = p2 = p3 = 0 in the box, found as exact roots.
 
-    The box is 0 <= y < x < S <= smax, S < m <= mmax.  p1 has no y term and
-    is quadratic in m with leading coefficient x^2, and p2 is quadratic in y
-    with leading coefficient 4 m^2, so each (S, x) gives its m, and each
-    (S, m, x) its y, as the integer roots of one quadratic; on p1 these are
-    m = (S +- t)^2 / x with S - x = t^2, the (x, z) parametrization.  The
-    work is O(smax^2) quadratics, not the O(smax^2 mmax) values of a scan
-    over m.  Every survivor is checked again on p1, p2 and p3 exactly.  With
-    the gate on, the integrality of every derived parameter is required and
-    each survivor is cross-checked to lie on family (i) with integral z.
-    Output is ordered lexicographically in (S, m, x, y).  A box that holds
-    no pair 2 <= S < m raises DesignError.
+    The box is 0 <= y < x < S <= smax, S < m <= mmax.  It is complete: p1 is the
+    norm (x m - S^2 - u)^2 - 4 S^2 u in u = S - x >= 1, so p1 = 0 makes u a square
+    t^2 and x m = (S +- t)^2 (`_p1_m_roots`, z = +-t), and p2 is quadratic in y with
+    leading coefficient 4 m^2, so each (S, m, x) gives its y as one quadratic's integer
+    roots.  The work is O(smax^(3/2)) pairs (S, t), not O(smax^2 mmax) values of a scan.
+    Every survivor is rechecked on p1, p2 and p3 exactly; with the gate on, every
+    derived parameter must be integral and the survivor on family (i) with integral z.
+    Output is lexicographic in (S, m, x, y); a box with no pair 2 <= S < m raises DesignError.
     """
     if smax < 2 or mmax < 2:
         raise DesignError("brute_solver needs bounds >= 2")
     if mmax < 3:
         raise DesignError(f"the box S <= {smax}, m <= {mmax} holds no pair 2 <= S < m")
-    if P1.degree("m") > 2 or P2.degree("y") > 2:
-        raise InternalConsistencyError("p1 in m or p2 in y has degree > 2; roots would be missed")
+    if P1 != _P1_NORM or P2.degree("y") > 2:
+        raise InternalConsistencyError("p1 is not its norm form or p2 has degree > 2 in y")
     points = sorted(
-        (S, m, x, y) for S in range(2, smax + 1) for x in range(1, S)
-        for m in _integer_roots_between(lambda t: _p1(S, t, x, 0), S + 1, mmax)
+        (S, m, x, y) for S in range(2, smax + 1) for x, m in _p1_m_roots(S, mmax)
         for y in _integer_roots_between(lambda t: _p2(S, m, x, t), 0, x - 1)
         if not (_p1(S, m, x, y) or _p2(S, m, x, y) or _p3(S, m, x, y)))
     out: list[SolutionCertificate] = []
@@ -446,8 +450,7 @@ TIGHT_DESIGN = (23, 7, 1)  # the unique tight 4-design parameters, used as a fil
 class ClassifyReport:
     __slots__ = ("certificates", "family_notes")
 
-    def __init__(self, certificates: list[SolutionCertificate],
-                 family_notes: tuple[str, ...]):
+    def __init__(self, certificates: list[SolutionCertificate], family_notes: tuple[str, ...]):
         self.certificates, self.family_notes = certificates, family_notes
 
     @property
@@ -472,20 +475,17 @@ def classify(zmax: int) -> ClassifyReport:
         gates = _integrality_gates(S, m, x, y)
         if all(g.passed for g in gates):
             if S < 4:
-                gates.append(GateResult(
-                    "small-S branch", True,
-                    f"S = {S} <= 3: z = {z} is the integer root of "
-                    f"{format_quadratic(_family_i_quadratic('S', S))}"))
+                root_of = format_quadratic(_family_i_quadratic("S", S))
+                gates.append(GateResult("small-S branch", True,
+                                        f"S = {S} <= 3: z = {z} is the integer root of {root_of}"))
             else:
                 if not (4 <= S <= m - 4):
                     raise InternalConsistencyError(
                         f"family (i) point at z={z} leaves the tight-filter range")
                 n = m * (m - 1) // 2
                 ok = (m, S) == TIGHT_DESIGN[:2]
-                witness = (
-                    f"n = C({m},2) = {n} forces the tight 4-{TIGHT_DESIGN} design; "
-                    + (f"matched" if ok else f"(S, m) = ({S}, {m}) != (7, 23)")
-                )
+                witness = (f"n = C({m},2) = {n} forces the tight 4-{TIGHT_DESIGN} design; "
+                           + ("matched" if ok else f"(S, m) = ({S}, {m}) != (7, 23)"))
                 gates.append(GateResult("tight-design", ok, witness))
         certificates.append(_finish_certificate(S, m, x, y, gates))
     notes = (

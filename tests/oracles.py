@@ -15,6 +15,8 @@ from twodist.coherent import (
 from twodist.designs import (
     IncidenceDesign, blocks_through_points, intersection_numbers, lambda_parts, pack, pair_counts,
     pair_witness)
+from twodist.dioph import (GateResult, _family_i_gate, _finish_certificate, _integer_roots_between,
+                           _integrality_gates, _p1, _p2, _p3)
 from twodist.errors import DegenerateParametersError, DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, _sf_product
 from twodist.polynomials import Poly, _primitive
@@ -115,6 +117,29 @@ def pair_pass(d: IncidenceDesign) -> TDesignResult:
     if len(counts) == 1:
         return TDesignResult(True, counts[0])
     return TDesignResult(False, None, pair_witness(pack(through, d.block_count, d.block_size)))
+
+
+def p_system_by_quadratics(smax: int, mmax: int, enforce_gate: bool = True) -> list:
+    """`dioph.brute_solver` as the walk it replaced: one quadratic in m per (S, x).
+
+    p1 has no y term and is quadratic in m with leading coefficient x^2, so
+    each of the O(smax^2) pairs (S, x) gives its m as the integer roots of one
+    quadratic; y, the exact recheck, the gates and the order are brute_solver's.
+    """
+    points = sorted(
+        (S, m, x, y) for S in range(2, smax + 1) for x in range(1, S)
+        for m in _integer_roots_between(lambda t: _p1(S, t, x, 0), S + 1, mmax)
+        for y in _integer_roots_between(lambda t: _p2(S, m, x, t), 0, x - 1)
+        if not (_p1(S, m, x, y) or _p2(S, m, x, y) or _p3(S, m, x, y)))
+    out = []
+    for S, m, x, y in points:
+        gates = [GateResult("p-system", True, "p1 = p2 = p3 = 0"), *_integrality_gates(S, m, x, y)]
+        if not enforce_gate:
+            gates = gates[:2]
+        elif all(g.passed for g in gates):
+            gates.append(_family_i_gate(S, m, x, y))
+        out.append(_finish_certificate(S, m, x, y, gates))
+    return out
 
 
 def poly_eval(p, values):

@@ -36,7 +36,7 @@ from twodist.regions import g1_in_t
 
 from lattice_oracle import (LatticeReport, PointViolation, RowEvaluator, curve_search,
                             lattice_scan, table_row, xz_rows)
-from oracles import poly_eval
+from oracles import p_system_by_quadratics, poly_eval
 from surface_oracle import (aux_g, g1_expr, g2_expr, param_value, prop_params, shipped_pair,
                             surface, table_poly, y2_curve_table)
 
@@ -431,11 +431,38 @@ def test_brute_solver_matches_enumeration_on_random_boxes(smax, mmax, enforce_ga
     assert brute_solver(smax, mmax, enforce_gate) == enumerate_p_system(smax, mmax, enforce_gate)
 
 
+def test_brute_solver_matches_the_quadratic_walk():
+    assert brute_solver(100, 100_000) == p_system_by_quadratics(100, 100_000)
+
+
+@settings(max_examples=25, deadline=None)
+@given(smax=st.integers(2, 60), mmax=st.integers(3, 20_000), enforce_gate=st.booleans())
+def test_brute_solver_matches_the_quadratic_walk_on_random_boxes(smax, mmax, enforce_gate):
+    assert (brute_solver(smax, mmax, enforce_gate)
+            == p_system_by_quadratics(smax, mmax, enforce_gate))
+
+
 def test_p_system_degrees():
-    # brute_solver reads p1 in m and p2 in y as quadratics; a third degree
-    # would make its three-value interpolation miss roots
+    # brute_solver reads p2 in y, and the oracle p_system_by_quadratics p1 in m,
+    # as quadratics; a third degree would make the three-value interpolation miss roots
     assert P1.degree("m") == 2 and P1.degree("y") == 0
     assert P2.degree("y") == 2
+
+
+def test_p1_m_roots_match_a_scan():
+    # every zero of p1 in the box, on both signs of z = +-t: (S, x) = (5, 1) has m = 9 and 49
+    assert list(dioph._p1_m_roots(5, 400)) == [(4, 9), (1, 9), (1, 49)]
+    for S in range(2, 25):
+        assert sorted(dioph._p1_m_roots(S, 600)) == [
+            (x, m) for x in range(1, S) for m in range(S + 1, 601) if not _p1(S, m, x, 0)]
+
+
+def test_p1_is_a_norm_form():
+    # brute_solver's premise, built here from the generators: with u = S - x and
+    # w = x m, p1 = (w - S^2 - u)^2 - 4 S^2 u
+    S, m, x, _ = Poly.gens(P1.vars)
+    u, w = S - x, x * m
+    assert P1 == (w - S * S - u) ** 2 - 4 * S * S * u == dioph._P1_NORM
 
 
 @pytest.mark.parametrize("name", ["P1", "P2"])
@@ -444,7 +471,18 @@ def test_brute_solver_refuses_a_cubic(name, monkeypatch):
 
     var = "m" if name == "P1" else "y"
     monkeypatch.setattr(dioph, name, getattr(dioph, name) * Poly.variable(var, P1.vars))
-    with pytest.raises(InternalConsistencyError, match="p1 in m or p2 in y has degree > 2"):
+    with pytest.raises(InternalConsistencyError, match="norm form or p2 has degree > 2 in y"):
+        brute_solver(8, 50)
+
+
+@pytest.mark.parametrize("bump", [lambda S, x: 1, lambda S, x: S * x], ids=["1", "S*x"])
+def test_brute_solver_refuses_p1_off_its_norm_form(bump, monkeypatch):
+    # p1 + 1 and p1 + S x are still quadratic in m, but no longer the norm _p1_m_roots solves
+    from twodist import dioph
+
+    S, _, x, _ = Poly.gens(P1.vars)
+    monkeypatch.setattr(dioph, "P1", dioph.P1 + bump(S, x))
+    with pytest.raises(InternalConsistencyError, match="p1 is not its norm form"):
         brute_solver(8, 50)
 
 
@@ -472,7 +510,7 @@ def test_integer_roots_need_a_square_discriminant():
 
 
 def test_integer_roots_of_a_degenerate_quadratic():
-    # a = 0 breaks the premise that both callers in brute_solver meet: it raises,
+    # a = 0 breaks the premise that its caller in brute_solver meets: it raises,
     # and never passes for a root
     for b, c in ((3, -12), (0, 5), (0, 0)):
         with pytest.raises(ZeroDivisionError):
@@ -517,18 +555,25 @@ def test_solve_quadratic_checks_every_root(monkeypatch):
 
 
 def test_brute_solver_rechecks_every_survivor(monkeypatch):
-    # a root finder that returns its whole range turns brute_solver into a
-    # scan; the exact check of p1, p2 and p3 must still keep only solutions
+    # root finders that return their whole ranges of (x, m) and of y turn brute_solver
+    # into a scan; the exact check of p1, p2 and p3 must still keep only solutions
     from twodist import dioph
 
+    monkeypatch.setattr(dioph, "_p1_m_roots", lambda S, mmax: [
+        (x, m) for x in range(1, S) for m in range(S + 1, mmax + 1)])
     monkeypatch.setattr(dioph, "_integer_roots_between", lambda f, lo, hi: range(lo, hi + 1))
     assert brute_solver(8, 50) == enumerate_p_system(8, 50)
+    # no integer point of the box has p1 = p2 = 0 and p3 != 0, so p3's recheck shows only here
+    monkeypatch.setattr(dioph, "_p3", lambda S, m, x, y: 1)
+    assert brute_solver(8, 50) == []
 
 
 def test_brute_solver_large_box():
     certs = brute_solver(100, 100_000)
     for cert in certs:
         assert [eval_p(w, *cert.smxy) for w in ("p1", "p2", "p3")] == [0, 0, 0]
+        S, m, x, _, z = cert.candidate      # the chart link: S - x = z^2, m x = (S + z)^2
+        assert S - x == z * z and m * x == (S + z) ** 2
     accepted = [c for c in certs if c.accepted]
     assert [c.candidate[4] for c in accepted] == [1, 2, 4, 5, 6, 8]
     assert [c.smxy for c in accepted] == [family_points(z) for z in (1, 2, 4, 5, 6, 8)]

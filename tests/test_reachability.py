@@ -40,7 +40,6 @@ ALLOWLIST = {
     "exactnum:QuadExt.__hash__": "value semantics: equal values hash equal",
     "exactnum:QuadExt.__repr__": "value semantics: what a failing comparison prints",
     "exactnum:QuadExt.__bool__": "value semantics: zero is false, as for int and Fraction",
-    "polynomials:Poly.__eq__": "value semantics: without it == is identity",
     "polynomials:Poly.__hash__": "value semantics: equal polynomials hash equal",
     "polynomials:Poly.__repr__": "verify_identities prints it when a residue is nonzero",
     "designs:IncidenceDesign.__eq__": "value semantics: without it == is identity",
