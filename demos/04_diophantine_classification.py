@@ -21,10 +21,10 @@ print("p-values at the survivor:",
       [eval_p(w, 2, 9, 1, 0) for w in ("p1", "p2", "p3")],
       "| swapped branch p1:", eval_p("p1", 2, 9, 0, 1))
 
-names = verify_identities()
-print(f"\n{len(names)} symbolic identities hold (each residue is the zero polynomial):")
-for name in names:
-    print("  -", name)
+identities = verify_identities()
+print(f"\n{len(identities)} symbolic identities hold (each residue is the zero polynomial):")
+for step in identities:
+    print(f"  - {step.claim}, {step.covers}")
 
 print("\nbrute force over 0 <= y < x < S <= 30, S < m <= 400 with the gate on:")
 for cert in brute_solver(30, 400):
@@ -34,8 +34,10 @@ for cert in brute_solver(30, 400):
           + ("" if cert.accepted else f"  [{cert.verdict.split(': ', 1)[1][:48]}...]"))
 
 print("\nwalking the solution family, all gates on:")
-for cert in classify(8).certificates:
-    print(f"  z={cert.candidate[4]}: {cert.smxy} -> {cert.verdict[:84]}")
+for cert in classify(8):
+    deciding = next((g for g in cert.gates if not g.passed), cert.gates[-1])
+    print(f"  z={cert.candidate[4]}: {cert.smxy} -> {cert.verdict[:84]}\n"
+          f"      decided by {deciding.claim} on {deciding.covers}: {deciding.method}")
 
 print("\nquadratic S-range exclusions:")
 ex = quadratic_exclusions()

@@ -22,8 +22,8 @@ from twodist.regions import y2_curve_proof
 
 
 def show(steps):
-    for region, poly, sub, method, covers in steps:
-        print(f"  {region:9} {method:13} {poly:10} at {sub:28} covers {covers}")
+    for step in steps:
+        print(f"  {step.method:8} {step.claim:46} covers {step.covers}")
 
 
 print("g1: (0,1) off the strip, (0,2) on the strip x = t - 1, t = z(z+1)/2:")
@@ -45,7 +45,7 @@ print("  integral g2 values for x in {1,2}, z in [-14, 9]:",
       g2.notes["integer_values"])
 
 print("\nthe second-branch curve p3 = 0 (cleared) for x >= 1:")
-show(step for step, _ in y2_curve_proof(_Y2_CURVE))
+show(y2_curve_proof(_Y2_CURVE))
 hits = y2_curve_search(3, 400, -25, 25)
 print(f"  {len(hits)} lattice points with x in [3,400], |z| <= 25, all on the line z = 0:",
       all(z == 0 for _, z in hits))

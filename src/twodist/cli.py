@@ -218,7 +218,7 @@ def cmd_embed(args) -> tuple[int, CommandReport]:
 
 
 def _certificate_rows(cert: dioph.SolutionCertificate) -> list:
-    rows = [(g.name, f"{'pass' if g.passed else 'fail'}: {g.witness}") for g in cert.gates]
+    rows = [(g.claim, f"{'pass' if g.passed else 'fail'}: {g.witness}") for g in cert.gates]
     return rows + [("verdict", cert.verdict)]
 
 
@@ -237,16 +237,17 @@ def cmd_solve(args) -> tuple[int, CommandReport]:
 
 
 def cmd_classify(args) -> tuple[int, CommandReport]:
-    result = dioph.classify(args.zmax)
+    certs = dioph.classify(args.zmax)
+    accepted = [c for c in certs if c.accepted]
     report = CommandReport(f"classify --zmax {args.zmax}")
     report.add("summary", [
         ("z range", f"1..{args.zmax}"),
-        ("accepted", len(result.accepted)),
-        *[("note", n) for n in result.family_notes],
+        ("accepted", len(accepted)),
+        *[("note", n) for n in dioph.FAMILY_NOTES],
     ])
-    for cert in result.certificates:
+    for cert in certs:
         report.add(f"z = {cert.candidate[4]}: (S,m,x,y) = {cert.smxy}", _certificate_rows(cert))
-    expected = len(result.accepted) == 1 and result.accepted[0].candidate[4] == 1
+    expected = len(accepted) == 1 and accepted[0].candidate[4] == 1
     if not expected:
         report.fail()
         return EXIT_MATH, report
@@ -275,7 +276,7 @@ def cmd_regions(args) -> tuple[int, CommandReport]:
         ])
     report.add("violations", [
         ("count", len(scan.violations)),
-        *[(f"{v.region}: {v.step}", v.witness) for v in scan.violations[:20]],
+        *[(s.claim, s.witness) for s in scan.violations[:20]],
     ])
     if not scan.ok:
         report.fail()
@@ -286,12 +287,12 @@ def cmd_regions(args) -> tuple[int, CommandReport]:
 def cmd_identities(args) -> tuple[int, CommandReport]:
     report = CommandReport("identities")
     try:
-        names = dioph.verify_identities()
+        steps = dioph.verify_identities()
     except InternalConsistencyError as exc:
         report.add("identities", [("failure", str(exc))])
         report.fail()
         return EXIT_MATH, report
-    report.add("identities", [(name, "zero polynomial") for name in names])
+    report.add("identities", [(s.claim, s.witness) for s in steps])
     return EXIT_OK, report
 
 

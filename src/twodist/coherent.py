@@ -278,7 +278,7 @@ class ProjectorResult:
     __slots__ = ("cc", "coefficients", "gram")
 
     # no dense form of E is built; perfbench's coherent.dense_mults hook still
-    # reads this attribute until the benchmark revision of ROADMAP item 4
+    # reads this attribute until the benchmark revision of ROADMAP item 6
     matrix = None
 
     def __init__(self, cc: CoherentConfig, coefficients: tuple, gram: dict):

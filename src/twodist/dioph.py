@@ -39,7 +39,7 @@ from .errors import DesignError, InternalConsistencyError
 from .exactnum import QuadExt, sqrt_adjoin, squarefree_decompose
 from .polynomials import (Poly, _horner, _primitive, _table_fiber, compose_cleared,
                           dense_coeffs, format_terms)
-from .regions import G2_SMALL_Z, g1_in_t, g1_proof, g2_proof, y2_curve_proof
+from .regions import G2_SMALL_Z, Step, g1_in_t, g1_proof, g2_proof, y2_curve_proof
 
 
 # ----- the polynomial system --------------------------------------------
@@ -144,26 +144,26 @@ LAMBDA_NUM, LAMBDA_DEN = lambda_parts(_S, _M, _XV, _YV)
 BLOCK_COUNT = 2 * LAMBDA_NUM - _S * (_S - 1) * LAMBDA_DEN
 
 
-def verify_identities() -> tuple[str, ...]:
+def verify_identities() -> list[Step]:
     """Check the parametrization and family identities as zero polynomials.
 
-    Returns the names of the identities, in the order checked.  Any nonzero
+    Returns one `Step` per identity, in the order checked.  Any nonzero
     residue raises InternalConsistencyError: these are algebraic identities,
     so a failure can only mean a transcription bug.
     """
-    checks: list[tuple[str, Poly]] = []
     y1, y2 = {**_XZ_SUBS, "y": (Y1_XZ, ONE_XZ)}, {**_XZ_SUBS, "y": (Y2NUM_XZ, MSQ_XZ)}
-    checks.append(("p1 on the y1 branch", compose_cleared(P1, y1)))
-    checks.append(("p2 on the y1 branch", compose_cleared(P2, y1)))
-    checks.append(("p2 on the y2 branch", compose_cleared(P2, y2)))
-    for name, poly in (("p1", P1), ("p2", P2), ("p3", P3)):
-        checks.append((f"{name} on family (i)", compose_cleared(poly, _FAMILY_I_SUBS)))
-    checks.append(("block count n = C(m,2) on family (i)",
-                   compose_cleared(BLOCK_COUNT, _FAMILY_I_SUBS)))
-    for name, residue in checks:
+    on_family = (("p1", P1), ("p2", P2), ("p3", P3), ("block count n = C(m,2)", BLOCK_COUNT))
+    checks = [("p1 on the y1 branch", P1, y1), ("p2 on the y1 branch", P2, y1),
+              ("p2 on the y2 branch", P2, y2),
+              *((f"{name} on family (i)", poly, _FAMILY_I_SUBS) for name, poly in on_family)]
+    steps = []
+    for name, poly, subs in checks:
+        residue = compose_cleared(poly, subs)
         if not residue.is_zero():
             raise InternalConsistencyError(f"nonzero residue for {name}: {residue!r}")
-    return tuple(name for name, _ in checks)
+        steps.append(Step(name, "cleared substitution", f"identically in {', '.join(residue.vars)}",
+                          True, "zero polynomial"))
+    return steps
 
 
 # ----- g2 on the (x, z) surface, in lowest terms ---------------------------
@@ -218,21 +218,17 @@ _Y2_CURVE = (
 # ----- region certificates -------------------------------------------------------
 
 
-class RegionViolation(NamedTuple):
-    region: str
-    step: str       # the polynomial and its substitution
-    witness: str    # its first offending coefficient
-
-
 class RegionScanReport:
-    __slots__ = ("points_checked", "violations", "notes", "steps")
+    __slots__ = ("points_checked", "notes", "steps")
 
     def __init__(self):
         self.points_checked: dict[str, int] = {}    # the box's points per proved region
-        self.violations: list[RegionViolation] = []
         self.notes: dict[str, object] = {}
-        # (region, polynomial, substitution, method, set covered), in proof order
-        self.steps: list[tuple[str, str, str, str, str]] = []
+        self.steps: list[Step] = []                  # the proof of `twodist.regions`, in order
+
+    @property
+    def violations(self) -> list[Step]:
+        return [s for s in self.steps if not s.passed]
 
     @property
     def ok(self) -> bool:
@@ -276,10 +272,7 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
         raise DesignError(
             f"the box z in [{zmin}, {zmax}], x <= {xmax} holds no lattice point "
             f"on which {which} is checked")
-    for step, witness in g1_proof() if which == "g1" else g2_proof(*_G2_TABLE):
-        report.steps.append(step)
-        if witness:
-            report.violations.append(RegionViolation(step[0], f"{step[1]}, {step[2]}", witness))
+    report.steps = list(g1_proof() if which == "g1" else g2_proof(*_G2_TABLE))
     if which == "g1":
         report.notes["strip_equation"] = solve_strip_equation()
     else:
@@ -346,28 +339,23 @@ def _integer_roots_between(f, lo: int, hi: int) -> list[int]:
     return [t for t in roots if lo <= t <= hi]
 
 
-def _p1_m_roots(S: int, mmax: int) -> Iterator[tuple[int, int]]:
-    """The (x, m) with 1 <= x < S < m <= mmax on p1 = 0: x = S - t^2, m = (S +- t)^2 / x."""
+def _p1_m_roots(S: int, mmax: int) -> Iterator[tuple[int, int, int]]:
+    """The (x, m, z), 1 <= x < S < m <= mmax, on p1 = 0: x = S - t^2, m = (S + z)^2 / x, z = +-t."""
     for t in range(1, isqrt(S - 1) + 1):
         x = S - t * t
-        for m, r in (divmod((S - t) ** 2, x), divmod((S + t) ** 2, x)):
+        for z in (-t, t):
+            m, r = divmod((S + z) ** 2, x)
             if not r and S < m <= mmax:
-                yield x, m
+                yield x, m, z
 
 
 # ----- solution certificates, brute force, classification -----------------
 
 
-class GateResult(NamedTuple):
-    name: str
-    passed: bool
-    witness: str
-
-
 class SolutionCertificate(NamedTuple):
     candidate: tuple[int, int, int, int, int]  # (S, m, x, y, z)
-    gates: tuple[GateResult, ...]
-    verdict: str                               # "accepted" or "rejected: <gate>"
+    gates: tuple[Step, ...]
+    verdict: str                               # "accepted" or "rejected: <gate>: <witness>"
 
     @property
     def accepted(self) -> bool:
@@ -378,17 +366,18 @@ class SolutionCertificate(NamedTuple):
         return self.candidate[:4]
 
 
-def _finish_certificate(S: int, m: int, x: int, y: int,
-                        gates: list[GateResult]) -> SolutionCertificate:
-    z = z_of(S, m, x)
-    if z.denominator != 1:  # p1 gives S - x = t^2 and z = +-t; classify walks integer z
-        raise InternalConsistencyError(f"(S,m,x,y)=({S},{m},{x},{y}) has z = {z}, not an integer")
+def _finish_certificate(S: int, m: int, x: int, y: int, z: int,
+                        gates: list[Step]) -> SolutionCertificate:
+    # z is the walk's: +-t of p1's chart in brute_solver, classify's own z; it must be `z_of`
+    if 2 * S * z != x * (m + 1) - S * (S + 1):
+        raise InternalConsistencyError(
+            f"(S,m,x,y)=({S},{m},{x},{y}) has no z = {z}: 2 S z != x (m + 1) - S (S + 1)")
     failing = next((g for g in gates if not g.passed), None)
-    verdict = "accepted" if failing is None else f"rejected: {failing.name}: {failing.witness}"
-    return SolutionCertificate((S, m, x, y, int(z)), tuple(gates), verdict)
+    verdict = "accepted" if failing is None else f"rejected: {failing.claim}: {failing.witness}"
+    return SolutionCertificate((S, m, x, y, z), tuple(gates), verdict)
 
 
-def _integrality_gates(S: int, m: int, x: int, y: int) -> list[GateResult]:
+def _integrality_gates(S: int, m: int, x: int, y: int) -> list[Step]:
     # brute_solver and classify keep the ordering; there a p-system point has S - x = t^2,
     # m x = (S + t)^2, y = x - t, t >= 1, and Lambda's denominator -t^2 ((w - 2x)(w + x)^2
     # - x(w + 2x)) / x, w = t(t + 1), is never 0: the bracket is < 0 for w <= 2x, else > 0
@@ -399,16 +388,16 @@ def _integrality_gates(S: int, m: int, x: int, y: int) -> list[GateResult]:
     except DesignError as exc:
         raise InternalConsistencyError(f"(S,m,x,y)=({S},{m},{x},{y}): {exc}") from None
     violation = next(integrality_violations(params), None)
-    return [GateResult("ordering", True, f"0 <= {y} < {x} < {S} < {m}"),
-            GateResult("integrality", violation is None, violation or "all parameters integral")]
+    return [Step("ordering", "exact evaluation", (S, m, x, y), True, f"0 <= {y} < {x} < {S} < {m}"),
+            Step("integrality", "parameter formulas", (S, m, x, y), violation is None,
+                 violation or "all parameters integral")]
 
 
-def _family_i_gate(S: int, m: int, x: int, y: int) -> GateResult:
-    z = z_of(S, m, x)  # a non-integral z lands off the family; _finish_certificate raises on it
-    if family_points(int(z)) != (S, m, x, y):
-        return GateResult("family-i", False,
-                          f"(S,m,x,y)=({S},{m},{x},{y}) is off family (i) at z={z}")
-    return GateResult("family-i", True, f"on family (i) with z = {z}")
+def _family_i_gate(S: int, m: int, x: int, y: int, z: int) -> Step:
+    on = family_points(z) == (S, m, x, y)
+    return Step("family-i", "the family (i) point at z", (S, m, x, y), on,
+                f"on family (i) with z = {z}" if on
+                else f"(S,m,x,y)=({S},{m},{x},{y}) is off family (i) at z={z}")
 
 
 def brute_solver(smax: int, mmax: int, enforce_gate: bool = True) -> list[SolutionCertificate]:
@@ -416,7 +405,7 @@ def brute_solver(smax: int, mmax: int, enforce_gate: bool = True) -> list[Soluti
 
     The box is 0 <= y < x < S <= smax, S < m <= mmax.  It is complete: p1 is the
     norm (x m - S^2 - u)^2 - 4 S^2 u in u = S - x >= 1, so p1 = 0 makes u a square
-    t^2 and x m = (S +- t)^2 (`_p1_m_roots`, z = +-t), and p2 is quadratic in y with
+    t^2 and x m = (S + z)^2 with z = +-t (`_p1_m_roots`), and p2 is quadratic in y with
     leading coefficient 4 m^2, so each (S, m, x) gives its y as one quadratic's integer
     roots.  The work is O(smax^(3/2)) pairs (S, t), not O(smax^2 mmax) values of a scan.
     Every survivor is rechecked on p1, p2 and p3 exactly; with the gate on, every
@@ -430,42 +419,37 @@ def brute_solver(smax: int, mmax: int, enforce_gate: bool = True) -> list[Soluti
     if P1 != _P1_NORM or P2.degree("y") > 2:
         raise InternalConsistencyError("p1 is not its norm form or p2 has degree > 2 in y")
     points = sorted(
-        (S, m, x, y) for S in range(2, smax + 1) for x, m in _p1_m_roots(S, mmax)
+        (S, m, x, y, z) for S in range(2, smax + 1) for x, m, z in _p1_m_roots(S, mmax)
         for y in _integer_roots_between(lambda t: _p2(S, m, x, t), 0, x - 1)
         if not (_p1(S, m, x, y) or _p2(S, m, x, y) or _p3(S, m, x, y)))
     out: list[SolutionCertificate] = []
-    for S, m, x, y in points:
-        gates = [GateResult("p-system", True, "p1 = p2 = p3 = 0"), *_integrality_gates(S, m, x, y)]
+    for S, m, x, y, z in points:
+        gates = [Step("p-system", "exact evaluation", (S, m, x, y), True, "p1 = p2 = p3 = 0"),
+                 *_integrality_gates(S, m, x, y)]
         if not enforce_gate:
             gates = gates[:2]
         elif all(g.passed for g in gates):
-            gates.append(_family_i_gate(S, m, x, y))
-        out.append(_finish_certificate(S, m, x, y, gates))
+            gates.append(_family_i_gate(S, m, x, y, z))
+        out.append(_finish_certificate(S, m, x, y, z, gates))
     return out
 
 
 TIGHT_DESIGN = (23, 7, 1)  # the unique tight 4-design parameters, used as a filter
+FAMILY_NOTES = (
+    "family (ii) S = m = x = y gives S = alpha, violating alpha < S",
+    "family (iii) m = S - 1 violates S < m",
+)
 
 
-class ClassifyReport:
-    __slots__ = ("certificates", "family_notes")
-
-    def __init__(self, certificates: list[SolutionCertificate], family_notes: tuple[str, ...]):
-        self.certificates, self.family_notes = certificates, family_notes
-
-    @property
-    def accepted(self) -> list[SolutionCertificate]:
-        return [c for c in self.certificates if c.accepted]
-
-
-def classify(zmax: int) -> ClassifyReport:
+def classify(zmax: int) -> list[SolutionCertificate]:
     """Walk family (i) for z = 1..zmax and apply the acceptance gates.
 
     Order of gates: ordering feasibility, parameter integrality, then (for
     4 <= S <= m - 4, where the block count equals C(m,2)) the tight-design
     filter, which admits only the 4-(23,7,1) parameters.  z = 1 is accepted
     through the S = 2 quadratic branch and is expected to be the only
-    acceptance: the two-distance embedding on 45 points.
+    acceptance: the two-distance embedding on 45 points.  Returns one
+    certificate per z; `FAMILY_NOTES` says why families (ii) and (iii) give none.
     """
     if zmax < 1:
         raise DesignError("classify needs zmax >= 1")
@@ -476,8 +460,8 @@ def classify(zmax: int) -> ClassifyReport:
         if all(g.passed for g in gates):
             if S < 4:
                 root_of = format_quadratic(_family_i_quadratic("S", S))
-                gates.append(GateResult("small-S branch", True,
-                                        f"S = {S} <= 3: z = {z} is the integer root of {root_of}"))
+                gates.append(Step("small-S branch", "integer root of the S-quadratic", (S, m, x, y),
+                                  True, f"S = {S} <= 3: z = {z} is the integer root of {root_of}"))
             else:
                 if not (4 <= S <= m - 4):
                     raise InternalConsistencyError(
@@ -486,13 +470,10 @@ def classify(zmax: int) -> ClassifyReport:
                 ok = (m, S) == TIGHT_DESIGN[:2]
                 witness = (f"n = C({m},2) = {n} forces the tight 4-{TIGHT_DESIGN} design; "
                            + ("matched" if ok else f"(S, m) = ({S}, {m}) != (7, 23)"))
-                gates.append(GateResult("tight-design", ok, witness))
-        certificates.append(_finish_certificate(S, m, x, y, gates))
-    notes = (
-        "family (ii) S = m = x = y gives S = alpha, violating alpha < S",
-        "family (iii) m = S - 1 violates S < m",
-    )
-    return ClassifyReport(certificates, notes)
+                gates.append(Step("tight-design", "cited: the uniqueness of 4-(23,7,1)",
+                                  (S, m, x, y), ok, witness))
+        certificates.append(_finish_certificate(S, m, x, y, z, gates))
+    return certificates
 
 
 # ----- quadratics in z ----------------------------------------------------
@@ -579,7 +560,7 @@ def y2_curve_search(xmin: int = 3, xmax: int = 10_000,
     if xmin > xmax or zmin > zmax or xmin < 1:
         raise DesignError(f"search box x in [{xmin}, {xmax}], z in [{zmin}, {zmax}] "
                           "is empty or reaches below x = 1")
-    for step, witness in y2_curve_proof(_Y2_CURVE):
-        if witness:
-            raise InternalConsistencyError(f"{step[1]}, {step[2]}: {witness}")
+    for step in y2_curve_proof(_Y2_CURVE):
+        if not step.passed:
+            raise InternalConsistencyError(f"{step.claim}: {step.witness}")
     return [(x0, 0) for x0 in range(xmin, xmax + 1)] if zmin <= 0 <= zmax else []

@@ -5,8 +5,9 @@ u, w >= 0 into a polynomial and reads its coefficients: all >= 0 with a
 positive constant prove it positive there (Polya's test on the quadrant).
 lo < N / D < hi holds where s (N - lo D) and s (hi D - N) are both positive
 for s = +-1, since their sum s (hi - lo) D is then positive too.  A proof
-yields (step, witness): the step is (region, polynomial, substitution,
-method, set covered) and the witness "" or its first offending coefficient.
+yields `Step`s, the proof record that `solve`, `classify` and `identities`
+share: here the claim is "region: polynomial, substitution" and the
+witness "" or the first offending coefficient.
 g1 is proved in its one form, `g1_in_t`, in x and t = z(z + 1)/2 (8 steps);
 g2 (18 steps) and the y2 curve (4 steps) on the integer tables of `dioph`:
 30 steps in all.  The pieces are constants; tests/test_region_proof.py
@@ -16,9 +17,19 @@ checks that they cover every integer z each region needs.
 from __future__ import annotations
 
 from itertools import product, zip_longest
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .polynomials import Poly, _horner, _table_fiber, format_terms, taylor_shift
+
+
+class Step(NamedTuple):
+    """One proof step: a region proof's step, a `solve` or `classify` gate, or an identity."""
+
+    claim: str      # "region: polynomial, substitution", or the gate's or identity's name
+    method: str     # how it is decided: "Polya", "zero row", "cited: ...", ...
+    covers: object  # the set it covers, or the candidate (S, m, x, y) a gate decides
+    passed: bool
+    witness: str    # why it holds, or where it fails; "" on a passed region step
 
 
 def g1_in_t(x, t):
@@ -77,17 +88,18 @@ def _substituted(rows: Sequence[Sequence[int]], x_piece: tuple[int, int],
     return {(k, j): c for j, col in enumerate(cols) for k, c in enumerate(col) if c}
 
 
-def _table_proof(region: str, polys, x_pieces, z_pieces) -> Iterator[tuple]:
+def _table_proof(region: str, polys, x_pieces, z_pieces) -> Iterator[Step]:
     """A Polya step for each (label, table) of polys on each x piece by z piece."""
     for (label, rows), xp, zp in product(polys, x_pieces, z_pieces):
         both = (("x", "u", xp), ("z", "w", zp))
         sub = ", ".join(f"{v} = {format_terms((c, ''), (s, d))}" for v, d, (c, s) in both)
         covers = ", ".join(f"{'real ' if s else ''}{v} {('=', '>=', '<=')[s]} {c}"
                            for v, _, (c, s) in both)
-        yield (region, label, sub, "Polya", covers), _polya_witness(_substituted(rows, xp, zp))
+        witness = _polya_witness(_substituted(rows, xp, zp))
+        yield Step(f"{region}: {label}, {sub}", "Polya", covers, not witness, witness)
 
 
-def g1_proof() -> Iterator[tuple]:
+def g1_proof() -> Iterator[Step]:
     """`g1_in_t` keeps its bounds, for t >= 1, that is z not in {-1, 0}.
 
     The pieces cover real x >= t + 1, real x in [1, t - 2] and the strip
@@ -102,11 +114,12 @@ def g1_proof() -> Iterator[tuple]:
         sub = ", ".join(f"{v} = {format_terms((c, ''), (cu, 'u'), (cw, 'w'))}"
                         for v, (c, cu, cw) in (("x", x), ("t", t)))
         for a, b in ((sign, -sign * lo), (-sign, sign * hi)):
-            yield ((region, format_terms((a, "N"), (b, "D")), sub, "Polya", covers),
-                   _polya_witness((a * num_t + b * den_t).terms))
+            witness = _polya_witness((a * num_t + b * den_t).terms)
+            yield Step(f"{region}: {format_terms((a, 'N'), (b, 'D'))}, {sub}", "Polya", covers,
+                       not witness, witness)
 
 
-def g2_proof(num, den) -> Iterator[tuple]:
+def g2_proof(num, den) -> Iterator[Step]:
     """The g2 table pair num / den keeps its bounds on each piece of `_G2_PROOF`."""
     pairs = list(zip_longest(num, den, fillvalue=()))
     for region, lo, hi, x_pieces, z_pieces in _G2_PROOF:
@@ -116,9 +129,9 @@ def g2_proof(num, den) -> Iterator[tuple]:
         yield from _table_proof(region, polys, x_pieces, z_pieces)
 
 
-def y2_curve_proof(table) -> Iterator[tuple]:
+def y2_curve_proof(table) -> Iterator[Step]:
     """The cleared y2 curve table is positive off z = 0 for real x >= 1, and zero on z = 0."""
     yield from _table_proof("off z = 0", [("p3 on y2", table)], *_Y2_PROOF)
     row = _substituted(table, (1, 1), (0, 0))
-    yield (("z = 0", "p3 on y2", "x = 1 + u, z = 0", "zero row", "real x >= 1, z = 0"),
-           f"nonzero coefficients {row}" if row else "")
+    yield Step("z = 0: p3 on y2, x = 1 + u, z = 0", "zero row", "real x >= 1, z = 0", not row,
+               f"nonzero coefficients {row}" if row else "")

@@ -14,6 +14,7 @@ from fractions import Fraction
 from twodist import coherent, designs, dioph, geometry
 from twodist.cli import dispatch
 from twodist.exactnum import QuadExt, parse_scalar, quadext_sign, sqrt_adjoin
+from twodist.regions import Step
 
 import surface_oracle
 from oracles import dense_checks, projector_form
@@ -86,7 +87,8 @@ def test_criterion_4_spectrum_equivalence(lisonek_projector, capsys):
 
 def test_criterion_5_polynomial_identities(capsys):
     t0 = time.monotonic()
-    assert len(dioph.verify_identities()) == 7
+    steps = dioph.verify_identities()
+    assert len(steps) == 7 and all(s.passed and s.witness == "zero polynomial" for s in steps)
     with capsys.disabled():
         _passed(5, "all seven residues are the zero polynomial", t0, budget=10.0)
 
@@ -97,9 +99,9 @@ def test_criterion_6_brute_force_classification(capsys):
     accepted = [c for c in certs if c.accepted]
     assert [c.smxy for c in accepted] == [(2, 9, 1, 0), (7, 27, 3, 1), (26, 90, 10, 6)]
     assert [c.candidate[4] for c in accepted] == [1, 2, 4]
-    report = dioph.classify(10)
-    assert [c.candidate[4] for c in report.accepted] == [1]
-    verdicts = {c.candidate[4]: c.verdict for c in report.certificates}
+    on_family = dioph.classify(10)
+    assert [c.candidate[4] for c in on_family if c.accepted] == [1]
+    verdicts = {c.candidate[4]: c.verdict for c in on_family}
     assert "tight-design" in verdicts[2] and "tight-design" in verdicts[4]
     for z in (3, 5, 6, 7, 8, 9, 10):
         assert "integrality" in verdicts[z] or "tight-design" in verdicts[z]
@@ -113,7 +115,7 @@ def test_criterion_7_region_certification(capsys):
     g1 = dioph.region_scan("g1")
     assert g1.ok, g1.violations[:5]
     assert g1.points_checked == {"region1": 1651650, "region2": 197, "region3": 337954}
-    assert [(s[0], s[3]) for s in g1.steps] == [
+    assert [(s.claim.split(": ")[0], s.method) for s in g1.steps] == [
         (region, "Polya") for region in ["region1"] * 4 + ["region2"] * 2 + ["region3"] * 2]
     strip = g1.notes["strip_equation"]
     assert set(strip.roots) == {
@@ -122,8 +124,9 @@ def test_criterion_7_region_certification(capsys):
     g2 = dioph.region_scan("g2")
     assert g2.ok, g2.violations[:5]
     assert g2.points_checked == {"large_z": 354, "x_ge_3": 2009598}
-    assert [s[3] for s in g2.steps] == ["Polya"] * 18
-    assert ("large_z", "N - 31D", "x = 2, z = -15 - w", "Polya", "x = 2, real z <= -15") in g2.steps
+    assert [s.method for s in g2.steps] == ["Polya"] * 18
+    assert Step("large_z: N - 31D, x = 2, z = -15 - w", "Polya", "x = 2, real z <= -15",
+                True, "") in g2.steps
     assert g2.notes["integer_values"] == {(1, -1): 136, (1, 0): 0, (2, 0): 0}
     assert surface_oracle.aux_g("g2", 1, -1) == 136
     assert surface_oracle.aux_g("g2", 1, 0) == 0 and surface_oracle.aux_g("g2", 2, 0) == 0

@@ -122,10 +122,13 @@ def test_parametrization_solves_system():
 
 
 def test_verify_identities():
-    names = verify_identities()
+    steps = verify_identities()
+    names = [s.claim for s in steps]
     assert len(names) == 7
     assert "p2 on the y2 branch" in names
     assert "block count n = C(m,2) on family (i)" in names
+    assert all(s.passed and s.witness == "zero polynomial" for s in steps)
+    assert [s.covers for s in steps] == ["identically in x, z"] * 3 + ["identically in z"] * 4
 
 
 # verify_identities clears each of its seven identities with one
@@ -397,8 +400,8 @@ def test_brute_solver_bounds_validation():
 
 def enumerate_p_system(smax, mmax, enforce_gate=True):
     """Oracle: `brute_solver` as a scan of every (S, m, x, y) in the box."""
-    from twodist.dioph import (GateResult, _family_i_gate, _finish_certificate,
-                               _integrality_gates)
+    from twodist.dioph import _family_i_gate, _finish_certificate, _integrality_gates
+    from twodist.regions import Step
 
     out = []
     for S in range(2, smax + 1):
@@ -409,13 +412,16 @@ def enumerate_p_system(smax, mmax, enforce_gate=True):
                 for y in range(x):
                     if eval_p("p2", S, m, x, y) or eval_p("p3", S, m, x, y):
                         continue
-                    gates = [GateResult("p-system", True, "p1 = p2 = p3 = 0")]
+                    z = z_of(S, m, x)      # not the chart brute_solver walks
+                    assert z.denominator == 1, (S, m, x, y, z)
+                    gates = [Step("p-system", "exact evaluation", (S, m, x, y), True,
+                                  "p1 = p2 = p3 = 0")]
                     gates += _integrality_gates(S, m, x, y)
                     if not enforce_gate:
                         gates = gates[:2]
                     elif all(g.passed for g in gates):
-                        gates.append(_family_i_gate(S, m, x, y))
-                    out.append(_finish_certificate(S, m, x, y, gates))
+                        gates.append(_family_i_gate(S, m, x, y, int(z)))
+                    out.append(_finish_certificate(S, m, x, y, int(z), gates))
     return out
 
 
@@ -451,10 +457,11 @@ def test_p_system_degrees():
 
 def test_p1_m_roots_match_a_scan():
     # every zero of p1 in the box, on both signs of z = +-t: (S, x) = (5, 1) has m = 9 and 49
-    assert list(dioph._p1_m_roots(5, 400)) == [(4, 9), (1, 9), (1, 49)]
+    assert list(dioph._p1_m_roots(5, 400)) == [(4, 9, 1), (1, 9, -2), (1, 49, 2)]
     for S in range(2, 25):
         assert sorted(dioph._p1_m_roots(S, 600)) == [
-            (x, m) for x in range(1, S) for m in range(S + 1, 601) if not _p1(S, m, x, 0)]
+            (x, m, z_of(S, m, x)) for x in range(1, S) for m in range(S + 1, 601)
+            if not _p1(S, m, x, 0)]
 
 
 def test_p1_is_a_norm_form():
@@ -559,13 +566,24 @@ def test_brute_solver_rechecks_every_survivor(monkeypatch):
     # into a scan; the exact check of p1, p2 and p3 must still keep only solutions
     from twodist import dioph
 
+    # z is the floor of z_of off p1 = 0, where the recheck drops the point
     monkeypatch.setattr(dioph, "_p1_m_roots", lambda S, mmax: [
-        (x, m) for x in range(1, S) for m in range(S + 1, mmax + 1)])
+        (x, m, (x * (m + 1) - S * (S + 1)) // (2 * S))
+        for x in range(1, S) for m in range(S + 1, mmax + 1)])
     monkeypatch.setattr(dioph, "_integer_roots_between", lambda f, lo, hi: range(lo, hi + 1))
     assert brute_solver(8, 50) == enumerate_p_system(8, 50)
     # no integer point of the box has p1 = p2 = 0 and p3 != 0, so p3's recheck shows only here
     monkeypatch.setattr(dioph, "_p3", lambda S, m, x, y: 1)
     assert brute_solver(8, 50) == []
+
+
+# how each gate of solve and classify is decided; tight-design rests on a cited theorem
+GATE_METHODS = {
+    "p-system": "exact evaluation", "ordering": "exact evaluation",
+    "integrality": "parameter formulas", "family-i": "the family (i) point at z",
+    "small-S branch": "integer root of the S-quadratic",
+    "tight-design": "cited: the uniqueness of 4-(23,7,1)",
+}
 
 
 def test_brute_solver_large_box():
@@ -574,26 +592,51 @@ def test_brute_solver_large_box():
         assert [eval_p(w, *cert.smxy) for w in ("p1", "p2", "p3")] == [0, 0, 0]
         S, m, x, _, z = cert.candidate      # the chart link: S - x = z^2, m x = (S + z)^2
         assert S - x == z * z and m * x == (S + z) ** 2
+        assert type(z) is int and z == z_of(S, m, x)    # the walk's z is the strip coordinate
+        assert all(g.covers == cert.smxy and g.method == GATE_METHODS[g.claim] for g in cert.gates)
     accepted = [c for c in certs if c.accepted]
     assert [c.candidate[4] for c in accepted] == [1, 2, 4, 5, 6, 8]
     assert [c.smxy for c in accepted] == [family_points(z) for z in (1, 2, 4, 5, 6, 8)]
-    on_family = {c.candidate[4]: c for c in classify(8).certificates}
+    on_family = {c.candidate[4]: c for c in classify(8)}
     for cert in accepted:
         family_cert = on_family[cert.candidate[4]]
         assert family_cert.smxy == cert.smxy
-        assert [g.passed for g in family_cert.gates if g.name == "integrality"] == [True]
+        assert [g.passed for g in family_cert.gates if g.claim == "integrality"] == [True]
 
 
-@pytest.mark.parametrize("run", [lambda: classify(1), lambda: brute_solver(3, 9)],
+def test_classify_certificates_carry_the_strip_coordinate():
+    certs = classify(12)
+    for cert in certs:
+        S, m, x, _, z = cert.candidate
+        assert type(z) is int and z == z_of(S, m, x)
+        assert all(g.covers == cert.smxy and g.method == GATE_METHODS[g.claim] for g in cert.gates)
+    assert {g.claim for c in certs for g in c.gates} == {
+        "ordering", "integrality", "small-S branch", "tight-design"}
+
+
+def _classify_one_z_off(monkeypatch):
+    # classify's loop z = 1 gets the family point of z = 2
+    points = dioph.family_points
+    monkeypatch.setattr(dioph, "family_points", lambda z: points(z + 1))
+    classify(1)
+
+
+def _brute_solver_at_half(monkeypatch):
+    # p1's chart yields z = 1/2 beside each (x, m)
+    roots = dioph._p1_m_roots
+    monkeypatch.setattr(dioph, "_p1_m_roots", lambda S, mmax: [
+        (x, m, Fraction(1, 2)) for x, m, _ in roots(S, mmax)])
+    brute_solver(3, 9)
+
+
+@pytest.mark.parametrize("run, z", [(_classify_one_z_off, "1"), (_brute_solver_at_half, "1/2")],
                          ids=["classify", "brute_solver"])
-def test_certificate_refuses_a_non_integral_z(run, monkeypatch):
-    # z is an integer on every certificate (p1 gives S - x = t^2 and z = +-t;
-    # classify walks integer z), so a fractional one is a bug, never z = 0
-    from twodist import dioph
-
-    monkeypatch.setattr(dioph, "z_of", lambda S, m, x: Fraction(1, 2))
-    with pytest.raises(InternalConsistencyError, match=r"has z = 1/2, not an integer"):
-        run()
+def test_certificate_refuses_a_non_integral_z(run, z, monkeypatch):
+    # a certificate takes the walk's z (classify's loop, p1's chart z = +-t) and checks
+    # it against 2 S z = x (m + 1) - S (S + 1): a z off it is a bug, never a verdict
+    with pytest.raises(InternalConsistencyError,
+                       match=rf"has no z = {z}: 2 S z != x \(m \+ 1\) - S \(S \+ 1\)"):
+        run(monkeypatch)
 
 
 def test_integrality_gates_raise_where_no_walk_can_go(monkeypatch):
@@ -632,18 +675,17 @@ def test_lambda_denominator_is_nonzero_on_the_p_system():
 
 def test_classify_unique_acceptance_for_every_bound():
     for zmax in range(1, 13):
-        report = classify(zmax)
-        assert [c.candidate[4] for c in report.accepted] == [1], zmax
+        assert [c.candidate[4] for c in classify(zmax) if c.accepted] == [1], zmax
 
 
 def test_classify():
-    report = classify(6)
-    assert [c.candidate[4] for c in report.accepted] == [1]
-    verdicts = {c.candidate[4]: c.verdict for c in report.certificates}
+    certs = classify(6)
+    assert [c.candidate[4] for c in certs if c.accepted] == [1]
+    verdicts = {c.candidate[4]: c.verdict for c in certs}
     assert "tight-design" in verdicts[2] and "27" in verdicts[2]
     assert "integrality" in verdicts[3] and "795/2" in verdicts[3]
     assert "tight-design" in verdicts[4]
-    assert len(report.family_notes) == 2
+    assert len(dioph.FAMILY_NOTES) == 2
     with pytest.raises(DesignError):
         classify(0)
 

@@ -8,7 +8,7 @@ from twodist import dioph, regions
 from twodist.dioph import g2_integer_values, region_scan, solve_strip_equation, y2_curve_search
 from twodist.errors import InternalConsistencyError
 from twodist.polynomials import Poly, _horner, _table_fiber, compose_cleared
-from twodist.regions import G2_SMALL_Z, _substituted, g1_in_t, y2_curve_proof
+from twodist.regions import G2_SMALL_Z, Step, _substituted, g1_in_t, y2_curve_proof
 
 from lattice_oracle import lattice_scan
 from surface_oracle import aux_g, derived_pair, fiber_values, table_holds, t_form_tables, table_poly
@@ -19,6 +19,11 @@ NEEDED = {
     "x_ge_3": (set(range(3, 400)), lambda z: True),
     "off z = 0": (set(range(1, 400)), lambda z: z != 0),
 }
+
+
+def region_of(step):
+    """The region a region proof's step names first in its claim."""
+    return step.claim.split(": ")[0]
 
 
 def holds(piece, v):
@@ -36,12 +41,18 @@ def uncovered(region, x_pieces, z_pieces):
 def test_each_proof_lists_its_steps_and_passes():
     g1, g2 = region_scan("g1", -3, 3, 10), region_scan("g2", -3, 3, 10)
     y2 = list(y2_curve_proof(dioph._Y2_CURVE))
-    assert g1.ok and g2.ok and not any(w for _, w in y2)
-    assert [s[0] for s in g1.steps] == ["region1"] * 4 + ["region2"] * 2 + ["region3"] * 2
+    assert g1.ok and g2.ok
+    assert all(s.passed and s.witness == "" for s in g1.steps + g2.steps + y2)
+    assert [region_of(s) for s in g1.steps] == ["region1"] * 4 + ["region2"] * 2 + ["region3"] * 2
     assert len(g2.steps) == 2 * (2 * 2 + 5) and len(y2) == 3 + 1
-    assert {s[3] for s in g1.steps + g2.steps} == {"Polya"}
-    assert ("x_ge_3", "N + D", "x = 3 + u, z = -3 - w", "Polya", "real x >= 3, real z <= -3") in g2.steps
-    assert ("region2", "N - 2D", "x = 1 + w, t = 2 + w", "Polya", "x = t - 1, real t >= 2") in g1.steps
+    assert {s.method for s in g1.steps + g2.steps} == {"Polya"}
+    assert [s.method for s in y2] == ["Polya"] * 3 + ["zero row"]
+    assert Step("x_ge_3: N + D, x = 3 + u, z = -3 - w", "Polya", "real x >= 3, real z <= -3",
+                True, "") in g2.steps
+    assert Step("region2: N - 2D, x = 1 + w, t = 2 + w", "Polya", "x = t - 1, real t >= 2",
+                True, "") in g1.steps
+    assert y2[-1] == Step("z = 0: p3 on y2, x = 1 + u, z = 0", "zero row", "real x >= 1, z = 0",
+                          True, "")
 
 
 def test_pieces_cover_every_needed_integer():
@@ -82,15 +93,16 @@ def test_a_mutated_g2_proof_fails(name, monkeypatch):
     monkeypatch.setattr(regions, "_G2_PROOF", proof)
     report = region_scan("g2", -5, 5, 10)
     gaps = {row[0]: uncovered(row[0], *row[3:]) for row in proof}
-    assert {v.region for v in report.violations} | {r for r, gap in gaps.items() if gap} == {region}
-    assert all(v.step and v.witness for v in report.violations)
+    assert {region_of(v) for v in report.violations} | {r for r, gap in gaps.items() if gap} == {region}
+    assert all(v.claim.split(": ", 1)[1] and v.witness and not v.passed for v in report.violations)
 
 
 def test_a_named_violation_gives_the_step_and_the_coefficient(monkeypatch):
     cut_off = MUTATIONS["cut-off"][0]
     monkeypatch.setattr(regions, "_G2_PROOF", g2_proof_with("x_ge_3", **cut_off))
     assert region_scan("g2", -5, 5, 10).violations == [
-        dioph.RegionViolation("x_ge_3", "N + D, x = 3 + u, z = w", "coefficient -44226 of u^0 w^1")]
+        Step("x_ge_3: N + D, x = 3 + u, z = w", "Polya", "real x >= 3, real z >= 0", False,
+             "coefficient -44226 of u^0 w^1")]
 
 
 @pytest.mark.parametrize("row, field, value", [
@@ -104,7 +116,7 @@ def test_a_mutated_g1_piece_reports_a_named_violation(row, field, value, monkeyp
     proof[row][field] = value
     monkeypatch.setattr(regions, "_G1_PROOF", tuple(map(tuple, proof)))
     report = region_scan("g1", -5, 5, 10)
-    assert {v.region for v in report.violations} == {proof[row][0]}
+    assert {region_of(v) for v in report.violations} == {proof[row][0]}
 
 
 def bumped_t_form(side, k, j):
@@ -128,7 +140,7 @@ def g1_outcome(form, monkeypatch):
     holds = table_holds("g1", *t_form_tables(form))
     monkeypatch.setattr(regions, "g1_in_t", form)
     monkeypatch.setattr(dioph, "g1_in_t", form)
-    failed = sorted({step[0] for step, witness in regions.g1_proof() if witness})
+    failed = sorted({region_of(step) for step in regions.g1_proof() if not step.passed})
     try:
         strip = solve_strip_equation().quadratic == (1, 1, -10)
     except InternalConsistencyError:
@@ -163,18 +175,23 @@ def test_the_unperturbed_t_form_holds(monkeypatch):
     assert g1_outcome(g1_in_t, monkeypatch) == (True, [], True, None)
 
 
-@pytest.mark.parametrize("proof, table", [
-    ((((1, 1),), ((1, 1), (-2, -1), (-1, 1))), None),      # the row z = -1 turned into z >= -1
-    ((((0, 1),), ((1, 1), (-2, -1), (-1, 0))), None),      # x from 0, where the curve vanishes
-    (None, dioph._Y2_CURVE[:-1] + ((1, 0, 0, 0, 8, 12, 4),)),   # the row z = 0 nonzero
-])
-def test_a_mutated_y2_proof_raises(proof, table, monkeypatch):
+@pytest.mark.parametrize("proof, table, failed", [
+    # the row z = -1 turned into z >= -1
+    ((((1, 1),), ((1, 1), (-2, -1), (-1, 1))), None, "off z = 0: p3 on y2, x = 1 + u, z = -1 + w: "),
+    # x from 0, where the curve vanishes
+    ((((0, 1),), ((1, 1), (-2, -1), (-1, 0))), None, "off z = 0: p3 on y2, x = u, z = 1 + w: "),
+    # the row z = 0 nonzero
+    (None, dioph._Y2_CURVE[:-1] + ((1, 0, 0, 0, 8, 12, 4),),
+     "z = 0: p3 on y2, x = 1 + u, z = 0: nonzero coefficients"),
+], ids=["proof0-None", "proof1-None", "None-table2"])
+def test_a_mutated_y2_proof_raises(proof, table, failed, monkeypatch):
     if proof:
         monkeypatch.setattr(regions, "_Y2_PROOF", proof)
     if table:
         monkeypatch.setattr(dioph, "_Y2_CURVE", table)
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(InternalConsistencyError) as err:
         y2_curve_search(3, 40, -5, 5)
+    assert str(err.value).startswith(failed)
 
 
 def test_a_y2_proof_with_a_dropped_row_leaves_it_uncovered():
