@@ -76,13 +76,12 @@ GOLDEN_GRAM = {
 }
 
 
-def _verify_lisonek(report: CommandReport) -> bool:
-    ok = True
+def cmd_verify(args) -> CommandReport:
+    report = CommandReport("verify lisonek")
 
     def expect(section, rows, condition):
-        nonlocal ok
         if not condition:
-            ok = False
+            report.fail()
         report.add(section, rows + [("check", "pass" if condition else "FAIL")])
 
     config = geometry.lisonek_coordinates()
@@ -139,7 +138,7 @@ def _verify_lisonek(report: CommandReport) -> bool:
     expect("spectrum", list(spec.as_strings().items()), spectra_ok)
 
     verdict = geometry.two_distance_classify(spec)
-    residuals = geometry.p_residuals(2, 9, 1, 0)
+    residuals = dioph.p_residuals(2, 9, 1, 0)
     expect("classification", [
         ("two-distance", verdict.is_two_distance),
         ("gamma (squared distance)", format_scalar(verdict.gamma_sq)),
@@ -147,21 +146,13 @@ def _verify_lisonek(report: CommandReport) -> bool:
         ("complement case", verdict.complement_letter or "-"),
         ("p residuals (gamma > 2)", str(residuals)),
     ], verdict.letter == "A" and verdict.gamma_sq == QuadExt(4) and residuals == (0, 0, 0))
-    return ok
-
-
-def cmd_verify(args) -> tuple[int, CommandReport]:
-    report = CommandReport("verify lisonek")
-    if not _verify_lisonek(report):
-        report.fail()
-        return EXIT_MATH, report
-    return EXIT_OK, report
+    return report
 
 
 # ----- params ----------------------------------------------------------------
 
 
-def cmd_params(args) -> tuple[int, CommandReport]:
+def cmd_params(args) -> CommandReport:
     params = designs.derive_parameters(args.m, args.S, args.alpha, args.beta)
     violations = list(designs.integrality_violations(params))
     report = CommandReport(f"params {args.m} {args.S} {args.alpha} {args.beta}")
@@ -172,13 +163,13 @@ def cmd_params(args) -> tuple[int, CommandReport]:
     ])
     report.add("integrality", [("integrality gate", "fail" if violations else "pass"),
                                *[("violation", v) for v in violations]])
-    return EXIT_OK, report
+    return report
 
 
 # ----- embed -------------------------------------------------------------------
 
 
-def cmd_embed(args) -> tuple[int, CommandReport]:
+def cmd_embed(args) -> CommandReport:
     design = designs.load_design(args.design)
     cc = coherent.from_design(design)
     result = coherent.projector_and_gram(cc)
@@ -211,7 +202,7 @@ def cmd_embed(args) -> tuple[int, CommandReport]:
             (f"row {u}", " | ".join(values[k] for k in coherent.relation_row(cc, u)))
             for u in range(cc.size)
         ])
-    return EXIT_OK, report
+    return report
 
 
 # ----- solve / classify / regions / identities ---------------------------------
@@ -222,7 +213,7 @@ def _certificate_rows(cert: dioph.SolutionCertificate) -> list:
     return rows + [("verdict", cert.verdict)]
 
 
-def cmd_solve(args) -> tuple[int, CommandReport]:
+def cmd_solve(args) -> CommandReport:
     certs = dioph.brute_solver(args.smax, args.mmax, enforce_gate=not args.no_gate)
     report = CommandReport(f"solve --smax {args.smax} --mmax {args.mmax}")
     accepted = [c for c in certs if c.accepted]
@@ -233,10 +224,10 @@ def cmd_solve(args) -> tuple[int, CommandReport]:
     ])
     for cert in certs:
         report.add(f"certificate (S,m,x,y,z) = {cert.candidate}", _certificate_rows(cert))
-    return EXIT_OK, report
+    return report
 
 
-def cmd_classify(args) -> tuple[int, CommandReport]:
+def cmd_classify(args) -> CommandReport:
     certs = dioph.classify(args.zmax)
     accepted = [c for c in certs if c.accepted]
     report = CommandReport(f"classify --zmax {args.zmax}")
@@ -247,14 +238,12 @@ def cmd_classify(args) -> tuple[int, CommandReport]:
     ])
     for cert in certs:
         report.add(f"z = {cert.candidate[4]}: (S,m,x,y) = {cert.smxy}", _certificate_rows(cert))
-    expected = len(accepted) == 1 and accepted[0].candidate[4] == 1
-    if not expected:
+    if not (len(accepted) == 1 and accepted[0].candidate[4] == 1):
         report.fail()
-        return EXIT_MATH, report
-    return EXIT_OK, report
+    return report
 
 
-def cmd_regions(args) -> tuple[int, CommandReport]:
+def cmd_regions(args) -> CommandReport:
     scan = dioph.region_scan(args.which, zmin=args.zmin, zmax=args.zmax, xmax=args.xmax)
     report = CommandReport(f"regions --which {args.which}")
     report.add("box", [
@@ -280,20 +269,19 @@ def cmd_regions(args) -> tuple[int, CommandReport]:
     ])
     if not scan.ok:
         report.fail()
-        return EXIT_MATH, report
-    return EXIT_OK, report
+    return report
 
 
-def cmd_identities(args) -> tuple[int, CommandReport]:
+def cmd_identities(args) -> CommandReport:
     report = CommandReport("identities")
     try:
         steps = dioph.verify_identities()
     except InternalConsistencyError as exc:
         report.add("identities", [("failure", str(exc))])
         report.fail()
-        return EXIT_MATH, report
-    report.add("identities", [(s.claim, s.witness) for s in steps])
-    return EXIT_OK, report
+    else:
+        report.add("identities", [(s.claim, s.witness) for s in steps])
+    return report
 
 
 # ----- command line -------------------------------------------------------------
@@ -404,13 +392,18 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace:
 
 
 def dispatch(argv: Sequence[str]) -> tuple[int, Optional[CommandReport]]:
-    """Route a command line; returns (exit code, report); errors exit as `twodist.errors` says."""
+    """Route a command line; returns (exit code, report).
+
+    A handler returns only its report: the exit code is EXIT_MATH for a
+    report whose status is "failure", else EXIT_OK, and errors exit as
+    `twodist.errors` says.
+    """
     try:
         args = _parse(argv)
     except SystemExit as exc:
         return exc.code, None
     try:
-        code, report = args.func(args)
+        report = args.func(args)
     except (DesignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE, None
@@ -418,7 +411,7 @@ def dispatch(argv: Sequence[str]) -> tuple[int, Optional[CommandReport]]:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_MATH, None
     _emit(report, args.json)
-    return code, report
+    return (EXIT_MATH if report.status == "failure" else EXIT_OK), report
 
 
 def main() -> None:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterator, NamedTuple
 
-from .designs import derive_parameters, integrality_violations, lambda_parts
+from .designs import derive_parameters, integrality_violations, lambda_parts, require_ordering
 from .errors import DesignError, InternalConsistencyError
 from .exactnum import QuadExt, sqrt_adjoin, squarefree_decompose
 from .polynomials import (Poly, _horner, _primitive, _table_fiber, compose_cleared,
@@ -87,6 +87,12 @@ def eval_p(which: str, S: int, m: int, x: int, y: int) -> int:
     if which not in _P_FUNCS:
         raise ValueError(f"unknown polynomial {which!r}")
     return _P_FUNCS[which](S, m, x, y)
+
+
+def p_residuals(S: int, m: int, alpha: int, beta: int) -> tuple:
+    """(p1, p2, p3) at (S, m, alpha, beta); the gamma > 2 branch is feasible only when all vanish."""
+    require_ordering(m, S, alpha, beta)
+    return tuple(eval_p(w, S, m, alpha, beta) for w in ("p1", "p2", "p3"))
 
 
 # ----- the (x, z) parametrization ---------------------------------------

@@ -186,27 +186,13 @@ class QuadExt:
             raise ZeroDivisionError("QuadExt division by zero")
         if self.is_rational():
             return QuadExt(1 / self._terms[0][1])
-        # Split self = u + v*sqrt(d) with u, v in the complementary subfield
-        # Q(sqrt(h)); then 1/self = (u - v*sqrt(d)) / (u^2 - v^2 d).  The
-        # denominator is nonzero because conjugation sqrt(d) -> -sqrt(d) is a
-        # field automorphism, and it lives one radicand down, so the recursion
+        # with self = u + v*sqrt(d) (`_conjugate_split`, which quadext_sign
+        # shares), 1/self = (u - v*sqrt(d)) / (u^2 - v^2 d).  The denominator
+        # is nonzero because conjugation sqrt(d) -> -sqrt(d) is a field
+        # automorphism, and it lives one radicand down, so the recursion
         # bottoms out at a rational.
-        group = sorted(_radicand_closure(self.radicands()) - {1})
-        d = group[0]
-        h = group[1] if len(group) > 1 else None
-        u_terms: dict[int, Fraction] = {}
-        v_terms: dict[int, Fraction] = {}
-        for r, c in self._terms:
-            if r == 1 or r == h:
-                u_terms[r] = c
-            else:
-                g, rd = _sf_product(r, d)
-                v_terms[rd] = c * g * Fraction(1, d)
-        u = QuadExt._trusted(u_terms)
-        v = QuadExt._trusted(v_terms)
-        denom = u * u - v * v * d
-        inv_denom = denom.inverse()
-        return (u - v * QuadExt._trusted({d: Fraction(1)})) * inv_denom
+        u, v, d = _conjugate_split(self)
+        return (u - v * QuadExt._trusted({d: Fraction(1)})) * (u * u - v * v * d).inverse()
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -266,54 +252,53 @@ def sqrt_adjoin(r) -> QuadExt:
 # ----- exact sign determination ---------------------------------------
 
 
+def _conjugate_split(a: QuadExt) -> tuple[QuadExt, QuadExt, int]:
+    """Write an irrational ``a`` as ``u + v*sqrt(d)``; returns ``(u, v, d)``.
+
+    ``d`` is the smallest radicand other than 1 in the field that a's
+    radicands generate, and ``u`` and ``v`` lie in the subfield Q(sqrt(h))
+    of the other radicand ``h`` (Q itself when there is none), so they carry
+    one radicand fewer than ``a``.  ``v`` is nonzero: a term of ``a`` outside
+    Q(sqrt(h)) is what put ``d`` in the field.
+    """
+    group = sorted(_radicand_closure(a.radicands()) - {1})
+    d = group[0]
+    h = group[1] if len(group) > 1 else None
+    u_terms: dict[int, Fraction] = {}
+    v_terms: dict[int, Fraction] = {}
+    for r, c in a.terms:
+        if r == 1 or r == h:
+            u_terms[r] = c
+        else:  # sqrt(r) = g*sqrt(rd)*sqrt(d)/d
+            g, rd = _sf_product(r, d)
+            v_terms[rd] = c * g / d
+    return QuadExt._trusted(u_terms), QuadExt._trusted(v_terms), d
+
+
 def quadext_sign(a: ScalarLike) -> int:
     """Exact sign in {-1, 0, +1}.
 
-    Zero is structural (canonical forms of nonzero values are nonzero since
-    the sqrt(d) over distinct square-free d are linearly independent over Q).
-    One- and two-term values are decided by comparing squares; anything
-    longer by interval refinement with rational endpoints, which terminates
-    because the value is known to be nonzero.
+    Zero is structural: the sqrt(r) over distinct square-free r are linearly
+    independent over Q, so a canonical value is zero exactly when it has no
+    terms, and one term has its coefficient's sign.  Anything longer is split
+    as u + v*sqrt(d) (`_conjugate_split`, the split `QuadExt.inverse` uses).
+    When u is 0 or has v's sign, that is the sign.  Otherwise the conjugate
+    u - v*sqrt(d) has sign(u), and a (u - v*sqrt(d)) = u^2 - v^2 d, so the
+    sign is sign(u) * sign(u^2 - v^2 d).  u, v and u^2 - v^2 d carry one
+    radicand fewer, so the recursion is at most two levels deep and ends at
+    rationals: no precision loop, no tolerance.
     """
     a = QuadExt(a)
     terms = a.terms
     if not terms:
         return 0
     if len(terms) == 1:
-        c = terms[0][1]
-        return 1 if c > 0 else -1
-    if len(terms) == 2:
-        (r1, c1), (r2, c2) = terms
-        s1 = 1 if c1 > 0 else -1
-        s2 = 1 if c2 > 0 else -1
-        if s1 == s2:
-            return s1
-        # opposite signs: compare c1^2 r1 vs c2^2 r2
-        lhs = c1 * c1 * r1
-        rhs = c2 * c2 * r2
-        if lhs == rhs:
-            return 0  # unreachable for canonical forms; kept for safety
-        return s1 if lhs > rhs else s2
-    prec = 16
-    while True:
-        lo = Fraction(0)
-        hi = Fraction(0)
-        scale = 1 << prec
-        for r, c in terms:
-            n = math.isqrt(r * scale * scale)
-            root_lo = Fraction(n, scale)
-            root_hi = Fraction(n + 1, scale)
-            if c > 0:
-                lo += c * root_lo
-                hi += c * root_hi
-            else:
-                lo += c * root_hi
-                hi += c * root_lo
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        prec *= 2
+        return 1 if terms[0][1] > 0 else -1
+    u, v, d = _conjugate_split(a)
+    su, sv = quadext_sign(u), quadext_sign(v)
+    if su == 0 or su == sv:
+        return sv
+    return su * quadext_sign(u * u - v * v * d)
 
 
 # ----- textual grammar -------------------------------------------------

@@ -2,9 +2,8 @@
 
 The explicit 45-point two-distance configuration, the closed-form radius and
 distance spectrum of the simplex-frame embedding, conversion of projector
-Gram classes to distance spectra at a free second radius, the two-distance
-classifier with its case letters, and the exact polynomial residuals that a
-two-distance embedding must satisfy.
+Gram classes to distance spectra at a free second radius, and the
+two-distance classifier with its case letters.
 
 Two frames appear throughout: the "projector frame" (Gram entries of E,
 where points of V are at mutual distance 1) and the "simplex frame" (V
@@ -20,7 +19,6 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .designs import require_ordering
-from .dioph import eval_p
 from .errors import DegeneracyError, DesignError, InternalConsistencyError
 from .exactnum import QuadExt, sqrt_adjoin
 
@@ -294,12 +292,3 @@ def two_distance_classify(spec: DistanceSpectrum) -> TwoDistanceResult:
         raise InternalConsistencyError(
             "gamma < 2 embedding with R2 >= R1 would realize the impossible case (F)")
     return TwoDistanceResult(gamma_sq, *CASE_LETTERS[branch])
-
-
-# ----- polynomial residuals -------------------------------------------------
-
-
-def p_residuals(S: int, m: int, alpha: int, beta: int) -> tuple:
-    """(p1, p2, p3) at (S, m, alpha, beta); the gamma > 2 branch is feasible only when all vanish."""
-    require_ordering(m, S, alpha, beta)
-    return tuple(eval_p(w, S, m, alpha, beta) for w in ("p1", "p2", "p3"))

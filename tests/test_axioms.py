@@ -27,9 +27,8 @@ from twodist.coherent import (
     verify_axioms,
 )
 from twodist.designs import IncidenceDesign, derive_parameters, lisonek_design, load_design
-from twodist.dioph import eval_p
+from twodist.dioph import eval_p, p_residuals
 from twodist.geometry import (
-    p_residuals,
     spectrum_from_gram,
     theoretical_spectrum,
     two_distance_classify,

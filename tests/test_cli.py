@@ -271,19 +271,58 @@ def test_solve_box_without_an_s_m_pair_exits_two(capsys):
     assert report is None and out == ""
 
 
-def test_math_failure_exits_one(monkeypatch, capsys):
-    # a failed proof step must flip the report to failure and exit 1
+def _wrong_golden_gram(monkeypatch):
+    from twodist import cli
+
+    monkeypatch.setitem(cli.GOLDEN_GRAM, "V_diag", "1/2")
+    return "projector"
+
+
+def _tight_design_admitting_z2(monkeypatch):
+    # family (i) at z = 2 is (S, m) = (7, 27): a filter that admits it accepts a second z
+    from twodist import dioph
+
+    monkeypatch.setattr(dioph, "TIGHT_DESIGN", (27, 7, 1))
+    return "z = 2: (S,m,x,y) = (7, 27, 3, 1)"
+
+
+def _nonzero_residue(monkeypatch):
+    from twodist import dioph
+
+    monkeypatch.setattr(dioph, "P1", dioph.P1 + 1)
+    return "identities"
+
+
+def _wrong_g1_region(monkeypatch):
     from twodist import regions
 
     region3 = ("region3", 0, 1, 1, (1, 1, 0), (3, 1, 1), "D given the wrong sign")
     monkeypatch.setattr(regions, "_G1_PROOF", (*regions._G1_PROOF[:-1], region3))
-    code, report, _ = run(
-        ["regions", "--which", "g1", "--zmin", "-2", "--zmax", "2", "--xmax", "5"],
-        capsys)
-    assert code == 1
-    assert report.status == "failure"
-    rows = dict(next(rows for title, rows in report.sections if title == "violations"))
-    assert rows["count"] == "2" and "region3: N, x = 1 + u, t = 3 + u + w" in rows
+    return "violations"
+
+
+MATH_FAILURES = [
+    (["verify", "lisonek"], _wrong_golden_gram, lambda rows: rows["check"] == "FAIL"),
+    (["classify", "--zmax", "3"], _tight_design_admitting_z2,
+     lambda rows: rows["verdict"] == "accepted"),
+    (["identities"], _nonzero_residue,
+     lambda rows: rows["failure"].startswith("nonzero residue for p1 on the y1 branch: ")),
+    (["regions", "--which", "g1", "--zmin", "-2", "--zmax", "2", "--xmax", "5"],
+     _wrong_g1_region,
+     lambda rows: rows["count"] == "2" and "region3: N, x = 1 + u, t = 3 + u + w" in rows),
+]
+
+
+def test_math_failure_exits_one(monkeypatch, capsys):
+    # a failed expectation must flip the report to failure, print it and exit 1
+    for argv, inject, check in MATH_FAILURES:
+        with monkeypatch.context() as patch:
+            title = inject(patch)
+            code, report, out = run(argv, capsys)
+        assert code == 1, argv
+        assert report.status == "failure"
+        assert out == report.to_text() and out.splitlines()[1] == "status: failure"
+        assert check(dict(next(rows for t, rows in report.sections if t == title))), argv
 
 
 # ----- exit-code contract ---------------------------------------------------
@@ -337,10 +376,10 @@ EXIT_CODE_CONTRACT = [
     pytest.param(["embed", LISONEK_FILE, "--r2", "sqrt(2)+sqrt(3)+sqrt(5)"], 2, None,
                  id="r2-three-radicands"),
     pytest.param(["embed", LISONEK_FILE, "--r2", "sqrt(0)"], 2, None, id="r2-zero-radicand"),
-    # radii of two and three terms reach quadext_sign's two-term comparison and its
-    # interval refinement: 4 - sqrt(2) - sqrt(7), about -0.06, is decided at the first
-    # precision, 2^-16, and 4059965/1000000 - sqrt(2) - sqrt(7), about 1.3e-7, only
-    # after doubling it
+    # radii of two and three terms reach both levels of quadext_sign's recursion: a
+    # two-term radius splits once into rationals, and a - sqrt(2) - sqrt(7) splits into
+    # u = a - sqrt(7), v = -1 in Q(sqrt(7)), where u's sign and u^2 - 2's each split
+    # again; 4059965/1000000 - sqrt(2) - sqrt(7) is about 1.3e-7
     pytest.param(["embed", LISONEK_FILE, "--r2", "2 - sqrt(2)"], 0, None, id="r2-two-terms"),
     pytest.param(["embed", LISONEK_FILE, "--r2", "1 - sqrt(2)"], 2, None,
                  id="r2-two-terms-negative"),
@@ -503,6 +542,14 @@ def test_dispatch_imports_no_argparse():
                             env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_geometry_imports_no_dioph():
+    probe = "import sys, twodist.geometry; print('twodist.dioph' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def test_no_command_imports_numpy():

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twodist import exactnum
 from twodist.errors import DesignError
 from twodist.exactnum import (
     QuadExt,
+    _conjugate_split,
     format_scalar,
     parse_scalar,
     quadext_sign,
@@ -317,3 +319,41 @@ def test_sign_matches_certified_decimal_oracle(v, unit):
     for value in (v, v * unit):
         expected = decimal_sign(value) if not value.is_zero() else 0
         assert quadext_sign(value) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=any_field)
+def test_conjugate_split_drops_one_radicand(v):
+    # v = u + v'*sqrt(d) with u and v' in one subfield Q(sqrt(h)) that leaves d out
+    if v.is_rational():
+        return
+    u, w, d = _conjugate_split(v)
+    assert u + w * sqrt_adjoin(d) == v and not w.is_zero()
+    below = set(u.radicands()) | set(w.radicands())
+    assert len(below) <= 1 and d not in below
+
+
+def test_sign_recursion_is_at_most_two_levels_deep(monkeypatch):
+    # each split drops a radicand, so Q(sqrt(2), sqrt(7)) bottoms out two calls down;
+    # the check sits in the recursion, so a split that drops none fails, not hangs
+    real, depth, deepest = exactnum.quadext_sign, [0], [0]
+
+    def traced(a):
+        assert depth[0] <= 2, f"quadext_sign nested {depth[0]} deep"
+        deepest[0] = max(deepest[0], depth[0])
+        depth[0] += 1
+        try:
+            return real(a)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(exactnum, "quadext_sign", traced)
+    rng = random.Random(37)
+    values = [parse_scalar("4059965/1000000 - sqrt(2) - sqrt(7)")] + [
+        QuadExt({r: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for r in (1, 2, 7, 14)})
+        * _unit_product(rng.randint(0, 12), 0) for _ in range(50)]
+    for value in values:
+        assert traced(value) == decimal_sign(value)
+    deepest[0] = 0
+    traced(values[0])
+    assert deepest[0] == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twodist.dioph import eval_p
+from twodist.dioph import eval_p, p_residuals
 from twodist.errors import DegeneracyError, DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, parse_scalar, sqrt_adjoin
 from twodist.geometry import (
@@ -17,7 +17,6 @@ from twodist.geometry import (
     native_block_radius,
     native_gram_distances,
     origin_norm_sq,
-    p_residuals,
     spectrum_from_gram,
     squared_distance,
     theoretical_spectrum,
