@@ -17,7 +17,8 @@ The box options only choose which lattice points are counted per region;
 the proof is the same for every box.
 """
 
-from twodist.dioph import _Y2_CURVE, region_scan, y2_curve_search
+from twodist.dioph import (_Y2_CURVE, g2_integer_values, region_scan, solve_strip_equation,
+                           y2_curve_search)
 from twodist.regions import y2_curve_proof
 
 
@@ -31,7 +32,7 @@ g1 = region_scan("g1", zmin=-25, zmax=25, xmax=400)
 show(g1.steps)
 print(f"  {len(g1.violations)} violations; lattice points of |z| <= 25, x <= 400:",
       g1.points_checked)
-strip = g1.notes["strip_equation"]
+strip = solve_strip_equation()
 print("  strip equation g1 = 1 reduces to z^2 + z - 10 = 0,"
       f" roots {strip.roots[0]} and {strip.roots[1]}")
 print("  integer roots on the strip:", strip.integer_roots or "none")
@@ -42,7 +43,7 @@ show(g2.steps)
 print(f"  {len(g2.violations)} violations; lattice points of |z| <= 25, x <= 400:",
       g2.points_checked)
 print("  integral g2 values for x in {1,2}, z in [-14, 9]:",
-      g2.notes["integer_values"])
+      g2_integer_values())
 
 print("\nthe second-branch curve p3 = 0 (cleared) for x >= 1:")
 show(y2_curve_proof(_Y2_CURVE))

@@ -214,13 +214,12 @@ def _certificate_rows(cert: dioph.SolutionCertificate) -> list:
 
 
 def cmd_solve(args) -> CommandReport:
-    certs = dioph.brute_solver(args.smax, args.mmax, enforce_gate=not args.no_gate)
+    certs = dioph.brute_solver(args.smax, args.mmax)
     report = CommandReport(f"solve --smax {args.smax} --mmax {args.mmax}")
     accepted = [c for c in certs if c.accepted]
     report.add("summary", [
         ("candidates with p1 = p2 = p3 = 0", len(certs)),
         ("accepted", len(accepted)),
-        ("gate", "off" if args.no_gate else "on"),
     ])
     for cert in certs:
         report.add(f"certificate (S,m,x,y,z) = {cert.candidate}", _certificate_rows(cert))
@@ -250,7 +249,7 @@ def cmd_regions(args) -> CommandReport:
         ("z", f"[{args.zmin}, {args.zmax}]"), ("x", f"<= {args.xmax}")])
     report.add("points checked", list(scan.points_checked.items()))
     if args.which == "g1":
-        strip = scan.notes["strip_equation"]
+        strip = dioph.solve_strip_equation()
         report.add("strip equation g1 = 1", [
             ("reduced quadratic", dioph.format_quadratic(strip.quadratic)),
             ("discriminant", strip.discriminant),
@@ -258,7 +257,7 @@ def cmd_regions(args) -> CommandReport:
             ("integer roots", strip.integer_roots or "none"),
         ])
     else:
-        values = scan.notes["integer_values"]
+        values = dioph.g2_integer_values()
         small_lo, small_hi = dioph.G2_SMALL_Z
         report.add(f"integral g2 values for x in {{1,2}}, z in [{small_lo}, {small_hi}]", [
             (f"g2({x}, {z})", v) for (x, z), v in sorted(values.items())
@@ -299,8 +298,7 @@ COMMANDS = {
               [("--r2", str, None, None, False), ("--branch", str, "gt2", ("gt2", "lt2"), False),
                ("--dump-gram", None, False, None, False)]),
     "solve": ("brute-force the polynomial system on a box", cmd_solve, [],
-              [("--smax", int, 30, None, False), ("--mmax", int, 400, None, False),
-               ("--no-gate", None, False, None, False)]),
+              [("--smax", int, 30, None, False), ("--mmax", int, 400, None, False)]),
     "classify": ("walk the solution family and apply all gates", cmd_classify, [],
                  [("--zmax", int, 10, None, False)]),
     "regions": ("prove auxiliary-function bounds for every integer z", cmd_regions, [],

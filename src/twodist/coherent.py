@@ -166,17 +166,8 @@ def verify_axioms(cc: CoherentConfig) -> AxiomReport:
 # ----- the idempotent basis and the projector ------------------------------
 
 
-class IdempotentCoefficients(NamedTuple):
-    """Coefficient vectors (over A1..A9) of the second-block matrix units."""
-
-    eps11: tuple
-    eps12: tuple
-    eps21: tuple
-    eps22: tuple
-
-
-def idempotent_basis(p: DesignParameters) -> IdempotentCoefficients:
-    """Exact coefficients of eps_11, eps_12, eps_21, eps_22 over A1..A9.
+def idempotent_basis(p: DesignParameters) -> dict[tuple[int, int], tuple]:
+    """Exact coefficients of eps_11, eps_12, eps_21, eps_22 over A1..A9, keyed (i, j) in that order.
 
     alpha1 = sqrt(S T), alpha2 = (k - N)/P * alpha1, beta1 = -beta2 =
     sqrt(T - Lambda); raises when P = 0, n (r - s) = 0 or the 2x2
@@ -213,7 +204,7 @@ def idempotent_basis(p: DesignParameters) -> IdempotentCoefficients:
     eps22[1] = QuadExt(-((p.n - p.k - 1) * p.s + p.k * p.s + p.k) / nrs)
     eps22[3] = QuadExt((p.n - p.k + p.s) / nrs)
     eps22[4] = QuadExt((p.s - p.k) / nrs)
-    return IdempotentCoefficients(tuple(eps11), tuple(eps12), tuple(eps21), tuple(eps22))
+    return {(1, 1): tuple(eps11), (1, 2): tuple(eps12), (2, 1): tuple(eps21), (2, 2): tuple(eps22)}
 
 
 def structure_constants(p_table: tuple) -> tuple:
@@ -254,13 +245,9 @@ def _require_product(constants: tuple, u: tuple, v: tuple, expect: tuple, what: 
                 raise InternalConsistencyError(f"{what} in the sqrt({d}) part at R{k + 1}")
 
 
-def verify_epsilon_identities(constants: tuple, idem: IdempotentCoefficients) -> None:
-    """Check eps_ij eps_kl = delta_jk eps_il exactly in the algebra."""
-    eps = {
-        (1, 1): idem.eps11, (1, 2): idem.eps12,
-        (2, 1): idem.eps21, (2, 2): idem.eps22,
-    }
-    forms = {key: _integer_vector(vec) for key, vec in eps.items()}
+def verify_epsilon_identities(constants: tuple, idem: dict) -> None:
+    """Check eps_ij eps_kl = delta_jk eps_il exactly in the algebra; idem is `idempotent_basis`'s."""
+    forms = {key: _integer_vector(vec) for key, vec in idem.items()}
     for (i, j), u in forms.items():
         for (k, l), v in forms.items():
             expect = forms[(i, l)] if j == k else (1, {})
@@ -304,10 +291,7 @@ def projector_and_gram(cc: CoherentConfig) -> ProjectorResult:
     constants = structure_constants(report.p)
     verify_epsilon_identities(constants, idem)
     half = Fraction(1, 2)
-    coeffs = tuple(
-        (a + b + c + d) * half
-        for a, b, c, d in zip(idem.eps11, idem.eps12, idem.eps21, idem.eps22)
-    )
+    coeffs = tuple((a + b + c + d) * half for a, b, c, d in zip(*idem.values()))
     # symmetry and trace at the coefficient level
     if coeffs[5] != coeffs[7] or coeffs[6] != coeffs[8]:
         raise InternalConsistencyError("E is not symmetric")

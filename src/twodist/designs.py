@@ -59,20 +59,7 @@ class DesignParameters(NamedTuple):
         return self.mu_graph + self.r + self.s
 
     def as_dict(self) -> dict[str, str]:
-        return {
-            "m": str(self.m),
-            "S": str(self.S),
-            "alpha": str(self.alpha),
-            "beta": str(self.beta),
-            "Lambda": format_scalar(self.Lambda),
-            "T": format_scalar(self.T),
-            "N": format_scalar(self.N),
-            "P": format_scalar(self.P),
-            "n": format_scalar(self.n),
-            "k": format_scalar(self.k),
-            "r": format_scalar(self.r),
-            "s": format_scalar(self.s),
-        }
+        return {name: format_scalar(value) for name, value in zip(self._fields, self)}
 
 
 def lambda_parts(S, m, alpha, beta):

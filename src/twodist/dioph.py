@@ -225,11 +225,10 @@ _Y2_CURVE = (
 
 
 class RegionScanReport:
-    __slots__ = ("points_checked", "notes", "steps")
+    __slots__ = ("points_checked", "steps")
 
     def __init__(self):
         self.points_checked: dict[str, int] = {}    # the box's points per proved region
-        self.notes: dict[str, object] = {}
         self.steps: list[Step] = []                  # the proof of `twodist.regions`, in order
 
     @property
@@ -249,11 +248,9 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
     real x in [1, t - 2] (region3), in (0, 2) on the strip x = t - 1
     (region2); `regions.g1_proof` names the gap.  g2: in (-1, 38) for real
     x >= 3 (x_ge_3), in (31, 33) for x in {1, 2} and z outside G2_SMALL_Z
-    (large_z).  Notes: the strip-equation roots z = (-1 +- sqrt(41)) / 2, or
-    g2's integral values on G2_SMALL_Z.  `steps` lists the proof of
-    `twodist.regions`; a failed step is a violation, reported and never
-    raised.  The box only sets the lattice points counted per region; one
-    with none raises DesignError.
+    (large_z).  `steps` lists the proof of `twodist.regions`; a failed step
+    is a violation, reported and never raised.  The box only sets the
+    lattice points counted per region; one with none raises DesignError.
     """
     if which not in ("g1", "g2"):
         raise ValueError(f"unknown auxiliary polynomial {which!r}")
@@ -279,10 +276,6 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
             f"the box z in [{zmin}, {zmax}], x <= {xmax} holds no lattice point "
             f"on which {which} is checked")
     report.steps = list(g1_proof() if which == "g1" else g2_proof(*_G2_TABLE))
-    if which == "g1":
-        report.notes["strip_equation"] = solve_strip_equation()
-    else:
-        report.notes["integer_values"] = g2_integer_values()
     return report
 
 
@@ -399,14 +392,24 @@ def _integrality_gates(S: int, m: int, x: int, y: int) -> list[Step]:
                  violation or "all parameters integral")]
 
 
-def _family_i_gate(S: int, m: int, x: int, y: int, z: int) -> Step:
-    on = family_points(z) == (S, m, x, y)
-    return Step("family-i", "the family (i) point at z", (S, m, x, y), on,
-                f"on family (i) with z = {z}" if on
-                else f"(S,m,x,y)=({S},{m},{x},{y}) is off family (i) at z={z}")
+def _p_system_certificate(S: int, m: int, x: int, y: int, z: int) -> SolutionCertificate:
+    """The certificate of a point with p1 = p2 = p3 = 0 and strip coordinate z.
+
+    Gates: p-system, ordering, integrality, then family (i) at z if those passed.
+    The caller has checked p1 = p2 = p3 = 0 exactly: `brute_solver` on its walk,
+    and the two oracles in tests/ on their own enumerations.
+    """
+    gates = [Step("p-system", "exact evaluation", (S, m, x, y), True, "p1 = p2 = p3 = 0"),
+             *_integrality_gates(S, m, x, y)]
+    if all(g.passed for g in gates):
+        on = family_points(z) == (S, m, x, y)
+        gates.append(Step("family-i", "the family (i) point at z", (S, m, x, y), on,
+                          f"on family (i) with z = {z}" if on
+                          else f"(S,m,x,y)=({S},{m},{x},{y}) is off family (i) at z={z}"))
+    return _finish_certificate(S, m, x, y, z, gates)
 
 
-def brute_solver(smax: int, mmax: int, enforce_gate: bool = True) -> list[SolutionCertificate]:
+def brute_solver(smax: int, mmax: int) -> list[SolutionCertificate]:
     """All integer solutions of p1 = p2 = p3 = 0 in the box, found as exact roots.
 
     The box is 0 <= y < x < S <= smax, S < m <= mmax.  It is complete: p1 is the
@@ -414,9 +417,10 @@ def brute_solver(smax: int, mmax: int, enforce_gate: bool = True) -> list[Soluti
     t^2 and x m = (S + z)^2 with z = +-t (`_p1_m_roots`), and p2 is quadratic in y with
     leading coefficient 4 m^2, so each (S, m, x) gives its y as one quadratic's integer
     roots.  The work is O(smax^(3/2)) pairs (S, t), not O(smax^2 mmax) values of a scan.
-    Every survivor is rechecked on p1, p2 and p3 exactly; with the gate on, every
-    derived parameter must be integral and the survivor on family (i) with integral z.
-    Output is lexicographic in (S, m, x, y); a box with no pair 2 <= S < m raises DesignError.
+    Every survivor is rechecked on p1, p2 and p3 exactly and gated by
+    `_p_system_certificate`: every derived parameter must be integral and the survivor
+    on family (i) at its z.  Output is lexicographic in (S, m, x, y); a box with no
+    pair 2 <= S < m raises DesignError.
     """
     if smax < 2 or mmax < 2:
         raise DesignError("brute_solver needs bounds >= 2")
@@ -428,16 +432,7 @@ def brute_solver(smax: int, mmax: int, enforce_gate: bool = True) -> list[Soluti
         (S, m, x, y, z) for S in range(2, smax + 1) for x, m, z in _p1_m_roots(S, mmax)
         for y in _integer_roots_between(lambda t: _p2(S, m, x, t), 0, x - 1)
         if not (_p1(S, m, x, y) or _p2(S, m, x, y) or _p3(S, m, x, y)))
-    out: list[SolutionCertificate] = []
-    for S, m, x, y, z in points:
-        gates = [Step("p-system", "exact evaluation", (S, m, x, y), True, "p1 = p2 = p3 = 0"),
-                 *_integrality_gates(S, m, x, y)]
-        if not enforce_gate:
-            gates = gates[:2]
-        elif all(g.passed for g in gates):
-            gates.append(_family_i_gate(S, m, x, y, z))
-        out.append(_finish_certificate(S, m, x, y, z, gates))
-    return out
+    return [_p_system_certificate(*point) for point in points]
 
 
 TIGHT_DESIGN = (23, 7, 1)  # the unique tight 4-design parameters, used as a filter

@@ -15,12 +15,10 @@ from twodist.coherent import (
 from twodist.designs import (
     IncidenceDesign, blocks_through_points, intersection_numbers, lambda_parts, pack, pair_counts,
     pair_witness)
-from twodist.dioph import (_family_i_gate, _finish_certificate, _integer_roots_between,
-                           _integrality_gates, _p1, _p2, _p3, z_of)
+from twodist.dioph import _integer_roots_between, _p1, _p2, _p3, _p_system_certificate, z_of
 from twodist.errors import DegenerateParametersError, DesignError, InternalConsistencyError
 from twodist.exactnum import QuadExt, _sf_product
 from twodist.polynomials import Poly, _primitive
-from twodist.regions import Step
 
 
 def complement_design(d: IncidenceDesign) -> IncidenceDesign:
@@ -120,12 +118,12 @@ def pair_pass(d: IncidenceDesign) -> TDesignResult:
     return TDesignResult(False, None, pair_witness(pack(through, d.block_count, d.block_size)))
 
 
-def p_system_by_quadratics(smax: int, mmax: int, enforce_gate: bool = True) -> list:
+def p_system_by_quadratics(smax: int, mmax: int) -> list:
     """`dioph.brute_solver` as the walk it replaced: one quadratic in m per (S, x).
 
     p1 has no y term and is quadratic in m with leading coefficient x^2, so
     each of the O(smax^2) pairs (S, x) gives its m as the integer roots of one
-    quadratic; y, the exact recheck, the gates and the order are brute_solver's.
+    quadratic; y, the exact recheck, the certificate and the order are brute_solver's.
     z comes from `dioph.z_of`, not from the chart brute_solver walks.
     """
     points = sorted(
@@ -137,13 +135,7 @@ def p_system_by_quadratics(smax: int, mmax: int, enforce_gate: bool = True) -> l
     for S, m, x, y in points:
         z = z_of(S, m, x)
         assert z.denominator == 1, (S, m, x, y, z)
-        gates = [Step("p-system", "exact evaluation", (S, m, x, y), True, "p1 = p2 = p3 = 0"),
-                 *_integrality_gates(S, m, x, y)]
-        if not enforce_gate:
-            gates = gates[:2]
-        elif all(g.passed for g in gates):
-            gates.append(_family_i_gate(S, m, x, y, int(z)))
-        out.append(_finish_certificate(S, m, x, y, int(z), gates))
+        out.append(_p_system_certificate(S, m, x, y, int(z)))
     return out
 
 

@@ -117,7 +117,7 @@ def test_criterion_7_region_certification(capsys):
     assert g1.points_checked == {"region1": 1651650, "region2": 197, "region3": 337954}
     assert [(s.claim.split(": ")[0], s.method) for s in g1.steps] == [
         (region, "Polya") for region in ["region1"] * 4 + ["region2"] * 2 + ["region3"] * 2]
-    strip = g1.notes["strip_equation"]
+    strip = dioph.solve_strip_equation()
     assert set(strip.roots) == {
         parse_scalar("-1/2 + 1/2*sqrt(41)"), parse_scalar("-1/2 - 1/2*sqrt(41)")}
     assert strip.integer_roots == ()
@@ -127,7 +127,7 @@ def test_criterion_7_region_certification(capsys):
     assert [s.method for s in g2.steps] == ["Polya"] * 18
     assert Step("large_z: N - 31D, x = 2, z = -15 - w", "Polya", "x = 2, real z <= -15",
                 True, "") in g2.steps
-    assert g2.notes["integer_values"] == {(1, -1): 136, (1, 0): 0, (2, 0): 0}
+    assert dioph.g2_integer_values() == {(1, -1): 136, (1, 0): 0, (2, 0): 0}
     assert surface_oracle.aux_g("g2", 1, -1) == 136
     assert surface_oracle.aux_g("g2", 1, 0) == 0 and surface_oracle.aux_g("g2", 2, 0) == 0
     assert surface_oracle.param_value("Lambda", 1, -1, "y2") == -1

@@ -493,7 +493,8 @@ USAGE_ERRORS = [
     (["classify", "--zm", "3"], "--zm"),  # no prefix matching
     (["embed"], "design"),
     (["solve", "-x"], "-x"),
-    (["solve", "--no-gate=1"], "--no-gate=1"),  # a flag takes no value
+    (["embed", "tests/data/lisonek_design.json", "--dump-gram=1"], "--dump-gram=1"),  # a flag takes no value
+    (["solve", "--no-gate"], "unrecognized arguments: --no-gate"),  # solve gates every candidate
 ]
 
 

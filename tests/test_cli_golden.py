@@ -24,7 +24,6 @@ GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
 COMMANDS = [
     ["identities"],
     ["solve"],
-    ["solve", "--no-gate"],
     ["classify"],
     ["classify", "--zmax", "12"],
     ["params", "27", "7", "3", "1"],

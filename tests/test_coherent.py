@@ -94,14 +94,14 @@ def test_idempotent_coefficients(lisonek_cc):
     idem = idempotent_basis(lisonek_cc.params)
     # alpha1 = 4, alpha2 = 14, beta1 = -beta2 = sqrt(7): the 2x2 determinant is
     # -18 sqrt(7), and eps12 = eps21^T holds alpha2 / det and -alpha1 / det
-    assert idem.eps12[5] == idem.eps21[7] == parse_scalar("-1/9*sqrt(7)")
-    assert idem.eps12[6] == idem.eps21[8] == parse_scalar("2/63*sqrt(7)")
-    assert idem.eps11[0] == QuadExt(Fraction(8, 9))
-    assert idem.eps11[2] == QuadExt(Fraction(-1, 9))
+    assert idem[1, 2][5] == idem[2, 1][7] == parse_scalar("-1/9*sqrt(7)")
+    assert idem[1, 2][6] == idem[2, 1][8] == parse_scalar("2/63*sqrt(7)")
+    assert idem[1, 1][0] == QuadExt(Fraction(8, 9))
+    assert idem[1, 1][2] == QuadExt(Fraction(-1, 9))
     # A2 coefficient of eps22 is twice the B-diagonal Gram entry 1/9
-    assert idem.eps22[1] == QuadExt(Fraction(2, 9))
-    assert idem.eps22[3] == QuadExt(Fraction(5, 63))
-    assert idem.eps22[4] == QuadExt(Fraction(-4, 63))
+    assert idem[2, 2][1] == QuadExt(Fraction(2, 9))
+    assert idem[2, 2][3] == QuadExt(Fraction(5, 63))
+    assert idem[2, 2][4] == QuadExt(Fraction(-4, 63))
 
 
 def quadext_algebra_product(p_table: tuple, u, v) -> tuple:
@@ -191,9 +191,9 @@ def test_epsilon_failure_names_product_relation_and_radicand(lisonek_cc):
     # eps_22's B_alpha (A4) coefficient off by 1/63: eps_11 eps_22 = 0 still
     # holds (the point and block fibers do not meet), eps_12 eps_22 is first
     idem = idempotent_basis(lisonek_cc.params)
-    eps22 = list(idem.eps22)
+    eps22 = list(idem[2, 2])
     eps22[3] = eps22[3] + Fraction(1, 63)
-    broken = idem._replace(eps22=tuple(eps22))
+    broken = {**idem, (2, 2): tuple(eps22)}
     constants = structure_constants(verify_axioms(lisonek_cc).p)
     with pytest.raises(InternalConsistencyError) as err:
         verify_epsilon_identities(constants, broken)
@@ -206,7 +206,7 @@ def test_every_epsilon_product_is_checked(lisonek_cc, monkeypatch, pair):
     # a product that comes back one off in its rational R1 part must fail, and
     # must be the one named
     idem = idempotent_basis(lisonek_cc.params)
-    forms = {key: _integer_vector(getattr(idem, f"eps{key}"))[1] for key in ("11", "12", "21", "22")}
+    forms = {f"{i}{j}": _integer_vector(vec)[1] for (i, j), vec in idem.items()}
     exact = coherent.algebra_product
 
     def off_by_one(constants, u, v):

@@ -373,19 +373,15 @@ def test_brute_solver_small_box():
     certs = brute_solver(8, 50)
     accepted = [c.smxy for c in certs if c.accepted]
     assert accepted == [(2, 9, 1, 0), (7, 27, 3, 1)]
+    # a p-system point that only the integrality gate rejects
+    verdicts = {c.smxy: c.verdict for c in certs}
+    assert verdicts[3, 8, 2, 1] == "rejected: integrality: Lambda = 6/11 is not a positive integer"
     for cert in certs:
         if cert.accepted:
             S, m, x, _, _ = cert.candidate
             z = z_of(S, m, x)
             assert z.denominator == 1
             assert family_points(int(z)) == cert.smxy
-
-
-def test_brute_solver_gate_off_is_exploratory():
-    certs = brute_solver(8, 50, enforce_gate=False)
-    accepted = {c.smxy for c in certs if c.accepted}
-    assert {(2, 9, 1, 0), (7, 27, 3, 1)} <= accepted
-    assert (3, 8, 2, 1) in accepted   # p-solution killed only by the gate
 
 
 def test_brute_solver_bounds_validation():
@@ -398,11 +394,8 @@ def test_brute_solver_bounds_validation():
     assert brute_solver(2, 3) == []
 
 
-def enumerate_p_system(smax, mmax, enforce_gate=True):
+def enumerate_p_system(smax, mmax):
     """Oracle: `brute_solver` as a scan of every (S, m, x, y) in the box."""
-    from twodist.dioph import _family_i_gate, _finish_certificate, _integrality_gates
-    from twodist.regions import Step
-
     out = []
     for S in range(2, smax + 1):
         for m in range(S + 1, mmax + 1):
@@ -414,27 +407,19 @@ def enumerate_p_system(smax, mmax, enforce_gate=True):
                         continue
                     z = z_of(S, m, x)      # not the chart brute_solver walks
                     assert z.denominator == 1, (S, m, x, y, z)
-                    gates = [Step("p-system", "exact evaluation", (S, m, x, y), True,
-                                  "p1 = p2 = p3 = 0")]
-                    gates += _integrality_gates(S, m, x, y)
-                    if not enforce_gate:
-                        gates = gates[:2]
-                    elif all(g.passed for g in gates):
-                        gates.append(_family_i_gate(S, m, x, y, int(z)))
-                    out.append(_finish_certificate(S, m, x, y, int(z), gates))
+                    out.append(dioph._p_system_certificate(S, m, x, y, int(z)))
     return out
 
 
-@pytest.mark.parametrize("enforce_gate", [True, False])
 @pytest.mark.parametrize("box", [(8, 50), (12, 150), (30, 400)])
-def test_brute_solver_matches_enumeration(box, enforce_gate):
-    assert brute_solver(*box, enforce_gate) == enumerate_p_system(*box, enforce_gate)
+def test_brute_solver_matches_enumeration(box):
+    assert brute_solver(*box) == enumerate_p_system(*box)
 
 
 @settings(max_examples=25, deadline=None)
-@given(smax=st.integers(2, 20), mmax=st.integers(3, 300), enforce_gate=st.booleans())
-def test_brute_solver_matches_enumeration_on_random_boxes(smax, mmax, enforce_gate):
-    assert brute_solver(smax, mmax, enforce_gate) == enumerate_p_system(smax, mmax, enforce_gate)
+@given(smax=st.integers(2, 20), mmax=st.integers(3, 300))
+def test_brute_solver_matches_enumeration_on_random_boxes(smax, mmax):
+    assert brute_solver(smax, mmax) == enumerate_p_system(smax, mmax)
 
 
 def test_brute_solver_matches_the_quadratic_walk():
@@ -442,10 +427,9 @@ def test_brute_solver_matches_the_quadratic_walk():
 
 
 @settings(max_examples=25, deadline=None)
-@given(smax=st.integers(2, 60), mmax=st.integers(3, 20_000), enforce_gate=st.booleans())
-def test_brute_solver_matches_the_quadratic_walk_on_random_boxes(smax, mmax, enforce_gate):
-    assert (brute_solver(smax, mmax, enforce_gate)
-            == p_system_by_quadratics(smax, mmax, enforce_gate))
+@given(smax=st.integers(2, 60), mmax=st.integers(3, 20_000))
+def test_brute_solver_matches_the_quadratic_walk_on_random_boxes(smax, mmax):
+    assert brute_solver(smax, mmax) == p_system_by_quadratics(smax, mmax)
 
 
 def test_p_system_degrees():

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from twodist.dioph import region_scan, solve_strip_equation
+from twodist.dioph import g2_integer_values, region_scan, solve_strip_equation
 from twodist.errors import DesignError
 from twodist.polynomials import _horner, _table_fiber
 from twodist.regions import G2_SMALL_Z
@@ -80,13 +80,6 @@ def oracle_integer_values(zmin, zmax):
             for z0, g in zip(zs, fiber_values(derived_pair("g2"), x0, zs)) if g.denominator == 1}
 
 
-def oracle_notes(which):
-    """`region_scan`'s notes, read off the derived pair by the oracle."""
-    if which == "g1":
-        return {"strip_equation": strip_equation(derived_pair("g1"))}
-    return {"integer_values": oracle_integer_values(*G2_SMALL_Z)}
-
-
 @pytest.mark.parametrize("which", WHICH)
 @pytest.mark.parametrize("zmin, zmax", [(-2, 1), (-15, -14), (9, 10)])
 @pytest.mark.parametrize("xmax", [1, 2, 3, 150])
@@ -94,8 +87,8 @@ def test_region_scan_matches_the_derived_pair(which, zmin, zmax, xmax):
     """`region_scan` against the lattice oracle on the derived pair.
 
     The oracle checks the same box point by point: it raises where
-    region_scan does, and otherwise counts the same points, finds no
-    violation and reads the same notes off the derived pair.
+    region_scan does, and otherwise counts the same points and finds no
+    violation.
     """
     try:
         report = region_scan(which, zmin, zmax, xmax)
@@ -106,7 +99,6 @@ def test_region_scan_matches_the_derived_pair(which, zmin, zmax, xmax):
     oracle = lattice_scan(which, zmin, zmax, xmax, derived_pair(which))
     assert report.ok and not oracle.violations
     assert oracle.points_checked == report.points_checked
-    assert report.notes == oracle_notes(which)
 
 
 @pytest.mark.parametrize("window", [G2_SMALL_Z, (-60, 60)])
@@ -114,7 +106,7 @@ def test_g2_integer_values_match_the_derived_pair(window):
     """The derived D vanishes at (1, 0), so the oracle reduces the fiber there; the shipped table needs no reduction.
 
     The table is read by `aux_g` on G2_SMALL_Z and on a wider window;
-    test_region_scan_matches_the_derived_pair holds `g2_integer_values`
+    test_g2_integer_values_are_the_derived_pairs holds `g2_integer_values`
     itself against the pair on G2_SMALL_Z.
     """
     assert _horner(_table_fiber(derived_pair("g2")[1], 1), 0) == 0
@@ -122,6 +114,11 @@ def test_g2_integer_values_match_the_derived_pair(window):
                if (v := aux_g("g2", x, z)).denominator == 1}
     assert shipped == oracle_integer_values(*window)
     assert shipped[(1, 0)] == 0
+
+
+def test_g2_integer_values_are_the_derived_pairs():
+    """What `regions --which g2` prints, against the oracle's reading of the derived pair."""
+    assert g2_integer_values() == oracle_integer_values(*G2_SMALL_Z)
 
 
 def test_strip_equation_matches_the_derived_pair():
