@@ -74,6 +74,7 @@ GOLDEN_GRAM = {
     "V_diag": "4/9", "V_off": "-1/18", "VB_in": "-1/18*sqrt(7)",
     "VB_out": "1/63*sqrt(7)", "B_diag": "1/9", "B_alpha": "5/126", "B_beta": "-2/63",
 }
+GOLDEN_R2 = "1/3*sqrt(14)"  # the block sphere's radius; goldens are compared as rendered text
 
 
 def cmd_verify(args) -> CommandReport:
@@ -126,14 +127,14 @@ def cmd_verify(args) -> CommandReport:
         ("trace(E)", "8"),
         ("E^2 = E, E^T = E", "verified"),
         *result.gram.items(),
-    ], all(result.gram[k] == parse_scalar(v) for k, v in GOLDEN_GRAM.items()))
+    ], all(format_scalar(result.gram[k]) == v for k, v in GOLDEN_GRAM.items()))
 
     spec = geometry.theoretical_spectrum(2, 9, 1, 0, "gt2")
     gram_spec = geometry.spectrum_from_gram(result.gram, spec.r2)
     spectra_ok = (
         spec.classes == gram_spec.classes
         and spec.classes == classes
-        and spec.r2 == parse_scalar("1/3*sqrt(14)")
+        and format_scalar(spec.r2) == GOLDEN_R2
     )
     expect("spectrum", list(spec.as_strings().items()), spectra_ok)
 

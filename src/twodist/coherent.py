@@ -22,11 +22,11 @@ Euclidean embedding.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional
 
 from . import designs
-from .designs import DesignParameters, IncidenceDesign, Packed
+from .designs import DesignParameters, IncidenceDesign
 from .errors import DesignError, InternalConsistencyError
 from .exactnum import QuadExt, _radicand_closure, _sf_product, format_scalar, sqrt_adjoin
 
@@ -40,14 +40,10 @@ GRAM_CLASS_OF_RELATION = {
 }
 
 
-class CoherentConfig(NamedTuple):
+class CoherentConfig(namedtuple("CoherentConfig", "design params points blocks pairs")):
     """A design, its parameters, its incidence packed each way and its point-pair counts."""
 
-    design: IncidenceDesign
-    params: DesignParameters
-    points: Packed
-    blocks: Packed
-    pairs: tuple
+    __slots__ = ()
 
     @property
     def m(self) -> int:
@@ -112,11 +108,10 @@ def relation_row(cc: CoherentConfig, u: int) -> list:
 # ----- axiom verification -------------------------------------------------
 
 
-class AxiomReport:
-    __slots__ = ("ok", "p", "violation")
+class AxiomReport(namedtuple("AxiomReport", "ok p violation", defaults=(None,))):
+    """The axiom check's verdict: p[i-1][j-1][k-1] = p_{ij}^k, or a violation."""
 
-    def __init__(self, ok: bool, p: Optional[tuple], violation: Optional[str] = None):
-        self.ok, self.p, self.violation = ok, p, violation  # p[i-1][j-1][k-1] = p_{ij}^k
+    __slots__ = ()
 
     def p_constant(self, i: int, j: int, k: int) -> int:
         """Intersection number p_{ij}^k with 1-based relation labels 1..9."""
@@ -255,21 +250,18 @@ def verify_epsilon_identities(constants: tuple, idem: dict) -> None:
                              f"eps_{i}{j} eps_{k}{l} != delta * eps_{i}{l}")
 
 
-class ProjectorResult:
+class ProjectorResult(namedtuple("ProjectorResult", "cc coefficients gram")):
     """The projector E of a coherent configuration, verified exactly.
 
     `coefficients` is E over A1..A9; `gram` maps each of the seven Gram
     classes of the embedding to its exact value.
     """
 
-    __slots__ = ("cc", "coefficients", "gram")
+    __slots__ = ()
 
     # no dense form of E is built; perfbench's coherent.dense_mults hook still
     # reads this attribute until the benchmark revision of ROADMAP item 6
     matrix = None
-
-    def __init__(self, cc: CoherentConfig, coefficients: tuple, gram: dict):
-        self.cc, self.coefficients, self.gram = cc, coefficients, gram
 
 
 def projector_and_gram(cc: CoherentConfig) -> ProjectorResult:

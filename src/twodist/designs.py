@@ -18,11 +18,12 @@ can see exactly which condition fails.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, combinations, repeat
 from operator import lt
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import DegenerateParametersError, DesignError
 from .exactnum import format_scalar
@@ -31,24 +32,13 @@ from .exactnum import format_scalar
 # ----- parameter calculus ----------------------------------------------
 
 
-class DesignParameters(NamedTuple):
+class DesignParameters(namedtuple("DesignParameters", "m S alpha beta Lambda T N P n k r s")):
     """Design parameters (m, S, alpha, beta) and the derived block-graph data.
 
     Derived fields are exact rationals; nothing here enforces integrality.
     """
 
-    m: int
-    S: int
-    alpha: int
-    beta: int
-    Lambda: Fraction
-    T: Fraction
-    N: Fraction
-    P: Fraction
-    n: Fraction
-    k: Fraction
-    r: Fraction
-    s: Fraction
+    __slots__ = ()
 
     @property
     def mu_graph(self) -> Fraction:
@@ -146,16 +136,16 @@ def integrality_violations(p: DesignParameters) -> Iterator[str]:
 # ----- incidence structures --------------------------------------------
 
 
-class IncidenceDesign:
+class IncidenceDesign(namedtuple("IncidenceDesign", "m blocks")):
     """Points 0..m-1 and equally sized blocks given as ascending point tuples.
 
-    Checked at construction and immutable after it; equal when m and the
-    blocks are.
+    Checked at construction and immutable after it; as a tuple (m, blocks),
+    it equals any tuple with the same m and blocks.
     """
 
-    __slots__ = ("m", "blocks")
+    __slots__ = ()
 
-    def __init__(self, m: int, blocks: tuple[tuple[int, ...], ...]):
+    def __new__(cls, m: int, blocks: tuple[tuple[int, ...], ...]):
         if m < 1:
             raise DesignError(f"point count must be positive, got {m}")
         if not blocks:
@@ -168,24 +158,7 @@ class IncidenceDesign:
                 raise DesignError(f"block {i} has an entry outside [0, {m})")
             if not all(map(lt, b, b[1:])):
                 raise DesignError(f"block {i} is not strictly ascending: {b}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"IncidenceDesign is immutable; cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not IncidenceDesign:
-            return NotImplemented
-        return (self.m, self.blocks) == (other.m, other.blocks)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.blocks))
-
-    def __repr__(self) -> str:
-        return f"IncidenceDesign(m={self.m!r}, blocks={self.blocks!r})"
+        return super().__new__(cls, m, blocks)
 
     @property
     def block_size(self) -> int:
@@ -213,11 +186,10 @@ def blocks_through_points(d: IncidenceDesign) -> list[list[int]]:
     return through
 
 
-class Packed(NamedTuple):
+class Packed(namedtuple("Packed", "rows width")):
     """Rows of `width`-byte fields: field k of row i is 1 when line i holds k, else 0."""
 
-    rows: list[int]
-    width: int
+    __slots__ = ()
 
 
 def pack(lines, count: int, largest: int) -> Packed:

@@ -30,9 +30,10 @@ that the t-form of g1 and the g2 table are what the formulas give.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .designs import derive_parameters, integrality_violations, lambda_parts, require_ordering
 from .errors import DesignError, InternalConsistencyError
@@ -224,12 +225,14 @@ _Y2_CURVE = (
 # ----- region certificates -------------------------------------------------------
 
 
-class RegionScanReport:
-    __slots__ = ("points_checked", "steps")
+class RegionScanReport(namedtuple("RegionScanReport", "points_checked steps")):
+    """The proof of `twodist.regions` for g1 or g2, and the box it counts.
 
-    def __init__(self):
-        self.points_checked: dict[str, int] = {}    # the box's points per proved region
-        self.steps: list[Step] = []                  # the proof of `twodist.regions`, in order
+    `points_checked` maps each proved region to the box's points in it;
+    `steps` is the proof, in order.
+    """
+
+    __slots__ = ()
 
     @property
     def violations(self) -> list[Step]:
@@ -258,8 +261,7 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
         raise DesignError(f"empty z range [{zmin}, {zmax}]")
     if xmax < 1:
         raise DesignError(f"region_scan needs xmax >= 1, got {xmax}")
-    report = RegionScanReport()
-    counts = report.points_checked
+    counts: dict[str, int] = {}
     for z0 in range(zmin, zmax + 1):
         t = z0 * (z0 + 1) // 2
         if which == "g1":       # x ranges; g1 = 0 at x = t and on the rows with t = 0
@@ -275,8 +277,7 @@ def region_scan(which: str, zmin: int = -100, zmax: int = 100,
         raise DesignError(
             f"the box z in [{zmin}, {zmax}], x <= {xmax} holds no lattice point "
             f"on which {which} is checked")
-    report.steps = list(g1_proof() if which == "g1" else g2_proof(*_G2_TABLE))
-    return report
+    return RegionScanReport(counts, list(g1_proof() if which == "g1" else g2_proof(*_G2_TABLE)))
 
 
 def g2_integer_values() -> dict[tuple[int, int], int]:
@@ -351,10 +352,13 @@ def _p1_m_roots(S: int, mmax: int) -> Iterator[tuple[int, int, int]]:
 # ----- solution certificates, brute force, classification -----------------
 
 
-class SolutionCertificate(NamedTuple):
-    candidate: tuple[int, int, int, int, int]  # (S, m, x, y, z)
-    gates: tuple[Step, ...]
-    verdict: str                               # "accepted" or "rejected: <gate>: <witness>"
+class SolutionCertificate(namedtuple("SolutionCertificate", "candidate gates verdict")):
+    """A candidate (S, m, x, y, z), the gates it went through, and its verdict.
+
+    `verdict` is "accepted" or "rejected: <gate>: <witness>".
+    """
+
+    __slots__ = ()
 
     @property
     def accepted(self) -> bool:
@@ -480,15 +484,16 @@ def classify(zmax: int) -> list[SolutionCertificate]:
 # ----- quadratics in z ----------------------------------------------------
 
 
-class Quadratic(NamedTuple):
-    """a z^2 + b z + c = 0 with its exact roots, each checked by substitution."""
+class Quadratic(namedtuple("Quadratic",
+                           "label quadratic discriminant squarefree_part roots integer_roots")):
+    """a z^2 + b z + c = 0 with its exact roots, each checked by substitution.
 
-    label: str
-    quadratic: tuple[int, int, int]          # (a, b, c)
-    discriminant: int                        # b^2 - 4ac
-    squarefree_part: int
-    roots: tuple[QuadExt, QuadExt]           # (-b + sqrt(disc)) / 2a, then (-b - sqrt(disc)) / 2a
-    integer_roots: tuple[int, ...]           # distinct, ascending
+    `quadratic` is (a, b, c) and `discriminant` b^2 - 4ac; `roots` are
+    (-b + sqrt(disc)) / 2a, then (-b - sqrt(disc)) / 2a, and `integer_roots`
+    the distinct integer ones, ascending.
+    """
+
+    __slots__ = ()
 
 
 def solve_quadratic(label: str, a: int, b: int, c: int) -> Quadratic:
@@ -506,9 +511,10 @@ def solve_quadratic(label: str, a: int, b: int, c: int) -> Quadratic:
                      tuple(_integer_roots(a, b, c)))
 
 
-class ExclusionReport(NamedTuple):
-    entries: tuple[Quadratic, ...]
-    nonsquare_discriminants: tuple[int, ...]
+class ExclusionReport(namedtuple("ExclusionReport", "entries nonsquare_discriminants")):
+    """The S-range quadratics, and the squarefree parts other than 1 of their discriminants."""
+
+    __slots__ = ()
 
 
 def format_quadratic(q: tuple[int, int, int]) -> str:

@@ -307,7 +307,7 @@ def quadext_sign(a: ScalarLike) -> int:
 # "c*sqrt(d)" terms in ascending radicand order, e.g. "4/9", "-1/18*sqrt(7)",
 # "2/3 + 1/3*sqrt(14)".  parse_scalar accepts the same grammar.
 
-_TOKEN = re.compile(
+_TOKEN = (
     r"\s*(?:(?P<sign>[+-])|(?P<coeff>\d+(?:/\d+)?)(?:\s*\*\s*sqrt\(\s*(?P<rad>\d+)\s*\))?"
     r"|(?P<lone>sqrt\(\s*(?P<lrad>\d+)\s*\)))"
 )
@@ -346,8 +346,9 @@ def parse_scalar(text: str) -> QuadExt:
     text = text.strip()
     if not text:
         raise DesignError("empty scalar")
+    token = re.compile(_TOKEN)  # compiled on first use, then from re's cache
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = token.match(text, pos)
         if not m or m.end() == pos:
             raise DesignError(f"bad scalar syntax at {text[pos:]!r}")
         pos = m.end()

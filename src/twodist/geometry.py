@@ -13,10 +13,11 @@ rescaled by sqrt(2), so d(V,V) = sqrt(2)).  Conversions are explicit.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Sequence
 
 from .designs import require_ordering
 from .errors import DegeneracyError, DesignError, InternalConsistencyError
@@ -34,12 +35,14 @@ def f_ratio(t) -> Fraction:
 # ----- the 45-point configuration ----------------------------------------
 
 
-class PointConfiguration(NamedTuple):
-    """Exact rational coordinates: a simplex part and a block part."""
+class PointConfiguration(namedtuple("PointConfiguration", "simplex_points block_points blocks")):
+    """Exact rational coordinates: a simplex part and a block part.
 
-    simplex_points: tuple            # 9 points, one per design point
-    block_points: tuple              # 36 points, one per block (2-subset)
-    blocks: tuple                    # the 2-subsets, aligned with block_points
+    `simplex_points` holds 9 points, one per design point; `block_points`
+    36, one per block, and `blocks` the 2-subsets, aligned with them.
+    """
+
+    __slots__ = ()
 
     @property
     def all_points(self) -> tuple:
@@ -122,7 +125,7 @@ def configuration_distance_classes(config: PointConfiguration) -> dict:
 # ----- distance spectra ----------------------------------------------------
 
 
-class DistanceSpectrum(NamedTuple):
+class DistanceSpectrum(namedtuple("DistanceSpectrum", "r1 r2 d_sq classes")):
     """Exact squared distances of an embedding, by index and by pair class.
 
     d_sq holds (d1^2, ..., d5^2) with d2 < d3 the block-block distances and
@@ -131,10 +134,7 @@ class DistanceSpectrum(NamedTuple):
     classification asks of the distances.
     """
 
-    r1: QuadExt
-    r2: QuadExt
-    d_sq: tuple
-    classes: dict
+    __slots__ = ()
 
     def distinct_squared(self) -> tuple:
         seen: list[QuadExt] = []
@@ -255,10 +255,10 @@ def spectrum_from_gram(e: dict, r2: QuadExt, branch: str = "gt2") -> DistanceSpe
 CASE_LETTERS = {"gt2": ("A", "B"), "lt2": ("G", "H")}
 
 
-class TwoDistanceResult(NamedTuple):
-    gamma_sq: Optional[QuadExt]
-    letter: Optional[str]
-    complement_letter: Optional[str]
+class TwoDistanceResult(namedtuple("TwoDistanceResult", "gamma_sq letter complement_letter")):
+    """gamma^2 and the case letters of a two-distance spectrum; all None when it is not one."""
+
+    __slots__ = ()
 
     @property
     def is_two_distance(self) -> bool:

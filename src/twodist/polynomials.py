@@ -98,6 +98,8 @@ class Poly:
             if other.vars != self.vars:
                 raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
             return other
+        if type(other) is int:  # a bool takes the checked path below, which refuses it
+            return Poly._trusted(self.vars, {(0,) * len(self.vars): other})
         if isinstance(other, int):
             return Poly.constant(self.vars, other)
         return NotImplemented  # type: ignore[return-value]

@@ -16,20 +16,24 @@ checks that they cover every integer z each region needs.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import product, zip_longest
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .polynomials import Poly, _horner, _table_fiber, format_terms, taylor_shift
 
 
-class Step(NamedTuple):
-    """One proof step: a region proof's step, a `solve` or `classify` gate, or an identity."""
+class Step(namedtuple("Step", "claim method covers passed witness")):
+    """One proof step: a region proof's step, a `solve` or `classify` gate, or an identity.
 
-    claim: str      # "region: polynomial, substitution", or the gate's or identity's name
-    method: str     # how it is decided: "Polya", "zero row", "cited: ...", ...
-    covers: object  # the set it covers, or the candidate (S, m, x, y) a gate decides
-    passed: bool
-    witness: str    # why it holds, or where it fails; "" on a passed region step
+    claim: "region: polynomial, substitution", or the gate's or identity's name.
+    method: how it is decided: "Polya", "zero row", "cited: ...", ...
+    covers: the set it covers, or the candidate (S, m, x, y) a gate decides.
+    passed: whether it holds.
+    witness: why it holds, or where it fails; "" on a passed region step.
+    """
+
+    __slots__ = ()
 
 
 def g1_in_t(x, t):

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from twodist import designs
-from twodist.cli import COMMANDS, dispatch
+from twodist.cli import COMMANDS, GOLDEN_GRAM, GOLDEN_R2, dispatch
 from twodist.designs import load_design
 from twodist.errors import DesignError, InternalConsistencyError
+from twodist.exactnum import format_scalar, parse_scalar
 
 from oracles import derived_design
 
@@ -28,6 +29,12 @@ def test_verify_lisonek_exit_zero(capsys):
     assert code == 0
     assert report.status == "ok"
     assert "45" in out and "1/3*sqrt(14)" in out
+
+
+def test_verify_goldens_are_canonical():
+    # verify compares rendered text: for a canonical golden, equal text is equal value
+    for text in (*GOLDEN_GRAM.values(), GOLDEN_R2):
+        assert format_scalar(parse_scalar(text)) == text
 
 
 def counting(monkeypatch, module, name) -> list:

@@ -16,6 +16,7 @@ source checks record fields (`test_every_record_field_is_read`).
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -42,10 +43,6 @@ ALLOWLIST = {
     "exactnum:QuadExt.__bool__": "value semantics: zero is false, as for int and Fraction",
     "polynomials:Poly.__hash__": "value semantics: equal polynomials hash equal",
     "polynomials:Poly.__repr__": "verify_identities prints it when a residue is nonzero",
-    "designs:IncidenceDesign.__eq__": "value semantics: without it == is identity",
-    "designs:IncidenceDesign.__hash__": "value semantics: equal designs hash equal",
-    "designs:IncidenceDesign.__repr__": "value semantics: what a failing comparison prints",
-    "designs:IncidenceDesign.__setattr__": "keeps a checked design immutable",
 }
 
 CHILD = """
@@ -135,20 +132,35 @@ def test_allowlist_names_only_unreached_defs(reached):
 
 
 def record_fields() -> dict:
-    """Every NamedTuple field and __slots__ name under SRC, as "module:Class.field" -> field."""
+    """Every record field under SRC, as "module:Class.field" -> field.
+
+    A record's fields are the field string of its `namedtuple(...)` base,
+    and the names in its `__slots__`.
+    """
     out = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.ClassDef):
                 continue
-            if any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases):
-                names = [stmt.target.id for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
-            else:
-                names = [name for stmt in node.body if isinstance(stmt, ast.Assign)
-                         and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
-                         for name in ast.literal_eval(stmt.value)]
+            names = [name for base in node.bases if isinstance(base, ast.Call)
+                     and isinstance(base.func, ast.Name) and base.func.id == "namedtuple"
+                     for name in ast.literal_eval(base.args[1]).split()]
+            names += [name for stmt in node.body if isinstance(stmt, ast.Assign)
+                      and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+                      for name in ast.literal_eval(stmt.value)]
             out.update({f"{path.stem}:{node.name}.{name}": name for name in names})
     return out
+
+
+def test_record_field_scan_sees_every_namedtuple_field():
+    # a record form the scan does not parse would leave its fields unchecked
+    fields = set(record_fields())
+    for path in sorted(SRC.glob("[!_]*.py")):
+        module = importlib.import_module(f"twodist.{path.stem}")
+        for name, cls in vars(module).items():
+            if isinstance(cls, type) and issubclass(cls, tuple) and cls.__module__ == module.__name__:
+                missing = {f"{path.stem}:{name}.{f}" for f in cls._fields} - fields
+                assert not missing, f"record_fields does not find {sorted(missing)}"
 
 
 def attributes_read() -> set:

@@ -1,9 +1,11 @@
-"""The record types: no generated code at import, immutable where they were frozen.
+"""The record types: one form, no generated annotations at import, immutable.
 
-Records are `typing.NamedTuple`s, or `__slots__` classes where they mutate
-or check their input.  A `@dataclass`
-`exec`s its generated methods when its module is imported, which every
-command pays at start-up.
+Every immutable record is a `collections.namedtuple` subclass with empty
+`__slots__`; a record that checks its input does so in `__new__`.  Only
+`cli.CommandReport`, which its command handlers append to, is a `__slots__`
+class with its own `__init__`.  A `@dataclass` `exec`s its generated
+methods when its module is imported, and a `typing.NamedTuple` turns every
+field annotation into a `ForwardRef`: costs every command pays at start-up.
 """
 
 import ast
@@ -26,8 +28,19 @@ def test_no_module_imports_dataclasses(path):
                  else [node.module] if isinstance(node, ast.ImportFrom) else [])
         assert "dataclasses" not in names, (
             f"{path.name}:{node.lineno} imports dataclasses: its 27 decorators and the module "
-            "itself cost about 25-30 ms of every command's start-up; use typing.NamedTuple, "
-            "or a __slots__ class where the record mutates or checks its input")
+            "itself cost about 25-30 ms of every command's start-up; subclass "
+            "collections.namedtuple, checking any input in __new__")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_typing_namedtuple(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "typing":
+            assert "NamedTuple" not in [a.name for a in node.names], (
+                f"{path.name}:{node.lineno} imports typing.NamedTuple: it turns each field "
+                "annotation into a ForwardRef when the class is made, 4-6 ms of every "
+                "command's start-up over the records of src/twodist; subclass "
+                "collections.namedtuple instead")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -59,6 +72,7 @@ def test_records_keep_equality_and_repr(lisonek):
     assert same == lisonek and hash(same) == hash(lisonek)
     assert IncidenceDesign(9, lisonek.blocks[1:]) != lisonek
     assert repr(IncidenceDesign(3, ((0, 1),))) == "IncidenceDesign(m=3, blocks=((0, 1),))"
+    assert IncidenceDesign(3, ((0, 1),)) == (3, ((0, 1),))  # a tuple, as every record is
 
 
 @pytest.mark.parametrize("m, blocks, fragment", [
@@ -74,11 +88,12 @@ def test_incidence_design_checks_at_construction(m, blocks, fragment):
     assert fragment in str(err.value)
 
 
-def test_mutable_reports_have_no_instance_dict(lisonek_projector):
-    # __slots__ records take no per-instance dict and refuse unknown fields
-    report = dioph.RegionScanReport()
-    report.points_checked["r"] = 1
+def test_reports_have_no_instance_dict(lisonek_projector):
+    # records with empty __slots__ take no per-instance dict and refuse any assignment
+    report = dioph.RegionScanReport({"r": 1}, [])
     for record in (report, lisonek_projector, coherent.verify_axioms(lisonek_projector.cc)):
         assert not hasattr(record, "__dict__")
         with pytest.raises(AttributeError):
             record.not_a_field = 1
+    with pytest.raises(AttributeError):
+        report.points_checked = {}
