@@ -23,11 +23,10 @@ design = lisonek_design()
 cc = from_design(design)
 print("design: 2-(9,2,1),", design.block_count, "blocks,", cc.params.as_dict())
 
-axioms = verify_axioms(cc)
-print("\ncoherent-configuration axioms:", "ok" if axioms.ok else axioms.violation)
-print("sample intersection numbers: p_33^3 =", axioms.p_constant(3, 3, 3),
-      " p_44^4 =", axioms.p_constant(4, 4, 4),
-      " p_44^2 =", axioms.p_constant(4, 4, 2))
+p = verify_axioms(cc)   # p[i-1][j-1][k-1] = p_ij^k; from_design checked the premises
+print("\nsample intersection numbers: p_33^3 =", p[2][2][2],
+      " p_44^4 =", p[3][3][3],
+      " p_44^2 =", p[3][3][1])
 
 result = projector_and_gram(cc)   # raises if E^2 != E, E^T != E or trace != 8
 print("\nGram classes of the projector E (all exact):")

@@ -6,17 +6,17 @@ design's incidence packed once each way (`relation_row`).  Its
 intersection numbers p_ij^k are constant because a quasi-symmetric
 2-design gives a coherent configuration of type (2,2;3): D. G. Higman's
 theorem on coherent configurations, with the block graph strongly regular
-by Goethals and Seidel (1970).  What is checked is that theorem's
-premises: equal block sizes (`IncidenceDesign`), every point in a block
-and exactly two intersection values (`from_design`, which also counts the
-blocks through each point pair by the same pass on the transpose), and the
-block count equal to the derived n and every point pair in the same number
-of blocks (`verify_axioms`), which then counts each p_ij^k at one pair of
-R_k.  The exhaustive check of every pair is the test oracle
-`fiber_block_axioms` in tests/oracles.py.  Then the matrix-unit basis of
-the second irreducible block of the adjacency algebra, and the symmetric
-idempotent projector E whose entries form the exact Gram table of the
-Euclidean embedding.
+by Goethals and Seidel (1970).  That theorem's premises are checked where
+the input is read, and a design that breaks one is refused with
+DesignError: equal block sizes by `IncidenceDesign`; every point in a
+block, exactly two intersection values, the block count equal to the
+derived n and every point pair in the same number of blocks by
+`from_design`.  So a `CoherentConfig` exists only for a quasi-symmetric
+2-design, and `verify_axioms` only counts each p_ij^k at one pair of R_k.
+The exhaustive check of every pair is the test oracle `fiber_block_axioms`
+in tests/oracles.py.  Then the matrix-unit basis of the second irreducible
+block of the adjacency algebra, and the symmetric idempotent projector E
+whose entries form the exact Gram table of the Euclidean embedding.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ GRAM_CLASS_OF_RELATION = {
 }
 
 
-class CoherentConfig(namedtuple("CoherentConfig", "design params points blocks pairs")):
-    """A design, its parameters, its incidence packed each way and its point-pair counts."""
+class CoherentConfig(namedtuple("CoherentConfig", "design params points blocks")):
+    """A quasi-symmetric 2-design, its parameters and its incidence packed each way."""
 
     __slots__ = ()
 
@@ -59,7 +59,7 @@ class CoherentConfig(namedtuple("CoherentConfig", "design params points blocks p
 
 
 def from_design(d: IncidenceDesign) -> CoherentConfig:
-    """The configuration of d; raises DesignError unless d is quasi-symmetric."""
+    """The configuration of d; raises DesignError unless d is a quasi-symmetric 2-design."""
     designs.require_every_point(d)  # before anything of size m is built
     through = designs.blocks_through_points(d)
     points = designs.pack(through, d.block_count, d.block_size)
@@ -68,8 +68,13 @@ def from_design(d: IncidenceDesign) -> CoherentConfig:
         raise DesignError(f"design is not quasi-symmetric: intersection values {values}")
     beta, alpha = values
     params = designs.derive_parameters(d.m, d.block_size, alpha, beta)
+    if d.block_count != params.n:  # checked first because it costs nothing
+        raise DesignError(f"axioms fail: {d.block_count} blocks, but (m, S, alpha, beta) = "
+                          f"{params[:4]} give n = {format_scalar(params.n)}")
     blocks = designs.pack(d.blocks, d.m, max(map(len, through)))
-    return CoherentConfig(d, params, points, blocks, designs.pair_counts(through, blocks))
+    if len(designs.pair_counts(through, blocks)) != 1:
+        raise DesignError(f"axioms fail: not a 2-design: {designs.pair_witness(points)}")
+    return CoherentConfig(d, params, points, blocks)
 
 
 # from a 0/1 incidence field to the 0-based label: R6 or R7, R8 or R9
@@ -105,43 +110,19 @@ def relation_row(cc: CoherentConfig, u: int) -> list:
     return row
 
 
-# ----- axiom verification -------------------------------------------------
+# ----- the intersection numbers --------------------------------------------
 
 
-class AxiomReport(namedtuple("AxiomReport", "ok p violation", defaults=(None,))):
-    """The axiom check's verdict: p[i-1][j-1][k-1] = p_{ij}^k, or a violation."""
+def verify_axioms(cc: CoherentConfig) -> tuple:
+    """The p table of cc: p[i-1][j-1][k-1] = p_ij^k, as nested tuples.
 
-    __slots__ = ()
-
-    def p_constant(self, i: int, j: int, k: int) -> int:
-        """Intersection number p_{ij}^k with 1-based relation labels 1..9."""
-        if self.p is None:
-            raise ValueError(f"no p table: the axiom check failed ({self.violation})")
-        if not all(1 <= label <= 9 for label in (i, j, k)):
-            raise ValueError(f"relation labels run from 1 to 9, got p_{i}{j}^{k}")
-        return self.p[i - 1][j - 1][k - 1]
-
-
-def verify_axioms(cc: CoherentConfig) -> AxiomReport:
-    """Check the premises of the configuration theorem and count every p_ij^k.
-
-    The theorem (module docstring) needs a quasi-symmetric 2-design.  Equal
-    block sizes are checked when the design is read, every point lying in a
-    block and exactly two intersection values by `from_design`.  Here the
-    block count must be the n that (m, S, alpha, beta) give, checked first
-    because it costs nothing, and every point pair must lie in the same
-    number of blocks (`cc.pairs`); a failure is returned, naming the
-    premise.  Then p_ij^k = |{w : (u,w) in R_i, (w,v) in R_j}| is counted
-    over w in V + B at one pair (u, v) of each R_k, every pair taken from
-    block 0's row: two points, block 0 itself, its first neighbours at
-    alpha and at beta, and a point in it and one outside it.
+    `from_design` has checked the premises of the configuration theorem
+    (module docstring), so each p_ij^k is constant on R_k and is counted,
+    as |{w : (u,w) in R_i, (w,v) in R_j}| over w in V + B, at one pair
+    (u, v) of R_k, every pair taken from block 0's row: two points, block 0
+    itself, its first neighbours at alpha and at beta, and a point in it
+    and one outside it.
     """
-    d, params = cc.design, cc.params
-    if d.block_count != params.n:
-        return AxiomReport(False, None, f"{d.block_count} blocks, but (m, S, alpha, beta) = "
-                                        f"{params[:4]} give n = {format_scalar(params.n)}")
-    if len(cc.pairs) != 1:
-        return AxiomReport(False, None, f"not a 2-design: {designs.pair_witness(cc.points)}")
     m = cc.m
     first = relation_row(cc, m)
     inside, outside = first.index(7), first.index(8)
@@ -155,7 +136,7 @@ def verify_axioms(cc: CoherentConfig) -> AxiomReport:
     for k, (u, v) in enumerate(reps):
         for i, j in zip(rows[u], rows[v]):  # (u, w) in R_i; (w, v) is (v, w) transposed
             p[i][TRANSPOSE[j]][k] += 1
-    return AxiomReport(True, tuple(tuple(map(tuple, plane)) for plane in p))
+    return tuple(tuple(map(tuple, plane)) for plane in p)
 
 
 # ----- the idempotent basis and the projector ------------------------------
@@ -267,20 +248,16 @@ class ProjectorResult(namedtuple("ProjectorResult", "cc coefficients gram")):
 def projector_and_gram(cc: CoherentConfig) -> ProjectorResult:
     """Assemble E = (eps11 + eps12 + eps21 + eps22)/2 and verify it exactly.
 
-    A configuration that fails `verify_axioms` raises DesignError.  Checks
-    E = E^T, E^2 = E, trace(E) = m - 1 and that E annihilates both fiber
-    indicator vectors, at every size, in the adjacency algebra on the
-    verified p_ij^k table.  Every coefficient is written exactly as
+    Checks E = E^T, E^2 = E, trace(E) = m - 1 and that E annihilates both
+    fiber indicator vectors, at every size, in the adjacency algebra on the
+    p_ij^k table of `verify_axioms`.  Every coefficient is written exactly as
     sum_r sqrt(r) N_r / D: D is the lcm of the coefficient denominators and
     N_r holds integers, one list per radicand r in {1, d1, d2, d1 d2}; the
     eps identities and E^2 = E run on these numerators through the nonzero
     p_ij^k.  The Gram classes are read off the same coefficients.
     """
-    report = verify_axioms(cc)
-    if not report.ok:
-        raise DesignError(f"axioms fail: {report.violation}")
     idem = idempotent_basis(cc.params)
-    constants = structure_constants(report.p)
+    constants = structure_constants(verify_axioms(cc))
     verify_epsilon_identities(constants, idem)
     half = Fraction(1, 2)
     coeffs = tuple((a + b + c + d) * half for a, b, c, d in zip(*idem.values()))
@@ -290,7 +267,7 @@ def projector_and_gram(cc: CoherentConfig) -> ProjectorResult:
     trace = coeffs[0] * cc.m + coeffs[1] * cc.n_blocks
     if trace != QuadExt(cc.m - 1):
         raise InternalConsistencyError(f"trace(E) = {trace} != m - 1")
-    # idempotency in the algebra (valid for any size; the p table is verified)
+    # idempotency in the algebra (valid for any size)
     form = _integer_vector(coeffs)
     _require_product(constants, form, form, form, "E^2 != E in the adjacency algebra")
     # fiber annihilation: row sums against both indicator vectors

@@ -160,6 +160,11 @@ class IncidenceDesign(namedtuple("IncidenceDesign", "m blocks")):
                 raise DesignError(f"block {i} is not strictly ascending: {b}")
         return super().__new__(cls, m, blocks)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Through the checks of __new__, which the namedtuple's _make and _replace skip."""
+        return cls(*iterable)
+
     @property
     def block_size(self) -> int:
         return len(self.blocks[0])

@@ -196,9 +196,8 @@ def theoretical_spectrum(S: int, m: int, alpha: int, beta: int,
 
 def native_gram_distances(e: dict) -> dict:
     """Projector-frame squared distances straight off the Gram classes."""
-    vv = 2 * (e["V_diag"] - e["V_off"])
     return {
-        "V_V": vv,
+        "V_V": 2 * (e["V_diag"] - e["V_off"]),
         "B_B_alpha": 2 * (e["B_diag"] - e["B_alpha"]),
         "B_B_beta": 2 * (e["B_diag"] - e["B_beta"]),
         "V_B_in": e["V_diag"] + e["B_diag"] - 2 * e["VB_in"],
@@ -228,12 +227,12 @@ def spectrum_from_gram(e: dict, r2: QuadExt, branch: str = "gt2") -> DistanceSpe
     e_bb = e["B_diag"].rational_value()
     if e_bb <= 0:
         raise InternalConsistencyError("block diagonal Gram entry must be positive")
-    native_vv = 2 * (e["V_diag"] - e["V_off"])
-    if native_vv != QuadExt(1):
+    native = native_gram_distances(e)
+    if native["V_V"] != QuadExt(1):
         raise InternalConsistencyError("projector-frame simplex edge must be 1")
     r2_sq = r2 * r2
-    d2_sq = r2_sq * (2 - 2 * e["B_alpha"].rational_value() / e_bb)
-    d3_sq = r2_sq * (2 - 2 * e["B_beta"].rational_value() / e_bb)
+    d2_sq = r2_sq * (native["B_B_alpha"].rational_value() / e_bb)
+    d3_sq = r2_sq * (native["B_B_beta"].rational_value() / e_bb)
     scale = sqrt_adjoin(Fraction(2) / e_bb)
     in_sq = 2 * e_vv + r2_sq - 2 * orientation * (r2 * e["VB_in"] * scale)
     out_sq = 2 * e_vv + r2_sq - 2 * orientation * (r2 * e["VB_out"] * scale)

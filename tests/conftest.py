@@ -4,12 +4,16 @@ from pathlib import Path
 
 import pytest
 
+from twodist.cli import COMMANDS
 from twodist.coherent import from_design, projector_and_gram
 from twodist.designs import lisonek_design, load_design
 
 from oracles import complement_design, label_matrix
 
 DATA_DIR = Path(__file__).parent / "data"
+# the box `twodist regions` scans when given no bound: zmin, zmax and xmax off its option row
+REGIONS_BOX = {flag[2:]: default for flag, _, default, _, _ in COMMANDS["regions"][3]
+               if flag != "--which"}
 
 # pytest's `pythonpath` setting reaches only this process; tests that start
 # `python -m twodist.cli` need src on the child's path as well.

@@ -10,8 +10,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from twodist.coherent import (
-    GRAM_CLASS_OF_RELATION, AxiomReport, CoherentConfig, _integer_vector)
+from twodist.coherent import GRAM_CLASS_OF_RELATION, CoherentConfig, _integer_vector
 from twodist.designs import (
     IncidenceDesign, blocks_through_points, intersection_numbers, lambda_parts, pack, pair_counts,
     pair_witness)
@@ -106,7 +105,7 @@ def block_intersections(d: IncidenceDesign) -> tuple[int, ...]:
 
 
 def pair_pass(d: IncidenceDesign) -> TDesignResult:
-    """The 2-design check of `coherent.from_design` and `verify_axioms`, as the walk reports it.
+    """The 2-design check of `coherent.from_design`, as the walk reports it.
 
     `designs.pair_counts` on the block rows from_design packs, and on a
     failure `designs.pair_witness` on its point rows.
@@ -279,13 +278,22 @@ def sequential_parameters(m: int, S: int, alpha: int, beta: int) -> dict:
 
 # ----- the exhaustive axiom check ------------------------------------------------
 #
-# `coherent.verify_axioms` checks that the design is a quasi-symmetric 2-design
-# and reads each p_ij^k off one pair of R_k; constancy is the classical theorem.
+# `coherent.from_design` checks that the design is a quasi-symmetric 2-design and
+# `verify_axioms` reads each p_ij^k off one pair of R_k; constancy is the
+# classical theorem.
 # This oracle builds the label matrix of every pair from a dense incidence
 # matrix and checks the axioms on all of them, with the full p table.
 
 TRANSPOSE_PAIRS = {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 8, 7: 9, 8: 6, 9: 7}
 SWAP = np.array([0, *TRANSPOSE_PAIRS.values()], dtype=np.int8)  # SWAP[i] = TRANSPOSE_PAIRS[i]
+
+
+class AxiomVerdict(NamedTuple):
+    """An exhaustive axiom check's verdict: the full p table, or the first violation."""
+
+    ok: bool
+    p: Optional[tuple]  # p[i-1][j-1][k-1] = p_ij^k, None on a violation
+    violation: Optional[str] = None
 
 
 def incidence_matrix(d: IncidenceDesign) -> np.ndarray:
@@ -336,11 +344,11 @@ def label_matrix(cc: CoherentConfig) -> np.ndarray:
 
 
 def as_table(p: np.ndarray) -> tuple:
-    """A 9 x 9 x 9 array as the nested tuples of `AxiomReport.p`."""
+    """A 9 x 9 x 9 array as the nested tuples `coherent.verify_axioms` returns."""
     return tuple(tuple(map(tuple, plane)) for plane in p.tolist())
 
 
-def fiber_block_axioms(cc: CoherentConfig, labels=None) -> AxiomReport:
+def fiber_block_axioms(cc: CoherentConfig, labels=None) -> AxiomVerdict:
     """Exhaustively check the coherent-configuration axioms on a label matrix.
 
     `labels` defaults to `label_matrix(cc)`.  (1) every label lies in 1..9,
@@ -379,17 +387,17 @@ def fiber_block_axioms(cc: CoherentConfig, labels=None) -> AxiomReport:
     if labels is None:
         labels = label_matrix(cc)
     if labels.min() < 1 or labels.max() > 9:
-        return AxiomReport(False, None, "relations do not partition the pair set")
+        return AxiomVerdict(False, None, "relations do not partition the pair set")
     bad = SWAP.take(labels) != labels.T
     if bad.any():
         # R_i fails iff a mismatched entry carries i or SWAP[i]; bad is symmetric
         seen = labels[bad]
         i = int(min(seen.min(), SWAP.take(seen).min()))
-        return AxiomReport(False, None, f"transpose of R{i} is not R{SWAP[i]}")
+        return AxiomVerdict(False, None, f"transpose of R{i} is not R{SWAP[i]}")
     diag = np.diagonal(labels)
     size = cc.size  # a label matrix of any other size fails (3)
     if np.count_nonzero(diag <= 2) != size or np.count_nonzero(labels <= 2) != size:
-        return AxiomReport(False, None, "R1 + R2 is not the diagonal")
+        return AxiomVerdict(False, None, "R1 + R2 is not the diagonal")
     m = int(np.count_nonzero(diag == 1))
     order = None
     if not (diag[:m] == 1).all():
@@ -402,7 +410,7 @@ def fiber_block_axioms(cc: CoherentConfig, labels=None) -> AxiomReport:
     for i in range(9):
         hit = [ab for ab, counts in met.items() if counts[i]]
         if len(hit) > 1:
-            return AxiomReport(False, None, f"R{i+1} meets more than one fiber pair")
+            return AxiomVerdict(False, None, f"R{i+1} meets more than one fiber pair")
         pairs.append(hit[0] if hit else None)
     members = {ab: [k for k in range(9) if pairs[k] == ab] for ab in blocks}
     rels = [None, None] + [None if pairs[i] is None else blocks[pairs[i]] == i + 1
@@ -446,12 +454,12 @@ def fiber_block_axioms(cc: CoherentConfig, labels=None) -> AxiomReport:
                 pair = (offsets[a] + int(r), offsets[c] + int(col))
                 if order is not None:
                     pair = (int(order[pair[0]]), int(order[pair[1]]))
-                return AxiomReport(
+                return AxiomVerdict(
                     False, None,
                     f"p_{i+1}{j+1}^{k} not constant: pair {pair} gives "
                     f"{int(prod[r, col])}, expected {int(table[k])}")
             p[i, j, ks] = values
-    return AxiomReport(True, as_table(p))
+    return AxiomVerdict(True, as_table(p))
 
 
 # ----- the dense projector check -------------------------------------------------

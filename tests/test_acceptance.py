@@ -17,6 +17,7 @@ from twodist.exactnum import QuadExt, parse_scalar, quadext_sign, sqrt_adjoin
 from twodist.regions import Step
 
 import surface_oracle
+from conftest import REGIONS_BOX
 from oracles import dense_checks, projector_form
 
 
@@ -112,7 +113,7 @@ def test_criterion_6_brute_force_classification(capsys):
 
 def test_criterion_7_region_certification(capsys):
     t0 = time.monotonic()
-    g1 = dioph.region_scan("g1")
+    g1 = dioph.region_scan("g1", **REGIONS_BOX)
     assert g1.ok, g1.violations[:5]
     assert g1.points_checked == {"region1": 1651650, "region2": 197, "region3": 337954}
     assert [(s.claim.split(": ")[0], s.method) for s in g1.steps] == [
@@ -121,7 +122,7 @@ def test_criterion_7_region_certification(capsys):
     assert set(strip.roots) == {
         parse_scalar("-1/2 + 1/2*sqrt(41)"), parse_scalar("-1/2 - 1/2*sqrt(41)")}
     assert strip.integer_roots == ()
-    g2 = dioph.region_scan("g2")
+    g2 = dioph.region_scan("g2", **REGIONS_BOX)
     assert g2.ok, g2.violations[:5]
     assert g2.points_checked == {"large_z": 354, "x_ge_3": 2009598}
     assert [s.method for s in g2.steps] == ["Polya"] * 18
@@ -186,7 +187,7 @@ def test_criterion_9_property_suites(lisonek_cc, lisonek_projector, relation_row
         assert quadext_sign(v) == (1 if approx > 0 else -1)
         checked += 1
     # matrix-unit identities for the idempotent basis
-    constants = coherent.structure_constants(coherent.verify_axioms(lisonek_cc).p)
+    constants = coherent.structure_constants(coherent.verify_axioms(lisonek_cc))
     coherent.verify_epsilon_identities(constants, coherent.idempotent_basis(lisonek_cc.params))
     # E annihilates both fiber indicators
     for row in relation_rows(lisonek_cc, lisonek_projector.coefficients):

@@ -1,5 +1,6 @@
-"""The premise check of `coherent.verify_axioms` against two exhaustive
-oracles, the designs it must reject, and the embedding pipeline on the zoo.
+"""The p table of `coherent.verify_axioms` against two exhaustive oracles,
+the designs `coherent.from_design` must reject, every design it accepts
+against the oracle, and the embedding pipeline on the zoo.
 
 The oracles check every pair: `oracles.fiber_block_axioms` on the label
 matrix, block by block, and `dense_axioms_oracle` here, by all 81 full
@@ -19,15 +20,16 @@ import oracles
 from twodist import coherent
 from twodist.cli import dispatch
 from twodist.coherent import (
-    AxiomReport,
     CoherentConfig,
     from_design,
     projector_and_gram,
     relation_row,
     verify_axioms,
 )
-from twodist.designs import IncidenceDesign, derive_parameters, lisonek_design, load_design
+from twodist.designs import (
+    IncidenceDesign, blocks_through_points, derive_parameters, lisonek_design, load_design, pack)
 from twodist.dioph import eval_p, p_residuals
+from twodist.errors import DesignError
 from twodist.geometry import (
     spectrum_from_gram,
     theoretical_spectrum,
@@ -36,6 +38,7 @@ from twodist.geometry import (
 
 from oracles import (
     TRANSPOSE_PAIRS,
+    AxiomVerdict,
     as_table,
     block_intersections,
     complement_design,
@@ -49,7 +52,7 @@ from oracles import (
 DATA_DIR = Path(__file__).parent / "data"
 
 
-def dense_axioms_oracle(cc, labels=None) -> AxiomReport:
+def dense_axioms_oracle(cc, labels=None) -> AxiomVerdict:
     """Axiom (4) by all 81 full (m+n) x (m+n) products, each masked 9 times.
 
     The independent oracle for fiber_block_axioms: it knows nothing of
@@ -58,15 +61,15 @@ def dense_axioms_oracle(cc, labels=None) -> AxiomReport:
     """
     labels = label_matrix(cc) if labels is None else labels
     if not np.isin(labels, range(1, 10)).all():
-        return AxiomReport(False, None, "relations do not partition the pair set")
+        return AxiomVerdict(False, None, "relations do not partition the pair set")
     supports = [labels == k for k in range(1, 10)]
     mats = [m.astype(np.int32) for m in supports]
     for i, expect in TRANSPOSE_PAIRS.items():
         if not (supports[i - 1].T == supports[expect - 1]).all():
-            return AxiomReport(False, None, f"transpose of R{i} is not R{expect}")
+            return AxiomVerdict(False, None, f"transpose of R{i} is not R{expect}")
     diag = mats[0] + mats[1]
     if not (np.diag(np.diag(diag)) == diag).all() or not (np.diag(diag) == 1).all():
-        return AxiomReport(False, None, "R1 + R2 is not the diagonal")
+        return AxiomVerdict(False, None, "R1 + R2 is not the diagonal")
     p = np.zeros((9, 9, 9), dtype=np.int32)
     for i in range(9):
         for j in range(9):
@@ -78,12 +81,12 @@ def dense_axioms_oracle(cc, labels=None) -> AxiomReport:
                 first = values[0]
                 if not (values == first).all():
                     bad = tuple(int(v) for v in np.argwhere((prod != first) & supports[k])[0])
-                    return AxiomReport(
+                    return AxiomVerdict(
                         False, None,
                         f"p_{i+1}{j+1}^{k+1} not constant: pair {bad} gives "
                         f"{int(prod[bad])}, expected {int(first)}")
                 p[i, j, k] = first
-    return AxiomReport(True, as_table(p))
+    return AxiomVerdict(True, as_table(p))
 
 
 def assert_same_report(cc, labels=None, expected=None):
@@ -112,8 +115,8 @@ def complement_cc(lisonek):
 def test_matches_oracle_on_lisonek_complement_and_witt(lisonek_cc, complement_cc, witt_cc,
                                                        witt_oracle):
     for cc in (lisonek_cc, complement_cc):
-        assert verify_axioms(cc).p == assert_same_report(cc).p
-    assert verify_axioms(witt_cc).p == assert_same_report(witt_cc, None, witt_oracle).p
+        assert verify_axioms(cc) == assert_same_report(cc).p
+    assert verify_axioms(witt_cc) == assert_same_report(witt_cc, None, witt_oracle).p
 
 
 def test_witt_axiom_check_work_count(witt_cc, witt_oracle, monkeypatch):
@@ -126,26 +129,18 @@ def test_witt_axiom_check_work_count(witt_cc, witt_oracle, monkeypatch):
     labels = label_matrix(witt_cc)
     monkeypatch.setattr(coherent, "relation_row", lambda cc, u: rows.append(u) or row(cc, u))
     monkeypatch.setattr(oracles, "count_product", lambda a, b: calls.append(1) or product(a, b))
-    report = verify_axioms(witt_cc)
+    p = verify_axioms(witt_cc)
     assert len(rows) == len(set(rows)) <= 7
-    assert fiber_block_axioms(witt_cc, labels).p == report.p == witt_oracle.p
+    assert fiber_block_axioms(witt_cc, labels).p == p == witt_oracle.p
     assert len(calls) <= 11
 
 
 def test_witt_constants_from_parameters(witt_cc):
-    report = verify_axioms(witt_cc)
+    p = verify_axioms(witt_cc)  # p[i-1][j-1][k-1] = p_ij^k
     params = witt_cc.params
-    assert report.p_constant(4, 4, 2) == params.k        # block-graph degree
-    assert report.p_constant(6, 8, 1) == params.T        # blocks through a point
-    assert report.p_constant(6, 8, 3) == params.Lambda   # blocks through two points
-
-
-@pytest.mark.parametrize("ijk", [(0, 1, 1), (1, 1, 0), (1, 0, 1), (10, 1, 1), (1, 1, 10),
-                                 (-1, 1, 1)])
-def test_p_constant_refuses_labels_outside_1_to_9(lisonek_cc, ijk):
-    # label 0 would wrap around to R9 and label 10 would index past the table
-    with pytest.raises(ValueError, match="relation labels run from 1 to 9"):
-        verify_axioms(lisonek_cc).p_constant(*ijk)
+    assert p[3][3][1] == params.k        # p_44^2, block-graph degree
+    assert p[5][7][0] == params.T        # p_68^1, blocks through a point
+    assert p[5][7][2] == params.Lambda   # p_68^3, blocks through two points
 
 
 # ----- the labels against a set-based derivation ---------------------------
@@ -243,9 +238,15 @@ def halves(m):
 # S = 256 and 512 take two-byte fields; at m = 1024 alpha = 256 has beta's low byte
 @pytest.mark.parametrize("m", [512, 1024])
 def test_labels_match_set_derivation_with_wide_fields(m):
-    cc = from_design(halves(m))
-    assert cc.points.width == 2 and (cc.params.alpha, cc.params.beta) == (m // 4, 0)
-    assert [[i + 1 for i in relation_row(cc, u)] for u in range(cc.size)] == set_labels(cc.design)
+    # three blocks are no 2-design, so from_design refuses them; relation_row
+    # reads only the rows it packs and (alpha, beta), built here as it builds them
+    d = halves(m)
+    through = blocks_through_points(d)
+    cc = CoherentConfig(d, derive_parameters(m, m // 2, m // 4, 0),
+                        pack(through, d.block_count, d.block_size),
+                        pack(d.blocks, m, max(map(len, through))))
+    assert cc.points.width == 2 and block_intersections(d) == (0, m // 4)
+    assert [[i + 1 for i in relation_row(cc, u)] for u in range(cc.size)] == set_labels(d)
 
 
 def set_intersection_values(design) -> tuple:
@@ -269,14 +270,14 @@ def test_matches_oracle_on_small_designs(name):
     # test_matches_oracle_on_lisonek_complement_and_witt; on the other designs
     # derived from Witt it would take 0.1-1.7 s each
     cc = from_design(SMALL_DESIGNS[name]())
-    assert verify_axioms(cc).p == assert_same_report(cc).p
+    assert verify_axioms(cc) == assert_same_report(cc).p
 
 
 @pytest.mark.parametrize("name", DESIGNS)
 def test_premise_check_matches_exhaustive_oracle_on_the_zoo(name):
     cc = from_design(DESIGNS[name]())
-    report, oracle = verify_axioms(cc), fiber_block_axioms(cc)
-    assert report.ok and oracle.ok and report.p == oracle.p
+    oracle = fiber_block_axioms(cc)
+    assert oracle.ok and verify_axioms(cc) == oracle.p
 
 
 # ----- the embedding pipeline -----------------------------------------------
@@ -353,6 +354,35 @@ def test_block_count_off_the_derived_n_is_rejected(tmp_path, capsys):
 def test_point_in_no_block_is_rejected(tmp_path, capsys):
     assert embed_error(tmp_path, IncidenceDesign(24, witt().blocks), capsys) == (
         "point 23 lies in no block")
+
+
+@st.composite
+def distinct_block_designs(draw):
+    """2 to 14 distinct equal-size blocks on 3 to 9 points."""
+    m = draw(st.integers(3, 9))
+    subsets = list(combinations(range(m), draw(st.integers(2, m - 1))))
+    blocks = draw(st.lists(st.sampled_from(subsets), min_size=2, max_size=14, unique=True))
+    return IncidenceDesign(m, tuple(sorted(blocks)))
+
+
+# two quasi-symmetric designs with the derived block count n = 7 that are not
+# 2-designs: without the pair-count check their p_44^2 is not constant
+@example(design=IncidenceDesign(7, ((0, 1, 2, 4), (0, 1, 2, 6), (0, 2, 3, 6), (1, 2, 3, 5),
+                                    (1, 2, 4, 6), (1, 2, 5, 6), (2, 3, 4, 6))))
+@example(design=IncidenceDesign(7, ((0, 1, 4, 5), (0, 1, 5, 6), (0, 2, 4, 6), (0, 3, 4, 6),
+                                    (0, 3, 5, 6), (1, 3, 4, 6), (2, 4, 5, 6))))
+@settings(max_examples=300, deadline=None)
+@given(design=distinct_block_designs())
+def test_every_accepted_design_satisfies_the_axioms(design):
+    # soundness of from_design's premise checks: the theorem's conclusion holds
+    # on every pair of whatever they let through, by the exhaustive oracle
+    try:
+        cc = from_design(design)
+    except DesignError:
+        return
+    oracle = fiber_block_axioms(cc)
+    assert oracle.ok, oracle.violation
+    assert verify_axioms(cc) == oracle.p
 
 
 # ----- corruptions of Lisonek's configuration ------------------------------
@@ -456,8 +486,6 @@ def test_relation_meeting_two_fiber_pairs(lisonek_cc):
     report = fiber_block_axioms(lisonek_cc, labels)
     assert not report.ok and report.p is None
     assert report.violation == "R3 meets more than one fiber pair"
-    with pytest.raises(ValueError, match="the axiom check failed"):
-        report.p_constant(1, 1, 1)
 
 
 def test_label_matrix_of_another_size_fails_the_diagonal(lisonek_cc):
@@ -482,7 +510,7 @@ def fano_configuration():
     eye = np.eye(7, dtype=np.int8)
     # points: R1 on the diagonal, R3 off it; lines: R2 and R4; incidence R6/R7, R8/R9
     labels = np.block([[3 - 2 * eye, 7 - inc], [9 - inc.T, 4 - 2 * eye]])
-    return CoherentConfig(design, derive_parameters(7, 3, 1, 0), None, None, None), labels
+    return CoherentConfig(design, derive_parameters(7, 3, 1, 0), None, None), labels
 
 
 def test_fiber_of_one_vertex():
@@ -493,9 +521,9 @@ def test_fiber_of_one_vertex():
     labels[:4, :4] = 3 - 2 * eye
     labels[4] = (8, 8, 8, 8, 2)
     star = IncidenceDesign(4, ((0, 1, 2, 3),))
-    report = assert_same_report(CoherentConfig(star, None, None, None, None), labels)
+    report = assert_same_report(CoherentConfig(star, None, None, None), labels)
     assert report.ok
-    assert report.p_constant(6, 8, 1) == 1 and report.p_constant(8, 6, 2) == 4
+    assert report.p[5][7][0] == 1 and report.p[7][5][1] == 4   # p_68^1 and p_86^2
 
 
 def test_empty_relation_is_skipped():
@@ -503,7 +531,7 @@ def test_empty_relation_is_skipped():
     assert report.ok
     p = np.array(report.p)
     assert not p[4].any() and not p[:, 4].any() and not p[:, :, 4].any()
-    assert report.p_constant(4, 4, 2) == 6      # every other line
-    assert report.p_constant(6, 8, 1) == 3      # lines through a point
-    assert report.p_constant(6, 8, 3) == 1      # lines through two points
-    assert report.p_constant(8, 6, 4) == 1      # points on two lines
+    assert p[3][3][1] == 6      # p_44^2, every other line
+    assert p[5][7][0] == 3      # p_68^1, lines through a point
+    assert p[5][7][2] == 1      # p_68^3, lines through two points
+    assert p[7][5][3] == 1      # p_86^4, points on two lines

@@ -312,8 +312,11 @@ MATH_FAILURES = [
     (["verify", "lisonek"], _wrong_golden_gram, lambda rows: rows["check"] == "FAIL"),
     (["classify", "--zmax", "3"], _tight_design_admitting_z2,
      lambda rows: rows["verdict"] == "accepted"),
+    # every identity is still reported; the two that read P1 show their residue
     (["identities"], _nonzero_residue,
-     lambda rows: rows["failure"].startswith("nonzero residue for p1 on the y1 branch: ")),
+     lambda rows: len(rows) == 7 and rows["p1 on the y1 branch"] == "Poly(1*x^2)"
+     and rows["p1 on family (i)"] == "Poly(256)"
+     and sum(v == "zero polynomial" for v in rows.values()) == 5),
     (["regions", "--which", "g1", "--zmin", "-2", "--zmax", "2", "--xmax", "5"],
      _wrong_g1_region,
      lambda rows: rows["count"] == "2" and "region3: N, x = 1 + u, t = 3 + u + w" in rows),

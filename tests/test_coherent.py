@@ -70,23 +70,22 @@ def test_not_quasi_symmetric_rejected():
 
 
 def test_axioms_and_intersection_constants(lisonek_cc):
-    report = verify_axioms(lisonek_cc)
-    assert report.ok
-    assert report.p_constant(3, 3, 3) == 7          # common points of a point pair
-    assert report.p_constant(4, 4, 4) == 7          # block-graph lambda
-    assert report.p_constant(4, 4, 2) == 14         # block-graph degree k
-    assert report.p_constant(6, 8, 1) == 8          # blocks through a point: T
-    assert report.p_constant(6, 8, 3) == 1          # Lambda
+    p = verify_axioms(lisonek_cc)  # p[i-1][j-1][k-1] = p_ij^k
+    assert p[2][2][2] == 7          # p_33^3, common points of a point pair
+    assert p[3][3][3] == 7          # p_44^4, block-graph lambda
+    assert p[3][3][1] == 14         # p_44^2, block-graph degree k
+    assert p[5][7][0] == 8          # p_68^1, blocks through a point: T
+    assert p[5][7][2] == 1          # p_68^3, Lambda
 
 
 def test_axiom_table_consistency(lisonek_cc):
     # A_i A_j = sum_k p_ij^k A_k reassembles exactly
-    report = verify_axioms(lisonek_cc)
+    p = verify_axioms(lisonek_cc)
     labels = label_matrix(lisonek_cc)
     mats = [(labels == k).astype(np.int64) for k in range(1, 10)]
     for i in (0, 2, 3, 5, 8):
         for j in (1, 3, 4, 6, 7):
-            expect = sum(report.p[i][j][k] * mats[k] for k in range(9))
+            expect = sum(p[i][j][k] * mats[k] for k in range(9))
             assert (mats[i] @ mats[j] == expect).all()
 
 
@@ -135,20 +134,20 @@ def integer_product(constants: tuple, u, v) -> tuple:
 
 
 def test_epsilon_matrix_unit_identities(lisonek_cc):
-    report = verify_axioms(lisonek_cc)
-    verify_epsilon_identities(structure_constants(report.p), idempotent_basis(lisonek_cc.params))
+    verify_epsilon_identities(structure_constants(verify_axioms(lisonek_cc)),
+                              idempotent_basis(lisonek_cc.params))
 
 
 def test_algebra_product_matches_matrices(lisonek_cc, lisonek_projector):
-    report = verify_axioms(lisonek_cc)
+    p = verify_axioms(lisonek_cc)
     coeffs = lisonek_projector.coefficients
-    square = quadext_algebra_product(report.p, coeffs, coeffs)
+    square = quadext_algebra_product(p, coeffs, coeffs)
     assert tuple(square) == tuple(coeffs)
-    assert integer_product(structure_constants(report.p), coeffs, coeffs) == square
+    assert integer_product(structure_constants(p), coeffs, coeffs) == square
 
 
 def test_structure_constants_are_the_nonzero_table(lisonek_cc):
-    p = verify_axioms(lisonek_cc).p
+    p = verify_axioms(lisonek_cc)
     rebuilt = [[[0] * 9 for _ in range(9)] for _ in range(9)]
     for i, j, ks in structure_constants(p):
         assert ks and all(c for _, c in ks)
@@ -160,7 +159,7 @@ def test_structure_constants_are_the_nonzero_table(lisonek_cc):
 @pytest.fixture(scope="session")
 def p_tables(lisonek_cc, lisonek, witt_design):
     configs = (lisonek_cc, from_design(complement_design(lisonek)), from_design(witt_design))
-    return [verify_axioms(cc).p for cc in configs]
+    return [verify_axioms(cc) for cc in configs]
 
 
 # Q(sqrt(d1), sqrt(d2)) as its basis {1, d1, d2, d1 d2 / gcd^2}; the gcds make
@@ -194,7 +193,7 @@ def test_epsilon_failure_names_product_relation_and_radicand(lisonek_cc):
     eps22 = list(idem[2, 2])
     eps22[3] = eps22[3] + Fraction(1, 63)
     broken = {**idem, (2, 2): tuple(eps22)}
-    constants = structure_constants(verify_axioms(lisonek_cc).p)
+    constants = structure_constants(verify_axioms(lisonek_cc))
     with pytest.raises(InternalConsistencyError) as err:
         verify_epsilon_identities(constants, broken)
     assert str(err.value) == "eps_12 eps_22 != delta * eps_12 in the sqrt(7) part at R6"
@@ -216,7 +215,7 @@ def test_every_epsilon_product_is_checked(lisonek_cc, monkeypatch, pair):
         return prod
 
     monkeypatch.setattr(coherent, "algebra_product", off_by_one)
-    constants = structure_constants(verify_axioms(lisonek_cc).p)
+    constants = structure_constants(verify_axioms(lisonek_cc))
     with pytest.raises(InternalConsistencyError) as err:
         verify_epsilon_identities(constants, idem)
     assert str(err.value).startswith(f"eps_{pair[0]} eps_{pair[1]} != ")
@@ -224,7 +223,7 @@ def test_every_epsilon_product_is_checked(lisonek_cc, monkeypatch, pair):
 
 
 def test_projector_square_failure_names_relation_and_radicand(lisonek_cc, lisonek_projector):
-    constants = structure_constants(verify_axioms(lisonek_cc).p)
+    constants = structure_constants(verify_axioms(lisonek_cc))
     coeffs = list(lisonek_projector.coefficients)
     form = _integer_vector(coeffs)
     _require_product(constants, form, form, form, "E^2 != E")

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 from twodist.cli import dispatch
 from twodist.coherent import from_design, verify_axioms
-from twodist.designs import IncidenceDesign, lisonek_design, load_design
+from twodist.designs import (
+    IncidenceDesign, blocks_through_points, lisonek_design, load_design, pack, pair_counts)
 from twodist.errors import DesignError
 
 from conftest import DATA_DIR
@@ -204,20 +205,25 @@ def test_random_t_designs_match_the_walk(design, t):
 def test_wide_fields_both_ways_in_from_design():
     # AG(9,2) hyperplanes: 256 points in a block and 511 blocks through a point
     # take two-byte fields each way; a point's own field sums to 511
-    cc = from_design(ag2_hyperplanes(9))
+    cc = from_design(ag2_hyperplanes(9))  # so every point pair lies in the same number of blocks
     assert (cc.points.width, cc.blocks.width) == (2, 2)
-    assert cc.pairs == (255,) and (cc.params.alpha, cc.params.beta) == (128, 0)
-    assert verify_axioms(cc).ok
+    assert cc.params.Lambda == 255 and (cc.params.alpha, cc.params.beta) == (128, 0)
+    assert verify_axioms(cc)[5][7][2] == 255   # p_68^3: the blocks through two points
 
 
 def test_wide_block_rows_beside_narrow_point_rows():
     # blocks {0, i} for i = 1..300 and {1, 2}: quasi-symmetric with S = 2, but
     # point 0's own field sums to 300, so the blocks' rows need two bytes
     design = IncidenceDesign(301, tuple((0, i) for i in range(1, 301)) + ((1, 2),))
-    cc = from_design(design)
-    assert (cc.points.width, cc.blocks.width) == (1, 2)
-    assert cc.pairs == (0, 1)
+    through = blocks_through_points(design)
+    points = pack(through, design.block_count, design.block_size)
+    blocks = pack(design.blocks, design.m, max(map(len, through)))
+    assert (points.width, blocks.width) == (1, 2)
+    assert pair_counts(through, blocks) == (0, 1)
     assert pair_pass(design) == verify_t_design_by_walk(design, 2)
+    # from_design refuses it on the block count, before it packs the blocks' rows
+    with pytest.raises(DesignError, match=r"^axioms fail: 301 blocks, but .* give n = 45150$"):
+        from_design(design)
 
 
 def test_wide_pair_counts():

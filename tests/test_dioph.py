@@ -34,6 +34,7 @@ from twodist.exactnum import QuadExt, parse_scalar
 from twodist.polynomials import Poly
 from twodist.regions import g1_in_t
 
+from conftest import REGIONS_BOX
 from lattice_oracle import (LatticeReport, PointViolation, RowEvaluator, curve_search,
                             lattice_scan, table_row, xz_rows)
 from oracles import p_system_by_quadratics, poly_eval
@@ -161,12 +162,18 @@ def test_verify_identities_work_count(monkeypatch):
     ("BLOCK_COUNT", "block count n = C(m,2) on family (i)"),
 ])
 def test_verify_identities_names_a_perturbed_identity(monkeypatch, name, identity):
-    """One coefficient of a quartic or of the block count off by one fails its identity."""
+    """One coefficient of a quartic or of the block count off by one fails its identity.
+
+    The failed step names the identity and shows its nonzero residue; every
+    step is still reported.
+    """
     poly = getattr(dioph, name)
     for expo, coeff in poly.terms.items():
         monkeypatch.setattr(dioph, name, Poly(poly.vars, {**poly.terms, expo: coeff + 1}))
-        with pytest.raises(InternalConsistencyError, match=re.escape(f"residue for {identity}:")):
-            verify_identities()
+        steps = verify_identities()
+        failed = next(s for s in steps if not s.passed)
+        assert len(steps) == 7 and failed.claim == identity
+        assert re.fullmatch(r"Poly\(-?\d.*\)", failed.witness) and failed.witness != "Poly(0)"
 
 
 def test_family_points():
@@ -895,13 +902,13 @@ def test_a_crossing_row_is_partly_proved_and_partly_enumerated(z0, lo, hi):
 
 
 def test_default_boxes_need_no_enumeration():
-    """The lattice oracle closes every row of the default boxes by root exclusion alone.
+    """The lattice oracle closes every row of `regions`' default boxes by root exclusion alone.
 
     It finds no violation and checks the same points, per region, as the
     proof of `region_scan` counts.
     """
     for which in ("g1", "g2"):
-        proved, oracle = region_scan(which), lattice_scan(which)
+        proved, oracle = region_scan(which, **REGIONS_BOX), lattice_scan(which, **REGIONS_BOX)
         assert proved.ok and not oracle.violations
         assert oracle.points_checked == proved.points_checked
         assert oracle.points_proved == oracle.points_checked

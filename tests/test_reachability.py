@@ -38,6 +38,8 @@ READERS = (ROOT / "src", ROOT / "demos", ROOT / "perfbench")
 ALLOWLIST = {
     "cli:main": "the console script; it only wraps dispatch, which the child calls",
     "cli:CommandReport.fail": "runs only when a proof fails",
+    "designs:IncidenceDesign._make": "sends the namedtuple's _make and _replace through the "
+                                     "checks of __new__; no command copies a design",
     "exactnum:QuadExt.__hash__": "value semantics: equal values hash equal",
     "exactnum:QuadExt.__repr__": "value semantics: what a failing comparison prints",
     "exactnum:QuadExt.__bool__": "value semantics: zero is false, as for int and Fraction",

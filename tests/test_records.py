@@ -1,7 +1,8 @@
 """The record types: one form, no generated annotations at import, immutable.
 
 Every immutable record is a `collections.namedtuple` subclass with empty
-`__slots__`; a record that checks its input does so in `__new__`.  Only
+`__slots__`; a record that checks its input does so in `__new__`, and its
+`_make`, which `_replace` calls, goes through `__new__` too.  Only
 `cli.CommandReport`, which its command handlers append to, is a `__slots__`
 class with its own `__init__`.  A `@dataclass` `exec`s its generated
 methods when its module is imported, and a `typing.NamedTuple` turns every
@@ -9,11 +10,13 @@ field annotation into a `ForwardRef`: costs every command pays at start-up.
 """
 
 import ast
+import copy
+import pickle
 from pathlib import Path
 
 import pytest
 
-from twodist import coherent, designs, dioph, geometry
+from twodist import designs, dioph, geometry
 from twodist.designs import IncidenceDesign
 from twodist.errors import DesignError
 
@@ -88,10 +91,27 @@ def test_incidence_design_checks_at_construction(m, blocks, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("build, fragment", [
+    (lambda d: d._replace(m=0), "point count must be positive"),
+    (lambda d: IncidenceDesign._make((0, d.blocks)), "point count must be positive"),
+    (lambda d: d._replace(blocks=((1, 0),)), "block 0 is not strictly ascending"),
+])
+def test_design_copies_go_through_the_checks(lisonek, build, fragment):
+    # the namedtuple's own _make, which _replace calls, builds with tuple.__new__
+    with pytest.raises(DesignError, match=fragment):
+        build(lisonek)
+
+
+def test_design_copies_keep_the_design(lisonek):
+    assert lisonek._replace(m=10) == IncidenceDesign(10, lisonek.blocks)
+    for same in (pickle.loads(pickle.dumps(lisonek)), copy.deepcopy(lisonek)):
+        assert type(same) is IncidenceDesign and same == lisonek
+
+
 def test_reports_have_no_instance_dict(lisonek_projector):
     # records with empty __slots__ take no per-instance dict and refuse any assignment
     report = dioph.RegionScanReport({"r": 1}, [])
-    for record in (report, lisonek_projector, coherent.verify_axioms(lisonek_projector.cc)):
+    for record in (report, lisonek_projector, lisonek_projector.cc):
         assert not hasattr(record, "__dict__")
         with pytest.raises(AttributeError):
             record.not_a_field = 1
